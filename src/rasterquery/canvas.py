@@ -1,14 +1,27 @@
 """The rasterization backend: viewports, conservative rasterization, and
 discrete canvas construction for data geometry and distance constraints.
 
-A discrete canvas stores three planes (point/line/polygon) of per-pixel
-4-tuples (v0 object id, v1 primitive ordinal, v2 value slot, v_b boundary
-entry ref). Alongside the spec tuples the canvas keeps the exactness
-machinery: an ``interior_id`` grid (object whose interior fully covers the
-pixel square) and a CSR table of boundary-index entry refs per boundary
-pixel. Classification is sound: an interior-marked pixel square lies wholly
-inside its object, an unmarked square is disjoint from every object, and
-every partially-covered square is boundary-marked.
+A discrete canvas holds, per plane (point/line/polygon), an ``interior_id``
+grid (the object whose interior fully covers the pixel square) and a CSR
+table of boundary-index entry refs per boundary pixel. Classification is
+sound: an interior-marked pixel square lies wholly inside its object, an
+unmarked square is disjoint from every object, and every partially-covered
+square is boundary-marked.
+
+Whole layers are rasterized at once, the CPU counterpart of one draw call
+per layer, by two array kernels:
+
+- ``segment_pixels``, the edge supercover: every pixel whose closed square
+  meets a segment, for all segments of a layer in one pass. Candidates are
+  column strips padded by one pixel; ``seg_touch_mask``'s corner-straddle
+  and bbox predicate then filters them, so the result equals that mask.
+- ``scanline_fill``, the even-odd fill: every pixel whose centre lies
+  inside a polygon part, from the sorted edge crossings of each row of
+  pixel centres. Pixels that no edge of the polygon touches have their
+  whole closed square inside it.
+
+``render_geometry_canvas`` builds canvases from them, and the query engine
+runs the same kernels over its probe records.
 
 Pixel (c, r) covers the half-open square
 ``[min_x + c*sx, min_x + (c+1)*sx) x [min_y + r*sy, min_y + (r+1)*sy)``;
@@ -19,41 +32,22 @@ square.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
-from .errors import CanvasError, DataError, DegenerateGeometryError
+from .errors import CanvasError, DataError, DegenerateGeometryError, InternalInvariantError
 from .geometry import (
     GeometryRecord,
     Point2,
     Segment,
     Triangle,
+    edge_table,
     features,
     orient,
-    segments_array,
+    triangles_array,
 )
 
 PLANES = ("point", "line", "polygon")
 NULL_ID = -1
-
-
-class PixelTuple(NamedTuple):
-    """One plane's per-pixel slots: object id, primitive ordinal, value,
-    boundary-entry ref (all -1 / NaN when NULL); v_b >= 0 marks a boundary
-    pixel and implies v0 >= 0."""
-
-    v0: int
-    v1: int
-    v2: float
-    v_b: int
-
-    @property
-    def is_null(self) -> bool:
-        return self.v0 == NULL_ID
-
-
-NULL_TUPLE = PixelTuple(NULL_ID, -1, float("nan"), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +192,6 @@ def tri_touch_mask(vp: Viewport, window, tri: np.ndarray) -> np.ndarray:
     return ok
 
 
-def tri_center_mask(vp: Viewport, window, tri: np.ndarray) -> np.ndarray:
-    """Pixels whose center lies in the closed CCW triangle."""
-    c0, c1, r0, r1 = window
-    cx = vp.center_xs(c0, c1)[None, :]
-    cy = vp.center_ys(r0, r1)[:, None]
-    (x0, y0), (x1, y1), (x2, y2) = tri
-    return ((orient(x0, y0, x1, y1, cx, cy) >= 0.0)
-            & (orient(x1, y1, x2, y2, cx, cy) >= 0.0)
-            & (orient(x2, y2, x0, y0, cx, cy) >= 0.0))
-
-
 def point_pixels(vp: Viewport, x: float, y: float) -> list:
     """All grid pixels whose closed square contains the point (up to 4)."""
     if not (vp.min_x <= x <= vp.max_x and vp.min_y <= y <= vp.max_y):
@@ -259,16 +242,6 @@ def rasterize_conservative(prim, vp: Viewport) -> set:
     raise TypeError(f"cannot rasterize {type(prim)!r}")
 
 
-def rasterize_interior(tri: Triangle, vp: Viewport) -> set:
-    """Pixels whose center lies in the closed triangle."""
-    arr = np.array([(tri.v0.x, tri.v0.y), (tri.v1.x, tri.v1.y), (tri.v2.x, tri.v2.y)])
-    window = vp.window_for_bbox((arr[:, 0].min(), arr[:, 1].min(),
-                                 arr[:, 0].max(), arr[:, 1].max()))
-    if window is None:
-        return set()
-    return _mask_to_pixels(window, tri_center_mask(vp, window, arr))
-
-
 def rect_to_triangles(mn, mx) -> tuple:
     """Split an axis-aligned rectangle into two CCW triangles."""
     x0, y0 = mn if not isinstance(mn, Point2) else (mn.x, mn.y)
@@ -281,19 +254,196 @@ def rect_to_triangles(mn, mx) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Layer-at-a-time kernels
+# ---------------------------------------------------------------------------
+
+# Pixel keys one kernel call or probe chunk materializes at a time; bounds
+# the temporary memory of a pass (about 8 bytes per key per live array).
+PIXEL_KEY_BUDGET = 1 << 18
+
+
+def unique_keys(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an integer key array, by a sort and a
+    neighbour comparison (numpy 2's hash-based ``np.unique`` is many times
+    slower on these int64 keys)."""
+    if len(keys) < 2:
+        return keys
+    keys = np.sort(keys)
+    return keys[np.r_[True, keys[1:] != keys[:-1]]]
+
+
+def in_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Boolean mask of the keys that occur in the sorted key array."""
+    if len(sorted_keys) == 0:
+        return np.zeros(len(keys), dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[pos] == keys
+
+
+def expand_runs(counts: np.ndarray) -> tuple:
+    """For consecutive runs of the given lengths: the run index of every
+    element and its offset inside the run."""
+    counts = np.asarray(counts, dtype=np.int64)
+    run = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    starts = np.cumsum(counts) - counts
+    return run, np.arange(len(run), dtype=np.int64) - starts[run]
+
+
+def _index(v: np.ndarray, n: int, rounding=np.floor) -> np.ndarray:
+    """Rounded pixel coordinate as int64, clipped to [-2, n + 1] before the
+    cast so far-off coordinates cannot overflow it."""
+    return np.clip(rounding(v), -2, n + 1).astype(np.int64)
+
+
+def pixel_windows(vp: Viewport, x0, y0, x1, y1) -> tuple:
+    """``Viewport.window_for_bbox`` over arrays of boxes: inclusive
+    (c0, c1, r0, r1) arrays; a box that cannot touch the grid gets c1 < c0."""
+    w, h = vp.width_px, vp.height_px
+    c0 = np.maximum(_index((x0 - vp.min_x) / vp.sx, w) - 1, 0)
+    c1 = np.minimum(_index((x1 - vp.min_x) / vp.sx, w) + 1, w - 1)
+    r0 = np.maximum(_index((y0 - vp.min_y) / vp.sy, h) - 1, 0)
+    r1 = np.minimum(_index((y1 - vp.min_y) / vp.sy, h) + 1, h - 1)
+    off = (x1 < vp.min_x) | (x0 > vp.max_x) | (y1 < vp.min_y) | (y0 > vp.max_y)
+    return c0, np.where(off, c0 - 1, c1), r0, r1
+
+
+def segment_pixels(vp: Viewport, segs: np.ndarray) -> tuple:
+    """Edge supercover: (segment index, flat pixel) for every pixel whose
+    closed square meets the closed segment, for all (S, 4) segments at once.
+
+    The pixels are exactly those ``seg_touch_mask`` marks in the segment's
+    ``window_for_bbox`` window. Candidates come in column strips: in each
+    window column, the rows the segment spans inside that strip, padded by
+    one row on either side so rounding in the strip's end heights cannot
+    drop a pixel. The corner-straddle and bbox predicate of
+    ``seg_touch_mask``, evaluated with the same floating-point operations,
+    then keeps the touched ones.
+    """
+    segs = np.asarray(segs, dtype=float).reshape(-1, 4)
+    ax, ay, bx, by = segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3]
+    x0, x1 = np.minimum(ax, bx), np.maximum(ax, bx)
+    y0, y1 = np.minimum(ay, by), np.maximum(ay, by)
+    c0, c1, r0, r1 = pixel_windows(vp, x0, y0, x1, y1)
+    s, off = expand_runs(np.maximum(c1 - c0 + 1, 0))
+    col = c0[s] + off
+    # Height range of the segment inside each column strip.
+    dx, dy = (bx - ax)[s], (by - ay)[s]
+    xl = np.clip(vp.min_x + col * vp.sx, x0[s], x1[s])
+    xr = np.clip(vp.min_x + (col + 1) * vp.sx, x0[s], x1[s])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tl = np.clip((xl - ax[s]) / dx, 0.0, 1.0)
+        tr = np.clip((xr - ax[s]) / dx, 0.0, 1.0)
+    vertical = dx == 0.0
+    tl[vertical], tr[vertical] = 0.0, 1.0
+    ya, yb = ay[s] + tl * dy, ay[s] + tr * dy
+    h = vp.height_px
+    rlo = np.maximum(_index((np.minimum(ya, yb) - vp.min_y) / vp.sy, h) - 1, r0[s])
+    rhi = np.minimum(_index((np.maximum(ya, yb) - vp.min_y) / vp.sy, h) + 1, r1[s])
+    k, off = expand_runs(np.maximum(rhi - rlo + 1, 0))
+    s, col, row = s[k], col[k], rlo[k] + off
+    dx, dy = dx[k], dy[k]
+    # seg_touch_mask's exact test: orient at the four corners straddles 0
+    # and the square overlaps the segment's bbox.
+    cx0 = vp.min_x + col * vp.sx
+    cx1 = vp.min_x + (col + 1) * vp.sx
+    cy0 = vp.min_y + row * vp.sy
+    cy1 = vp.min_y + (row + 1) * vp.sy
+    sax, say = ax[s], ay[s]
+    a0, a1 = dx * (cy0 - say), dx * (cy1 - say)
+    b0, b1 = dy * (cx0 - sax), dy * (cx1 - sax)
+    f00, f01, f10, f11 = a0 - b0, a0 - b1, a1 - b0, a1 - b1
+    fmin = np.minimum(np.minimum(f00, f01), np.minimum(f10, f11))
+    fmax = np.maximum(np.maximum(f00, f01), np.maximum(f10, f11))
+    ok = ((fmin <= 0.0) & (fmax >= 0.0)
+          & (cx0 <= x1[s]) & (cx1 >= x0[s]) & (cy0 <= y1[s]) & (cy1 >= y0[s]))
+    return s[ok], row[ok] * vp.width_px + col[ok]
+
+
+def _fill_spans(vp: Viewport, edges: np.ndarray, owner: np.ndarray) -> tuple:
+    """(owner, row, c0, c1) runs of pixel centres inside each owner's rings
+    by the even-odd rule, clipped to the grid."""
+    ax, ay, bx, by = edges[:, 0], edges[:, 1], edges[:, 2], edges[:, 3]
+    w, h = vp.width_px, vp.height_px
+    # Rows whose centre height yc has min(ay, by) <= yc < max(ay, by),
+    # padded by one row and settled by the exact half-open test below: it
+    # counts a vertex on the scanline once, so every row sees an even
+    # number of crossings per closed ring.
+    rlo = np.maximum(_index((np.minimum(ay, by) - vp.min_y) / vp.sy - 0.5, h) - 1, 0)
+    rhi = np.minimum(_index((np.maximum(ay, by) - vp.min_y) / vp.sy - 0.5, h) + 1, h - 1)
+    e, off = expand_runs(np.maximum(rhi - rlo + 1, 0))
+    row = rlo[e] + off
+    yc = vp.min_y + (row + 0.5) * vp.sy
+    cross = (ay[e] <= yc) != (by[e] <= yc)
+    e, row, yc = e[cross], row[cross], yc[cross]
+    xc = ax[e] + (yc - ay[e]) * (bx[e] - ax[e]) / (by[e] - ay[e])
+    own = owner[e]
+    order = np.lexsort((xc, row, own))
+    own, row, xc = own[order], row[order], xc[order]
+    if len(own) % 2 or np.any(own[0::2] != own[1::2]) or np.any(row[0::2] != row[1::2]):
+        raise InternalInvariantError("scanline fill saw an odd crossing count (open ring?)")
+    own, row = own[0::2], row[0::2]
+    c0 = np.maximum(_index((xc[0::2] - vp.min_x) / vp.sx - 0.5, w, np.ceil), 0)
+    c1 = np.minimum(_index((xc[1::2] - vp.min_x) / vp.sx - 0.5, w, np.ceil) - 1, w - 1)
+    keep = c1 >= c0
+    return own[keep], row[keep], c0[keep], c1[keep]
+
+
+def scanline_fill(vp: Viewport, edges: np.ndarray, owner: np.ndarray):
+    """Even-odd scanline fill: yields (owner, flat pixel) chunks covering
+    every pixel whose centre lies inside the rings of its owner.
+
+    ``edges`` (E, 4) holds every ring edge of every owner and ``owner``
+    (E,) the owner of each; an owner's rings must be closed and must not
+    cross (one polygon part: outer ring plus holes). Each scanline through
+    a row of pixel centres pairs up the owner's sorted edge crossings, and
+    the centres between a pair are inside. A centre within rounding of an
+    edge may land on either side, but its pixel is always touched by that
+    edge, so callers that set edge pixels apart never depend on it. Chunks
+    hold at most ``PIXEL_KEY_BUDGET`` plus one row of pixels.
+    """
+    edges = np.asarray(edges, dtype=float).reshape(-1, 4)
+    own, row, c0, c1 = _fill_spans(vp, edges, np.asarray(owner, dtype=np.int64))
+    n = c1 - c0 + 1
+    ends = np.cumsum(n)
+    lo = 0
+    while lo < len(n):
+        base = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, base + PIXEL_KEY_BUDGET, side="right")), lo + 1)
+        k, off = expand_runs(n[lo:hi])
+        k += lo
+        yield own[k], row[k] * vp.width_px + c0[k] + off
+        lo = hi
+
+
+def point_pixels_array(vp: Viewport, xy: np.ndarray) -> tuple:
+    """``point_pixels`` for an (N, 2) array: (point index, flat pixel) for
+    every pixel whose closed square contains the point."""
+    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+    idx = np.flatnonzero(vp.in_bounds(xy))
+    x, y = xy[idx, 0], xy[idx, 1]
+    cc = np.floor((x - vp.min_x) / vp.sx).astype(np.int64)
+    rr = np.floor((y - vp.min_y) / vp.sy).astype(np.int64)
+    k = np.repeat(np.arange(len(idx)), 9)
+    col = cc[k] + np.tile(np.repeat([-1, 0, 1], 3), len(idx))
+    row = rr[k] + np.tile([-1, 0, 1], 3 * len(idx))
+    ok = ((col >= 0) & (col < vp.width_px) & (row >= 0) & (row < vp.height_px)
+          & (vp.min_x + col * vp.sx <= x[k]) & (x[k] <= vp.min_x + (col + 1) * vp.sx)
+          & (vp.min_y + row * vp.sy <= y[k]) & (y[k] <= vp.min_y + (row + 1) * vp.sy))
+    return idx[k[ok]], row[ok] * vp.width_px + col[ok]
+
+
+# ---------------------------------------------------------------------------
 # Discrete canvas
 # ---------------------------------------------------------------------------
 
 class PlaneData:
-    """One primitive plane of a discrete canvas (arrays indexed [row, col])."""
+    """One primitive plane of a discrete canvas: the object whose interior
+    fully covers each pixel square (``interior_id``, indexed [row, col]),
+    plus CSR buckets of boundary entry refs per boundary pixel (``bp_flat``
+    sorted flat pixel ids, ``bp_start`` bucket offsets, ``bp_entries``
+    ascending refs per bucket)."""
 
     def __init__(self, height: int, width: int):
-        self.v0 = np.full((height, width), NULL_ID, dtype=np.int64)
-        self.v1 = np.full((height, width), -1, dtype=np.int32)
-        self.v2 = np.full((height, width), np.nan, dtype=np.float64)
-        self.vb = np.full((height, width), -1, dtype=np.int64)
-        # Exactness structures: the object whose interior fully covers the
-        # pixel square, plus CSR buckets of boundary entry refs per pixel.
         self.interior_id = np.full((height, width), NULL_ID, dtype=np.int64)
         self.bp_flat = np.zeros(0, dtype=np.int64)
         self.bp_start = np.zeros(1, dtype=np.int64)
@@ -304,28 +454,6 @@ class PlaneData:
         if i >= len(self.bp_flat) or self.bp_flat[i] != flat:
             return self.bp_entries[0:0]
         return self.bp_entries[self.bp_start[i]:self.bp_start[i + 1]]
-
-    def tuple_at(self, c: int, r: int) -> PixelTuple:
-        return PixelTuple(int(self.v0[r, c]), int(self.v1[r, c]),
-                          float(self.v2[r, c]), int(self.vb[r, c]))
-
-    def set_tuple(self, c: int, r: int, t: PixelTuple):
-        if t.v_b >= 0 and t.v0 == NULL_ID:
-            raise CanvasError("v_b set on a NULL tuple")
-        self.v0[r, c] = t.v0
-        self.v1[r, c] = t.v1
-        self.v2[r, c] = t.v2
-        self.vb[r, c] = t.v_b
-
-    def equal(self, other: "PlaneData") -> bool:
-        return (np.array_equal(self.v0, other.v0)
-                and np.array_equal(self.v1, other.v1)
-                and np.array_equal(self.v2, other.v2, equal_nan=True)
-                and np.array_equal(self.vb, other.vb)
-                and np.array_equal(self.interior_id, other.interior_id)
-                and np.array_equal(self.bp_flat, other.bp_flat)
-                and np.array_equal(self.bp_start, other.bp_start)
-                and np.array_equal(self.bp_entries, other.bp_entries))
 
 
 class DiscreteCanvas:
@@ -353,85 +481,40 @@ class DiscreteCanvas:
     def flat(self, cols, rows):
         return rows * self.viewport.width_px + cols
 
-    def equal(self, other: "DiscreteCanvas") -> bool:
-        if self.viewport != other.viewport:
-            return False
-        for name in PLANES:
-            a, b = self.has_plane(name), other.has_plane(name)
-            if a != b:
-                empty = PlaneData(self.viewport.height_px, self.viewport.width_px)
-                if not (self.plane(name) if a else empty).equal(
-                        other.plane(name) if b else empty):
-                    return False
-            elif a and not self.plane(name).equal(other.plane(name)):
-                return False
-        return True
-
-    def dump_plane(self, name: str) -> str:
-        """PGM-style text grid: object id per pixel, '.' for NULL; rows are
-        printed top-down (max y first)."""
-        vp = self.viewport
-        lines = [f"{vp.width_px} {vp.height_px}"]
-        v0 = self.plane(name).v0
-        for r in range(vp.height_px - 1, -1, -1):
-            lines.append(" ".join("." if v == NULL_ID else str(int(v)) for v in v0[r]))
-        return "\n".join(lines) + "\n"
-
 
 class _Builder:
-    """Accumulates per-record writes, then finalizes bucket CSR tables.
-
-    Records must be fed in ascending id order with primitives in ascending
-    ordinal order; plain overwrites then realize the (plane, higher object
-    id, higher v1) conflict rule, making the result record-order independent.
-    """
+    """Accumulates interior claims and boundary (pixel, entry ref) pairs,
+    then finalizes the bucket CSR tables."""
 
     def __init__(self, vp: Viewport, bindex, entries_complete=False):
         self.canvas = DiscreteCanvas(vp, bindex, entries_complete)
         self._pix: dict = {name: [] for name in PLANES}
         self._refs: dict = {name: [] for name in PLANES}
 
-    def write_interior(self, plane_name, window, mask, rid, v1, value):
+    def write_interior(self, plane_name, window, mask, rid):
         plane = self.canvas.plane(plane_name)
         c0, _, r0, _ = window
         view = np.s_[r0:r0 + mask.shape[0], c0:c0 + mask.shape[1]]
         plane.interior_id[view][mask] = rid
-        plane.v0[view][mask] = rid
-        plane.v1[view][mask] = v1
-        plane.vb[view][mask] = -1
-        plane.v2[view][mask] = value
 
-    def write_boundary(self, plane_name, window, mask, rid, v1, value, entry_ref):
+    def write_boundary(self, plane_name, window, mask, rid, entry_ref):
         plane = self.canvas.plane(plane_name)
         c0, _, r0, _ = window
         rows, cols = np.nonzero(mask)
         if len(rows) == 0:
             return
-        view = np.s_[r0:r0 + mask.shape[0], c0:c0 + mask.shape[1]]
-        plane.v0[view][mask] = rid
-        plane.v1[view][mask] = v1
-        plane.vb[view][mask] = entry_ref
-        plane.v2[view][mask] = value
         # A pixel the object's own boundary touches is not fully covered by
         # it; revoke this object's interior claim (others' claims stand).
-        sub = plane.interior_id[view]
+        sub = plane.interior_id[r0:r0 + mask.shape[0], c0:c0 + mask.shape[1]]
         sub[mask & (sub == rid)] = NULL_ID
         flat = (rows + r0) * self.canvas.viewport.width_px + (cols + c0)
-        self._pix[plane_name].append(flat)
-        self._refs[plane_name].append(np.full(len(flat), entry_ref, dtype=np.int64))
+        self.add_boundary(plane_name, flat, np.full(len(flat), entry_ref, dtype=np.int64))
 
-    def write_boundary_pixels(self, plane_name, pixels, rid, v1, value, entry_ref):
-        plane = self.canvas.plane(plane_name)
-        for c, r in pixels:
-            plane.v0[r, c] = rid
-            plane.v1[r, c] = v1
-            plane.vb[r, c] = entry_ref
-            plane.v2[r, c] = value
-        if pixels:
-            flat = np.array([r * self.canvas.viewport.width_px + c for c, r in pixels],
-                            dtype=np.int64)
-            self._pix[plane_name].append(flat)
-            self._refs[plane_name].append(np.full(len(flat), entry_ref, dtype=np.int64))
+    def add_boundary(self, plane_name, flat, refs):
+        """Record boundary entry ``refs[i]`` at flat pixel ``flat[i]``."""
+        self.canvas.plane(plane_name)
+        self._pix[plane_name].append(np.asarray(flat, dtype=np.int64))
+        self._refs[plane_name].append(np.asarray(refs, dtype=np.int64))
 
     def finalize(self) -> DiscreteCanvas:
         for name in PLANES:
@@ -442,66 +525,111 @@ class _Builder:
             refs = np.concatenate(self._refs[name])
             order = np.lexsort((refs, flat))
             flat, refs = flat[order], refs[order]
-            uniq, start = np.unique(flat, return_index=True)
-            plane.bp_flat = uniq
+            start = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]][:len(flat)])
+            plane.bp_flat = flat[start]
             plane.bp_start = np.append(start, len(flat)).astype(np.int64)
             plane.bp_entries = refs
         return self.canvas
 
 
 def render_geometry_canvas(records, vp: Viewport, bindex) -> DiscreteCanvas:
-    """Render data records into a discrete canvas.
+    """Render data records into a discrete canvas, one kernel call per kind.
 
-    Points land conservatively in the point plane; polyline segments land
-    conservatively in the line plane (v_b set); polygons get a center-sampled
-    interior pass (v_b NULL) overwritten by a conservative boundary pass
-    whose v_b references the edge's incident-triangle entry.
+    Points land conservatively in the point plane and polyline segments in
+    the line plane, as boundary entries. Polygons fill the polygon plane:
+    every pixel an edge touches (``segment_pixels``) gets the edge's
+    incident-triangle entry, and ``interior_id`` holds, for each pixel, the
+    highest-id polygon whose closed triangles contain the pixel centre,
+    unless that polygon's own edges touch the pixel (then NULL). The
+    centres come from ``scanline_fill``; only where a polygon's edge pixel
+    lies under a lower-id polygon's claim does an exact centre-in-triangle
+    test decide. On pairwise-disjoint records that
+    case never changes the result.
     """
     recs = sorted(records, key=lambda rec: rec.id)
     ids = [rec.id for rec in recs]
     if len(set(ids)) != len(ids):
         raise DataError("duplicate record ids in one canvas")
     b = _Builder(vp, bindex)
-    for rec in recs:
-        value = np.nan if rec.value is None else float(rec.value)
-        start, _count = bindex.offsets[rec.id]
-        if rec.kind == "point":
-            p = rec.geometry
-            pix = point_pixels(vp, p.x, p.y)
-            b.write_boundary_pixels("point", pix, rec.id, 0, value, start)
-        elif rec.kind == "polyline":
-            segs = segments_array(rec)
-            for si, (ax, ay, bx, by) in enumerate(segs):
-                window = vp.window_for_bbox((min(ax, bx), min(ay, by),
-                                             max(ax, bx), max(ay, by)))
-                if window is None:
-                    continue
-                mask = seg_touch_mask(vp, window, ax, ay, bx, by)
-                b.write_boundary("line", window, mask, rec.id, si, value, start + si)
-        else:
-            tri_base = 0
-            for part in rec.geometry:
-                for ti, tri in enumerate(part.triangles):
-                    window = vp.window_for_bbox((tri[:, 0].min(), tri[:, 1].min(),
-                                                 tri[:, 0].max(), tri[:, 1].max()))
-                    if window is None:
-                        continue
-                    mask = tri_center_mask(vp, window, tri)
-                    b.write_interior("polygon", window, mask, rec.id, tri_base + ti, value)
-                tri_base += len(part.triangles)
-            edge_base = 0
-            for part in rec.geometry:
-                edges = part.boundary_edges()
-                for ei, (ax, ay, bx, by) in enumerate(edges):
-                    window = vp.window_for_bbox((min(ax, bx), min(ay, by),
-                                                 max(ax, bx), max(ay, by)))
-                    if window is None:
-                        continue
-                    mask = seg_touch_mask(vp, window, ax, ay, bx, by)
-                    b.write_boundary("polygon", window, mask, rec.id, edge_base + ei,
-                                     value, start + edge_base + ei)
-                edge_base += len(edges)
+    pts = [rec for rec in recs if rec.kind == "point"]
+    if pts:
+        k, flat = point_pixels_array(vp, [(p.geometry.x, p.geometry.y) for p in pts])
+        refs = np.array([bindex.offsets[p.id][0] for p in pts], dtype=np.int64)
+        b.add_boundary("point", flat, refs[k])
+    lines = [rec for rec in recs if rec.kind == "polyline"]
+    if lines:
+        edges, rank, ordinal, _ = stack_edges(lines)
+        k, flat = segment_pixels(vp, edges)
+        b.add_boundary("line", flat, _entry_refs(lines, bindex, rank, ordinal)[k])
+    polys = [rec for rec in recs if rec.kind == "polygon"]
+    if polys:
+        _render_polygons(b, polys, vp, bindex)
     return b.finalize()
+
+
+def stack_edges(recs) -> tuple:
+    """The ``edge_table`` of every record stacked: (edges, rank, ordinal,
+    part) per edge, where rank is the record's position in ``recs``,
+    ordinal the edge's position within its record, and part a part ordinal
+    unique across all records."""
+    tables = [edge_table(rec) for rec in recs]
+    counts = [len(e) for e, _ in tables]
+    rank, ordinal = expand_runs(counts)
+    nparts = np.array([int(p[-1]) + 1 for _, p in tables])
+    part = np.concatenate([p for _, p in tables]) + np.repeat(np.cumsum(nparts) - nparts, counts)
+    return np.concatenate([e for e, _ in tables]), rank, ordinal, part
+
+
+def _entry_refs(recs, bindex, rank, ordinal) -> np.ndarray:
+    """Boundary-index entry ref of each stacked edge."""
+    first = np.array([bindex.offsets[rec.id][0] for rec in recs], dtype=np.int64)
+    return first[rank] + ordinal
+
+
+def _render_polygons(b: _Builder, recs, vp: Viewport, bindex):
+    hw = vp.width_px * vp.height_px
+    edges, rank, ordinal, part = stack_edges(recs)
+    k, flat = segment_pixels(vp, edges)
+    b.add_boundary("polygon", flat, _entry_refs(recs, bindex, rank, ordinal)[k])
+    erank = rank[k]
+    own = unique_keys(erank * hw + flat)
+    part_rank = np.zeros(int(part.max()) + 1, dtype=np.int64)
+    part_rank[part] = rank
+    # Claims: centres inside a polygon, off its own edge pixels; the
+    # highest rank wins, as when records are written in id order.
+    winner = np.full(hw, -1, dtype=np.int64)
+    for owner, fflat in scanline_fill(vp, edges, part):
+        frank = part_rank[owner]
+        keep = ~in_sorted(frank * hw + fflat, own)
+        np.maximum.at(winner, fflat[keep], frank[keep])
+    # A higher-rank polygon whose edge touches a claimed pixel revokes the
+    # claim when its closed triangles hold the centre.
+    hit = winner[flat]
+    late = (hit >= 0) & (erank > hit)
+    if late.any():
+        key = unique_keys((erank * hw + flat)[late])
+        crank, cflat = np.divmod(key, hw)
+        inside = _centres_in_records(vp, cflat, [triangles_array(recs[r]) for r in crank])
+        winner[cflat[inside]] = -1
+    ids = np.array([rec.id for rec in recs], dtype=np.int64)
+    interior = np.where(winner >= 0, ids[np.maximum(winner, 0)], NULL_ID)
+    b.canvas.plane("polygon").interior_id = interior.reshape(vp.height_px, vp.width_px)
+
+
+def _centres_in_records(vp: Viewport, flat: np.ndarray, tris: list) -> np.ndarray:
+    """Per pixel, whether its centre lies in one of the matching (T, 3, 2)
+    closed CCW triangle arrays."""
+    j, _ = expand_runs([len(t) for t in tris])
+    t = np.concatenate(tris)
+    col, row = flat % vp.width_px, flat // vp.width_px
+    cx = vp.min_x + (col + 0.5) * vp.sx
+    cy = vp.min_y + (row + 0.5) * vp.sy
+    cx, cy = cx[j], cy[j]
+    (x0, y0), (x1, y1), (x2, y2) = t[:, 0].T, t[:, 1].T, t[:, 2].T
+    inside = ((orient(x0, y0, x1, y1, cx, cy) >= 0.0)
+              & (orient(x1, y1, x2, y2, cx, cy) >= 0.0)
+              & (orient(x2, y2, x0, y0, cx, cy) >= 0.0))
+    return np.bincount(j[inside], minlength=len(flat)) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -611,16 +739,14 @@ class DistanceCanvasBuilder:
             sl = _sub_window(window, fwin)
             interior[sl] |= dmax <= r
             per_feat.append((fwin, dmin <= r))
-        value = np.nan if source.value is None else float(source.value)
-        self._b.write_interior("polygon", window, interior, source.id, 0, value)
+        self._b.write_interior("polygon", window, interior, source.id)
         for fi, item in enumerate(per_feat):
             if item is None:
                 continue
             fwin, touched = item
             sl = _sub_window(window, fwin)
             boundary = touched & ~interior[sl]
-            self._b.write_boundary("polygon", fwin, boundary, source.id, fi,
-                                   value, start + fi)
+            self._b.write_boundary("polygon", fwin, boundary, source.id, start + fi)
 
     def finalize(self) -> DiscreteCanvas:
         return self._b.finalize()

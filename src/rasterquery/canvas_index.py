@@ -9,7 +9,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canvas import Viewport, seg_touch_mask, tri_touch_mask, viewport_from_bounds
+from .canvas import (
+    Viewport,
+    seg_touch_mask,
+    tri_touch_mask,
+    unique_keys,
+    viewport_from_bounds,
+)
 from .errors import DataError
 from .geometry import (
     GeometryRecord,
@@ -297,12 +303,14 @@ def object_prims_touching_square(record: GeometryRecord, square) -> list:
 
 
 class PixelMatcher:
-    """Exact per-pixel membership tests against a constraint canvas.
+    """Exact membership tests against a constraint canvas.
 
     At an interior pixel the owner matches any probe touching the pixel.
-    At a boundary pixel the probe is tested against the pixel's entries;
-    when the entry set may be partial (polygon canvases) a failed object
-    escalates to all of its primitives touching the pixel square.
+    At a boundary pixel ``match_points`` tests points against the pixel's
+    entries; when the entry set may be partial (polygon canvases) a failed
+    object escalates to all of its primitives touching the pixel square.
+    ``exact_pair`` settles a whole (probe record, object) pair at once, and
+    ``bucket_objects`` lists the distinct objects of each boundary pixel.
     """
 
     def __init__(self, canvas, plane_name: str = "polygon"):
@@ -311,48 +319,39 @@ class PixelMatcher:
         self.bindex = canvas.bindex
         self.plane = canvas.plane(plane_name)
         self.complete = canvas.entries_complete
+        self.object_ids = np.array(sorted(self.bindex.records), dtype=np.int64)
         self._esc_cache: dict = {}
+        self._buckets = None
 
     def entries_at(self, flat: int) -> np.ndarray:
         return self.plane.entries_at(flat)
 
-    def _escalate(self, oid: int, flat: int, probe) -> bool:
-        key = (oid, flat)
-        prims = self._esc_cache.get(key)
-        if prims is None:
-            c = int(flat % self.vp.width_px)
-            r = int(flat // self.vp.width_px)
-            square = pixel_square(self.vp, c, r)
-            prims = object_prims_touching_square(self.bindex.records[oid], square)
-            self._esc_cache[key] = prims
-        return any(exact_intersects(probe, p) for p in prims)
+    def bucket_objects(self) -> tuple:
+        """(slot, start, rank): ``slot`` maps each flat pixel to its index in
+        ``plane.bp_flat`` (-1 off the boundary), and (start, rank) is a CSR
+        over those indices listing each boundary pixel's objects once, as
+        ranks into ``object_ids``."""
+        if self._buckets is None:
+            plane, n = self.plane, max(len(self.object_ids), 1)
+            nb = len(plane.bp_flat)
+            slot = np.full(self.vp.width_px * self.vp.height_px, -1, dtype=np.int32)
+            slot[plane.bp_flat] = np.arange(nb)
+            pix = np.repeat(np.arange(nb, dtype=np.int64), np.diff(plane.bp_start))
+            rank = np.searchsorted(self.object_ids, self.bindex.obj_ids[plane.bp_entries])
+            pix, rank = np.divmod(unique_keys(pix * n + rank), n)
+            self._buckets = (slot, np.searchsorted(pix, np.arange(nb + 1)), rank)
+        return self._buckets
 
-    def matches_at(self, flat: int, probe, skip=frozenset()) -> set:
-        """Constraint object ids whose geometry the probe primitive truly
-        intersects, witnessed at this pixel."""
-        out = set()
-        interior = int(self.plane.interior_id.ravel()[flat])
-        if interior >= 0 and interior not in skip:
-            out.add(interior)
-        refs = self.entries_at(flat)
-        if len(refs) == 0:
-            return out
-        objs = self.bindex.obj_ids[refs]
-        pending: set = set()
-        for ref, oid in zip(refs, objs):
-            oid = int(oid)
-            if oid in out or oid in skip:
-                continue
-            if boundary_test(self.bindex, int(ref), probe):
-                out.add(oid)
-                pending.discard(oid)
-            else:
-                pending.add(oid)
+    def exact_pair(self, probe: GeometryRecord, oid: int) -> bool:
+        """Whether the probe record truly meets object ``oid``: full-geometry
+        intersection on polygon canvases; on distance canvases some probe
+        feature lies within r of one of the object's entries."""
         if not self.complete:
-            for oid in pending - out:
-                if self._escalate(oid, int(flat), probe):
-                    out.add(oid)
-        return out
+            return pairwise_intersects(probe, self.bindex.records[oid])
+        start, count = self.bindex.offsets[oid]
+        feats = features(probe)
+        return any(boundary_test(self.bindex, ref, f)
+                   for ref in range(start, start + count) for f in feats)
 
 
 # ---------------------------------------------------------------------------

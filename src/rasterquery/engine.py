@@ -3,9 +3,30 @@ aggregation, composed from canvas rendering, exact boundary tests, and the
 Map operator per plan.
 
 Every query is exact: raster classification only routes work (interior hits
-are certain, boundary pixels fall back to exact primitive tests), so results
-are independent of the canvas resolution. All functions are read-only over
-their inputs and safe to call concurrently.
+are certain, boundary pixels fall back to exact tests), so results are
+independent of the canvas resolution.
+
+Each constraint canvas (one selection constraint, one layer of disjoint
+join or aggregation constraints, one layer of distance buffers) is probed
+layer-at-a-time. Points go through ``match_points``, one pixel lookup each.
+Polylines and polygons go through ``match_records``, one array pass over all
+of them: the edge supercover and the even-odd scanline fill of ``canvas``
+turn every probe into (probe, pixel) keys, and each (probe, object) pair
+then settles or is refined:
+
+- settled: the probe touches a pixel the object's interior covers, or the
+  probe's interior (a filled pixel no probe edge touches) covers a boundary
+  pixel of the object;
+- refined: a pair seen only where a probe edge meets a boundary pixel of the
+  object gets one exact test, full-geometry intersection on polygon
+  canvases and feature distance within r on distance canvases.
+
+All functions are read-only over their inputs, apart from derived arrays
+cached on records. Their results do not depend on other calls, but their
+timing reports do: ``instrument`` keeps the active collectors in one
+process-global list, so a query running in one thread while another thread
+is inside ``instrument.collect()`` adds its phases to that report. Time
+queries one at a time.
 """
 
 from __future__ import annotations
@@ -18,11 +39,14 @@ import numpy as np
 
 from . import instrument
 from .canvas import (
-    DiscreteCanvas,
+    PIXEL_KEY_BUDGET,
     DistanceCanvasBuilder,
-    Viewport,
-    seg_touch_mask,
-    tri_touch_mask,
+    expand_runs,
+    in_sorted,
+    scanline_fill,
+    segment_pixels,
+    stack_edges,
+    unique_keys,
     viewport_from_bounds,
 )
 from .canvas_index import (
@@ -41,11 +65,7 @@ from .geometry import (
     PolygonGeom,
     Segment,
     Triangle,
-    points_to_record_distance,
-    polygon_record,
     project_points_4326_to_3857,
-    segments_array,
-    triangles_array,
 )
 from .operators import compact, map_one_pass, map_two_pass
 from .optimizer import ONE_PASS, QueryDescriptor, choose_map_impl, estimate_nmax
@@ -279,62 +299,113 @@ def _points_dist_entry(px, py, kind, c):
     return np.where(inside, 0.0, d)
 
 
-def _record_prims(rec: GeometryRecord):
-    if rec.kind == "point":
-        yield rec.geometry, None
-    elif rec.kind == "polyline":
-        for s, arr in zip(rec.geometry, segments_array(rec)):
-            yield s, ("seg", arr)
-    else:
-        for t in triangles_array(rec):
-            yield Triangle(Point2(*t[0]), Point2(*t[1]), Point2(*t[2])), ("tri", t)
+def match_records(matcher: PixelMatcher, records) -> set:
+    """(constraint id, record id) for every polyline or polygon record and
+    every constraint object of the canvas that it truly meets.
 
-
-def match_record(matcher: PixelMatcher, rec: GeometryRecord,
-                 stop_after_first: bool = False) -> set:
-    """Constraint ids the record's geometry intersects: every primitive is
-    rasterized conservatively and classified per pixel (interior pixels match
-    outright, boundary pixels run exact tests)."""
+    One array pass serves all records: probes whose bbox misses the
+    viewport drop out, then, chunk by chunk under ``PIXEL_KEY_BUDGET``,
+    ``segment_pixels`` lists the (probe, pixel) keys its edges touch and
+    ``scanline_fill`` those inside a polygon probe away from its edges.
+    Pairs settle in bulk where the raster proves them: a probe touching an
+    object's interior pixel meets it, and so does a probe whose interior
+    covers a boundary pixel of the object. A pair seen only where a probe
+    edge meets an object's boundary pixel gets one exact test,
+    ``PixelMatcher.exact_pair``.
+    """
+    records = list(records)
+    if not records:
+        return set()
     vp = matcher.vp
-    hits: set = set()
-    interior_grid = matcher.plane.interior_id
-    bpf = matcher.plane.bp_flat
-    for prim, tagged in _record_prims(rec):
-        if tagged is None:
-            p = prim
-            sub = match_points(matcher, np.array([[p.x, p.y]]))
-            if sub[0] >= 0:
-                hits.add(int(sub[0]))
-            continue
-        kind, arr = tagged
-        if kind == "seg":
-            bbox = (min(arr[0], arr[2]), min(arr[1], arr[3]),
-                    max(arr[0], arr[2]), max(arr[1], arr[3]))
-        else:
-            bbox = (arr[:, 0].min(), arr[:, 1].min(), arr[:, 0].max(), arr[:, 1].max())
-        window = vp.window_for_bbox(bbox)
-        if window is None:
-            continue
-        mask = (seg_touch_mask(vp, window, arr[0], arr[1], arr[2], arr[3])
-                if kind == "seg" else tri_touch_mask(vp, window, arr))
-        c0, _, r0, _ = window
-        rws, cls = np.nonzero(mask)
-        if len(rws) == 0:
-            continue
-        sub_int = interior_grid[r0:r0 + mask.shape[0], c0:c0 + mask.shape[1]][mask]
-        for cid in np.unique(sub_int[sub_int >= 0]):
-            hits.add(int(cid))
-        if stop_after_first and hits:
-            return hits
-        if len(bpf) == 0:
-            continue
-        flats = (rws + r0).astype(np.int64) * vp.width_px + (cls + c0)
-        pos = np.minimum(np.searchsorted(bpf, flats), len(bpf) - 1)
-        for flat in np.unique(flats[bpf[pos] == flats]):
-            hits |= matcher.matches_at(int(flat), prim, skip=hits)
-            if stop_after_first and hits:
-                return hits
-    return hits
+    edges, _, ordinal, _ = stack_edges(records)
+    starts = np.flatnonzero(ordinal == 0)
+    ex0, ex1 = np.minimum(edges[:, 0], edges[:, 2]), np.maximum(edges[:, 0], edges[:, 2])
+    ey0, ey1 = np.minimum(edges[:, 1], edges[:, 3]), np.maximum(edges[:, 1], edges[:, 3])
+    on = ((np.maximum.reduceat(ex1, starts) >= vp.min_x)
+          & (np.minimum.reduceat(ex0, starts) <= vp.max_x)
+          & (np.maximum.reduceat(ey1, starts) >= vp.min_y)
+          & (np.minimum.reduceat(ey0, starts) <= vp.max_y))
+    # Edge-pixel candidates per probe, about a column strip of rows plus
+    # four pixels per column spanned.
+    cost = np.add.reduceat(np.minimum((ey1 - ey0) / vp.sy, vp.height_px)
+                           + 4.0 * (np.minimum((ex1 - ex0) / vp.sx, vp.width_px) + 3.0),
+                           starts)
+    idx = np.flatnonzero(on)
+    ends = np.cumsum(cost[idx])
+    pairs: set = set()
+    lo = 0
+    while lo < len(idx):
+        base = ends[lo - 1] if lo else 0.0
+        hi = max(int(np.searchsorted(ends, base + PIXEL_KEY_BUDGET, side="right")), lo + 1)
+        pairs |= _match_chunk(matcher, [records[i] for i in idx[lo:hi]])
+        lo = hi
+    return pairs
+
+
+def _match_chunk(matcher: PixelMatcher, recs) -> set:
+    vp = matcher.vp
+    hw = vp.width_px * vp.height_px
+    n = max(len(matcher.object_ids), 1)
+    edges, probe, _, part = stack_edges(recs)
+    k, flat = segment_pixels(vp, edges)
+    ekeys = unique_keys(probe[k] * hw + flat)
+    ep, ef = np.divmod(ekeys, hw)
+    settled = [_interior_pairs(matcher, ep, ef, n)]
+    touched = _boundary_pairs(matcher, ep, ef, n)
+    sel = np.array([rec.kind == "polygon" for rec in recs])[probe]
+    if sel.any():
+        part_probe = np.zeros(int(part.max()) + 1, dtype=np.int64)
+        part_probe[part] = probe
+        for owner, fflat in scanline_fill(vp, edges[sel], part[sel]):
+            fp = part_probe[owner]
+            settled.append(_interior_pairs(matcher, fp, fflat, n))
+            # Only a pixel inside the probe and off its edges is wholly
+            # covered by it.
+            settled.append(_boundary_pairs(matcher, fp, fflat, n, ekeys))
+    settled = unique_keys(np.concatenate(settled))
+    touched = unique_keys(touched)
+    refine = touched[~in_sorted(touched, settled)]
+    ids = matcher.object_ids
+    pairs = {(int(ids[c]), recs[p].id) for p, c in zip(*np.divmod(settled, n))}
+    for p, c in zip(*np.divmod(refine, n)):
+        if matcher.exact_pair(recs[p], int(ids[c])):
+            pairs.add((int(ids[c]), recs[p].id))
+    return pairs
+
+
+def _interior_pairs(matcher, probe, flat, n) -> np.ndarray:
+    """Pair keys probe * n + object rank where the pixel is an object's
+    interior pixel. Pixels of one probe come in runs, so ids are ranked
+    once per run of equal (probe, id)."""
+    iid = matcher.plane.interior_id.ravel()[flat]
+    hit = iid >= 0
+    probe, iid = probe[hit], iid[hit]
+    head = np.r_[True, (probe[1:] != probe[:-1]) | (iid[1:] != iid[:-1])][:len(iid)]
+    return probe[head] * n + np.searchsorted(matcher.object_ids, iid[head])
+
+
+def _boundary_pairs(matcher, probe, flat, n, exclude=None) -> np.ndarray:
+    """Pair keys probe * n + object rank for every object with a boundary
+    entry at the pixel, skipping (probe, pixel) keys found in the sorted
+    ``exclude`` keys."""
+    slot, start, rank = matcher.bucket_objects()
+    pix = slot[flat]
+    on = pix >= 0
+    pix, probe = pix[on], probe[on]
+    if exclude is not None:
+        keep = ~in_sorted(probe * len(slot) + flat[on], exclude)
+        pix, probe = pix[keep], probe[keep]
+    j, off = expand_runs(start[pix + 1] - start[pix])
+    return probe[j] * n + rank[start[pix[j]] + off]
+
+
+def match_record(matcher: PixelMatcher, rec: GeometryRecord) -> set:
+    """Constraint ids the record's geometry intersects (or lies within the
+    radius of, on a distance canvas)."""
+    if rec.kind == "point":
+        cid = int(match_points(matcher, np.array([[rec.geometry.x, rec.geometry.y]]))[0])
+        return {cid} if cid >= 0 else set()
+    return {c for c, _ in match_records(matcher, [rec])}
 
 
 # ---------------------------------------------------------------------------
@@ -353,47 +424,56 @@ def _run_map(stream_items, n_max, slot_fn, config: Config, force_impl=None):
 # Selection
 # ---------------------------------------------------------------------------
 
-def _constraint_matcher(cons: GeometryRecord, resolution: int):
+def _layer_matcher(members, resolution: int) -> PixelMatcher:
+    """Boundary index plus rendered canvas of pairwise-disjoint polygons."""
+    vp = viewport_from_bounds(_bounds_union([m.bbox() for m in members]), resolution)
     with instrument.phase("polygon"):
-        bindex = build_boundary_index_direct([cons])
-    vp = viewport_from_bounds(cons.bbox(), resolution)
+        bindex = build_boundary_index_direct(members)
     with instrument.phase("raster"):
-        canvas = render_constraint(cons, vp, bindex)
-    return PixelMatcher(canvas), vp
+        from .canvas import render_geometry_canvas
+        canvas = render_geometry_canvas(members, vp, bindex)
+    return PixelMatcher(canvas)
 
 
-def render_constraint(cons: GeometryRecord, vp: Viewport, bindex) -> DiscreteCanvas:
-    from .canvas import render_geometry_canvas
-    return render_geometry_canvas([cons], vp, bindex)
+def _probe_pairs(matcher: PixelMatcher, points, others) -> set:
+    """(constraint id, record id) pairs of points, given as ``_point_arrays``,
+    and of other records against one canvas."""
+    pairs: set = set()
+    xy, ids = points
+    with instrument.phase("raster"):
+        if len(ids):
+            cid = match_points(matcher, xy)
+            got = cid >= 0
+            pairs.update(zip(cid[got].tolist(), ids[got].tolist()))
+        pairs |= match_records(matcher, others)
+    return pairs
+
+
+def _point_arrays(pts) -> tuple:
+    """(N, 2) coordinates and (N,) ids of point records."""
+    return (np.array([(p.geometry.x, p.geometry.y) for p in pts]).reshape(-1, 2),
+            np.array([p.id for p in pts], dtype=np.int64))
 
 
 def select(dataset, constraint, resolution: int | None = None,
            config: Config = DEFAULT, force_map_impl=None) -> SelectionResult:
     """Ids of all objects whose geometry intersects the closed constraint
-    polygon: render the constraint canvas plus boundary index, stream the
-    dataset through transform/blend/mask, then compact via Map."""
+    polygon: render the constraint canvas plus boundary index, classify the
+    dataset against it in one pass, then compact via Map."""
     resolution = resolution or config.resolution
     cons = _as_constraint_record(constraint)
-    matcher, vp = _constraint_matcher(cons, resolution)
+    matcher = _layer_matcher([cons], resolution)
     prepared = dataset if isinstance(dataset, PreparedPoints) else None
     records = prepared.records if prepared else list(dataset)
     n_max = estimate_nmax(QueryDescriptor("selection", object_count=len(records)))
 
-    matched_ids = []
-    with instrument.phase("raster"):
-        if prepared is not None:
+    if prepared is not None:
+        with instrument.phase("raster"):
             cid = match_points(matcher, prepared.xy)
-            matched_ids.extend(int(i) for i in prepared.ids[cid >= 0])
-        else:
-            pts, others = _split_kinds(records)
-            if pts:
-                xy = np.array([(r.geometry.x, r.geometry.y) for r in pts])
-                ids = np.array([r.id for r in pts], dtype=np.int64)
-                cid = match_points(matcher, xy)
-                matched_ids.extend(int(i) for i in ids[cid >= 0])
-            for rec in others:
-                if match_record(matcher, rec, stop_after_first=True):
-                    matched_ids.append(rec.id)
+            matched_ids = [int(i) for i in prepared.ids[cid >= 0]]
+    else:
+        pts, others = _split_kinds(records)
+        matched_ids = [rid for _, rid in _probe_pairs(matcher, _point_arrays(pts), others)]
 
     ordinal = {rid: i for i, rid in enumerate(sorted(r.id for r in records))}
     out = _run_map(matched_ids, n_max, lambda rid: ordinal[rid], config,
@@ -405,16 +485,12 @@ def select(dataset, constraint, resolution: int | None = None,
 # Joins
 # ---------------------------------------------------------------------------
 
-def _layer_records(layer_ids, by_id):
-    return [by_id[i] for i in layer_ids]
-
-
 def join(d1, d2, resolution: int | None = None, config: Config = DEFAULT,
-         d1_layers: LayerIndex | None = None, d2_layers: LayerIndex | None = None,
-         force_map_impl=None) -> JoinResult:
+         d1_layers: LayerIndex | None = None,
+         d2_layers: LayerIndex | None = None) -> JoinResult:
     """All intersecting (d1 id, d2 id) pairs. d1 must be polygons; d2 points
-    or polygons. Runs one selection per layer of the side with fewer layers
-    (disjoint layer members share one constraint canvas)."""
+    or polygons. Runs one classification pass per layer of the side with
+    fewer layers (disjoint layer members share one constraint canvas)."""
     resolution = resolution or config.resolution
     d1, d2 = list(d1), list(d2)
     if any(r.kind != "polygon" for r in d1):
@@ -425,12 +501,11 @@ def join(d1, d2, resolution: int | None = None, config: Config = DEFAULT,
     if not d1 or not d2:
         return JoinResult(())
 
-    poly_poly = kinds2 == {"polygon"}
     if d1_layers is None:
         log.warning("join: building layer index for D1 on demand")
         d1_layers = build_layer_index(d1)
     swapped = False
-    if poly_poly:
+    if kinds2 == {"polygon"}:
         if d2_layers is None:
             log.warning("join: building layer index for D2 on demand")
             d2_layers = build_layer_index(d2)
@@ -439,57 +514,22 @@ def join(d1, d2, resolution: int | None = None, config: Config = DEFAULT,
             d1_layers = d2_layers
             swapped = True
 
-    pairs = _join_layers(d1, d2, d1_layers, resolution, config, poly_poly,
-                         force_map_impl)
+    pairs = _join_layers(d1, d2, d1_layers, resolution)
     if swapped:
-        pairs = [(b, a) for a, b in pairs]
+        pairs = {(b, a) for a, b in pairs}
     return JoinResult(tuple(pairs))
 
 
-def _join_layers(d1, d2, layers: LayerIndex, resolution, config, poly_poly,
-                 force_map_impl=None):
+def _join_layers(d1, d2, layers: LayerIndex, resolution) -> set:
+    """Pairs of every layer of d1 against all of d2, collected as a set (a
+    probe may meet several members of one layer)."""
     by_id = {r.id: r for r in d1}
-    d2_sorted = sorted(d2, key=lambda r: r.id)
-    d2_ordinal = {r.id: i for i, r in enumerate(d2_sorted)}
-    n = len(d2_sorted)
-    pts2, others2 = _split_kinds(d2_sorted)
-    xy2 = np.array([(r.geometry.x, r.geometry.y) for r in pts2]) if pts2 else None
-    ids2 = np.array([r.id for r in pts2], dtype=np.int64) if pts2 else None
-
-    pairs = []
+    pts, others = _split_kinds(d2)
+    points = _point_arrays(pts)
+    pairs: set = set()
     for layer_ids in layers.layers:
-        members = _layer_records(layer_ids, by_id)
-        vp = viewport_from_bounds(_bounds_union([m.bbox() for m in members]), resolution)
-        with instrument.phase("polygon"):
-            bindex = build_boundary_index_direct(members)
-        with instrument.phase("raster"):
-            from .canvas import render_geometry_canvas
-            canvas = render_geometry_canvas(members, vp, bindex)
-        matcher = PixelMatcher(canvas)
-        m = len(members)
-        desc = QueryDescriptor("join_poly_poly" if poly_poly else "join_poly_point",
-                               layer_m=m, data_n=n)
-        n_max = estimate_nmax(desc)
-        member_index = {rid: j for j, rid in enumerate(sorted(layer_ids))}
-
-        layer_pairs = []
-        with instrument.phase("raster"):
-            if pts2:
-                cid = match_points(matcher, xy2)
-                got = cid >= 0
-                layer_pairs.extend((int(c), int(i)) for c, i in zip(cid[got], ids2[got]))
-            for rec in others2:
-                for c in match_record(matcher, rec):
-                    layer_pairs.append((int(c), rec.id))
-
-        if poly_poly:
-            def slot_fn(pair, _mi=member_index, _n=n, _do=d2_ordinal):
-                return _mi[pair[0]] * _n + _do[pair[1]]
-        else:
-            def slot_fn(pair, _do=d2_ordinal):
-                return _do[pair[1]]
-        pairs.extend(_run_map(layer_pairs, n_max, slot_fn, config,
-                              force_impl=force_map_impl))
+        matcher = _layer_matcher([by_id[i] for i in layer_ids], resolution)
+        pairs |= _probe_pairs(matcher, points, others)
     return pairs
 
 
@@ -504,6 +544,23 @@ def _maybe_project(records, geographic):
     return [project_record_4326_to_3857(r) for r in records]
 
 
+def _distance_matcher(sources, radii, resolution: int) -> PixelMatcher:
+    """Canvas of the radius buffers of pairwise-disjoint buffered sources."""
+    boxes = []
+    for src, r in zip(sources, radii):
+        x0, y0, x1, y1 = src.bbox()
+        boxes.append((x0 - r, y0 - r, x1 + r, y1 + r))
+    vp = viewport_from_bounds(_bounds_union(boxes), resolution)
+    with instrument.phase("polygon"):
+        bindex = BoundaryIndex.for_distance_sources(sources, radii)
+    with instrument.phase("raster"):
+        builder = DistanceCanvasBuilder(vp, bindex)
+        for src, r in zip(sources, radii):
+            builder.add_source(src, r)
+        canvas = builder.finalize()
+    return PixelMatcher(canvas)
+
+
 def distance_select(dataset, source: GeometryRecord, r: float,
                     resolution: int | None = None, config: Config = DEFAULT,
                     geographic: bool = False) -> SelectionResult:
@@ -516,26 +573,9 @@ def distance_select(dataset, source: GeometryRecord, r: float,
     if geographic:
         records = _maybe_project(records, True)
         source = _maybe_project([source], True)[0]
-    x0, y0, x1, y1 = source.bbox()
-    vp = viewport_from_bounds((x0 - r, y0 - r, x1 + r, y1 + r), resolution)
-    with instrument.phase("polygon"):
-        bindex = BoundaryIndex.for_distance_sources([source], [r])
-    with instrument.phase("raster"):
-        builder = DistanceCanvasBuilder(vp, bindex)
-        builder.add_source(source, r)
-        canvas = builder.finalize()
-    matcher = PixelMatcher(canvas)
-    matched = []
-    with instrument.phase("raster"):
-        pts, others = _split_kinds(records)
-        if pts:
-            xy = np.array([(p.geometry.x, p.geometry.y) for p in pts])
-            ids = np.array([p.id for p in pts], dtype=np.int64)
-            cid = match_points(matcher, xy)
-            matched.extend(int(i) for i in ids[cid >= 0])
-        for rec in others:
-            if match_record(matcher, rec, stop_after_first=True):
-                matched.append(rec.id)
+    matcher = _distance_matcher([source], [r], resolution)
+    pts, others = _split_kinds(records)
+    matched = [rid for _, rid in _probe_pairs(matcher, _point_arrays(pts), others)]
     n_max = estimate_nmax(QueryDescriptor("selection", object_count=len(records)))
     ordinal = {rid: i for i, rid in enumerate(sorted(rec.id for rec in records))}
     out = _run_map(matched, n_max, lambda rid: ordinal[rid], config)
@@ -575,44 +615,15 @@ def distance_join(d1, d2, radii, resolution: int | None = None,
     sources = sorted(sources, key=lambda rec: rec.id)
     layers = build_distance_layer_index(sources, [rmap[s.id] for s in sources])
     by_id = {s.id: s for s in sources}
-    probes_sorted = sorted(probes, key=lambda rec: rec.id)
-    probe_ordinal = {rec.id: i for i, rec in enumerate(probes_sorted)}
-    pts, others = _split_kinds(probes_sorted)
-    xy = np.array([(p.geometry.x, p.geometry.y) for p in pts]) if pts else None
-    ids = np.array([p.id for p in pts], dtype=np.int64) if pts else None
-
-    pairs = []
+    pts, others = _split_kinds(probes)
+    points = _point_arrays(pts)
+    pairs: set = set()
     for layer_ids in layers.layers:
         members = [by_id[i] for i in layer_ids]
-        boxes = []
-        for mrec in members:
-            x0, y0, x1, y1 = mrec.bbox()
-            rr = rmap[mrec.id]
-            boxes.append((x0 - rr, y0 - rr, x1 + rr, y1 + rr))
-        vp = viewport_from_bounds(_bounds_union(boxes), resolution)
-        with instrument.phase("polygon"):
-            bindex = BoundaryIndex.for_distance_sources(members,
-                                                        [rmap[m.id] for m in members])
-        with instrument.phase("raster"):
-            builder = DistanceCanvasBuilder(vp, bindex)
-            for mrec in members:
-                builder.add_source(mrec, rmap[mrec.id])
-            canvas = builder.finalize()
-        matcher = PixelMatcher(canvas)
-        layer_pairs = []
-        with instrument.phase("raster"):
-            if pts:
-                cid = match_points(matcher, xy)
-                got = cid >= 0
-                layer_pairs.extend((int(c), int(i)) for c, i in zip(cid[got], ids[got]))
-            for rec in others:
-                for c in match_record(matcher, rec):
-                    layer_pairs.append((int(c), rec.id))
-        n_max = estimate_nmax(QueryDescriptor("join_poly_point", data_n=len(probes)))
-        pairs.extend(_run_map(layer_pairs, n_max,
-                              lambda pr: probe_ordinal[pr[1]], config))
+        matcher = _distance_matcher(members, [rmap[m.id] for m in members], resolution)
+        pairs |= _probe_pairs(matcher, points, others)
     if flip:
-        pairs = [(b, a) for a, b in pairs]
+        pairs = {(b, a) for a, b in pairs}
     return JoinResult(tuple(pairs))
 
 
@@ -624,9 +635,8 @@ def aggregate(constraints, data, mode: str = "count",
               resolution: int | None = None, config: Config = DEFAULT,
               layer_index: LayerIndex | None = None) -> AggregationResult:
     """Per-constraint count (or sum of value payloads) of intersecting data
-    objects. Point data uses the blend plan (per-pixel accumulation, interior
-    pixels resolved wholesale, boundary pixels re-resolved exactly); other
-    data folds the join pairs."""
+    objects: each constraint layer is rendered once and the data classified
+    against it (points per pixel, other records in one pass)."""
     if mode not in ("count", "sum"):
         raise DataError(f"unknown aggregation mode {mode!r}")
     resolution = resolution or config.resolution
@@ -642,36 +652,27 @@ def aggregate(constraints, data, mode: str = "count",
 
     counts: dict = {}
     sums: dict = {}
-    all_points = all(r.kind == "point" for r in data)
-    if all_points and data:
-        by_id = {r.id: r for r in constraints}
-        xy = np.array([(r.geometry.x, r.geometry.y) for r in data])
-        ids = np.array([r.id for r in data], dtype=np.int64)
-        vals = np.array([np.nan if r.value is None else r.value for r in data])
-        for layer_ids in layer_index.layers:
-            members = [by_id[i] for i in layer_ids]
-            vp = viewport_from_bounds(_bounds_union([m.bbox() for m in members]),
-                                      resolution)
-            with instrument.phase("polygon"):
-                bindex = build_boundary_index_direct(members)
+    by_id = {r.id: r for r in constraints}
+    pts, others = _split_kinds(data)
+    xy, _ = _point_arrays(pts)
+    vals = np.array([np.nan if r.value is None else r.value for r in pts])
+    value_of = {r.id: r.value for r in others}
+    for layer_ids in layer_index.layers if data else ():
+        matcher = _layer_matcher([by_id[i] for i in layer_ids], resolution)
+        if pts:
             with instrument.phase("raster"):
-                from .canvas import render_geometry_canvas
-                canvas = render_geometry_canvas(members, vp, bindex)
-                cid = match_points(PixelMatcher(canvas), xy)
-            got = np.flatnonzero(cid >= 0)
-            for gi in got:
+                cid = match_points(matcher, xy)
+            for gi in np.flatnonzero(cid >= 0):
                 c = int(cid[gi])
                 counts[c] = counts.get(c, 0) + 1
                 if mode == "sum":
                     sums[c] = sums.get(c, 0.0) + float(vals[gi])
-    else:
-        result = join(constraints, data, resolution=resolution, config=config,
-                      d1_layers=layer_index)
-        value_of = {r.id: r.value for r in data}
-        for cid, did in result.pairs:
-            counts[cid] = counts.get(cid, 0) + 1
+        with instrument.phase("raster"):
+            pairs = match_records(matcher, others)
+        for c, did in pairs:
+            counts[c] = counts.get(c, 0) + 1
             if mode == "sum":
-                sums[cid] = sums.get(cid, 0.0) + float(value_of[did])
+                sums[c] = sums.get(c, 0.0) + float(value_of[did])
     rows = tuple((cid, counts[cid], sums.get(cid) if mode == "sum" else None)
                  for cid in sorted(counts))
     return AggregationResult(rows)

@@ -207,6 +207,28 @@ def triangles_array(record: GeometryRecord) -> np.ndarray:
     return arr
 
 
+def edge_table(record: GeometryRecord) -> tuple:
+    """(edges, parts) of a polyline or polygon record: the (E, 4) segments
+    or ring edges in ordinal order (for polygons ``boundary_edges`` of each
+    part, part after part) and the (E,) part ordinal of each edge (cached
+    on the record; derived data, never mutated)."""
+    table = getattr(record, "_edge_cache", None)
+    if table is None:
+        if record.kind == "point":
+            raise DataError(f"record {record.id} is a point and has no edges")
+        if record.kind == "polyline":
+            edges = segments_array(record)
+            parts = np.zeros(len(edges), dtype=np.int64)
+        else:
+            per_part = [part.boundary_edges() for part in record.geometry]
+            edges = np.concatenate(per_part, axis=0)
+            parts = np.repeat(np.arange(len(per_part), dtype=np.int64),
+                              [len(e) for e in per_part])
+        table = (edges, parts)
+        record._edge_cache = table
+    return table
+
+
 # ---------------------------------------------------------------------------
 # Orientation predicates and primitive intersection tests
 # ---------------------------------------------------------------------------

@@ -1,28 +1,23 @@
-"""Executable canvas algebra: geometric transform, mask, multiway blend, and
-the Map operator (dissect + transform) in one-pass and two-pass forms, plus
-result-buffer compaction.
+"""Executable canvas algebra: geometric transform and the Map operator
+(dissect + transform) in one-pass and two-pass forms, plus result-buffer
+compaction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canvas import NULL_ID, NULL_TUPLE, DiscreteCanvas, PixelTuple, PLANES, Viewport
-from .canvas_index import PixelMatcher
+from .canvas import PLANES, DiscreteCanvas, Viewport
 from .errors import (
     CanvasError,
-    ConfigurationError,
     DataError,
     DegenerateGeometryError,
     InternalInvariantError,
 )
 from .geometry import (
     GeometryRecord,
-    Point2,
-    Segment,
     point_record,
     line_record,
     polygon_from_rings,
@@ -136,244 +131,6 @@ def _transform_record(rec: GeometryRecord, t: Transform) -> GeometryRecord:
     parts = [polygon_from_rings([_transform_points(ring, t) for ring in part.rings])
              for part in rec.geometry]
     return GeometryRecord(rec.id, "polygon", parts, rec.value)
-
-
-# ---------------------------------------------------------------------------
-# Blend
-# ---------------------------------------------------------------------------
-
-def _tuple_key(t: PixelTuple) -> tuple:
-    return (t.v0, t.v1)
-
-
-def _blend_max_by_id(a: PixelTuple, b: PixelTuple) -> PixelTuple:
-    if a.is_null:
-        return b
-    if b.is_null:
-        return a
-    return b if _tuple_key(b) > _tuple_key(a) else a
-
-
-def _blend_additive(a: PixelTuple, b: PixelTuple) -> PixelTuple:
-    if a.is_null:
-        return b
-    if b.is_null:
-        return a
-    va = a.v2 if math.isfinite(a.v2) else 1.0
-    vb = b.v2 if math.isfinite(b.v2) else 1.0
-    win = _blend_max_by_id(a, b)
-    return PixelTuple(win.v0, win.v1, va + vb, win.v_b)
-
-
-@dataclass(frozen=True)
-class BlendFunction:
-    """A commutative, associative fold over pixel tuples with NULL identity.
-
-    ``additive`` sums v2 (a valueless contribution counts as 1) and keeps the
-    max-by-(id, v1) tuple otherwise; ``max_by_id`` keeps the tuple of the
-    larger (object id, v1); ``crop_lower_id`` is the same per-pixel winner,
-    named for its role in layer construction where the losing object counts
-    as cropped.
-    """
-
-    kind: str
-    fn: object = None
-
-    def __post_init__(self):
-        if self.kind not in ("additive", "max_by_id", "crop_lower_id", "custom"):
-            raise ConfigurationError(f"unknown blend kind {self.kind!r}")
-        if self.kind == "custom" and not callable(self.fn):
-            raise ConfigurationError("custom blend needs a callable")
-
-    @staticmethod
-    def additive() -> "BlendFunction":
-        return BlendFunction("additive", _blend_additive)
-
-    @staticmethod
-    def max_by_id() -> "BlendFunction":
-        return BlendFunction("max_by_id", _blend_max_by_id)
-
-    @staticmethod
-    def crop_lower_id() -> "BlendFunction":
-        return BlendFunction("crop_lower_id", _blend_max_by_id)
-
-    @staticmethod
-    def custom(fn) -> "BlendFunction":
-        return BlendFunction("custom", fn)
-
-    def apply(self, a: PixelTuple, b: PixelTuple) -> PixelTuple:
-        if a.is_null:
-            return b
-        if b.is_null:
-            return a
-        return self.fn(a, b)
-
-
-def audit_blend(f: BlendFunction, samples: int = 64, seed: int = 0):
-    """Randomized commutativity/associativity audit for custom blends."""
-    r = np.random.default_rng(seed)
-
-    def rand_tuple():
-        return PixelTuple(int(r.integers(0, 50)), int(r.integers(0, 8)),
-                          float(r.integers(0, 10)), -1)
-
-    def eq(x: PixelTuple, y: PixelTuple) -> bool:
-        return (x.v0 == y.v0 and x.v1 == y.v1 and x.v_b == y.v_b
-                and (x.v2 == y.v2 or (math.isnan(x.v2) and math.isnan(y.v2))))
-
-    for _ in range(samples):
-        a, b, c = rand_tuple(), rand_tuple(), rand_tuple()
-        if not eq(f.apply(a, b), f.apply(b, a)):
-            raise ConfigurationError("blend function is not commutative")
-        if not eq(f.apply(f.apply(a, b), c), f.apply(a, f.apply(b, c))):
-            raise ConfigurationError("blend function is not associative")
-        if not eq(f.apply(a, NULL_TUPLE), a) or not eq(f.apply(NULL_TUPLE, a), a):
-            raise ConfigurationError("NULL must be the blend identity")
-
-
-def multiway_blend(inputs, f: BlendFunction, audit: bool = __debug__) -> DiscreteCanvas:
-    """Order-independent per-pixel fold of canvases (or (plane, c, r, tuple)
-    stream items) under a blend function."""
-    if f.kind == "custom" and audit:
-        audit_blend(f)
-    inputs = list(inputs)
-    if not inputs:
-        raise DataError("multiway_blend needs at least one input")
-    if isinstance(inputs[0], DiscreteCanvas):
-        vp = inputs[0].viewport
-        for cv in inputs:
-            if cv.viewport != vp:
-                raise CanvasError("blended canvases must share a viewport")
-        out = DiscreteCanvas(vp, inputs[0].bindex,
-                             all(cv.entries_complete for cv in inputs))
-        for name in PLANES:
-            touched = [cv for cv in inputs if cv.has_plane(name)]
-            if not touched:
-                continue
-            if f.kind in ("max_by_id", "crop_lower_id", "additive"):
-                _blend_plane_vectorized(out, name, touched, f)
-            else:
-                _blend_plane_slow(out, name, touched, f)
-        return out
-    # stream of (plane, c, r, PixelTuple) items folded onto a fresh canvas
-    raise DataError("multiway_blend over raw streams requires canvases; "
-                    "render records first")
-
-
-def _blend_plane_vectorized(out: DiscreteCanvas, name: str, canvases, f: BlendFunction):
-    plane = out.plane(name)
-    additive = f.kind == "additive"
-    acc_v2 = None
-    if additive:
-        acc_v2 = np.zeros_like(plane.v2)
-    for cv in canvases:
-        src = cv.plane(name)
-        take = (src.v0 > plane.v0) | ((src.v0 == plane.v0) & (src.v1 > plane.v1))
-        plane.v0 = np.where(take, src.v0, plane.v0)
-        plane.v1 = np.where(take, src.v1, plane.v1)
-        plane.vb = np.where(take, src.vb, plane.vb)
-        if additive:
-            contrib = np.where(src.v0 == NULL_ID, 0.0,
-                               np.where(np.isfinite(src.v2), src.v2, 1.0))
-            acc_v2 += contrib
-        else:
-            plane.v2 = np.where(take, src.v2, plane.v2)
-        np.maximum(plane.interior_id, src.interior_id, out=plane.interior_id)
-    if additive:
-        plane.v2 = np.where(plane.v0 == NULL_ID, np.nan, acc_v2)
-    flats = [cv.plane(name).bp_flat for cv in canvases]
-    refs = [cv.plane(name).bp_entries for cv in canvases]
-    flat = np.concatenate(flats)
-    ref = np.concatenate(refs)
-    if len(flat):
-        order = np.lexsort((ref, flat))
-        flat, ref = flat[order], ref[order]
-        uniq, start = np.unique(flat, return_index=True)
-        plane.bp_flat = uniq
-        plane.bp_start = np.append(start, len(flat)).astype(np.int64)
-        plane.bp_entries = ref
-
-
-def _blend_plane_slow(out: DiscreteCanvas, name: str, canvases, f: BlendFunction):
-    plane = out.plane(name)
-    stack = [cv.plane(name) for cv in canvases]
-    nonnull = np.zeros(plane.v0.shape, dtype=bool)
-    for src in stack:
-        nonnull |= src.v0 != NULL_ID
-    for r, c in zip(*np.nonzero(nonnull)):
-        acc = NULL_TUPLE
-        for src in stack:
-            acc = f.apply(acc, src.tuple_at(c, r))
-        plane.set_tuple(c, r, acc)
-    for src in stack:
-        np.maximum(plane.interior_id, src.interior_id, out=plane.interior_id)
-
-
-# ---------------------------------------------------------------------------
-# Mask
-# ---------------------------------------------------------------------------
-
-def mask(canvas: DiscreteCanvas, constraint_canvas: DiscreteCanvas,
-         constraint_bindex=None) -> DiscreteCanvas:
-    """Null out canvas tuples whose primitives do not satisfy the constraint.
-
-    A tuple survives when its pixel lies over constraint interior, or over a
-    constraint boundary pixel whose exact entry tests (probe primitive vs
-    entry primitive, with escalation) pass. Probe primitives come from the
-    probe canvas's own boundary entries; a probe polygon interior pixel over
-    any marked constraint pixel survives outright (the pixel square lies
-    inside the probe, so any constraint presence there intersects it).
-    """
-    if canvas.viewport != constraint_canvas.viewport:
-        raise CanvasError("mask requires canvases sharing one viewport")
-    if constraint_bindex is None:
-        constraint_bindex = constraint_canvas.bindex
-    matcher = PixelMatcher(constraint_canvas)
-    cons = constraint_canvas.plane("polygon")
-    out = DiscreteCanvas(canvas.viewport, canvas.bindex, canvas.entries_complete)
-    W = canvas.viewport.width_px
-    for name in PLANES:
-        if not canvas.has_plane(name):
-            continue
-        src = canvas.plane(name)
-        dst = out.plane(name)
-        keep_flat = []
-        for r, c in zip(*np.nonzero(src.v0 != NULL_ID)):
-            flat = r * W + c
-            cons_interior = cons.interior_id[r, c] >= 0
-            cons_entries = matcher.entries_at(flat)
-            if not cons_interior and len(cons_entries) == 0:
-                continue
-            survive = False
-            if cons_interior:
-                survive = True
-            elif src.vb[r, c] < 0 and name == "polygon":
-                survive = True  # probe covers the square; constraint touches it
-            else:
-                for ref in canvas.plane(name).entries_at(flat):
-                    probe = canvas.bindex.primitive(int(ref))
-                    if matcher.matches_at(flat, probe):
-                        survive = True
-                        break
-                else:
-                    if src.vb[r, c] >= 0:
-                        probe = canvas.bindex.primitive(int(src.vb[r, c]))
-                        survive = bool(matcher.matches_at(flat, probe))
-            if survive:
-                dst.v0[r, c] = src.v0[r, c]
-                dst.v1[r, c] = src.v1[r, c]
-                dst.v2[r, c] = src.v2[r, c]
-                dst.vb[r, c] = src.vb[r, c]
-                dst.interior_id[r, c] = src.interior_id[r, c]
-                keep_flat.append(flat)
-        if len(src.bp_flat):
-            keep = np.isin(src.bp_flat, np.array(keep_flat, dtype=np.int64))
-            counts = np.diff(src.bp_start)
-            sel = np.repeat(keep, counts)
-            dst.bp_entries = src.bp_entries[sel]
-            dst.bp_flat = src.bp_flat[keep]
-            dst.bp_start = np.append(0, np.cumsum(counts[keep])).astype(np.int64)
-    return out
 
 
 # ---------------------------------------------------------------------------

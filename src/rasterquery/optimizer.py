@@ -18,27 +18,18 @@ TWO_PASS = "two_pass"
 
 @dataclass(frozen=True)
 class QueryDescriptor:
-    """Counts the result-bound rules need: kind is 'selection',
-    'join_poly_point', or 'join_poly_poly'; m is the constraint-layer member
-    count, n the probe-side object count."""
+    """Counts the result-bound rules need: kind is 'selection' (joins
+    collect their pairs as sets and need no bound)."""
 
     kind: str
     object_count: int = 0
-    layer_m: int = 0
-    data_n: int = 0
 
 
 def estimate_nmax(desc: QueryDescriptor) -> int:
-    """Upper bound on result count: selection -> number of objects; a layer
-    of polygons joined with n points -> n (disjoint layer members, a point
-    intersects at most one); a layer of m polygons joined with n polygons
-    -> n * m."""
+    """Upper bound on result count: a selection returns at most every
+    object once."""
     if desc.kind == "selection":
         return desc.object_count
-    if desc.kind == "join_poly_point":
-        return desc.data_n
-    if desc.kind == "join_poly_poly":
-        return desc.data_n * desc.layer_m
     raise DataError(f"unknown query descriptor kind {desc.kind!r}")
 
 

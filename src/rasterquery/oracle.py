@@ -113,9 +113,8 @@ def oracle_layers_valid(records, layer_index) -> bool:
 def sweepline_pair_count(d1, d2) -> int:
     """Independent recount of intersecting pairs: sort by min-x, sweep an
     active window, exact-test survivors."""
-    events = sorted(((rec.bbox(), 0, rec) for rec in d1))
-    others = sorted(((rec.bbox(), 1, rec) for rec in d2))
-    merged = sorted(events + others, key=lambda e: e[0][0])
+    events = [(rec.bbox(), 0, rec) for rec in d1] + [(rec.bbox(), 1, rec) for rec in d2]
+    merged = sorted(events, key=lambda e: e[0][0])
     active: list = []
     count = 0
     for bbox, side, rec in merged:

@@ -127,3 +127,30 @@ def mixed_dataset(r, n, extent=1.0):
     recs += random_polylines(r, n_ln, extent=extent, start_id=n_pt)
     recs += random_polygons(r, n_pg, extent=extent, start_id=n_pt + n_ln)
     return recs
+
+
+def holed_polygon(center=(0.5, 0.5), radius=0.35):
+    """A fixed concave outer ring (a notched octagon) with two holes, a
+    square and a triangle, scaled to ``radius`` around ``center``."""
+    outer = [(1.0, 0.0), (0.7, 0.7), (0.0, 1.0), (-0.7, 0.7), (-1.0, 0.0),
+             (-0.7, -0.7), (0.0, -0.3), (0.7, -0.7)]
+    square = [(-0.6, -0.1), (-0.6, 0.3), (-0.2, 0.3), (-0.2, -0.1)]
+    tri = [(0.1, 0.1), (0.6, 0.0), (0.3, 0.5)]
+    c = np.asarray(center, dtype=float)
+    return polygon_from_rings([c + radius * np.array(ring) for ring in (outer, square, tri)])
+
+
+def disjoint_polygons(r, n_side, extent=1.0, start_id=0, holes_every=3):
+    """One random polygon per cell of an n_side x n_side lattice, each inside
+    its own cell (so the set is pairwise disjoint, one layer); every
+    ``holes_every``-th polygon has holes."""
+    cell = extent / n_side
+    recs = []
+    for i in range(n_side * n_side):
+        c = ((i % n_side + 0.5) * cell, (i // n_side + 0.5) * cell)
+        if holes_every and i % holes_every == 0:
+            poly = holed_polygon(c, 0.45 * cell)
+        else:
+            poly = concave_polygon(r, c, 0.45 * cell, int(r.integers(5, 10)))
+        recs.append(GeometryRecord(start_id + i, "polygon", [poly]))
+    return recs
