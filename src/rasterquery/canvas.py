@@ -289,6 +289,18 @@ def expand_runs(counts: np.ndarray) -> tuple:
     return run, np.arange(len(run), dtype=np.int64) - starts[run]
 
 
+def budget_runs(cost: np.ndarray, budget: int):
+    """(lo, hi) runs of consecutive items whose summed cost stays within
+    ``budget``; an item costlier than that gets a run alone."""
+    ends = np.cumsum(cost)
+    lo = 0
+    while lo < len(ends):
+        base = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, base + budget, side="right")), lo + 1)
+        yield lo, hi
+        lo = hi
+
+
 def _index(v: np.ndarray, n: int, rounding=np.floor) -> np.ndarray:
     """Rounded pixel coordinate as int64, clipped to [-2, n + 1] before the
     cast so far-off coordinates cannot overflow it."""
@@ -404,15 +416,10 @@ def scanline_fill(vp: Viewport, edges: np.ndarray, owner: np.ndarray):
     edges = np.asarray(edges, dtype=float).reshape(-1, 4)
     own, row, c0, c1 = _fill_spans(vp, edges, np.asarray(owner, dtype=np.int64))
     n = c1 - c0 + 1
-    ends = np.cumsum(n)
-    lo = 0
-    while lo < len(n):
-        base = ends[lo - 1] if lo else 0
-        hi = max(int(np.searchsorted(ends, base + PIXEL_KEY_BUDGET, side="right")), lo + 1)
+    for lo, hi in budget_runs(n, PIXEL_KEY_BUDGET):
         k, off = expand_runs(n[lo:hi])
         k += lo
         yield own[k], row[k] * vp.width_px + c0[k] + off
-        lo = hi
 
 
 def point_pixels_array(vp: Viewport, xy: np.ndarray) -> tuple:
@@ -448,12 +455,6 @@ class PlaneData:
         self.bp_flat = np.zeros(0, dtype=np.int64)
         self.bp_start = np.zeros(1, dtype=np.int64)
         self.bp_entries = np.zeros(0, dtype=np.int64)
-
-    def entries_at(self, flat: int) -> np.ndarray:
-        i = np.searchsorted(self.bp_flat, flat)
-        if i >= len(self.bp_flat) or self.bp_flat[i] != flat:
-            return self.bp_entries[0:0]
-        return self.bp_entries[self.bp_start[i]:self.bp_start[i + 1]]
 
 
 class DiscreteCanvas:

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canvas import (
-    Viewport,
     seg_touch_mask,
     tri_touch_mask,
     unique_keys,
@@ -243,13 +242,8 @@ def boundary_test(index: BoundaryIndex, entry_ref: int, probe) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Pixel-level exact classification (shared by mask and the query engine)
+# Pixel-level exact classification
 # ---------------------------------------------------------------------------
-
-def pixel_square(vp: Viewport, c: int, r: int) -> tuple:
-    return (vp.min_x + c * vp.sx, vp.min_y + r * vp.sy,
-            vp.min_x + (c + 1) * vp.sx, vp.min_y + (r + 1) * vp.sy)
-
 
 def _tris_touching_square(tris: np.ndarray, square) -> np.ndarray:
     """Vectorized SAT: which closed CCW triangles touch a closed square."""
@@ -274,7 +268,9 @@ def _tris_touching_square(tris: np.ndarray, square) -> np.ndarray:
 
 def object_prims_touching_square(record: GeometryRecord, square) -> list:
     """All convex primitives of the record whose closed set touches the
-    closed square: the escalation set for an inconclusive boundary pixel."""
+    closed square. No query calls it any more (``engine.match_points``
+    tests points against whole objects' triangles); perfbench's tracer
+    still wraps it by name."""
     x0, y0, x1, y1 = square
     if record.kind == "point":
         p = record.geometry
@@ -306,11 +302,12 @@ class PixelMatcher:
     """Exact membership tests against a constraint canvas.
 
     At an interior pixel the owner matches any probe touching the pixel.
-    At a boundary pixel ``match_points`` tests points against the pixel's
-    entries; when the entry set may be partial (polygon canvases) a failed
-    object escalates to all of its primitives touching the pixel square.
-    ``exact_pair`` settles a whole (probe record, object) pair at once, and
-    ``bucket_objects`` lists the distinct objects of each boundary pixel.
+    ``bucket_objects`` lists the distinct objects of each boundary pixel
+    and ``object_triangles`` the triangles of every object, for the point
+    pass of ``engine.match_points``; on polygon canvases, whose bucket
+    entries are incomplete, that pass tests points that miss every entry
+    against the triangles of the pixel's objects. ``exact_pair`` settles a
+    whole (probe record, object) pair at once.
     """
 
     def __init__(self, canvas, plane_name: str = "polygon"):
@@ -320,11 +317,8 @@ class PixelMatcher:
         self.plane = canvas.plane(plane_name)
         self.complete = canvas.entries_complete
         self.object_ids = np.array(sorted(self.bindex.records), dtype=np.int64)
-        self._esc_cache: dict = {}
         self._buckets = None
-
-    def entries_at(self, flat: int) -> np.ndarray:
-        return self.plane.entries_at(flat)
+        self._triangles = None
 
     def bucket_objects(self) -> tuple:
         """(slot, start, rank): ``slot`` maps each flat pixel to its index in
@@ -341,6 +335,22 @@ class PixelMatcher:
             pix, rank = np.divmod(unique_keys(pix * n + rank), n)
             self._buckets = (slot, np.searchsorted(pix, np.arange(nb + 1)), rank)
         return self._buckets
+
+    def object_triangles(self) -> tuple:
+        """(start, tris, boxes): a CSR over ``object_ids`` ranks of every
+        polygon object's closed CCW triangles, ``tris`` (T, 6) rows
+        x0, y0, x1, y1, x2, y2 and ``boxes`` (T, 4) their bboxes."""
+        if self._triangles is None:
+            recs = [self.bindex.records[int(oid)] for oid in self.object_ids]
+            per = [triangles_array(rec).reshape(-1, 6) if rec.kind == "polygon"
+                   else np.zeros((0, 6)) for rec in recs]
+            tris = np.concatenate(per) if per else np.zeros((0, 6))
+            start = np.r_[0, np.cumsum([len(t) for t in per])].astype(np.int64)
+            xs, ys = tris[:, 0::2], tris[:, 1::2]
+            boxes = np.column_stack([xs.min(axis=1), ys.min(axis=1),
+                                     xs.max(axis=1), ys.max(axis=1)])
+            self._triangles = (start, tris, boxes)
+        return self._triangles
 
     def exact_pair(self, probe: GeometryRecord, oid: int) -> bool:
         """Whether the probe record truly meets object ``oid``: full-geometry

@@ -8,7 +8,17 @@ independent of the canvas resolution.
 
 Each constraint canvas (one selection constraint, one layer of disjoint
 join or aggregation constraints, one layer of distance buffers) is probed
-layer-at-a-time. Points go through ``match_points``, one pixel lookup each.
+layer-at-a-time. Points go through ``match_points``: one pixel lookup each
+settles those on interior pixels, then one array pass serves all points on
+boundary pixels. It pairs each point with the entries of its pixel's
+bucket and tests all pairs at once (in the closed triangle, or within r of
+the feature on distance canvases); the first hit in bucket order wins.
+Polygon canvases list only the triangles incident to boundary edges, so a
+point without a hit escalates, in the same pass, to every triangle of its
+pixel's objects whose bbox holds it: a point in the closed pixel square
+can only lie in triangles that touch the square. Pairs are processed in
+chunks under ``PIXEL_KEY_BUDGET``.
+
 Polylines and polygons go through ``match_records``, one array pass over all
 of them: the edge supercover and the even-odd scanline fill of ``canvas``
 turn every probe into (probe, pixel) keys, and each (probe, object) pair
@@ -41,6 +51,7 @@ from . import instrument
 from .canvas import (
     PIXEL_KEY_BUDGET,
     DistanceCanvasBuilder,
+    budget_runs,
     expand_runs,
     in_sorted,
     scanline_fill,
@@ -50,6 +61,9 @@ from .canvas import (
     viewport_from_bounds,
 )
 from .canvas_index import (
+    KIND_POINT,
+    KIND_SEGMENT,
+    KIND_TRIANGLE,
     BoundaryIndex,
     LayerIndex,
     PixelMatcher,
@@ -63,8 +77,8 @@ from .geometry import (
     GeometryRecord,
     Point2,
     PolygonGeom,
-    Segment,
-    Triangle,
+    _point_seg_dist,
+    orient,
     project_points_4326_to_3857,
 )
 from .operators import compact, map_one_pass, map_two_pass
@@ -179,8 +193,17 @@ def match_points(matcher: PixelMatcher, pts_xy: np.ndarray) -> np.ndarray:
     """Per-point matched constraint id (-1 when none). Constraint objects in
     one canvas are pairwise disjoint, so a point matches at most one.
 
-    Interior pixels resolve wholesale from the interior grid; points on
-    boundary pixels run exact per-pixel tests grouped by pixel.
+    Interior pixels resolve wholesale from the interior grid. All points on
+    boundary pixels then go through one array pass: each is paired with
+    every entry of its pixel's bucket and tested exactly (in the closed
+    triangle, or within r of the feature on distance canvases); a point
+    takes the object of its first hit in bucket order. On polygon canvases
+    the entries are only the triangles incident to boundary edges, so a
+    point without a hit escalates to every triangle, bbox holding the
+    point, of each object in its pixel's bucket; the lowest object id with
+    a triangle holding it wins. A point in the closed pixel square can only
+    lie in triangles that touch that square, so this is the same test as
+    against the triangles touching the pixel.
     """
     vp = matcher.vp
     out = np.full(len(pts_xy), -1, dtype=np.int64)
@@ -195,108 +218,112 @@ def match_points(matcher: PixelMatcher, pts_xy: np.ndarray) -> np.ndarray:
     hit = interior >= 0
     out[idx[hit]] = interior[hit]
     bpf = matcher.plane.bp_flat
-    if len(bpf) == 0:
-        return out
     rem = np.flatnonzero(~hit)
-    if len(rem) == 0:
+    if len(bpf) == 0 or len(rem) == 0:
         return out
-    rflat, ridx = flat[rem], idx[rem]
-    pos = np.minimum(np.searchsorted(bpf, rflat), len(bpf) - 1)
-    onb = bpf[pos] == rflat
-    rflat, ridx = rflat[onb], ridx[onb]
-    if len(rflat) == 0:
-        return out
-    order = np.argsort(rflat, kind="stable")
-    rflat, ridx = rflat[order], ridx[order]
-    starts = np.flatnonzero(np.r_[True, rflat[1:] != rflat[:-1]])
-    bounds = np.append(starts, len(rflat))
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        pidx = ridx[s:e]
-        out[pidx] = _points_vs_pixel(matcher, int(rflat[s]), pts_xy[pidx])
+    pos = np.minimum(np.searchsorted(bpf, flat[rem]), len(bpf) - 1)
+    onb = bpf[pos] == flat[rem]
+    pidx, pix = idx[rem[onb]], pos[onb]
+    xy = pts_xy[pidx]
+    cid = _entry_hits(matcher, xy, pix)
+    if not matcher.complete:
+        todo = np.flatnonzero(cid < 0)
+        cid[todo] = _triangle_hits(matcher, xy[todo], pix[todo])
+    out[pidx] = cid
     return out
 
 
-def _points_vs_pixel(matcher: PixelMatcher, flat: int, pts: np.ndarray) -> np.ndarray:
-    """Exact tests of a batch of points against one boundary pixel's entries
-    (vectorized per entry), escalating per object when entry tests fail."""
-    bindex = matcher.bindex
-    refs = matcher.entries_at(flat)
-    res = np.full(len(pts), -1, dtype=np.int64)
-    px, py = pts[:, 0], pts[:, 1]
-    objs_here = []
-    for ref in refs:
-        ref = int(ref)
-        oid = int(bindex.obj_ids[ref])
-        if oid not in objs_here:
-            objs_here.append(oid)
-        todo = res == -1
-        if not todo.any():
-            break
-        kind = bindex.kinds[ref]
-        c = bindex.coords[ref]
-        r = bindex.aux_r[ref]
-        if np.isnan(r):
-            m = _points_hit_entry(px, py, kind, c)
-        else:
-            m = _points_dist_entry(px, py, kind, c) <= r
-        res[todo & m] = oid
-    if not matcher.complete:
-        for oid in objs_here:
-            todo = res == -1
-            if not todo.any():
-                break
-            prims = matcher._esc_cache.get((oid, flat))
-            if prims is None:
-                from .canvas_index import object_prims_touching_square, pixel_square
-                c0 = flat % matcher.vp.width_px
-                r0 = flat // matcher.vp.width_px
-                prims = object_prims_touching_square(
-                    bindex.records[oid], pixel_square(matcher.vp, c0, r0))
-                matcher._esc_cache[(oid, flat)] = prims
-            for prim in prims:
-                todo = res == -1
-                if not todo.any():
-                    break
-                if isinstance(prim, Triangle):
-                    m = _points_hit_entry(px, py, 2, (prim.v0.x, prim.v0.y, prim.v1.x,
-                                                      prim.v1.y, prim.v2.x, prim.v2.y))
-                elif isinstance(prim, Segment):
-                    m = _points_hit_entry(px, py, 1, (prim.a.x, prim.a.y,
-                                                      prim.b.x, prim.b.y, 0, 0))
-                else:
-                    m = _points_hit_entry(px, py, 0, (prim.x, prim.y, 0, 0, 0, 0))
-                res[todo & m] = oid
+def _first_per_run(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal sorted keys."""
+    return np.r_[True, keys[1:] != keys[:-1]][:len(keys)]
+
+
+def _entry_hits(matcher: PixelMatcher, xy: np.ndarray, pix: np.ndarray) -> np.ndarray:
+    """Per point, the object of the first entry of boundary pixel ``pix``
+    (an index into ``bp_flat``) that holds it, -1 when none does."""
+    plane, bindex = matcher.plane, matcher.bindex
+    start = plane.bp_start[pix]
+    count = plane.bp_start[pix + 1] - start
+    res = np.full(len(pix), -1, dtype=np.int64)
+    for lo, hi in budget_runs(count, PIXEL_KEY_BUDGET):
+        j, off = expand_runs(count[lo:hi])
+        j += lo
+        ref = plane.bp_entries[start[j] + off]
+        m = _points_on_entries(bindex, ref, xy[j, 0], xy[j, 1])
+        j, ref = j[m], ref[m]
+        first = _first_per_run(j)
+        res[j[first]] = bindex.obj_ids[ref[first]]
     return res
 
 
-def _points_hit_entry(px, py, kind, c):
-    from .geometry import orient
-    if kind == 0:
-        return (px == c[0]) & (py == c[1])
-    if kind == 1:
-        on_line = orient(c[0], c[1], c[2], c[3], px, py) == 0.0
-        return (on_line
-                & (px >= min(c[0], c[2])) & (px <= max(c[0], c[2]))
-                & (py >= min(c[1], c[3])) & (py <= max(c[1], c[3])))
+def _points_on_entries(bindex, ref, px, py) -> np.ndarray:
+    """Whether each point meets its boundary entry: lies within the entry's
+    radius of its feature on distance canvases, or in its closed triangle
+    on polygon canvases (the polygon plane holds only triangles)."""
+    kind, c, r = bindex.kinds[ref], bindex.coords[ref], bindex.aux_r[ref]
+    near = ~np.isnan(r)
+    out = np.zeros(len(ref), dtype=bool)
+    s = np.flatnonzero(~near)
+    out[s] = _in_triangles(c[s].T, px[s], py[s])
+    for k in (KIND_POINT, KIND_SEGMENT, KIND_TRIANGLE):
+        s = np.flatnonzero(near & (kind == k))
+        if len(s):
+            out[s] = _primitive_dist(k, c[s].T, px[s], py[s]) <= r[s]
+    return out
+
+
+def _in_triangles(c, px, py) -> np.ndarray:
+    """Closed point-in-triangle test over stacked CCW triangle coordinate
+    rows ``c`` (6, N)."""
     return ((orient(c[0], c[1], c[2], c[3], px, py) >= 0.0)
             & (orient(c[2], c[3], c[4], c[5], px, py) >= 0.0)
             & (orient(c[4], c[5], c[0], c[1], px, py) >= 0.0))
 
 
-def _points_dist_entry(px, py, kind, c):
-    from .geometry import _point_seg_dist, orient
-    if kind == 0:
+def _primitive_dist(kind, c, px, py) -> np.ndarray:
+    """Point-to-primitive distance over stacked coordinate rows ``c`` (6, N)
+    of one kind."""
+    if kind == KIND_POINT:
         return np.hypot(px - c[0], py - c[1])
-    if kind == 1:
+    if kind == KIND_SEGMENT:
         return _point_seg_dist(px, py, c[0], c[1], c[2], c[3])
     d = np.minimum(np.minimum(
         _point_seg_dist(px, py, c[0], c[1], c[2], c[3]),
         _point_seg_dist(px, py, c[2], c[3], c[4], c[5])),
         _point_seg_dist(px, py, c[4], c[5], c[0], c[1]))
-    inside = ((orient(c[0], c[1], c[2], c[3], px, py) >= 0.0)
-              & (orient(c[2], c[3], c[4], c[5], px, py) >= 0.0)
-              & (orient(c[4], c[5], c[0], c[1], px, py) >= 0.0))
-    return np.where(inside, 0.0, d)
+    return np.where(_in_triangles(c, px, py), 0.0, d)
+
+
+def _triangle_hits(matcher: PixelMatcher, xy: np.ndarray, pix: np.ndarray) -> np.ndarray:
+    """Per point, the lowest-id object of boundary pixel ``pix``'s bucket
+    with a closed triangle holding the point, -1 when none has. Only
+    triangles whose bbox holds the point get the exact test."""
+    _, ostart, rank = matcher.bucket_objects()
+    tstart, tris, tbox = matcher.object_triangles()
+    # (point, object) pairs, objects ascending per point.
+    j, off = expand_runs(ostart[pix + 1] - ostart[pix])
+    obj = rank[ostart[pix[j]] + off]
+    first_tri = tstart[obj]
+    cost = tstart[obj + 1] - first_tri
+    res = np.full(len(pix), -1, dtype=np.int64)
+    for lo, hi in budget_runs(cost, PIXEL_KEY_BUDGET):
+        q, off = expand_runs(cost[lo:hi])
+        q += lo
+        t = first_tri[q] + off
+        x, y = xy[j[q], 0], xy[j[q], 1]
+        box = tbox[t]
+        keep = np.flatnonzero((box[:, 0] <= x) & (x <= box[:, 2])
+                              & (box[:, 1] <= y) & (y <= box[:, 3]))
+        q = q[keep]
+        q = q[_in_triangles(tris[t[keep]].T, x[keep], y[keep])]
+        # Pairs are ordered by point, then object: the first hit of a point
+        # is its lowest object; an earlier chunk's hit stands.
+        p = j[q]
+        first = _first_per_run(p)
+        p, q = p[first], q[first]
+        new = res[p] < 0
+        res[p[new]] = matcher.object_ids[obj[q[new]]]
+    return res
 
 
 def match_records(matcher: PixelMatcher, records) -> set:
@@ -331,14 +358,9 @@ def match_records(matcher: PixelMatcher, records) -> set:
                            + 4.0 * (np.minimum((ex1 - ex0) / vp.sx, vp.width_px) + 3.0),
                            starts)
     idx = np.flatnonzero(on)
-    ends = np.cumsum(cost[idx])
     pairs: set = set()
-    lo = 0
-    while lo < len(idx):
-        base = ends[lo - 1] if lo else 0.0
-        hi = max(int(np.searchsorted(ends, base + PIXEL_KEY_BUDGET, side="right")), lo + 1)
+    for lo, hi in budget_runs(cost[idx], PIXEL_KEY_BUDGET):
         pairs |= _match_chunk(matcher, [records[i] for i in idx[lo:hi]])
-        lo = hi
     return pairs
 
 
@@ -451,8 +473,14 @@ def _probe_pairs(matcher: PixelMatcher, points, others) -> set:
 
 def _point_arrays(pts) -> tuple:
     """(N, 2) coordinates and (N,) ids of point records."""
-    return (np.array([(p.geometry.x, p.geometry.y) for p in pts]).reshape(-1, 2),
-            np.array([p.id for p in pts], dtype=np.int64))
+    n = len(pts)
+    xy = np.empty((n, 2))
+    # One scalar ``fromiter`` per column takes about half the time of an
+    # array over a list of tuples (``fromiter`` with a (float, 2) dtype is
+    # slower than either).
+    xy[:, 0] = np.fromiter((p.geometry.x for p in pts), dtype=np.float64, count=n)
+    xy[:, 1] = np.fromiter((p.geometry.y for p in pts), dtype=np.float64, count=n)
+    return xy, np.fromiter((p.id for p in pts), dtype=np.int64, count=n)
 
 
 def select(dataset, constraint, resolution: int | None = None,
@@ -655,7 +683,8 @@ def aggregate(constraints, data, mode: str = "count",
     by_id = {r.id: r for r in constraints}
     pts, others = _split_kinds(data)
     xy, _ = _point_arrays(pts)
-    vals = np.array([np.nan if r.value is None else r.value for r in pts])
+    vals = np.fromiter((np.nan if r.value is None else r.value for r in pts),
+                       dtype=np.float64, count=len(pts))
     value_of = {r.id: r.value for r in others}
     for layer_ids in layer_index.layers if data else ():
         matcher = _layer_matcher([by_id[i] for i in layer_ids], resolution)

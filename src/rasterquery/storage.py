@@ -179,6 +179,9 @@ class GridIndex:
     zoom: int
     cells: list
     extent: tuple
+    _hulls: list | None = field(default=None, init=False, repr=False, compare=False)
+    _hull_layers: LayerIndex | None = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     def cell_by_key(self, key) -> GridCell:
         for c in self.cells:
@@ -187,8 +190,18 @@ class GridIndex:
         raise DataError(f"no such cell {key}")
 
     def hull_records(self) -> list:
-        """Cell hulls as a polygon dataset; record id = cell ordinal."""
-        return [GeometryRecord(i, "polygon", [c.hull]) for i, c in enumerate(self.cells)]
+        """Cell hulls as a polygon dataset; record id = cell ordinal. Built
+        once, so the records' derived arrays are cached across queries."""
+        if self._hulls is None:
+            self._hulls = [GeometryRecord(i, "polygon", [c.hull])
+                           for i, c in enumerate(self.cells)]
+        return self._hulls
+
+    def hull_layers(self) -> LayerIndex:
+        """Layer index over ``hull_records``, built on first use."""
+        if self._hull_layers is None:
+            self._hull_layers = build_layer_index(self.hull_records())
+        return self._hull_layers
 
 
 @dataclass
@@ -590,7 +603,8 @@ def filter_join(index_a: GridIndex, index_b: GridIndex,
                 resolution: int | None = None, config: Config = DEFAULT) -> list:
     """Hull-intersecting cell pairs via the polygon-polygon join."""
     got = engine.join(index_a.hull_records(), index_b.hull_records(),
-                      resolution=resolution, config=config)
+                      resolution=resolution, config=config,
+                      d1_layers=index_a.hull_layers(), d2_layers=index_b.hull_layers())
     return [(index_a.cells[i], index_b.cells[j]) for i, j in got.pairs]
 
 
@@ -644,7 +658,8 @@ def plan_ooc_join(store_a: DatasetStore, store_b: DatasetStore,
         ca = index_a.cell_by_key(ca_key)
         data = store_a.load_cell(ca)
         matched = engine.join(data.records, hull_b, resolution=resolution,
-                              config=config)
+                              config=config, d1_layers=data.layers,
+                              d2_layers=index_b.hull_layers())
         per_poly: dict = {}
         for rid, hid in matched.pairs:
             per_poly.setdefault(rid, []).append(ordinal_b[hid])
@@ -736,11 +751,13 @@ def ooc_aggregate(constraints, store: DatasetStore, mode: str = "count",
     for cons in constraints:
         for cell in filter_select(index, cons, resolution, config):
             cells.add(cell.key)
+    layers = build_layer_index(constraints) if cells else None
     for key in sorted(cells):
         cell = index.cell_by_key(key)
         data = store.load_cell(cell)
         rows = engine.aggregate(constraints, data.records, mode,
-                                resolution=resolution, config=config).rows
+                                resolution=resolution, config=config,
+                                layer_index=layers).rows
         for cid, n, s in rows:
             counts[cid] = counts.get(cid, 0) + n
             if mode == "sum":
