@@ -1,5 +1,5 @@
-"""The rasterization backend: viewports, conservative rasterization, and
-discrete canvas construction for data geometry and distance constraints.
+"""The rasterization backend: viewports, the layer-at-a-time raster kernels,
+and discrete canvas construction for data geometry and distance constraints.
 
 A discrete canvas holds, per plane (point/line/polygon), an ``interior_id``
 grid (the object whose interior fully covers the pixel square) and a CSR
@@ -34,12 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import CanvasError, DataError, DegenerateGeometryError, InternalInvariantError
+from .errors import CanvasError, DataError, InternalInvariantError
 from .geometry import (
     GeometryRecord,
     Point2,
     Segment,
-    Triangle,
     edge_table,
     features,
     orient,
@@ -210,47 +209,6 @@ def point_pixels(vp: Viewport, x: float, y: float) -> list:
             if vp.min_y + r * vp.sy <= y <= vp.min_y + (r + 1) * vp.sy:
                 out.append((c, r))
     return out
-
-
-def _mask_to_pixels(window, mask: np.ndarray) -> set:
-    c0, _, r0, _ = window
-    rows, cols = np.nonzero(mask)
-    return {(int(c + c0), int(r + r0)) for r, c in zip(rows, cols)}
-
-
-def rasterize_conservative(prim, vp: Viewport) -> set:
-    """Exactly the pixels whose closed square intersects the closed primitive,
-    clipped to the viewport grid."""
-    if isinstance(prim, Segment):
-        bbox = (min(prim.a.x, prim.b.x), min(prim.a.y, prim.b.y),
-                max(prim.a.x, prim.b.x), max(prim.a.y, prim.b.y))
-        window = vp.window_for_bbox(bbox)
-        if window is None:
-            return set()
-        return _mask_to_pixels(window, seg_touch_mask(vp, window, prim.a.x, prim.a.y,
-                                                      prim.b.x, prim.b.y))
-    if isinstance(prim, Triangle):
-        tri = np.array([(prim.v0.x, prim.v0.y), (prim.v1.x, prim.v1.y),
-                        (prim.v2.x, prim.v2.y)])
-        window = vp.window_for_bbox((tri[:, 0].min(), tri[:, 1].min(),
-                                     tri[:, 0].max(), tri[:, 1].max()))
-        if window is None:
-            return set()
-        return _mask_to_pixels(window, tri_touch_mask(vp, window, tri))
-    if isinstance(prim, Point2):
-        return set(point_pixels(vp, prim.x, prim.y))
-    raise TypeError(f"cannot rasterize {type(prim)!r}")
-
-
-def rect_to_triangles(mn, mx) -> tuple:
-    """Split an axis-aligned rectangle into two CCW triangles."""
-    x0, y0 = mn if not isinstance(mn, Point2) else (mn.x, mn.y)
-    x1, y1 = mx if not isinstance(mx, Point2) else (mx.x, mx.y)
-    if not (x1 > x0 and y1 > y0):
-        raise DegenerateGeometryError(f"degenerate rectangle ({x0},{y0})-({x1},{y1})")
-    t1 = Triangle(Point2(x0, y0), Point2(x1, y0), Point2(x1, y1))
-    t2 = Triangle(Point2(x0, y0), Point2(x1, y1), Point2(x0, y1))
-    return t1, t2
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +436,6 @@ class DiscreteCanvas:
 
     def has_plane(self, name: str) -> bool:
         return name in self._planes
-
-    def flat(self, cols, rows):
-        return rows * self.viewport.width_px + cols
-
 
 class _Builder:
     """Accumulates interior claims and boundary (pixel, entry ref) pairs,
@@ -763,17 +717,3 @@ def _feat_bbox(feat):
     ys = (feat.v0.y, feat.v1.y, feat.v2.y)
     return (min(xs), min(ys), max(xs), max(ys))
 
-
-def render_distance_canvas(source: GeometryRecord, r: float, vp: Viewport):
-    """Canvas of the radius-r Minkowski buffer of one source record.
-
-    Returns (canvas, boundary index); boundary entries carry the generating
-    feature plus r, so exact membership is exact_distance(probe, feature) <= r.
-    """
-    from .canvas_index import BoundaryIndex
-    if not (r > 0):
-        raise DataError(f"distance radius must be positive, got {r}")
-    bindex = BoundaryIndex.for_distance_sources([source], [r])
-    builder = DistanceCanvasBuilder(vp, bindex)
-    builder.add_source(source, r)
-    return builder.finalize(), bindex

@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canvas import (
-    seg_touch_mask,
-    tri_touch_mask,
+    PIXEL_KEY_BUDGET,
+    budget_runs,
+    expand_runs,
     unique_keys,
     viewport_from_bounds,
 )
@@ -87,16 +88,6 @@ class BoundaryIndex:
             return Segment(Point2(c[0], c[1]), Point2(c[2], c[3]))
         return Triangle(Point2(c[0], c[1]), Point2(c[2], c[3]), Point2(c[4], c[5]))
 
-    def rows(self) -> list:
-        """Entry rows as comparable tuples (multiset identity)."""
-        out = []
-        for i in range(len(self)):
-            out.append((int(self.obj_ids[i]), int(self.kinds[i]),
-                        tuple(float(x) for x in self.coords[i]),
-                        None if np.isnan(self.aux_r[i]) else float(self.aux_r[i]),
-                        int(self.edge_ordinals[i]), int(self.tri_ordinals[i])))
-        return out
-
     @staticmethod
     def for_distance_sources(sources, radii) -> "BoundaryIndex":
         rows = []
@@ -154,81 +145,6 @@ def build_boundary_index_direct(records) -> BoundaryIndex:
         else:
             rows.extend(_polygon_entry_rows(rec))
     return BoundaryIndex._from_rows(rows, sorted(records, key=lambda r: r.id))
-
-
-def decompose_polygons(records) -> tuple:
-    """Split triangulated polygon records into (P_b, P_t): boundary segments
-    tagged (object id, edge ordinal, Segment) and triangles tagged
-    (object id, triangle ordinal, Triangle)."""
-    p_b, p_t = [], []
-    for rec in sorted(records, key=lambda r: r.id):
-        edge_base = tri_base = 0
-        for part in rec.geometry:
-            for ei, (ax, ay, bx, by) in enumerate(part.boundary_edges()):
-                p_b.append((rec.id, edge_base + ei,
-                            Segment(Point2(ax, ay), Point2(bx, by))))
-            for ti, t in enumerate(part.triangles):
-                p_t.append((rec.id, tri_base + ti,
-                            Triangle(Point2(*t[0]), Point2(*t[1]), Point2(*t[2]))))
-            edge_base += len(part.boundary_edges())
-            tri_base += len(part.triangles)
-    return p_b, p_t
-
-
-def build_boundary_index_join(p_b, p_t, resolution: int = 256) -> BoundaryIndex:
-    """Recreate the direct boundary index by spatially joining boundary
-    segments with triangles (each triangle acting as its own trivial
-    constraint), then refining to edge-of-triangle incidence. Ties between
-    two incident triangles break toward the lower triangle ordinal.
-    """
-    if not p_b:
-        return BoundaryIndex._from_rows([], [])
-    xs, ys = [], []
-    for _, _, t in p_t:
-        xs += [t.v0.x, t.v1.x, t.v2.x]
-        ys += [t.v0.y, t.v1.y, t.v2.y]
-    vp = viewport_from_bounds((min(xs), min(ys), max(xs), max(ys)), resolution)
-
-    # Filter phase: a coarse grid of triangle candidates per pixel.
-    tri_at: dict = {}
-    for idx, (_oid, _ti, t) in enumerate(p_t):
-        arr = np.array([(t.v0.x, t.v0.y), (t.v1.x, t.v1.y), (t.v2.x, t.v2.y)])
-        window = vp.window_for_bbox((arr[:, 0].min(), arr[:, 1].min(),
-                                     arr[:, 0].max(), arr[:, 1].max()))
-        if window is None:
-            continue
-        mask = tri_touch_mask(vp, window, arr)
-        rws, cls = np.nonzero(mask)
-        for r, c in zip(rws + window[2], cls + window[0]):
-            tri_at.setdefault((int(c), int(r)), []).append(idx)
-
-    rows = []
-    for oid, ei, seg in p_b:
-        window = vp.window_for_bbox((min(seg.a.x, seg.b.x), min(seg.a.y, seg.b.y),
-                                     max(seg.a.x, seg.b.x), max(seg.a.y, seg.b.y)))
-        cand: set = set()
-        if window is not None:
-            mask = seg_touch_mask(vp, window, seg.a.x, seg.a.y, seg.b.x, seg.b.y)
-            rws, cls = np.nonzero(mask)
-            for r, c in zip(rws + window[2], cls + window[0]):
-                cand.update(tri_at.get((int(c), int(r)), ()))
-        best = None
-        for idx in cand:
-            toid, ti, t = p_t[idx]
-            if toid != oid or not exact_intersects(seg, t):
-                continue
-            verts = {(t.v0.x, t.v0.y), (t.v1.x, t.v1.y), (t.v2.x, t.v2.y)}
-            if (seg.a.x, seg.a.y) in verts and (seg.b.x, seg.b.y) in verts:
-                if best is None or ti < best[0]:
-                    best = (ti, t)
-        if best is None:
-            raise DataError(f"no incident triangle found for edge {ei} of object {oid}")
-        ti, t = best
-        rows.append((oid, KIND_TRIANGLE,
-                     (t.v0.x, t.v0.y, t.v1.x, t.v1.y, t.v2.x, t.v2.y),
-                     np.nan, ei, ti))
-    rows.sort(key=lambda row: (row[0], row[4]))
-    return BoundaryIndex._from_rows(rows, [])
 
 
 def boundary_test(index: BoundaryIndex, entry_ref: int, probe) -> bool:
@@ -310,11 +226,11 @@ class PixelMatcher:
     whole (probe record, object) pair at once.
     """
 
-    def __init__(self, canvas, plane_name: str = "polygon"):
+    def __init__(self, canvas):
         self.canvas = canvas
         self.vp = canvas.viewport
         self.bindex = canvas.bindex
-        self.plane = canvas.plane(plane_name)
+        self.plane = canvas.plane("polygon")
         self.complete = canvas.entries_complete
         self.object_ids = np.array(sorted(self.bindex.records), dtype=np.int64)
         self._buckets = None
@@ -412,10 +328,41 @@ def _copresence_pairs(canvas, bindex) -> set:
     return pairs
 
 
+def _nested_pairs(recs) -> set:
+    """Unordered id pairs of polygon records where a part's bbox holds a
+    part bbox of the other record. These are the candidates for a part
+    nested inside another without meeting its boundary: such a pair shares
+    no boundary pixel, and the canvas keeps only the higher id's interior
+    claim, so ``_copresence_pairs`` cannot see it."""
+    owner, boxes = [], []
+    for rec in recs:
+        if rec.kind == "polygon":
+            owner += [rec.id] * len(rec.geometry)
+            boxes += [part.bbox() for part in rec.geometry]
+    if len(owner) < 2:
+        return set()
+    order = np.argsort([b[0] for b in boxes], kind="stable")
+    owner, b = np.array(owner)[order], np.array(boxes)[order]
+    # Inner candidates of box i: the boxes whose x0 lies in [x0_i, x1_i].
+    lo = np.searchsorted(b[:, 0], b[:, 0], side="left")
+    count = np.searchsorted(b[:, 0], b[:, 2], side="right") - lo
+    pairs = set()
+    for s, e in budget_runs(count, PIXEL_KEY_BUDGET):
+        i, off = expand_runs(count[s:e])
+        i += s
+        j = lo[i] + off
+        ok = ((owner[i] != owner[j]) & (b[j, 1] >= b[i, 1])
+              & (b[j, 2] <= b[i, 2]) & (b[j, 3] <= b[i, 3]))
+        for a, c in zip(owner[i[ok]].tolist(), owner[j[ok]].tolist()):
+            pairs.add((min(a, c), max(a, c)))
+    return pairs
+
+
 def overlap_graph(records, resolution: int = 1024,
                   overlap=pairwise_intersects) -> dict:
     """Exact overlap adjacency built filter-and-refine style: one render pass
-    discovers co-present pairs, an exact pairwise test confirms them."""
+    discovers co-present pairs, bbox nesting adds the pairs a render cannot
+    show, and an exact pairwise test confirms them."""
     from .canvas import render_geometry_canvas
     recs = sorted(records, key=lambda r: r.id)
     by_id = {r.id: r for r in recs}
@@ -429,24 +376,17 @@ def overlap_graph(records, resolution: int = 1024,
     vp = viewport_from_bounds(bounds, resolution)
     bindex = build_boundary_index_direct(recs)
     canvas = render_geometry_canvas(recs, vp, bindex)
-    for a, b in _copresence_pairs(canvas, bindex):
+    for a, b in _copresence_pairs(canvas, bindex) | _nested_pairs(recs):
         if overlap(by_id[a], by_id[b]):
             graph[a].add(b)
             graph[b].add(a)
     return graph
 
 
-def build_layer_index(records, resolution: int = 1024,
-                      overlap=pairwise_intersects) -> LayerIndex:
-    """Iteratively peel layers: objects that lose no pixel to a higher id
-    (equivalently: overlap no higher-id object still unassigned) form the
-    current layer; the rest proceed to the next iteration. Deterministic
-    given ids; the layer count is not claimed minimal.
-    """
-    recs = sorted(records, key=lambda r: r.id)
-    if not recs:
-        return LayerIndex(layers=[])
-    graph = overlap_graph(recs, resolution=resolution, overlap=overlap)
+def _peel(graph: dict) -> LayerIndex:
+    """Peel layers off an overlap graph: objects that overlap no higher id
+    still unassigned form the current layer; the rest proceed to the next
+    round."""
     remaining = set(graph)
     layers = []
     while remaining:
@@ -457,7 +397,14 @@ def build_layer_index(records, resolution: int = 1024,
     return LayerIndex(layers=layers)
 
 
-def build_distance_layer_index(sources, radii, resolution: int = 512) -> LayerIndex:
+def build_layer_index(records, resolution: int = 1024,
+                      overlap=pairwise_intersects) -> LayerIndex:
+    """Layers ``_peel`` takes off the records' exact overlap graph.
+    Deterministic given ids; the layer count is not claimed minimal."""
+    return _peel(overlap_graph(records, resolution=resolution, overlap=overlap))
+
+
+def build_distance_layer_index(sources, radii) -> LayerIndex:
     """Layer index over distance buffers, built on the fly at query time;
     two buffers overlap iff distance(geomA, geomB) <= rA + rB."""
     rmap = {src.id: r for src, r in zip(sources, radii)}
@@ -480,11 +427,4 @@ def build_distance_layer_index(sources, radii, resolution: int = 512) -> LayerIn
             if overlap(a, b):
                 graph[a.id].add(b.id)
                 graph[b.id].add(a.id)
-    remaining = set(graph)
-    layers = []
-    while remaining:
-        intact = {o for o in remaining
-                  if not any(h > o for h in graph[o] if h in remaining)}
-        layers.append(sorted(intact))
-        remaining -= intact
-    return LayerIndex(layers=layers)
+    return _peel(graph)

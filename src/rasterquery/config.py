@@ -10,6 +10,8 @@ import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .errors import ConfigurationError
+
 ENV_PREFIX = "SPADE_"
 
 
@@ -29,29 +31,32 @@ class Config:
     canvas_budget_bytes: int = 64 * 1024 * 1024
     # Bytes per one-pass Map result slot.
     slot_size: int = 16
-    # Two-pass Map writes at most this many entries per iteration.
-    two_pass_ceiling: int = 64_000_000
     # Cell cache capacity as a multiple of byte_budget.
     cache_factor: int = 4
 
     def validate(self) -> "Config":
         if not 16 <= self.resolution <= 32768:
-            raise ValueError(f"resolution {self.resolution} outside [16, 32768]")
+            raise ConfigurationError(f"resolution {self.resolution} outside [16, 32768]")
         if self.alpha <= 1.0:
-            raise ValueError("alpha must be > 1")
+            raise ConfigurationError("alpha must be > 1")
         if self.byte_budget <= 0 or self.canvas_budget_bytes <= 0:
-            raise ValueError("byte budgets must be positive")
+            raise ConfigurationError("byte budgets must be positive")
+        if not self.knn_radius_floor > 0:
+            raise ConfigurationError("knn_radius_floor must be positive")
+        if self.cache_factor < 1 or self.circle_cap < 1:
+            raise ConfigurationError("cache_factor and circle_cap must be at least 1")
         return self
 
 
 _INT_FIELDS = {"resolution", "byte_budget", "circle_cap", "canvas_budget_bytes",
-               "slot_size", "two_pass_ceiling", "cache_factor"}
+               "slot_size", "cache_factor"}
 
 
 def _coerce(name: str, raw: str):
-    if name in _INT_FIELDS:
-        return int(raw)
-    return float(raw)
+    try:
+        return int(raw) if name in _INT_FIELDS else float(raw)
+    except ValueError:
+        raise ConfigurationError(f"{name}: not a number: {raw!r}") from None
 
 
 def load_config(config_file: str | Path | None = None,

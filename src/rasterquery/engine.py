@@ -1,6 +1,5 @@
 """Query evaluation: selection, joins, distance queries, kNN, and spatial
-aggregation, composed from canvas rendering, exact boundary tests, and the
-Map operator per plan.
+aggregation, composed from canvas rendering and exact boundary tests.
 
 Every query is exact: raster classification only routes work (interior hits
 are certain, boundary pixels fall back to exact tests), so results are
@@ -81,8 +80,10 @@ from .geometry import (
     orient,
     project_points_4326_to_3857,
 )
+# No query runs the Map any more; these names stay bound here only because
+# perfbench's tracer wraps them on this module by name.
 from .operators import compact, map_one_pass, map_two_pass
-from .optimizer import ONE_PASS, QueryDescriptor, choose_map_impl, estimate_nmax
+from .optimizer import choose_map_impl, estimate_nmax
 
 log = logging.getLogger(__name__)
 
@@ -150,7 +151,6 @@ class PreparedPoints:
         self.records = recs
         self.ids = np.array([r.id for r in recs], dtype=np.int64)
         self.xy = np.array([(r.geometry.x, r.geometry.y) for r in recs], dtype=float)
-        self.values = np.array([np.nan if r.value is None else r.value for r in recs])
 
     def __len__(self):
         return len(self.ids)
@@ -431,18 +431,6 @@ def match_record(matcher: PixelMatcher, rec: GeometryRecord) -> set:
 
 
 # ---------------------------------------------------------------------------
-# Map plumbing
-# ---------------------------------------------------------------------------
-
-def _run_map(stream_items, n_max, slot_fn, config: Config, force_impl=None):
-    impl = force_impl or choose_map_impl(n_max, config=config)
-    if impl == ONE_PASS:
-        return compact(map_one_pass(iter(stream_items), n_max, slot_fn))
-    return list(map_two_pass(lambda: iter(stream_items),
-                             ceiling=config.two_pass_ceiling))
-
-
-# ---------------------------------------------------------------------------
 # Selection
 # ---------------------------------------------------------------------------
 
@@ -483,30 +471,30 @@ def _point_arrays(pts) -> tuple:
     return xy, np.fromiter((p.id for p in pts), dtype=np.int64, count=n)
 
 
+def _dataset_points(dataset) -> tuple:
+    """((xy, ids), others): a dataset's points as ``match_points`` arrays
+    plus its non-point records. A ``PreparedPoints`` passes its arrays
+    straight through."""
+    if isinstance(dataset, PreparedPoints):
+        return (dataset.xy, dataset.ids), []
+    pts, others = _split_kinds(dataset)
+    return _point_arrays(pts), others
+
+
+def _selection(matcher: PixelMatcher, dataset) -> SelectionResult:
+    """Ids of the dataset's objects that meet the single-object canvas."""
+    points, others = _dataset_points(dataset)
+    return SelectionResult(tuple(rid for _, rid in _probe_pairs(matcher, points, others)))
+
+
 def select(dataset, constraint, resolution: int | None = None,
-           config: Config = DEFAULT, force_map_impl=None) -> SelectionResult:
+           config: Config = DEFAULT) -> SelectionResult:
     """Ids of all objects whose geometry intersects the closed constraint
-    polygon: render the constraint canvas plus boundary index, classify the
-    dataset against it in one pass, then compact via Map."""
+    polygon: render the constraint canvas plus boundary index, then
+    classify the dataset against it in one pass."""
     resolution = resolution or config.resolution
-    cons = _as_constraint_record(constraint)
-    matcher = _layer_matcher([cons], resolution)
-    prepared = dataset if isinstance(dataset, PreparedPoints) else None
-    records = prepared.records if prepared else list(dataset)
-    n_max = estimate_nmax(QueryDescriptor("selection", object_count=len(records)))
-
-    if prepared is not None:
-        with instrument.phase("raster"):
-            cid = match_points(matcher, prepared.xy)
-            matched_ids = [int(i) for i in prepared.ids[cid >= 0]]
-    else:
-        pts, others = _split_kinds(records)
-        matched_ids = [rid for _, rid in _probe_pairs(matcher, _point_arrays(pts), others)]
-
-    ordinal = {rid: i for i, rid in enumerate(sorted(r.id for r in records))}
-    out = _run_map(matched_ids, n_max, lambda rid: ordinal[rid], config,
-                   force_impl=force_map_impl)
-    return SelectionResult(tuple(out))
+    matcher = _layer_matcher([_as_constraint_record(constraint)], resolution)
+    return _selection(matcher, dataset)
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +540,7 @@ def _join_layers(d1, d2, layers: LayerIndex, resolution) -> set:
     """Pairs of every layer of d1 against all of d2, collected as a set (a
     probe may meet several members of one layer)."""
     by_id = {r.id: r for r in d1}
-    pts, others = _split_kinds(d2)
-    points = _point_arrays(pts)
+    points, others = _dataset_points(d2)
     pairs: set = set()
     for layer_ids in layers.layers:
         matcher = _layer_matcher([by_id[i] for i in layer_ids], resolution)
@@ -565,11 +552,15 @@ def _join_layers(d1, d2, layers: LayerIndex, resolution) -> set:
 # Distance queries
 # ---------------------------------------------------------------------------
 
-def _maybe_project(records, geographic):
+def _maybe_project(dataset, geographic):
+    """The dataset (a record list or ``PreparedPoints``) projected from
+    EPSG:4326 to EPSG:3857 when ``geographic``."""
     if not geographic:
-        return records
+        return dataset
     from .geometry import project_record_4326_to_3857
-    return [project_record_4326_to_3857(r) for r in records]
+    if isinstance(dataset, PreparedPoints):
+        return PreparedPoints([project_record_4326_to_3857(r) for r in dataset.records])
+    return [project_record_4326_to_3857(r) for r in dataset]
 
 
 def _distance_matcher(sources, radii, resolution: int) -> PixelMatcher:
@@ -597,17 +588,9 @@ def distance_select(dataset, source: GeometryRecord, r: float,
     if not (r > 0):
         raise DataError(f"distance radius must be positive, got {r}")
     resolution = resolution or config.resolution
-    records = list(dataset)
-    if geographic:
-        records = _maybe_project(records, True)
-        source = _maybe_project([source], True)[0]
-    matcher = _distance_matcher([source], [r], resolution)
-    pts, others = _split_kinds(records)
-    matched = [rid for _, rid in _probe_pairs(matcher, _point_arrays(pts), others)]
-    n_max = estimate_nmax(QueryDescriptor("selection", object_count=len(records)))
-    ordinal = {rid: i for i, rid in enumerate(sorted(rec.id for rec in records))}
-    out = _run_map(matched, n_max, lambda rid: ordinal[rid], config)
-    return SelectionResult(tuple(out))
+    dataset = _maybe_project(dataset, geographic)
+    source = _maybe_project([source], geographic)[0]
+    return _selection(_distance_matcher([source], [r], resolution), dataset)
 
 
 def distance_join(d1, d2, radii, resolution: int | None = None,
@@ -617,9 +600,7 @@ def distance_join(d1, d2, radii, resolution: int | None = None,
     layer index over the generated buffers is built on the fly."""
     resolution = resolution or config.resolution
     d1, d2 = list(d1), list(d2)
-    if geographic:
-        d1 = _maybe_project(d1, True)
-        d2 = _maybe_project(d2, True)
+    d1, d2 = _maybe_project(d1, geographic), _maybe_project(d2, geographic)
     if not d1 or not d2:
         return JoinResult(())
     if np.isscalar(radii):
@@ -643,8 +624,7 @@ def distance_join(d1, d2, radii, resolution: int | None = None,
     sources = sorted(sources, key=lambda rec: rec.id)
     layers = build_distance_layer_index(sources, [rmap[s.id] for s in sources])
     by_id = {s.id: s for s in sources}
-    pts, others = _split_kinds(probes)
-    points = _point_arrays(pts)
+    points, others = _dataset_points(probes)
     pairs: set = set()
     for layer_ids in layers.layers:
         members = [by_id[i] for i in layer_ids]
@@ -683,8 +663,8 @@ def aggregate(constraints, data, mode: str = "count",
     by_id = {r.id: r for r in constraints}
     pts, others = _split_kinds(data)
     xy, _ = _point_arrays(pts)
-    vals = np.fromiter((np.nan if r.value is None else r.value for r in pts),
-                       dtype=np.float64, count=len(pts))
+    if mode == "sum":
+        vals = np.fromiter((r.value for r in pts), dtype=np.float64, count=len(pts))
     value_of = {r.id: r.value for r in others}
     for layer_ids in layer_index.layers if data else ():
         matcher = _layer_matcher([by_id[i] for i in layer_ids], resolution)
@@ -718,16 +698,10 @@ def _prepared_points(dataset) -> PreparedPoints:
 
 
 def _count_within(prepared: PreparedPoints, center: Point2, r: float,
-                  config: Config, resolution: int) -> int:
+                  resolution: int) -> int:
     """Exact count of dataset points within r of center, via a distance
     canvas (any resolution yields the exact count)."""
-    src = GeometryRecord(0, "point", center)
-    vp = viewport_from_bounds((center.x - r, center.y - r,
-                               center.x + r, center.y + r), resolution)
-    bindex = BoundaryIndex.for_distance_sources([src], [r])
-    builder = DistanceCanvasBuilder(vp, bindex)
-    builder.add_source(src, r)
-    matcher = PixelMatcher(builder.finalize())
+    matcher = _distance_matcher([GeometryRecord(0, "point", center)], [r], resolution)
     return int((match_points(matcher, prepared.xy) >= 0).sum())
 
 
@@ -746,11 +720,11 @@ def _knn_radius(prepared: PreparedPoints, center: Point2, k: int,
     count_res = max(min(128, config.resolution), 16)
     lo, hi = 0, len(radii) - 1  # counts decrease with index
     # invariant: count(radii[lo]) >= k; find the largest index still >= k
-    if _count_within(prepared, center, radii[hi], config, count_res) >= k:
+    if _count_within(prepared, center, radii[hi], count_res) >= k:
         return radii[hi]
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _count_within(prepared, center, radii[mid], config, count_res) >= k:
+        if _count_within(prepared, center, radii[mid], count_res) >= k:
             lo = mid
         else:
             hi = mid
@@ -765,9 +739,8 @@ def knn_select(dataset, p, k: int, cfg: KnnConfig | None = None,
     cfg = cfg or KnnConfig(alpha=config.alpha, radius_floor=config.knn_radius_floor,
                            circle_cap=config.circle_cap)
     resolution = resolution or config.resolution
-    prepared = _prepared_points(dataset)
+    prepared = _maybe_project(_prepared_points(dataset), geographic)
     if geographic:
-        prepared = PreparedPoints(_maybe_project(prepared.records, True))
         px, py = project_points_4326_to_3857(np.array([[p[0] if not isinstance(p, Point2) else p.x,
                                                         p[1] if not isinstance(p, Point2) else p.y]]))[0]
         p = Point2(px, py)
@@ -779,7 +752,7 @@ def knn_select(dataset, p, k: int, cfg: KnnConfig | None = None,
     if k > n:
         raise DataError(f"k={k} exceeds dataset size {n}")
     r = _knn_radius(prepared, p, k, cfg, config)
-    ids = distance_select(prepared.records, GeometryRecord(0, "point", p), r,
+    ids = distance_select(prepared, GeometryRecord(0, "point", p), r,
                           resolution=resolution, config=config).ids
     idx = np.searchsorted(prepared.ids, np.array(ids, dtype=np.int64))
     d = np.hypot(prepared.xy[idx, 0] - p.x, prepared.xy[idx, 1] - p.y)
@@ -796,11 +769,8 @@ def knn_join(d1, d2, k: int, cfg: KnnConfig | None = None,
     cfg = cfg or KnnConfig(alpha=config.alpha, radius_floor=config.knn_radius_floor,
                            circle_cap=config.circle_cap)
     resolution = resolution or config.resolution
-    left = _prepared_points(d1)
-    right = _prepared_points(d2)
-    if geographic:
-        left = PreparedPoints(_maybe_project(left.records, True))
-        right = PreparedPoints(_maybe_project(right.records, True))
+    left = _maybe_project(_prepared_points(d1), geographic)
+    right = _maybe_project(_prepared_points(d2), geographic)
     if k <= 0:
         raise DataError("k must be positive")
     if k > len(right):

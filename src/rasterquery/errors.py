@@ -1,8 +1,7 @@
 """Exception hierarchy shared across the package.
 
-``UsageError`` style problems are left to the CLI layer (click); everything the
-library itself raises derives from :class:`SpatialError` so callers can map
-failures to exit codes in one place.
+Everything the library itself raises derives from :class:`SpatialError` so
+callers can map failures to exit codes in one place.
 """
 
 
@@ -50,8 +49,9 @@ class CorruptionError(DataError):
     """On-disk data failed a checksum or magic/version check."""
 
 
-class ConfigurationError(SpatialError):
-    """Invalid engine configuration (e.g. a non-commutative custom blend)."""
+class ConfigurationError(SpatialError, ValueError):
+    """Invalid engine configuration: a value out of range, or a setting that
+    is not a number. Also a ``ValueError``, for callers that catch that."""
 
 
 class InternalInvariantError(SpatialError):

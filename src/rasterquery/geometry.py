@@ -97,12 +97,6 @@ class PolygonGeom:
             self._edges = np.concatenate(parts, axis=0)
         return self._edges
 
-    def edge_keys(self) -> list:
-        keys = []
-        for ri, ring in enumerate(self.rings):
-            keys.extend((ri, ei) for ei in range(len(ring)))
-        return keys
-
     def bbox(self):
         pts = np.concatenate(self.rings, axis=0)
         return (float(pts[:, 0].min()), float(pts[:, 1].min()),
@@ -114,8 +108,8 @@ class GeometryRecord:
     """One spatial object with a dataset-unique id.
 
     kind 'point' -> Point2, 'polyline' -> list[Segment], 'polygon' ->
-    list[PolygonGeom] (one per part). value is an optional payload used by
-    aggregation blends.
+    list[PolygonGeom] (one per part). value is an optional payload that sum
+    aggregation adds up.
     """
 
     id: int
@@ -896,33 +890,3 @@ def parse_wkt(text: str) -> tuple:
         raise UnsupportedTypeError(f"unsupported WKT type {tag}")
     raise UnsupportedTypeError(f"unsupported WKT type {tag!r}")
 
-
-def parse_wkt_record(rid: int, text: str, value: float | None = None) -> GeometryRecord:
-    kind, geom = parse_wkt(text)
-    return GeometryRecord(rid, kind, geom, value)
-
-
-def parse_point_csv(text: str) -> list:
-    """Parse `lon,lat[,value]` lines (header row optional) into point records."""
-    records = []
-    rid = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        try:
-            x, y = float(cells[0]), float(cells[1])
-        except (ValueError, IndexError):
-            if lineno == 1 and rid == 0:
-                continue  # optional header row
-            raise DataError(f"malformed CSV row at line {lineno}: {line!r}") from None
-        value = None
-        if len(cells) >= 3 and cells[2]:
-            try:
-                value = float(cells[2])
-            except ValueError:
-                raise DataError(f"malformed CSV value at line {lineno}: {line!r}") from None
-        records.append(point_record(rid, x, y, value))
-        rid += 1
-    return records

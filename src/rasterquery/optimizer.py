@@ -1,11 +1,12 @@
-"""Plan-level decisions: result-bound estimation, Map implementation choice,
-out-of-core join strategy selection by estimated transfer bytes, and
-join-loop ordering. Pure planning over immutable metadata.
+"""Plan-level decisions: out-of-core join strategy selection by estimated
+transfer bytes and join-loop ordering, plus the Map's result bound and
+implementation choice, which no query asks for any more (see
+``operators``). Pure planning over immutable metadata.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import DEFAULT, Config
 from .errors import DataError
@@ -52,7 +53,6 @@ class TransferEstimate:
 
 @dataclass(frozen=True)
 class PlanChoice:
-    map_impl: str
     join_strategy: str
     load_order: tuple = ()
 
@@ -114,14 +114,13 @@ def choose_join_strategy(naive_steps, layer_steps, cell_sizes) -> tuple:
         chosen, ordered = NAIVE_LOOP, naive_ordered
     else:
         chosen, ordered = LAYER_INDEX, layer_ordered
-    plan = PlanChoice(map_impl="", join_strategy=chosen,
+    plan = PlanChoice(join_strategy=chosen,
                       load_order=tuple(label for label, _ in ordered))
     return est_naive, est_layer, plan
 
 
 def explain_lines(plan: PlanChoice, est_naive: TransferEstimate | None = None,
-                  est_layer: TransferEstimate | None = None,
-                  n_max: int | None = None) -> list:
+                  est_layer: TransferEstimate | None = None) -> list:
     """Stable line-oriented plan description for --explain output."""
     lines = []
     if plan.join_strategy:
@@ -130,10 +129,6 @@ def explain_lines(plan: PlanChoice, est_naive: TransferEstimate | None = None,
         lines.append(f"estimate naive_loop bytes={est_naive.bytes}")
     if est_layer is not None:
         lines.append(f"estimate layer_index bytes={est_layer.bytes}")
-    if plan.map_impl:
-        lines.append(f"map_impl: {plan.map_impl}")
-    if n_max is not None:
-        lines.append(f"n_max: {n_max}")
     for label in plan.load_order:
         lines.append(f"load: {label}")
     return lines

@@ -13,11 +13,9 @@ import numpy as np
 
 from .geometry import (
     GeometryRecord,
-    exact_distance,
     geometry_distance,
     pairwise_intersects,
     points_to_record_distance,
-    polygon_record,
 )
 
 

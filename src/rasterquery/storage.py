@@ -682,7 +682,7 @@ def ooc_join(store_a: DatasetStore, store_b: DatasetStore,
     strategy = force_strategy or plan.join_strategy
     if explain is not None:
         explain.extend(optimizer.explain_lines(
-            optimizer.PlanChoice("", strategy, plan.load_order), est_naive, est_layer))
+            optimizer.PlanChoice(strategy, plan.load_order), est_naive, est_layer))
     out = []
     if strategy == optimizer.NAIVE_LOOP:
         steps = [(f"poly:{rid}", None) for rid in sorted(poly_filters)]
@@ -816,7 +816,7 @@ def ooc_knn_select(store: DatasetStore, p: Point2, k: int,
                 hi = mid
     r = radii[lo]
     src = GeometryRecord(0, "point", p)
-    ids = ooc_distance_select(store, src, r, resolution, config).ids
+    ids = set(ooc_distance_select(store, src, r, resolution, config).ids)
     dists = []
     for cell in filter_distance(store.grid_index(), src, r, resolution, config):
         for rec in store.load_cell(cell).records:
