@@ -9,7 +9,7 @@ unmarked square is disjoint from every object, and every partially-covered
 square is boundary-marked.
 
 Whole layers are rasterized at once, the CPU counterpart of one draw call
-per layer, by two array kernels:
+per layer, by three array kernels:
 
 - ``segment_pixels``, the edge supercover: every pixel whose closed square
   meets a segment, for all segments of a layer in one pass. Candidates are
@@ -19,9 +19,18 @@ per layer, by two array kernels:
   inside a polygon part, from the sorted edge crossings of each row of
   pixel centres. Pixels that no edge of the polygon touches have their
   whole closed square inside it.
+- ``capsule_pixels``, the buffer kernel: for points and segments each
+  dilated by a radius (discs and capsules), the pixels a buffer covers, as
+  column runs, and those it touches without covering. It works column by
+  column from the buffer's outline, so its work and temporaries grow with
+  the outline, not with the window.
 
-``render_geometry_canvas`` builds canvases from them, and the query engine
-runs the same kernels over its probe records.
+``render_geometry_canvas`` builds data canvases from the first two, and the
+query engine runs them over its probe records. ``DistanceCanvasBuilder``
+renders a layer of r-buffers as the union of simple shapes: a polygon
+source's filled interior, a capsule per segment or ring edge and a disc per
+point. Pixels a buffer covers go straight into ``interior_id``; the others
+it touches list every point or edge entry whose buffer reaches them.
 
 Pixel (c, r) covers the half-open square
 ``[min_x + c*sx, min_x + (c+1)*sx) x [min_y + r*sy, min_y + (r+1)*sy)``;
@@ -35,15 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CanvasError, DataError, InternalInvariantError
-from .geometry import (
-    GeometryRecord,
-    Point2,
-    Segment,
-    edge_table,
-    features,
-    orient,
-    triangles_array,
-)
+from .geometry import GeometryRecord, edge_table, orient, triangles_array
 
 PLANES = ("point", "line", "polygon")
 NULL_ID = -1
@@ -169,26 +170,6 @@ def seg_touch_mask(vp: Viewport, window, ax, ay, bx, by) -> np.ndarray:
     straddle = (fmin <= 0.0) & (fmax >= 0.0)
     bbox = (min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
     return straddle & _bbox_overlap_mask(vp, window, bbox)
-
-
-def tri_touch_mask(vp: Viewport, window, tri: np.ndarray) -> np.ndarray:
-    """Pixels whose closed square intersects the closed CCW triangle (SAT)."""
-    c0, c1, r0, r1 = window
-    xs = vp.corner_xs(c0, c1)
-    ys = vp.corner_ys(r0, r1)
-    (x0, y0), (x1, y1), (x2, y2) = tri
-    ok = _bbox_overlap_mask(vp, window,
-                            (min(x0, x1, x2), min(y0, y1, y2),
-                             max(x0, x1, x2), max(y0, y1, y2)))
-    for (ax, ay, bx, by, cx, cy) in ((x0, y0, x1, y1, x2, y2),
-                                     (x1, y1, x2, y2, x0, y0),
-                                     (x2, y2, x0, y0, x1, y1)):
-        f = orient(ax, ay, bx, by, xs[None, :], ys[:, None])
-        fmin, fmax = _corner_min_max(f)
-        third = orient(ax, ay, bx, by, cx, cy)
-        tmin, tmax = min(0.0, third), max(0.0, third)
-        ok &= (fmax >= tmin) & (fmin <= tmax)
-    return ok
 
 
 def point_pixels(vp: Viewport, x: float, y: float) -> list:
@@ -408,8 +389,8 @@ class PlaneData:
     sorted flat pixel ids, ``bp_start`` bucket offsets, ``bp_entries``
     ascending refs per bucket)."""
 
-    def __init__(self, height: int, width: int):
-        self.interior_id = np.full((height, width), NULL_ID, dtype=np.int64)
+    def __init__(self, interior_id: np.ndarray):
+        self.interior_id = interior_id
         self.bp_flat = np.zeros(0, dtype=np.int64)
         self.bp_start = np.zeros(1, dtype=np.int64)
         self.bp_entries = np.zeros(0, dtype=np.int64)
@@ -421,9 +402,10 @@ class DiscreteCanvas:
     def __init__(self, viewport: Viewport, bindex=None, entries_complete: bool = False):
         self.viewport = viewport
         self.bindex = bindex
-        # True when boundary buckets already reference every primitive
-        # touching the pixel (distance canvases); polygon canvases may need
-        # escalation to all triangles of an object touching the pixel.
+        # True on distance canvases: buckets list every point and edge whose
+        # buffer touches the pixel, each with its radius. Neither kind of
+        # canvas lists a polygon's interior, so points in a pixel of a
+        # polygon object may need escalation to its triangles.
         self.entries_complete = entries_complete
         self._planes: dict = {}
 
@@ -431,11 +413,13 @@ class DiscreteCanvas:
         if name not in PLANES:
             raise CanvasError(f"unknown plane {name!r}")
         if name not in self._planes:
-            self._planes[name] = PlaneData(self.viewport.height_px, self.viewport.width_px)
+            shape = (self.viewport.height_px, self.viewport.width_px)
+            self._planes[name] = PlaneData(np.full(shape, NULL_ID, dtype=np.int64))
         return self._planes[name]
 
     def has_plane(self, name: str) -> bool:
         return name in self._planes
+
 
 class _Builder:
     """Accumulates interior claims and boundary (pixel, entry ref) pairs,
@@ -446,28 +430,13 @@ class _Builder:
         self._pix: dict = {name: [] for name in PLANES}
         self._refs: dict = {name: [] for name in PLANES}
 
-    def write_interior(self, plane_name, window, mask, rid):
-        plane = self.canvas.plane(plane_name)
-        c0, _, r0, _ = window
-        view = np.s_[r0:r0 + mask.shape[0], c0:c0 + mask.shape[1]]
-        plane.interior_id[view][mask] = rid
-
-    def write_boundary(self, plane_name, window, mask, rid, entry_ref):
-        plane = self.canvas.plane(plane_name)
-        c0, _, r0, _ = window
-        rows, cols = np.nonzero(mask)
-        if len(rows) == 0:
-            return
-        # A pixel the object's own boundary touches is not fully covered by
-        # it; revoke this object's interior claim (others' claims stand).
-        sub = plane.interior_id[r0:r0 + mask.shape[0], c0:c0 + mask.shape[1]]
-        sub[mask & (sub == rid)] = NULL_ID
-        flat = (rows + r0) * self.canvas.viewport.width_px + (cols + c0)
-        self.add_boundary(plane_name, flat, np.full(len(flat), entry_ref, dtype=np.int64))
+    def set_interior(self, plane_name, flat_ids: np.ndarray):
+        """Install a plane's ``interior_id`` grid, given flat."""
+        vp = self.canvas.viewport
+        self.canvas._planes[plane_name] = PlaneData(flat_ids.reshape(vp.height_px, vp.width_px))
 
     def add_boundary(self, plane_name, flat, refs):
         """Record boundary entry ``refs[i]`` at flat pixel ``flat[i]``."""
-        self.canvas.plane(plane_name)
         self._pix[plane_name].append(np.asarray(flat, dtype=np.int64))
         self._refs[plane_name].append(np.asarray(refs, dtype=np.int64))
 
@@ -567,8 +536,10 @@ def _render_polygons(b: _Builder, recs, vp: Viewport, bindex):
         inside = _centres_in_records(vp, cflat, [triangles_array(recs[r]) for r in crank])
         winner[cflat[inside]] = -1
     ids = np.array([rec.id for rec in recs], dtype=np.int64)
-    interior = np.where(winner >= 0, ids[np.maximum(winner, 0)], NULL_ID)
-    b.canvas.plane("polygon").interior_id = interior.reshape(vp.height_px, vp.width_px)
+    # The claims become the interior grid in place (NULL_ID is -1).
+    claimed = winner >= 0
+    winner[claimed] = ids[winner[claimed]]
+    b.set_interior("polygon", winner)
 
 
 def _centres_in_records(vp: Viewport, flat: np.ndarray, tris: list) -> np.ndarray:
@@ -587,133 +558,244 @@ def _centres_in_records(vp: Viewport, flat: np.ndarray, tris: list) -> np.ndarra
     return np.bincount(j[inside], minlength=len(flat)) > 0
 
 
+
+
 # ---------------------------------------------------------------------------
 # Distance canvases (Minkowski buffers)
 # ---------------------------------------------------------------------------
 
-def _point_to_square_dist(px, py, xs0, xs1, ys0, ys1):
-    dx = np.maximum(np.maximum(xs0 - px, px - xs1), 0.0)
-    dy = np.maximum(np.maximum(ys0 - py, py - ys1), 0.0)
-    return np.hypot(dx, dy)
+# Candidate pixels one chunk of ``capsule_pixels`` tests at a time: about
+# ten arrays of that length are alive at once, some 5 MB in all.
+CAPSULE_KEY_BUDGET = PIXEL_KEY_BUDGET // 4
 
 
-def _corner_dist_field(vp, window, feat) -> np.ndarray:
-    """Distance from every window corner-lattice point to the feature."""
-    c0, c1, r0, r1 = window
-    xs = vp.corner_xs(c0, c1)[None, :]
-    ys = vp.corner_ys(r0, r1)[:, None]
-    if isinstance(feat, Point2):
-        return np.hypot(xs - feat.x, ys - feat.y)
-    if isinstance(feat, Segment):
-        from .geometry import _point_seg_dist
-        return _point_seg_dist(xs, ys, feat.a.x, feat.a.y, feat.b.x, feat.b.y)
-    from .geometry import _point_seg_dist
-    t = ((feat.v0.x, feat.v0.y), (feat.v1.x, feat.v1.y), (feat.v2.x, feat.v2.y))
-    d = np.minimum(np.minimum(
-        _point_seg_dist(xs, ys, t[0][0], t[0][1], t[1][0], t[1][1]),
-        _point_seg_dist(xs, ys, t[1][0], t[1][1], t[2][0], t[2][1])),
-        _point_seg_dist(xs, ys, t[2][0], t[2][1], t[0][0], t[0][1]))
-    inside = ((orient(t[0][0], t[0][1], t[1][0], t[1][1], xs, ys) >= 0)
-              & (orient(t[1][0], t[1][1], t[2][0], t[2][1], xs, ys) >= 0)
-              & (orient(t[2][0], t[2][1], t[0][0], t[0][1], xs, ys) >= 0))
-    d[inside] = 0.0
-    return d
+def _outline_params(ax, ay, bx, by, r) -> np.ndarray:
+    """Per capsule (closed segment a-b dilated by r), one column of what
+    ``capsule_pixels`` needs to trace its top and bottom, rows as named in
+    ``_P``.
+
+    The top, as a function of x, is the higher of the end discs' tops and
+    the upper side: the segment moved by r along its upward normal, the
+    line y = oy + (x - ox) * slope over lo <= x <= hi (lo > hi when the
+    segment is vertical or a point). It is concave, highest at x = ``peak``
+    (the higher end). The bottom is the top of the mirror image in y,
+    negated; each of those rows comes as a pair, capsule then mirror.
+    """
+    dx, dy = bx - ax, by - ay
+    level = dx != 0.0
+    n = np.divide(r, np.hypot(dx, dy), out=np.zeros_like(r), where=level)
+    slope = np.divide(dy, dx, out=np.zeros_like(r), where=level)
+    shift = -dy * np.sign(dx) * n
+    x0, x1 = np.minimum(ax, bx), np.maximum(ax, bx)
+    rise = np.abs(dx) * n
+    return np.array([
+        x0 - r, x1 + r, ax, bx, r * r,
+        # A line through a disc's extreme point, computed as its centre
+        # +- r, must not miss the disc by rounding.
+        r + 1e-12 * (np.abs(ax) + r), r + 1e-12 * (np.abs(bx) + r),
+        np.where(ay >= by, ax, bx), np.where(ay <= by, ax, bx),
+        ay, -ay, by, -by, ax + shift, ax - shift, ay + rise, rise - ay, slope, -slope,
+        np.where(level, x0 + shift, np.inf), np.where(level, x0 - shift, np.inf),
+        np.where(level, x1 + shift, -np.inf), np.where(level, x1 - shift, -np.inf)])
 
 
-def feature_square_dminmax(vp: Viewport, window, feat) -> tuple:
-    """Exact per-pixel (min, max) distance from the closed pixel square to a
-    convex feature. min is 0 when they touch; max is attained at a corner
-    because distance-to-a-convex-set is convex."""
-    c0, c1, r0, r1 = window
-    corner = _corner_dist_field(vp, window, feat)
-    cmin, cmax = _corner_min_max(corner)
-    xs = vp.corner_xs(c0, c1)
-    ys = vp.corner_ys(r0, r1)
-    xs0, xs1 = xs[None, :-1], xs[None, 1:]
-    ys0, ys1 = ys[:-1, None], ys[1:, None]
-    if isinstance(feat, Point2):
-        dmin = _point_to_square_dist(feat.x, feat.y, xs0, xs1, ys0, ys1)
-        return dmin, cmax
-    if isinstance(feat, Segment):
-        dmin = np.minimum(cmin, np.minimum(
-            _point_to_square_dist(feat.a.x, feat.a.y, xs0, xs1, ys0, ys1),
-            _point_to_square_dist(feat.b.x, feat.b.y, xs0, xs1, ys0, ys1)))
-        touch = seg_touch_mask(vp, window, feat.a.x, feat.a.y, feat.b.x, feat.b.y)
-    else:
-        tri = np.array([(feat.v0.x, feat.v0.y), (feat.v1.x, feat.v1.y),
-                        (feat.v2.x, feat.v2.y)])
-        dmin = cmin
-        for vx, vy in tri:
-            dmin = np.minimum(dmin, _point_to_square_dist(vx, vy, xs0, xs1, ys0, ys1))
-        touch = tri_touch_mask(vp, window, tri)
-    dmin = np.where(touch, 0.0, dmin)
-    return dmin, cmax
+# Rows of ``_outline_params``; two-row slices are (capsule, mirror) pairs.
+_P = dict(x0=0, x1=1, ax=2, bx=3, rr=4, reach_a=5, reach_b=6, peak=slice(7, 9),
+          ya=slice(9, 11), yb=slice(11, 13), ox=slice(13, 15), oy=slice(15, 17),
+          slope=slice(17, 19), lo=slice(19, 21), hi=slice(21, 23))
 
 
-def _sub_window(outer, inner):
-    """Relative slice of ``inner`` window inside ``outer`` window."""
-    oc0, _, or0, _ = outer
-    c0, c1, r0, r1 = inner
-    return np.s_[r0 - or0:r1 - or0 + 1, c0 - oc0:c1 - oc0 + 1]
+def _outline_tops(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Tops of capsules and of their mirrors, (2, k, m), at x (k, m) for the
+    gathered ``_outline_params`` columns ``g`` (.., m); -inf where the
+    vertical line misses."""
+    def pair(name):
+        return g[_P[name], None, :]
+    side = np.where((x >= pair("lo")) & (x <= pair("hi")),
+                    pair("oy") + (x - pair("ox")) * pair("slope"), -np.inf)
+    rr = g[_P["rr"]]
+    chord = []
+    for end, reach in (("ax", "reach_a"), ("bx", "reach_b")):
+        d = x - g[_P[end]]
+        chord.append(np.where(np.abs(d) <= g[_P[reach]], np.sqrt(np.maximum(rr - d * d, 0.0)),
+                              -np.inf))
+    return np.maximum(np.maximum(pair("ya") + chord[0], pair("yb") + chord[1]), side)
+
+
+def capsule_pixels(vp: Viewport, segs: np.ndarray, r: np.ndarray) -> tuple:
+    """Buffer kernel: for (S, 4) closed segments (a == b for a point), each
+    dilated by its radius in ``r`` (S,), returns the band keys (shape index,
+    flat pixel) of every pixel whose closed square the buffer touches
+    without covering, and the runs (shape index, column, first row, last
+    row) of pixels it covers.
+
+    Work follows the buffer's outline, in column strips as in
+    ``segment_pixels``. A capsule is convex, so its part in a column strip
+    projects onto one y interval: a pixel of the column is touched iff its
+    rows meet that interval, and covered iff they lie between the bottom
+    and the top at both strip edges (its corners are then inside). The top
+    is concave in x, so its highest value over the strip is at the strip's
+    point nearest the capsule's peak; the bottom likewise. Rows inside the
+    covered part, less one row of margin per side, form the column's run;
+    only the few rows around the top and the bottom get the comparisons.
+    """
+    segs = np.asarray(segs, dtype=float).reshape(-1, 4)
+    r = np.broadcast_to(np.asarray(r, dtype=float), len(segs))
+    ax, ay, bx, by = segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3]
+    params = _outline_params(ax, ay, bx, by, r)
+    c0, c1, r0, r1 = pixel_windows(vp, params[_P["x0"]], np.minimum(ay, by) - r,
+                                   params[_P["x1"]], np.maximum(ay, by) + r)
+    ncol = np.maximum(c1 - c0 + 1, 0)
+    # Candidates per capsule: a few per column plus the rise and fall of
+    # its top and bottom, each at most twice its height.
+    cost = 8 * ncol + 4 * np.maximum(r1 - r0 + 1, 0) * (ncol > 0)
+    h, w = vp.height_px, vp.width_px
+    band, runs = [(np.zeros(0, np.int64),) * 2], [(np.zeros(0, np.int64),) * 4]
+    for lo, hi in budget_runs(cost, CAPSULE_KEY_BUDGET):
+        s, off = expand_runs(ncol[lo:hi])
+        s += lo
+        m = len(s)
+        g = params[:, s]
+        col = c0[s] + off
+        left = vp.min_x + col * vp.sx
+        right = vp.min_x + (col + 1) * vp.sx
+        p = np.minimum(np.maximum(left, g[_P["x0"]]), g[_P["x1"]])
+        q = np.minimum(np.maximum(right, g[_P["x0"]]), g[_P["x1"]])
+        peak = np.minimum(np.maximum(g[_P["peak"]], p), q)
+        t = _outline_tops(g, np.concatenate([peak[0], peak[1], left, right]).reshape(4, m))
+        # Per column: the slice's y range over the strip, and the covered
+        # part's bottom and top (lowest at the strip's edges).
+        ymin, ymax = -t[1, 1], t[0, 0]
+        bottom, top = -np.minimum(t[1, 2], t[1, 3]), np.minimum(t[0, 2], t[0, 3])
+        z = (np.concatenate([ymin, ymax, bottom, top]).reshape(4, m) - vp.min_y) / vp.sy
+        z[2] = np.ceil(z[2])
+        rows = np.minimum(np.maximum(np.floor(z), -2), h + 1).astype(np.int64)
+        tlo, thi = np.maximum(rows[0] - 1, r0[s]), np.minimum(rows[1] + 1, r1[s])
+        # Window columns wholly beside the capsule (p and q then agree but
+        # lie outside the strip) hold nothing.
+        thi = np.where((right < g[_P["x0"]]) | (left > g[_P["x1"]]), tlo - 1, thi)
+        flo, fhi = np.maximum(rows[2] + 1, tlo), np.minimum(rows[3] - 2, thi)
+        full = flo <= fhi
+        runs.append((s[full], col[full], flo[full], fhi[full]))
+        # Candidate rows: below the run and above it, or the whole slice.
+        first = np.concatenate([tlo, np.where(full, fhi + 1, thi + 1)])
+        last = np.concatenate([np.where(full, flo - 1, thi), thi])
+        k, off = expand_runs(np.maximum(last - first + 1, 0))
+        row = first[k] + off
+        k %= m
+        y0 = vp.min_y + row * vp.sy
+        y1 = vp.min_y + (row + 1) * vp.sy
+        inside = (y0 >= bottom[k]) & (y1 <= top[k])
+        edge = (y1 >= ymin[k]) & (y0 <= ymax[k]) & ~inside
+        band.append((s[k[edge]], row[edge] * w + col[k[edge]]))
+        runs.append((s[k[inside]], col[k[inside]], row[inside], row[inside]))
+    band = tuple(np.concatenate(a) for a in zip(*band))
+    return band, tuple(np.concatenate(a) for a in zip(*runs))
+
+
+def _union_runs(key, row0, row1) -> tuple:
+    """The union of the row runs [row0, row1] of each key, as (key, row0,
+    row1) of disjoint runs that do not touch."""
+    order = np.lexsort((row0, key))
+    key, row0, row1 = key[order], row0[order], row1[order]
+    if len(key) == 0:
+        return key, row0, row1
+    # Running maximum of row1 within each key: lifting each key's rows
+    # above the previous key's keeps the maximum from crossing keys.
+    newkey = key[1:] != key[:-1]
+    lift = np.concatenate([[0], np.cumsum(newkey)]) * (int(row1.max()) + 2)
+    reach = np.maximum.accumulate(row1 + lift) - lift
+    head = np.flatnonzero(np.concatenate([[True], newkey | (row0[1:] > reach[:-1] + 1)]))
+    return key[head], row0[head], reach[np.append(head[1:], len(key)) - 1]
+
+
+def _write_runs(iid: np.ndarray, width: int, col, row0, row1, value):
+    """Write ``value[i]`` into the flat plane over column run i."""
+    n = row1 - row0 + 1
+    for lo, hi in budget_runs(n, PIXEL_KEY_BUDGET):
+        # Element g of the chunk, j-th of run i (which starts at element
+        # start[i]), lies j = g - start[i] rows below the run's first
+        # pixel: at first[i] + g * width.
+        start = np.cumsum(n[lo:hi]) - n[lo:hi]
+        first = row0[lo:hi] * width + col[lo:hi] - start * width
+        flat = np.repeat(first, n[lo:hi]) + width * np.arange(int(n[lo:hi].sum()))
+        iid[flat] = np.repeat(value[lo:hi], n[lo:hi])
+
+
+def _fill_interiors(vp: Viewport, iid: np.ndarray, polys):
+    """Write each polygon's id over the pixels its interior covers: those
+    whose centre ``scanline_fill`` puts inside it, less those its own edges
+    touch."""
+    edges, rank, _, part = stack_edges(polys)
+    ids = np.array([rec.id for rec in polys], dtype=np.int64)
+    part_id = np.zeros(int(part.max()) + 1, dtype=np.int64)
+    part_id[part] = ids[rank]
+    for owner, flat in scanline_fill(vp, edges, part):
+        iid[flat] = part_id[owner]
+    k, flat = segment_pixels(vp, edges)
+    own = iid[flat] == ids[rank[k]]
+    iid[flat[own]] = NULL_ID
 
 
 class DistanceCanvasBuilder:
-    """Renders Minkowski buffers of one or more sources into a canvas.
+    """Renders the r-buffers of pairwise-disjoint sources into one canvas.
 
-    Every boundary pixel's bucket lists all generating features whose buffer
-    touches the pixel, so membership tests reduce to exact_distance <= r and
-    no escalation is ever needed (entries_complete canvas).
+    A buffer is a union of simple shapes: a disc around a point source, a
+    capsule around each polyline segment or polygon ring edge, and a
+    polygon source's own interior. ``add_source`` queues a source;
+    ``finalize`` renders all of them in one pass:
+
+    - polygon interiors by ``scanline_fill``, less the pixels the polygon's
+      own edges touch (``segment_pixels``);
+    - discs and capsules by ``capsule_pixels``, whose covered runs go
+      straight into ``interior_id``;
+    - every other pixel a buffer touches becomes a boundary pixel whose
+      bucket lists each point or edge entry whose buffer touches it.
+
+    A point on a boundary pixel is then in a buffer iff it lies within r of
+    one of its pixel's entries or inside a polygon source of that pixel;
+    the engine tests the second by its triangle escalation.
     """
 
     def __init__(self, vp: Viewport, bindex):
-        self._b = _Builder(vp, bindex, entries_complete=True)
         self.vp = vp
         self.bindex = bindex
+        self._queue: list = []
 
     def add_source(self, source: GeometryRecord, r: float):
+        """Queue a source and its radius for ``finalize``."""
         if not (r > 0) or not np.isfinite(r):
             raise DataError(f"distance radius must be positive, got {r}")
-        vp = self.vp
-        x0, y0, x1, y1 = source.bbox()
-        window = vp.window_for_bbox((x0 - r, y0 - r, x1 + r, y1 + r))
-        if window is None:
-            return
-        c0, c1, r0, r1 = window
-        shape = (r1 - r0 + 1, c1 - c0 + 1)
-        interior = np.zeros(shape, dtype=bool)
-        feats = features(source)
-        start, _ = self.bindex.offsets[source.id]
-        per_feat = []
-        for fi, feat in enumerate(feats):
-            fx0, fy0, fx1, fy1 = _feat_bbox(feat)
-            fwin = vp.window_for_bbox((fx0 - r, fy0 - r, fx1 + r, fy1 + r))
-            if fwin is None:
-                per_feat.append(None)
-                continue
-            dmin, dmax = feature_square_dminmax(vp, fwin, feat)
-            sl = _sub_window(window, fwin)
-            interior[sl] |= dmax <= r
-            per_feat.append((fwin, dmin <= r))
-        self._b.write_interior("polygon", window, interior, source.id)
-        for fi, item in enumerate(per_feat):
-            if item is None:
-                continue
-            fwin, touched = item
-            sl = _sub_window(window, fwin)
-            boundary = touched & ~interior[sl]
-            self._b.write_boundary("polygon", fwin, boundary, source.id, start + fi)
+        self._queue.append((source, float(r)))
 
     def finalize(self) -> DiscreteCanvas:
-        return self._b.finalize()
-
-
-def _feat_bbox(feat):
-    if isinstance(feat, Point2):
-        return (feat.x, feat.y, feat.x, feat.y)
-    if isinstance(feat, Segment):
-        return (min(feat.a.x, feat.b.x), min(feat.a.y, feat.b.y),
-                max(feat.a.x, feat.b.x), max(feat.a.y, feat.b.y))
-    xs = (feat.v0.x, feat.v1.x, feat.v2.x)
-    ys = (feat.v0.y, feat.v1.y, feat.v2.y)
-    return (min(xs), min(ys), max(xs), max(ys))
-
+        vp, bindex = self.vp, self.bindex
+        iid = np.full(vp.width_px * vp.height_px, NULL_ID, dtype=np.int64)
+        polys = [src for src, _ in self._queue if src.kind == "polygon"]
+        if polys:
+            _fill_interiors(vp, iid, polys)
+        # The queued sources' entries, one per point, segment or ring edge;
+        # a point entry has NaN in place of a second end.
+        first = np.array([bindex.offsets[src.id][0] for src, _ in self._queue], dtype=np.int64)
+        count = np.array([bindex.offsets[src.id][1] for src, _ in self._queue], dtype=np.int64)
+        j, off = expand_runs(count)
+        ref = first[j] + off
+        segs = bindex.coords[ref, :4].copy()
+        point = np.isnan(segs[:, 2])
+        segs[point, 2:] = segs[point, :2]
+        radius = np.array([r for _, r in self._queue], dtype=float)[j]
+        ids = np.array([src.id for src, _ in self._queue], dtype=np.int64)
+        (bs, bflat), (rs, col, row0, row1) = capsule_pixels(vp, segs, radius)
+        if len(ref) > len(ids):
+            # Capsules of one source overlap (each end disc is shared), so
+            # their runs are merged per source and column before writing.
+            key, row0, row1 = _union_runs(j[rs] * vp.width_px + col, row0, row1)
+            col, rs = key % vp.width_px, key // vp.width_px
+        else:
+            rs = j[rs]
+        _write_runs(iid, vp.width_px, col, row0, row1, ids[rs])
+        b = _Builder(vp, bindex, entries_complete=True)
+        b.set_interior("polygon", iid)
+        keep = iid[bflat] == NULL_ID
+        b.add_boundary("polygon", bflat[keep], ref[bs[keep]])
+        return b.finalize()

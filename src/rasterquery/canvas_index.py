@@ -22,9 +22,11 @@ from .geometry import (
     Point2,
     Segment,
     Triangle,
+    edge_table,
     exact_intersects,
     features,
     pairwise_intersects,
+    points_in_triangles,
     primitive_distance,
     segments_array,
     triangles_array,
@@ -41,9 +43,11 @@ class BoundaryIndex:
     For polygons there is one entry per boundary edge holding the edge's
     incident triangle; for polylines one per segment; for points the point
     itself ("the data itself becomes the boundary index"). Distance-canvas
-    entries carry the generating feature plus the radius r. Entries are laid
-    out columnar and per-object contiguous so canvas pixels can reference
-    them by table offset.
+    entries carry the radius r of their source and are its point, or its
+    polyline segments or polygon ring edges (``KIND_SEGMENT``); a polygon
+    source's interior has no entry. Entries are laid out columnar and
+    per-object contiguous so canvas pixels can reference them by table
+    offset; a point entry has NaN in place of the coordinates it lacks.
     """
 
     def __init__(self):
@@ -90,19 +94,17 @@ class BoundaryIndex:
 
     @staticmethod
     def for_distance_sources(sources, radii) -> "BoundaryIndex":
+        """One entry per point source and per polyline segment or polygon
+        ring edge (``edge_table`` order), each carrying its source's r."""
         rows = []
         for src, r in zip(sources, radii):
-            for fi, feat in enumerate(features(src)):
-                if isinstance(feat, Point2):
-                    rows.append((src.id, KIND_POINT, (feat.x, feat.y, np.nan, np.nan,
-                                                      np.nan, np.nan), r, fi, -1))
-                elif isinstance(feat, Segment):
-                    rows.append((src.id, KIND_SEGMENT, (feat.a.x, feat.a.y, feat.b.x,
-                                                        feat.b.y, np.nan, np.nan), r, fi, -1))
-                else:
-                    rows.append((src.id, KIND_TRIANGLE, (feat.v0.x, feat.v0.y, feat.v1.x,
-                                                         feat.v1.y, feat.v2.x, feat.v2.y),
-                                 r, fi, -1))
+            if src.kind == "point":
+                p = src.geometry
+                rows.append((src.id, KIND_POINT, (p.x, p.y, np.nan, np.nan, np.nan, np.nan),
+                             r, 0, -1))
+                continue
+            for ei, (ax, ay, bx, by) in enumerate(edge_table(src)[0]):
+                rows.append((src.id, KIND_SEGMENT, (ax, ay, bx, by, np.nan, np.nan), r, ei, -1))
         return BoundaryIndex._from_rows(rows, sources)
 
 
@@ -219,11 +221,13 @@ class PixelMatcher:
 
     At an interior pixel the owner matches any probe touching the pixel.
     ``bucket_objects`` lists the distinct objects of each boundary pixel
-    and ``object_triangles`` the triangles of every object, for the point
-    pass of ``engine.match_points``; on polygon canvases, whose bucket
-    entries are incomplete, that pass tests points that miss every entry
-    against the triangles of the pixel's objects. ``exact_pair`` settles a
-    whole (probe record, object) pair at once.
+    and ``object_triangles`` the triangles of every polygon object, for the
+    point pass of ``engine.match_points``. Bucket entries do not cover a
+    polygon's interior (triangles incident to boundary edges on polygon
+    canvases, ring edges on distance canvases), so when the canvas holds
+    polygons (``has_polygons``) that pass tests points that miss every
+    entry against the triangles of the pixel's objects. ``exact_pair``
+    settles a whole (probe record, object) pair at once.
     """
 
     def __init__(self, canvas):
@@ -233,6 +237,7 @@ class PixelMatcher:
         self.plane = canvas.plane("polygon")
         self.complete = canvas.entries_complete
         self.object_ids = np.array(sorted(self.bindex.records), dtype=np.int64)
+        self.has_polygons = any(rec.kind == "polygon" for rec in self.bindex.records.values())
         self._buckets = None
         self._triangles = None
 
@@ -270,14 +275,22 @@ class PixelMatcher:
 
     def exact_pair(self, probe: GeometryRecord, oid: int) -> bool:
         """Whether the probe record truly meets object ``oid``: full-geometry
-        intersection on polygon canvases; on distance canvases some probe
-        feature lies within r of one of the object's entries."""
+        intersection on polygon canvases. On distance canvases, some probe
+        feature lies within r of one of the object's entries, or the probe
+        meets the polygon source. A probe farther than r from every ring
+        edge misses the polygon's boundary, so each of its parts lies wholly
+        inside or wholly outside; one vertex in the polygon then decides."""
+        src = self.bindex.records[oid]
         if not self.complete:
-            return pairwise_intersects(probe, self.bindex.records[oid])
+            return pairwise_intersects(probe, src)
         start, count = self.bindex.offsets[oid]
         feats = features(probe)
-        return any(boundary_test(self.bindex, ref, f)
-                   for ref in range(start, start + count) for f in feats)
+        if any(boundary_test(self.bindex, ref, f)
+               for ref in range(start, start + count) for f in feats):
+            return True
+        return (src.kind == "polygon"
+                and bool(points_in_triangles(edge_table(probe)[0][:, :2],
+                                             triangles_array(src)).any()))
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +341,27 @@ def _copresence_pairs(canvas, bindex) -> set:
     return pairs
 
 
+def _x_overlap_pairs(boxes: np.ndarray):
+    """Chunks (i, j) of the index pairs of (N, 4) boxes whose x ranges
+    overlap, each pair once: a sort-and-sweep over x0, where box i's
+    candidates are the boxes after it in x0 order up to its x1. Chunks stay
+    under ``PIXEL_KEY_BUDGET`` pairs."""
+    order = np.argsort(boxes[:, 0], kind="stable")
+    x0 = boxes[order, 0]
+    after = np.arange(1, len(order) + 1)
+    count = np.maximum(np.searchsorted(x0, boxes[order, 2], side="right") - after, 0)
+    for s, e in budget_runs(count, PIXEL_KEY_BUDGET):
+        i, off = expand_runs(count[s:e])
+        i += s
+        yield order[i], order[after[i] + off]
+
+
+def _holds(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Whether each (.., 4) box ``outer`` holds its box ``inner``."""
+    return ((inner[:, 0] >= outer[:, 0]) & (inner[:, 1] >= outer[:, 1])
+            & (inner[:, 2] <= outer[:, 2]) & (inner[:, 3] <= outer[:, 3]))
+
+
 def _nested_pairs(recs) -> set:
     """Unordered id pairs of polygon records where a part's bbox holds a
     part bbox of the other record. These are the candidates for a part
@@ -341,18 +375,10 @@ def _nested_pairs(recs) -> set:
             boxes += [part.bbox() for part in rec.geometry]
     if len(owner) < 2:
         return set()
-    order = np.argsort([b[0] for b in boxes], kind="stable")
-    owner, b = np.array(owner)[order], np.array(boxes)[order]
-    # Inner candidates of box i: the boxes whose x0 lies in [x0_i, x1_i].
-    lo = np.searchsorted(b[:, 0], b[:, 0], side="left")
-    count = np.searchsorted(b[:, 0], b[:, 2], side="right") - lo
+    owner, b = np.array(owner), np.array(boxes)
     pairs = set()
-    for s, e in budget_runs(count, PIXEL_KEY_BUDGET):
-        i, off = expand_runs(count[s:e])
-        i += s
-        j = lo[i] + off
-        ok = ((owner[i] != owner[j]) & (b[j, 1] >= b[i, 1])
-              & (b[j, 2] <= b[i, 2]) & (b[j, 3] <= b[i, 3]))
+    for i, j in _x_overlap_pairs(b):
+        ok = (owner[i] != owner[j]) & (_holds(b[i], b[j]) | _holds(b[j], b[i]))
         for a, c in zip(owner[i[ok]].tolist(), owner[j[ok]].tolist()):
             pairs.add((min(a, c), max(a, c)))
     return pairs
@@ -406,25 +432,32 @@ def build_layer_index(records, resolution: int = 1024,
 
 def build_distance_layer_index(sources, radii) -> LayerIndex:
     """Layer index over distance buffers, built on the fly at query time;
-    two buffers overlap iff distance(geomA, geomB) <= rA + rB."""
-    rmap = {src.id: r for src, r in zip(sources, radii)}
-
-    def overlap(a, b):
-        fa, fb = features(a), features(b)
-        limit = rmap[a.id] + rmap[b.id]
-        return any(primitive_distance(x, y) <= limit for x in fa for y in fb)
-
-    recs = sorted(sources, key=lambda r: r.id)
+    two buffers overlap iff distance(geomA, geomB) <= rA + rB. Candidate
+    pairs are those whose bboxes, each grown by its radius, overlap
+    (``_x_overlap_pairs`` plus a y test); point pairs then get one array
+    test, other pairs a feature-by-feature one."""
+    order = sorted(range(len(sources)), key=lambda i: sources[i].id)
+    recs = [sources[i] for i in order]
+    rad = np.array([radii[i] for i in order], dtype=float)
     graph: dict = {r.id: set() for r in recs}
-    boxes = {r.id: r.bbox() for r in recs}
-    for i, a in enumerate(recs):
-        for b in recs[i + 1:]:
-            ab, bb = boxes[a.id], boxes[b.id]
-            limit = rmap[a.id] + rmap[b.id]
-            if (ab[0] - limit > bb[2] or bb[0] - limit > ab[2]
-                    or ab[1] - limit > bb[3] or bb[1] - limit > ab[3]):
-                continue
-            if overlap(a, b):
-                graph[a.id].add(b.id)
-                graph[b.id].add(a.id)
+    if len(recs) < 2:
+        return _peel(graph)
+    grown = np.array([r.bbox() for r in recs]) + rad[:, None] * np.array([-1, -1, 1, 1])
+    point = np.array([r.kind == "point" for r in recs])
+    xy = np.array([(r.geometry.x, r.geometry.y) if r.kind == "point" else (np.nan, np.nan)
+                   for r in recs])
+    for i, j in _x_overlap_pairs(grown):
+        near = (grown[i, 1] <= grown[j, 3]) & (grown[j, 1] <= grown[i, 3])
+        i, j = i[near], j[near]
+        limit = rad[i] + rad[j]
+        both = point[i] & point[j]
+        hit = np.zeros(len(i), dtype=bool)
+        hit[both] = np.hypot(*(xy[i[both]] - xy[j[both]]).T) <= limit[both]
+        for q in np.flatnonzero(~both):
+            a, b = recs[i[q]], recs[j[q]]
+            hit[q] = any(primitive_distance(x, y) <= limit[q]
+                         for x in features(a) for y in features(b))
+        for a, b in zip(i[hit].tolist(), j[hit].tolist()):
+            graph[recs[a].id].add(recs[b].id)
+            graph[recs[b].id].add(recs[a].id)
     return _peel(graph)

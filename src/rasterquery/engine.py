@@ -7,16 +7,23 @@ independent of the canvas resolution.
 
 Each constraint canvas (one selection constraint, one layer of disjoint
 join or aggregation constraints, one layer of distance buffers) is probed
-layer-at-a-time. Points go through ``match_points``: one pixel lookup each
-settles those on interior pixels, then one array pass serves all points on
-boundary pixels. It pairs each point with the entries of its pixel's
-bucket and tests all pairs at once (in the closed triangle, or within r of
-the feature on distance canvases); the first hit in bucket order wins.
-Polygon canvases list only the triangles incident to boundary edges, so a
-point without a hit escalates, in the same pass, to every triangle of its
-pixel's objects whose bbox holds it: a point in the closed pixel square
-can only lie in triangles that touch the square. Pairs are processed in
-chunks under ``PIXEL_KEY_BUDGET``.
+layer-at-a-time. A distance canvas is rendered by
+``canvas.DistanceCanvasBuilder``: each source's r-buffer is the union of
+its polygon interior, a capsule per segment or ring edge and a disc per
+point; pixels a buffer covers are interior, and pixels it only touches list
+the source's points and edges that reach them, each with r.
+
+Points go through ``match_points``: one pixel lookup each settles those on
+interior pixels, then one array pass serves all points on boundary pixels.
+It pairs each point with the entries of its pixel's bucket and tests all
+pairs at once (in the closed triangle, or within r of the point or edge on
+distance canvases); the first hit in bucket order wins. Entries never
+cover a polygon's interior (polygon canvases list the triangles incident
+to boundary edges, distance canvases the ring edges), so on a canvas
+holding polygons a point without a hit escalates, in the same pass, to
+every triangle of its pixel's objects whose bbox holds it: a point in the
+closed pixel square can only lie in triangles that touch the square.
+Pairs are processed in chunks under ``PIXEL_KEY_BUDGET``.
 
 Polylines and polygons go through ``match_records``, one array pass over all
 of them: the edge supercover and the even-odd scanline fill of ``canvas``
@@ -28,7 +35,8 @@ then settles or is refined:
   pixel of the object;
 - refined: a pair seen only where a probe edge meets a boundary pixel of the
   object gets one exact test, full-geometry intersection on polygon
-  canvases and feature distance within r on distance canvases.
+  canvases; on distance canvases, a probe feature within r of an entry, or
+  the probe inside the polygon source.
 
 All functions are read-only over their inputs, apart from derived arrays
 cached on records. Their results do not depend on other calls, but their
@@ -62,7 +70,6 @@ from .canvas import (
 from .canvas_index import (
     KIND_POINT,
     KIND_SEGMENT,
-    KIND_TRIANGLE,
     BoundaryIndex,
     LayerIndex,
     PixelMatcher,
@@ -142,7 +149,9 @@ class KnnConfig:
 # ---------------------------------------------------------------------------
 
 class PreparedPoints:
-    """Point dataset pre-flattened to arrays for repeated queries."""
+    """Point dataset pre-flattened to arrays for repeated queries: ``ids``
+    ascending, their ``xy``, ``x_order``, the permutation that sorts them
+    by x, with ``x_sorted`` those x values, and their ``bbox``."""
 
     def __init__(self, records):
         recs = sorted(records, key=lambda r: r.id)
@@ -150,7 +159,20 @@ class PreparedPoints:
             raise DataError("PreparedPoints requires point records")
         self.records = recs
         self.ids = np.array([r.id for r in recs], dtype=np.int64)
-        self.xy = np.array([(r.geometry.x, r.geometry.y) for r in recs], dtype=float)
+        xy = np.array([(r.geometry.x, r.geometry.y) for r in recs], dtype=float)
+        self.xy = xy.reshape(-1, 2)
+        self.x_order = np.argsort(self.xy[:, 0])
+        self.x_sorted = self.xy[self.x_order, 0]
+        self.bbox = None
+        if len(recs):
+            self.bbox = (self.x_sorted[0], self.xy[:, 1].min(),
+                         self.x_sorted[-1], self.xy[:, 1].max())
+
+    def x_slab(self, x0: float, x1: float) -> np.ndarray:
+        """Indices of the points with x0 <= x <= x1."""
+        lo = np.searchsorted(self.x_sorted, x0, side="left")
+        hi = np.searchsorted(self.x_sorted, x1, side="right")
+        return self.x_order[lo:hi]
 
     def __len__(self):
         return len(self.ids)
@@ -196,14 +218,15 @@ def match_points(matcher: PixelMatcher, pts_xy: np.ndarray) -> np.ndarray:
     Interior pixels resolve wholesale from the interior grid. All points on
     boundary pixels then go through one array pass: each is paired with
     every entry of its pixel's bucket and tested exactly (in the closed
-    triangle, or within r of the feature on distance canvases); a point
-    takes the object of its first hit in bucket order. On polygon canvases
-    the entries are only the triangles incident to boundary edges, so a
-    point without a hit escalates to every triangle, bbox holding the
-    point, of each object in its pixel's bucket; the lowest object id with
-    a triangle holding it wins. A point in the closed pixel square can only
-    lie in triangles that touch that square, so this is the same test as
-    against the triangles touching the pixel.
+    triangle, or within r of the point or edge on distance canvases); a point
+    takes the object of its first hit in bucket order. Entries do not cover
+    a polygon's interior (the triangles incident to boundary edges on
+    polygon canvases, the ring edges on distance canvases), so on a canvas
+    holding polygons a point without a hit escalates to every triangle,
+    bbox holding the point, of each object in its pixel's bucket; the
+    lowest object id with a triangle holding it wins. A point in the closed
+    pixel square can only lie in triangles that touch that square, so this
+    is the same test as against the triangles touching the pixel.
     """
     vp = matcher.vp
     out = np.full(len(pts_xy), -1, dtype=np.int64)
@@ -226,7 +249,7 @@ def match_points(matcher: PixelMatcher, pts_xy: np.ndarray) -> np.ndarray:
     pidx, pix = idx[rem[onb]], pos[onb]
     xy = pts_xy[pidx]
     cid = _entry_hits(matcher, xy, pix)
-    if not matcher.complete:
+    if matcher.has_polygons:
         todo = np.flatnonzero(cid < 0)
         cid[todo] = _triangle_hits(matcher, xy[todo], pix[todo])
     out[pidx] = cid
@@ -258,17 +281,17 @@ def _entry_hits(matcher: PixelMatcher, xy: np.ndarray, pix: np.ndarray) -> np.nd
 
 def _points_on_entries(bindex, ref, px, py) -> np.ndarray:
     """Whether each point meets its boundary entry: lies within the entry's
-    radius of its feature on distance canvases, or in its closed triangle
-    on polygon canvases (the polygon plane holds only triangles)."""
+    radius of its point or segment on distance canvases, or in its closed
+    triangle on polygon canvases (the polygon plane holds only triangles)."""
     kind, c, r = bindex.kinds[ref], bindex.coords[ref], bindex.aux_r[ref]
     near = ~np.isnan(r)
     out = np.zeros(len(ref), dtype=bool)
     s = np.flatnonzero(~near)
     out[s] = _in_triangles(c[s].T, px[s], py[s])
-    for k in (KIND_POINT, KIND_SEGMENT, KIND_TRIANGLE):
-        s = np.flatnonzero(near & (kind == k))
-        if len(s):
-            out[s] = _primitive_dist(k, c[s].T, px[s], py[s]) <= r[s]
+    s = np.flatnonzero(near & (kind == KIND_POINT))
+    out[s] = np.hypot(px[s] - c[s, 0], py[s] - c[s, 1]) <= r[s]
+    s = np.flatnonzero(near & (kind == KIND_SEGMENT))
+    out[s] = _point_seg_dist(px[s], py[s], c[s, 0], c[s, 1], c[s, 2], c[s, 3]) <= r[s]
     return out
 
 
@@ -278,20 +301,6 @@ def _in_triangles(c, px, py) -> np.ndarray:
     return ((orient(c[0], c[1], c[2], c[3], px, py) >= 0.0)
             & (orient(c[2], c[3], c[4], c[5], px, py) >= 0.0)
             & (orient(c[4], c[5], c[0], c[1], px, py) >= 0.0))
-
-
-def _primitive_dist(kind, c, px, py) -> np.ndarray:
-    """Point-to-primitive distance over stacked coordinate rows ``c`` (6, N)
-    of one kind."""
-    if kind == KIND_POINT:
-        return np.hypot(px - c[0], py - c[1])
-    if kind == KIND_SEGMENT:
-        return _point_seg_dist(px, py, c[0], c[1], c[2], c[3])
-    d = np.minimum(np.minimum(
-        _point_seg_dist(px, py, c[0], c[1], c[2], c[3]),
-        _point_seg_dist(px, py, c[2], c[3], c[4], c[5])),
-        _point_seg_dist(px, py, c[4], c[5], c[0], c[1]))
-    return np.where(_in_triangles(c, px, py), 0.0, d)
 
 
 def _triangle_hits(matcher: PixelMatcher, xy: np.ndarray, pix: np.ndarray) -> np.ndarray:
@@ -597,17 +606,21 @@ def distance_join(d1, d2, radii, resolution: int | None = None,
                   config: Config = DEFAULT, geographic: bool = False) -> JoinResult:
     """Pairs within distance: a single radius (type 1, the smaller dataset
     becomes the constraint side) or one radius per D1 object (type 2). The
-    layer index over the generated buffers is built on the fly."""
+    layer index over the generated buffers is built on the fly. D2 may be a
+    ``PreparedPoints``, whose arrays the probe pass reads directly."""
     resolution = resolution or config.resolution
-    d1, d2 = list(d1), list(d2)
+    d1 = list(d1)
+    if not isinstance(d2, PreparedPoints):
+        d2 = list(d2)
     d1, d2 = _maybe_project(d1, geographic), _maybe_project(d2, geographic)
-    if not d1 or not d2:
+    if not d1 or not len(d2):
         return JoinResult(())
     if np.isscalar(radii):
         r = float(radii)
         if not r > 0:
             raise DataError("distance radius must be positive")
         if len(d2) < len(d1):
+            d2 = d2.records if isinstance(d2, PreparedPoints) else d2
             sources, probes, flip = d2, d1, True
         else:
             sources, probes, flip = d1, d2, False
@@ -700,17 +713,18 @@ def _prepared_points(dataset) -> PreparedPoints:
 def _count_within(prepared: PreparedPoints, center: Point2, r: float,
                   resolution: int) -> int:
     """Exact count of dataset points within r of center, via a distance
-    canvas (any resolution yields the exact count)."""
+    canvas (any resolution yields the exact count). Only points in the
+    canvas's x range can match, so only that slab is classified."""
     matcher = _distance_matcher([GeometryRecord(0, "point", center)], [r], resolution)
-    return int((match_points(matcher, prepared.xy) >= 0).sum())
+    slab = prepared.x_slab(matcher.vp.min_x, matcher.vp.max_x)
+    return int((match_points(matcher, prepared.xy[slab]) >= 0).sum())
 
 
 def _knn_radius(prepared: PreparedPoints, center: Point2, k: int,
                 cfg: KnnConfig, config: Config) -> float:
     """Smallest ladder radius whose circle holds at least k points: binary
     search over the monotone aggregation counts."""
-    box = _bounds_union([(prepared.xy[:, 0].min(), prepared.xy[:, 1].min(),
-                          prepared.xy[:, 0].max(), prepared.xy[:, 1].max())])
+    box = _bounds_union([prepared.bbox])
     corners = [(box[0], box[1]), (box[2], box[1]), (box[0], box[3]), (box[2], box[3])]
     r_max = cfg.r_max or max(math.hypot(center.x - cx, center.y - cy)
                              for cx, cy in corners)
@@ -777,18 +791,14 @@ def knn_join(d1, d2, k: int, cfg: KnnConfig | None = None,
         raise DataError(f"k={k} exceeds |D2|={len(right)}")
     radii = [_knn_radius(right, Point2(x, y), k, cfg, config)
              for x, y in left.xy]
-    pairs = distance_join(left.records, right.records, radii,
+    pairs = distance_join(left.records, right, radii,
                           resolution=resolution, config=config).pairs
-    by_left: dict = {int(i): [] for i in left.ids}
-    right_pos = {int(rid): j for j, rid in enumerate(right.ids)}
-    left_pos = {int(lid): j for j, lid in enumerate(left.ids)}
-    for lid, rid in pairs:
-        li, ri = left_pos[lid], right_pos[rid]
-        d = math.hypot(left.xy[li, 0] - right.xy[ri, 0],
-                       left.xy[li, 1] - right.xy[ri, 1])
-        by_left[lid].append((d, rid))
-    out = []
-    for lid in sorted(by_left):
-        neigh = sorted(by_left[lid])[:k]
-        out.append((lid, [int(rid) for _, rid in neigh]))
-    return out
+    lid, rid = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    li, ri = np.searchsorted(left.ids, lid), np.searchsorted(right.ids, rid)
+    d = np.hypot(left.xy[li, 0] - right.xy[ri, 0], left.xy[li, 1] - right.xy[ri, 1])
+    # Per left point, its pairs by ascending (distance, id); keep k of them.
+    order = np.lexsort((rid, d, li))
+    li, rid = li[order], rid[order]
+    start = np.searchsorted(li, np.arange(len(left.ids) + 1))
+    return [(int(left.ids[j]), rid[start[j]:min(start[j] + k, start[j + 1])].tolist())
+            for j in range(len(left.ids))]

@@ -3,6 +3,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import gen
@@ -99,3 +100,28 @@ def test_knn_rejects_bad_k(points, form, k):
         engine.knn_select(data, Point2(0.5, 0.5), k)
     with pytest.raises(DataError):
         engine.knn_join(points[:3], data, k)
+
+
+@pytest.mark.parametrize("res", [16, 128])
+def test_count_within_matches_brute_force(points, res):
+    """The ladder's count classifies only the x slab of the circle's canvas;
+    it must still count every point within r, including points just inside
+    the slab's ends."""
+    prepared = engine.PreparedPoints(points)
+    for cx, cy in ((0.5, 0.5), (0.35, 0.6), (1.4, -0.2)):
+        d = np.hypot(prepared.xy[:, 0] - cx, prepared.xy[:, 1] - cy)
+        for r in (0.02, 0.1, 0.3, float(np.sort(d)[9])):
+            got = engine._count_within(prepared, Point2(cx, cy), r, res)
+            assert got == int((d <= r).sum())
+
+
+@pytest.mark.parametrize("radius", [0.05, 0.2])
+def test_distance_join_takes_prepared_points(points, radius):
+    """A ``PreparedPoints`` D2 gives the record list's pairs, whichever side
+    a single radius makes the sources."""
+    prepared = engine.PreparedPoints(points)
+    for left in (gen.uniform_points(gen.rng(24), 5), gen.uniform_points(gen.rng(25), 2 * N)):
+        want = oracle.oracle_distance_join(left, points, radius)
+        assert list(engine.distance_join(left, prepared, radius, resolution=64).pairs) == want
+        assert list(engine.distance_join(left, prepared, [radius] * len(left),
+                                         resolution=64).pairs) == want

@@ -6,7 +6,7 @@ import pytest
 
 import gen
 from rasterquery import engine, oracle
-from rasterquery.canvas_index import build_distance_layer_index, build_layer_index
+from rasterquery.canvas_index import _peel, build_distance_layer_index, build_layer_index
 from rasterquery.geometry import box_record, geometry_distance, point_record
 
 
@@ -88,3 +88,21 @@ def test_distance_layers_unchanged_on_a_fixed_seed():
     assert build_distance_layer_index(sources, radii).layers == [
         [1, 4, 8, 9, 10, 11, 12, 15, 16, 17, 20, 21, 22, 23],
         [0, 2, 5, 6, 13, 14, 19], [7, 18], [3]]
+
+
+@pytest.mark.parametrize("seed", [14, 15])
+def test_distance_layers_equal_brute_force_peel(seed):
+    """Dense sources with wide radii, so many point pairs, point-polyline
+    and polygon pairs overlap: the sweep's layers equal those peeled off
+    the graph of every pair tested exactly."""
+    sources = gen.mixed_dataset(gen.rng(seed), 60)
+    radii = [0.03 + 0.02 * (s.id % 3) for s in sources]
+    rad = {s.id: r for s, r in zip(sources, radii)}
+    graph = {s.id: set() for s in sources}
+    for i, a in enumerate(sources):
+        for b in sources[i + 1:]:
+            if geometry_distance(a, b) <= rad[a.id] + rad[b.id]:
+                graph[a.id].add(b.id)
+                graph[b.id].add(a.id)
+    assert sum(map(len, graph.values())) > 100
+    assert build_distance_layer_index(sources, radii).layers == _peel(graph).layers
