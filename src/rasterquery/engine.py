@@ -51,6 +51,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -149,24 +150,69 @@ class KnnConfig:
 # ---------------------------------------------------------------------------
 
 class PreparedPoints:
-    """Point dataset pre-flattened to arrays for repeated queries: ``ids``
-    ascending, their ``xy``, ``x_order``, the permutation that sorts them
-    by x, with ``x_sorted`` those x values, and their ``bbox``."""
+    """Point dataset as columns, for repeated queries and for stored cells:
+    ``ids`` ascending (int64), their ``xy`` (N, 2) and ``values`` (NaN
+    where a point has none). Built on first use: ``x_order``, the
+    permutation that sorts the points by x, with ``x_sorted`` those x
+    values; ``bbox``; and ``records``, for the few callers that need
+    ``GeometryRecord``s (geographic projection, the type-1 flip of
+    ``distance_join``, ``knn_join``'s left side).
+
+    ``PreparedPoints(records)`` builds the columns from point records;
+    ``PreparedPoints.from_arrays`` takes columns as they are, such as a
+    stored cell's decoded point section."""
 
     def __init__(self, records):
         recs = sorted(records, key=lambda r: r.id)
         if any(r.kind != "point" for r in recs):
             raise DataError("PreparedPoints requires point records")
-        self.records = recs
-        self.ids = np.array([r.id for r in recs], dtype=np.int64)
-        xy = np.array([(r.geometry.x, r.geometry.y) for r in recs], dtype=float)
-        self.xy = xy.reshape(-1, 2)
-        self.x_order = np.argsort(self.xy[:, 0])
-        self.x_sorted = self.xy[self.x_order, 0]
-        self.bbox = None
-        if len(recs):
-            self.bbox = (self.x_sorted[0], self.xy[:, 1].min(),
-                         self.x_sorted[-1], self.xy[:, 1].max())
+        self.xy, self.ids = _point_arrays(recs)
+        self._records = recs
+        self._values = None
+
+    @classmethod
+    def from_arrays(cls, ids, xy, values) -> "PreparedPoints":
+        """Points from aligned columns, put in id order when they are not."""
+        ids = np.asarray(ids, dtype=np.int64)
+        xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+        values = np.asarray(values, dtype=np.float64)
+        if not len(ids) == len(xy) == len(values):
+            raise DataError("PreparedPoints columns differ in length")
+        if np.any(ids[1:] < ids[:-1]):
+            order = np.argsort(ids, kind="stable")
+            ids, xy, values = ids[order], xy[order], values[order]
+        self = cls.__new__(cls)
+        self.ids, self.xy, self._values, self._records = ids, xy, values, None
+        return self
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = _point_values(self._records)
+        return self._values
+
+    @property
+    def records(self) -> list:
+        if self._records is None:
+            self._records = [
+                GeometryRecord(i, "point", Point2(x, y), None if v != v else v)
+                for i, (x, y), v in zip(self.ids.tolist(), self.xy.tolist(),
+                                        self.values.tolist())]
+        return self._records
+
+    @cached_property
+    def x_order(self) -> np.ndarray:
+        return np.argsort(self.xy[:, 0])
+
+    @cached_property
+    def x_sorted(self) -> np.ndarray:
+        return self.xy[self.x_order, 0]
+
+    @cached_property
+    def bbox(self):
+        if not len(self.ids):
+            return None
+        return (self.x_sorted[0], self.xy[:, 1].min(), self.x_sorted[-1], self.xy[:, 1].max())
 
     def x_slab(self, x0: float, x1: float) -> np.ndarray:
         """Indices of the points with x0 <= x <= x1."""
@@ -176,6 +222,21 @@ class PreparedPoints:
 
     def __len__(self):
         return len(self.ids)
+
+
+@dataclass
+class SplitDataset:
+    """A dataset split by kind: ``points``, a ``PreparedPoints``, and
+    ``others``, its polyline and polygon records. ``select``,
+    ``distance_select``, ``distance_join``, ``join`` (as D2) and
+    ``aggregate`` take it like a record list and read the points' columns
+    directly."""
+
+    points: PreparedPoints
+    others: list
+
+    def __len__(self):
+        return len(self.points) + len(self.others)
 
 
 def _split_kinds(records):
@@ -480,14 +541,35 @@ def _point_arrays(pts) -> tuple:
     return xy, np.fromiter((p.id for p in pts), dtype=np.int64, count=n)
 
 
-def _dataset_points(dataset) -> tuple:
+def _point_values(pts) -> np.ndarray:
+    """Value column of point records, NaN where a record has none."""
+    return np.fromiter((np.nan if r.value is None else r.value for r in pts),
+                       dtype=np.float64, count=len(pts))
+
+
+def _dataset_points(dataset, values: bool = False) -> tuple:
     """((xy, ids), others): a dataset's points as ``match_points`` arrays
-    plus its non-point records. A ``PreparedPoints`` passes its arrays
-    straight through."""
+    plus its polyline and polygon records; with ``values``, ((xy, ids,
+    values), others), NaN where a point has no value. A ``PreparedPoints``
+    or ``SplitDataset`` passes its columns straight through; a record list
+    is split here."""
+    if isinstance(dataset, SplitDataset):
+        pts, others = dataset.points, dataset.others
+    elif isinstance(dataset, PreparedPoints):
+        pts, others = dataset, []
+    else:
+        recs, others = _split_kinds(dataset)
+        return _point_arrays(recs) + ((_point_values(recs),) if values else ()), others
+    return (pts.xy, pts.ids) + ((pts.values,) if values else ()), others
+
+
+def _as_records(dataset) -> list:
+    """Any dataset form as a record list."""
+    if isinstance(dataset, SplitDataset):
+        return dataset.points.records + dataset.others
     if isinstance(dataset, PreparedPoints):
-        return (dataset.xy, dataset.ids), []
-    pts, others = _split_kinds(dataset)
-    return _point_arrays(pts), others
+        return dataset.records
+    return list(dataset)
 
 
 def _selection(matcher: PixelMatcher, dataset) -> SelectionResult:
@@ -517,39 +599,40 @@ def join(d1, d2, resolution: int | None = None, config: Config = DEFAULT,
     or polygons. Runs one classification pass per layer of the side with
     fewer layers (disjoint layer members share one constraint canvas)."""
     resolution = resolution or config.resolution
-    d1, d2 = list(d1), list(d2)
+    d1 = list(d1)
     if any(r.kind != "polygon" for r in d1):
         raise DataError("join: D1 must be a polygon dataset")
-    kinds2 = {r.kind for r in d2}
-    if kinds2 - {"point", "polygon"}:
+    points, others = _dataset_points(d2)
+    if any(r.kind != "polygon" for r in others):
         raise DataError("join: D2 must be points or polygons")
-    if not d1 or not d2:
+    has_points = len(points[1]) > 0
+    if not d1 or not (has_points or others):
         return JoinResult(())
 
     if d1_layers is None:
         log.warning("join: building layer index for D1 on demand")
         d1_layers = build_layer_index(d1)
     swapped = False
-    if kinds2 == {"polygon"}:
+    if not has_points:
         if d2_layers is None:
             log.warning("join: building layer index for D2 on demand")
-            d2_layers = build_layer_index(d2)
+            d2_layers = build_layer_index(others)
         if d2_layers.layer_count < d1_layers.layer_count:
-            d1, d2 = d2, d1
+            d1, others = others, d1
             d1_layers = d2_layers
             swapped = True
 
-    pairs = _join_layers(d1, d2, d1_layers, resolution)
+    pairs = _join_layers(d1, points, others, d1_layers, resolution)
     if swapped:
         pairs = {(b, a) for a, b in pairs}
     return JoinResult(tuple(pairs))
 
 
-def _join_layers(d1, d2, layers: LayerIndex, resolution) -> set:
-    """Pairs of every layer of d1 against all of d2, collected as a set (a
-    probe may meet several members of one layer)."""
+def _join_layers(d1, points, others, layers: LayerIndex, resolution) -> set:
+    """Pairs of every layer of d1 against all of d2, given as
+    ``_dataset_points``, collected as a set (a probe may meet several
+    members of one layer)."""
     by_id = {r.id: r for r in d1}
-    points, others = _dataset_points(d2)
     pairs: set = set()
     for layer_ids in layers.layers:
         matcher = _layer_matcher([by_id[i] for i in layer_ids], resolution)
@@ -562,11 +645,14 @@ def _join_layers(d1, d2, layers: LayerIndex, resolution) -> set:
 # ---------------------------------------------------------------------------
 
 def _maybe_project(dataset, geographic):
-    """The dataset (a record list or ``PreparedPoints``) projected from
-    EPSG:4326 to EPSG:3857 when ``geographic``."""
+    """The dataset (in any form) projected from EPSG:4326 to EPSG:3857 when
+    ``geographic``."""
     if not geographic:
         return dataset
     from .geometry import project_record_4326_to_3857
+    if isinstance(dataset, SplitDataset):
+        return SplitDataset(_maybe_project(dataset.points, True),
+                            _maybe_project(dataset.others, True))
     if isinstance(dataset, PreparedPoints):
         return PreparedPoints([project_record_4326_to_3857(r) for r in dataset.records])
     return [project_record_4326_to_3857(r) for r in dataset]
@@ -607,10 +693,11 @@ def distance_join(d1, d2, radii, resolution: int | None = None,
     """Pairs within distance: a single radius (type 1, the smaller dataset
     becomes the constraint side) or one radius per D1 object (type 2). The
     layer index over the generated buffers is built on the fly. D2 may be a
-    ``PreparedPoints``, whose arrays the probe pass reads directly."""
+    ``PreparedPoints`` or ``SplitDataset``, whose point columns the probe
+    pass reads directly."""
     resolution = resolution or config.resolution
     d1 = list(d1)
-    if not isinstance(d2, PreparedPoints):
+    if not isinstance(d2, (PreparedPoints, SplitDataset)):
         d2 = list(d2)
     d1, d2 = _maybe_project(d1, geographic), _maybe_project(d2, geographic)
     if not d1 or not len(d2):
@@ -620,8 +707,7 @@ def distance_join(d1, d2, radii, resolution: int | None = None,
         if not r > 0:
             raise DataError("distance radius must be positive")
         if len(d2) < len(d1):
-            d2 = d2.records if isinstance(d2, PreparedPoints) else d2
-            sources, probes, flip = d2, d1, True
+            sources, probes, flip = _as_records(d2), d1, True
         else:
             sources, probes, flip = d1, d2, False
         rmap = {rec.id: r for rec in sources}
@@ -662,10 +748,12 @@ def aggregate(constraints, data, mode: str = "count",
         raise DataError(f"unknown aggregation mode {mode!r}")
     resolution = resolution or config.resolution
     constraints = list(constraints)
-    data = list(data)
     if any(r.kind != "polygon" for r in constraints):
         raise DataError("aggregation constraints must be polygons")
-    if mode == "sum" and any(r.value is None for r in data):
+    points, others = _dataset_points(data, values=mode == "sum")
+    xy = points[0]
+    vals = points[2] if mode == "sum" else None
+    if mode == "sum" and (np.isnan(vals).any() or any(r.value is None for r in others)):
         raise DataError("sum aggregation over a value-less dataset")
     if layer_index is None:
         log.warning("aggregate: building constraint layer index on demand")
@@ -674,21 +762,24 @@ def aggregate(constraints, data, mode: str = "count",
     counts: dict = {}
     sums: dict = {}
     by_id = {r.id: r for r in constraints}
-    pts, others = _split_kinds(data)
-    xy, _ = _point_arrays(pts)
-    if mode == "sum":
-        vals = np.fromiter((r.value for r in pts), dtype=np.float64, count=len(pts))
     value_of = {r.id: r.value for r in others}
-    for layer_ids in layer_index.layers if data else ():
+    for layer_ids in layer_index.layers if len(xy) or others else ():
         matcher = _layer_matcher([by_id[i] for i in layer_ids], resolution)
-        if pts:
+        if len(xy):
             with instrument.phase("raster"):
                 cid = match_points(matcher, xy)
-            for gi in np.flatnonzero(cid >= 0):
-                c = int(cid[gi])
-                counts[c] = counts.get(c, 0) + 1
+            got = cid >= 0
+            # Per object: its count, and its values added in point order.
+            rank = np.searchsorted(matcher.object_ids, cid[got])
+            n = len(matcher.object_ids)
+            layer_counts = np.bincount(rank, minlength=n)
+            if mode == "sum":
+                layer_sums = np.bincount(rank, weights=vals[got], minlength=n)
+            for j in np.flatnonzero(layer_counts):
+                c = int(matcher.object_ids[j])
+                counts[c] = counts.get(c, 0) + int(layer_counts[j])
                 if mode == "sum":
-                    sums[c] = sums.get(c, 0.0) + float(vals[gi])
+                    sums[c] = sums.get(c, 0.0) + float(layer_sums[j])
         with instrument.phase("raster"):
             pairs = match_records(matcher, others)
         for c, did in pairs:

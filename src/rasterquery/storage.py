@@ -4,8 +4,28 @@ serialization, and out-of-core query execution.
 A dataset directory holds ``catalog.meta`` (text key-value), ``records.bin``
 (the ingested records), ``cells.bin`` (grid-cell blocks), ``bindex.bin`` and
 ``layers.bin`` (per-cell canvas indexes), and ``hulls.wkt``. Binary files are
-little-endian, length-prefixed, and carry the magic ``SPDC1`` plus a format
-version; cell blocks are CRC-checked on load.
+little-endian and start with the magic ``SPDC1``, a ``<H`` format version
+and a ``<I`` count. A store whose catalog or ``cells.bin`` names another
+version than ``FORMAT_VERSION`` is refused with ``CorruptionError``.
+
+Records are stored in column blocks (format version 2): ``records.bin``
+holds one block for the whole dataset and ``cells.bin`` one per grid cell.
+
+- header ``<II``: point rows n, other rows m;
+- point section: ``ids`` n x ``<u8``, ``values`` n x ``<f8`` (NaN where a
+  point has no value) and ``xy`` n x 2 ``<f8``, each contiguous;
+- others section: the m polyline and polygon records, each length-prefixed
+  in the per-record encoding of ``serialize_record``.
+
+Both sections are in ascending id order. A cell load reads the point
+section with ``np.frombuffer`` into an ``engine.PreparedPoints`` and builds
+no record for it; queries take the loaded ``CellData`` as a dataset.
+
+Integrity: opening a ``DatasetStore`` checks every file against the SHA-256
+in its catalog, and ``load_cell`` checks each cell block and its
+``layers.bin`` slice against the CRC-32s in the cell's ``cells.bin`` table
+row. ``bindex.bin`` (each cell's boundary index) is still written and
+counted in ``GridCell.byte_size``, but no reader opens it.
 """
 
 from __future__ import annotations
@@ -29,15 +49,23 @@ from .geometry import (
     PolygonGeom,
     Segment,
     convex_hull,
+    parse_wkt,
     polygon_from_rings,
 )
 
 MAGIC = b"SPDC1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MAX_ZOOM = 20
 
-_KIND_CODE = {"point": 0, "polyline": 1, "polygon": 2}
+_KIND_CODE = {"polyline": 1, "polygon": 2}
 _KIND_NAME = {v: k for k, v in _KIND_CODE.items()}
+_FILE_HEAD = struct.Struct("<HI")  # format version, item count (after MAGIC)
+_HEAD_SIZE = len(MAGIC) + _FILE_HEAD.size
+_BLOCK_HEAD = struct.Struct("<II")  # point rows, other rows
+_POINT_ROW = 32  # id, value, x, y
+# zoom, x, y, rows, block offset, length, CRC, bindex offset, length,
+# layers offset, length, CRC
+_CELL_ROW = struct.Struct("<BIIIQQIQQQQI")
 
 
 # ---------------------------------------------------------------------------
@@ -45,12 +73,11 @@ _KIND_NAME = {v: k for k, v in _KIND_CODE.items()}
 # ---------------------------------------------------------------------------
 
 def serialize_record(rec: GeometryRecord) -> bytes:
+    """Length-prefixed encoding of one polyline or polygon record (points
+    go to a block's point section)."""
     out = [struct.pack("<QBd", rec.id, _KIND_CODE[rec.kind],
                        np.nan if rec.value is None else rec.value)]
-    if rec.kind == "point":
-        p = rec.geometry
-        out.append(struct.pack("<2d", p.x, p.y))
-    elif rec.kind == "polyline":
+    if rec.kind == "polyline":
         out.append(struct.pack("<I", len(rec.geometry)))
         for s in rec.geometry:
             out.append(struct.pack("<4d", s.a.x, s.a.y, s.b.x, s.b.y))
@@ -78,9 +105,6 @@ def deserialize_record(buf: bytes, off: int) -> tuple:
     off += struct.calcsize("<QBd")
     value = None if np.isnan(value) else float(value)
     kind = _KIND_NAME[kind_code]
-    if kind == "point":
-        x, y = struct.unpack_from("<2d", buf, off)
-        return GeometryRecord(rid, "point", Point2(x, y), value), end
     if kind == "polyline":
         (nseg,) = struct.unpack_from("<I", buf, off)
         off += 4
@@ -119,6 +143,39 @@ def deserialize_record(buf: bytes, off: int) -> tuple:
     return GeometryRecord(rid, "polygon", parts, value), end
 
 
+def encode_block(records) -> bytes:
+    """One column block of records in id order (layout in the module
+    docstring)."""
+    pts, others = engine._split_kinds(records)
+    cols = engine.PreparedPoints(pts)
+    return b"".join([_BLOCK_HEAD.pack(len(pts), len(others)),
+                     cols.ids.astype("<u8").tobytes(), cols.values.astype("<f8").tobytes(),
+                     cols.xy.astype("<f8").tobytes(), *map(serialize_record, others)])
+
+
+def decode_block(block) -> tuple:
+    """(PreparedPoints, other records) of one column block. The point
+    columns are read in place with ``np.frombuffer``; the others are
+    decoded record by record."""
+    try:
+        n, m = _BLOCK_HEAD.unpack_from(block, 0)
+        off = _BLOCK_HEAD.size
+        ids = np.frombuffer(block, dtype="<u8", count=n, offset=off)
+        values = np.frombuffer(block, dtype="<f8", count=n, offset=off + 8 * n)
+        xy = np.frombuffer(block, dtype="<f8", count=2 * n, offset=off + 16 * n)
+        off += _POINT_ROW * n
+        others = []
+        for _ in range(m):
+            rec, off = deserialize_record(block, off)
+            others.append(rec)
+    except (struct.error, ValueError, KeyError) as exc:
+        raise CorruptionError(f"undecodable record block: {exc}") from exc
+    if off != len(block):
+        raise CorruptionError(f"record block holds {len(block)} bytes, its rows {off}")
+    points = engine.PreparedPoints.from_arrays(ids.astype(np.int64), xy, values)
+    return points, others
+
+
 def _serialize_layers(layers: LayerIndex) -> bytes:
     out = [struct.pack("<I", len(layers.layers))]
     for layer in layers.layers:
@@ -136,7 +193,7 @@ def _deserialize_layers(buf: bytes) -> LayerIndex:
         off += 4
         ids = np.frombuffer(buf, dtype="<u8", count=n, offset=off)
         off += n * 8
-        layers.append([int(i) for i in ids])
+        layers.append(ids.tolist())
     return LayerIndex(layers=layers)
 
 
@@ -277,11 +334,11 @@ def build_grid_index(records, byte_budget: int, config: Config = DEFAULT,
     records = sorted(records, key=lambda r: r.id)
     if not records:
         raise DataError("cannot index an empty dataset")
-    blobs = {rec.id: serialize_record(rec) for rec in records}
-    biggest = max(blobs.values(), key=len)
-    if len(biggest) >= byte_budget:
-        big_id = next(rec.id for rec in records if blobs[rec.id] is biggest)
-        raise DataError(f"object {big_id} ({len(biggest)} bytes) exceeds the "
+    row_bytes = {rec.id: _POINT_ROW if rec.kind == "point" else len(serialize_record(rec))
+                 for rec in records}
+    big_id = max(row_bytes, key=row_bytes.get)
+    if row_bytes[big_id] >= byte_budget:
+        raise DataError(f"object {big_id} ({row_bytes[big_id]} bytes) exceeds the "
                         f"cell byte budget {byte_budget}")
     boxes = np.array([rec.bbox() for rec in records])
     x0, y0 = boxes[:, 0].min(), boxes[:, 1].min()
@@ -306,7 +363,7 @@ def build_grid_index(records, byte_budget: int, config: Config = DEFAULT,
         sizes = {}
         ok = True
         for key, members in groups.items():
-            block = sum(len(blobs[m.id]) for m in members)
+            block = _BLOCK_HEAD.size + sum(row_bytes[m.id] for m in members)
             from .canvas_index import build_boundary_index_direct
             bindex_bytes = len(_serialize_bindex_rows(build_boundary_index_direct(members)))
             if kind == "point":
@@ -362,9 +419,11 @@ def _parse_meta(text: str, directory: Path) -> DatasetCatalog:
         kv[key] = val
     if kv.get("format") != MAGIC.decode():
         raise CorruptionError(f"bad catalog magic in {directory}")
+    if kv.get("version") != str(FORMAT_VERSION):
+        raise CorruptionError(f"{directory}: catalog format version {kv.get('version')}, "
+                              f"this reader needs {FORMAT_VERSION}; ingest the data again")
     cat = DatasetCatalog(name=kv["name"], kind=kv["kind"], crs=kv.get("crs", ""),
-                         count=int(kv["count"]), directory=directory,
-                         version=int(kv.get("version", 1)))
+                         count=int(kv["count"]), directory=directory)
     if "zoom" in kv:
         cat.zoom = int(kv["zoom"])
     if "byte_budget" in kv:
@@ -383,12 +442,13 @@ def ingest(records, name: str, data_dir, kind: str | None = None,
     ids = [r.id for r in records]
     if len(set(ids)) != len(ids):
         raise DataError("duplicate record ids in dataset")
+    if ids[-1] >= 1 << 63:
+        raise DataError(f"record id {ids[-1]} does not fit a signed 64-bit id")
     kinds = {r.kind for r in records}
     kind = kind or (kinds.pop() if len(kinds) == 1 else "mixed")
     directory = Path(data_dir) / name
     directory.mkdir(parents=True, exist_ok=True)
-    body = b"".join(serialize_record(r) for r in records)
-    blob = MAGIC + struct.pack("<HI", FORMAT_VERSION, len(records)) + body
+    blob = _file_head(len(records)) + encode_block(records)
     (directory / "records.bin").write_bytes(blob)
     cat = DatasetCatalog(name=name, kind=kind, crs=crs, count=len(records),
                          directory=directory)
@@ -397,17 +457,29 @@ def ingest(records, name: str, data_dir, kind: str | None = None,
     return cat
 
 
+def _file_head(count: int) -> bytes:
+    return MAGIC + _FILE_HEAD.pack(FORMAT_VERSION, count)
+
+
+def _read_head(blob: bytes, what: str) -> int:
+    """Item count of a binary file whose magic and version are checked."""
+    if blob[:len(MAGIC)] != MAGIC or len(blob) < _HEAD_SIZE:
+        raise CorruptionError(f"{what}: bad magic")
+    version, count = _FILE_HEAD.unpack_from(blob, len(MAGIC))
+    if version != FORMAT_VERSION:
+        raise CorruptionError(f"{what}: format version {version}, this reader needs "
+                              f"{FORMAT_VERSION}; ingest the data again")
+    return count
+
+
 def read_records(cat: DatasetCatalog) -> list:
     blob = (cat.directory / "records.bin").read_bytes()
-    if blob[:5] != MAGIC:
-        raise CorruptionError(f"{cat.name}: bad records.bin magic")
-    _, count = struct.unpack_from("<HI", blob, 5)
-    off = 5 + struct.calcsize("<HI")
-    records = []
-    for _ in range(count):
-        rec, off = deserialize_record(blob, off)
-        records.append(rec)
-    return records
+    count = _read_head(blob, f"{cat.name}/records.bin")
+    points, others = decode_block(memoryview(blob)[_HEAD_SIZE:])
+    if len(points) + len(others) != count:
+        raise CorruptionError(f"{cat.name}/records.bin: {count} records announced, "
+                              f"{len(points) + len(others)} stored")
+    return sorted(points.records + others, key=lambda r: r.id)
 
 
 def hull_wkt(poly: PolygonGeom) -> str:
@@ -437,7 +509,7 @@ def build_indexes(cat: DatasetCatalog, byte_budget: int | None = None,
     cells = []
     for cell in index.cells:
         members = groups[cell.key]
-        block = b"".join(serialize_record(m) for m in members)
+        block = encode_block(members)
         crc = zlib.crc32(block)
         bslice = _serialize_bindex_rows(build_boundary_index_direct(members))
         if cat.kind == "point":
@@ -448,8 +520,9 @@ def build_indexes(cat: DatasetCatalog, byte_budget: int | None = None,
                               count=cell.count,
                               byte_size=len(block) + len(bslice) + len(lslice),
                               offset=offset, length=len(block), crc=crc))
-        cell_dir.append((cell.zoom, cell.x, cell.y, cell.count, offset, len(block),
-                         crc, boffset, len(bslice), loffset, len(lslice)))
+        cell_dir.append(_CELL_ROW.pack(cell.zoom, cell.x, cell.y, cell.count, offset,
+                                       len(block), crc, boffset, len(bslice), loffset,
+                                       len(lslice), zlib.crc32(lslice)))
         blocks.append(block)
         bindex_parts.append(bslice)
         layer_parts.append(lslice)
@@ -458,13 +531,10 @@ def build_indexes(cat: DatasetCatalog, byte_budget: int | None = None,
         boffset += len(bslice)
         loffset += len(lslice)
 
-    head = MAGIC + struct.pack("<HI", FORMAT_VERSION, len(cells))
-    table = b"".join(struct.pack("<BIIIQQIQQQQ", z, x, y, n, off, ln, crc, bo, bl, lo, ll)
-                     for z, x, y, n, off, ln, crc, bo, bl, lo, ll in cell_dir)
     d = cat.directory
-    cells_blob = head + table + b"".join(blocks)
-    bindex_blob = MAGIC + struct.pack("<HI", FORMAT_VERSION, len(cells)) + b"".join(bindex_parts)
-    layers_blob = MAGIC + struct.pack("<HI", FORMAT_VERSION, len(cells)) + b"".join(layer_parts)
+    cells_blob = _file_head(len(cells)) + b"".join(cell_dir) + b"".join(blocks)
+    bindex_blob = _file_head(len(cells)) + b"".join(bindex_parts)
+    layers_blob = _file_head(len(cells)) + b"".join(layer_parts)
     hulls_text = "\n".join(hull_lines) + "\n"
     (d / "cells.bin").write_bytes(cells_blob)
     (d / "bindex.bin").write_bytes(bindex_blob)
@@ -482,8 +552,13 @@ def build_indexes(cat: DatasetCatalog, byte_budget: int | None = None,
 
 
 @dataclass
-class CellData:
-    records: list
+class CellData(engine.SplitDataset):
+    """One loaded cell, which queries take as a dataset: ``points``, its
+    point section as columns read in place from the block (no record is
+    built for them), ``others``, its decoded polyline and polygon records,
+    ``layers``, its stored layer index, and ``byte_size``, the bytes a load
+    counts (block, boundary-index and layer slices)."""
+
     layers: LayerIndex
     byte_size: int
 
@@ -518,29 +593,28 @@ class DatasetStore:
         if self._index is not None:
             return self._index
         d = self.catalog.directory
+        what = f"{self.catalog.name}/cells.bin"
         blob = (d / "cells.bin").read_bytes()
-        if blob[:5] != MAGIC:
-            raise CorruptionError(f"{self.catalog.name}: bad cells.bin magic")
-        _, ncells = struct.unpack_from("<HI", blob, 5)
-        off = 5 + struct.calcsize("<HI")
-        rowsz = struct.calcsize("<BIIIQQIQQQQ")
+        ncells = _read_head(blob, what)
+        base = _HEAD_SIZE + ncells * _CELL_ROW.size
+        if len(blob) < base:
+            raise CorruptionError(f"{what}: truncated cell table")
         hull_map = {}
         for line in (d / "hulls.wkt").read_text().splitlines():
             key, _, wkt = line.partition("\t")
             z, x, y = (int(v) for v in key.split("/"))
-            from .geometry import parse_wkt
             _, parts = parse_wkt(wkt)
             hull_map[(z, x, y)] = parts[0]
         cells = []
         zoom = 0
-        for i in range(ncells):
-            z, x, y, n, coff, clen, crc, bo, bl, lo, ll = struct.unpack_from(
-                "<BIIIQQIQQQQ", blob, off + i * rowsz)
+        for z, x, y, n, coff, clen, crc, _, bl, lo, ll, lcrc in _CELL_ROW.iter_unpack(
+                blob[_HEAD_SIZE:base]):
+            if base + coff + clen > len(blob):
+                raise CorruptionError(f"{what}: cell {z}/{x}/{y} ends past the file")
             cell = GridCell(zoom=z, x=x, y=y, hull=hull_map[(z, x, y)], count=n,
                             byte_size=clen + bl + ll, offset=coff, length=clen, crc=crc)
             cells.append(cell)
-            self._table[cell.key] = (coff, clen, crc, bo, bl, lo, ll,
-                                     off + ncells * rowsz)
+            self._table[cell.key] = (base + coff, clen, crc, _HEAD_SIZE + lo, ll, lcrc)
             zoom = z
         boxes = np.array([c.hull.bbox() for c in cells])
         self._index = GridIndex(zoom=zoom, cells=cells,
@@ -549,8 +623,8 @@ class DatasetStore:
         return self._index
 
     def load_cell(self, cell: GridCell) -> CellData:
-        """Deserialized records plus this cell's boundary/layer index slices;
-        served from cache when resident."""
+        """The cell's block, decoded, plus its layer index slice, both
+        CRC-checked; served from cache when resident."""
         self.grid_index()
         key = cell.key
         if key not in self._table:
@@ -558,24 +632,17 @@ class DatasetStore:
         if key in self._cache:
             self._cache.move_to_end(key)
             return self._cache[key]
-        coff, clen, crc, bo, bl, lo, ll, base = self._table[key]
+        coff, clen, crc, loff, llen, lcrc = self._table[key]
         d = self.catalog.directory
+        label = f"{self.catalog.name} cell {cell.label()}"
         with instrument.phase("io"):
-            with open(d / "cells.bin", "rb") as f:
-                f.seek(base + coff)
-                block = f.read(clen)
-            if zlib.crc32(block) != crc:
-                raise CorruptionError(f"cell {key}: block CRC mismatch")
-            lhead = 5 + struct.calcsize("<HI")
-            with open(d / "layers.bin", "rb") as f:
-                f.seek(lhead + lo)
-                lblob = f.read(ll)
-        records = []
-        off = 0
-        for _ in range(cell.count):
-            rec, off = deserialize_record(block, off)
-            records.append(rec)
-        data = CellData(records=records, layers=_deserialize_layers(lblob),
+            block = _read_checked(d / "cells.bin", coff, clen, crc, f"{label} block")
+            lblob = _read_checked(d / "layers.bin", loff, llen, lcrc, f"{label} layers slice")
+        points, others = decode_block(block)
+        if len(points) + len(others) != cell.count:
+            raise CorruptionError(f"{label}: {cell.count} rows announced, "
+                                  f"{len(points) + len(others)} stored")
+        data = CellData(points=points, others=others, layers=_deserialize_layers(lblob),
                         byte_size=cell.byte_size)
         self.bytes_transferred += cell.byte_size
         self._cache[key] = data
@@ -584,6 +651,17 @@ class DatasetStore:
             _, old = self._cache.popitem(last=False)
             self._cache_bytes -= old.byte_size
         return data
+
+
+def _read_checked(path: Path, offset: int, length: int, crc: int, what: str) -> bytes:
+    with open(path, "rb") as f:
+        f.seek(offset)
+        blob = f.read(length)
+    if len(blob) != length:
+        raise CorruptionError(f"{what}: truncated")
+    if zlib.crc32(blob) != crc:
+        raise CorruptionError(f"{what}: CRC mismatch")
+    return blob
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +702,7 @@ def ooc_select(store: DatasetStore, constraint, resolution: int | None = None,
     index = store.grid_index()
     ids: list = []
     for cell in filter_select(index, constraint, resolution, config):
-        data = store.load_cell(cell)
-        ids.extend(engine.select(data.records, constraint,
+        ids.extend(engine.select(store.load_cell(cell), constraint,
                                  resolution=resolution, config=config).ids)
     return engine.SelectionResult(tuple(ids))
 
@@ -634,6 +711,8 @@ def plan_ooc_join(store_a: DatasetStore, store_b: DatasetStore,
                   resolution: int | None = None, config: Config = DEFAULT):
     """Filter both grids, build the naive and layer-strategy load sequences,
     and let the optimizer pick by estimated transfer bytes."""
+    if store_a.catalog.kind != "polygon":
+        raise DataError("ooc_join: D1 must be a polygon dataset")
     index_a = store_a.grid_index()
     index_b = store_b.grid_index()
     pairs = filter_join(index_a, index_b, resolution, config)
@@ -657,7 +736,7 @@ def plan_ooc_join(store_a: DatasetStore, store_b: DatasetStore,
     for ca_key, b_cells in sorted(b_cells_of_a.items()):
         ca = index_a.cell_by_key(ca_key)
         data = store_a.load_cell(ca)
-        matched = engine.join(data.records, hull_b, resolution=resolution,
+        matched = engine.join(data.others, hull_b, resolution=resolution,
                               config=config, d1_layers=data.layers,
                               d2_layers=index_b.hull_layers())
         per_poly: dict = {}
@@ -689,10 +768,9 @@ def ooc_join(store_a: DatasetStore, store_b: DatasetStore,
         for label, _ in steps:
             rid = int(label.split(":", 1)[1])
             ca, b_cells = poly_filters[rid]
-            rec = next(rec for rec in store_a.load_cell(ca).records if rec.id == rid)
+            rec = next(rec for rec in store_a.load_cell(ca).others if rec.id == rid)
             for cb in b_cells:
-                data_b = store_b.load_cell(cb)
-                got = engine.select(data_b.records, rec, resolution=resolution,
+                got = engine.select(store_b.load_cell(cb), rec, resolution=resolution,
                                     config=config)
                 out.extend((rid, int(i)) for i in got.ids)
     else:
@@ -703,7 +781,7 @@ def ooc_join(store_a: DatasetStore, store_b: DatasetStore,
             ca, cb = pairs[int(label)]
             da = store_a.load_cell(ca)
             db = store_b.load_cell(cb)
-            got = engine.join(da.records, db.records, resolution=resolution,
+            got = engine.join(da.others, db, resolution=resolution,
                               config=config, d1_layers=da.layers, d2_layers=db.layers)
             out.extend(got.pairs)
     return engine.JoinResult(tuple(out))
@@ -715,8 +793,7 @@ def ooc_distance_select(store: DatasetStore, source: GeometryRecord, r: float,
     index = store.grid_index()
     ids: list = []
     for cell in filter_distance(index, source, r, resolution, config):
-        data = store.load_cell(cell)
-        ids.extend(engine.distance_select(data.records, source, r,
+        ids.extend(engine.distance_select(store.load_cell(cell), source, r,
                                           resolution=resolution, config=config).ids)
     return engine.SelectionResult(tuple(ids))
 
@@ -732,8 +809,7 @@ def ooc_distance_join(d1_records, store_b: DatasetStore, radii,
     out = []
     for rec, r in zip(d1_records, radii):
         for cell in filter_distance(index, rec, r, resolution, config):
-            data = store_b.load_cell(cell)
-            got = engine.distance_join([rec], data.records, [r],
+            got = engine.distance_join([rec], store_b.load_cell(cell), [r],
                                        resolution=resolution, config=config)
             out.extend(got.pairs)
     return engine.JoinResult(tuple(out))
@@ -754,8 +830,7 @@ def ooc_aggregate(constraints, store: DatasetStore, mode: str = "count",
     layers = build_layer_index(constraints) if cells else None
     for key in sorted(cells):
         cell = index.cell_by_key(key)
-        data = store.load_cell(cell)
-        rows = engine.aggregate(constraints, data.records, mode,
+        rows = engine.aggregate(constraints, store.load_cell(cell), mode,
                                 resolution=resolution, config=config,
                                 layer_index=layers).rows
         for cid, n, s in rows:
@@ -774,8 +849,7 @@ def ooc_count_within(store: DatasetStore, center: Point2, r: float,
     total = 0
     res = max(min(128, config.resolution), 16)
     for cell in filter_distance(index, src, r, res, config):
-        data = store.load_cell(cell)
-        total += len(engine.distance_select(data.records, src, r,
+        total += len(engine.distance_select(store.load_cell(cell), src, r,
                                             resolution=res, config=config).ids)
     return total
 
@@ -785,12 +859,15 @@ def ooc_knn_select(store: DatasetStore, p: Point2, k: int,
                    resolution: int | None = None,
                    config: Config = DEFAULT) -> list:
     """kNN over a stored point dataset: the radius ladder counts through the
-    filter, then one out-of-core distance selection and a final sort."""
+    filter, then one out-of-core distance selection ranks the points it
+    matches by (distance, id) from the loaded cells' columns."""
     import math
     cfg = cfg or engine.KnnConfig(alpha=config.alpha,
                                   radius_floor=config.knn_radius_floor,
                                   circle_cap=config.circle_cap)
     index = store.grid_index()
+    if store.catalog.kind != "point":
+        raise DataError("ooc_knn_select needs a point dataset")
     if not isinstance(p, Point2):
         p = Point2(float(p[0]), float(p[1]))
     total = sum(c.count for c in index.cells)
@@ -816,15 +893,17 @@ def ooc_knn_select(store: DatasetStore, p: Point2, k: int,
                 hi = mid
     r = radii[lo]
     src = GeometryRecord(0, "point", p)
-    ids = set(ooc_distance_select(store, src, r, resolution, config).ids)
-    dists = []
-    for cell in filter_distance(store.grid_index(), src, r, resolution, config):
-        for rec in store.load_cell(cell).records:
-            if rec.id in ids:
-                dists.append((math.hypot(rec.geometry.x - p.x, rec.geometry.y - p.y),
-                              rec.id))
-    ranked = sorted(set(dists))[:k]
-    return [(rid, d) for d, rid in ranked]
+    ids, dists = [], []
+    for cell in filter_distance(index, src, r, resolution, config):
+        data = store.load_cell(cell)
+        got = np.array(engine.distance_select(data, src, r, resolution=resolution,
+                                              config=config).ids, dtype=np.int64)
+        xy = data.points.xy[np.searchsorted(data.points.ids, got)]
+        ids.append(got)
+        dists.append(np.hypot(xy[:, 0] - p.x, xy[:, 1] - p.y))
+    ids, dists = np.concatenate(ids), np.concatenate(dists)
+    order = np.lexsort((ids, dists))[:k]
+    return [(int(ids[i]), float(dists[i])) for i in order]
 
 
 def ooc_knn_join(d1_records, store_b: DatasetStore, k: int,
