@@ -44,7 +44,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CanvasError, DataError, InternalInvariantError
-from .geometry import GeometryRecord, edge_table, orient, triangles_array
+from .geometry import (
+    GeometryRecord,
+    budget_runs,
+    edge_table,
+    expand_runs,
+    orient,
+    part_tables,
+    points_in_parts,
+)
 
 PLANES = ("point", "line", "polygon")
 NULL_ID = -1
@@ -219,27 +227,6 @@ def in_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     return sorted_keys[pos] == keys
 
 
-def expand_runs(counts: np.ndarray) -> tuple:
-    """For consecutive runs of the given lengths: the run index of every
-    element and its offset inside the run."""
-    counts = np.asarray(counts, dtype=np.int64)
-    run = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    starts = np.cumsum(counts) - counts
-    return run, np.arange(len(run), dtype=np.int64) - starts[run]
-
-
-def budget_runs(cost: np.ndarray, budget: int):
-    """(lo, hi) runs of consecutive items whose summed cost stays within
-    ``budget``; an item costlier than that gets a run alone."""
-    ends = np.cumsum(cost)
-    lo = 0
-    while lo < len(ends):
-        base = ends[lo - 1] if lo else 0
-        hi = max(int(np.searchsorted(ends, base + budget, side="right")), lo + 1)
-        yield lo, hi
-        lo = hi
-
-
 def _index(v: np.ndarray, n: int, rounding=np.floor) -> np.ndarray:
     """Rounded pixel coordinate as int64, clipped to [-2, n + 1] before the
     cast so far-off coordinates cannot overflow it."""
@@ -399,14 +386,9 @@ class PlaneData:
 class DiscreteCanvas:
     """Three pixel planes over one viewport plus the boundary-entry table."""
 
-    def __init__(self, viewport: Viewport, bindex=None, entries_complete: bool = False):
+    def __init__(self, viewport: Viewport, bindex=None):
         self.viewport = viewport
         self.bindex = bindex
-        # True on distance canvases: buckets list every point and edge whose
-        # buffer touches the pixel, each with its radius. Neither kind of
-        # canvas lists a polygon's interior, so points in a pixel of a
-        # polygon object may need escalation to its triangles.
-        self.entries_complete = entries_complete
         self._planes: dict = {}
 
     def plane(self, name: str) -> PlaneData:
@@ -425,8 +407,8 @@ class _Builder:
     """Accumulates interior claims and boundary (pixel, entry ref) pairs,
     then finalizes the bucket CSR tables."""
 
-    def __init__(self, vp: Viewport, bindex, entries_complete=False):
-        self.canvas = DiscreteCanvas(vp, bindex, entries_complete)
+    def __init__(self, vp: Viewport, bindex):
+        self.canvas = DiscreteCanvas(vp, bindex)
         self._pix: dict = {name: [] for name in PLANES}
         self._refs: dict = {name: [] for name in PLANES}
 
@@ -461,14 +443,13 @@ def render_geometry_canvas(records, vp: Viewport, bindex) -> DiscreteCanvas:
 
     Points land conservatively in the point plane and polyline segments in
     the line plane, as boundary entries. Polygons fill the polygon plane:
-    every pixel an edge touches (``segment_pixels``) gets the edge's
-    incident-triangle entry, and ``interior_id`` holds, for each pixel, the
-    highest-id polygon whose closed triangles contain the pixel centre,
-    unless that polygon's own edges touch the pixel (then NULL). The
-    centres come from ``scanline_fill``; only where a polygon's edge pixel
-    lies under a lower-id polygon's claim does an exact centre-in-triangle
-    test decide. On pairwise-disjoint records that
-    case never changes the result.
+    every pixel a ring edge touches (``segment_pixels``) gets that edge's
+    entry, and ``interior_id`` holds, for each pixel, the highest-id
+    polygon that contains the pixel centre, unless that polygon's own edges
+    touch the pixel (then NULL). The centres come from ``scanline_fill``;
+    only where a polygon's edge pixel lies under a lower-id polygon's claim
+    does the exact point-in-polygon kernel decide on the centre. On
+    pairwise-disjoint records that case never changes the result.
     """
     recs = sorted(records, key=lambda rec: rec.id)
     ids = [rec.id for rec in recs]
@@ -527,37 +508,21 @@ def _render_polygons(b: _Builder, recs, vp: Viewport, bindex):
         keep = ~in_sorted(frank * hw + fflat, own)
         np.maximum.at(winner, fflat[keep], frank[keep])
     # A higher-rank polygon whose edge touches a claimed pixel revokes the
-    # claim when its closed triangles hold the centre.
+    # claim when it holds the centre (``scanline_fill``'s own decision is
+    # not exact that near an edge).
     hit = winner[flat]
     late = (hit >= 0) & (erank > hit)
     if late.any():
         key = unique_keys((erank * hw + flat)[late])
         crank, cflat = np.divmod(key, hw)
-        inside = _centres_in_records(vp, cflat, [triangles_array(recs[r]) for r in crank])
-        winner[cflat[inside]] = -1
+        centres = np.column_stack([vp.min_x + (cflat % vp.width_px + 0.5) * vp.sx,
+                                   vp.min_y + (cflat // vp.width_px + 0.5) * vp.sy])
+        winner[cflat[points_in_parts(centres, crank, part_tables(recs))]] = -1
     ids = np.array([rec.id for rec in recs], dtype=np.int64)
     # The claims become the interior grid in place (NULL_ID is -1).
     claimed = winner >= 0
     winner[claimed] = ids[winner[claimed]]
     b.set_interior("polygon", winner)
-
-
-def _centres_in_records(vp: Viewport, flat: np.ndarray, tris: list) -> np.ndarray:
-    """Per pixel, whether its centre lies in one of the matching (T, 3, 2)
-    closed CCW triangle arrays."""
-    j, _ = expand_runs([len(t) for t in tris])
-    t = np.concatenate(tris)
-    col, row = flat % vp.width_px, flat // vp.width_px
-    cx = vp.min_x + (col + 0.5) * vp.sx
-    cy = vp.min_y + (row + 0.5) * vp.sy
-    cx, cy = cx[j], cy[j]
-    (x0, y0), (x1, y1), (x2, y2) = t[:, 0].T, t[:, 1].T, t[:, 2].T
-    inside = ((orient(x0, y0, x1, y1, cx, cy) >= 0.0)
-              & (orient(x1, y1, x2, y2, cx, cy) >= 0.0)
-              & (orient(x2, y2, x0, y0, cx, cy) >= 0.0))
-    return np.bincount(j[inside], minlength=len(flat)) > 0
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +719,7 @@ class DistanceCanvasBuilder:
 
     A point on a boundary pixel is then in a buffer iff it lies within r of
     one of its pixel's entries or inside a polygon source of that pixel;
-    the engine tests the second by its triangle escalation.
+    the engine tests the second by the point-in-polygon kernel.
     """
 
     def __init__(self, vp: Viewport, bindex):
@@ -780,7 +745,7 @@ class DistanceCanvasBuilder:
         count = np.array([bindex.offsets[src.id][1] for src, _ in self._queue], dtype=np.int64)
         j, off = expand_runs(count)
         ref = first[j] + off
-        segs = bindex.coords[ref, :4].copy()
+        segs = bindex.coords[ref].copy()
         point = np.isnan(segs[:, 2])
         segs[point, 2:] = segs[point, :2]
         radius = np.array([r for _, r in self._queue], dtype=float)[j]
@@ -794,7 +759,7 @@ class DistanceCanvasBuilder:
         else:
             rs = j[rs]
         _write_runs(iid, vp.width_px, col, row0, row1, ids[rs])
-        b = _Builder(vp, bindex, entries_complete=True)
+        b = _Builder(vp, bindex)
         b.set_interior("polygon", iid)
         keep = iid[bflat] == NULL_ID
         b.add_boundary("polygon", bflat[keep], ref[bs[keep]])

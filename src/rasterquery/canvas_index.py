@@ -1,5 +1,5 @@
-"""Canvas-specific indexes: the boundary index (constant-time exact
-intersection at boundary pixels) and the layer index (pairwise-disjoint
+"""Canvas-specific indexes: the boundary index (the points and edges whose
+exact tests settle boundary pixels) and the layer index (pairwise-disjoint
 layers so one canvas can hold many constraint objects).
 """
 
@@ -9,13 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canvas import (
-    PIXEL_KEY_BUDGET,
-    budget_runs,
-    expand_runs,
-    unique_keys,
-    viewport_from_bounds,
-)
+from .canvas import unique_keys, viewport_from_bounds
 from .errors import DataError
 from .geometry import (
     GeometryRecord,
@@ -24,39 +18,38 @@ from .geometry import (
     Triangle,
     edge_table,
     exact_intersects,
-    features,
+    expand_runs,
+    geometry_distance,
+    overlapping_boxes,
     pairwise_intersects,
-    points_in_triangles,
+    part_tables,
     primitive_distance,
-    segments_array,
     triangles_array,
 )
 
 KIND_POINT = 0
 KIND_SEGMENT = 1
-KIND_TRIANGLE = 2
 
 
 class BoundaryIndex:
     """Append-only table of (object id, primitive, optional radius) entries.
 
-    For polygons there is one entry per boundary edge holding the edge's
-    incident triangle; for polylines one per segment; for points the point
-    itself ("the data itself becomes the boundary index"). Distance-canvas
-    entries carry the radius r of their source and are its point, or its
-    polyline segments or polygon ring edges (``KIND_SEGMENT``); a polygon
-    source's interior has no entry. Entries are laid out columnar and
-    per-object contiguous so canvas pixels can reference them by table
-    offset; a point entry has NaN in place of the coordinates it lacks.
+    There is one entry per point and per polyline segment or polygon ring
+    edge (``edge_table`` order): "the data itself becomes the boundary
+    index". On a polygon canvas an entry carries r = NaN; a distance canvas
+    entry carries the radius r of its source, and a polygon source's
+    interior has no entry. Entries are laid out columnar and per-object
+    contiguous so canvas pixels can reference them by table offset;
+    ``coords`` rows are ax, ay, bx, by, with NaN in place of the second end
+    of a point entry.
     """
 
     def __init__(self):
         self.obj_ids = np.zeros(0, dtype=np.int64)
         self.kinds = np.zeros(0, dtype=np.int8)
-        self.coords = np.zeros((0, 6), dtype=np.float64)
+        self.coords = np.zeros((0, 4), dtype=np.float64)
         self.aux_r = np.zeros(0, dtype=np.float64)
         self.edge_ordinals = np.zeros(0, dtype=np.int32)
-        self.tri_ordinals = np.zeros(0, dtype=np.int32)
         self.offsets: dict = {}
         self.records: dict = {}
 
@@ -64,94 +57,52 @@ class BoundaryIndex:
         return len(self.obj_ids)
 
     @staticmethod
-    def _from_rows(rows, records) -> "BoundaryIndex":
+    def _of(records, radii) -> "BoundaryIndex":
+        """Entries of the records, in the given order, each carrying its
+        record's radius."""
         idx = BoundaryIndex()
-        if rows:
-            idx.obj_ids = np.array([r[0] for r in rows], dtype=np.int64)
-            idx.kinds = np.array([r[1] for r in rows], dtype=np.int8)
-            idx.coords = np.array([r[2] for r in rows], dtype=np.float64)
-            idx.aux_r = np.array([r[3] for r in rows], dtype=np.float64)
-            idx.edge_ordinals = np.array([r[4] for r in rows], dtype=np.int32)
-            idx.tri_ordinals = np.array([r[5] for r in rows], dtype=np.int32)
-        starts = {}
-        for i, oid in enumerate(idx.obj_ids):
-            starts.setdefault(int(oid), [i, 0])
-            starts[int(oid)][1] += 1
-        idx.offsets = {oid: (s, c) for oid, (s, c) in starts.items()}
         idx.records = {rec.id: rec for rec in records}
+        if not records:
+            return idx
+        tables = [np.array([[rec.geometry.x, rec.geometry.y, np.nan, np.nan]])
+                  if rec.kind == "point" else edge_table(rec)[0] for rec in records]
+        count = np.array([len(t) for t in tables], dtype=np.int64)
+        ids = [rec.id for rec in records]
+        kinds = [KIND_POINT if rec.kind == "point" else KIND_SEGMENT for rec in records]
+        idx.obj_ids = np.repeat(np.array(ids, dtype=np.int64), count)
+        idx.kinds = np.repeat(np.array(kinds, dtype=np.int8), count)
+        idx.coords = np.concatenate(tables)
+        idx.aux_r = np.repeat(np.asarray(radii, dtype=np.float64), count)
+        idx.edge_ordinals = expand_runs(count)[1].astype(np.int32)
+        idx.offsets = dict(zip(ids, zip((np.cumsum(count) - count).tolist(), count.tolist())))
         return idx
 
     def primitive(self, ref: int):
         if not 0 <= ref < len(self):
             raise DataError(f"invalid boundary index reference {ref}")
-        kind = self.kinds[ref]
         c = self.coords[ref]
-        if kind == KIND_POINT:
+        if self.kinds[ref] == KIND_POINT:
             return Point2(c[0], c[1])
-        if kind == KIND_SEGMENT:
-            return Segment(Point2(c[0], c[1]), Point2(c[2], c[3]))
-        return Triangle(Point2(c[0], c[1]), Point2(c[2], c[3]), Point2(c[4], c[5]))
+        return Segment(Point2(c[0], c[1]), Point2(c[2], c[3]))
 
     @staticmethod
     def for_distance_sources(sources, radii) -> "BoundaryIndex":
         """One entry per point source and per polyline segment or polygon
         ring edge (``edge_table`` order), each carrying its source's r."""
-        rows = []
-        for src, r in zip(sources, radii):
-            if src.kind == "point":
-                p = src.geometry
-                rows.append((src.id, KIND_POINT, (p.x, p.y, np.nan, np.nan, np.nan, np.nan),
-                             r, 0, -1))
-                continue
-            for ei, (ax, ay, bx, by) in enumerate(edge_table(src)[0]):
-                rows.append((src.id, KIND_SEGMENT, (ax, ay, bx, by, np.nan, np.nan), r, ei, -1))
-        return BoundaryIndex._from_rows(rows, sources)
-
-
-def _polygon_entry_rows(rec: GeometryRecord) -> list:
-    rows = []
-    tris = triangles_array(rec)
-    tri_base = 0
-    edge_base = 0
-    for part in rec.geometry:
-        if len(part.triangles) == 0:
-            raise DataError(f"record {rec.id} is missing its triangulation")
-        ring_lens = [len(ring) for ring in part.rings]
-        ei = 0
-        for ri, rlen in enumerate(ring_lens):
-            for k in range(rlen):
-                ti = tri_base + part.edge_to_triangle[(ri, k)]
-                t = tris[ti]
-                rows.append((rec.id, KIND_TRIANGLE,
-                             (t[0, 0], t[0, 1], t[1, 0], t[1, 1], t[2, 0], t[2, 1]),
-                             np.nan, edge_base + ei, ti))
-                ei += 1
-        edge_base += sum(ring_lens)
-        tri_base += len(part.triangles)
-    return rows
+        return BoundaryIndex._of(list(sources), radii)
 
 
 def build_boundary_index_direct(records) -> BoundaryIndex:
-    """One entry per boundary edge (incident triangle), per polyline segment,
-    and per point, in ascending record id / ordinal order."""
-    rows = []
-    for rec in sorted(records, key=lambda r: r.id):
-        if rec.kind == "point":
-            p = rec.geometry
-            rows.append((rec.id, KIND_POINT, (p.x, p.y, np.nan, np.nan, np.nan, np.nan),
-                         np.nan, 0, -1))
-        elif rec.kind == "polyline":
-            for si, (ax, ay, bx, by) in enumerate(segments_array(rec)):
-                rows.append((rec.id, KIND_SEGMENT, (ax, ay, bx, by, np.nan, np.nan),
-                             np.nan, si, -1))
-        else:
-            rows.extend(_polygon_entry_rows(rec))
-    return BoundaryIndex._from_rows(rows, sorted(records, key=lambda r: r.id))
+    """One entry per point, polyline segment and polygon ring edge, in
+    ascending record id / ordinal order."""
+    recs = sorted(records, key=lambda r: r.id)
+    return BoundaryIndex._of(recs, np.full(len(recs), np.nan))
 
 
 def boundary_test(index: BoundaryIndex, entry_ref: int, probe) -> bool:
     """Exact intersection of a probe primitive with one boundary entry; for
-    distance entries the test is distance(probe, feature) <= r."""
+    distance entries the test is distance(probe, feature) <= r. No query
+    calls it; perfbench's tracer still wraps it by name."""
     prim = index.primitive(entry_ref)
     r = index.aux_r[entry_ref]
     if np.isnan(r):
@@ -186,9 +137,8 @@ def _tris_touching_square(tris: np.ndarray, square) -> np.ndarray:
 
 def object_prims_touching_square(record: GeometryRecord, square) -> list:
     """All convex primitives of the record whose closed set touches the
-    closed square. No query calls it any more (``engine.match_points``
-    tests points against whole objects' triangles); perfbench's tracer
-    still wraps it by name."""
+    closed square, polygons as their triangles. No query calls it;
+    perfbench's tracer still wraps it by name."""
     x0, y0, x1, y1 = square
     if record.kind == "point":
         p = record.geometry
@@ -221,13 +171,13 @@ class PixelMatcher:
 
     At an interior pixel the owner matches any probe touching the pixel.
     ``bucket_objects`` lists the distinct objects of each boundary pixel
-    and ``object_triangles`` the triangles of every polygon object, for the
-    point pass of ``engine.match_points``. Bucket entries do not cover a
-    polygon's interior (triangles incident to boundary edges on polygon
-    canvases, ring edges on distance canvases), so when the canvas holds
-    polygons (``has_polygons``) that pass tests points that miss every
-    entry against the triangles of the pixel's objects. ``exact_pair``
-    settles a whole (probe record, object) pair at once.
+    and ``object_parts`` the polygon parts of every object, for the point
+    pass of ``engine.match_points``: a point on a boundary pixel of a
+    polygon canvas is in an object iff the point-in-polygon kernel puts it
+    inside; on a distance canvas (``distance``, whose entries carry radii)
+    iff it lies within r of one of the pixel's entries or inside a polygon
+    source. ``exact_pair`` settles a whole (probe record, object) pair at
+    once.
     """
 
     def __init__(self, canvas):
@@ -235,11 +185,11 @@ class PixelMatcher:
         self.vp = canvas.viewport
         self.bindex = canvas.bindex
         self.plane = canvas.plane("polygon")
-        self.complete = canvas.entries_complete
+        self.distance = bool(np.isfinite(self.bindex.aux_r).any())
         self.object_ids = np.array(sorted(self.bindex.records), dtype=np.int64)
         self.has_polygons = any(rec.kind == "polygon" for rec in self.bindex.records.values())
         self._buckets = None
-        self._triangles = None
+        self._parts = None
 
     def bucket_objects(self) -> tuple:
         """(slot, start, rank): ``slot`` maps each flat pixel to its index in
@@ -257,40 +207,20 @@ class PixelMatcher:
             self._buckets = (slot, np.searchsorted(pix, np.arange(nb + 1)), rank)
         return self._buckets
 
-    def object_triangles(self) -> tuple:
-        """(start, tris, boxes): a CSR over ``object_ids`` ranks of every
-        polygon object's closed CCW triangles, ``tris`` (T, 6) rows
-        x0, y0, x1, y1, x2, y2 and ``boxes`` (T, 4) their bboxes."""
-        if self._triangles is None:
-            recs = [self.bindex.records[int(oid)] for oid in self.object_ids]
-            per = [triangles_array(rec).reshape(-1, 6) if rec.kind == "polygon"
-                   else np.zeros((0, 6)) for rec in recs]
-            tris = np.concatenate(per) if per else np.zeros((0, 6))
-            start = np.r_[0, np.cumsum([len(t) for t in per])].astype(np.int64)
-            xs, ys = tris[:, 0::2], tris[:, 1::2]
-            boxes = np.column_stack([xs.min(axis=1), ys.min(axis=1),
-                                     xs.max(axis=1), ys.max(axis=1)])
-            self._triangles = (start, tris, boxes)
-        return self._triangles
+    def object_parts(self) -> tuple:
+        """``geometry.part_tables`` of the objects in ``object_ids`` order."""
+        if self._parts is None:
+            self._parts = part_tables([self.bindex.records[int(oid)] for oid in self.object_ids])
+        return self._parts
 
     def exact_pair(self, probe: GeometryRecord, oid: int) -> bool:
         """Whether the probe record truly meets object ``oid``: full-geometry
-        intersection on polygon canvases. On distance canvases, some probe
-        feature lies within r of one of the object's entries, or the probe
-        meets the polygon source. A probe farther than r from every ring
-        edge misses the polygon's boundary, so each of its parts lies wholly
-        inside or wholly outside; one vertex in the polygon then decides."""
+        intersection on polygon canvases, distance to the source at most its
+        r on distance canvases (0 when one lies inside the other)."""
         src = self.bindex.records[oid]
-        if not self.complete:
+        if not self.distance:
             return pairwise_intersects(probe, src)
-        start, count = self.bindex.offsets[oid]
-        feats = features(probe)
-        if any(boundary_test(self.bindex, ref, f)
-               for ref in range(start, start + count) for f in feats):
-            return True
-        return (src.kind == "polygon"
-                and bool(points_in_triangles(edge_table(probe)[0][:, :2],
-                                             triangles_array(src)).any()))
+        return geometry_distance(probe, src) <= self.bindex.aux_r[self.bindex.offsets[oid][0]]
 
 
 # ---------------------------------------------------------------------------
@@ -341,21 +271,6 @@ def _copresence_pairs(canvas, bindex) -> set:
     return pairs
 
 
-def _x_overlap_pairs(boxes: np.ndarray):
-    """Chunks (i, j) of the index pairs of (N, 4) boxes whose x ranges
-    overlap, each pair once: a sort-and-sweep over x0, where box i's
-    candidates are the boxes after it in x0 order up to its x1. Chunks stay
-    under ``PIXEL_KEY_BUDGET`` pairs."""
-    order = np.argsort(boxes[:, 0], kind="stable")
-    x0 = boxes[order, 0]
-    after = np.arange(1, len(order) + 1)
-    count = np.maximum(np.searchsorted(x0, boxes[order, 2], side="right") - after, 0)
-    for s, e in budget_runs(count, PIXEL_KEY_BUDGET):
-        i, off = expand_runs(count[s:e])
-        i += s
-        yield order[i], order[after[i] + off]
-
-
 def _holds(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """Whether each (.., 4) box ``outer`` holds its box ``inner``."""
     return ((inner[:, 0] >= outer[:, 0]) & (inner[:, 1] >= outer[:, 1])
@@ -377,7 +292,7 @@ def _nested_pairs(recs) -> set:
         return set()
     owner, b = np.array(owner), np.array(boxes)
     pairs = set()
-    for i, j in _x_overlap_pairs(b):
+    for i, j in overlapping_boxes(b):
         ok = (owner[i] != owner[j]) & (_holds(b[i], b[j]) | _holds(b[j], b[i]))
         for a, c in zip(owner[i[ok]].tolist(), owner[j[ok]].tolist()):
             pairs.add((min(a, c), max(a, c)))
@@ -434,8 +349,8 @@ def build_distance_layer_index(sources, radii) -> LayerIndex:
     """Layer index over distance buffers, built on the fly at query time;
     two buffers overlap iff distance(geomA, geomB) <= rA + rB. Candidate
     pairs are those whose bboxes, each grown by its radius, overlap
-    (``_x_overlap_pairs`` plus a y test); point pairs then get one array
-    test, other pairs a feature-by-feature one."""
+    (``overlapping_boxes``); point pairs then get one array test, other
+    pairs ``geometry_distance``."""
     order = sorted(range(len(sources)), key=lambda i: sources[i].id)
     recs = [sources[i] for i in order]
     rad = np.array([radii[i] for i in order], dtype=float)
@@ -446,17 +361,13 @@ def build_distance_layer_index(sources, radii) -> LayerIndex:
     point = np.array([r.kind == "point" for r in recs])
     xy = np.array([(r.geometry.x, r.geometry.y) if r.kind == "point" else (np.nan, np.nan)
                    for r in recs])
-    for i, j in _x_overlap_pairs(grown):
-        near = (grown[i, 1] <= grown[j, 3]) & (grown[j, 1] <= grown[i, 3])
-        i, j = i[near], j[near]
+    for i, j in overlapping_boxes(grown):
         limit = rad[i] + rad[j]
         both = point[i] & point[j]
         hit = np.zeros(len(i), dtype=bool)
         hit[both] = np.hypot(*(xy[i[both]] - xy[j[both]]).T) <= limit[both]
         for q in np.flatnonzero(~both):
-            a, b = recs[i[q]], recs[j[q]]
-            hit[q] = any(primitive_distance(x, y) <= limit[q]
-                         for x in features(a) for y in features(b))
+            hit[q] = geometry_distance(recs[i[q]], recs[j[q]]) <= limit[q]
         for a, b in zip(i[hit].tolist(), j[hit].tolist()):
             graph[recs[a].id].add(recs[b].id)
             graph[recs[b].id].add(recs[a].id)

@@ -15,15 +15,13 @@ the source's points and edges that reach them, each with r.
 
 Points go through ``match_points``: one pixel lookup each settles those on
 interior pixels, then one array pass serves all points on boundary pixels.
-It pairs each point with the entries of its pixel's bucket and tests all
-pairs at once (in the closed triangle, or within r of the point or edge on
-distance canvases); the first hit in bucket order wins. Entries never
-cover a polygon's interior (polygon canvases list the triangles incident
-to boundary edges, distance canvases the ring edges), so on a canvas
-holding polygons a point without a hit escalates, in the same pass, to
-every triangle of its pixel's objects whose bbox holds it: a point in the
-closed pixel square can only lie in triangles that touch the square.
-Pairs are processed in chunks under ``PIXEL_KEY_BUDGET``.
+On a distance canvas it pairs each point with the entries of its pixel's
+bucket and tests all pairs at once (within r of the point or edge); the
+first hit in bucket order wins. Entries are points and edges only, never a
+polygon's interior, so every point still unmatched on a pixel of polygon
+objects goes, with each of those objects, through the exact even-odd
+point-in-polygon kernel of ``geometry``; the lowest id holding the point
+wins. Entry pairs are processed in chunks under ``PIXEL_KEY_BUDGET``.
 
 Polylines and polygons go through ``match_records``, one array pass over all
 of them: the edge supercover and the even-odd scanline fill of ``canvas``
@@ -35,8 +33,7 @@ then settles or is refined:
   pixel of the object;
 - refined: a pair seen only where a probe edge meets a boundary pixel of the
   object gets one exact test, full-geometry intersection on polygon
-  canvases; on distance canvases, a probe feature within r of an entry, or
-  the probe inside the polygon source.
+  canvases and distance at most r on distance canvases.
 
 All functions are read-only over their inputs, apart from derived arrays
 cached on records. Their results do not depend on other calls, but their
@@ -59,8 +56,6 @@ from . import instrument
 from .canvas import (
     PIXEL_KEY_BUDGET,
     DistanceCanvasBuilder,
-    budget_runs,
-    expand_runs,
     in_sorted,
     scanline_fill,
     segment_pixels,
@@ -85,7 +80,9 @@ from .geometry import (
     Point2,
     PolygonGeom,
     _point_seg_dist,
-    orient,
+    budget_runs,
+    expand_runs,
+    points_in_parts,
     project_points_4326_to_3857,
 )
 # No query runs the Map any more; these names stay bound here only because
@@ -276,18 +273,10 @@ def match_points(matcher: PixelMatcher, pts_xy: np.ndarray) -> np.ndarray:
     """Per-point matched constraint id (-1 when none). Constraint objects in
     one canvas are pairwise disjoint, so a point matches at most one.
 
-    Interior pixels resolve wholesale from the interior grid. All points on
-    boundary pixels then go through one array pass: each is paired with
-    every entry of its pixel's bucket and tested exactly (in the closed
-    triangle, or within r of the point or edge on distance canvases); a point
-    takes the object of its first hit in bucket order. Entries do not cover
-    a polygon's interior (the triangles incident to boundary edges on
-    polygon canvases, the ring edges on distance canvases), so on a canvas
-    holding polygons a point without a hit escalates to every triangle,
-    bbox holding the point, of each object in its pixel's bucket; the
-    lowest object id with a triangle holding it wins. A point in the closed
-    pixel square can only lie in triangles that touch that square, so this
-    is the same test as against the triangles touching the pixel.
+    Interior pixels resolve wholesale from the interior grid; points on
+    boundary pixels take their first distance-entry hit in bucket order
+    (``_entry_hits``), else the lowest-id polygon object of their pixel
+    that holds them (``_polygon_hits``), as the module docstring details.
     """
     vp = matcher.vp
     out = np.full(len(pts_xy), -1, dtype=np.int64)
@@ -309,10 +298,11 @@ def match_points(matcher: PixelMatcher, pts_xy: np.ndarray) -> np.ndarray:
     onb = bpf[pos] == flat[rem]
     pidx, pix = idx[rem[onb]], pos[onb]
     xy = pts_xy[pidx]
-    cid = _entry_hits(matcher, xy, pix)
+    cid = (_entry_hits(matcher, xy, pix) if matcher.distance
+           else np.full(len(pix), -1, dtype=np.int64))
     if matcher.has_polygons:
         todo = np.flatnonzero(cid < 0)
-        cid[todo] = _triangle_hits(matcher, xy[todo], pix[todo])
+        cid[todo] = _polygon_hits(matcher, xy[todo], pix[todo])
     out[pidx] = cid
     return out
 
@@ -323,8 +313,9 @@ def _first_per_run(keys: np.ndarray) -> np.ndarray:
 
 
 def _entry_hits(matcher: PixelMatcher, xy: np.ndarray, pix: np.ndarray) -> np.ndarray:
-    """Per point, the object of the first entry of boundary pixel ``pix``
-    (an index into ``bp_flat``) that holds it, -1 when none does."""
+    """Per point, the object of the first distance entry of boundary pixel
+    ``pix`` (an index into ``bp_flat``) whose buffer holds it, -1 when none
+    does."""
     plane, bindex = matcher.plane, matcher.bindex
     start = plane.bp_start[pix]
     count = plane.bp_start[pix + 1] - start
@@ -333,66 +324,38 @@ def _entry_hits(matcher: PixelMatcher, xy: np.ndarray, pix: np.ndarray) -> np.nd
         j, off = expand_runs(count[lo:hi])
         j += lo
         ref = plane.bp_entries[start[j] + off]
-        m = _points_on_entries(bindex, ref, xy[j, 0], xy[j, 1])
+        m = _points_near_entries(bindex, ref, xy[j, 0], xy[j, 1])
         j, ref = j[m], ref[m]
         first = _first_per_run(j)
         res[j[first]] = bindex.obj_ids[ref[first]]
     return res
 
 
-def _points_on_entries(bindex, ref, px, py) -> np.ndarray:
-    """Whether each point meets its boundary entry: lies within the entry's
-    radius of its point or segment on distance canvases, or in its closed
-    triangle on polygon canvases (the polygon plane holds only triangles)."""
+def _points_near_entries(bindex, ref, px, py) -> np.ndarray:
+    """Whether each point lies within its distance entry's radius of the
+    entry's point or segment."""
     kind, c, r = bindex.kinds[ref], bindex.coords[ref], bindex.aux_r[ref]
-    near = ~np.isnan(r)
     out = np.zeros(len(ref), dtype=bool)
-    s = np.flatnonzero(~near)
-    out[s] = _in_triangles(c[s].T, px[s], py[s])
-    s = np.flatnonzero(near & (kind == KIND_POINT))
+    s = np.flatnonzero(kind == KIND_POINT)
     out[s] = np.hypot(px[s] - c[s, 0], py[s] - c[s, 1]) <= r[s]
-    s = np.flatnonzero(near & (kind == KIND_SEGMENT))
+    s = np.flatnonzero(kind == KIND_SEGMENT)
     out[s] = _point_seg_dist(px[s], py[s], c[s, 0], c[s, 1], c[s, 2], c[s, 3]) <= r[s]
     return out
 
 
-def _in_triangles(c, px, py) -> np.ndarray:
-    """Closed point-in-triangle test over stacked CCW triangle coordinate
-    rows ``c`` (6, N)."""
-    return ((orient(c[0], c[1], c[2], c[3], px, py) >= 0.0)
-            & (orient(c[2], c[3], c[4], c[5], px, py) >= 0.0)
-            & (orient(c[4], c[5], c[0], c[1], px, py) >= 0.0))
-
-
-def _triangle_hits(matcher: PixelMatcher, xy: np.ndarray, pix: np.ndarray) -> np.ndarray:
+def _polygon_hits(matcher: PixelMatcher, xy: np.ndarray, pix: np.ndarray) -> np.ndarray:
     """Per point, the lowest-id object of boundary pixel ``pix``'s bucket
-    with a closed triangle holding the point, -1 when none has. Only
-    triangles whose bbox holds the point get the exact test."""
+    that holds the point by the point-in-polygon kernel, -1 when none
+    does."""
     _, ostart, rank = matcher.bucket_objects()
-    tstart, tris, tbox = matcher.object_triangles()
     # (point, object) pairs, objects ascending per point.
     j, off = expand_runs(ostart[pix + 1] - ostart[pix])
     obj = rank[ostart[pix[j]] + off]
-    first_tri = tstart[obj]
-    cost = tstart[obj + 1] - first_tri
+    inside = points_in_parts(xy[j], obj, matcher.object_parts())
+    j, obj = j[inside], obj[inside]
+    first = _first_per_run(j)
     res = np.full(len(pix), -1, dtype=np.int64)
-    for lo, hi in budget_runs(cost, PIXEL_KEY_BUDGET):
-        q, off = expand_runs(cost[lo:hi])
-        q += lo
-        t = first_tri[q] + off
-        x, y = xy[j[q], 0], xy[j[q], 1]
-        box = tbox[t]
-        keep = np.flatnonzero((box[:, 0] <= x) & (x <= box[:, 2])
-                              & (box[:, 1] <= y) & (y <= box[:, 3]))
-        q = q[keep]
-        q = q[_in_triangles(tris[t[keep]].T, x[keep], y[keep])]
-        # Pairs are ordered by point, then object: the first hit of a point
-        # is its lowest object; an earlier chunk's hit stands.
-        p = j[q]
-        first = _first_per_run(p)
-        p, q = p[first], q[first]
-        new = res[p] < 0
-        res[p[new]] = matcher.object_ids[obj[q[new]]]
+    res[j[first]] = matcher.object_ids[obj[first]]
     return res
 
 
@@ -801,6 +764,13 @@ def _prepared_points(dataset) -> PreparedPoints:
     return PreparedPoints(list(dataset))
 
 
+def count_resolution(config: Config) -> int:
+    """Resolution of canvases that only count or test overlap: any
+    resolution gives exact answers, and a small one keeps their planes
+    small (at most 128 pixels a side)."""
+    return max(min(128, config.resolution), 16)
+
+
 def _count_within(prepared: PreparedPoints, center: Point2, r: float,
                   resolution: int) -> int:
     """Exact count of dataset points within r of center, via a distance
@@ -822,7 +792,7 @@ def _knn_radius(prepared: PreparedPoints, center: Point2, k: int,
     if r_max <= 0:
         r_max = cfg.radius_floor
     radii = cfg.radii(r_max)  # descending
-    count_res = max(min(128, config.resolution), 16)
+    count_res = count_resolution(config)
     lo, hi = 0, len(radii) - 1  # counts decrease with index
     # invariant: count(radii[lo]) >= k; find the largest index still >= k
     if _count_within(prepared, center, radii[hi], count_res) >= k:

@@ -1,8 +1,13 @@
-"""Exact geometric primitives, predicates, triangulation, hulls, projection.
+"""Exact geometric primitives, predicates, hulls, projection and parsing.
 
 All predicates evaluate double-precision orientation determinants with no
 epsilon; closed-set semantics throughout (a shared boundary point counts as
 intersecting). Everything here is a pure function over immutable inputs.
+
+Polygons are rings only. The array kernels ``points_in_polygons`` (closed
+even-odd point-in-polygon) and ``segments_meet`` / ``segment_distances``
+(segment pairs) decide every polygon question; no query or polygon
+construction uses ``triangulate``.
 """
 
 from __future__ import annotations
@@ -23,6 +28,11 @@ from .errors import (
 
 MERCATOR_RADIUS = 6378137.0
 MERCATOR_MAX_LAT = 85.051129
+
+# Rows one array kernel materializes at a time: (pair, edge) rows of the
+# point-in-polygon kernel, candidate pairs of a box sweep, edge pairs of a
+# distance. Bounds a call's temporaries (about 8 bytes per row per array).
+PAIR_BUDGET = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -69,32 +79,26 @@ class Triangle:
 
 @dataclass
 class PolygonGeom:
-    """A simple polygon (outer ring plus holes) with its triangulation.
+    """A simple polygon: an outer ring plus holes, kept as rings only.
 
     rings: vertex arrays of shape (n, 2), outer first (CCW), holes CW, no
-    closing duplicate. triangles: (T, 3, 2) CCW triangles covering the
-    interior. edge_to_triangle maps each boundary edge (ring index, edge
-    index) to the one triangle incident on it.
+    closing duplicate (``polygon_from_rings`` arranges and checks this).
     """
 
     rings: list
-    triangles: np.ndarray
-    edge_to_triangle: dict
 
     _edges: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def area(self) -> float:
-        return float(np.sum(_tri_areas(self.triangles)))
+        """Shoelace sum over the rings (holes, being CW, subtract)."""
+        return sum(shoelace(ring) for ring in self.rings)
 
     def boundary_edges(self) -> np.ndarray:
         """All boundary edges as an (E, 4) array of ax, ay, bx, by, with edge
         ordinal = position in this enumeration (ring-major)."""
         if self._edges is None:
-            parts = []
-            for ring in self.rings:
-                parts.append(np.concatenate([ring, np.roll(ring, -1, axis=0)], axis=1))
-            self._edges = np.concatenate(parts, axis=0)
+            self._edges = np.concatenate([_ring_edges(ring) for ring in self.rings], axis=0)
         return self._edges
 
     def bbox(self):
@@ -149,11 +153,12 @@ class GeometryRecord:
             lens = np.hypot(segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1])
             w = lens / lens.sum()
             return (float(mids[:, 0] @ w), float(mids[:, 1] @ w))
-        tris = triangles_array(self)
-        areas = _tri_areas(tris)
-        cents = tris.mean(axis=1)
-        w = areas / areas.sum()
-        return (float(cents[:, 0] @ w), float(cents[:, 1] @ w))
+        # Shoelace moments over every ring edge, taken about the first vertex.
+        edges = edge_table(self)[0]
+        e = edges - np.tile(edges[0, :2], 2)
+        c = e[:, 0] * e[:, 3] - e[:, 2] * e[:, 1]
+        return tuple(float(edges[0, k] + ((e[:, k] + e[:, k + 2]) * c).sum() / (3.0 * c.sum()))
+                     for k in (0, 1))
 
 
 def point_record(rid: int, x: float, y: float, value: float | None = None) -> GeometryRecord:
@@ -193,10 +198,12 @@ def segments_array(record: GeometryRecord) -> np.ndarray:
 
 
 def triangles_array(record: GeometryRecord) -> np.ndarray:
-    """(T, 3, 2) array of all triangles across a polygon record's parts."""
+    """(T, 3, 2) CCW triangles covering a polygon record's parts, made by
+    ``triangulate`` on first use and cached on the record. No query uses
+    them; ``canvas_index.object_prims_touching_square`` and tests do."""
     arr = getattr(record, "_tris_cache", None)
     if arr is None:
-        arr = np.concatenate([part.triangles for part in record.geometry], axis=0)
+        arr = np.concatenate([triangulate(part.rings)[0] for part in record.geometry], axis=0)
         record._tris_cache = arr
     return arr
 
@@ -221,6 +228,65 @@ def edge_table(record: GeometryRecord) -> tuple:
         table = (edges, parts)
         record._edge_cache = table
     return table
+
+
+def part_tables(records) -> tuple:
+    """(part_start, start, edges): CSR tables of the records' polygon
+    parts. ``part_start`` (R + 1,) gives each record's range of parts (empty
+    for a point or polyline), ``start`` (P + 1,) each part's range of ring
+    edges in ``edges`` (E, 4), ``edge_table`` order."""
+    nparts, counts, tables = [], [], []
+    for rec in records:
+        parts = rec.geometry if rec.kind == "polygon" else []
+        nparts.append(len(parts))
+        counts += [sum(len(ring) for ring in part.rings) for part in parts]
+        tables += [part.boundary_edges() for part in parts]
+    edges = np.concatenate(tables) if tables else np.zeros((0, 4))
+    return (np.r_[0, np.cumsum(nparts)].astype(np.int64),
+            np.r_[0, np.cumsum(counts)].astype(np.int64), edges)
+
+
+# ---------------------------------------------------------------------------
+# Array chunking
+# ---------------------------------------------------------------------------
+
+def expand_runs(counts: np.ndarray) -> tuple:
+    """For consecutive runs of the given lengths: the run index of every
+    element and its offset inside the run."""
+    counts = np.asarray(counts, dtype=np.int64)
+    run = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    starts = np.cumsum(counts) - counts
+    return run, np.arange(len(run), dtype=np.int64) - starts[run]
+
+
+def budget_runs(cost: np.ndarray, budget: int):
+    """(lo, hi) runs of consecutive items whose summed cost stays within
+    ``budget``; an item costlier than that gets a run alone."""
+    ends = np.cumsum(cost)
+    lo = 0
+    while lo < len(ends):
+        base = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, base + budget, side="right")), lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def overlapping_boxes(boxes: np.ndarray):
+    """Chunks (i, j) of the index pairs of (N, 4) closed boxes that
+    overlap, each pair once: a sort-and-sweep over x0, where box i's
+    candidates are the boxes after it in x0 order up to its x1, kept when
+    their y ranges meet too. Chunks stay under ``PAIR_BUDGET`` candidates."""
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    order = np.argsort(boxes[:, 0], kind="stable")
+    x0 = boxes[order, 0]
+    after = np.arange(1, len(order) + 1)
+    count = np.maximum(np.searchsorted(x0, boxes[order, 2], side="right") - after, 0)
+    for s, e in budget_runs(count, PAIR_BUDGET):
+        k, off = expand_runs(count[s:e])
+        k += s
+        i, j = order[k], order[after[k] + off]
+        near = (boxes[i, 1] <= boxes[j, 3]) & (boxes[j, 1] <= boxes[i, 3])
+        yield i[near], j[near]
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +393,40 @@ def exact_intersects(a, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Distances
+# Array kernels: segment pairs and point-in-polygon
 # ---------------------------------------------------------------------------
+
+def _in_box(px, py, ax, ay, bx, by):
+    """Whether each point lies in the closed bbox of its segment."""
+    return ((np.minimum(ax, bx) <= px) & (px <= np.maximum(ax, bx))
+            & (np.minimum(ay, by) <= py) & (py <= np.maximum(ay, by)))
+
+
+def _edge_boxes(edges: np.ndarray) -> np.ndarray:
+    """(E, 4) closed bboxes of (E, 4) segments."""
+    return np.hstack([np.minimum(edges[:, :2], edges[:, 2:]),
+                      np.maximum(edges[:, :2], edges[:, 2:])])
+
+
+def segments_meet(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Closed intersection of segment pairs: whether (N, 4) segment s[k]
+    (ax, ay, bx, by) meets t[k]. They cross properly when each one's ends
+    lie strictly on opposite sides of the other, and they touch when an end
+    of one has orient 0 with the other and lies in its bbox."""
+    ax, ay, bx, by = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
+    cx, cy, dx, dy = t[:, 0], t[:, 1], t[:, 2], t[:, 3]
+    o1 = orient(ax, ay, bx, by, cx, cy)
+    o2 = orient(ax, ay, bx, by, dx, dy)
+    o3 = orient(cx, cy, dx, dy, ax, ay)
+    o4 = orient(cx, cy, dx, dy, bx, by)
+    proper = (((o1 > 0) != (o2 > 0)) & ((o3 > 0) != (o4 > 0))
+              & (o1 != 0) & (o2 != 0) & (o3 != 0) & (o4 != 0))
+    return (proper
+            | ((o1 == 0) & _in_box(cx, cy, ax, ay, bx, by))
+            | ((o2 == 0) & _in_box(dx, dy, ax, ay, bx, by))
+            | ((o3 == 0) & _in_box(ax, ay, cx, cy, dx, dy))
+            | ((o4 == 0) & _in_box(bx, by, cx, cy, dx, dy)))
+
 
 def _point_seg_dist(px, py, ax, ay, bx, by):
     """Distance from point(s) to a closed segment; broadcasts over arrays."""
@@ -339,15 +437,79 @@ def _point_seg_dist(px, py, ax, ay, bx, by):
     return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
-def _point_tri_dist(px, py, t):
-    x0, y0, x1, y1, x2, y2 = t
-    d = min(_point_seg_dist(px, py, x0, y0, x1, y1),
-            _point_seg_dist(px, py, x1, y1, x2, y2),
-            _point_seg_dist(px, py, x2, y2, x0, y0))
-    if _point_in_triangle(px, py, t):
-        return 0.0
-    return float(d)
+def segment_distances(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Distance between the closed segments of each pair, (N, 4) each: 0
+    where they meet, else the least distance from an end of one to the
+    other."""
+    ax, ay, bx, by = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
+    cx, cy, dx, dy = t[:, 0], t[:, 1], t[:, 2], t[:, 3]
+    d = np.minimum(np.minimum(_point_seg_dist(cx, cy, ax, ay, bx, by),
+                              _point_seg_dist(dx, dy, ax, ay, bx, by)),
+                   np.minimum(_point_seg_dist(ax, ay, cx, cy, dx, dy),
+                              _point_seg_dist(bx, by, cx, cy, dx, dy)))
+    d[segments_meet(s, t)] = 0.0
+    return d
 
+
+def points_in_polygons(xy: np.ndarray, part: np.ndarray, start: np.ndarray,
+                       edges: np.ndarray) -> np.ndarray:
+    """Closed point-in-polygon test of (point, polygon) pairs: whether
+    point ``xy[k]`` lies in polygon ``part[k]``, whose ring edges are rows
+    ``start[part[k]]`` to ``start[part[k] + 1]`` of ``edges`` (E, 4).
+
+    A point on an edge (orient 0, in the edge's bbox) is inside; otherwise
+    the even-odd count of the edges a ray towards +x crosses decides. An
+    edge spans the ray when exactly one end lies at or below the point
+    (half-open, so a vertex on the ray counts once and a horizontal edge
+    never), and lies right of the point when the sign of its orient says
+    the point is left of the edge directed upward. Every decision is an
+    ``orient`` sign, so a point within rounding of an edge falls on the
+    side that edge's orient gives.
+    """
+    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+    part = np.asarray(part, dtype=np.int64)
+    first = start[part]
+    cost = start[part + 1] - first
+    out = np.zeros(len(part), dtype=bool)
+    for lo, hi in budget_runs(cost, PAIR_BUDGET):
+        k, off = expand_runs(cost[lo:hi])
+        e = edges[first[k + lo] + off]
+        px, py = xy[k + lo, 0], xy[k + lo, 1]
+        ax, ay, bx, by = e[:, 0], e[:, 1], e[:, 2], e[:, 3]
+        o = orient(ax, ay, bx, by, px, py)
+        on = (o == 0.0) & _in_box(px, py, ax, ay, bx, by)
+        right = ((ay <= py) != (by <= py)) & (o != 0.0) & ((o > 0.0) == (by > ay))
+        n = hi - lo
+        out[lo:hi] = ((np.bincount(k[on], minlength=n) > 0)
+                      | (np.bincount(k[right], minlength=n) % 2 == 1))
+    return out
+
+
+def points_in_parts(xy: np.ndarray, rank: np.ndarray, tables) -> np.ndarray:
+    """Per (point, record) pair, whether point ``xy[k]`` lies in the closed
+    polygon record of rank ``rank[k]`` in ``tables`` (``part_tables``), that
+    is in one of its parts; never in a point or polyline record."""
+    part_start, start, edges = tables
+    rank = np.asarray(rank, dtype=np.int64)
+    j, off = expand_runs(part_start[rank + 1] - part_start[rank])
+    inside = points_in_polygons(np.asarray(xy, dtype=float)[j], part_start[rank[j]] + off,
+                                start, edges)
+    return np.bincount(j[inside], minlength=len(rank)) > 0
+
+
+def points_in_record(pts: np.ndarray, record: GeometryRecord) -> np.ndarray:
+    """(N,) whether each point lies in the closed polygon record: in one of
+    its parts."""
+    edges, parts = edge_table(record)
+    start = np.searchsorted(parts, np.arange(parts[-1] + 2))
+    n = len(start) - 1
+    k, part = np.divmod(np.arange(len(pts) * n), n)
+    return points_in_polygons(pts[k], part, start, edges).reshape(len(pts), n).any(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# Distances and record predicates
+# ---------------------------------------------------------------------------
 
 def _seg_seg_dist(s1, s2):
     if _segments_intersect(*s1, *s2):
@@ -358,89 +520,68 @@ def _seg_seg_dist(s1, s2):
                      _point_seg_dist(cx, cy, *s1), _point_seg_dist(dx, dy, *s1)))
 
 
-def _tri_edges(t):
-    return ((t[0], t[1], t[2], t[3]), (t[2], t[3], t[4], t[5]), (t[4], t[5], t[0], t[1]))
-
-
 def primitive_distance(a, b) -> float:
-    """Euclidean distance between two closed primitives (0 when they touch)."""
-    rank = {Point2: 0, Segment: 1, Triangle: 2}
-    if rank[type(a)] > rank[type(b)]:
+    """Euclidean distance between two closed points or segments (0 when
+    they touch)."""
+    if isinstance(a, Segment) and isinstance(b, Point2):
         a, b = b, a
     if isinstance(a, Point2):
         px, py = _pt(a)
         if isinstance(b, Point2):
             return math.hypot(px - b.x, py - b.y)
-        if isinstance(b, Segment):
-            return float(_point_seg_dist(px, py, *_seg(b)))
-        return _point_tri_dist(px, py, _tri(b))
-    if isinstance(a, Segment):
-        if isinstance(b, Segment):
-            return _seg_seg_dist(_seg(a), _seg(b))
-        s, t = _seg(a), _tri(b)
-        if _seg_tri_intersect(s, t):
-            return 0.0
-        return min(_seg_seg_dist(s, e) for e in _tri_edges(t))
-    t1, t2 = _tri(a), _tri(b)
-    if _tri_tri_intersect(t1, t2):
-        return 0.0
-    return min(_seg_seg_dist(e1, e2) for e1 in _tri_edges(t1) for e2 in _tri_edges(t2))
-
-
-def features(record: GeometryRecord) -> list:
-    """Convex primitives whose union equals the record's closed point set."""
-    if record.kind == "point":
-        return [record.geometry]
-    if record.kind == "polyline":
-        return list(record.geometry)
-    out = []
-    for part in record.geometry:
-        for t in part.triangles:
-            out.append(Triangle(Point2(*t[0]), Point2(*t[1]), Point2(*t[2])))
-    return out
+        return float(_point_seg_dist(px, py, *_seg(b)))
+    return _seg_seg_dist(_seg(a), _seg(b))
 
 
 def exact_distance(p, g) -> float:
-    """Distance from point p to the closed point set of geometry/record g."""
-    px, py = _pt(p)
-    if isinstance(g, GeometryRecord):
-        g = g.geometry
+    """Distance from point p to the closed point set of a record, a Point2,
+    a Segment, a PolygonGeom, or a list of Segments or of PolygonGeoms."""
     if isinstance(g, Point2):
-        return math.hypot(px - g.x, py - g.y)
-    if isinstance(g, Segment):
-        return float(_point_seg_dist(px, py, *_seg(g)))
-    if isinstance(g, Triangle):
-        return _point_tri_dist(px, py, _tri(g))
-    if isinstance(g, PolygonGeom):
-        g = [g]
-    if isinstance(g, list) and g and isinstance(g[0], Segment):
-        segs = np.array([_seg(s) for s in g])
-        return float(_point_seg_dist(px, py, segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3]).min())
-    if isinstance(g, list) and g and isinstance(g[0], PolygonGeom):
-        for part in g:
-            if point_in_polygon((px, py), part):
-                return 0.0
-        best = math.inf
-        for part in g:
-            e = part.boundary_edges()
-            best = min(best, float(_point_seg_dist(px, py, e[:, 0], e[:, 1], e[:, 2], e[:, 3]).min()))
-        return best
-    raise TypeError(f"unsupported geometry {type(g)!r}")
+        g = GeometryRecord(0, "point", g)
+    elif not isinstance(g, GeometryRecord):
+        parts = [g] if isinstance(g, (Segment, PolygonGeom)) else g
+        g = GeometryRecord(0, "polyline" if isinstance(parts[0], Segment) else "polygon", parts)
+    return float(points_to_record_distance(np.array([_pt(p)]), g)[0])
+
+
+def _vertex_inside(a: GeometryRecord, b: GeometryRecord) -> bool:
+    """Whether a vertex of one record lies in the other, polygon record.
+    When no edge of one meets an edge of the other, every part of a record
+    lies wholly inside or wholly outside the other, so this decides whether
+    the two intersect."""
+    return bool((b.kind == "polygon" and points_in_record(edge_table(a)[0][:, :2], b).any())
+                or (a.kind == "polygon" and points_in_record(edge_table(b)[0][:, :2], a).any()))
+
+
+def _edges_meet(a: GeometryRecord, b: GeometryRecord) -> bool:
+    """Whether an edge of record a meets an edge of record b, tested on the
+    edge pairs whose bboxes overlap."""
+    ea = edge_table(a)[0]
+    edges = np.concatenate([ea, edge_table(b)[0]])
+    for i, j in overlapping_boxes(_edge_boxes(edges)):
+        cross = (i < len(ea)) != (j < len(ea))
+        if segments_meet(edges[i[cross]], edges[j[cross]]).any():
+            return True
+    return False
 
 
 def geometry_distance(a: GeometryRecord, b: GeometryRecord) -> float:
-    """Exact distance between two records' closed point sets."""
+    """Exact distance between two records' closed point sets: 0 when they
+    intersect, otherwise the least distance between an edge of one and an
+    edge of the other."""
     if a.kind == "point":
         return exact_distance(a.geometry, b)
     if b.kind == "point":
         return exact_distance(b.geometry, a)
-    fa, fb = features(a), features(b)
-    return min(primitive_distance(x, y) for x in fa for y in fb)
+    ea, eb = edge_table(a)[0], edge_table(b)[0]
+    best = math.inf
+    for lo, hi in budget_runs(np.full(len(ea), len(eb)), PAIR_BUDGET):
+        i, j = expand_runs(np.full(hi - lo, len(eb)))
+        best = min(best, float(segment_distances(ea[lo + i], eb[j]).min()))
+    if best > 0.0 and _vertex_inside(a, b):
+        return 0.0
+    return best
 
-
-# ---------------------------------------------------------------------------
-# Vectorized point batch helpers
-# ---------------------------------------------------------------------------
 
 def points_in_triangles(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Boolean (N,) mask: point covered by at least one closed CCW triangle.
@@ -461,16 +602,17 @@ def points_in_triangles(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
 
 
 def point_in_polygon(p, poly: PolygonGeom) -> bool:
-    px, py = _pt(p)
-    return bool(points_in_triangles(np.array([[px, py]]), poly.triangles)[0])
+    return bool(points_in_record(np.array([_pt(p)]), GeometryRecord(0, "polygon", [poly]))[0])
 
 
 def points_to_segments_distance(pts: np.ndarray, segs: np.ndarray) -> np.ndarray:
     """(N,) min distance from each point to any of the (S, 4) segments."""
-    out = np.full(len(pts), np.inf)
-    px, py = pts[:, 0], pts[:, 1]
-    for ax, ay, bx, by in segs:
-        np.minimum(out, _point_seg_dist(px, py, ax, ay, bx, by), out=out)
+    out = np.empty(len(pts))
+    step = max(PAIR_BUDGET // max(len(segs), 1), 1)
+    ax, ay, bx, by = segs[None, :, 0], segs[None, :, 1], segs[None, :, 2], segs[None, :, 3]
+    for lo in range(0, len(pts), step):
+        px, py = pts[lo:lo + step, 0, None], pts[lo:lo + step, 1, None]
+        out[lo:lo + step] = _point_seg_dist(px, py, ax, ay, bx, by).min(axis=1, initial=np.inf)
     return out
 
 
@@ -479,30 +621,33 @@ def points_to_record_distance(pts: np.ndarray, record: GeometryRecord) -> np.nda
     if record.kind == "point":
         g = record.geometry
         return np.hypot(pts[:, 0] - g.x, pts[:, 1] - g.y)
-    if record.kind == "polyline":
-        return points_to_segments_distance(pts, segments_array(record))
-    edges = np.concatenate([part.boundary_edges() for part in record.geometry], axis=0)
-    d = points_to_segments_distance(pts, edges)
-    d[points_in_triangles(pts, triangles_array(record))] = 0.0
+    d = points_to_segments_distance(pts, edge_table(record)[0])
+    if record.kind == "polygon":
+        d[points_in_record(pts, record)] = 0.0
     return d
 
 
 def pairwise_intersects(a: GeometryRecord, b: GeometryRecord) -> bool:
-    """Exact full-geometry intersection between two records (closed sets)."""
+    """Exact full-geometry intersection between two records (closed sets):
+    some edge of one meets an edge of the other, or a vertex of one lies in
+    the other, polygon record. A point meets a polygon when
+    ``points_in_polygons`` puts it inside and a segment when it lies on it
+    (orient 0, in the bbox), the predicates the engine's tests use."""
     abox, bbox_ = a.bbox(), b.bbox()
     if abox[2] < bbox_[0] or bbox_[2] < abox[0] or abox[3] < bbox_[1] or bbox_[3] < abox[1]:
         return False
+    if b.kind == "point" and a.kind != "point":
+        a, b = b, a
     if a.kind == "point":
+        p = a.geometry
         if b.kind == "point":
-            return a.geometry == b.geometry
-        return exact_distance(a.geometry, b) == 0.0
-    if b.kind == "point":
-        return pairwise_intersects(b, a)
-    for fa in features(a):
-        for fb in features(b):
-            if exact_intersects(fa, fb):
-                return True
-    return False
+            return p == b.geometry
+        if b.kind == "polygon":
+            return bool(points_in_record(np.array([[p.x, p.y]]), b)[0])
+        ax, ay, bx, by = segments_array(b).T
+        return bool(((orient(ax, ay, bx, by, p.x, p.y) == 0.0)
+                     & _in_box(p.x, p.y, ax, ay, bx, by)).any())
+    return _edges_meet(a, b) or _vertex_inside(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -510,43 +655,66 @@ def pairwise_intersects(a: GeometryRecord, b: GeometryRecord) -> bool:
 # ---------------------------------------------------------------------------
 
 def shoelace(ring: np.ndarray) -> float:
-    """Signed area of a ring (positive when counter-clockwise)."""
-    x, y = ring[:, 0], ring[:, 1]
+    """Signed area of a ring (positive when counter-clockwise), summed about
+    its first vertex so that far-off coordinates keep their precision."""
+    x, y = ring[:, 0] - ring[0, 0], ring[:, 1] - ring[0, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def _ring_edges(ring: np.ndarray) -> np.ndarray:
+    """(n, 4) edges of a closed ring, edge k from vertex k to vertex k + 1."""
+    return np.concatenate([ring, np.roll(ring, -1, axis=0)], axis=1)
 
 
 def _normalize_ring(ring) -> np.ndarray:
     """Drop the closing duplicate, exact repeats, and collinear wedges."""
-    arr = np.asarray(ring, dtype=float)
+    arr = np.asarray(ring, dtype=float).reshape(-1, 2)
+    if not np.isfinite(arr).all():
+        raise DegenerateGeometryError("non-finite ring coordinate")
     if len(arr) >= 2 and np.array_equal(arr[0], arr[-1]):
         arr = arr[:-1]
-    changed = True
-    while changed and len(arr) >= 3:
-        changed = False
-        keep = np.ones(len(arr), dtype=bool)
-        n = len(arr)
-        for i in range(n):
-            p, c, nx = arr[i - 1], arr[i], arr[(i + 1) % n]
-            if np.array_equal(c, nx) or orient(p[0], p[1], c[0], c[1], nx[0], nx[1]) == 0.0:
-                keep[i] = False
-                changed = True
-                break
-        arr = arr[keep]
+    while len(arr) >= 3:
+        p, n = np.roll(arr, 1, axis=0), np.roll(arr, -1, axis=0)
+        bad = np.flatnonzero(np.all(arr == n, axis=1)
+                             | (orient(p[:, 0], p[:, 1], arr[:, 0], arr[:, 1],
+                                       n[:, 0], n[:, 1]) == 0.0))
+        if not len(bad):
+            break
+        # One at a time: a repeat is a wedge of its twin too.
+        arr = np.delete(arr, bad[0], axis=0)
     if len(arr) < 3:
         raise DegenerateGeometryError("ring degenerates to fewer than 3 vertices")
     return arr
 
 
-def _ring_is_simple(ring: np.ndarray) -> bool:
-    n = len(ring)
-    segs = np.concatenate([ring, np.roll(ring, -1, axis=0)], axis=1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue  # adjacent edges share a vertex by construction
-            if _segments_intersect(*segs[i], *segs[j]):
-                return False
-    return True
+def _check_rings(rings) -> None:
+    """Raise TriangulationError, naming a ring, unless the rings bound one
+    simple polygon: no two edges meet but neighbours of one ring at their
+    shared vertex (edge pairs from ``overlapping_boxes``, settled by
+    ``segments_meet``), and each hole's first vertex lies inside the outer
+    ring and outside the other holes (``points_in_polygons``)."""
+    lens = np.array([len(ring) for ring in rings], dtype=np.int64)
+    edges = np.concatenate([_ring_edges(ring) for ring in rings])
+    ring, k = expand_runs(lens)
+    bad = len(rings)
+    for i, j in overlapping_boxes(_edge_boxes(edges)):
+        step = (k[j] - k[i]) % lens[ring[i]]
+        near = (ring[i] == ring[j]) & ((step == 1) | (step == lens[ring[i]] - 1))
+        i, j = i[~near], j[~near]
+        meet = segments_meet(edges[i], edges[j])
+        if meet.any():
+            bad = min(bad, int(np.maximum(ring[i], ring[j])[meet].min()))
+    if bad < len(rings):
+        raise TriangulationError("self-intersecting ring, or rings that meet", bad)
+    # Every (hole, other ring) pair.
+    hole, other = np.divmod(np.arange((len(rings) - 1) ** 2), max(len(rings) - 1, 1))
+    hole += 1
+    other += other >= hole
+    start = np.r_[0, np.cumsum(lens)]
+    wrong = points_in_polygons(edges[start[hole], :2], other, start, edges) != (other == 0)
+    if wrong.any():
+        raise TriangulationError("hole outside the outer ring or inside another hole",
+                                 int(hole[wrong].min()))
 
 
 class _Node:
@@ -589,12 +757,10 @@ def triangulate(rings) -> tuple:
 
     Expects the outer ring CCW and holes CW (``polygon_from_rings`` arranges
     this). Holes are joined to the outer boundary with bridge edges before
-    clipping. Raises TriangulationError for self-intersecting rings.
+    clipping. Raises TriangulationError for rings ``_check_rings`` refuses.
     """
     rings = [np.asarray(r, dtype=float) for r in rings]
-    for ri, ring in enumerate(rings):
-        if not _ring_is_simple(ring):
-            raise TriangulationError("self-intersecting ring", ri)
+    _check_rings(rings)
 
     ring_lens = [len(r) for r in rings]
     all_edges = []
@@ -679,36 +845,23 @@ def triangulate(rings) -> tuple:
 
 
 def polygon_from_rings(rings) -> PolygonGeom:
-    """Normalize ring orientation/degeneracies, triangulate, and validate.
+    """Normalize ring orientation and degeneracies, then check the rings.
 
     The outer ring is forced CCW and holes CW regardless of input winding.
-    The summed triangle area must match the shoelace area within 1e-9
-    relative, which guards against a bad triangulation slipping through.
+    Raises TriangulationError, naming the ring, for a self-intersecting
+    ring, rings that meet, or a hole outside the outer ring (or inside
+    another hole), and DegenerateGeometryError when no area is left.
     """
     norm = []
     for ri, ring in enumerate(rings):
         arr = _normalize_ring(ring)
-        signed = shoelace(arr)
-        want_ccw = ri == 0
-        if (signed > 0) != want_ccw:
+        if (shoelace(arr) > 0) != (ri == 0):
             arr = arr[::-1].copy()
         norm.append(arr)
-    tris, edge_map = triangulate(norm)
-    tri_area = float(np.sum(_tri_areas(tris)))
-    ring_area = abs(shoelace(norm[0])) - sum(abs(shoelace(r)) for r in norm[1:])
-    if ring_area <= 0:
+    _check_rings(norm)
+    if abs(shoelace(norm[0])) - sum(abs(shoelace(r)) for r in norm[1:]) <= 0:
         raise DegenerateGeometryError("holes consume the full polygon area")
-    if abs(tri_area - ring_area) > 1e-9 * max(ring_area, 1e-300):
-        raise TriangulationError(
-            f"triangulated area {tri_area!r} != ring area {ring_area!r}", 0)
-    return PolygonGeom(rings=norm, triangles=tris, edge_to_triangle=edge_map)
-
-
-def _tri_areas(tris: np.ndarray) -> np.ndarray:
-    if len(tris) == 0:
-        return np.zeros(0)
-    return 0.5 * np.abs(orient(tris[:, 0, 0], tris[:, 0, 1], tris[:, 1, 0],
-                               tris[:, 1, 1], tris[:, 2, 0], tris[:, 2, 1]))
+    return PolygonGeom(rings=norm)
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +916,7 @@ def project_points_4326_to_3857(pts: np.ndarray) -> np.ndarray:
 
 
 def project_record_4326_to_3857(record: GeometryRecord) -> GeometryRecord:
-    """Project a record's vertices; polygons are re-triangulated after."""
+    """Project a record's vertices; polygon rings are checked again after."""
     if record.kind == "point":
         return GeometryRecord(record.id, "point",
                               project_4326_to_3857(record.geometry), record.value)

@@ -8,14 +8,15 @@ little-endian and start with the magic ``SPDC1``, a ``<H`` format version
 and a ``<I`` count. A store whose catalog or ``cells.bin`` names another
 version than ``FORMAT_VERSION`` is refused with ``CorruptionError``.
 
-Records are stored in column blocks (format version 2): ``records.bin``
+Records are stored in column blocks (format version 3): ``records.bin``
 holds one block for the whole dataset and ``cells.bin`` one per grid cell.
 
 - header ``<II``: point rows n, other rows m;
 - point section: ``ids`` n x ``<u8``, ``values`` n x ``<f8`` (NaN where a
   point has no value) and ``xy`` n x 2 ``<f8``, each contiguous;
 - others section: the m polyline and polygon records, each length-prefixed
-  in the per-record encoding of ``serialize_record``.
+  in the per-record encoding of ``serialize_record``; a polygon holds its
+  rings only (version 2 also held triangles, and is refused).
 
 Both sections are in ascending id order. A cell load reads the point
 section with ``np.frombuffer`` into an ``engine.PreparedPoints`` and builds
@@ -24,7 +25,8 @@ no record for it; queries take the loaded ``CellData`` as a dataset.
 Integrity: opening a ``DatasetStore`` checks every file against the SHA-256
 in its catalog, and ``load_cell`` checks each cell block and its
 ``layers.bin`` slice against the CRC-32s in the cell's ``cells.bin`` table
-row. ``bindex.bin`` (each cell's boundary index) is still written and
+row. ``bindex.bin`` (each cell's boundary index, one row per point,
+segment or ring edge) is still written and
 counted in ``GridCell.byte_size``, but no reader opens it.
 """
 
@@ -49,12 +51,14 @@ from .geometry import (
     PolygonGeom,
     Segment,
     convex_hull,
+    edge_table,
+    geometry_distance,
     parse_wkt,
     polygon_from_rings,
 )
 
 MAGIC = b"SPDC1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MAX_ZOOM = 20
 
 _KIND_CODE = {"polyline": 1, "polygon": 2}
@@ -66,6 +70,9 @@ _POINT_ROW = 32  # id, value, x, y
 # zoom, x, y, rows, block offset, length, CRC, bindex offset, length,
 # layers offset, length, CRC
 _CELL_ROW = struct.Struct("<BIIIQQIQQQQI")
+# object id, kind, six coordinates (NaN-padded), radius, edge ordinal, -1
+# (a triangle ordinal before format version 3)
+_BINDEX_ROW = struct.Struct("<QB6ddIi")
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +95,6 @@ def serialize_record(rec: GeometryRecord) -> bytes:
             for ring in part.rings:
                 out.append(struct.pack("<I", len(ring)))
                 out.append(np.ascontiguousarray(ring, dtype="<f8").tobytes())
-            out.append(struct.pack("<I", len(part.triangles)))
-            out.append(np.ascontiguousarray(part.triangles, dtype="<f8").tobytes())
-            out.append(struct.pack("<I", len(part.edge_to_triangle)))
-            for (ri, ei), ti in sorted(part.edge_to_triangle.items()):
-                out.append(struct.pack("<III", ri, ei, ti))
     blob = b"".join(out)
     return struct.pack("<I", len(blob)) + blob
 
@@ -127,19 +129,7 @@ def deserialize_record(buf: bytes, off: int) -> tuple:
             ring = np.frombuffer(buf, dtype="<f8", count=nv * 2, offset=off)
             off += nv * 16
             rings.append(ring.reshape(nv, 2).copy())
-        (ntris,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        tris = np.frombuffer(buf, dtype="<f8", count=ntris * 6, offset=off)
-        off += ntris * 48
-        (nedges,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        edge_map = {}
-        for _ in range(nedges):
-            ri, ei, ti = struct.unpack_from("<III", buf, off)
-            off += 12
-            edge_map[(ri, ei)] = ti
-        parts.append(PolygonGeom(rings=rings, triangles=tris.reshape(ntris, 3, 2).copy(),
-                                 edge_to_triangle=edge_map))
+        parts.append(PolygonGeom(rings=rings))
     return GeometryRecord(rid, "polygon", parts, value), end
 
 
@@ -198,13 +188,10 @@ def _deserialize_layers(buf: bytes) -> LayerIndex:
 
 
 def _serialize_bindex_rows(bindex) -> bytes:
-    out = [struct.pack("<I", len(bindex))]
-    for i in range(len(bindex)):
-        out.append(struct.pack("<QB6ddIi", int(bindex.obj_ids[i]), int(bindex.kinds[i]),
-                               *[float(x) for x in bindex.coords[i]],
-                               float(bindex.aux_r[i]), int(bindex.edge_ordinals[i]),
-                               int(bindex.tri_ordinals[i])))
-    return b"".join(out)
+    rows = zip(bindex.obj_ids.tolist(), bindex.kinds.tolist(), bindex.coords.tolist(),
+               bindex.aux_r.tolist(), bindex.edge_ordinals.tolist())
+    return struct.pack("<I", len(bindex)) + b"".join(
+        _BINDEX_ROW.pack(oid, kind, *c, np.nan, np.nan, r, e, -1) for oid, kind, c, r, e in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +351,8 @@ def build_grid_index(records, byte_budget: int, config: Config = DEFAULT,
         ok = True
         for key, members in groups.items():
             block = _BLOCK_HEAD.size + sum(row_bytes[m.id] for m in members)
-            from .canvas_index import build_boundary_index_direct
-            bindex_bytes = len(_serialize_bindex_rows(build_boundary_index_direct(members)))
+            bindex_bytes = 4 + _BINDEX_ROW.size * sum(
+                1 if m.kind == "point" else len(edge_table(m)[0]) for m in members)
             if kind == "point":
                 layer_bytes = len(_serialize_layers(_point_layering(members)))
             else:
@@ -556,11 +543,19 @@ class CellData(engine.SplitDataset):
     """One loaded cell, which queries take as a dataset: ``points``, its
     point section as columns read in place from the block (no record is
     built for them), ``others``, its decoded polyline and polygon records,
-    ``layers``, its stored layer index, and ``byte_size``, the bytes a load
-    counts (block, boundary-index and layer slices)."""
+    ``layer_slice``, its CRC-checked ``layers.bin`` slice, decoded into
+    ``layers`` on first use (only joins read it), and ``byte_size``, the
+    bytes a load counts (block, boundary-index and layer slices)."""
 
-    layers: LayerIndex
+    layer_slice: bytes
     byte_size: int
+    _layers: LayerIndex | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def layers(self) -> LayerIndex:
+        if self._layers is None:
+            self._layers = _deserialize_layers(self.layer_slice)
+        return self._layers
 
 
 class DatasetStore:
@@ -642,7 +637,7 @@ class DatasetStore:
         if len(points) + len(others) != cell.count:
             raise CorruptionError(f"{label}: {cell.count} rows announced, "
                                   f"{len(points) + len(others)} stored")
-        data = CellData(points=points, others=others, layers=_deserialize_layers(lblob),
+        data = CellData(points=points, others=others, layer_slice=lblob,
                         byte_size=cell.byte_size)
         self.bytes_transferred += cell.byte_size
         self._cache[key] = data
@@ -686,11 +681,11 @@ def filter_join(index_a: GridIndex, index_b: GridIndex,
     return [(index_a.cells[i], index_b.cells[j]) for i, j in got.pairs]
 
 
-def filter_distance(index: GridIndex, source: GeometryRecord, r: float,
-                    resolution: int | None = None, config: Config = DEFAULT) -> list:
-    got = engine.distance_select(index.hull_records(), source, r,
-                                 resolution=resolution, config=config)
-    return [index.cells[i] for i in got.ids]
+def filter_distance(index: GridIndex, source: GeometryRecord, r: float) -> list:
+    """Cells whose hull lies within r of the source, by the exact distance
+    to each of the few hulls."""
+    return [index.cells[hull.id] for hull in index.hull_records()
+            if geometry_distance(source, hull) <= r]
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +787,7 @@ def ooc_distance_select(store: DatasetStore, source: GeometryRecord, r: float,
                         config: Config = DEFAULT) -> engine.SelectionResult:
     index = store.grid_index()
     ids: list = []
-    for cell in filter_distance(index, source, r, resolution, config):
+    for cell in filter_distance(index, source, r):
         ids.extend(engine.distance_select(store.load_cell(cell), source, r,
                                           resolution=resolution, config=config).ids)
     return engine.SelectionResult(tuple(ids))
@@ -808,7 +803,7 @@ def ooc_distance_join(d1_records, store_b: DatasetStore, radii,
         radii = [float(radii)] * len(d1_records)
     out = []
     for rec, r in zip(d1_records, radii):
-        for cell in filter_distance(index, rec, r, resolution, config):
+        for cell in filter_distance(index, rec, r):
             got = engine.distance_join([rec], store_b.load_cell(cell), [r],
                                        resolution=resolution, config=config)
             out.extend(got.pairs)
@@ -827,7 +822,8 @@ def ooc_aggregate(constraints, store: DatasetStore, mode: str = "count",
     for cons in constraints:
         for cell in filter_select(index, cons, resolution, config):
             cells.add(cell.key)
-    layers = build_layer_index(constraints) if cells else None
+    layers = (build_layer_index(constraints, resolution=engine.count_resolution(config))
+              if cells else None)
     for key in sorted(cells):
         cell = index.cell_by_key(key)
         rows = engine.aggregate(constraints, store.load_cell(cell), mode,
@@ -847,8 +843,8 @@ def ooc_count_within(store: DatasetStore, center: Point2, r: float,
     src = GeometryRecord(0, "point", center)
     index = store.grid_index()
     total = 0
-    res = max(min(128, config.resolution), 16)
-    for cell in filter_distance(index, src, r, res, config):
+    res = engine.count_resolution(config)
+    for cell in filter_distance(index, src, r):
         total += len(engine.distance_select(store.load_cell(cell), src, r,
                                             resolution=res, config=config).ids)
     return total
@@ -894,7 +890,7 @@ def ooc_knn_select(store: DatasetStore, p: Point2, k: int,
     r = radii[lo]
     src = GeometryRecord(0, "point", p)
     ids, dists = [], []
-    for cell in filter_distance(index, src, r, resolution, config):
+    for cell in filter_distance(index, src, r):
         data = store.load_cell(cell)
         got = np.array(engine.distance_select(data, src, r, resolution=resolution,
                                               config=config).ids, dtype=np.int64)

@@ -4,12 +4,14 @@ without decoding records one by one, and damaged or outdated stores raise
 ``CorruptionError`` instead of answering."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
 import gen
 from rasterquery import engine, optimizer, oracle, storage
+from rasterquery.canvas_index import build_boundary_index_direct
 from rasterquery.config import Config
 from rasterquery.errors import CorruptionError, DataError
 from rasterquery.geometry import GeometryRecord, box_record, line_record, point_record
@@ -33,8 +35,6 @@ def _same_record(a, b):
             assert len(pa.rings) == len(pb.rings)
             for ra, rb in zip(pa.rings, pb.rings):
                 np.testing.assert_array_equal(ra, rb)
-            np.testing.assert_array_equal(pa.triangles, pb.triangles)
-            assert pa.edge_to_triangle == pb.edge_to_triangle
 
 
 # ---------------------------------------------------------------------------
@@ -350,3 +350,34 @@ def test_cells_bin_of_another_version(small_store):
     (d / "cells.bin").write_bytes(bytes(blob))
     with pytest.raises(CorruptionError):
         store.grid_index()
+
+
+def test_version_2_stores_are_refused(small_store):
+    """Stores written while polygon records still held triangles (format
+    version 2) are refused, by their catalog and by their files."""
+    assert storage.FORMAT_VERSION == 3
+    root, d = small_store
+    cat = storage.DatasetStore(root, "pts", CFG).catalog
+    blob = bytearray((d / "records.bin").read_bytes())
+    blob[len(storage.MAGIC):len(storage.MAGIC) + 2] = (2).to_bytes(2, "little")
+    (d / "records.bin").write_bytes(bytes(blob))
+    with pytest.raises(CorruptionError):
+        storage.read_records(cat)
+    meta = d / "catalog.meta"
+    meta.write_text(meta.read_text().replace("version=3", "version=2"))
+    with pytest.raises(CorruptionError):
+        storage.DatasetStore(root, "pts", CFG)
+
+
+def test_bindex_rows_keep_their_layout():
+    """One "<QB6ddIi" row per point, segment and ring edge: the coordinates
+    NaN-padded to six, and -1 in the slot that held a triangle ordinal."""
+    recs = [point_record(1, 0.1, 0.2), line_record(2, [(0, 0), (1, 1), (2, 0)]),
+            GeometryRecord(3, "polygon", [gen.holed_polygon()])]
+    bindex = build_boundary_index_direct(recs)
+    rows = [struct.pack("<QB6ddIi", oid, kind, *coords, np.nan, np.nan, r, edge, -1)
+            for oid, kind, coords, r, edge in zip(
+                bindex.obj_ids.tolist(), bindex.kinds.tolist(), bindex.coords.tolist(),
+                bindex.aux_r.tolist(), bindex.edge_ordinals.tolist())]
+    assert len(rows) == 1 + 2 + 15
+    assert storage._serialize_bindex_rows(bindex) == struct.pack("<I", len(rows)) + b"".join(rows)

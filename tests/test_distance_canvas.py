@@ -1,7 +1,7 @@
 """Distance canvases against a brute-force per-pixel reference, plus oracle
 cases for the two mechanisms that settle points and probes inside a polygon
-source: the point pass's triangle escalation and ``exact_pair``'s
-in-polygon test.
+source: the point pass's point-in-polygon kernel and ``exact_pair``'s exact
+distance.
 
 The reference computes, per shape (a source point, polyline segment or
 polygon ring edge), the exact min and max distance from every closed pixel
@@ -224,12 +224,10 @@ def test_far_coordinates_match_reference(kind, res):
 
 
 def test_far_coordinates_layer_matches_reference():
-    # The layer's points and polylines: ``triangulate``'s area check
-    # rejects its small polygons once moved this far.
     sources, radii = _layer(13)
-    kept = [(_moved(s, 2000.0, 1e7), 2000.0 * r) for s, r in zip(sources, radii)
-            if s.kind != "polygon"]
-    sources, radii = [s for s, _ in kept], [r for _, r in kept]
+    assert {s.kind for s in sources} == {"point", "polyline", "polygon"}
+    sources = [_moved(s, 2000.0, 1e7) for s in sources]
+    radii = [2000.0 * r for r in radii]
     check_canvas(engine._distance_matcher(sources, radii, 256), sources, radii)
 
 
@@ -271,7 +269,8 @@ def test_points_at_exactly_distance_r(res):
 
 def test_point_inside_polygon_source_on_a_boundary_pixel():
     """A point inside a polygon source, farther than r from its edges, on a
-    pixel the bottom edge touches: only the in-polygon escalation finds it."""
+    pixel the bottom edge touches: only the point-in-polygon kernel finds
+    it."""
     src = box_record(0, 0.0, 0.0, 1.0, 1.0)
     r = 0.001
     probe = point_record(7, 0.51, 0.004)

@@ -81,13 +81,14 @@ def test_parse_errors_carry_offsets_and_types():
 
 def test_triangulate_unit_square():
     poly = polygon_from_rings([[(0, 0), (1, 0), (1, 1), (0, 1)]])
-    assert len(poly.triangles) == 2
+    triangles, edge_to_triangle = triangulate(poly.rings)
+    assert len(triangles) == 2
     # every boundary edge maps to exactly one incident triangle
-    assert sorted(poly.edge_to_triangle) == [(0, 0), (0, 1), (0, 2), (0, 3)]
-    for (ri, ei), ti in poly.edge_to_triangle.items():
+    assert sorted(edge_to_triangle) == [(0, 0), (0, 1), (0, 2), (0, 3)]
+    for (ri, ei), ti in edge_to_triangle.items():
         ring = poly.rings[ri]
         a, b = ring[ei], ring[(ei + 1) % len(ring)]
-        tri = poly.triangles[ti]
+        tri = triangles[ti]
         verts = {tuple(v) for v in tri}
         assert tuple(a) in verts and tuple(b) in verts
 
@@ -95,7 +96,7 @@ def test_triangulate_unit_square():
 def test_triangulate_convex_pentagon_fan():
     pts = [(math.cos(a), math.sin(a)) for a in np.linspace(0, 2 * math.pi, 6)[:-1]]
     poly = polygon_from_rings([pts])
-    assert len(poly.triangles) == 3
+    assert len(triangulate(poly.rings)[0]) == 3
     assert poly.area == pytest.approx(abs(shoelace(np.array(pts))))
 
 
@@ -103,9 +104,10 @@ def test_triangulate_square_with_hole():
     # oracle: shoelace(outer) - shoelace(hole) = 9 - 1 = 8
     poly = polygon_from_rings([[(0, 0), (3, 0), (3, 3), (0, 3)],
                                [(1, 1), (2, 1), (2, 2), (1, 2)]])
-    assert len(poly.triangles) == 8
+    triangles, edge_to_triangle = triangulate(poly.rings)
+    assert len(triangles) == 8
     assert poly.area == pytest.approx(8.0, rel=1e-12)
-    assert len(poly.edge_to_triangle) == 8
+    assert len(edge_to_triangle) == 8
 
 
 def test_triangulate_self_intersecting_names_ring():
@@ -156,7 +158,7 @@ def test_hull_contains_every_input_point():
     hull = convex_hull(pts)
     hull_vtx = {tuple(v) for v in hull.rings[0]}
     assert hull_vtx <= {tuple(p) for p in pts}
-    assert points_in_triangles(pts, hull.triangles).all()
+    assert points_in_triangles(pts, triangulate(hull.rings)[0]).all()
 
 
 # -- Projection ----------------------------------------------------------------
@@ -271,7 +273,7 @@ def test_triangle_cover_equals_raycast(seed):
     from rasterquery.geometry import points_to_segments_distance
     d = points_to_segments_distance(pts, poly.boundary_edges())
     pts = pts[d > 1e-9]  # ray cast is boundary-ambiguous; compare off-boundary
-    got = points_in_triangles(pts, poly.triangles)
+    got = points_in_triangles(pts, triangulate(poly.rings)[0])
     want = np.array([_raycast(p, poly) for p in pts])
     np.testing.assert_array_equal(got, want)
 

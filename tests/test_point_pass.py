@@ -77,17 +77,17 @@ def _inside_reference(members, pts) -> np.ndarray:
 def test_polygon_canvas_matches_point_in_polygon(name, res):
     members = _polygon_layers()[name]
     matcher = engine._layer_matcher(members, res)
-    assert not matcher.complete
+    assert not matcher.distance
     pts = _probe_points(members, matcher.vp, res)
     got = engine.match_points(matcher, pts)
     np.testing.assert_array_equal(got, _inside_reference(members, pts))
 
 
 @pytest.mark.parametrize("name", ["concave", "holed", "disjoint"])
-def test_triangle_escalation_alone_matches_reference(name):
-    """Every point on a boundary pixel, sent straight to the triangle
-    escalation without the entry tests, still gets the reference answer
-    (vertices sit on triangle bbox corners)."""
+def test_polygon_kernel_alone_matches_reference(name):
+    """Every point on a boundary pixel, sent straight to the point-in-polygon
+    kernel against the pixel's objects, gets the triangle reference's
+    answer, points on edges and vertices included."""
     members = _polygon_layers()[name]
     matcher = engine._layer_matcher(members, 64)
     vp, bpf = matcher.vp, matcher.plane.bp_flat
@@ -97,7 +97,7 @@ def test_triangle_escalation_alone_matches_reference(name):
     flat = rows * vp.width_px + cols
     pix = np.minimum(np.searchsorted(bpf, flat), len(bpf) - 1)
     on = bpf[pix] == flat
-    got = engine._triangle_hits(matcher, pts[on], pix[on])
+    got = engine._polygon_hits(matcher, pts[on], pix[on])
     np.testing.assert_array_equal(got, _inside_reference(members, pts[on]))
 
 
@@ -106,10 +106,10 @@ def test_triangle_escalation_alone_matches_reference(name):
 @pytest.mark.parametrize("radius", [0.1, 0.01])
 def test_distance_canvas_matches_exact_distance(kind, res, radius):
     # At res 16, r = 0.01 is below a pixel: boundary pixels then lie inside
-    # the polygon source too, and their points need the in-triangle test.
+    # the polygon source too, and their points need the in-polygon test.
     src = _distance_sources()[kind]
     matcher = engine._distance_matcher([src], [radius], res)
-    assert matcher.complete
+    assert matcher.distance
     pts = _probe_points([src], matcher.vp, res)
     # Keep every probe clear of the radius itself (see gen.CLEARANCE).
     records = [point_record(i, x, y) for i, (x, y) in enumerate(pts)]
@@ -133,8 +133,8 @@ def test_distance_layer_of_several_sources():
 
 @pytest.mark.parametrize("which", ["disjoint", "distance"])
 def test_tiny_key_budget_gives_same_output(which, monkeypatch):
-    """A tiny pixel-key budget splits the entry and triangle pairs into
-    many chunks, some of them splitting one point's pairs."""
+    """A tiny pixel-key budget splits the entry pairs into many chunks,
+    some of them splitting one point's pairs."""
     if which == "disjoint":
         members = _polygon_layers()["disjoint"]
         matcher = engine._layer_matcher(members, 64)

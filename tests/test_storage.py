@@ -118,3 +118,48 @@ def test_ooc_aggregate_builds_one_constraint_layer_index(stores, monkeypatch):
     calls = _count_layer_builds(monkeypatch)
     storage.ooc_aggregate(stores.hoods, stores.sp, "count", config=CFG)
     assert len(calls) == 1
+
+
+def test_ooc_aggregate_indexes_constraints_at_the_count_resolution(stores, monkeypatch):
+    cfg = Config(resolution=1024, byte_budget=1 << 20, cache_factor=1)
+    seen = []
+
+    def recorded(records, **kwargs):
+        seen.append(kwargs.get("resolution"))
+        return canvas_index.build_layer_index(records, **kwargs)
+    monkeypatch.setattr(storage, "build_layer_index", recorded)
+    got = storage.ooc_aggregate(stores.hoods, stores.sp, "count", config=cfg).rows
+    assert seen == [engine.count_resolution(cfg)] == [128]
+    assert list(got) == oracle.oracle_aggregate(stores.hoods, stores.points, "count")
+
+
+def test_filter_distance_renders_no_canvas(stores, monkeypatch):
+    index = stores.sp.grid_index()
+    src = point_record(0, 0.3, 0.6)
+    want = [index.cells[i] for i in oracle.oracle_distance_select(index.hull_records(), src, R)]
+    assert 0 < len(want) < len(index.cells)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("filter_distance rendered a canvas")
+    monkeypatch.setattr(engine, "_distance_matcher", forbidden)
+    assert storage.filter_distance(index, src, R) == want
+
+
+def test_cell_layers_are_decoded_only_by_joins(stores, monkeypatch):
+    decoded = []
+    decode = storage._deserialize_layers
+
+    def counted(blob):
+        decoded.append(1)
+        return decode(blob)
+    monkeypatch.setattr(storage, "_deserialize_layers", counted)
+    root = stores.sp.catalog.directory.parent
+    sp, sa, sb = (storage.DatasetStore(root, name, CFG) for name in ("points", "a", "b"))
+    cons = gen.concave_polygon(gen.rng(6), center=(0.45, 0.55), radius=0.3)
+    assert list(storage.ooc_select(sp, cons, config=CFG).ids) == \
+        oracle.oracle_select(stores.points, cons)
+    storage.ooc_aggregate(stores.hoods, sp, "count", config=CFG)
+    assert decoded == []
+    got = storage.ooc_join(sa, sb, config=CFG).pairs
+    assert sorted(set(got)) == oracle.oracle_join(stores.a, stores.b)
+    assert decoded
