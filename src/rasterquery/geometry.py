@@ -7,7 +7,8 @@ intersecting). Everything here is a pure function over immutable inputs.
 Polygons are rings only. The array kernels ``points_in_polygons`` (closed
 even-odd point-in-polygon) and ``segments_meet`` / ``segment_distances``
 (segment pairs) decide every polygon question; no query or polygon
-construction uses ``triangulate``.
+construction uses ``triangulate``. ``records_intersect`` and
+``polygon_distances`` run them over many record pairs at once.
 """
 
 from __future__ import annotations
@@ -648,6 +649,121 @@ def pairwise_intersects(a: GeometryRecord, b: GeometryRecord) -> bool:
         return bool(((orient(ax, ay, bx, by, p.x, p.y) == 0.0)
                      & _in_box(p.x, p.y, ax, ay, bx, by)).any())
     return _edges_meet(a, b) or _vertex_inside(a, b)
+
+
+def _kernel_tables(records) -> tuple:
+    """(start, edges, vstart, vertices): CSR tables of the records' edges,
+    ``edge_table`` order with a point as one zero-length edge (x, y, x, y),
+    and of the vertices that decide containment once no edge meets: the
+    point itself, every segment's first end of a polyline, and the first
+    vertex of each polygon part."""
+    edges, verts = [], []
+    for rec in records:
+        if rec.kind == "point":
+            p = rec.geometry
+            e = np.array([[p.x, p.y, p.x, p.y]])
+            v = e[:, :2]
+        else:
+            e, parts = edge_table(rec)
+            v = e[np.r_[True, parts[1:] != parts[:-1]], :2] if rec.kind == "polygon" else e[:, :2]
+        edges.append(e)
+        verts.append(v)
+    start = np.r_[0, np.cumsum([len(e) for e in edges])].astype(np.int64)
+    vstart = np.r_[0, np.cumsum([len(v) for v in verts])].astype(np.int64)
+    return (start, np.concatenate(edges) if edges else np.zeros((0, 4)),
+            vstart, np.concatenate(verts) if verts else np.zeros((0, 2)))
+
+
+def _boxes_meet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether closed (N, 4) boxes a[k] and b[k] overlap."""
+    return ((a[:, 0] <= b[:, 2]) & (b[:, 0] <= a[:, 2])
+            & (a[:, 1] <= b[:, 3]) & (b[:, 1] <= a[:, 3]))
+
+
+def _any_vertex_in(vstart, verts, owner, other, tables) -> np.ndarray:
+    """Per pair k, whether a vertex of record ``owner[k]`` (``vstart`` /
+    ``verts`` rows) lies in polygon record ``other[k]`` of ``tables``."""
+    k, off = expand_runs(vstart[owner + 1] - vstart[owner])
+    inside = points_in_parts(verts[vstart[owner[k]] + off], other[k], tables)
+    return np.bincount(k[inside], minlength=len(owner)) > 0
+
+
+def records_intersect(a, b, i, j) -> np.ndarray:
+    """Per candidate pair k, exactly ``pairwise_intersects(a[i[k]],
+    b[j[k]])``, in a few array calls for all pairs.
+
+    Pairs whose record bboxes miss drop out. Then one ``segments_meet`` pass
+    tests every edge pair of the rest whose edge bboxes overlap (a point is a
+    zero-length edge, which meets a segment exactly when it lies on it),
+    chunked under ``PAIR_BUDGET``. Where no edge meets, each part of one
+    record lies wholly inside or outside the other, so one ``points_in_parts``
+    call each way, with one vertex per polygon part (``_kernel_tables``),
+    decides the pair.
+    """
+    i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+    sa, ea, va_start, va = _kernel_tables(a)
+    sb, eb, vb_start, vb = _kernel_tables(b)
+    ba, bb = _edge_boxes(ea), _edge_boxes(eb)
+
+    def record_boxes(start, boxes):
+        return np.column_stack([np.minimum.reduceat(boxes[:, :2], start[:-1]),
+                                np.maximum.reduceat(boxes[:, 2:], start[:-1])])
+    out = np.zeros(len(i), dtype=bool)
+    if not len(i):
+        return out
+    near = np.flatnonzero(_boxes_meet(record_boxes(sa, ba)[i], record_boxes(sb, bb)[j]))
+    na = (sa[1:] - sa[:-1])[i[near]]
+    nb = (sb[1:] - sb[:-1])[j[near]]
+    cost = na * nb
+    for lo, hi in budget_runs(cost, PAIR_BUDGET):
+        k, off = expand_runs(cost[lo:hi])
+        k += lo
+        q, r = np.divmod(off, nb[k])
+        ka, kb = sa[i[near[k]]] + q, sb[j[near[k]]] + r
+        hit = _boxes_meet(ba[ka], bb[kb])
+        k, ka, kb = k[hit], ka[hit], kb[hit]
+        out[near[k[segments_meet(ea[ka], eb[kb])]]] = True
+    rest = near[~out[near]]
+    ir, jr = i[rest], j[rest]
+    out[rest] = (_any_vertex_in(va_start, va, ir, jr, part_tables(b))
+                 | _any_vertex_in(vb_start, vb, jr, ir, part_tables(a)))
+    return out
+
+
+def polygon_distances(source: GeometryRecord, tables) -> np.ndarray:
+    """Per polygon record of ``tables`` (``part_tables``), exactly
+    ``geometry_distance(source, record)``: the least point-to-segment or
+    ``segment_distances`` value between the source and the record's ring
+    edges, taken in one array pass over all of them, and 0 where the source
+    lies in the record or, when no edge meets, a vertex of one lies in the
+    other (``points_in_parts`` and ``points_in_record``)."""
+    part_start, start, edges = tables
+    first = start[part_start]
+    n = len(part_start) - 1
+    if source.kind == "point":
+        p = source.geometry
+        d = _point_seg_dist(p.x, p.y, edges[:, 0], edges[:, 1], edges[:, 2], edges[:, 3])
+        d = np.minimum.reduceat(d, first[:-1])
+        d[points_in_parts(np.tile([p.x, p.y], (n, 1)), np.arange(n), tables)] = 0.0
+        return d
+    es = edge_table(source)[0]
+    best = np.empty(len(edges))
+    for lo, hi in budget_runs(np.full(len(edges), len(es)), PAIR_BUDGET):
+        e, s = np.divmod(np.arange((hi - lo) * len(es)), len(es))
+        best[lo:hi] = segment_distances(es[s], edges[lo + e]).reshape(hi - lo, len(es)).min(axis=1)
+    d = np.minimum.reduceat(best, first[:-1])
+    # Where no edges meet, the two still meet when a vertex of one lies in
+    # the other: every vertex, as ``_vertex_inside`` tests.
+    far = np.flatnonzero(d > 0.0)
+    k, v = np.divmod(np.arange(len(far) * len(es)), len(es))
+    inside = points_in_parts(es[v, :2], far[k], tables)
+    if source.kind == "polygon":
+        rec, off = expand_runs(first[far + 1] - first[far])
+        held = points_in_record(edges[first[far[rec]] + off, :2], source)
+        inside = np.r_[inside, held]
+        k = np.r_[k, rec]
+    d[far[np.bincount(k[inside], minlength=len(far)) > 0]] = 0.0
+    return d
 
 
 # ---------------------------------------------------------------------------

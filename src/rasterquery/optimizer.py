@@ -82,38 +82,41 @@ def order_join(steps, sizes=None):
         return steps
     if sizes is None:
         sizes = {c: 1 for _, fp in steps for c in fp}
+    footprints = [frozenset(fp) for _, fp in steps]
     remaining = list(range(len(steps)))
     order = [remaining.pop(0)]
-    current = set(steps[order[0]][1])
+    current = footprints[order[0]]
     while remaining:
         best_k = max(range(len(remaining)),
-                     key=lambda k: (len(current & set(steps[remaining[k]][1])),
-                                    -remaining[k]))
+                     key=lambda k: (len(current & footprints[remaining[k]]), -remaining[k]))
         idx = remaining.pop(best_k)
         order.append(idx)
-        current = set(steps[idx][1])
+        current = footprints[idx]
     greedy = [steps[i] for i in order]
     if simulate_transfer(greedy, sizes) <= simulate_transfer(steps, sizes):
         return greedy
     return steps
 
 
-def choose_join_strategy(naive_steps, layer_steps, cell_sizes) -> tuple:
-    """Order both candidate load sequences, estimate their transfer bytes,
-    and pick the cheaper (ties favor the layer index: fewer passes).
+def choose_join_strategy(naive_steps, layer_steps, cell_sizes,
+                         force: str | None = None) -> tuple:
+    """Estimate the transfer bytes of both candidate load sequences and pick
+    the cheaper (ties favor the layer index: fewer passes), or the strategy
+    ``force`` names.
 
     naive_steps: one step per constraint polygon with its matched-cell
-    footprint; layer_steps: one step per filtered cell pair. Returns
-    (naive estimate, layer estimate, PlanChoice).
+    footprint, put in order here by ``order_join``; layer_steps: one step
+    per filtered cell pair, in the order they run. Returns (naive estimate,
+    layer estimate, PlanChoice), the choice holding the chosen sequence's
+    order.
     """
+    if force not in (None, NAIVE_LOOP, LAYER_INDEX):
+        raise DataError(f"unknown join strategy {force!r}")
     naive_ordered = order_join(naive_steps, cell_sizes)
-    layer_ordered = order_join(layer_steps, cell_sizes)
     est_naive = TransferEstimate(NAIVE_LOOP, simulate_transfer(naive_ordered, cell_sizes))
-    est_layer = TransferEstimate(LAYER_INDEX, simulate_transfer(layer_ordered, cell_sizes))
-    if est_naive.bytes < est_layer.bytes:
-        chosen, ordered = NAIVE_LOOP, naive_ordered
-    else:
-        chosen, ordered = LAYER_INDEX, layer_ordered
+    est_layer = TransferEstimate(LAYER_INDEX, simulate_transfer(layer_steps, cell_sizes))
+    chosen = force or (NAIVE_LOOP if est_naive.bytes < est_layer.bytes else LAYER_INDEX)
+    ordered = naive_ordered if chosen == NAIVE_LOOP else layer_steps
     plan = PlanChoice(join_strategy=chosen,
                       load_order=tuple(label for label, _ in ordered))
     return est_naive, est_layer, plan

@@ -1,6 +1,13 @@
 """Dataset catalog, clustered grid index with convex-hull cell bounds, cell
 serialization, and out-of-core query execution.
 
+Queries filter cells by their convex hulls with exact array kernels of
+``geometry`` and no canvas: ``records_intersect`` for selections and joins,
+``polygon_distances`` for distance queries. Only the cells that pass are
+loaded and refined by the in-memory engine. ``ooc_join`` runs its plan's
+load order and renders each A-side canvas once: every layer of an A cell,
+or one A polygon, with its B cells streamed past it.
+
 A dataset directory holds ``catalog.meta`` (text key-value), ``records.bin``
 (the ingested records), ``cells.bin`` (grid-cell blocks), ``bindex.bin`` and
 ``layers.bin`` (per-cell canvas indexes), and ``hulls.wkt``. Binary files are
@@ -52,9 +59,11 @@ from .geometry import (
     Segment,
     convex_hull,
     edge_table,
-    geometry_distance,
     parse_wkt,
+    part_tables,
+    polygon_distances,
     polygon_from_rings,
+    records_intersect,
 )
 
 MAGIC = b"SPDC1"
@@ -224,8 +233,7 @@ class GridIndex:
     cells: list
     extent: tuple
     _hulls: list | None = field(default=None, init=False, repr=False, compare=False)
-    _hull_layers: LayerIndex | None = field(default=None, init=False, repr=False,
-                                            compare=False)
+    _hull_tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def cell_by_key(self, key) -> GridCell:
         for c in self.cells:
@@ -241,11 +249,12 @@ class GridIndex:
                            for i, c in enumerate(self.cells)]
         return self._hulls
 
-    def hull_layers(self) -> LayerIndex:
-        """Layer index over ``hull_records``, built on first use."""
-        if self._hull_layers is None:
-            self._hull_layers = build_layer_index(self.hull_records())
-        return self._hull_layers
+    def hull_tables(self) -> tuple:
+        """``part_tables`` of ``hull_records``: every hull ring edge stacked
+        once, built on first use."""
+        if self._hull_tables is None:
+            self._hull_tables = part_tables(self.hull_records())
+        return self._hull_tables
 
 
 @dataclass
@@ -660,32 +669,35 @@ def _read_checked(path: Path, offset: int, length: int, crc: int, what: str) -> 
 
 
 # ---------------------------------------------------------------------------
-# Index filtering (reuses the engine over hull polygons)
+# Index filtering (exact kernels over the cell hulls, no canvas)
 # ---------------------------------------------------------------------------
 
-def filter_select(index: GridIndex, constraint, resolution: int | None = None,
-                  config: Config = DEFAULT) -> list:
+def _meeting(a, b) -> tuple:
+    """(i, j) of every intersecting pair of records a[i], b[j], a-major, by
+    one ``records_intersect`` call over all pairs."""
+    i, j = np.divmod(np.arange(len(a) * len(b)), max(len(b), 1))
+    hit = records_intersect(a, b, i, j)
+    return i[hit], j[hit]
+
+
+def filter_select(index: GridIndex, constraint) -> list:
     """Cells whose hull intersects the constraint (never excludes a cell
     containing a true result: hulls contain their members)."""
-    hulls = index.hull_records()
-    got = engine.select(hulls, constraint, resolution=resolution, config=config)
-    return [index.cells[i] for i in got.ids]
+    _, j = _meeting([engine._as_constraint_record(constraint)], index.hull_records())
+    return [index.cells[k] for k in j]
 
 
-def filter_join(index_a: GridIndex, index_b: GridIndex,
-                resolution: int | None = None, config: Config = DEFAULT) -> list:
-    """Hull-intersecting cell pairs via the polygon-polygon join."""
-    got = engine.join(index_a.hull_records(), index_b.hull_records(),
-                      resolution=resolution, config=config,
-                      d1_layers=index_a.hull_layers(), d2_layers=index_b.hull_layers())
-    return [(index_a.cells[i], index_b.cells[j]) for i, j in got.pairs]
+def filter_join(index_a: GridIndex, index_b: GridIndex) -> list:
+    """Hull-intersecting (A cell, B cell) pairs, A-cell-major."""
+    i, j = _meeting(index_a.hull_records(), index_b.hull_records())
+    return [(index_a.cells[p], index_b.cells[q]) for p, q in zip(i, j)]
 
 
 def filter_distance(index: GridIndex, source: GeometryRecord, r: float) -> list:
     """Cells whose hull lies within r of the source, by the exact distance
-    to each of the few hulls."""
-    return [index.cells[hull.id] for hull in index.hull_records()
-            if geometry_distance(source, hull) <= r]
+    to every hull in one ``polygon_distances`` call."""
+    d = polygon_distances(source, index.hull_tables())
+    return [index.cells[k] for k in np.flatnonzero(d <= r)]
 
 
 # ---------------------------------------------------------------------------
@@ -696,90 +708,96 @@ def ooc_select(store: DatasetStore, constraint, resolution: int | None = None,
                config: Config = DEFAULT) -> engine.SelectionResult:
     index = store.grid_index()
     ids: list = []
-    for cell in filter_select(index, constraint, resolution, config):
+    for cell in filter_select(index, constraint):
         ids.extend(engine.select(store.load_cell(cell), constraint,
                                  resolution=resolution, config=config).ids)
     return engine.SelectionResult(tuple(ids))
 
 
 def plan_ooc_join(store_a: DatasetStore, store_b: DatasetStore,
-                  resolution: int | None = None, config: Config = DEFAULT):
-    """Filter both grids, build the naive and layer-strategy load sequences,
-    and let the optimizer pick by estimated transfer bytes."""
+                  force_strategy: str | None = None) -> tuple:
+    """Filter both grids, build the two load sequences, and let the
+    optimizer pick the one with fewer estimated transfer bytes, or take
+    ``force_strategy``.
+
+    Layer-index steps are the filtered (A cell, B cell) pairs, A-cell-major,
+    and run in that order, so each A cell's layers render once for all its
+    B cells; an A cell's B cells start with the one the previous A cell
+    ended on, when it has it. Naive-loop steps are one per A polygon that
+    meets a B hull (the exact kernel over each filtered A cell's polygons
+    and its B hulls), with its A cell and those B cells as footprint.
+
+    Returns (naive estimate, layer estimate, PlanChoice, steps); ``steps``
+    maps each step label of either sequence to its (A cell, [B cells]).
+    """
     if store_a.catalog.kind != "polygon":
         raise DataError("ooc_join: D1 must be a polygon dataset")
     index_a = store_a.grid_index()
     index_b = store_b.grid_index()
-    pairs = filter_join(index_a, index_b, resolution, config)
-    sizes: dict = {}
-    for cell in index_a.cells:
-        sizes[("A", cell.key)] = cell.byte_size
-    for cell in index_b.cells:
-        sizes[("B", cell.key)] = cell.byte_size
-
-    layer_steps = [(f"pair:{ca.label()}x{cb.label()}",
-                    frozenset({("A", ca.key), ("B", cb.key)}))
-                   for ca, cb in pairs]
-
-    b_cells_of_a: dict = {ca.key: [] for ca, _ in pairs}
-    for ca, cb in pairs:
-        b_cells_of_a[ca.key].append(cb)
-    naive_steps = []
-    poly_filters: dict = {}
-    hull_b = index_b.hull_records()
-    ordinal_b = {i: cell for i, cell in enumerate(index_b.cells)}
-    for ca_key, b_cells in sorted(b_cells_of_a.items()):
-        ca = index_a.cell_by_key(ca_key)
-        data = store_a.load_cell(ca)
-        matched = engine.join(data.others, hull_b, resolution=resolution,
-                              config=config, d1_layers=data.layers,
-                              d2_layers=index_b.hull_layers())
+    sizes = {("A", c.key): c.byte_size for c in index_a.cells}
+    sizes.update({("B", c.key): c.byte_size for c in index_b.cells})
+    hull_of = {c.key: hull for c, hull in zip(index_b.cells, index_b.hull_records())}
+    groups: dict = {}
+    for ca, cb in filter_join(index_a, index_b):
+        groups.setdefault(ca.key, (ca, []))[1].append(cb)
+    steps: dict = {}
+    layer_steps, naive_steps = [], []
+    last = None
+    for ca, b_cells in groups.values():
+        keys = [cb.key for cb in b_cells]
+        if last in keys:
+            b_cells.insert(0, b_cells.pop(keys.index(last)))
+        last = b_cells[-1].key
+        for cb in b_cells:
+            label = f"pair:{ca.label()}x{cb.label()}"
+            steps[label] = (ca, [cb])
+            layer_steps.append((label, frozenset({("A", ca.key), ("B", cb.key)})))
+        polys = store_a.load_cell(ca).others
         per_poly: dict = {}
-        for rid, hid in matched.pairs:
-            per_poly.setdefault(rid, []).append(ordinal_b[hid])
+        for p, h in zip(*_meeting(polys, [hull_of[cb.key] for cb in b_cells])):
+            per_poly.setdefault(polys[p].id, []).append(b_cells[h])
         for rid in sorted(per_poly):
-            fp = frozenset({("A", ca_key)} | {("B", c.key) for c in per_poly[rid]})
-            naive_steps.append((f"poly:{rid}", fp))
-            poly_filters[rid] = (ca, per_poly[rid])
+            label = f"poly:{rid}"
+            steps[label] = (ca, per_poly[rid])
+            naive_steps.append((label, frozenset({("A", ca.key)}
+                                                 | {("B", c.key) for c in per_poly[rid]})))
     est_naive, est_layer, plan = optimizer.choose_join_strategy(
-        naive_steps, layer_steps, sizes)
-    return est_naive, est_layer, plan, pairs, poly_filters
+        naive_steps, layer_steps, sizes, force_strategy)
+    return est_naive, est_layer, plan, steps
 
 
 def ooc_join(store_a: DatasetStore, store_b: DatasetStore,
              resolution: int | None = None, config: Config = DEFAULT,
              force_strategy: str | None = None, explain: list | None = None):
     """Out-of-core join: filter cell pairs, choose the naive-loop or
-    layer-index refinement by transfer estimate, execute it cell by cell."""
-    est_naive, est_layer, plan, pairs, poly_filters = plan_ooc_join(
-        store_a, store_b, resolution, config)
-    strategy = force_strategy or plan.join_strategy
+    layer-index refinement by transfer estimate, and run the plan's load
+    order. A step loads its A cell unless the step before had the same one,
+    then streams its B cells past the A side's canvases: with the layer
+    index, those of every layer of the A cell, rendered once per A cell
+    (only one A cell's canvases are alive at a time); with the naive loop,
+    the step's one A polygon."""
+    est_naive, est_layer, plan, steps = plan_ooc_join(store_a, store_b, force_strategy)
     if explain is not None:
-        explain.extend(optimizer.explain_lines(
-            optimizer.PlanChoice(strategy, plan.load_order), est_naive, est_layer))
-    out = []
-    if strategy == optimizer.NAIVE_LOOP:
-        steps = [(f"poly:{rid}", None) for rid in sorted(poly_filters)]
-        for label, _ in steps:
-            rid = int(label.split(":", 1)[1])
-            ca, b_cells = poly_filters[rid]
-            rec = next(rec for rec in store_a.load_cell(ca).others if rec.id == rid)
-            for cb in b_cells:
-                got = engine.select(store_b.load_cell(cb), rec, resolution=resolution,
-                                    config=config)
-                out.extend((rid, int(i)) for i in got.ids)
-    else:
-        ordered = optimizer.order_join(
-            [(f"{i}", frozenset({("A", ca.key), ("B", cb.key)}))
-             for i, (ca, cb) in enumerate(pairs)])
-        for label, _ in ordered:
-            ca, cb = pairs[int(label)]
-            da = store_a.load_cell(ca)
-            db = store_b.load_cell(cb)
-            got = engine.join(da.others, db, resolution=resolution,
-                              config=config, d1_layers=da.layers, d2_layers=db.layers)
-            out.extend(got.pairs)
-    return engine.JoinResult(tuple(out))
+        explain.extend(optimizer.explain_lines(plan, est_naive, est_layer))
+    resolution = resolution or config.resolution
+    pairs: set = set()
+    key = None
+    for label in plan.load_order:
+        ca, b_cells = steps[label]
+        if ca.key != key:
+            key, matchers = ca.key, None
+            data = store_a.load_cell(ca)
+            by_id = {rec.id: rec for rec in data.others}
+        if plan.join_strategy == optimizer.NAIVE_LOOP:
+            matchers = [engine._layer_matcher([by_id[int(label.split(":", 1)[1])]], resolution)]
+        elif matchers is None:
+            matchers = [engine._layer_matcher([by_id[i] for i in ids], resolution)
+                        for ids in data.layers.layers]
+        for cb in b_cells:
+            points, others = engine._dataset_points(store_b.load_cell(cb))
+            for matcher in matchers:
+                pairs |= engine._probe_pairs(matcher, points, others)
+    return engine.JoinResult(tuple(pairs))
 
 
 def ooc_distance_select(store: DatasetStore, source: GeometryRecord, r: float,
@@ -818,13 +836,10 @@ def ooc_aggregate(constraints, store: DatasetStore, mode: str = "count",
     index = store.grid_index()
     counts: dict = {}
     sums: dict = {}
-    cells = set()
-    for cons in constraints:
-        for cell in filter_select(index, cons, resolution, config):
-            cells.add(cell.key)
+    cells = sorted({cell.key for cons in constraints for cell in filter_select(index, cons)})
     layers = (build_layer_index(constraints, resolution=engine.count_resolution(config))
               if cells else None)
-    for key in sorted(cells):
+    for key in cells:
         cell = index.cell_by_key(key)
         rows = engine.aggregate(constraints, store.load_cell(cell), mode,
                                 resolution=resolution, config=config,

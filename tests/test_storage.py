@@ -1,12 +1,23 @@
 """Out-of-core queries over small on-disk stores agree with the brute-force
 oracle, and reuse the layer indexes they already have."""
 
+import numpy as np
 import pytest
 
 import gen
-from rasterquery import canvas_index, engine, optimizer, oracle, storage
+from rasterquery import canvas, canvas_index, engine, optimizer, oracle, storage
 from rasterquery.config import Config
-from rasterquery.geometry import GeometryRecord, Point2, point_record
+from rasterquery.geometry import (
+    GeometryRecord,
+    Point2,
+    box_record,
+    geometry_distance,
+    line_record,
+    pairwise_intersects,
+    point_record,
+    polygon_distances,
+    polygon_from_rings,
+)
 
 CFG = Config(resolution=64, byte_budget=1 << 20, cache_factor=1)
 R = 0.07
@@ -113,7 +124,7 @@ def test_repeated_ooc_join_builds_no_layer_index(stores, monkeypatch):
 def test_ooc_aggregate_builds_one_constraint_layer_index(stores, monkeypatch):
     index = stores.sp.grid_index()
     cells = {c.key for cons in stores.hoods
-             for c in storage.filter_select(index, cons, config=CFG)}
+             for c in storage.filter_select(index, cons)}
     assert len(cells) >= 2
     calls = _count_layer_builds(monkeypatch)
     storage.ooc_aggregate(stores.hoods, stores.sp, "count", config=CFG)
@@ -160,6 +171,134 @@ def test_cell_layers_are_decoded_only_by_joins(stores, monkeypatch):
         oracle.oracle_select(stores.points, cons)
     storage.ooc_aggregate(stores.hoods, sp, "count", config=CFG)
     assert decoded == []
-    got = storage.ooc_join(sa, sb, config=CFG).pairs
+    got = storage.ooc_join(sa, sb, config=CFG, force_strategy=optimizer.LAYER_INDEX).pairs
     assert sorted(set(got)) == oracle.oracle_join(stores.a, stores.b)
     assert decoded
+
+
+# ---------------------------------------------------------------------------
+# Hull filters: exact kernels, checked against all-pairs exact tests
+# ---------------------------------------------------------------------------
+
+def _touching_constraints(index):
+    """A polygon meeting the first hull at one vertex only, and one sharing
+    part of its first edge only, both outside it."""
+    ring = index.cells[0].hull.rings[0]
+    (px, py), (qx, qy) = ring[0], ring[1]
+    nx, ny = qy - py, px - qx  # outward normal of the CCW edge p -> q
+    at_vertex = [(px, py), (px + nx - 0.1 * ny, py + ny + 0.1 * nx),
+                 (px + nx + 0.1 * ny, py + ny - 0.1 * nx)]
+    along_edge = [(px, py), (qx, qy), (qx + 0.1 * nx, qy + 0.1 * ny), (px + 0.1 * nx, py + 0.1 * ny)]
+    return [GeometryRecord(0, "polygon", [polygon_from_rings([ring])])
+            for ring in (at_vertex, along_edge)]
+
+
+def test_filter_select_equals_exact_hull_checks(stores):
+    index = stores.sp.grid_index()
+    hulls = index.hull_records()
+    cons = [GeometryRecord(0, "polygon", [gen.concave_polygon(gen.rng(s), (0.45, 0.55), 0.3)])
+            for s in range(3)] + _touching_constraints(index)
+    for c in cons:
+        want = [index.cells[h.id] for h in hulls if pairwise_intersects(c, h)]
+        assert storage.filter_select(index, c) == want
+    for c in cons[-2:]:
+        assert index.cells[0] in storage.filter_select(index, c)
+
+
+def test_filter_join_equals_exact_hull_checks(stores):
+    ia, ib = stores.sa.grid_index(), stores.sb.grid_index()
+    want = [(ia.cells[a.id], ib.cells[b.id]) for a in ia.hull_records()
+            for b in ib.hull_records() if pairwise_intersects(a, b)]
+    assert storage.filter_join(ia, ib) == want
+    assert want
+
+
+@pytest.mark.parametrize("src", [point_record(0, 0.3, 0.6), point_record(0, 1.4, -0.2),
+                                 line_record(0, [(1.2, 1.1), (1.3, 1.5)]),
+                                 box_record(0, 1.1, 0.2, 1.3, 0.4)],
+                         ids=["point inside", "point outside", "polyline", "polygon"])
+def test_filter_distance_equals_per_hull_distances(stores, src):
+    index = stores.sp.grid_index()
+    want = [geometry_distance(src, h) for h in index.hull_records()]
+    assert polygon_distances(src, index.hull_tables()).tolist() == want
+    for k, d in enumerate(want):
+        if d > 0:
+            assert index.cells[k] in storage.filter_distance(index, src, d)
+            assert index.cells[k] not in storage.filter_distance(index, src, np.nextafter(d, 0))
+
+
+# ---------------------------------------------------------------------------
+# Out-of-core join: both strategies, every A layer rendered once
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module", params=[12 * 1024, 4096], ids=["12k", "4k"])
+def join_stores(stores, request):
+    root = stores.sa.catalog.directory.parent / f"join{request.param}"
+    for name, recs in (("a", stores.a), ("b", stores.b)):
+        storage.build_indexes(storage.ingest(recs, name, root), byte_budget=request.param,
+                              config=CFG)
+    sa, sb = (storage.DatasetStore(root, name, CFG) for name in ("a", "b"))
+    assert len(sa.grid_index().cells) >= 4 and len(sb.grid_index().cells) >= 4
+    return sa, sb
+
+
+@pytest.mark.parametrize("resolution", [16, 64, 1024])
+@pytest.mark.parametrize("strategy", [optimizer.NAIVE_LOOP, optimizer.LAYER_INDEX])
+def test_ooc_join_agrees_with_oracle(stores, join_stores, strategy, resolution):
+    sa, sb = join_stores
+    got = storage.ooc_join(sa, sb, resolution=resolution, config=CFG, force_strategy=strategy)
+    assert list(got.pairs) == oracle.oracle_join(stores.a, stores.b)
+
+
+def test_ooc_join_renders_each_a_side_canvas_once(stores, join_stores, monkeypatch):
+    sa, sb = join_stores
+    renders = []
+    real = canvas.render_geometry_canvas
+
+    def counted(records, *args, **kwargs):
+        renders.append([rec.id for rec in records])
+        return real(records, *args, **kwargs)
+    a_cells = {ca.key: ca for ca, _ in storage.filter_join(sa.grid_index(), sb.grid_index())}
+    layers = [sorted(ids) for ca in a_cells.values() for ids in sa.load_cell(ca).layers.layers]
+    hulls = sb.grid_index().hull_records()
+    polys = [[p.id] for p in stores.a if any(pairwise_intersects(p, h) for h in hulls)]
+    monkeypatch.setattr(canvas, "render_geometry_canvas", counted)
+    storage.ooc_join(sa, sb, config=CFG, force_strategy=optimizer.LAYER_INDEX)
+    assert sorted(sorted(ids) for ids in renders) == sorted(layers)
+    renders.clear()
+    storage.ooc_join(sa, sb, config=CFG, force_strategy=optimizer.NAIVE_LOOP)
+    assert sorted(renders) == polys
+
+
+@pytest.mark.parametrize("strategy", [None, optimizer.NAIVE_LOOP, optimizer.LAYER_INDEX])
+def test_ooc_join_loads_cells_in_the_explained_order(join_stores, monkeypatch, strategy):
+    sa, sb = join_stores
+    loads = []
+    planned = storage.plan_ooc_join
+    real = storage.DatasetStore.load_cell
+
+    def plan(*args, **kwargs):
+        out = planned(*args, **kwargs)
+        loads.clear()  # the plan's own loads are not the execution's
+        return out
+
+    def recorded(store, cell):
+        loads.append(("A" if store is sa else "B", cell.key))
+        return real(store, cell)
+    monkeypatch.setattr(storage, "plan_ooc_join", plan)
+    monkeypatch.setattr(storage.DatasetStore, "load_cell", recorded)
+    explain: list = []
+    storage.ooc_join(sa, sb, config=CFG, force_strategy=strategy, explain=explain)
+    executed = list(loads)
+    _, _, choice, steps = planned(sa, sb, strategy)
+    labels = [line[len("load: "):] for line in explain if line.startswith("load: ")]
+    assert labels == list(choice.load_order)
+    assert f"join_strategy: {choice.join_strategy}" in explain
+    want, last = [], None
+    for label in labels:
+        ca, b_cells = steps[label]
+        if ca.key != last:
+            want.append(("A", ca.key))
+            last = ca.key
+        want += [("B", cb.key) for cb in b_cells]
+    assert executed == want
