@@ -132,6 +132,12 @@ class KnnConfig:
         if self.alpha <= 1.0:
             raise DataError("kNN alpha must be > 1")
 
+    @classmethod
+    def from_config(cls, config: Config) -> "KnnConfig":
+        """The ladder settings of ``config``."""
+        return cls(alpha=config.alpha, radius_floor=config.knn_radius_floor,
+                   circle_cap=config.circle_cap)
+
     def radii(self, r_max: float) -> list:
         """Shrinking radius schedule r_max / alpha^i, largest first."""
         if self.circle_count is not None:
@@ -140,6 +146,27 @@ class KnnConfig:
             c = math.ceil(math.log(max(r_max / self.radius_floor, 1.0), self.alpha))
             c = min(max(c, 1), self.circle_cap)
         return [r_max / self.alpha ** i for i in range(c + 1)]
+
+    def ladder_radius(self, count, k: int, r_max: float) -> float:
+        """Smallest radius of the schedule from ``r_max`` (``self.r_max``
+        when set, ``radius_floor`` when not positive) whose circle holds at
+        least k points, by binary search over the monotone ``count(r)``;
+        the largest radius when none does."""
+        r_max = self.r_max or r_max
+        if r_max <= 0:
+            r_max = self.radius_floor
+        radii = self.radii(r_max)  # descending
+        lo, hi = 0, len(radii) - 1  # counts decrease with index
+        # invariant: count(radii[lo]) >= k; find the largest index still >= k
+        if count(radii[hi]) >= k:
+            return radii[hi]
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if count(radii[mid]) >= k:
+                lo = mid
+            else:
+                hi = mid
+        return radii[lo]
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +177,10 @@ class PreparedPoints:
     """Point dataset as columns, for repeated queries and for stored cells:
     ``ids`` ascending (int64), their ``xy`` (N, 2) and ``values`` (NaN
     where a point has none). Built on first use: ``x_order``, the
-    permutation that sorts the points by x, with ``x_sorted`` those x
-    values; ``bbox``; and ``records``, for the few callers that need
-    ``GeometryRecord``s (geographic projection, the type-1 flip of
+    permutation that sorts the points by x, with ``x_sorted`` and
+    ``y_by_x`` the points' x and y in that order (the kNN ladder counts
+    over an x slab of them); ``bbox``; and ``records``, for the few callers
+    that need ``GeometryRecord``s (geographic projection, the type-1 flip of
     ``distance_join``, ``knn_join``'s left side).
 
     ``PreparedPoints(records)`` builds the columns from point records;
@@ -206,16 +234,14 @@ class PreparedPoints:
         return self.xy[self.x_order, 0]
 
     @cached_property
+    def y_by_x(self) -> np.ndarray:
+        return self.xy[self.x_order, 1]
+
+    @cached_property
     def bbox(self):
         if not len(self.ids):
             return None
         return (self.x_sorted[0], self.xy[:, 1].min(), self.x_sorted[-1], self.xy[:, 1].max())
-
-    def x_slab(self, x0: float, x1: float) -> np.ndarray:
-        """Indices of the points with x0 <= x <= x1."""
-        lo = np.searchsorted(self.x_sorted, x0, side="left")
-        hi = np.searchsorted(self.x_sorted, x1, side="right")
-        return self.x_order[lo:hi]
 
     def __len__(self):
         return len(self.ids)
@@ -701,6 +727,14 @@ def distance_join(d1, d2, radii, resolution: int | None = None,
 # Aggregation
 # ---------------------------------------------------------------------------
 
+def count_resolution(config: Config) -> int:
+    """Resolution of canvases that only test overlap, such as the
+    constraint layer index of ``storage.ooc_aggregate``: any resolution
+    gives exact answers, and a small one keeps their planes small (at most
+    128 pixels a side)."""
+    return max(min(128, config.resolution), 16)
+
+
 def aggregate(constraints, data, mode: str = "count",
               resolution: int | None = None, config: Config = DEFAULT,
               layer_index: LayerIndex | None = None) -> AggregationResult:
@@ -764,46 +798,43 @@ def _prepared_points(dataset) -> PreparedPoints:
     return PreparedPoints(list(dataset))
 
 
-def count_resolution(config: Config) -> int:
-    """Resolution of canvases that only count or test overlap: any
-    resolution gives exact answers, and a small one keeps their planes
-    small (at most 128 pixels a side)."""
-    return max(min(128, config.resolution), 16)
+def farthest_corner(p: Point2, box) -> float:
+    """Distance from p to the farthest corner of box (x0, y0, x1, y1): the
+    kNN ladder's largest radius."""
+    x0, y0, x1, y1 = box
+    return max(math.hypot(p.x - cx, p.y - cy)
+               for cx, cy in ((x0, y0), (x1, y0), (x0, y1), (x1, y1)))
 
 
-def _count_within(prepared: PreparedPoints, center: Point2, r: float,
-                  resolution: int) -> int:
-    """Exact count of dataset points within r of center, via a distance
-    canvas (any resolution yields the exact count). Only points in the
-    canvas's x range can match, so only that slab is classified."""
-    matcher = _distance_matcher([GeometryRecord(0, "point", center)], [r], resolution)
-    slab = prepared.x_slab(matcher.vp.min_x, matcher.vp.max_x)
-    return int((match_points(matcher, prepared.xy[slab]) >= 0).sum())
+def _count_within(prepared: PreparedPoints, center: Point2, r: float) -> int:
+    """Exact count of dataset points within r of center, by the predicate
+    ``_points_near_entries`` tests, over the points of the x slab
+    [cx - r, cx + r]. The slab is widened by a few ulps: ``x - cx`` can
+    round down to r for an x just past ``cx + r``."""
+    pad = 4.0 * np.finfo(np.float64).eps * (abs(center.x) + r)
+    xs = prepared.x_sorted
+    lo = int(np.searchsorted(xs, center.x - r - pad, side="left"))
+    hi = int(np.searchsorted(xs, center.x + r + pad, side="right"))
+    d = np.hypot(xs[lo:hi] - center.x, prepared.y_by_x[lo:hi] - center.y)
+    return int(np.count_nonzero(d <= r))
 
 
-def _knn_radius(prepared: PreparedPoints, center: Point2, k: int,
-                cfg: KnnConfig, config: Config) -> float:
-    """Smallest ladder radius whose circle holds at least k points: binary
-    search over the monotone aggregation counts."""
-    box = _bounds_union([prepared.bbox])
-    corners = [(box[0], box[1]), (box[2], box[1]), (box[0], box[3]), (box[2], box[3])]
-    r_max = cfg.r_max or max(math.hypot(center.x - cx, center.y - cy)
-                             for cx, cy in corners)
-    if r_max <= 0:
-        r_max = cfg.radius_floor
-    radii = cfg.radii(r_max)  # descending
-    count_res = count_resolution(config)
-    lo, hi = 0, len(radii) - 1  # counts decrease with index
-    # invariant: count(radii[lo]) >= k; find the largest index still >= k
-    if _count_within(prepared, center, radii[hi], count_res) >= k:
-        return radii[hi]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _count_within(prepared, center, radii[mid], count_res) >= k:
-            lo = mid
-        else:
-            hi = mid
-    return radii[lo]
+def _knn_radius(prepared: PreparedPoints, center: Point2, k: int, cfg: KnnConfig) -> float:
+    """The ladder radius for k neighbours of center, counted in memory."""
+    return cfg.ladder_radius(lambda r: _count_within(prepared, center, r), k,
+                             farthest_corner(center, _bounds_union([prepared.bbox])))
+
+
+def rank_neighbours(left_ids: np.ndarray, li: np.ndarray, rid: np.ndarray,
+                    d: np.ndarray, k: int) -> list:
+    """(left id, [right ids]) per left id: of the candidate pairs (index
+    ``li`` into ``left_ids``, right id ``rid``, distance ``d``), the k
+    nearest right ids by ascending (distance, id)."""
+    order = np.lexsort((rid, d, li))
+    li, rid = li[order], rid[order]
+    start = np.searchsorted(li, np.arange(len(left_ids) + 1))
+    return [(int(left_ids[j]), rid[start[j]:min(start[j] + k, start[j + 1])].tolist())
+            for j in range(len(left_ids))]
 
 
 def knn_select(dataset, p, k: int, cfg: KnnConfig | None = None,
@@ -811,8 +842,7 @@ def knn_select(dataset, p, k: int, cfg: KnnConfig | None = None,
                geographic: bool = False) -> list:
     """The k nearest dataset points to p as (id, distance) sorted by
     (distance, id). Ties at the k-th distance break toward ascending id."""
-    cfg = cfg or KnnConfig(alpha=config.alpha, radius_floor=config.knn_radius_floor,
-                           circle_cap=config.circle_cap)
+    cfg = cfg or KnnConfig.from_config(config)
     resolution = resolution or config.resolution
     prepared = _maybe_project(_prepared_points(dataset), geographic)
     if geographic:
@@ -826,7 +856,7 @@ def knn_select(dataset, p, k: int, cfg: KnnConfig | None = None,
         raise DataError("k must be positive")
     if k > n:
         raise DataError(f"k={k} exceeds dataset size {n}")
-    r = _knn_radius(prepared, p, k, cfg, config)
+    r = _knn_radius(prepared, p, k, cfg)
     ids = distance_select(prepared, GeometryRecord(0, "point", p), r,
                           resolution=resolution, config=config).ids
     idx = np.searchsorted(prepared.ids, np.array(ids, dtype=np.int64))
@@ -839,10 +869,9 @@ def knn_join(d1, d2, k: int, cfg: KnnConfig | None = None,
              resolution: int | None = None, config: Config = DEFAULT,
              geographic: bool = False) -> list:
     """Per D1 point, its k nearest D2 points: a per-point radius from the
-    shrinking-circle aggregation, one type-2 distance join with those radii,
-    then a per-point distance sort."""
-    cfg = cfg or KnnConfig(alpha=config.alpha, radius_floor=config.knn_radius_floor,
-                           circle_cap=config.circle_cap)
+    radius ladder (exact counts, no canvas), one type-2 distance join with
+    those radii, then a per-point (distance, id) sort."""
+    cfg = cfg or KnnConfig.from_config(config)
     resolution = resolution or config.resolution
     left = _maybe_project(_prepared_points(d1), geographic)
     right = _maybe_project(_prepared_points(d2), geographic)
@@ -850,16 +879,10 @@ def knn_join(d1, d2, k: int, cfg: KnnConfig | None = None,
         raise DataError("k must be positive")
     if k > len(right):
         raise DataError(f"k={k} exceeds |D2|={len(right)}")
-    radii = [_knn_radius(right, Point2(x, y), k, cfg, config)
-             for x, y in left.xy]
+    radii = [_knn_radius(right, Point2(x, y), k, cfg) for x, y in left.xy]
     pairs = distance_join(left.records, right, radii,
                           resolution=resolution, config=config).pairs
     lid, rid = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     li, ri = np.searchsorted(left.ids, lid), np.searchsorted(right.ids, rid)
     d = np.hypot(left.xy[li, 0] - right.xy[ri, 0], left.xy[li, 1] - right.xy[ri, 1])
-    # Per left point, its pairs by ascending (distance, id); keep k of them.
-    order = np.lexsort((rid, d, li))
-    li, rid = li[order], rid[order]
-    start = np.searchsorted(li, np.arange(len(left.ids) + 1))
-    return [(int(left.ids[j]), rid[start[j]:min(start[j] + k, start[j + 1])].tolist())
-            for j in range(len(left.ids))]
+    return rank_neighbours(left.ids, li, rid, d, k)

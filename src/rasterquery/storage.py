@@ -6,7 +6,10 @@ Queries filter cells by their convex hulls with exact array kernels of
 ``polygon_distances`` for distance queries. Only the cells that pass are
 loaded and refined by the in-memory engine. ``ooc_join`` runs its plan's
 load order and renders each A-side canvas once: every layer of an A cell,
-or one A polygon, with its B cells streamed past it.
+or one A polygon, with its B cells streamed past it. ``ooc_distance_join``
+and ``ooc_knn_join`` load each kept cell once for all the sources that
+reach it. The kNN radius ladder counts exactly over the kept cells' point
+columns, without a canvas.
 
 A dataset directory holds ``catalog.meta`` (text key-value), ``records.bin``
 (the ingested records), ``cells.bin`` (grid-cell blocks), ``bindex.bin`` and
@@ -811,21 +814,37 @@ def ooc_distance_select(store: DatasetStore, source: GeometryRecord, r: float,
     return engine.SelectionResult(tuple(ids))
 
 
+def _cell_distance_joins(sources, store: DatasetStore, radii, resolution, config):
+    """(cell data, JoinResult) per cell whose hull lies within some source's
+    radius: the sources are grouped by the cells ``filter_distance`` keeps
+    for each, and each cell is loaded once, in grid order, for one type-2
+    ``engine.distance_join`` against all of its sources."""
+    index = store.grid_index()
+    groups: dict = {}
+    for rec, r in zip(sources, radii):
+        for cell in filter_distance(index, rec, r):
+            srcs, rs = groups.setdefault(cell.key, ([], []))
+            srcs.append(rec)
+            rs.append(r)
+    for cell in index.cells:
+        if cell.key in groups:
+            data = store.load_cell(cell)
+            srcs, rs = groups[cell.key]
+            yield data, engine.distance_join(srcs, data, rs, resolution=resolution,
+                                             config=config)
+
+
 def ooc_distance_join(d1_records, store_b: DatasetStore, radii,
                       resolution: int | None = None,
                       config: Config = DEFAULT) -> engine.JoinResult:
     """Type-2 distance join of in-memory sources against a stored dataset:
-    per source, refine only the cells whose hull lies within its radius."""
-    index = store_b.grid_index()
+    each cell whose hull lies within some source's radius is loaded once and
+    joined against those sources."""
     if np.isscalar(radii):
         radii = [float(radii)] * len(d1_records)
-    out = []
-    for rec, r in zip(d1_records, radii):
-        for cell in filter_distance(index, rec, r):
-            got = engine.distance_join([rec], store_b.load_cell(cell), [r],
-                                       resolution=resolution, config=config)
-            out.extend(got.pairs)
-    return engine.JoinResult(tuple(out))
+    return engine.JoinResult(tuple(
+        pair for _, got in _cell_distance_joins(d1_records, store_b, radii, resolution, config)
+        for pair in got.pairs))
 
 
 def ooc_aggregate(constraints, store: DatasetStore, mode: str = "count",
@@ -853,56 +872,49 @@ def ooc_aggregate(constraints, store: DatasetStore, mode: str = "count",
     return engine.AggregationResult(rows)
 
 
-def ooc_count_within(store: DatasetStore, center: Point2, r: float,
-                     resolution: int | None = None, config: Config = DEFAULT) -> int:
-    src = GeometryRecord(0, "point", center)
+def ooc_count_within(store: DatasetStore, center: Point2, r: float) -> int:
+    """Exact count of stored points within r of center: the in-memory
+    ladder count over the points of each cell ``filter_distance`` keeps."""
+    cells = filter_distance(store.grid_index(), GeometryRecord(0, "point", center), r)
+    return sum(engine._count_within(store.load_cell(cell).points, center, r)
+               for cell in cells)
+
+
+def _knn_store_index(store: DatasetStore, k: int) -> GridIndex:
+    """The grid index of a store that can answer k neighbours: a point
+    dataset of at least k points."""
     index = store.grid_index()
-    total = 0
-    res = engine.count_resolution(config)
-    for cell in filter_distance(index, src, r):
-        total += len(engine.distance_select(store.load_cell(cell), src, r,
-                                            resolution=res, config=config).ids)
-    return total
+    if store.catalog.kind != "point":
+        raise DataError("out-of-core kNN needs a point dataset")
+    total = sum(c.count for c in index.cells)
+    if k <= 0:
+        raise DataError("k must be positive")
+    if k > total:
+        raise DataError(f"k={k} exceeds dataset size {total}")
+    return index
+
+
+def _ooc_knn_radius(store: DatasetStore, index: GridIndex, p: Point2, k: int,
+                    cfg: engine.KnnConfig) -> float:
+    """The ladder radius for k neighbours of p, counted through the cells."""
+    return cfg.ladder_radius(lambda r: ooc_count_within(store, p, r), k,
+                             engine.farthest_corner(p, index.extent))
 
 
 def ooc_knn_select(store: DatasetStore, p: Point2, k: int,
                    cfg: engine.KnnConfig | None = None,
                    resolution: int | None = None,
                    config: Config = DEFAULT) -> list:
-    """kNN over a stored point dataset: the radius ladder counts through the
-    filter, then one out-of-core distance selection ranks the points it
+    """kNN over a stored point dataset: the radius ladder of
+    ``KnnConfig.ladder_radius`` counts exactly over the points of the cells
+    each rung's circle reaches (``ooc_count_within``, no canvas), then one
+    out-of-core distance selection at that radius ranks the points it
     matches by (distance, id) from the loaded cells' columns."""
-    import math
-    cfg = cfg or engine.KnnConfig(alpha=config.alpha,
-                                  radius_floor=config.knn_radius_floor,
-                                  circle_cap=config.circle_cap)
-    index = store.grid_index()
-    if store.catalog.kind != "point":
-        raise DataError("ooc_knn_select needs a point dataset")
+    cfg = cfg or engine.KnnConfig.from_config(config)
+    index = _knn_store_index(store, k)
     if not isinstance(p, Point2):
         p = Point2(float(p[0]), float(p[1]))
-    total = sum(c.count for c in index.cells)
-    if k <= 0:
-        raise DataError("k must be positive")
-    if k > total:
-        raise DataError(f"k={k} exceeds dataset size {total}")
-    x0, y0, x1, y1 = index.extent
-    r_max = max(math.hypot(p.x - cx, p.y - cy)
-                for cx, cy in ((x0, y0), (x1, y0), (x0, y1), (x1, y1)))
-    if r_max <= 0:
-        r_max = cfg.radius_floor
-    radii = cfg.radii(r_max)
-    lo, hi = 0, len(radii) - 1
-    if ooc_count_within(store, p, radii[hi], resolution, config) >= k:
-        lo = hi
-    else:
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ooc_count_within(store, p, radii[mid], resolution, config) >= k:
-                lo = mid
-            else:
-                hi = mid
-    r = radii[lo]
+    r = _ooc_knn_radius(store, index, p, k, cfg)
     src = GeometryRecord(0, "point", p)
     ids, dists = [], []
     for cell in filter_distance(index, src, r):
@@ -920,8 +932,24 @@ def ooc_knn_select(store: DatasetStore, p: Point2, k: int,
 def ooc_knn_join(d1_records, store_b: DatasetStore, k: int,
                  cfg: engine.KnnConfig | None = None,
                  resolution: int | None = None, config: Config = DEFAULT) -> list:
-    out = []
-    for rec in sorted(d1_records, key=lambda rec: rec.id):
-        neigh = ooc_knn_select(store_b, rec.geometry, k, cfg, resolution, config)
-        out.append((rec.id, [rid for rid, _ in neigh]))
-    return out
+    """Per D1 point, its k nearest stored points: a ladder radius per point,
+    one out-of-core type-2 distance join with those radii, then the ranking
+    of ``engine.knn_join``."""
+    left = sorted(d1_records, key=lambda rec: rec.id)
+    if not left:
+        return []
+    cfg = cfg or engine.KnnConfig.from_config(config)
+    index = _knn_store_index(store_b, k)
+    radii = [_ooc_knn_radius(store_b, index, rec.geometry, k, cfg) for rec in left]
+    left_ids = np.array([rec.id for rec in left], dtype=np.int64)
+    left_xy = np.array([(rec.geometry.x, rec.geometry.y) for rec in left])
+    li, rid, d = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    for data, got in _cell_distance_joins(left, store_b, radii, resolution, config):
+        lid, rid_c = np.array(got.pairs, dtype=np.int64).reshape(-1, 2).T
+        lj = np.searchsorted(left_ids, lid)
+        xy = data.points.xy[np.searchsorted(data.points.ids, rid_c)]
+        li.append(lj)
+        rid.append(rid_c)
+        d.append(np.hypot(left_xy[lj, 0] - xy[:, 0], left_xy[lj, 1] - xy[:, 1]))
+    return engine.rank_neighbours(left_ids, np.concatenate(li), np.concatenate(rid),
+                                  np.concatenate(d), k)

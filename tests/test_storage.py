@@ -302,3 +302,112 @@ def test_ooc_join_loads_cells_in_the_explained_order(join_stores, monkeypatch, s
             last = ca.key
         want += [("B", cb.key) for cb in b_cells]
     assert executed == want
+
+
+# ---------------------------------------------------------------------------
+# kNN and distance joins over a store of tiny cells
+# ---------------------------------------------------------------------------
+
+class Lattice:
+    """A 20 x 20 lattice of points on multiples of 1/32 with shuffled ids,
+    in a store of 2 KB cells: distances between lattice points are exact,
+    so neighbours at equal distance tie exactly."""
+
+    def __init__(self, root):
+        ids = gen.rng(28).permutation(400) + 1
+        coords = [(0.125 + i / 32, 0.125 + j / 32) for i in range(20) for j in range(20)]
+        self.points = [point_record(int(i), x, y) for i, (x, y) in zip(ids, coords)]
+        self.xy = np.array(coords)
+        storage.build_indexes(storage.ingest(self.points, "lattice", root), byte_budget=2048,
+                              config=CFG)
+        self.store = storage.DatasetStore(root, "lattice", CFG)
+
+
+@pytest.fixture(scope="module")
+def lattice(tmp_path_factory):
+    return Lattice(tmp_path_factory.mktemp("lattice"))
+
+
+# Lattice points, a square's centre (four neighbours tie), a point off the
+# lattice and one outside the store's extent.
+PROBES = [Point2(0.4375, 0.5), Point2(0.140625, 0.140625), Point2(0.3, 0.6),
+          Point2(0.95, 0.05)]
+
+
+def _overlapping_sources():
+    """Sources whose buffers overlap one another and span several cells;
+    5/32 is the exact distance of lattice points (3, 4) steps away."""
+    srcs = [point_record(2000 + i, x, y) for i, (x, y) in
+            enumerate([(0.3, 0.3), (0.34, 0.31), (0.5, 0.5), (0.7, 0.2)])]
+    return srcs, [0.1, 0.125, 5 / 32, 0.0625]
+
+
+def test_lattice_store_has_tiny_cells(lattice):
+    cells = lattice.store.grid_index().cells
+    assert len(cells) >= 4
+    assert lattice.store.cache_capacity == 2048 >= max(c.byte_size for c in cells)
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, 30])
+def test_ooc_knn_select_at_a_tiny_budget(lattice, k):
+    for p in PROBES:
+        got = storage.ooc_knn_select(lattice.store, p, k, config=CFG)
+        want = oracle.oracle_knn_select(lattice.points, p, k)
+        assert [i for i, _ in got] == [i for i, _ in want]
+        assert [d for _, d in got] == pytest.approx([d for _, d in want], rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, 12])
+def test_ooc_knn_join_with_exact_ties_at_a_tiny_budget(lattice, k):
+    left = [point_record(1000 + i, p.x, p.y) for i, p in enumerate(PROBES)]
+    assert storage.ooc_knn_join(left, lattice.store, k, config=CFG) == \
+        oracle.oracle_knn_join(left, lattice.points, k)
+
+
+def test_ooc_knn_radius_matches_brute_force_ladder(lattice):
+    index = lattice.store.grid_index()
+    cfg = engine.KnnConfig()
+    x0, y0, x1, y1 = index.extent
+    for p in PROBES:
+        d = np.hypot(lattice.xy[:, 0] - p.x, lattice.xy[:, 1] - p.y)
+        radii = cfg.radii(max(np.hypot(p.x - x, p.y - y) for x in (x0, x1) for y in (y0, y1)))
+        for k in (1, 9, 400):
+            want = radii[max(i for i, r in enumerate(radii) if (d <= r).sum() >= k)]
+            assert storage._ooc_knn_radius(lattice.store, index, p, k, cfg) == want
+
+
+def test_ooc_count_within_renders_no_canvas(lattice, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ooc_count_within rendered a canvas")
+    monkeypatch.setattr(canvas.DistanceCanvasBuilder, "finalize", forbidden)
+    for p in PROBES:
+        d = np.hypot(lattice.xy[:, 0] - p.x, lattice.xy[:, 1] - p.y)
+        for r in (1 / 32, 0.1, 5 / 32, 0.6):
+            assert storage.ooc_count_within(lattice.store, p, r) == int((d <= r).sum())
+
+
+def test_ooc_distance_join_at_a_tiny_budget(lattice):
+    srcs, radii = _overlapping_sources()
+    index = lattice.store.grid_index()
+    assert all(len(storage.filter_distance(index, s, r)) >= 2 for s, r in zip(srcs, radii))
+    got = storage.ooc_distance_join(srcs, lattice.store, radii, config=CFG).pairs
+    assert list(got) == oracle.oracle_distance_join(srcs, lattice.points, radii)
+
+
+def test_ooc_distance_join_loads_each_kept_cell_once(lattice, monkeypatch):
+    """Sources that share cells are joined against each cell in one call,
+    so a cache of about one cell reads every kept cell once."""
+    store = storage.DatasetStore(lattice.store.catalog.directory.parent, "lattice", CFG)
+    loads = []
+    real = storage.DatasetStore.load_cell
+
+    def counted(self, cell):
+        loads.append(cell.key)
+        return real(self, cell)
+    monkeypatch.setattr(storage.DatasetStore, "load_cell", counted)
+    srcs, radii = _overlapping_sources()
+    storage.ooc_distance_join(srcs, store, radii, config=CFG)
+    index = store.grid_index()
+    kept = {c.key: c for s, r in zip(srcs, radii) for c in storage.filter_distance(index, s, r)}
+    assert sorted(loads) == sorted(kept)
+    assert store.bytes_transferred == sum(c.byte_size for c in kept.values())
