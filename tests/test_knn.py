@@ -103,11 +103,12 @@ def test_knn_rejects_bad_k(points, form, k):
         engine.knn_join(points[:3], data, k)
 
 
-def test_count_within_matches_brute_force(points):
+@pytest.mark.parametrize("n", [16, 128])
+def test_count_within_matches_brute_force(n):
     """The ladder's count reads only the x slab of the circle; it must still
     count every point within r, including points just inside the slab's
-    ends."""
-    prepared = engine.PreparedPoints(points)
+    ends, on a sparse and a denser point set."""
+    prepared = engine.PreparedPoints(gen.gaussian_points(gen.rng(21), n))
     for cx, cy in ((0.5, 0.5), (0.35, 0.6), (1.4, -0.2)):
         d = np.hypot(prepared.xy[:, 0] - cx, prepared.xy[:, 1] - cy)
         for r in (0.02, 0.1, 0.3, float(np.sort(d)[9])):
