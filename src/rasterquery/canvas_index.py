@@ -1,6 +1,8 @@
 """Canvas-specific indexes: the boundary index (the points and edges whose
 exact tests settle boundary pixels) and the layer index (pairwise-disjoint
-layers so one canvas can hold many constraint objects).
+layers so one canvas can hold many constraint objects). Both layer builders
+find overlapping pairs with no canvas: a sweep over the record bboxes, then
+one exact test over all candidate pairs.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canvas import unique_keys, viewport_from_bounds
+from .canvas import unique_keys
 from .errors import DataError
 from .geometry import (
     GeometryRecord,
@@ -24,6 +26,7 @@ from .geometry import (
     pairwise_intersects,
     part_tables,
     primitive_distance,
+    records_intersect,
     triangles_array,
 )
 
@@ -244,84 +247,31 @@ class LayerIndex:
         return len(self.layers)
 
 
-def _copresence_pairs(canvas, bindex) -> set:
-    """Unordered object-id pairs that share a pixel in the rendered canvas
-    (raster candidates; a superset of the truly overlapping pairs)."""
-    pairs = set()
-    for name in ("polygon", "line"):
-        if not canvas.has_plane(name):
-            continue
-        plane = canvas.plane(name)
-        if len(plane.bp_flat) == 0:
-            continue
-        objs = bindex.obj_ids[plane.bp_entries]
-        interior_flat = plane.interior_id.ravel()[plane.bp_flat]
-        omin = np.minimum.reduceat(objs, plane.bp_start[:-1])
-        omax = np.maximum.reduceat(objs, plane.bp_start[:-1])
-        multi = np.flatnonzero((omin != omax)
-                               | ((interior_flat >= 0) & (interior_flat != omin)))
-        for i in multi:
-            group = np.unique(objs[plane.bp_start[i]:plane.bp_start[i + 1]]).tolist()
-            if interior_flat[i] >= 0 and interior_flat[i] not in group:
-                group.append(int(interior_flat[i]))
-            group.sort()
-            for a_i in range(len(group)):
-                for b_i in range(a_i + 1, len(group)):
-                    pairs.add((group[a_i], group[b_i]))
-    return pairs
-
-
-def _holds(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Whether each (.., 4) box ``outer`` holds its box ``inner``."""
-    return ((inner[:, 0] >= outer[:, 0]) & (inner[:, 1] >= outer[:, 1])
-            & (inner[:, 2] <= outer[:, 2]) & (inner[:, 3] <= outer[:, 3]))
-
-
-def _nested_pairs(recs) -> set:
-    """Unordered id pairs of polygon records where a part's bbox holds a
-    part bbox of the other record. These are the candidates for a part
-    nested inside another without meeting its boundary: such a pair shares
-    no boundary pixel, and the canvas keeps only the higher id's interior
-    claim, so ``_copresence_pairs`` cannot see it."""
-    owner, boxes = [], []
-    for rec in recs:
-        if rec.kind == "polygon":
-            owner += [rec.id] * len(rec.geometry)
-            boxes += [part.bbox() for part in rec.geometry]
-    if len(owner) < 2:
-        return set()
-    owner, b = np.array(owner), np.array(boxes)
-    pairs = set()
-    for i, j in overlapping_boxes(b):
-        ok = (owner[i] != owner[j]) & (_holds(b[i], b[j]) | _holds(b[j], b[i]))
-        for a, c in zip(owner[i[ok]].tolist(), owner[j[ok]].tolist()):
-            pairs.add((min(a, c), max(a, c)))
-    return pairs
-
-
-def overlap_graph(records, resolution: int = 1024,
-                  overlap=pairwise_intersects) -> dict:
-    """Exact overlap adjacency built filter-and-refine style: one render pass
-    discovers co-present pairs, bbox nesting adds the pairs a render cannot
-    show, and an exact pairwise test confirms them."""
-    from .canvas import render_geometry_canvas
-    recs = sorted(records, key=lambda r: r.id)
-    by_id = {r.id: r for r in recs}
+def _sweep_graph(recs, boxes, meets) -> dict:
+    """Overlap adjacency of ``recs`` (sorted by id): the index pairs whose
+    ``boxes`` overlap (``overlapping_boxes``), gathered from every chunk,
+    then kept where ``meets(i, j)``, one exact test over all of them,
+    holds."""
     graph: dict = {r.id: set() for r in recs}
     if len(recs) < 2:
         return graph
-    boxes = np.array([r.bbox() for r in recs])
-    bounds = (boxes[:, 0].min(), boxes[:, 1].min(), boxes[:, 2].max(), boxes[:, 3].max())
-    if not (bounds[2] > bounds[0] and bounds[3] > bounds[1]):
-        bounds = (bounds[0] - 0.5, bounds[1] - 0.5, bounds[2] + 0.5, bounds[3] + 0.5)
-    vp = viewport_from_bounds(bounds, resolution)
-    bindex = build_boundary_index_direct(recs)
-    canvas = render_geometry_canvas(recs, vp, bindex)
-    for a, b in _copresence_pairs(canvas, bindex) | _nested_pairs(recs):
-        if overlap(by_id[a], by_id[b]):
-            graph[a].add(b)
-            graph[b].add(a)
+    i, j = (np.concatenate(c) for c in zip(*overlapping_boxes(boxes)))
+    hit = meets(i, j)
+    ids = np.array([r.id for r in recs], dtype=np.int64)
+    for a, b in zip(ids[i[hit]].tolist(), ids[j[hit]].tolist()):
+        graph[a].add(b)
+        graph[b].add(a)
     return graph
+
+
+def overlap_graph(records) -> dict:
+    """Exact overlap adjacency with no canvas: a sweep over the record
+    bboxes gathers the candidate pairs, and one ``records_intersect`` call,
+    which budgets itself under ``PAIR_BUDGET``, settles them all (a
+    polygon nested in another without touching it is an edge too)."""
+    recs = sorted(records, key=lambda r: r.id)
+    return _sweep_graph(recs, np.array([r.bbox() for r in recs]),
+                        lambda i, j: records_intersect(recs, recs, i, j))
 
 
 def _peel(graph: dict) -> LayerIndex:
@@ -338,37 +288,32 @@ def _peel(graph: dict) -> LayerIndex:
     return LayerIndex(layers=layers)
 
 
-def build_layer_index(records, resolution: int = 1024,
-                      overlap=pairwise_intersects) -> LayerIndex:
-    """Layers ``_peel`` takes off the records' exact overlap graph.
-    Deterministic given ids; the layer count is not claimed minimal."""
-    return _peel(overlap_graph(records, resolution=resolution, overlap=overlap))
+def build_layer_index(records) -> LayerIndex:
+    """Layers ``_peel`` takes off the records' exact overlap graph
+    (``overlap_graph``); no canvas is rendered. Deterministic given ids;
+    the layer count is not claimed minimal."""
+    return _peel(overlap_graph(records))
 
 
 def build_distance_layer_index(sources, radii) -> LayerIndex:
     """Layer index over distance buffers, built on the fly at query time;
-    two buffers overlap iff distance(geomA, geomB) <= rA + rB. Candidate
-    pairs are those whose bboxes, each grown by its radius, overlap
-    (``overlapping_boxes``); point pairs then get one array test, other
-    pairs ``geometry_distance``."""
+    two buffers overlap iff distance(geomA, geomB) <= rA + rB. The sweep of
+    ``overlap_graph`` runs over the bboxes each grown by its radius; point
+    pairs then get one array test, other pairs ``geometry_distance``."""
     order = sorted(range(len(sources)), key=lambda i: sources[i].id)
     recs = [sources[i] for i in order]
     rad = np.array([radii[i] for i in order], dtype=float)
-    graph: dict = {r.id: set() for r in recs}
-    if len(recs) < 2:
-        return _peel(graph)
-    grown = np.array([r.bbox() for r in recs]) + rad[:, None] * np.array([-1, -1, 1, 1])
+    grown = np.array([r.bbox() for r in recs]).reshape(-1, 4) + rad[:, None] * [-1, -1, 1, 1]
     point = np.array([r.kind == "point" for r in recs])
     xy = np.array([(r.geometry.x, r.geometry.y) if r.kind == "point" else (np.nan, np.nan)
                    for r in recs])
-    for i, j in overlapping_boxes(grown):
+
+    def within(i, j):
         limit = rad[i] + rad[j]
         both = point[i] & point[j]
         hit = np.zeros(len(i), dtype=bool)
         hit[both] = np.hypot(*(xy[i[both]] - xy[j[both]]).T) <= limit[both]
         for q in np.flatnonzero(~both):
             hit[q] = geometry_distance(recs[i[q]], recs[j[q]]) <= limit[q]
-        for a, b in zip(i[hit].tolist(), j[hit].tolist()):
-            graph[recs[a].id].add(recs[b].id)
-            graph[recs[b].id].add(recs[a].id)
-    return _peel(graph)
+        return hit
+    return _peel(_sweep_graph(recs, grown, within))

@@ -727,14 +727,6 @@ def distance_join(d1, d2, radii, resolution: int | None = None,
 # Aggregation
 # ---------------------------------------------------------------------------
 
-def count_resolution(config: Config) -> int:
-    """Resolution of canvases that only test overlap, such as the
-    constraint layer index of ``storage.ooc_aggregate``: any resolution
-    gives exact answers, and a small one keeps their planes small (at most
-    128 pixels a side)."""
-    return max(min(128, config.resolution), 16)
-
-
 def aggregate(constraints, data, mode: str = "count",
               resolution: int | None = None, config: Config = DEFAULT,
               layer_index: LayerIndex | None = None) -> AggregationResult:

@@ -665,7 +665,7 @@ def _kernel_tables(records) -> tuple:
             v = e[:, :2]
         else:
             e, parts = edge_table(rec)
-            v = e[np.r_[True, parts[1:] != parts[:-1]], :2] if rec.kind == "polygon" else e[:, :2]
+            v = e[np.diff(parts, prepend=-1) != 0, :2] if rec.kind == "polygon" else e[:, :2]
         edges.append(e)
         verts.append(v)
     start = np.r_[0, np.cumsum([len(e) for e in edges])].astype(np.int64)
@@ -698,11 +698,12 @@ def records_intersect(a, b, i, j) -> np.ndarray:
     chunked under ``PAIR_BUDGET``. Where no edge meets, each part of one
     record lies wholly inside or outside the other, so one ``points_in_parts``
     call each way, with one vertex per polygon part (``_kernel_tables``),
-    decides the pair.
+    decides the pair. When ``b is a`` the tables are built once.
     """
     i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
-    sa, ea, va_start, va = _kernel_tables(a)
-    sb, eb, vb_start, vb = _kernel_tables(b)
+    tables = _kernel_tables(a)
+    sa, ea, va_start, va = tables
+    sb, eb, vb_start, vb = tables if b is a else _kernel_tables(b)
     ba, bb = _edge_boxes(ea), _edge_boxes(eb)
 
     def record_boxes(start, boxes):
@@ -725,8 +726,10 @@ def records_intersect(a, b, i, j) -> np.ndarray:
         out[near[k[segments_meet(ea[ka], eb[kb])]]] = True
     rest = near[~out[near]]
     ir, jr = i[rest], j[rest]
-    out[rest] = (_any_vertex_in(va_start, va, ir, jr, part_tables(b))
-                 | _any_vertex_in(vb_start, vb, jr, ir, part_tables(a)))
+    parts_a = part_tables(a)
+    parts_b = parts_a if b is a else part_tables(b)
+    out[rest] = (_any_vertex_in(va_start, va, ir, jr, parts_b)
+                 | _any_vertex_in(vb_start, vb, jr, ir, parts_a))
     return out
 
 

@@ -308,17 +308,21 @@ def _hull_of_records(records) -> PolygonGeom:
 
 def _point_layering(records) -> LayerIndex:
     """Points are disjoint iff distinct; coincident duplicates go to
-    separate layers (k-th duplicate to layer k)."""
-    seen: dict = {}
-    layers: list = []
-    for rec in sorted(records, key=lambda r: r.id):
-        key = (rec.geometry.x, rec.geometry.y)
-        depth = seen.get(key, 0)
-        seen[key] = depth + 1
-        while len(layers) <= depth:
-            layers.append([])
-        layers[depth].append(rec.id)
-    return LayerIndex(layers=[sorted(l) for l in layers])
+    separate layers (k-th duplicate in id order to layer k). One lexsort by
+    (x, y, id) puts each run of equal (x, y) together in id order, so a
+    record's layer is its rank within its run."""
+    n = len(records)
+    ids = np.fromiter((rec.id for rec in records), dtype=np.int64, count=n)
+    x = np.fromiter((rec.geometry.x for rec in records), dtype=float, count=n)
+    y = np.fromiter((rec.geometry.y for rec in records), dtype=float, count=n)
+    order = np.lexsort((ids, y, x))
+    x, y, ids = x[order], y[order], ids[order]
+    first = np.r_[True, (x[1:] != x[:-1]) | (y[1:] != y[:-1])]
+    depth = np.arange(n) - np.flatnonzero(first)[np.cumsum(first) - 1]
+    order = np.lexsort((ids, depth))
+    ids, depth = ids[order], depth[order]
+    layers = np.split(ids, np.flatnonzero(depth[1:] != depth[:-1]) + 1) if n else []
+    return LayerIndex(layers=[layer.tolist() for layer in layers])
 
 
 def build_grid_index(records, byte_budget: int, config: Config = DEFAULT,
@@ -856,8 +860,7 @@ def ooc_aggregate(constraints, store: DatasetStore, mode: str = "count",
     counts: dict = {}
     sums: dict = {}
     cells = sorted({cell.key for cons in constraints for cell in filter_select(index, cons)})
-    layers = (build_layer_index(constraints, resolution=engine.count_resolution(config))
-              if cells else None)
+    layers = build_layer_index(constraints) if cells else None
     for key in cells:
         cell = index.cell_by_key(key)
         rows = engine.aggregate(constraints, store.load_cell(cell), mode,

@@ -5,9 +5,22 @@ disjoint objects: ``build_layer_index`` by exact intersection,
 import pytest
 
 import gen
-from rasterquery import engine, oracle
-from rasterquery.canvas_index import _peel, build_distance_layer_index, build_layer_index
-from rasterquery.geometry import box_record, geometry_distance, point_record
+from rasterquery import canvas, canvas_index, engine, geometry, oracle, storage
+from rasterquery.canvas_index import (
+    LayerIndex,
+    _peel,
+    build_distance_layer_index,
+    build_layer_index,
+    overlap_graph,
+)
+from rasterquery.geometry import (
+    GeometryRecord,
+    box_record,
+    geometry_distance,
+    line_record,
+    pairwise_intersects,
+    point_record,
+)
 
 
 def overlapping_lattices(seed):
@@ -60,6 +73,111 @@ def test_join_and_aggregate_over_nested_polygons():
 
 def test_layer_index_of_nothing_is_empty():
     assert build_layer_index([]).layers == []
+
+
+def brute_force_graph(recs) -> dict:
+    """Overlap adjacency from ``pairwise_intersects`` over every pair."""
+    graph = {rec.id: set() for rec in recs}
+    for i, a in enumerate(recs):
+        for b in recs[i + 1:]:
+            if pairwise_intersects(a, b):
+                graph[a.id].add(b.id)
+                graph[b.id].add(a.id)
+    return graph
+
+
+def degenerate_sets() -> dict:
+    holed = GeometryRecord(0, "polygon", [gen.holed_polygon()])
+    # The holed polygon's square hole spans x 0.29..0.43, y 0.465..0.605:
+    # box 1 lies in it without touching it, box 2 crosses its rim.
+    return {
+        "inside_a_hole": [holed, box_record(1, 0.32, 0.49, 0.40, 0.58),
+                          box_record(2, 0.25, 0.50, 0.35, 0.55)],
+        "touch_at_a_vertex": [box_record(0, 0, 0, 1, 1), box_record(1, 1, 1, 2, 2),
+                              box_record(2, 2, 0, 3, 1), box_record(3, 1.5, -1, 2.5, 0.5)],
+        "shared_collinear_edge": [box_record(0, 0, 0, 1, 1), box_record(1, 1, 0.2, 2, 0.8),
+                                  box_record(2, 1, 2, 2, 3), box_record(3, 0, 1.5, 1, 2.5)],
+        "polylines": [line_record(0, [(0, 0), (1, 1)]), line_record(1, [(0, 1), (1, 0)]),
+                      line_record(2, [(2, 0), (3, 0)]), line_record(3, [(2.5, 0), (4, 0)]),
+                      line_record(4, [(4.5, 0), (5, 0), (5, 1)]),
+                      line_record(5, [(5, 1.5), (5, 2)])],
+        "points": [point_record(0, 0.5, 0.5), point_record(1, 0.5, 0.5),
+                   point_record(2, 0.5, 0.5), point_record(3, 0.7, 0.7),
+                   point_record(4, 1.0, 0.25), box_record(5, 1, 0, 2, 1),
+                   point_record(6, 1.5, 0.5), point_record(7, 2.5, 0.5)],
+        # A polyline wholly inside a polygon meets no edge of it.
+        "polyline_inside_a_polygon": [box_record(0, 0, 0, 1, 1),
+                                      line_record(1, [(0.4, 0.4), (0.5, 0.5)]),
+                                      line_record(2, [(1.5, 0.5), (2, 0.5)])],
+        "lattices": overlapping_lattices(3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(degenerate_sets()))
+def test_overlap_graph_equals_all_pairs(name):
+    recs = degenerate_sets()[name]
+    want = brute_force_graph(recs)
+    assert sum(map(len, want.values())) > 0
+    assert overlap_graph(recs) == want
+    assert oracle.oracle_layers_valid(recs, build_layer_index(recs))
+
+
+def test_overlap_graph_equals_all_pairs_in_many_chunks(monkeypatch):
+    recs = overlapping_lattices(4) + gen.random_polylines(gen.rng(4), 20, start_id=300)
+    want = brute_force_graph(recs)
+    sweep_chunks, edge_chunks = [], []
+    sweep, meet = canvas_index.overlapping_boxes, geometry.segments_meet
+
+    def counted_sweep(boxes):
+        for chunk in sweep(boxes):
+            sweep_chunks.append(1)
+            yield chunk
+
+    def counted_meet(s, t):
+        edge_chunks.append(1)
+        return meet(s, t)
+    monkeypatch.setattr(geometry, "PAIR_BUDGET", 64)
+    monkeypatch.setattr(canvas_index, "overlapping_boxes", counted_sweep)
+    monkeypatch.setattr(geometry, "segments_meet", counted_meet)
+    assert overlap_graph(recs) == want
+    assert len(sweep_chunks) > 1 and len(edge_chunks) > 1
+
+
+def test_layer_index_renders_no_canvas(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("build_layer_index rendered a canvas")
+    monkeypatch.setattr(canvas, "render_geometry_canvas", forbidden)
+    recs = overlapping_lattices(0)
+    assert oracle.oracle_layers_valid(recs, build_layer_index(recs))
+
+
+def dict_point_layering(records) -> LayerIndex:
+    """Reference: the k-th coincident duplicate, in id order, to layer k."""
+    seen: dict = {}
+    layers: list = []
+    for rec in sorted(records, key=lambda r: r.id):
+        key = (rec.geometry.x, rec.geometry.y)
+        depth = seen.get(key, 0)
+        seen[key] = depth + 1
+        while len(layers) <= depth:
+            layers.append([])
+        layers[depth].append(rec.id)
+    return LayerIndex(layers=[sorted(layer) for layer in layers])
+
+
+def test_point_layering_equals_the_dict_version():
+    # -0.0 and 0.0 are one spot, so four points share (0, 0.5).
+    spots = [(0.1, 0.2), (0.3, 0.2), (0.1, 0.3), (-0.0, 0.5), (0.0, 0.5)]
+    # A triple and several doubles whose ids interleave across spots.
+    where = [0, 1, 0, 2, 0, 1, 3, 4, 3, 2, 4]
+    ids = [109, 102, 105, 114, 101, 107, 103, 111, 120, 100, 106]
+    recs = [point_record(i, *spots[w]) for i, w in zip(ids, where)]
+    recs += gen.uniform_points(gen.rng(2), 30)
+    want = dict_point_layering(recs)
+    got = storage._point_layering(recs)
+    assert got.layers == want.layers and got.object_to_layer == want.object_to_layer
+    assert want.layer_count == 4
+    assert storage._point_layering([]).layers == []
 
 
 def distance_sources(seed):

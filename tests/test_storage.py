@@ -131,16 +131,9 @@ def test_ooc_aggregate_builds_one_constraint_layer_index(stores, monkeypatch):
     assert len(calls) == 1
 
 
-def test_ooc_aggregate_indexes_constraints_at_the_count_resolution(stores, monkeypatch):
+def test_ooc_aggregate_at_full_resolution_agrees_with_oracle(stores):
     cfg = Config(resolution=1024, byte_budget=1 << 20, cache_factor=1)
-    seen = []
-
-    def recorded(records, **kwargs):
-        seen.append(kwargs.get("resolution"))
-        return canvas_index.build_layer_index(records, **kwargs)
-    monkeypatch.setattr(storage, "build_layer_index", recorded)
     got = storage.ooc_aggregate(stores.hoods, stores.sp, "count", config=cfg).rows
-    assert seen == [engine.count_resolution(cfg)] == [128]
     assert list(got) == oracle.oracle_aggregate(stores.hoods, stores.points, "count")
 
 
