@@ -11,33 +11,41 @@ and ``ooc_knn_join`` load each kept cell once for all the sources that
 reach it. The kNN radius ladder counts exactly over the kept cells' point
 columns, without a canvas.
 
-A dataset directory holds ``catalog.meta`` (text key-value), ``records.bin``
-(the ingested records), ``cells.bin`` (grid-cell blocks), ``bindex.bin`` and
-``layers.bin`` (per-cell canvas indexes), and ``hulls.wkt``. Binary files are
-little-endian and start with the magic ``SPDC1``, a ``<H`` format version
-and a ``<I`` count. A store whose catalog or ``cells.bin`` names another
-version than ``FORMAT_VERSION`` is refused with ``CorruptionError``.
+A dataset directory holds four files: ``catalog.meta`` (text key-value),
+``records.bin`` (the ingested records), ``cells.bin`` (the grid cells) and
+``hulls.wkt`` (each cell's convex hull). Binary files are little-endian and
+start with the magic ``SPDC1``, a ``<H`` format version and a ``<I``
+count. A store whose catalog or binary files name another version than
+``FORMAT_VERSION`` is refused with ``CorruptionError``.
 
-Records are stored in column blocks (format version 3): ``records.bin``
-holds one block for the whole dataset and ``cells.bin`` one per grid cell.
+Records are stored in column blocks: ``records.bin`` holds one block for
+the whole dataset.
 
 - header ``<II``: point rows n, other rows m;
 - point section: ``ids`` n x ``<u8``, ``values`` n x ``<f8`` (NaN where a
   point has no value) and ``xy`` n x 2 ``<f8``, each contiguous;
 - others section: the m polyline and polygon records, each length-prefixed
   in the per-record encoding of ``serialize_record``; a polygon holds its
-  rings only (version 2 also held triangles, and is refused).
+  rings only.
 
-Both sections are in ascending id order. A cell load reads the point
-section with ``np.frombuffer`` into an ``engine.PreparedPoints`` and builds
-no record for it; queries take the loaded ``CellData`` as a dataset.
+Both sections are in ascending id order. ``cells.bin`` holds a table of
+one ``_CELL_ROW`` per cell (zoom, x, y, rows, region offset, block length,
+slice length, CRC-32), then one region per cell: the cell's column block
+followed by its layer slice. Only polygon stores write a slice (the
+layer index ``ooc_join`` renders its A side by); a cell of any other store
+is its block alone. A region is exactly what ``load_cell`` reads, with one
+read and one CRC check, and its length is the cell's ``byte_size``. A cell
+load reads the point section with ``np.frombuffer`` into an
+``engine.PreparedPoints`` and builds no record for it; queries take the
+loaded ``CellData`` as a dataset.
+
+``records.bin`` stays beside ``cells.bin`` although the cells hold the same
+records: it is the only source ``build_indexes`` reads, so a store can be
+re-celled under another byte budget without the original records.
 
 Integrity: opening a ``DatasetStore`` checks every file against the SHA-256
-in its catalog, and ``load_cell`` checks each cell block and its
-``layers.bin`` slice against the CRC-32s in the cell's ``cells.bin`` table
-row. ``bindex.bin`` (each cell's boundary index, one row per point,
-segment or ring edge) is still written and
-counted in ``GridCell.byte_size``, but no reader opens it.
+in its catalog, and ``load_cell`` checks each region against the CRC-32 in
+its cell row.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ import hashlib
 import struct
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,14 +62,13 @@ import numpy as np
 from . import engine, instrument, optimizer
 from .canvas_index import LayerIndex, build_layer_index
 from .config import DEFAULT, Config
-from .errors import CorruptionError, DataError
+from .errors import CorruptionError, DataError, DegenerateGeometryError
 from .geometry import (
     GeometryRecord,
     Point2,
     PolygonGeom,
     Segment,
     convex_hull,
-    edge_table,
     parse_wkt,
     part_tables,
     polygon_distances,
@@ -70,7 +77,7 @@ from .geometry import (
 )
 
 MAGIC = b"SPDC1"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 MAX_ZOOM = 20
 
 _KIND_CODE = {"polyline": 1, "polygon": 2}
@@ -79,12 +86,8 @@ _FILE_HEAD = struct.Struct("<HI")  # format version, item count (after MAGIC)
 _HEAD_SIZE = len(MAGIC) + _FILE_HEAD.size
 _BLOCK_HEAD = struct.Struct("<II")  # point rows, other rows
 _POINT_ROW = 32  # id, value, x, y
-# zoom, x, y, rows, block offset, length, CRC, bindex offset, length,
-# layers offset, length, CRC
-_CELL_ROW = struct.Struct("<BIIIQQIQQQQI")
-# object id, kind, six coordinates (NaN-padded), radius, edge ordinal, -1
-# (a triangle ordinal before format version 3)
-_BINDEX_ROW = struct.Struct("<QB6ddIi")
+# zoom, x, y, rows, region offset, block length, slice length, region CRC
+_CELL_ROW = struct.Struct("<BIIIQQQI")
 
 
 # ---------------------------------------------------------------------------
@@ -199,19 +202,18 @@ def _deserialize_layers(buf: bytes) -> LayerIndex:
     return LayerIndex(layers=layers)
 
 
-def _serialize_bindex_rows(bindex) -> bytes:
-    rows = zip(bindex.obj_ids.tolist(), bindex.kinds.tolist(), bindex.coords.tolist(),
-               bindex.aux_r.tolist(), bindex.edge_ordinals.tolist())
-    return struct.pack("<I", len(bindex)) + b"".join(
-        _BINDEX_ROW.pack(oid, kind, *c, np.nan, np.nan, r, e, -1) for oid, kind, c, r, e in rows)
-
-
 # ---------------------------------------------------------------------------
 # Grid index structures
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class GridCell:
+    """One grid cell: its tile, the convex hull of its members, their
+    number, and ``byte_size``, the length of its ``cells.bin`` region (the
+    bytes a load reads), which starts ``offset`` bytes past the cell table
+    and has the CRC-32 ``crc``. ``build_grid_index`` gives an upper bound
+    of the size and no offset."""
+
     zoom: int
     x: int
     y: int
@@ -219,7 +221,6 @@ class GridCell:
     count: int
     byte_size: int
     offset: int = 0
-    length: int = 0
     crc: int = 0
 
     @property
@@ -237,12 +238,6 @@ class GridIndex:
     extent: tuple
     _hulls: list | None = field(default=None, init=False, repr=False, compare=False)
     _hull_tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def cell_by_key(self, key) -> GridCell:
-        for c in self.cells:
-            if c.key == key:
-                return c
-        raise DataError(f"no such cell {key}")
 
     def hull_records(self) -> list:
         """Cell hulls as a polygon dataset; record id = cell ordinal. Built
@@ -296,7 +291,7 @@ def _hull_of_records(records) -> PolygonGeom:
                     pts.extend(map(tuple, ring))
     try:
         return convex_hull(pts)
-    except Exception:
+    except DegenerateGeometryError:
         xs = [p[0] for p in pts]
         ys = [p[1] for p in pts]
         pad = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9) * 1e-3 + 1e-12
@@ -306,43 +301,33 @@ def _hull_of_records(records) -> PolygonGeom:
                                     (min(xs) - pad, max(ys) + pad)]])
 
 
-def _point_layering(records) -> LayerIndex:
-    """Points are disjoint iff distinct; coincident duplicates go to
-    separate layers (k-th duplicate in id order to layer k). One lexsort by
-    (x, y, id) puts each run of equal (x, y) together in id order, so a
-    record's layer is its rank within its run."""
-    n = len(records)
-    ids = np.fromiter((rec.id for rec in records), dtype=np.int64, count=n)
-    x = np.fromiter((rec.geometry.x for rec in records), dtype=float, count=n)
-    y = np.fromiter((rec.geometry.y for rec in records), dtype=float, count=n)
-    order = np.lexsort((ids, y, x))
-    x, y, ids = x[order], y[order], ids[order]
-    first = np.r_[True, (x[1:] != x[:-1]) | (y[1:] != y[:-1])]
-    depth = np.arange(n) - np.flatnonzero(first)[np.cumsum(first) - 1]
-    order = np.lexsort((ids, depth))
-    ids, depth = ids[order], depth[order]
-    layers = np.split(ids, np.flatnonzero(depth[1:] != depth[:-1]) + 1) if n else []
-    return LayerIndex(layers=[layer.tolist() for layer in layers])
-
-
 def build_grid_index(records, byte_budget: int, config: Config = DEFAULT,
                      kind: str = "polygon") -> tuple:
-    """Assign records to power-of-two tiles over the dataset extent at the
-    minimal zoom where every cell block (records + canvas index slices) fits
-    the byte budget; polygon datasets additionally raise the zoom until the
-    median polygon spans >= 2 pixels at the default query resolution.
+    """Assign records, by centroid, to power-of-two tiles over the dataset
+    extent at the minimal zoom where every cell's region fits the byte
+    budget; polygon datasets additionally raise the zoom until the median
+    polygon spans >= 2 pixels at the default query resolution.
 
-    Returns (GridIndex, {cell key: [records]}, {cell key: serialized sizes}).
+    A cell is sized, with no layer index built, as its column block plus,
+    in a polygon store, an upper bound of its layer slice: 4 bytes and 12
+    per member, as a cell has at most one layer per member (4 bytes of
+    length and 8 of id each). That bound is each cell's ``byte_size``.
+
+    Returns (GridIndex, {cell key: [records in id order]}).
     """
     records = sorted(records, key=lambda r: r.id)
     if not records:
         raise DataError("cannot index an empty dataset")
-    row_bytes = {rec.id: _POINT_ROW if rec.kind == "point" else len(serialize_record(rec))
-                 for rec in records}
-    big_id = max(row_bytes, key=row_bytes.get)
-    if row_bytes[big_id] >= byte_budget:
-        raise DataError(f"object {big_id} ({row_bytes[big_id]} bytes) exceeds the "
+    row_bytes = np.array([_POINT_ROW if rec.kind == "point" else len(serialize_record(rec))
+                          for rec in records])
+    big = int(row_bytes.argmax())
+    if row_bytes[big] >= byte_budget:
+        raise DataError(f"object {records[big].id} ({row_bytes[big]} bytes) exceeds the "
                         f"cell byte budget {byte_budget}")
+    head = _BLOCK_HEAD.size
+    if kind == "polygon":  # the layer slice bound
+        head += 4
+        row_bytes += 12
     boxes = np.array([rec.bbox() for rec in records])
     x0, y0 = boxes[:, 0].min(), boxes[:, 1].min()
     x1, y1 = boxes[:, 2].max(), boxes[:, 3].max()
@@ -357,44 +342,31 @@ def build_grid_index(records, byte_budget: int, config: Config = DEFAULT,
         median_span = float(np.median(spans))
 
     for zoom in range(0, MAX_ZOOM + 1):
-        tile = side / (1 << zoom)
-        tx = np.minimum(((cents[:, 0] - x0) / tile).astype(int), (1 << zoom) - 1)
-        ty = np.minimum(((cents[:, 1] - y0) / tile).astype(int), (1 << zoom) - 1)
-        groups: dict = {}
-        for rec, cx, cy in zip(records, tx, ty):
-            groups.setdefault((zoom, int(cx), int(cy)), []).append(rec)
-        sizes = {}
-        ok = True
-        for key, members in groups.items():
-            block = _BLOCK_HEAD.size + sum(row_bytes[m.id] for m in members)
-            bindex_bytes = 4 + _BINDEX_ROW.size * sum(
-                1 if m.kind == "point" else len(edge_table(m)[0]) for m in members)
-            if kind == "point":
-                layer_bytes = len(_serialize_layers(_point_layering(members)))
-            else:
-                layer_bytes = len(_serialize_layers(build_layer_index(members)))
-            total = block + bindex_bytes + layer_bytes
-            sizes[key] = (block, bindex_bytes, layer_bytes)
-            if total > byte_budget:
-                ok = False
-                break
-        if not ok:
+        n = 1 << zoom
+        tile = side / n
+        tx = np.minimum(((cents[:, 0] - x0) / tile).astype(np.int64), n - 1)
+        ty = np.minimum(((cents[:, 1] - y0) / tile).astype(np.int64), n - 1)
+        codes, cell_of = np.unique(tx * n + ty, return_inverse=True)
+        sizes = head + np.bincount(cell_of, weights=row_bytes).astype(np.int64)
+        if sizes.max() > byte_budget:
             continue
         if median_span is not None and zoom < MAX_ZOOM:
             # sub-pixel polygons devolve to full exact tests; shrink cells
             # until the median polygon spans >= 2 query pixels
             px = tile / config.resolution
-            if median_span < 2 * px and len(groups) < len(records):
+            if median_span < 2 * px and len(codes) < len(records):
                 continue
-        cells = []
-        for key in sorted(groups):
-            members = groups[key]
-            hull = _hull_of_records(members)
-            cells.append(GridCell(zoom=key[0], x=key[1], y=key[2], hull=hull,
-                                  count=len(members),
-                                  byte_size=sum(sizes[key])))
-        index = GridIndex(zoom=zoom, cells=cells, extent=(x0, y0, x1, y1))
-        return index, {k: groups[k] for k in sorted(groups)}, sizes
+        order = np.argsort(cell_of, kind="stable")
+        bounds = np.cumsum(np.bincount(cell_of))[:-1]
+        groups, cells = {}, []
+        for code, size, members in zip(codes.tolist(), sizes.tolist(),
+                                       np.split(order, bounds)):
+            key = (zoom, *divmod(code, n))
+            groups[key] = [records[i] for i in members]
+            cells.append(GridCell(zoom=zoom, x=key[1], y=key[2],
+                                  hull=_hull_of_records(groups[key]),
+                                  count=len(members), byte_size=size))
+        return GridIndex(zoom=zoom, cells=cells, extent=(x0, y0, x1, y1)), groups
     raise DataError("no zoom level satisfies the byte budget")
 
 
@@ -494,60 +466,36 @@ def hull_wkt(poly: PolygonGeom) -> str:
 
 def build_indexes(cat: DatasetCatalog, byte_budget: int | None = None,
                   config: Config = DEFAULT) -> GridIndex:
-    """Build and persist the grid, boundary, and layer indexes for a
-    dataset: cells.bin, bindex.bin, layers.bin, hulls.wkt."""
-    from .canvas_index import build_boundary_index_direct
+    """Cell a dataset's ``records.bin`` under the byte budget and persist
+    ``cells.bin`` and ``hulls.wkt`` (layout in the module docstring). Each
+    cell of a polygon store gets its layer index, built once here; the
+    returned index's cells carry their regions' sizes, offsets and CRCs."""
     byte_budget = byte_budget or config.byte_budget
     records = read_records(cat)
-    index, groups, _sizes = build_grid_index(records, byte_budget, config, cat.kind)
-
-    cell_dir = []
-    blocks = []
-    bindex_parts = []
-    layer_parts = []
-    hull_lines = []
+    index, groups = build_grid_index(records, byte_budget, config, cat.kind)
+    rows, regions, hull_lines, cells = [], [], [], []
     offset = 0
-    boffset = 0
-    loffset = 0
-    cells = []
     for cell in index.cells:
         members = groups[cell.key]
         block = encode_block(members)
-        crc = zlib.crc32(block)
-        bslice = _serialize_bindex_rows(build_boundary_index_direct(members))
-        if cat.kind == "point":
-            lslice = _serialize_layers(_point_layering(members))
-        else:
-            lslice = _serialize_layers(build_layer_index(members))
-        cells.append(GridCell(zoom=cell.zoom, x=cell.x, y=cell.y, hull=cell.hull,
-                              count=cell.count,
-                              byte_size=len(block) + len(bslice) + len(lslice),
-                              offset=offset, length=len(block), crc=crc))
-        cell_dir.append(_CELL_ROW.pack(cell.zoom, cell.x, cell.y, cell.count, offset,
-                                       len(block), crc, boffset, len(bslice), loffset,
-                                       len(lslice), zlib.crc32(lslice)))
-        blocks.append(block)
-        bindex_parts.append(bslice)
-        layer_parts.append(lslice)
+        lslice = _serialize_layers(build_layer_index(members)) if cat.kind == "polygon" else b""
+        region = block + lslice
+        crc = zlib.crc32(region)
+        cells.append(replace(cell, byte_size=len(region), offset=offset, crc=crc))
+        rows.append(_CELL_ROW.pack(cell.zoom, cell.x, cell.y, cell.count, offset,
+                                   len(block), len(lslice), crc))
+        regions.append(region)
         hull_lines.append(f"{cell.zoom}/{cell.x}/{cell.y}\t{hull_wkt(cell.hull)}")
-        offset += len(block)
-        boffset += len(bslice)
-        loffset += len(lslice)
+        offset += len(region)
 
     d = cat.directory
-    cells_blob = _file_head(len(cells)) + b"".join(cell_dir) + b"".join(blocks)
-    bindex_blob = _file_head(len(cells)) + b"".join(bindex_parts)
-    layers_blob = _file_head(len(cells)) + b"".join(layer_parts)
+    cells_blob = _file_head(len(cells)) + b"".join(rows) + b"".join(regions)
     hulls_text = "\n".join(hull_lines) + "\n"
     (d / "cells.bin").write_bytes(cells_blob)
-    (d / "bindex.bin").write_bytes(bindex_blob)
-    (d / "layers.bin").write_bytes(layers_blob)
     (d / "hulls.wkt").write_text(hulls_text)
     cat.zoom = index.zoom
     cat.byte_budget = byte_budget
     cat.checksums["cells.bin"] = hashlib.sha256(cells_blob).hexdigest()
-    cat.checksums["bindex.bin"] = hashlib.sha256(bindex_blob).hexdigest()
-    cat.checksums["layers.bin"] = hashlib.sha256(layers_blob).hexdigest()
     cat.checksums["hulls.wkt"] = hashlib.sha256(hulls_text.encode()).hexdigest()
     (d / "catalog.meta").write_text(_meta_text(cat))
     index.cells = cells
@@ -559,11 +507,11 @@ class CellData(engine.SplitDataset):
     """One loaded cell, which queries take as a dataset: ``points``, its
     point section as columns read in place from the block (no record is
     built for them), ``others``, its decoded polyline and polygon records,
-    ``layer_slice``, its CRC-checked ``layers.bin`` slice, decoded into
-    ``layers`` on first use (only joins read it), and ``byte_size``, the
-    bytes a load counts (block, boundary-index and layer slices)."""
+    ``layer_slice``, the layer slice of its region (empty outside polygon
+    stores), decoded into ``layers`` on first use (only joins read it), and
+    ``byte_size``, its region's length: the bytes the load read."""
 
-    layer_slice: bytes
+    layer_slice: memoryview
     byte_size: int
     _layers: LayerIndex | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -577,8 +525,9 @@ class CellData(engine.SplitDataset):
 class DatasetStore:
     """Read-only view of an indexed dataset with an LRU cell cache.
 
-    ``bytes_transferred`` counts block bytes actually read; cache hits add
-    nothing (the cache holds cache_factor x byte_budget bytes).
+    ``bytes_transferred`` adds the region length of every cell load, the
+    bytes actually read; cache hits add nothing. The cache holds
+    cache_factor x byte_budget bytes of regions.
     """
 
     def __init__(self, data_dir, name: str, config: Config = DEFAULT):
@@ -618,14 +567,13 @@ class DatasetStore:
             hull_map[(z, x, y)] = parts[0]
         cells = []
         zoom = 0
-        for z, x, y, n, coff, clen, crc, _, bl, lo, ll, lcrc in _CELL_ROW.iter_unpack(
-                blob[_HEAD_SIZE:base]):
-            if base + coff + clen > len(blob):
+        for z, x, y, n, off, blen, slen, crc in _CELL_ROW.iter_unpack(blob[_HEAD_SIZE:base]):
+            if base + off + blen + slen > len(blob):
                 raise CorruptionError(f"{what}: cell {z}/{x}/{y} ends past the file")
             cell = GridCell(zoom=z, x=x, y=y, hull=hull_map[(z, x, y)], count=n,
-                            byte_size=clen + bl + ll, offset=coff, length=clen, crc=crc)
+                            byte_size=blen + slen, offset=off, crc=crc)
             cells.append(cell)
-            self._table[cell.key] = (base + coff, clen, crc, _HEAD_SIZE + lo, ll, lcrc)
+            self._table[cell.key] = (base + off, blen + slen, blen, crc)
             zoom = z
         boxes = np.array([c.hull.bbox() for c in cells])
         self._index = GridIndex(zoom=zoom, cells=cells,
@@ -634,8 +582,8 @@ class DatasetStore:
         return self._index
 
     def load_cell(self, cell: GridCell) -> CellData:
-        """The cell's block, decoded, plus its layer index slice, both
-        CRC-checked; served from cache when resident."""
+        """The cell's region, read at once and CRC-checked: its block,
+        decoded, and its layer slice; served from cache when resident."""
         self.grid_index()
         key = cell.key
         if key not in self._table:
@@ -643,21 +591,19 @@ class DatasetStore:
         if key in self._cache:
             self._cache.move_to_end(key)
             return self._cache[key]
-        coff, clen, crc, loff, llen, lcrc = self._table[key]
-        d = self.catalog.directory
+        start, size, blen, crc = self._table[key]
         label = f"{self.catalog.name} cell {cell.label()}"
         with instrument.phase("io"):
-            block = _read_checked(d / "cells.bin", coff, clen, crc, f"{label} block")
-            lblob = _read_checked(d / "layers.bin", loff, llen, lcrc, f"{label} layers slice")
-        points, others = decode_block(block)
+            region = memoryview(_read_checked(self.catalog.directory / "cells.bin", start,
+                                              size, crc, f"{label} region"))
+        points, others = decode_block(region[:blen])
         if len(points) + len(others) != cell.count:
             raise CorruptionError(f"{label}: {cell.count} rows announced, "
                                   f"{len(points) + len(others)} stored")
-        data = CellData(points=points, others=others, layer_slice=lblob,
-                        byte_size=cell.byte_size)
-        self.bytes_transferred += cell.byte_size
+        data = CellData(points=points, others=others, layer_slice=region[blen:], byte_size=size)
+        self.bytes_transferred += size
         self._cache[key] = data
-        self._cache_bytes += cell.byte_size
+        self._cache_bytes += size
         while self._cache_bytes > self.cache_capacity and len(self._cache) > 1:
             _, old = self._cache.popitem(last=False)
             self._cache_bytes -= old.byte_size
@@ -665,7 +611,9 @@ class DatasetStore:
 
 
 def _read_checked(path: Path, offset: int, length: int, crc: int, what: str) -> bytes:
-    with open(path, "rb") as f:
+    """``length`` bytes at ``offset``, CRC-checked, in one unbuffered read:
+    a buffered one reads whole pages around them."""
+    with open(path, "rb", buffering=0) as f:
         f.seek(offset)
         blob = f.read(length)
     if len(blob) != length:
@@ -859,17 +807,17 @@ def ooc_aggregate(constraints, store: DatasetStore, mode: str = "count",
     index = store.grid_index()
     counts: dict = {}
     sums: dict = {}
-    cells = sorted({cell.key for cons in constraints for cell in filter_select(index, cons)})
-    layers = build_layer_index(constraints) if cells else None
-    for key in cells:
-        cell = index.cell_by_key(key)
-        rows = engine.aggregate(constraints, store.load_cell(cell), mode,
-                                resolution=resolution, config=config,
-                                layer_index=layers).rows
-        for cid, n, s in rows:
-            counts[cid] = counts.get(cid, 0) + n
-            if mode == "sum":
-                sums[cid] = sums.get(cid, 0.0) + (s or 0.0)
+    keys = {cell.key for cons in constraints for cell in filter_select(index, cons)}
+    layers = build_layer_index(constraints) if keys else None
+    for cell in index.cells:
+        if cell.key in keys:
+            rows = engine.aggregate(constraints, store.load_cell(cell), mode,
+                                    resolution=resolution, config=config,
+                                    layer_index=layers).rows
+            for cid, n, s in rows:
+                counts[cid] = counts.get(cid, 0) + n
+                if mode == "sum":
+                    sums[cid] = sums.get(cid, 0.0) + (s or 0.0)
     rows = tuple((cid, counts[cid], sums.get(cid) if mode == "sum" else None)
                  for cid in sorted(counts))
     return engine.AggregationResult(rows)

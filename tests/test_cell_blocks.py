@@ -1,17 +1,17 @@
 """Column cell blocks: the codec round-trips every record kind, stores
 holding several kinds agree with the brute-force oracle, a point cell loads
-without decoding records one by one, and damaged or outdated stores raise
+without decoding records one by one, a store holds one region per cell and
+counts exactly the bytes it reads, and damaged or outdated stores raise
 ``CorruptionError`` instead of answering."""
 
 import math
-import struct
 
 import numpy as np
 import pytest
 
 import gen
 from rasterquery import engine, optimizer, oracle, storage
-from rasterquery.canvas_index import build_boundary_index_direct
+from rasterquery.canvas_index import build_layer_index
 from rasterquery.config import Config
 from rasterquery.errors import CorruptionError, DataError
 from rasterquery.geometry import GeometryRecord, box_record, line_record, point_record
@@ -139,7 +139,7 @@ class Mixed:
         self.hoods = [GeometryRecord(900 + i, "polygon", [gen.concave_polygon(r, c, 0.2)])
                       for i, c in enumerate([(0.3, 0.3), (0.72, 0.3), (0.5, 0.75)])]
         for name, recs in (("mixed", self.records), ("bare", self.bare)):
-            storage.build_indexes(storage.ingest(recs, name, root), byte_budget=6 * 1024,
+            storage.build_indexes(storage.ingest(recs, name, root), byte_budget=1792,
                                   config=CFG)
         self.store = storage.DatasetStore(root, "mixed", CFG)
         self.bare_store = storage.DatasetStore(root, "bare", CFG)
@@ -153,6 +153,7 @@ def mixed(tmp_path_factory):
 def test_mixed_store_has_mixed_cells(mixed):
     cells = mixed.store.grid_index().cells
     assert len(cells) >= 4
+    assert len(mixed.bare_store.grid_index().cells) >= 4
     loaded = [mixed.store.load_cell(c) for c in cells]
     assert any(len(d.points) and d.others for d in loaded)
 
@@ -249,7 +250,7 @@ def test_ooc_knn_select_breaks_ties_toward_lower_id(tmp_path):
     recs += [point_record(100 + i, *xy) for i, xy in
              enumerate(gen.rng(10).uniform(0.0, 1.0, (120, 2)))
              if math.hypot(xy[0] - 0.5, xy[1] - 0.5) > 0.2]
-    storage.build_indexes(storage.ingest(recs, "ties", tmp_path), byte_budget=2048, config=CFG)
+    storage.build_indexes(storage.ingest(recs, "ties", tmp_path), byte_budget=1024, config=CFG)
     store = storage.DatasetStore(tmp_path, "ties", CFG)
     assert len(store.grid_index().cells) >= 4
     got = storage.ooc_knn_select(store, (0.5, 0.5), 3, config=CFG)
@@ -258,14 +259,25 @@ def test_ooc_knn_select_breaks_ties_toward_lower_id(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Damaged and outdated stores
+# One region per cell
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
 def small_store(tmp_path):
     recs = gen.uniform_points(gen.rng(12), 200, values=True)
-    storage.build_indexes(storage.ingest(recs, "pts", tmp_path), byte_budget=4096, config=CFG)
+    storage.build_indexes(storage.ingest(recs, "pts", tmp_path), byte_budget=2048, config=CFG)
     return tmp_path, tmp_path / "pts"
+
+
+@pytest.fixture
+def poly_store(tmp_path):
+    """A polygon store of several cells whose polygons overlap, so cells
+    hold several layers."""
+    recs = gen.random_polygons(gen.rng(13), 24, radius_frac=0.08)
+    storage.build_indexes(storage.ingest(recs, "polys", tmp_path), byte_budget=1024, config=CFG)
+    store = storage.DatasetStore(tmp_path, "polys", CFG)
+    assert len(store.grid_index().cells) >= 4
+    return store
 
 
 def _open(root):
@@ -274,13 +286,15 @@ def _open(root):
     return store
 
 
-def _flip(path, offset):
-    blob = bytearray(path.read_bytes())
-    blob[offset] ^= 0x40
-    path.write_bytes(bytes(blob))
+def _cell_rows(store) -> list:
+    """The cells.bin table rows of a store, in cell order."""
+    blob = (store.catalog.directory / "cells.bin").read_bytes()
+    ncells = len(store.grid_index().cells)
+    return list(storage._CELL_ROW.iter_unpack(
+        blob[storage._HEAD_SIZE:storage._HEAD_SIZE + ncells * storage._CELL_ROW.size]))
 
 
-def _block_offset(store, cell) -> int:
+def _region_offset(store, cell) -> int:
     ncells = len(store.grid_index().cells)
     return storage._HEAD_SIZE + ncells * storage._CELL_ROW.size + cell.offset
 
@@ -290,8 +304,79 @@ def _answers(store):
     return storage.ooc_select(store, box_record(0, -0.1, -0.1, 1.1, 1.1), config=CFG)
 
 
+def test_store_holds_four_files(small_store, poly_store):
+    for d in (small_store[1], poly_store.catalog.directory):
+        assert sorted(f.name for f in d.iterdir()) == \
+            ["catalog.meta", "cells.bin", "hulls.wkt", "records.bin"]
+
+
+def test_point_cells_have_no_layer_slice(small_store):
+    store = _open(small_store[0])
+    rows = _cell_rows(store)
+    assert len(rows) >= 4
+    for cell, (*_, offset, blen, slen, crc) in zip(store.grid_index().cells, rows):
+        assert slen == 0 and cell.byte_size == blen
+        assert (cell.offset, cell.crc) == (offset, crc)
+        assert len(store.load_cell(cell).layer_slice) == 0
+
+
+def test_bytes_transferred_is_the_regions_read(small_store, poly_store, monkeypatch):
+    """Each load is one read and one CRC check of the cell's region, and
+    ``bytes_transferred`` adds the regions' lengths: the bytes read."""
+    reads = []
+    real = storage._read_checked
+
+    def counted(path, offset, length, crc, what):
+        blob = real(path, offset, length, crc, what)
+        reads.append(len(blob))
+        return blob
+    monkeypatch.setattr(storage, "_read_checked", counted)
+    for store in (_open(small_store[0]), poly_store):
+        reads.clear()
+        _answers(store)
+        regions = [blen + slen for *_, blen, slen, _ in _cell_rows(store)]
+        assert len(reads) == len(regions)
+        assert sorted(reads) == sorted(regions)
+        assert store.bytes_transferred == sum(regions) == \
+            sum(c.byte_size for c in store.grid_index().cells)
+
+
+def test_polygon_cells_carry_their_layer_index(poly_store):
+    multi = 0
+    for cell in poly_store.grid_index().cells:
+        data = poly_store.load_cell(cell)
+        want = build_layer_index(data.others)
+        assert data.layers.layers == want.layers
+        assert oracle.oracle_layers_valid(data.others, data.layers)
+        multi += data.layers.layer_count > 1
+    assert multi
+
+
+def test_cell_sizes_bound_the_regions(poly_store):
+    """``build_grid_index`` sizes a cell with no layer index built, by an
+    upper bound of its layer slice; the region written is no larger."""
+    records = storage.read_records(poly_store.catalog)
+    index, _ = storage.build_grid_index(records, poly_store.catalog.byte_budget, CFG, "polygon")
+    written = poly_store.grid_index().cells
+    assert [c.key for c in index.cells] == [c.key for c in written]
+    for bound, cell in zip(index.cells, written):
+        assert cell.byte_size <= bound.byte_size <= poly_store.catalog.byte_budget
+
+
+# ---------------------------------------------------------------------------
+# Damaged and outdated stores
+# ---------------------------------------------------------------------------
+
+def _flip(path, offset):
+    blob = bytearray(path.read_bytes())
+    blob[offset] ^= 0x40
+    path.write_bytes(bytes(blob))
+
+
 def test_intact_store_answers(small_store):
-    assert _answers(_open(small_store[0])).ids
+    store = _open(small_store[0])
+    assert len(store.grid_index().cells) >= 4
+    assert _answers(store).ids
 
 
 def test_truncated_cells_bin(small_store):
@@ -314,7 +399,7 @@ def test_flipped_byte_in_point_block(small_store):
     store = _open(root)
     cell = store.grid_index().cells[-1]
     # A byte of the last point's y coordinate.
-    _flip(d / "cells.bin", _block_offset(store, cell) + cell.length - 3)
+    _flip(d / "cells.bin", _region_offset(store, cell) + cell.byte_size - 3)
     with pytest.raises(CorruptionError):
         store.load_cell(cell)
     with pytest.raises(CorruptionError):
@@ -323,14 +408,17 @@ def test_flipped_byte_in_point_block(small_store):
         storage.DatasetStore(root, "pts", CFG)
 
 
-def test_flipped_byte_in_layers_slice(small_store):
-    root, d = small_store
-    store = _open(root)
-    _flip(d / "layers.bin", storage._HEAD_SIZE + 6)
+def test_flipped_byte_in_layers_slice(poly_store):
+    cell = poly_store.grid_index().cells[0]
+    *_, blen, slen, _ = _cell_rows(poly_store)[0]
+    assert slen > 0
+    # A byte of the first layer's first id.
+    _flip(poly_store.catalog.directory / "cells.bin",
+          _region_offset(poly_store, cell) + blen + 8)
     with pytest.raises(CorruptionError):
-        store.load_cell(store.grid_index().cells[0])
+        poly_store.load_cell(cell)
     with pytest.raises(CorruptionError):
-        _answers(store)
+        storage.ooc_join(poly_store, poly_store, config=CFG)
 
 
 def test_catalog_of_another_version(small_store):
@@ -352,32 +440,24 @@ def test_cells_bin_of_another_version(small_store):
         store.grid_index()
 
 
-def test_version_2_stores_are_refused(small_store):
+@pytest.mark.parametrize("version", [2, 3])
+def test_version_2_stores_are_refused(small_store, version):
     """Stores written while polygon records still held triangles (format
-    version 2) are refused, by their catalog and by their files."""
-    assert storage.FORMAT_VERSION == 3
+    version 2), or while each cell was split over cells.bin, bindex.bin and
+    layers.bin (version 3), are refused, by their catalog and by their
+    files."""
+    assert storage.FORMAT_VERSION == 4
     root, d = small_store
-    cat = storage.DatasetStore(root, "pts", CFG).catalog
-    blob = bytearray((d / "records.bin").read_bytes())
-    blob[len(storage.MAGIC):len(storage.MAGIC) + 2] = (2).to_bytes(2, "little")
-    (d / "records.bin").write_bytes(bytes(blob))
+    store = storage.DatasetStore(root, "pts", CFG)
+    for name in ("records.bin", "cells.bin"):
+        blob = bytearray((d / name).read_bytes())
+        blob[len(storage.MAGIC):len(storage.MAGIC) + 2] = version.to_bytes(2, "little")
+        (d / name).write_bytes(bytes(blob))
     with pytest.raises(CorruptionError):
-        storage.read_records(cat)
+        storage.read_records(store.catalog)
+    with pytest.raises(CorruptionError):
+        store.grid_index()
     meta = d / "catalog.meta"
-    meta.write_text(meta.read_text().replace("version=3", "version=2"))
+    meta.write_text(meta.read_text().replace("version=4", f"version={version}"))
     with pytest.raises(CorruptionError):
         storage.DatasetStore(root, "pts", CFG)
-
-
-def test_bindex_rows_keep_their_layout():
-    """One "<QB6ddIi" row per point, segment and ring edge: the coordinates
-    NaN-padded to six, and -1 in the slot that held a triangle ordinal."""
-    recs = [point_record(1, 0.1, 0.2), line_record(2, [(0, 0), (1, 1), (2, 0)]),
-            GeometryRecord(3, "polygon", [gen.holed_polygon()])]
-    bindex = build_boundary_index_direct(recs)
-    rows = [struct.pack("<QB6ddIi", oid, kind, *coords, np.nan, np.nan, r, edge, -1)
-            for oid, kind, coords, r, edge in zip(
-                bindex.obj_ids.tolist(), bindex.kinds.tolist(), bindex.coords.tolist(),
-                bindex.aux_r.tolist(), bindex.edge_ordinals.tolist())]
-    assert len(rows) == 1 + 2 + 15
-    assert storage._serialize_bindex_rows(bindex) == struct.pack("<I", len(rows)) + b"".join(rows)

@@ -5,9 +5,8 @@ disjoint objects: ``build_layer_index`` by exact intersection,
 import pytest
 
 import gen
-from rasterquery import canvas, canvas_index, engine, geometry, oracle, storage
+from rasterquery import canvas, canvas_index, engine, geometry, oracle
 from rasterquery.canvas_index import (
-    LayerIndex,
     _peel,
     build_distance_layer_index,
     build_layer_index,
@@ -149,35 +148,6 @@ def test_layer_index_renders_no_canvas(monkeypatch):
     monkeypatch.setattr(canvas, "render_geometry_canvas", forbidden)
     recs = overlapping_lattices(0)
     assert oracle.oracle_layers_valid(recs, build_layer_index(recs))
-
-
-def dict_point_layering(records) -> LayerIndex:
-    """Reference: the k-th coincident duplicate, in id order, to layer k."""
-    seen: dict = {}
-    layers: list = []
-    for rec in sorted(records, key=lambda r: r.id):
-        key = (rec.geometry.x, rec.geometry.y)
-        depth = seen.get(key, 0)
-        seen[key] = depth + 1
-        while len(layers) <= depth:
-            layers.append([])
-        layers[depth].append(rec.id)
-    return LayerIndex(layers=[sorted(layer) for layer in layers])
-
-
-def test_point_layering_equals_the_dict_version():
-    # -0.0 and 0.0 are one spot, so four points share (0, 0.5).
-    spots = [(0.1, 0.2), (0.3, 0.2), (0.1, 0.3), (-0.0, 0.5), (0.0, 0.5)]
-    # A triple and several doubles whose ids interleave across spots.
-    where = [0, 1, 0, 2, 0, 1, 3, 4, 3, 2, 4]
-    ids = [109, 102, 105, 114, 101, 107, 103, 111, 120, 100, 106]
-    recs = [point_record(i, *spots[w]) for i, w in zip(ids, where)]
-    recs += gen.uniform_points(gen.rng(2), 30)
-    want = dict_point_layering(recs)
-    got = storage._point_layering(recs)
-    assert got.layers == want.layers and got.object_to_layer == want.object_to_layer
-    assert want.layer_count == 4
-    assert storage._point_layering([]).layers == []
 
 
 def distance_sources(seed):

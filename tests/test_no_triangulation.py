@@ -67,12 +67,13 @@ def test_in_memory_queries(no_triangles):
 def test_out_of_core_queries(no_triangles, tmp_path):
     points, lines, polys, zones = _data()
     b = gen.random_polygons(gen.rng(18), 20, radius_frac=0.08, start_id=900)
-    for name, recs, budget in (("p", points, 2048), ("a", polys + zones[-2:], 8192),
-                               ("b", b, 8192)):
+    for name, recs, budget in (("p", points, 768), ("a", polys + zones[-2:], 3072),
+                               ("b", b, 3072)):
         storage.build_indexes(storage.ingest(recs, name, tmp_path), byte_budget=budget,
                               config=CFG)
     sp, sa, sb = (storage.DatasetStore(tmp_path, name, CFG) for name in ("p", "a", "b"))
     assert len(sp.grid_index().cells) >= 4
+    assert len(sa.grid_index().cells) >= 2 and len(sb.grid_index().cells) >= 2
     cons = zones[-1]
     assert list(storage.ooc_select(sp, cons, config=CFG).ids) == \
         oracle.oracle_select(points, cons)

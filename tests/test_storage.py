@@ -24,7 +24,8 @@ R = 0.07
 
 
 class Stores:
-    """A point store of 16 cells and two overlapping polygon stores."""
+    """A point store of 64 cells and two overlapping polygon stores of 4
+    cells each."""
 
     def __init__(self, root):
         r = gen.rng(5)
@@ -33,8 +34,8 @@ class Stores:
         self.b = gen.random_polygons(r, 24, radius_frac=0.08, start_id=100)
         self.hoods = [GeometryRecord(200 + i, "polygon", [gen.concave_polygon(r, c, 0.2)])
                       for i, c in enumerate([(0.3, 0.3), (0.72, 0.3), (0.5, 0.75)])]
-        for name, recs, budget in (("points", self.points, 4096),
-                                   ("a", self.a, 12 * 1024), ("b", self.b, 12 * 1024)):
+        for name, recs, budget in (("points", self.points, 1536),
+                                   ("a", self.a, 3584), ("b", self.b, 3584)):
             storage.build_indexes(storage.ingest(recs, name, root), byte_budget=budget,
                                   config=CFG)
         self.sp, self.sa, self.sb = (storage.DatasetStore(root, name, CFG)
@@ -224,7 +225,9 @@ def test_filter_distance_equals_per_hull_distances(stores, src):
 # Out-of-core join: both strategies, every A layer rendered once
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module", params=[12 * 1024, 4096], ids=["12k", "4k"])
+# The ids name a coarse (4 cells a store) and a fine (15 and 11 cells) grid;
+# they keep the budgets' earlier values so that test ids stay stable.
+@pytest.fixture(scope="module", params=[3584, 1024], ids=["12k", "4k"])
 def join_stores(stores, request):
     root = stores.sa.catalog.directory.parent / f"join{request.param}"
     for name, recs in (("a", stores.a), ("b", stores.b)):
@@ -303,15 +306,15 @@ def test_ooc_join_loads_cells_in_the_explained_order(join_stores, monkeypatch, s
 
 class Lattice:
     """A 20 x 20 lattice of points on multiples of 1/32 with shuffled ids,
-    in a store of 2 KB cells: distances between lattice points are exact,
-    so neighbours at equal distance tie exactly."""
+    in a store of 768-byte cells: distances between lattice points are
+    exact, so neighbours at equal distance tie exactly."""
 
     def __init__(self, root):
         ids = gen.rng(28).permutation(400) + 1
         coords = [(0.125 + i / 32, 0.125 + j / 32) for i in range(20) for j in range(20)]
         self.points = [point_record(int(i), x, y) for i, (x, y) in zip(ids, coords)]
         self.xy = np.array(coords)
-        storage.build_indexes(storage.ingest(self.points, "lattice", root), byte_budget=2048,
+        storage.build_indexes(storage.ingest(self.points, "lattice", root), byte_budget=768,
                               config=CFG)
         self.store = storage.DatasetStore(root, "lattice", CFG)
 
@@ -338,7 +341,7 @@ def _overlapping_sources():
 def test_lattice_store_has_tiny_cells(lattice):
     cells = lattice.store.grid_index().cells
     assert len(cells) >= 4
-    assert lattice.store.cache_capacity == 2048 >= max(c.byte_size for c in cells)
+    assert lattice.store.cache_capacity == 768 >= max(c.byte_size for c in cells)
 
 
 @pytest.mark.parametrize("k", [1, 3, 7, 30])
@@ -404,3 +407,55 @@ def test_ooc_distance_join_loads_each_kept_cell_once(lattice, monkeypatch):
     kept = {c.key: c for s, r in zip(srcs, radii) for c in storage.filter_distance(index, s, r)}
     assert sorted(loads) == sorted(kept)
     assert store.bytes_transferred == sum(c.byte_size for c in kept.values())
+
+
+# ---------------------------------------------------------------------------
+# Degenerate stores: cells whose points have no convex hull
+# ---------------------------------------------------------------------------
+
+def _degenerate_points(shape) -> list:
+    t = np.linspace(0.05, 0.95, 60)
+    if shape == "diagonal":
+        return [point_record(i, x, x) for i, x in enumerate(t)]
+    if shape == "horizontal":
+        return [point_record(i, x, 0.4) for i, x in enumerate(t)]
+    return [point_record(7, 0.3, 0.6)]
+
+
+@pytest.fixture(scope="module", params=["diagonal", "horizontal", "one point"])
+def degenerate(tmp_path_factory, request):
+    """Collinear points in a store of several cells, each hull a padded
+    box, and a store of one point."""
+    recs = _degenerate_points(request.param)
+    root = tmp_path_factory.mktemp("degenerate")
+    storage.build_indexes(storage.ingest(recs, "deg", root), byte_budget=512, config=CFG)
+    store = storage.DatasetStore(root, "deg", CFG)
+    assert len(store.grid_index().cells) >= min(len(recs), 4)
+    return recs, store
+
+
+def test_degenerate_stores_agree_with_oracle(degenerate):
+    recs, store = degenerate
+    for cons in (gen.concave_polygon(gen.rng(6), center=(0.45, 0.55), radius=0.3),
+                 box_record(0, 0.2, 0.3, 0.6, 0.7), box_record(0, 0.7, 0.1, 0.9, 0.2)):
+        assert list(storage.ooc_select(store, cons, config=CFG).ids) == \
+            oracle.oracle_select(recs, cons)
+    for src, r in ((point_record(0, 0.5, 0.45), 0.1), (point_record(0, 0.3, 0.58), 0.05),
+                   (line_record(0, [(0.1, 0.9), (0.9, 0.7)]), 0.3)):
+        assert list(storage.ooc_distance_select(store, src, r, config=CFG).ids) == \
+            oracle.oracle_distance_select(recs, src, r)
+    for p in (Point2(0.5, 0.45), Point2(0.31, 0.6), Point2(1.5, -0.5)):
+        for k in sorted({1, min(5, len(recs))}):
+            got = storage.ooc_knn_select(store, p, k, config=CFG)
+            want = oracle.oracle_knn_select(recs, p, k)
+            assert [i for i, _ in got] == [i for i, _ in want]
+            assert [d for _, d in got] == pytest.approx([d for _, d in want])
+
+
+def test_hull_errors_other_than_degeneracy_propagate(tmp_path, monkeypatch):
+    def broken(points):
+        raise ValueError("not a degenerate point set")
+    monkeypatch.setattr(storage, "convex_hull", broken)
+    cat = storage.ingest(gen.uniform_points(gen.rng(1), 20), "pts", tmp_path)
+    with pytest.raises(ValueError):
+        storage.build_indexes(cat, config=CFG)
