@@ -1,12 +1,24 @@
 """The rasterization backend: viewports, the layer-at-a-time raster kernels,
 and discrete canvas construction for data geometry and distance constraints.
 
-A discrete canvas holds, per plane (point/line/polygon), an ``interior_id``
-grid (the object whose interior fully covers the pixel square) and a CSR
-table of boundary-index entry refs per boundary pixel. Classification is
-sound: an interior-marked pixel square lies wholly inside its object, an
-unmarked square is disjoint from every object, and every partially-covered
-square is boundary-marked.
+A discrete canvas holds, per plane (point/line/polygon), a run table of its
+interior (sorted, disjoint runs of pixels whose square one object's
+interior fully covers, each with that object's id) and a CSR table of
+boundary-index entry refs per boundary pixel. No canvas allocates a
+width x height array: memory and render work grow with the rows and edge
+crossings of its objects. Classification is sound: a pixel square in an
+interior run lies wholly inside its object, an unmarked square is disjoint
+from every object, and every partially-covered square is boundary-marked.
+
+Canvases key pixels column-major: pixel (c, r) has key ``c * height_px +
+r``, so runs lie within one column. That key is the row-major flat id of
+(r, c) in ``Viewport.transposed``; ``edge_keys`` and ``fill_runs`` run the
+row-oriented kernels over the transposed viewport to produce it, while
+``capsule_pixels`` works in columns as it is.
+
+Every canvas takes pairwise-disjoint records (one constraint, one layer or
+one layer of distance buffers), whose interior runs never overlap; runs
+that do overlap raise ``OverlapError``.
 
 Whole layers are rasterized at once, the CPU counterpart of one draw call
 per layer, by three array kernels:
@@ -15,8 +27,8 @@ per layer, by three array kernels:
   meets a segment, for all segments of a layer in one pass. Candidates are
   column strips padded by one pixel; ``seg_touch_mask``'s corner-straddle
   and bbox predicate then filters them, so the result equals that mask.
-- ``scanline_fill``, the even-odd fill: every pixel whose centre lies
-  inside a polygon part, from the sorted edge crossings of each row of
+- ``scanline_fill``, the even-odd fill: the spans of pixels whose centre
+  lies inside a polygon part, from the sorted edge crossings of each row of
   pixel centres. Pixels that no edge of the polygon touches have their
   whole closed square inside it.
 - ``capsule_pixels``, the buffer kernel: for points and segments each
@@ -29,8 +41,8 @@ per layer, by three array kernels:
 query engine runs them over its probe records. ``DistanceCanvasBuilder``
 renders a layer of r-buffers as the union of simple shapes: a polygon
 source's filled interior, a capsule per segment or ring edge and a disc per
-point. Pixels a buffer covers go straight into ``interior_id``; the others
-it touches list every point or edge entry whose buffer reaches them.
+point. The runs a buffer covers become interior runs; the other pixels it
+touches list every point or edge entry whose buffer reaches them.
 
 Pixel (c, r) covers the half-open square
 ``[min_x + c*sx, min_x + (c+1)*sx) x [min_y + r*sy, min_y + (r+1)*sy)``;
@@ -43,16 +55,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import CanvasError, DataError, InternalInvariantError
-from .geometry import (
-    GeometryRecord,
-    budget_runs,
-    edge_table,
-    expand_runs,
-    orient,
-    part_tables,
-    points_in_parts,
-)
+from .errors import CanvasError, DataError, InternalInvariantError, OverlapError
+from .geometry import GeometryRecord, budget_runs, edge_table, expand_runs, orient
 
 PLANES = ("point", "line", "polygon")
 NULL_ID = -1
@@ -121,6 +125,17 @@ class Viewport:
         np.clip(cols, 0, self.width_px - 1, out=cols)
         np.clip(rows, 0, self.height_px - 1, out=rows)
         return cols, rows
+
+    def pixel_keys(self, pts: np.ndarray) -> np.ndarray:
+        """Canvas key of each point's covering pixel, clipped to the grid."""
+        cols, rows = self.pixel_of_points(pts)
+        return cols * self.height_px + rows
+
+    def transposed(self) -> "Viewport":
+        """The grid with x and y swapped: its row-major flat id of pixel
+        (r, c) is the canvas key of pixel (c, r) here."""
+        return Viewport(self.min_y, self.min_x, self.max_y, self.max_x,
+                        self.height_px, self.width_px)
 
     def in_bounds(self, pts: np.ndarray) -> np.ndarray:
         return ((pts[:, 0] >= self.min_x) & (pts[:, 0] <= self.max_x)
@@ -219,12 +234,18 @@ def unique_keys(keys: np.ndarray) -> np.ndarray:
     return keys[np.r_[True, keys[1:] != keys[:-1]]]
 
 
+def find_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> tuple:
+    """(pos, found): where each key sits in the sorted key array, and
+    whether it occurs there."""
+    if len(sorted_keys) == 0:
+        return np.zeros(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return pos, sorted_keys[pos] == keys
+
+
 def in_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     """Boolean mask of the keys that occur in the sorted key array."""
-    if len(sorted_keys) == 0:
-        return np.zeros(len(keys), dtype=bool)
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-    return sorted_keys[pos] == keys
+    return find_sorted(keys, sorted_keys)[1]
 
 
 def _index(v: np.ndarray, n: int, rounding=np.floor) -> np.ndarray:
@@ -297,9 +318,20 @@ def segment_pixels(vp: Viewport, segs: np.ndarray) -> tuple:
     return s[ok], row[ok] * vp.width_px + col[ok]
 
 
-def _fill_spans(vp: Viewport, edges: np.ndarray, owner: np.ndarray) -> tuple:
-    """(owner, row, c0, c1) runs of pixel centres inside each owner's rings
-    by the even-odd rule, clipped to the grid."""
+def scanline_fill(vp: Viewport, edges: np.ndarray, owner: np.ndarray) -> tuple:
+    """Even-odd scanline fill: (owner, row, c0, c1) spans of the pixels
+    whose centre lies inside the rings of their owner, clipped to the grid.
+
+    ``edges`` (E, 4) holds every ring edge of every owner and ``owner``
+    (E,) the owner of each; an owner's rings must be closed and must not
+    cross (one polygon part: outer ring plus holes). Each scanline through
+    a row of pixel centres pairs up the owner's sorted edge crossings, and
+    the centres between a pair are inside. A centre within rounding of an
+    edge may land on either side, but its pixel is always touched by that
+    edge, so callers that set edge pixels apart never depend on it.
+    """
+    edges = np.asarray(edges, dtype=float).reshape(-1, 4)
+    owner = np.asarray(owner, dtype=np.int64)
     ax, ay, bx, by = edges[:, 0], edges[:, 1], edges[:, 2], edges[:, 3]
     w, h = vp.width_px, vp.height_px
     # Rows whose centre height yc has min(ay, by) <= yc < max(ay, by),
@@ -326,26 +358,34 @@ def _fill_spans(vp: Viewport, edges: np.ndarray, owner: np.ndarray) -> tuple:
     return own[keep], row[keep], c0[keep], c1[keep]
 
 
-def scanline_fill(vp: Viewport, edges: np.ndarray, owner: np.ndarray):
-    """Even-odd scanline fill: yields (owner, flat pixel) chunks covering
-    every pixel whose centre lies inside the rings of its owner.
+def _swap_xy(segs) -> np.ndarray:
+    return np.asarray(segs, dtype=float).reshape(-1, 4)[:, [1, 0, 3, 2]]
 
-    ``edges`` (E, 4) holds every ring edge of every owner and ``owner``
-    (E,) the owner of each; an owner's rings must be closed and must not
-    cross (one polygon part: outer ring plus holes). Each scanline through
-    a row of pixel centres pairs up the owner's sorted edge crossings, and
-    the centres between a pair are inside. A centre within rounding of an
-    edge may land on either side, but its pixel is always touched by that
-    edge, so callers that set edge pixels apart never depend on it. Chunks
-    hold at most ``PIXEL_KEY_BUDGET`` plus one row of pixels.
-    """
-    edges = np.asarray(edges, dtype=float).reshape(-1, 4)
-    own, row, c0, c1 = _fill_spans(vp, edges, np.asarray(owner, dtype=np.int64))
-    n = c1 - c0 + 1
-    for lo, hi in budget_runs(n, PIXEL_KEY_BUDGET):
-        k, off = expand_runs(n[lo:hi])
-        k += lo
-        yield own[k], row[k] * vp.width_px + c0[k] + off
+
+def edge_keys(vp: Viewport, segs: np.ndarray) -> tuple:
+    """(segment index, canvas key) for every pixel whose closed square
+    meets the closed segment: ``segment_pixels`` over the transposed
+    viewport. Swapping x and y only negates its corner test and leaves its
+    bbox test as it is, so it marks the same pixels."""
+    return segment_pixels(vp.transposed(), _swap_xy(segs))
+
+
+def fill_runs(vp: Viewport, edges: np.ndarray, owner: np.ndarray) -> tuple:
+    """(owner, col, row0, row1) column runs of the pixels whose centre lies
+    inside the rings of their owner: ``scanline_fill`` over the transposed
+    viewport. Its decision can differ from a fill along rows only for a
+    centre within rounding of an edge, on a pixel that edge touches."""
+    return scanline_fill(vp.transposed(), _swap_xy(edges), owner)
+
+
+def interval_pairs(start: np.ndarray, end: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """(i, j) for each query interval [a[i], b[i]] and each interval
+    [start[j], end[j]] it meets, of sorted pairwise-disjoint intervals (a
+    sorted key array serves as both ``start`` and ``end``)."""
+    lo = np.searchsorted(end, a)
+    hi = np.searchsorted(start, b, side="right")
+    i, off = expand_runs(np.maximum(hi - lo, 0))
+    return i, lo[i] + off
 
 
 def point_pixels_array(vp: Viewport, xy: np.ndarray) -> tuple:
@@ -370,21 +410,35 @@ def point_pixels_array(vp: Viewport, xy: np.ndarray) -> tuple:
 # ---------------------------------------------------------------------------
 
 class PlaneData:
-    """One primitive plane of a discrete canvas: the object whose interior
-    fully covers each pixel square (``interior_id``, indexed [row, col]),
-    plus CSR buckets of boundary entry refs per boundary pixel (``bp_flat``
-    sorted flat pixel ids, ``bp_start`` bucket offsets, ``bp_entries``
-    ascending refs per bucket)."""
+    """One primitive plane of a discrete canvas, over canvas keys (pixel
+    (c, r) is ``c * height_px + r``).
 
-    def __init__(self, interior_id: np.ndarray):
-        self.interior_id = interior_id
+    The interior is a run table: ``run_start`` and ``run_end`` (inclusive)
+    keys of sorted, pairwise-disjoint runs within one column each, whose
+    pixel squares the interior of object ``run_id`` fully covers. Boundary
+    pixels carry CSR buckets of boundary entry refs: ``bp_flat`` sorted
+    pixel keys, ``bp_start`` bucket offsets, ``bp_entries`` ascending refs
+    per bucket. A plane with no runs and no buckets holds nothing."""
+
+    def __init__(self):
+        self.run_start = self.run_end = self.run_id = np.zeros(0, dtype=np.int64)
         self.bp_flat = np.zeros(0, dtype=np.int64)
         self.bp_start = np.zeros(1, dtype=np.int64)
         self.bp_entries = np.zeros(0, dtype=np.int64)
 
+    def interior_of(self, keys: np.ndarray) -> np.ndarray:
+        """The object whose interior covers each pixel key, NULL_ID where
+        none does: one ``searchsorted`` over the run starts."""
+        if len(self.run_start) == 0:
+            return np.full(len(keys), NULL_ID, dtype=np.int64)
+        pos = np.searchsorted(self.run_start, keys, side="right") - 1
+        at = np.maximum(pos, 0)
+        return np.where((pos >= 0) & (keys <= self.run_end[at]), self.run_id[at], NULL_ID)
+
 
 class DiscreteCanvas:
-    """Three pixel planes over one viewport plus the boundary-entry table."""
+    """Three pixel planes over one viewport plus the boundary-entry table.
+    A plane nothing was rendered into reads as an empty ``PlaneData``."""
 
     def __init__(self, viewport: Viewport, bindex=None):
         self.viewport = viewport
@@ -394,31 +448,38 @@ class DiscreteCanvas:
     def plane(self, name: str) -> PlaneData:
         if name not in PLANES:
             raise CanvasError(f"unknown plane {name!r}")
-        if name not in self._planes:
-            shape = (self.viewport.height_px, self.viewport.width_px)
-            self._planes[name] = PlaneData(np.full(shape, NULL_ID, dtype=np.int64))
-        return self._planes[name]
+        return self._planes.get(name) or PlaneData()
 
     def has_plane(self, name: str) -> bool:
         return name in self._planes
 
 
 class _Builder:
-    """Accumulates interior claims and boundary (pixel, entry ref) pairs,
-    then finalizes the bucket CSR tables."""
+    """Accumulates interior runs and boundary (pixel, entry ref) pairs,
+    then finalizes the run and bucket tables."""
 
     def __init__(self, vp: Viewport, bindex):
         self.canvas = DiscreteCanvas(vp, bindex)
         self._pix: dict = {name: [] for name in PLANES}
         self._refs: dict = {name: [] for name in PLANES}
 
-    def set_interior(self, plane_name, flat_ids: np.ndarray):
-        """Install a plane's ``interior_id`` grid, given flat."""
-        vp = self.canvas.viewport
-        self.canvas._planes[plane_name] = PlaneData(flat_ids.reshape(vp.height_px, vp.width_px))
+    def _plane(self, name) -> PlaneData:
+        return self.canvas._planes.setdefault(name, PlaneData())
+
+    def set_interior(self, plane_name, start, end, ids):
+        """Install a plane's interior runs [start[i], end[i]] of object
+        ``ids[i]``, given in any order; raise ``OverlapError`` where two
+        runs share a pixel."""
+        order = np.argsort(start, kind="stable")
+        start, end = start[order], end[order]
+        if np.any(start[1:] <= end[:-1]):
+            raise OverlapError("interior runs of two records overlap; "
+                               "a canvas takes pairwise-disjoint records")
+        plane = self._plane(plane_name)
+        plane.run_start, plane.run_end, plane.run_id = start, end, ids[order]
 
     def add_boundary(self, plane_name, flat, refs):
-        """Record boundary entry ``refs[i]`` at flat pixel ``flat[i]``."""
+        """Record boundary entry ``refs[i]`` at pixel key ``flat[i]``."""
         self._pix[plane_name].append(np.asarray(flat, dtype=np.int64))
         self._refs[plane_name].append(np.asarray(refs, dtype=np.int64))
 
@@ -426,7 +487,7 @@ class _Builder:
         for name in PLANES:
             if not self._pix[name]:
                 continue
-            plane = self.canvas.plane(name)
+            plane = self._plane(name)
             flat = np.concatenate(self._pix[name])
             refs = np.concatenate(self._refs[name])
             order = np.lexsort((refs, flat))
@@ -439,17 +500,15 @@ class _Builder:
 
 
 def render_geometry_canvas(records, vp: Viewport, bindex) -> DiscreteCanvas:
-    """Render data records into a discrete canvas, one kernel call per kind.
+    """Render pairwise-disjoint data records into a discrete canvas, one
+    kernel call per kind.
 
     Points land conservatively in the point plane and polyline segments in
     the line plane, as boundary entries. Polygons fill the polygon plane:
-    every pixel a ring edge touches (``segment_pixels``) gets that edge's
-    entry, and ``interior_id`` holds, for each pixel, the highest-id
-    polygon that contains the pixel centre, unless that polygon's own edges
-    touch the pixel (then NULL). The centres come from ``scanline_fill``;
-    only where a polygon's edge pixel lies under a lower-id polygon's claim
-    does the exact point-in-polygon kernel decide on the centre. On
-    pairwise-disjoint records that case never changes the result.
+    every pixel a ring edge touches (``edge_keys``) gets that edge's entry,
+    and the interior runs of each polygon hold the pixels whose centre it
+    contains (``fill_runs``) less those its own edges touch. Records whose
+    interior runs overlap raise ``OverlapError``.
     """
     recs = sorted(records, key=lambda rec: rec.id)
     ids = [rec.id for rec in recs]
@@ -458,17 +517,24 @@ def render_geometry_canvas(records, vp: Viewport, bindex) -> DiscreteCanvas:
     b = _Builder(vp, bindex)
     pts = [rec for rec in recs if rec.kind == "point"]
     if pts:
-        k, flat = point_pixels_array(vp, [(p.geometry.x, p.geometry.y) for p in pts])
+        xy = np.array([(p.geometry.y, p.geometry.x) for p in pts], dtype=float)
+        k, key = point_pixels_array(vp.transposed(), xy)
         refs = np.array([bindex.offsets[p.id][0] for p in pts], dtype=np.int64)
-        b.add_boundary("point", flat, refs[k])
+        b.add_boundary("point", key, refs[k])
     lines = [rec for rec in recs if rec.kind == "polyline"]
     if lines:
         edges, rank, ordinal, _ = stack_edges(lines)
-        k, flat = segment_pixels(vp, edges)
-        b.add_boundary("line", flat, _entry_refs(lines, bindex, rank, ordinal)[k])
+        k, key = edge_keys(vp, edges)
+        b.add_boundary("line", key, _entry_refs(lines, bindex, rank, ordinal)[k])
     polys = [rec for rec in recs if rec.kind == "polygon"]
     if polys:
-        _render_polygons(b, polys, vp, bindex)
+        edges, rank, ordinal, part = stack_edges(polys)
+        k, key = edge_keys(vp, edges)
+        b.add_boundary("polygon", key, _entry_refs(polys, bindex, rank, ordinal)[k])
+        rank, col, row0, row1 = _polygon_runs(vp, edges, rank, part, k, key)
+        pid = np.array([rec.id for rec in polys], dtype=np.int64)
+        b.set_interior("polygon", col * vp.height_px + row0, col * vp.height_px + row1,
+                       pid[rank])
     return b.finalize()
 
 
@@ -491,38 +557,50 @@ def _entry_refs(recs, bindex, rank, ordinal) -> np.ndarray:
     return first[rank] + ordinal
 
 
-def _render_polygons(b: _Builder, recs, vp: Viewport, bindex):
-    hw = vp.width_px * vp.height_px
-    edges, rank, ordinal, part = stack_edges(recs)
-    k, flat = segment_pixels(vp, edges)
-    b.add_boundary("polygon", flat, _entry_refs(recs, bindex, rank, ordinal)[k])
-    erank = rank[k]
-    own = unique_keys(erank * hw + flat)
+def _union_runs(key, row0, row1) -> tuple:
+    """The union of the row runs [row0, row1] of each key, as (key, row0,
+    row1) of disjoint runs that do not touch, sorted by key and row0."""
+    order = np.lexsort((row0, key))
+    key, row0, row1 = key[order], row0[order], row1[order]
+    if len(key) == 0:
+        return key, row0, row1
+    # Running maximum of row1 within each key: lifting each key's rows
+    # above the previous key's keeps the maximum from crossing keys.
+    newkey = key[1:] != key[:-1]
+    lift = np.concatenate([[0], np.cumsum(newkey)]) * (int(row1.max()) + 2)
+    reach = np.maximum.accumulate(row1 + lift) - lift
+    head = np.flatnonzero(np.concatenate([[True], newkey | (row0[1:] > reach[:-1] + 1)]))
+    return key[head], row0[head], reach[np.append(head[1:], len(key)) - 1]
+
+
+def _polygon_runs(vp: Viewport, edges, rank, part, k, key) -> tuple:
+    """(rank, col, row0, row1) runs of the pixels each polygon's interior
+    covers: the centres ``fill_runs`` puts inside one of its parts, less
+    the pixels its own edges touch, (edge ``k``, ``key``) as ``edge_keys``
+    gives them for the ``stack_edges`` table (edges, rank, part).
+
+    Runs are merged per polygon and column, then split around the cut
+    pixels, all in one key space of (rank * width + col) * height + row.
+    """
+    w, h = vp.width_px, vp.height_px
     part_rank = np.zeros(int(part.max()) + 1, dtype=np.int64)
     part_rank[part] = rank
-    # Claims: centres inside a polygon, off its own edge pixels; the
-    # highest rank wins, as when records are written in id order.
-    winner = np.full(hw, -1, dtype=np.int64)
-    for owner, fflat in scanline_fill(vp, edges, part):
-        frank = part_rank[owner]
-        keep = ~in_sorted(frank * hw + fflat, own)
-        np.maximum.at(winner, fflat[keep], frank[keep])
-    # A higher-rank polygon whose edge touches a claimed pixel revokes the
-    # claim when it holds the centre (``scanline_fill``'s own decision is
-    # not exact that near an edge).
-    hit = winner[flat]
-    late = (hit >= 0) & (erank > hit)
-    if late.any():
-        key = unique_keys((erank * hw + flat)[late])
-        crank, cflat = np.divmod(key, hw)
-        centres = np.column_stack([vp.min_x + (cflat % vp.width_px + 0.5) * vp.sx,
-                                   vp.min_y + (cflat // vp.width_px + 0.5) * vp.sy])
-        winner[cflat[points_in_parts(centres, crank, part_tables(recs))]] = -1
-    ids = np.array([rec.id for rec in recs], dtype=np.int64)
-    # The claims become the interior grid in place (NULL_ID is -1).
-    claimed = winner >= 0
-    winner[claimed] = ids[winner[claimed]]
-    b.set_interior("polygon", winner)
+    own, col, row0, row1 = fill_runs(vp, edges, part)
+    kk, row0, row1 = _union_runs(part_rank[own] * w + col, row0, row1)
+    start, end = kk * h + row0, kk * h + row1
+    cuts = unique_keys(rank[k] * (w * h) + key)
+    # Piece j of run i ends before its j-th cut inside the run and starts
+    # after the one before (the run's own ends bound the first and last).
+    lo = np.searchsorted(cuts, start)
+    m = np.searchsorted(cuts, end, side="right") - lo
+    i, j = expand_runs(m + 1)
+    c = lo[i] + j
+    ext = np.concatenate([[0], cuts, [0]])
+    first = np.where(j == 0, start[i], ext[c] + 1)
+    last = np.where(j == m[i], end[i], ext[c + 1] - 1)
+    keep = first <= last
+    kk, row0, row1 = kk[i[keep]], first[keep] % h, last[keep] % h
+    return kk // w, kk % w, row0, row1
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +668,7 @@ def _outline_tops(g: np.ndarray, x: np.ndarray) -> np.ndarray:
 def capsule_pixels(vp: Viewport, segs: np.ndarray, r: np.ndarray) -> tuple:
     """Buffer kernel: for (S, 4) closed segments (a == b for a point), each
     dilated by its radius in ``r`` (S,), returns the band keys (shape index,
-    flat pixel) of every pixel whose closed square the buffer touches
+    canvas key) of every pixel whose closed square the buffer touches
     without covering, and the runs (shape index, column, first row, last
     row) of pixels it covers.
 
@@ -614,7 +692,7 @@ def capsule_pixels(vp: Viewport, segs: np.ndarray, r: np.ndarray) -> tuple:
     # Candidates per capsule: a few per column plus the rise and fall of
     # its top and bottom, each at most twice its height.
     cost = 8 * ncol + 4 * np.maximum(r1 - r0 + 1, 0) * (ncol > 0)
-    h, w = vp.height_px, vp.width_px
+    h = vp.height_px
     band, runs = [(np.zeros(0, np.int64),) * 2], [(np.zeros(0, np.int64),) * 4]
     for lo, hi in budget_runs(cost, CAPSULE_KEY_BUDGET):
         s, off = expand_runs(ncol[lo:hi])
@@ -652,54 +730,10 @@ def capsule_pixels(vp: Viewport, segs: np.ndarray, r: np.ndarray) -> tuple:
         y1 = vp.min_y + (row + 1) * vp.sy
         inside = (y0 >= bottom[k]) & (y1 <= top[k])
         edge = (y1 >= ymin[k]) & (y0 <= ymax[k]) & ~inside
-        band.append((s[k[edge]], row[edge] * w + col[k[edge]]))
+        band.append((s[k[edge]], col[k[edge]] * h + row[edge]))
         runs.append((s[k[inside]], col[k[inside]], row[inside], row[inside]))
     band = tuple(np.concatenate(a) for a in zip(*band))
     return band, tuple(np.concatenate(a) for a in zip(*runs))
-
-
-def _union_runs(key, row0, row1) -> tuple:
-    """The union of the row runs [row0, row1] of each key, as (key, row0,
-    row1) of disjoint runs that do not touch."""
-    order = np.lexsort((row0, key))
-    key, row0, row1 = key[order], row0[order], row1[order]
-    if len(key) == 0:
-        return key, row0, row1
-    # Running maximum of row1 within each key: lifting each key's rows
-    # above the previous key's keeps the maximum from crossing keys.
-    newkey = key[1:] != key[:-1]
-    lift = np.concatenate([[0], np.cumsum(newkey)]) * (int(row1.max()) + 2)
-    reach = np.maximum.accumulate(row1 + lift) - lift
-    head = np.flatnonzero(np.concatenate([[True], newkey | (row0[1:] > reach[:-1] + 1)]))
-    return key[head], row0[head], reach[np.append(head[1:], len(key)) - 1]
-
-
-def _write_runs(iid: np.ndarray, width: int, col, row0, row1, value):
-    """Write ``value[i]`` into the flat plane over column run i."""
-    n = row1 - row0 + 1
-    for lo, hi in budget_runs(n, PIXEL_KEY_BUDGET):
-        # Element g of the chunk, j-th of run i (which starts at element
-        # start[i]), lies j = g - start[i] rows below the run's first
-        # pixel: at first[i] + g * width.
-        start = np.cumsum(n[lo:hi]) - n[lo:hi]
-        first = row0[lo:hi] * width + col[lo:hi] - start * width
-        flat = np.repeat(first, n[lo:hi]) + width * np.arange(int(n[lo:hi].sum()))
-        iid[flat] = np.repeat(value[lo:hi], n[lo:hi])
-
-
-def _fill_interiors(vp: Viewport, iid: np.ndarray, polys):
-    """Write each polygon's id over the pixels its interior covers: those
-    whose centre ``scanline_fill`` puts inside it, less those its own edges
-    touch."""
-    edges, rank, _, part = stack_edges(polys)
-    ids = np.array([rec.id for rec in polys], dtype=np.int64)
-    part_id = np.zeros(int(part.max()) + 1, dtype=np.int64)
-    part_id[part] = ids[rank]
-    for owner, flat in scanline_fill(vp, edges, part):
-        iid[flat] = part_id[owner]
-    k, flat = segment_pixels(vp, edges)
-    own = iid[flat] == ids[rank[k]]
-    iid[flat[own]] = NULL_ID
 
 
 class DistanceCanvasBuilder:
@@ -710,10 +744,10 @@ class DistanceCanvasBuilder:
     polygon source's own interior. ``add_source`` queues a source;
     ``finalize`` renders all of them in one pass:
 
-    - polygon interiors by ``scanline_fill``, less the pixels the polygon's
-      own edges touch (``segment_pixels``);
-    - discs and capsules by ``capsule_pixels``, whose covered runs go
-      straight into ``interior_id``;
+    - polygon interiors by ``fill_runs``, less the pixels the polygon's
+      own edges touch (``edge_keys``);
+    - discs and capsules by ``capsule_pixels``, whose covered column runs
+      are merged with the interior's per source into the interior runs;
     - every other pixel a buffer touches becomes a boundary pixel whose
       bucket lists each point or edge entry whose buffer touches it.
 
@@ -735,10 +769,7 @@ class DistanceCanvasBuilder:
 
     def finalize(self) -> DiscreteCanvas:
         vp, bindex = self.vp, self.bindex
-        iid = np.full(vp.width_px * vp.height_px, NULL_ID, dtype=np.int64)
-        polys = [src for src, _ in self._queue if src.kind == "polygon"]
-        if polys:
-            _fill_interiors(vp, iid, polys)
+        w, h = vp.width_px, vp.height_px
         # The queued sources' entries, one per point, segment or ring edge;
         # a point entry has NaN in place of a second end.
         first = np.array([bindex.offsets[src.id][0] for src, _ in self._queue], dtype=np.int64)
@@ -750,17 +781,21 @@ class DistanceCanvasBuilder:
         segs[point, 2:] = segs[point, :2]
         radius = np.array([r for _, r in self._queue], dtype=float)[j]
         ids = np.array([src.id for src, _ in self._queue], dtype=np.int64)
-        (bs, bflat), (rs, col, row0, row1) = capsule_pixels(vp, segs, radius)
-        if len(ref) > len(ids):
-            # Capsules of one source overlap (each end disc is shared), so
-            # their runs are merged per source and column before writing.
-            key, row0, row1 = _union_runs(j[rs] * vp.width_px + col, row0, row1)
-            col, rs = key % vp.width_px, key // vp.width_px
-        else:
-            rs = j[rs]
-        _write_runs(iid, vp.width_px, col, row0, row1, ids[rs])
+        (bs, bkey), (rs, col, row0, row1) = capsule_pixels(vp, segs, radius)
+        runs = [(j[rs], col, row0, row1)]
+        polys = [q for q, (src, _) in enumerate(self._queue) if src.kind == "polygon"]
+        if polys:
+            edges, rank, _, part = stack_edges([self._queue[q][0] for q in polys])
+            k, key = edge_keys(vp, edges)
+            rank, col, row0, row1 = _polygon_runs(vp, edges, rank, part, k, key)
+            runs.append((np.array(polys, dtype=np.int64)[rank], col, row0, row1))
+        # A source's capsules overlap each other (each end disc is shared)
+        # and its interior, so its runs are merged per column.
+        src, col, row0, row1 = (np.concatenate(a) for a in zip(*runs))
+        key, row0, row1 = _union_runs(src * w + col, row0, row1)
         b = _Builder(vp, bindex)
-        b.set_interior("polygon", iid)
-        keep = iid[bflat] == NULL_ID
-        b.add_boundary("polygon", bflat[keep], ref[bs[keep]])
+        base = key % w * h
+        b.set_interior("polygon", base + row0, base + row1, ids[key // w])
+        keep = b.canvas.plane("polygon").interior_of(bkey) == NULL_ID
+        b.add_boundary("polygon", bkey[keep], ref[bs[keep]])
         return b.finalize()

@@ -8,6 +8,7 @@ one exact test over all candidate pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -172,15 +173,16 @@ def object_prims_touching_square(record: GeometryRecord, square) -> list:
 class PixelMatcher:
     """Exact membership tests against a constraint canvas.
 
-    At an interior pixel the owner matches any probe touching the pixel.
-    ``bucket_objects`` lists the distinct objects of each boundary pixel
-    and ``object_parts`` the polygon parts of every object, for the point
-    pass of ``engine.match_points``: a point on a boundary pixel of a
-    polygon canvas is in an object iff the point-in-polygon kernel puts it
-    inside; on a distance canvas (``distance``, whose entries carry radii)
-    iff it lies within r of one of the pixel's entries or inside a polygon
-    source. ``exact_pair`` settles a whole (probe record, object) pair at
-    once.
+    A probe touching a pixel of an object's interior run matches that
+    object; ``run_rank`` gives each run's object as a rank into
+    ``object_ids``. ``bucket_objects`` lists the distinct objects of each
+    boundary pixel and ``object_parts`` the polygon parts of every object,
+    for the point pass of ``engine.match_points``: a point on a boundary
+    pixel of a polygon canvas is in an object iff the point-in-polygon
+    kernel puts it inside; on a distance canvas (``distance``, whose
+    entries carry radii) iff it lies within r of one of the pixel's entries
+    or inside a polygon source. ``exact_pair`` settles a whole (probe
+    record, object) pair at once.
     """
 
     def __init__(self, canvas):
@@ -194,20 +196,21 @@ class PixelMatcher:
         self._buckets = None
         self._parts = None
 
+    @cached_property
+    def run_rank(self) -> np.ndarray:
+        return np.searchsorted(self.object_ids, self.plane.run_id)
+
     def bucket_objects(self) -> tuple:
-        """(slot, start, rank): ``slot`` maps each flat pixel to its index in
-        ``plane.bp_flat`` (-1 off the boundary), and (start, rank) is a CSR
-        over those indices listing each boundary pixel's objects once, as
-        ranks into ``object_ids``."""
+        """(start, rank): a CSR over the boundary pixels (indices into
+        ``plane.bp_flat``) listing each one's objects once, as ranks into
+        ``object_ids``."""
         if self._buckets is None:
             plane, n = self.plane, max(len(self.object_ids), 1)
             nb = len(plane.bp_flat)
-            slot = np.full(self.vp.width_px * self.vp.height_px, -1, dtype=np.int32)
-            slot[plane.bp_flat] = np.arange(nb)
             pix = np.repeat(np.arange(nb, dtype=np.int64), np.diff(plane.bp_start))
             rank = np.searchsorted(self.object_ids, self.bindex.obj_ids[plane.bp_entries])
             pix, rank = np.divmod(unique_keys(pix * n + rank), n)
-            self._buckets = (slot, np.searchsorted(pix, np.arange(nb + 1)), rank)
+            self._buckets = (np.searchsorted(pix, np.arange(nb + 1)), rank)
         return self._buckets
 
     def object_parts(self) -> tuple:

@@ -7,14 +7,19 @@ independent of the canvas resolution.
 
 Each constraint canvas (one selection constraint, one layer of disjoint
 join or aggregation constraints, one layer of distance buffers) is probed
-layer-at-a-time. A distance canvas is rendered by
+layer-at-a-time. A canvas keeps no pixel grid: its interior is a table of
+sorted, disjoint pixel runs, each owned by one object, and its boundary
+pixels are a sorted key array with a bucket of entries each (see
+``canvas``). A distance canvas is rendered by
 ``canvas.DistanceCanvasBuilder``: each source's r-buffer is the union of
 its polygon interior, a capsule per segment or ring edge and a disc per
-point; pixels a buffer covers are interior, and pixels it only touches list
-the source's points and edges that reach them, each with r.
+point; the runs a buffer covers are interior, and pixels it only touches
+list the source's points and edges that reach them, each with r.
 
-Points go through ``match_points``: one pixel lookup each settles those on
-interior pixels, then one array pass serves all points on boundary pixels.
+Points go through ``match_points``: in pixel-key order, one
+``searchsorted`` over the run starts settles those on interior pixels and
+one over the boundary keys finds the rest, then one array pass serves all
+points on boundary pixels.
 On a distance canvas it pairs each point with the entries of its pixel's
 bucket and tests all pairs at once (within r of the point or edge); the
 first hit in bucket order wins. Entries are points and edges only, never a
@@ -24,9 +29,11 @@ point-in-polygon kernel of ``geometry``; the lowest id holding the point
 wins. Entry pairs are processed in chunks under ``PIXEL_KEY_BUDGET``.
 
 Polylines and polygons go through ``match_records``, one array pass over all
-of them: the edge supercover and the even-odd scanline fill of ``canvas``
-turn every probe into (probe, pixel) keys, and each (probe, object) pair
-then settles or is refined:
+of them: the edge supercover of ``canvas`` turns every probe into (probe,
+pixel) keys and its even-odd fill into (probe, run) column runs, which are
+intersected with the canvas's interior runs and boundary keys as
+intervals, so only fill pixels on a boundary pixel are ever listed. Each
+(probe, object) pair then settles or is refined:
 
 - settled: the probe touches a pixel the object's interior covers, or the
   probe's interior (a filled pixel no probe edge touches) covers a boundary
@@ -54,11 +61,14 @@ import numpy as np
 
 from . import instrument
 from .canvas import (
+    NULL_ID,
     PIXEL_KEY_BUDGET,
     DistanceCanvasBuilder,
+    edge_keys,
+    fill_runs,
+    find_sorted,
     in_sorted,
-    scanline_fill,
-    segment_pixels,
+    interval_pairs,
     stack_edges,
     unique_keys,
     viewport_from_bounds,
@@ -191,7 +201,7 @@ class PreparedPoints:
         recs = sorted(records, key=lambda r: r.id)
         if any(r.kind != "point" for r in recs):
             raise DataError("PreparedPoints requires point records")
-        self.xy, self.ids = _point_arrays(recs)
+        self.xy, self.ids = _point_xy(recs), _point_ids(recs)
         self._records = recs
         self._values = None
 
@@ -299,8 +309,8 @@ def match_points(matcher: PixelMatcher, pts_xy: np.ndarray) -> np.ndarray:
     """Per-point matched constraint id (-1 when none). Constraint objects in
     one canvas are pairwise disjoint, so a point matches at most one.
 
-    Interior pixels resolve wholesale from the interior grid; points on
-    boundary pixels take their first distance-entry hit in bucket order
+    Points in an interior run resolve wholesale from the run table; points
+    on boundary pixels take their first distance-entry hit in bucket order
     (``_entry_hits``), else the lowest-id polygon object of their pixel
     that holds them (``_polygon_hits``), as the module docstring details.
     """
@@ -311,17 +321,17 @@ def match_points(matcher: PixelMatcher, pts_xy: np.ndarray) -> np.ndarray:
     idx = np.flatnonzero(vp.in_bounds(pts_xy))
     if len(idx) == 0:
         return out
-    cols, rows = vp.pixel_of_points(pts_xy[idx])
-    flat = rows * vp.width_px + cols
-    interior = matcher.plane.interior_id.ravel()[flat]
-    hit = interior >= 0
+    keys = vp.pixel_keys(pts_xy[idx])
+    # In key order, the run and bucket lookups below search ascending keys.
+    order = np.argsort(keys)
+    keys, idx = keys[order], idx[order]
+    interior = matcher.plane.interior_of(keys)
+    hit = interior != NULL_ID
     out[idx[hit]] = interior[hit]
-    bpf = matcher.plane.bp_flat
     rem = np.flatnonzero(~hit)
-    if len(bpf) == 0 or len(rem) == 0:
+    if len(matcher.plane.bp_flat) == 0 or len(rem) == 0:
         return out
-    pos = np.minimum(np.searchsorted(bpf, flat[rem]), len(bpf) - 1)
-    onb = bpf[pos] == flat[rem]
+    pos, onb = find_sorted(keys[rem], matcher.plane.bp_flat)
     pidx, pix = idx[rem[onb]], pos[onb]
     xy = pts_xy[pidx]
     cid = (_entry_hits(matcher, xy, pix) if matcher.distance
@@ -373,7 +383,7 @@ def _polygon_hits(matcher: PixelMatcher, xy: np.ndarray, pix: np.ndarray) -> np.
     """Per point, the lowest-id object of boundary pixel ``pix``'s bucket
     that holds the point by the point-in-polygon kernel, -1 when none
     does."""
-    _, ostart, rank = matcher.bucket_objects()
+    ostart, rank = matcher.bucket_objects()
     # (point, object) pairs, objects ascending per point.
     j, off = expand_runs(ostart[pix + 1] - ostart[pix])
     obj = rank[ostart[pix[j]] + off]
@@ -391,11 +401,13 @@ def match_records(matcher: PixelMatcher, records) -> set:
 
     One array pass serves all records: probes whose bbox misses the
     viewport drop out, then, chunk by chunk under ``PIXEL_KEY_BUDGET``,
-    ``segment_pixels`` lists the (probe, pixel) keys its edges touch and
-    ``scanline_fill`` those inside a polygon probe away from its edges.
-    Pairs settle in bulk where the raster proves them: a probe touching an
-    object's interior pixel meets it, and so does a probe whose interior
-    covers a boundary pixel of the object. A pair seen only where a probe
+    ``edge_keys`` lists the (probe, pixel) keys its edges touch and
+    ``fill_runs`` the column runs inside a polygon probe. Pairs settle in
+    bulk where the raster proves them: a probe touching an object's
+    interior pixel meets it (a fill run meeting an interior run, or an edge
+    pixel in one), and so does a probe whose interior covers a boundary
+    pixel of the object (a fill run over a boundary key that no probe edge
+    touches). A pair seen only where a probe
     edge meets an object's boundary pixel gets one exact test,
     ``PixelMatcher.exact_pair``.
     """
@@ -424,25 +436,33 @@ def match_records(matcher: PixelMatcher, records) -> set:
 
 
 def _match_chunk(matcher: PixelMatcher, recs) -> set:
-    vp = matcher.vp
+    vp, plane = matcher.vp, matcher.plane
     hw = vp.width_px * vp.height_px
     n = max(len(matcher.object_ids), 1)
     edges, probe, _, part = stack_edges(recs)
-    k, flat = segment_pixels(vp, edges)
-    ekeys = unique_keys(probe[k] * hw + flat)
+    k, key = edge_keys(vp, edges)
+    ekeys = unique_keys(probe[k] * hw + key)
     ep, ef = np.divmod(ekeys, hw)
     settled = [_interior_pairs(matcher, ep, ef, n)]
-    touched = _boundary_pairs(matcher, ep, ef, n)
+    bpf = plane.bp_flat
+    pos, on = find_sorted(ef, bpf)
+    touched = _bucket_pairs(matcher, ep[on], pos[on], n)
     sel = np.array([rec.kind == "polygon" for rec in recs])[probe]
     if sel.any():
         part_probe = np.zeros(int(part.max()) + 1, dtype=np.int64)
         part_probe[part] = probe
-        for owner, fflat in scanline_fill(vp, edges[sel], part[sel]):
-            fp = part_probe[owner]
-            settled.append(_interior_pairs(matcher, fp, fflat, n))
-            # Only a pixel inside the probe and off its edges is wholly
-            # covered by it.
-            settled.append(_boundary_pairs(matcher, fp, fflat, n, ekeys))
+        own, col, row0, row1 = fill_runs(vp, edges[sel], part[sel])
+        fp = part_probe[own]
+        a, b = col * vp.height_px + row0, col * vp.height_px + row1
+        # The probe's fill meets an object's interior run.
+        i, j = interval_pairs(plane.run_start, plane.run_end, a, b)
+        settled.append(fp[i] * n + matcher.run_rank[j])
+        # Only a pixel inside the probe and off its edges is wholly
+        # covered by it; such a pixel settles the objects of its bucket.
+        i, pix = interval_pairs(bpf, bpf, a, b)
+        fp = fp[i]
+        inner = ~in_sorted(fp * hw + bpf[pix], ekeys)
+        settled.append(_bucket_pairs(matcher, fp[inner], pix[inner], n))
     settled = unique_keys(np.concatenate(settled))
     touched = unique_keys(touched)
     refine = touched[~in_sorted(touched, settled)]
@@ -454,28 +474,21 @@ def _match_chunk(matcher: PixelMatcher, recs) -> set:
     return pairs
 
 
-def _interior_pairs(matcher, probe, flat, n) -> np.ndarray:
+def _interior_pairs(matcher, probe, keys, n) -> np.ndarray:
     """Pair keys probe * n + object rank where the pixel is an object's
     interior pixel. Pixels of one probe come in runs, so ids are ranked
     once per run of equal (probe, id)."""
-    iid = matcher.plane.interior_id.ravel()[flat]
-    hit = iid >= 0
+    iid = matcher.plane.interior_of(keys)
+    hit = iid != NULL_ID
     probe, iid = probe[hit], iid[hit]
     head = np.r_[True, (probe[1:] != probe[:-1]) | (iid[1:] != iid[:-1])][:len(iid)]
     return probe[head] * n + np.searchsorted(matcher.object_ids, iid[head])
 
 
-def _boundary_pairs(matcher, probe, flat, n, exclude=None) -> np.ndarray:
+def _bucket_pairs(matcher, probe, pix, n) -> np.ndarray:
     """Pair keys probe * n + object rank for every object with a boundary
-    entry at the pixel, skipping (probe, pixel) keys found in the sorted
-    ``exclude`` keys."""
-    slot, start, rank = matcher.bucket_objects()
-    pix = slot[flat]
-    on = pix >= 0
-    pix, probe = pix[on], probe[on]
-    if exclude is not None:
-        keep = ~in_sorted(probe * len(slot) + flat[on], exclude)
-        pix, probe = pix[keep], probe[keep]
+    entry at boundary pixel ``pix`` (an index into ``bp_flat``)."""
+    start, rank = matcher.bucket_objects()
     j, off = expand_runs(start[pix + 1] - start[pix])
     return probe[j] * n + rank[start[pix[j]] + off]
 
@@ -505,8 +518,8 @@ def _layer_matcher(members, resolution: int) -> PixelMatcher:
 
 
 def _probe_pairs(matcher: PixelMatcher, points, others) -> set:
-    """(constraint id, record id) pairs of points, given as ``_point_arrays``,
-    and of other records against one canvas."""
+    """(constraint id, record id) pairs of points, given as (xy, ids)
+    columns, and of other records against one canvas."""
     pairs: set = set()
     xy, ids = points
     with instrument.phase("raster"):
@@ -518,8 +531,8 @@ def _probe_pairs(matcher: PixelMatcher, points, others) -> set:
     return pairs
 
 
-def _point_arrays(pts) -> tuple:
-    """(N, 2) coordinates and (N,) ids of point records."""
+def _point_xy(pts) -> np.ndarray:
+    """(N, 2) coordinates of point records."""
     n = len(pts)
     xy = np.empty((n, 2))
     # One scalar ``fromiter`` per column takes about half the time of an
@@ -527,7 +540,12 @@ def _point_arrays(pts) -> tuple:
     # slower than either).
     xy[:, 0] = np.fromiter((p.geometry.x for p in pts), dtype=np.float64, count=n)
     xy[:, 1] = np.fromiter((p.geometry.y for p in pts), dtype=np.float64, count=n)
-    return xy, np.fromiter((p.id for p in pts), dtype=np.int64, count=n)
+    return xy
+
+
+def _point_ids(pts) -> np.ndarray:
+    """(N,) ids of point records."""
+    return np.fromiter((p.id for p in pts), dtype=np.int64, count=len(pts))
 
 
 def _point_values(pts) -> np.ndarray:
@@ -536,20 +554,23 @@ def _point_values(pts) -> np.ndarray:
                        dtype=np.float64, count=len(pts))
 
 
-def _dataset_points(dataset, values: bool = False) -> tuple:
-    """((xy, ids), others): a dataset's points as ``match_points`` arrays
-    plus its polyline and polygon records; with ``values``, ((xy, ids,
-    values), others), NaN where a point has no value. A ``PreparedPoints``
-    or ``SplitDataset`` passes its columns straight through; a record list
-    is split here."""
+_POINT_COLUMNS = {"xy": _point_xy, "ids": _point_ids, "values": _point_values}
+
+
+def _dataset_points(dataset, columns=("xy", "ids")) -> tuple:
+    """(points, others): the named point columns of a dataset, "xy", "ids"
+    or "values" (NaN where a point has none), plus its polyline and polygon
+    records. A ``PreparedPoints`` or ``SplitDataset`` passes its columns
+    straight through; a record list is split here and builds only the
+    columns asked for."""
     if isinstance(dataset, SplitDataset):
         pts, others = dataset.points, dataset.others
     elif isinstance(dataset, PreparedPoints):
         pts, others = dataset, []
     else:
         recs, others = _split_kinds(dataset)
-        return _point_arrays(recs) + ((_point_values(recs),) if values else ()), others
-    return (pts.xy, pts.ids) + ((pts.values,) if values else ()), others
+        return tuple(_POINT_COLUMNS[c](recs) for c in columns), others
+    return tuple(getattr(pts, c) for c in columns), others
 
 
 def _as_records(dataset) -> list:
@@ -739,9 +760,11 @@ def aggregate(constraints, data, mode: str = "count",
     constraints = list(constraints)
     if any(r.kind != "polygon" for r in constraints):
         raise DataError("aggregation constraints must be polygons")
-    points, others = _dataset_points(data, values=mode == "sum")
-    xy = points[0]
-    vals = points[2] if mode == "sum" else None
+    if mode == "sum":
+        (xy, vals), others = _dataset_points(data, ("xy", "values"))
+    else:
+        (xy,), others = _dataset_points(data, ("xy",))
+        vals = None
     if mode == "sum" and (np.isnan(vals).any() or any(r.value is None for r in others)):
         raise DataError("sum aggregation over a value-less dataset")
     if layer_index is None:

@@ -41,6 +41,11 @@ class CanvasError(SpatialError):
     """Invalid viewport/canvas construction or mismatched canvas operands."""
 
 
+class OverlapError(CanvasError):
+    """Records rendered into one canvas overlap: the interiors of two of them
+    cover one pixel. A canvas takes pairwise-disjoint records (one layer)."""
+
+
 class DataError(SpatialError):
     """Bad user data: id collisions, missing values, malformed rows, bad radii."""
 

@@ -294,7 +294,11 @@ def _hull_of_records(records) -> PolygonGeom:
     except DegenerateGeometryError:
         xs = [p[0] for p in pts]
         ys = [p[1] for p in pts]
-        pad = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9) * 1e-3 + 1e-12
+        # At least a billionth of the coordinates' magnitude, as in
+        # ``engine._bounds_union``: far from the origin a pad below the
+        # spacing of doubles would leave the box degenerate.
+        mag = max(abs(min(xs)), abs(max(xs)), abs(min(ys)), abs(max(ys)), 1.0)
+        pad = max(max(xs) - min(xs), max(ys) - min(ys)) * 1e-3 + mag * 1e-9 + 1e-12
         return polygon_from_rings([[(min(xs) - pad, min(ys) - pad),
                                     (max(xs) + pad, min(ys) - pad),
                                     (max(xs) + pad, max(ys) + pad),
@@ -766,15 +770,16 @@ def ooc_distance_select(store: DatasetStore, source: GeometryRecord, r: float,
     return engine.SelectionResult(tuple(ids))
 
 
-def _cell_distance_joins(sources, store: DatasetStore, radii, resolution, config):
+def _cell_distance_joins(sources, store: DatasetStore, radii, kept, resolution, config):
     """(cell data, JoinResult) per cell whose hull lies within some source's
-    radius: the sources are grouped by the cells ``filter_distance`` keeps
-    for each, and each cell is loaded once, in grid order, for one type-2
-    ``engine.distance_join`` against all of its sources."""
+    radius: the sources are grouped by their ``kept`` cells (those
+    ``filter_distance`` keeps for each), and each cell is loaded once, in
+    grid order, for one type-2 ``engine.distance_join`` against all of its
+    sources."""
     index = store.grid_index()
     groups: dict = {}
-    for rec, r in zip(sources, radii):
-        for cell in filter_distance(index, rec, r):
+    for rec, r, cells in zip(sources, radii, kept):
+        for cell in cells:
             srcs, rs = groups.setdefault(cell.key, ([], []))
             srcs.append(rec)
             rs.append(r)
@@ -794,8 +799,11 @@ def ooc_distance_join(d1_records, store_b: DatasetStore, radii,
     joined against those sources."""
     if np.isscalar(radii):
         radii = [float(radii)] * len(d1_records)
+    index = store_b.grid_index()
+    kept = [filter_distance(index, rec, r) for rec, r in zip(d1_records, radii)]
     return engine.JoinResult(tuple(
-        pair for _, got in _cell_distance_joins(d1_records, store_b, radii, resolution, config)
+        pair for _, got in _cell_distance_joins(d1_records, store_b, radii, kept,
+                                                resolution, config)
         for pair in got.pairs))
 
 
@@ -826,9 +834,22 @@ def ooc_aggregate(constraints, store: DatasetStore, mode: str = "count",
 def ooc_count_within(store: DatasetStore, center: Point2, r: float) -> int:
     """Exact count of stored points within r of center: the in-memory
     ladder count over the points of each cell ``filter_distance`` keeps."""
-    cells = filter_distance(store.grid_index(), GeometryRecord(0, "point", center), r)
-    return sum(engine._count_within(store.load_cell(cell).points, center, r)
-               for cell in cells)
+    index = store.grid_index()
+    return _count_in_cells(store, index, _hull_distances(index, center), center, r)
+
+
+def _hull_distances(index: GridIndex, center: Point2) -> np.ndarray:
+    """Exact distance from center to every cell hull, as ``filter_distance``
+    compares them with r."""
+    return polygon_distances(GeometryRecord(0, "point", center), index.hull_tables())
+
+
+def _count_in_cells(store: DatasetStore, index: GridIndex, hull_d: np.ndarray,
+                    center: Point2, r: float) -> int:
+    """The ladder count over the points of the cells whose hull distance
+    ``hull_d`` is at most r."""
+    return sum(engine._count_within(store.load_cell(index.cells[k]).points, center, r)
+               for k in np.flatnonzero(hull_d <= r))
 
 
 def _knn_store_index(store: DatasetStore, k: int) -> GridIndex:
@@ -846,10 +867,15 @@ def _knn_store_index(store: DatasetStore, k: int) -> GridIndex:
 
 
 def _ooc_knn_radius(store: DatasetStore, index: GridIndex, p: Point2, k: int,
-                    cfg: engine.KnnConfig) -> float:
-    """The ladder radius for k neighbours of p, counted through the cells."""
-    return cfg.ladder_radius(lambda r: ooc_count_within(store, p, r), k,
-                             engine.farthest_corner(p, index.extent))
+                    cfg: engine.KnnConfig) -> tuple:
+    """(r, kept): the ladder radius for k neighbours of p, counted through
+    the cells the way ``ooc_count_within`` counts, and the cells
+    ``filter_distance`` keeps at r. p's hull distances do not depend on the
+    rung, so they are computed once for all of it."""
+    hull_d = _hull_distances(index, p)
+    r = cfg.ladder_radius(lambda r: _count_in_cells(store, index, hull_d, p, r), k,
+                          engine.farthest_corner(p, index.extent))
+    return r, [index.cells[j] for j in np.flatnonzero(hull_d <= r)]
 
 
 def ooc_knn_select(store: DatasetStore, p: Point2, k: int,
@@ -865,10 +891,10 @@ def ooc_knn_select(store: DatasetStore, p: Point2, k: int,
     index = _knn_store_index(store, k)
     if not isinstance(p, Point2):
         p = Point2(float(p[0]), float(p[1]))
-    r = _ooc_knn_radius(store, index, p, k, cfg)
+    r, kept = _ooc_knn_radius(store, index, p, k, cfg)
     src = GeometryRecord(0, "point", p)
     ids, dists = [], []
-    for cell in filter_distance(index, src, r):
+    for cell in kept:
         data = store.load_cell(cell)
         got = np.array(engine.distance_select(data, src, r, resolution=resolution,
                                               config=config).ids, dtype=np.int64)
@@ -891,11 +917,11 @@ def ooc_knn_join(d1_records, store_b: DatasetStore, k: int,
         return []
     cfg = cfg or engine.KnnConfig.from_config(config)
     index = _knn_store_index(store_b, k)
-    radii = [_ooc_knn_radius(store_b, index, rec.geometry, k, cfg) for rec in left]
+    radii, kept = zip(*[_ooc_knn_radius(store_b, index, rec.geometry, k, cfg) for rec in left])
     left_ids = np.array([rec.id for rec in left], dtype=np.int64)
     left_xy = np.array([(rec.geometry.x, rec.geometry.y) for rec in left])
     li, rid, d = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
-    for data, got in _cell_distance_joins(left, store_b, radii, resolution, config):
+    for data, got in _cell_distance_joins(left, store_b, radii, kept, resolution, config):
         lid, rid_c = np.array(got.pairs, dtype=np.int64).reshape(-1, 2).T
         lj = np.searchsorted(left_ids, lid)
         xy = data.points.xy[np.searchsorted(data.points.ids, rid_c)]

@@ -160,6 +160,20 @@ def test_aggregate_does_not_index_polygon_data(monkeypatch):
     assert list(got.rows) == oracle.oracle_aggregate(zones, data)
 
 
+@pytest.mark.parametrize("mode", ["count", "sum"])
+def test_aggregate_builds_no_point_id_column(monkeypatch, mode):
+    """Aggregation reads only the points' coordinates and values."""
+    zones = gen.random_polygons(gen.rng(1), 6, radius_frac=0.15)
+    data = gen.uniform_points(gen.rng(2), 300, values=True)
+    layers = build_layer_index(zones)
+
+    def forbidden(pts):
+        raise AssertionError("aggregate built a point id column")
+    monkeypatch.setattr(engine, "_point_ids", forbidden)
+    got = engine.aggregate(zones, data, mode, resolution=64, layer_index=layers)
+    assert list(got.rows) == oracle.oracle_aggregate(zones, data, mode)
+
+
 def test_sweepline_pair_count_with_equal_bboxes():
     d1 = [box_record(0, 0.0, 0.0, 1.0, 1.0), box_record(1, 0.0, 0.0, 1.0, 1.0)]
     d2 = [box_record(2, 0.0, 0.0, 1.0, 1.0), box_record(3, 0.5, 0.5, 2.0, 2.0),

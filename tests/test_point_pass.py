@@ -7,6 +7,7 @@ import pytest
 
 import gen
 from rasterquery import engine
+from rasterquery.canvas import find_sorted
 from rasterquery.geometry import (
     GeometryRecord,
     edge_table,
@@ -93,10 +94,7 @@ def test_polygon_kernel_alone_matches_reference(name):
     vp, bpf = matcher.vp, matcher.plane.bp_flat
     pts = _probe_points(members, vp, 3)
     pts = pts[vp.in_bounds(pts)]
-    cols, rows = vp.pixel_of_points(pts)
-    flat = rows * vp.width_px + cols
-    pix = np.minimum(np.searchsorted(bpf, flat), len(bpf) - 1)
-    on = bpf[pix] == flat
+    pix, on = find_sorted(vp.pixel_keys(pts), bpf)
     got = engine._polygon_hits(matcher, pts[on], pix[on])
     np.testing.assert_array_equal(got, _inside_reference(members, pts[on]))
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gen
-from rasterquery import canvas
+from dense import boundary_pairs, dense_interior
 from rasterquery.canvas import (
     NULL_ID,
     point_pixels,
@@ -13,12 +13,13 @@ from rasterquery.canvas import (
     scanline_fill,
     seg_touch_mask,
     segment_pixels,
-    unique_keys,
     viewport_from_bounds,
 )
 from rasterquery.canvas_index import build_boundary_index_direct
+from rasterquery.errors import OverlapError
 from rasterquery.geometry import (
     GeometryRecord,
+    box_record,
     edge_table,
     points_in_triangles,
     polygon_from_rings,
@@ -93,15 +94,14 @@ def test_segment_pixels_off_grid_and_empty():
 
 # -- scanline fill -------------------------------------------------------------
 
-def _fill_sets(vp, recs, monkeypatch) -> list:
+def _fill_sets(vp, recs) -> list:
     """Per record, (filled flats, edge-touched flats)."""
     edges = np.concatenate([edge_table(rec)[0] for rec in recs])
     owner = np.repeat(np.arange(len(recs)), [len(edge_table(rec)[0]) for rec in recs])
     filled = [set() for _ in recs]
-    monkeypatch.setattr(canvas, "PIXEL_KEY_BUDGET", 500)
-    for o, f in scanline_fill(vp, edges, owner):
-        for oi, fi in zip(o.tolist(), f.tolist()):
-            filled[oi].add(fi)
+    own, row, c0, c1 = scanline_fill(vp, edges, owner)
+    for o, rr, a, b in zip(own.tolist(), row.tolist(), c0.tolist(), c1.tolist()):
+        filled[o].update(range(rr * vp.width_px + a, rr * vp.width_px + b + 1))
     k, flat = segment_pixels(vp, edges)
     touched = [set(flat[owner[k] == i].tolist()) for i in range(len(recs))]
     return list(zip(filled, touched))
@@ -109,7 +109,7 @@ def _fill_sets(vp, recs, monkeypatch) -> list:
 
 @pytest.mark.parametrize("res", [16, 64])
 @pytest.mark.parametrize("seed", range(3))
-def test_scanline_fill_interior_pixels_lie_inside(res, seed, monkeypatch):
+def test_scanline_fill_interior_pixels_lie_inside(res, seed):
     r = gen.rng(seed)
     recs = gen.disjoint_polygons(r, 3, holes_every=2)
     recs += [GeometryRecord(100, "polygon", [gen.concave_polygon(r, (0.5, 0.5), 0.6, 14)])]
@@ -126,7 +126,7 @@ def test_scanline_fill_interior_pixels_lie_inside(res, seed, monkeypatch):
     cols, rows = cols.ravel(), rows.ravel()
     x0, y0 = vp.min_x + cols * vp.sx, vp.min_y + rows * vp.sy
     x1, y1 = vp.min_x + (cols + 1) * vp.sx, vp.min_y + (rows + 1) * vp.sy
-    for rec, (filled, touched) in zip(recs, _fill_sets(vp, recs, monkeypatch)):
+    for rec, (filled, touched) in zip(recs, _fill_sets(vp, recs)):
         centre_in = points_in_triangles(np.column_stack([(x0 + x1) / 2, (y0 + y1) / 2]),
                                         triangles_array(rec))
         crossed = _box_meets_segments(x0, y0, x1, y1, edge_table(rec)[0]).any(axis=1)
@@ -136,26 +136,29 @@ def test_scanline_fill_interior_pixels_lie_inside(res, seed, monkeypatch):
         assert filled - touched == inside, (rec.id, res)
 
 
-def test_scanline_fill_chunks_respect_budget(monkeypatch):
+def test_scanline_fill_spans_are_disjoint():
     r = gen.rng(7)
     rec = GeometryRecord(0, "polygon", [gen.concave_polygon(r, (0.5, 0.5), 0.5, 12)])
     vp = viewport_from_bounds((0.0, 0.0, 1.0, 1.0), 256)
     edges, _ = edge_table(rec)
-    monkeypatch.setattr(canvas, "PIXEL_KEY_BUDGET", 1000)
-    chunks = list(scanline_fill(vp, edges, np.zeros(len(edges), dtype=np.int64)))
-    assert len(chunks) > 1
-    assert all(len(f) <= 1000 + vp.width_px for _, f in chunks)
-    flat = np.concatenate([f for _, f in chunks])
-    assert len(unique_keys(flat)) == len(flat)
+    own, row, c0, c1 = scanline_fill(vp, edges, np.zeros(len(edges), dtype=np.int64))
+    assert np.all(own == 0) and np.all(c0 <= c1)
+    # A concave ring gives some rows several spans, and none of them overlap.
+    assert len(np.unique(row)) < len(row)
+    order = np.lexsort((c0, row))
+    row, c0, c1 = row[order], c0[order], c1[order]
+    same = row[1:] == row[:-1]
+    assert np.all(c0[1:][same] > c1[:-1][same] + 1)
 
 
 # -- canvas rendering ----------------------------------------------------------
 
 def _reference_canvas(recs, vp, bindex) -> dict:
-    """Per plane, (interior_id, sorted (flat, ref) pairs) by evaluating the
-    per-pixel predicates over the whole grid for every primitive, records
-    written in id order: a polygon claims the pixels whose centre its closed
-    triangles hold, then revokes its claim where its own edges touch."""
+    """Per plane, (row-major interior ids, sorted (flat, ref) pairs) by
+    evaluating the per-pixel predicates over the whole grid for every
+    primitive, records written in id order: a polygon claims the pixels
+    whose centre its closed triangles hold, then revokes its claim where
+    its own edges touch."""
     w, h = vp.width_px, vp.height_px
     grid = (0, w - 1, 0, h - 1)
     cx, cy = np.meshgrid(vp.center_xs(0, w - 1), vp.center_ys(0, h - 1))
@@ -179,11 +182,6 @@ def _reference_canvas(recs, vp, bindex) -> dict:
             for name, p in pairs.items()}
 
 
-def _canvas_pairs(plane) -> list:
-    counts = np.diff(plane.bp_start)
-    return sorted(zip(np.repeat(plane.bp_flat, counts).tolist(), plane.bp_entries.tolist()))
-
-
 @pytest.mark.parametrize("res", [16, 24, 40, 64])
 @pytest.mark.parametrize("seed", range(3))
 def test_render_matches_per_pixel_reference_on_disjoint_layer(res, seed):
@@ -198,19 +196,24 @@ def test_render_matches_per_pixel_reference_on_disjoint_layer(res, seed):
     want = _reference_canvas(recs, vp, bindex)
     for name, (interior, pairs) in want.items():
         plane = canvas.plane(name)
-        assert np.array_equal(plane.interior_id.ravel(), interior), (name, res)
-        assert _canvas_pairs(plane) == pairs, (name, res)
+        assert np.array_equal(dense_interior(plane, vp), interior), (name, res)
+        assert boundary_pairs(plane, vp) == pairs, (name, res)
         assert np.all(np.diff(plane.bp_flat) > 0)
 
 
 @pytest.mark.parametrize("res", [16, 32, 64])
 @pytest.mark.parametrize("seed", range(3))
 def test_render_matches_sequential_reference_on_overlapping_records(res, seed):
+    """Overlapping polygons have no one canvas: where their interior runs
+    share a pixel, rendering raises ``OverlapError`` instead of picking a
+    winner per pixel. The box over most of the square shares interior
+    pixels with the others at every resolution; records that overlap only
+    near their edges leave no shared interior pixel, and each one's runs
+    then still lie inside it."""
     r = gen.rng(seed)
     recs = gen.random_polygons(r, 25, radius_frac=0.15) + gen.random_boxes(r, 10, start_id=40)
+    recs.append(box_record(99, 0.1, 0.1, 0.9, 0.9))
     bindex = build_boundary_index_direct(recs)
     vp = viewport_from_bounds((0.0, 0.0, 1.0, 1.0), res)
-    interior, pairs = _reference_canvas(recs, vp, bindex)["polygon"]
-    plane = render_geometry_canvas(recs, vp, bindex).plane("polygon")
-    assert np.array_equal(plane.interior_id.ravel(), interior)
-    assert _canvas_pairs(plane) == pairs
+    with pytest.raises(OverlapError):
+        render_geometry_canvas(recs, vp, bindex)

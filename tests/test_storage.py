@@ -369,7 +369,32 @@ def test_ooc_knn_radius_matches_brute_force_ladder(lattice):
         radii = cfg.radii(max(np.hypot(p.x - x, p.y - y) for x in (x0, x1) for y in (y0, y1)))
         for k in (1, 9, 400):
             want = radii[max(i for i, r in enumerate(radii) if (d <= r).sum() >= k)]
-            assert storage._ooc_knn_radius(lattice.store, index, p, k, cfg) == want
+            r, kept = storage._ooc_knn_radius(lattice.store, index, p, k, cfg)
+            assert r == want
+            src = point_record(0, p.x, p.y)
+            assert kept == storage.filter_distance(index, src, r)
+
+
+@pytest.mark.parametrize("query", ["select", "join"])
+def test_ooc_knn_computes_hull_distances_once_per_probe(lattice, monkeypatch, query):
+    """A probe's distances to the cell hulls do not depend on the ladder
+    rung: one ``polygon_distances`` call per probe serves every rung and
+    the final selection."""
+    calls = []
+    real = storage.polygon_distances
+
+    def counted(source, tables):
+        calls.append(source)
+        return real(source, tables)
+    monkeypatch.setattr(storage, "polygon_distances", counted)
+    k = 7
+    if query == "select":
+        for p in PROBES:
+            storage.ooc_knn_select(lattice.store, p, k, config=CFG)
+    else:
+        left = [point_record(1000 + i, p.x, p.y) for i, p in enumerate(PROBES)]
+        storage.ooc_knn_join(left, lattice.store, k, config=CFG)
+    assert len(calls) == len(PROBES)
 
 
 def test_ooc_count_within_renders_no_canvas(lattice, monkeypatch):
@@ -459,3 +484,48 @@ def test_hull_errors_other_than_degeneracy_propagate(tmp_path, monkeypatch):
     cat = storage.ingest(gen.uniform_points(gen.rng(1), 20), "pts", tmp_path)
     with pytest.raises(ValueError):
         storage.build_indexes(cat, config=CFG)
+
+
+# ---------------------------------------------------------------------------
+# Degenerate cells far from the origin (EPSG:3857 scale)
+# ---------------------------------------------------------------------------
+
+FAR = 1e7
+
+
+@pytest.fixture(scope="module", params=["one point", "duplicates"])
+def far_store(tmp_path_factory, request):
+    """A one-point store at (1e7, 1e7), and three duplicates there beside
+    three points 100 units away in cells of 120 bytes: each degenerate
+    cell's hull is a box padded by the coordinates' magnitude."""
+    if request.param == "one point":
+        recs, budget = [point_record(1, FAR, FAR)], None
+    else:
+        recs = [point_record(i, FAR, FAR) for i in (1, 2, 3)]
+        recs += [point_record(4, FAR + 100, FAR), point_record(5, FAR, FAR + 100),
+                 point_record(6, FAR + 100, FAR + 100)]
+        budget = 120
+    root = tmp_path_factory.mktemp("far")
+    storage.build_indexes(storage.ingest(recs, "far", root), byte_budget=budget, config=CFG)
+    return recs, storage.DatasetStore(root, "far", CFG)
+
+
+def test_far_degenerate_stores_agree_with_oracle(far_store):
+    recs, store = far_store
+    if len(recs) > 1:
+        assert len(store.grid_index().cells) >= 2
+    for cons in (box_record(0, FAR - 1, FAR - 1, FAR + 1, FAR + 1),
+                 box_record(0, FAR - 50, FAR - 50, FAR + 150, FAR + 50),
+                 box_record(0, FAR + 10, FAR + 10, FAR + 20, FAR + 20)):
+        assert list(storage.ooc_select(store, cons, config=CFG).ids) == \
+            oracle.oracle_select(recs, cons)
+    for src, r in ((point_record(0, FAR + 0.5, FAR), 1.0), (point_record(0, FAR + 60, FAR), 45.0),
+                   (line_record(0, [(FAR - 10, FAR + 50), (FAR + 110, FAR + 50)]), 49.0)):
+        assert list(storage.ooc_distance_select(store, src, r, config=CFG).ids) == \
+            oracle.oracle_distance_select(recs, src, r)
+    for p in (Point2(FAR, FAR), Point2(FAR + 70, FAR + 20), Point2(FAR - 500, FAR + 900)):
+        for k in sorted({1, min(4, len(recs))}):
+            got = storage.ooc_knn_select(store, p, k, config=CFG)
+            want = oracle.oracle_knn_select(recs, p, k)
+            assert [i for i, _ in got] == [i for i, _ in want]
+            assert [d for _, d in got] == pytest.approx([d for _, d in want])
