@@ -6,11 +6,17 @@ are certain, boundary pixels fall back to exact tests), so results are
 independent of the canvas resolution.
 
 Each constraint canvas (one selection constraint, one layer of disjoint
-join or aggregation constraints, one layer of distance buffers) is probed
-layer-at-a-time. A canvas keeps no pixel grid: its interior is a table of
-sorted, disjoint pixel runs, each owned by one object, and its boundary
-pixels are a sorted key array with a bucket of entries each (see
-``canvas``). A distance canvas is rendered by
+join or aggregation constraints, one layer of distance buffers) is
+rendered once per query. A query checks its inputs, then streams its
+dataset parts past its canvases (``_probe_parts``): the whole dataset in
+memory, or the kept cells of a store one at a time (``storage``). No part
+is touched and no canvas rendered before the checks pass, and a query over
+no parts renders nothing.
+
+A canvas keeps no pixel grid: its interior is a table of sorted, disjoint
+pixel runs, each owned by one object, and its boundary pixels are a
+sorted key array with a bucket of entries each (see ``canvas``). A
+distance canvas is rendered by
 ``canvas.DistanceCanvasBuilder``: each source's r-buffer is the union of
 its polygon interior, a capsule per segment or ring edge and a disc per
 point; the runs a buffer covers are interior, and pixels it only touches
@@ -93,6 +99,7 @@ from .geometry import (
     budget_runs,
     expand_runs,
     points_in_parts,
+    project_4326_to_3857,
     project_points_4326_to_3857,
 )
 # No query runs the Map any more; these names stay bound here only because
@@ -190,8 +197,8 @@ class PreparedPoints:
     permutation that sorts the points by x, with ``x_sorted`` and
     ``y_by_x`` the points' x and y in that order (the kNN ladder counts
     over an x slab of them); ``bbox``; and ``records``, for the few callers
-    that need ``GeometryRecord``s (geographic projection, the type-1 flip of
-    ``distance_join``, ``knn_join``'s left side).
+    that need ``GeometryRecord``s (the type-1 flip of ``distance_join``,
+    ``knn_join``'s left side).
 
     ``PreparedPoints(records)`` builds the columns from point records;
     ``PreparedPoints.from_arrays`` takes columns as they are, such as a
@@ -517,18 +524,39 @@ def _layer_matcher(members, resolution: int) -> PixelMatcher:
     return PixelMatcher(canvas)
 
 
-def _probe_pairs(matcher: PixelMatcher, points, others) -> set:
-    """(constraint id, record id) pairs of points, given as (xy, ids)
-    columns, and of other records against one canvas."""
-    pairs: set = set()
-    xy, ids = points
-    with instrument.phase("raster"):
-        if len(ids):
-            cid = match_points(matcher, xy)
-            got = cid >= 0
-            pairs.update(zip(cid[got].tolist(), ids[got].tolist()))
-        pairs |= match_records(matcher, others)
-    return pairs
+def _layer_matchers(members, layers: LayerIndex, resolution: int):
+    """One canvas per layer of the polygons ``members``, each rendered when
+    drawn."""
+    by_id = {r.id: r for r in members}
+    for ids in layers.layers:
+        yield _layer_matcher([by_id[i] for i in ids], resolution)
+
+
+def _probe_parts(matchers, parts):
+    """(part, pairs) per dataset part split by ``_dataset_points``, in
+    order: the (constraint id, record id) pairs of its points and other
+    records against every canvas of ``matchers``, drawn when the first part
+    arrives. Parts stream past the canvases, so each is rendered once."""
+    canvases = None
+    for part in parts:
+        (xy, ids), others = part
+        if canvases is None:
+            canvases = list(matchers)
+        pairs: set = set()
+        with instrument.phase("raster"):
+            for matcher in canvases:
+                if len(ids):
+                    cid = match_points(matcher, xy)
+                    got = cid >= 0
+                    pairs.update(zip(cid[got].tolist(), ids[got].tolist()))
+                pairs |= match_records(matcher, others)
+        yield part, pairs
+
+
+def _joined(matchers, parts) -> set:
+    """Every (constraint id, record id) pair of the datasets ``parts``."""
+    parts = map(_dataset_points, parts)
+    return set().union(*(pairs for _, pairs in _probe_parts(matchers, parts)))
 
 
 def _point_xy(pts) -> np.ndarray:
@@ -582,10 +610,16 @@ def _as_records(dataset) -> list:
     return list(dataset)
 
 
-def _selection(matcher: PixelMatcher, dataset) -> SelectionResult:
-    """Ids of the dataset's objects that meet the single-object canvas."""
-    points, others = _dataset_points(dataset)
-    return SelectionResult(tuple(rid for _, rid in _probe_pairs(matcher, points, others)))
+def _constraint_matchers(constraint, resolution: int):
+    """The canvas of one selection constraint, checked now and rendered
+    when drawn."""
+    rec = _as_constraint_record(constraint)
+    return _layer_matchers([rec], LayerIndex([[rec.id]]), resolution)
+
+
+def _selection(matchers, parts) -> SelectionResult:
+    """Ids of the objects of the datasets ``parts`` that meet the canvases."""
+    return SelectionResult(tuple(rid for _, rid in _joined(matchers, parts)))
 
 
 def select(dataset, constraint, resolution: int | None = None,
@@ -593,9 +627,8 @@ def select(dataset, constraint, resolution: int | None = None,
     """Ids of all objects whose geometry intersects the closed constraint
     polygon: render the constraint canvas plus boundary index, then
     classify the dataset against it in one pass."""
-    resolution = resolution or config.resolution
-    matcher = _layer_matcher([_as_constraint_record(constraint)], resolution)
-    return _selection(matcher, dataset)
+    return _selection(_constraint_matchers(constraint, resolution or config.resolution),
+                      [dataset])
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +639,9 @@ def join(d1, d2, resolution: int | None = None, config: Config = DEFAULT,
          d1_layers: LayerIndex | None = None,
          d2_layers: LayerIndex | None = None) -> JoinResult:
     """All intersecting (d1 id, d2 id) pairs. d1 must be polygons; d2 points
-    or polygons. Runs one classification pass per layer of the side with
-    fewer layers (disjoint layer members share one constraint canvas)."""
+    or polygons. Renders one canvas per layer of the side with fewer layers
+    (disjoint layer members share one constraint canvas) and probes the
+    other side against each."""
     resolution = resolution or config.resolution
     d1 = list(d1)
     if any(r.kind != "polygon" for r in d1):
@@ -632,22 +666,10 @@ def join(d1, d2, resolution: int | None = None, config: Config = DEFAULT,
             d1_layers = d2_layers
             swapped = True
 
-    pairs = _join_layers(d1, points, others, d1_layers, resolution)
+    [(_, pairs)] = _probe_parts(_layer_matchers(d1, d1_layers, resolution), [(points, others)])
     if swapped:
         pairs = {(b, a) for a, b in pairs}
     return JoinResult(tuple(pairs))
-
-
-def _join_layers(d1, points, others, layers: LayerIndex, resolution) -> set:
-    """Pairs of every layer of d1 against all of d2, given as
-    ``_dataset_points``, collected as a set (a probe may meet several
-    members of one layer)."""
-    by_id = {r.id: r for r in d1}
-    pairs: set = set()
-    for layer_ids in layers.layers:
-        matcher = _layer_matcher([by_id[i] for i in layer_ids], resolution)
-        pairs |= _probe_pairs(matcher, points, others)
-    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +686,8 @@ def _maybe_project(dataset, geographic):
         return SplitDataset(_maybe_project(dataset.points, True),
                             _maybe_project(dataset.others, True))
     if isinstance(dataset, PreparedPoints):
-        return PreparedPoints([project_record_4326_to_3857(r) for r in dataset.records])
+        return PreparedPoints.from_arrays(dataset.ids, project_points_4326_to_3857(dataset.xy),
+                                          dataset.values)
     return [project_record_4326_to_3857(r) for r in dataset]
 
 
@@ -685,60 +708,60 @@ def _distance_matcher(sources, radii, resolution: int) -> PixelMatcher:
     return PixelMatcher(canvas)
 
 
+def _radii(radii, n: int) -> list:
+    """One radius per source of n: a scalar serves all of them, a sequence
+    must hold n. Every radius must be positive."""
+    rs = [float(radii)] if np.isscalar(radii) else [float(r) for r in radii]
+    if not all(r > 0 for r in rs):
+        raise DataError(f"distance radius must be positive, got {radii}")
+    if np.isscalar(radii):
+        return rs * n
+    if len(rs) != n:
+        raise DataError(f"radii length {len(rs)} != |D1| {n}")
+    return rs
+
+
+def _buffer_matchers(sources, radii, resolution: int):
+    """One canvas per layer of pairwise-disjoint buffers (source i buffered
+    by ``radii[i]``), the layer index built and each canvas rendered when
+    drawn."""
+    layers = build_distance_layer_index(sources, radii)
+    rmap = {s.id: r for s, r in zip(sources, radii)}
+    by_id = {s.id: s for s in sources}
+    for ids in layers.layers:
+        yield _distance_matcher([by_id[i] for i in ids], [rmap[i] for i in ids], resolution)
+
+
 def distance_select(dataset, source: GeometryRecord, r: float,
                     resolution: int | None = None, config: Config = DEFAULT,
                     geographic: bool = False) -> SelectionResult:
     """Ids within distance r of the source's closed geometry; exact via
     distance boundary entries (never the rasterized buffer outline)."""
-    if not (r > 0):
-        raise DataError(f"distance radius must be positive, got {r}")
-    resolution = resolution or config.resolution
-    dataset = _maybe_project(dataset, geographic)
-    source = _maybe_project([source], geographic)[0]
-    return _selection(_distance_matcher([source], [r], resolution), dataset)
+    matchers = _buffer_matchers(_maybe_project([source], geographic), _radii(r, 1),
+                                resolution or config.resolution)
+    return _selection(matchers, [_maybe_project(dataset, geographic)])
 
 
 def distance_join(d1, d2, radii, resolution: int | None = None,
                   config: Config = DEFAULT, geographic: bool = False) -> JoinResult:
     """Pairs within distance: a single radius (type 1, the smaller dataset
     becomes the constraint side) or one radius per D1 object (type 2). The
-    layer index over the generated buffers is built on the fly. D2 may be a
+    layer index over the generated buffers is built on the fly, each layer
+    rendered once and the probe side classified against it. D2 may be a
     ``PreparedPoints`` or ``SplitDataset``, whose point columns the probe
     pass reads directly."""
-    resolution = resolution or config.resolution
     d1 = list(d1)
+    rs = _radii(radii, len(d1))
     if not isinstance(d2, (PreparedPoints, SplitDataset)):
         d2 = list(d2)
     d1, d2 = _maybe_project(d1, geographic), _maybe_project(d2, geographic)
     if not d1 or not len(d2):
         return JoinResult(())
-    if np.isscalar(radii):
-        r = float(radii)
-        if not r > 0:
-            raise DataError("distance radius must be positive")
-        if len(d2) < len(d1):
-            sources, probes, flip = _as_records(d2), d1, True
-        else:
-            sources, probes, flip = d1, d2, False
-        rmap = {rec.id: r for rec in sources}
-    else:
-        radii_list = [float(x) for x in radii]
-        if len(radii_list) != len(d1):
-            raise DataError(f"radii length {len(radii_list)} != |D1| {len(d1)}")
-        if any(x <= 0 for x in radii_list):
-            raise DataError("all radii must be positive")
-        sources, probes, flip = d1, d2, False
-        rmap = {rec.id: rr for rec, rr in zip(d1, radii_list)}
-
-    sources = sorted(sources, key=lambda rec: rec.id)
-    layers = build_distance_layer_index(sources, [rmap[s.id] for s in sources])
-    by_id = {s.id: s for s in sources}
-    points, others = _dataset_points(probes)
-    pairs: set = set()
-    for layer_ids in layers.layers:
-        members = [by_id[i] for i in layer_ids]
-        matcher = _distance_matcher(members, [rmap[m.id] for m in members], resolution)
-        pairs |= _probe_pairs(matcher, points, others)
+    flip = np.isscalar(radii) and len(d2) < len(d1)
+    if flip:
+        d1, d2 = _as_records(d2), d1
+        rs = rs[:1] * len(d1)
+    pairs = _joined(_buffer_matchers(d1, rs, resolution or config.resolution), [d2])
     if flip:
         pairs = {(b, a) for a, b in pairs}
     return JoinResult(tuple(pairs))
@@ -748,59 +771,76 @@ def distance_join(d1, d2, radii, resolution: int | None = None,
 # Aggregation
 # ---------------------------------------------------------------------------
 
+def _aggregation_matchers(constraints, mode: str, layers: LayerIndex | None,
+                          resolution: int):
+    """One canvas per layer of the aggregation constraints, checked now with
+    ``mode`` (``layers`` built now when None) and rendered when drawn."""
+    if mode not in ("count", "sum"):
+        raise DataError(f"unknown aggregation mode {mode!r}")
+    if any(r.kind != "polygon" for r in constraints):
+        raise DataError("aggregation constraints must be polygons")
+    return _layer_matchers(constraints, layers or build_layer_index(constraints), resolution)
+
+
+def _aggregate(matchers, parts, mode: str) -> AggregationResult:
+    """Per-constraint count (or sum) over the datasets ``parts``, each
+    classified against every canvas, drawn at the first part that holds an
+    object: points per pixel, other records in one pass."""
+    counts: dict = {}
+    sums: dict = {}
+    canvases = None
+    for part in parts:
+        if mode == "sum":
+            (xy, vals), others = _dataset_points(part, ("xy", "values"))
+        else:
+            (xy,), others = _dataset_points(part, ("xy",))
+            vals = None
+        if mode == "sum" and (np.isnan(vals).any() or any(r.value is None for r in others)):
+            raise DataError("sum aggregation over a value-less dataset")
+        if not (len(xy) or others):
+            continue
+        if canvases is None:
+            canvases = list(matchers)
+        value_of = {r.id: r.value for r in others}
+        for matcher in canvases:
+            if len(xy):
+                with instrument.phase("raster"):
+                    cid = match_points(matcher, xy)
+                got = cid >= 0
+                # Per object: its count, and its values added in point order.
+                rank = np.searchsorted(matcher.object_ids, cid[got])
+                n = len(matcher.object_ids)
+                layer_counts = np.bincount(rank, minlength=n)
+                if mode == "sum":
+                    layer_sums = np.bincount(rank, weights=vals[got], minlength=n)
+                for j in np.flatnonzero(layer_counts):
+                    c = int(matcher.object_ids[j])
+                    counts[c] = counts.get(c, 0) + int(layer_counts[j])
+                    if mode == "sum":
+                        sums[c] = sums.get(c, 0.0) + float(layer_sums[j])
+            with instrument.phase("raster"):
+                pairs = match_records(matcher, others)
+            for c, did in pairs:
+                counts[c] = counts.get(c, 0) + 1
+                if mode == "sum":
+                    sums[c] = sums.get(c, 0.0) + float(value_of[did])
+    rows = tuple((cid, counts[cid], sums.get(cid) if mode == "sum" else None)
+                 for cid in sorted(counts))
+    return AggregationResult(rows)
+
+
 def aggregate(constraints, data, mode: str = "count",
               resolution: int | None = None, config: Config = DEFAULT,
               layer_index: LayerIndex | None = None) -> AggregationResult:
     """Per-constraint count (or sum of value payloads) of intersecting data
     objects: each constraint layer is rendered once and the data classified
     against it (points per pixel, other records in one pass)."""
-    if mode not in ("count", "sum"):
-        raise DataError(f"unknown aggregation mode {mode!r}")
-    resolution = resolution or config.resolution
     constraints = list(constraints)
-    if any(r.kind != "polygon" for r in constraints):
-        raise DataError("aggregation constraints must be polygons")
-    if mode == "sum":
-        (xy, vals), others = _dataset_points(data, ("xy", "values"))
-    else:
-        (xy,), others = _dataset_points(data, ("xy",))
-        vals = None
-    if mode == "sum" and (np.isnan(vals).any() or any(r.value is None for r in others)):
-        raise DataError("sum aggregation over a value-less dataset")
+    matchers = _aggregation_matchers(constraints, mode, layer_index,
+                                     resolution or config.resolution)
     if layer_index is None:
         log.warning("aggregate: building constraint layer index on demand")
-        layer_index = build_layer_index(constraints)
-
-    counts: dict = {}
-    sums: dict = {}
-    by_id = {r.id: r for r in constraints}
-    value_of = {r.id: r.value for r in others}
-    for layer_ids in layer_index.layers if len(xy) or others else ():
-        matcher = _layer_matcher([by_id[i] for i in layer_ids], resolution)
-        if len(xy):
-            with instrument.phase("raster"):
-                cid = match_points(matcher, xy)
-            got = cid >= 0
-            # Per object: its count, and its values added in point order.
-            rank = np.searchsorted(matcher.object_ids, cid[got])
-            n = len(matcher.object_ids)
-            layer_counts = np.bincount(rank, minlength=n)
-            if mode == "sum":
-                layer_sums = np.bincount(rank, weights=vals[got], minlength=n)
-            for j in np.flatnonzero(layer_counts):
-                c = int(matcher.object_ids[j])
-                counts[c] = counts.get(c, 0) + int(layer_counts[j])
-                if mode == "sum":
-                    sums[c] = sums.get(c, 0.0) + float(layer_sums[j])
-        with instrument.phase("raster"):
-            pairs = match_records(matcher, others)
-        for c, did in pairs:
-            counts[c] = counts.get(c, 0) + 1
-            if mode == "sum":
-                sums[c] = sums.get(c, 0.0) + float(value_of[did])
-    rows = tuple((cid, counts[cid], sums.get(cid) if mode == "sum" else None)
-                 for cid in sorted(counts))
-    return AggregationResult(rows)
+    return _aggregate(matchers, [data], mode)
 
 
 # ---------------------------------------------------------------------------
@@ -840,16 +880,33 @@ def _knn_radius(prepared: PreparedPoints, center: Point2, k: int, cfg: KnnConfig
                              farthest_corner(center, _bounds_union([prepared.bbox])))
 
 
-def rank_neighbours(left_ids: np.ndarray, li: np.ndarray, rid: np.ndarray,
-                    d: np.ndarray, k: int) -> list:
-    """(left id, [right ids]) per left id: of the candidate pairs (index
-    ``li`` into ``left_ids``, right id ``rid``, distance ``d``), the k
-    nearest right ids by ascending (distance, id)."""
+def _check_k(k: int, n: int):
+    """A kNN query over n points needs 0 < k <= n."""
+    if k <= 0:
+        raise DataError("k must be positive")
+    if k > n:
+        raise DataError(f"k={k} exceeds dataset size {n}")
+
+
+def _neighbours(left, radii, k: int, parts, resolution: int) -> list:
+    """Per point record of ``left`` (ids ascending), the (id, distance) of
+    its k nearest points of ``parts`` (point ids ascending) within its
+    radius, by ascending (distance, id)."""
+    left_ids, left_xy = _point_ids(left), _point_xy(left)
+    li, rid, d = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    matchers = _buffer_matchers(left, radii, resolution)
+    for ((xy, ids), _), pairs in _probe_parts(matchers, map(_dataset_points, parts)):
+        lid, rid_p = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
+        lj = np.searchsorted(left_ids, lid)
+        at = xy[np.searchsorted(ids, rid_p)]
+        li.append(lj)
+        rid.append(rid_p)
+        d.append(np.hypot(left_xy[lj, 0] - at[:, 0], left_xy[lj, 1] - at[:, 1]))
+    li, rid, d = map(np.concatenate, (li, rid, d))
     order = np.lexsort((rid, d, li))
-    li, rid = li[order], rid[order]
-    start = np.searchsorted(li, np.arange(len(left_ids) + 1))
-    return [(int(left_ids[j]), rid[start[j]:min(start[j] + k, start[j + 1])].tolist())
-            for j in range(len(left_ids))]
+    start = np.searchsorted(li[order], np.arange(len(left) + 1))
+    return [[(int(rid[i]), float(d[i])) for i in order[a:min(a + k, b)]]
+            for a, b in zip(start[:-1], start[1:])]
 
 
 def knn_select(dataset, p, k: int, cfg: KnnConfig | None = None,
@@ -858,26 +915,15 @@ def knn_select(dataset, p, k: int, cfg: KnnConfig | None = None,
     """The k nearest dataset points to p as (id, distance) sorted by
     (distance, id). Ties at the k-th distance break toward ascending id."""
     cfg = cfg or KnnConfig.from_config(config)
-    resolution = resolution or config.resolution
     prepared = _maybe_project(_prepared_points(dataset), geographic)
-    if geographic:
-        px, py = project_points_4326_to_3857(np.array([[p[0] if not isinstance(p, Point2) else p.x,
-                                                        p[1] if not isinstance(p, Point2) else p.y]]))[0]
-        p = Point2(px, py)
-    elif not isinstance(p, Point2):
+    if not isinstance(p, Point2):
         p = Point2(float(p[0]), float(p[1]))
-    n = len(prepared)
-    if k <= 0:
-        raise DataError("k must be positive")
-    if k > n:
-        raise DataError(f"k={k} exceeds dataset size {n}")
+    if geographic:
+        p = project_4326_to_3857(p)
+    _check_k(k, len(prepared))
     r = _knn_radius(prepared, p, k, cfg)
-    ids = distance_select(prepared, GeometryRecord(0, "point", p), r,
-                          resolution=resolution, config=config).ids
-    idx = np.searchsorted(prepared.ids, np.array(ids, dtype=np.int64))
-    d = np.hypot(prepared.xy[idx, 0] - p.x, prepared.xy[idx, 1] - p.y)
-    order = sorted(zip(d, ids))[:k]
-    return [(int(i), float(dd)) for dd, i in order]
+    return _neighbours([GeometryRecord(0, "point", p)], [r], k, [prepared],
+                       resolution or config.resolution)[0]
 
 
 def knn_join(d1, d2, k: int, cfg: KnnConfig | None = None,
@@ -885,19 +931,12 @@ def knn_join(d1, d2, k: int, cfg: KnnConfig | None = None,
              geographic: bool = False) -> list:
     """Per D1 point, its k nearest D2 points: a per-point radius from the
     radius ladder (exact counts, no canvas), one type-2 distance join with
-    those radii, then a per-point (distance, id) sort."""
+    those radii, its buffers rendered once, then a per-point (distance, id)
+    sort."""
     cfg = cfg or KnnConfig.from_config(config)
-    resolution = resolution or config.resolution
     left = _maybe_project(_prepared_points(d1), geographic)
     right = _maybe_project(_prepared_points(d2), geographic)
-    if k <= 0:
-        raise DataError("k must be positive")
-    if k > len(right):
-        raise DataError(f"k={k} exceeds |D2|={len(right)}")
+    _check_k(k, len(right))
     radii = [_knn_radius(right, Point2(x, y), k, cfg) for x, y in left.xy]
-    pairs = distance_join(left.records, right, radii,
-                          resolution=resolution, config=config).pairs
-    lid, rid = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    li, ri = np.searchsorted(left.ids, lid), np.searchsorted(right.ids, rid)
-    d = np.hypot(left.xy[li, 0] - right.xy[ri, 0], left.xy[li, 1] - right.xy[ri, 1])
-    return rank_neighbours(left.ids, li, rid, d, k)
+    found = _neighbours(left.records, radii, k, [right], resolution or config.resolution)
+    return [(lid, [i for i, _ in got]) for lid, got in zip(left.ids.tolist(), found)]

@@ -3,13 +3,14 @@ serialization, and out-of-core query execution.
 
 Queries filter cells by their convex hulls with exact array kernels of
 ``geometry`` and no canvas: ``records_intersect`` for selections and joins,
-``polygon_distances`` for distance queries. Only the cells that pass are
-loaded and refined by the in-memory engine. ``ooc_join`` runs its plan's
-load order and renders each A-side canvas once: every layer of an A cell,
-or one A polygon, with its B cells streamed past it. ``ooc_distance_join``
-and ``ooc_knn_join`` load each kept cell once for all the sources that
-reach it. The kNN radius ladder counts exactly over the kept cells' point
-columns, without a canvas.
+``polygon_distances`` for distance queries. Every ``ooc_*`` query runs the
+in-memory engine's own probe loop: it checks its inputs with the engine,
+filters the cells, then streams the kept cells, each loaded once, past
+canvases rendered once per query; a filter that keeps nothing renders
+nothing. ``ooc_join`` runs its plan's load order instead and renders each
+A-side canvas once: every layer of an A cell, or one A polygon, with its
+B cells streamed past it. The kNN radius ladder counts exactly over the
+kept cells' point columns, without a canvas.
 
 A dataset directory holds four files: ``catalog.meta`` (text key-value),
 ``records.bin`` (the ingested records), ``cells.bin`` (the grid cells) and
@@ -665,12 +666,10 @@ def filter_distance(index: GridIndex, source: GeometryRecord, r: float) -> list:
 
 def ooc_select(store: DatasetStore, constraint, resolution: int | None = None,
                config: Config = DEFAULT) -> engine.SelectionResult:
-    index = store.grid_index()
-    ids: list = []
-    for cell in filter_select(index, constraint):
-        ids.extend(engine.select(store.load_cell(cell), constraint,
-                                 resolution=resolution, config=config).ids)
-    return engine.SelectionResult(tuple(ids))
+    """``engine.select`` over the cells whose hull meets the constraint."""
+    matchers = engine._constraint_matchers(constraint, resolution or config.resolution)
+    kept = filter_select(store.grid_index(), constraint)
+    return engine._selection(matchers, (store.load_cell(c) for c in kept))
 
 
 def plan_ooc_join(store_a: DatasetStore, store_b: DatasetStore,
@@ -746,89 +745,60 @@ def ooc_join(store_a: DatasetStore, store_b: DatasetStore,
         if ca.key != key:
             key, matchers = ca.key, None
             data = store_a.load_cell(ca)
-            by_id = {rec.id: rec for rec in data.others}
         if plan.join_strategy == optimizer.NAIVE_LOOP:
-            matchers = [engine._layer_matcher([by_id[int(label.split(":", 1)[1])]], resolution)]
+            layers = LayerIndex([[int(label.split(":", 1)[1])]])
+            matchers = engine._layer_matchers(data.others, layers, resolution)
         elif matchers is None:
-            matchers = [engine._layer_matcher([by_id[i] for i in ids], resolution)
-                        for ids in data.layers.layers]
-        for cb in b_cells:
-            points, others = engine._dataset_points(store_b.load_cell(cb))
-            for matcher in matchers:
-                pairs |= engine._probe_pairs(matcher, points, others)
+            matchers = list(engine._layer_matchers(data.others, data.layers, resolution))
+        pairs |= engine._joined(matchers, (store_b.load_cell(cb) for cb in b_cells))
     return engine.JoinResult(tuple(pairs))
 
 
 def ooc_distance_select(store: DatasetStore, source: GeometryRecord, r: float,
                         resolution: int | None = None,
                         config: Config = DEFAULT) -> engine.SelectionResult:
-    index = store.grid_index()
-    ids: list = []
-    for cell in filter_distance(index, source, r):
-        ids.extend(engine.distance_select(store.load_cell(cell), source, r,
-                                          resolution=resolution, config=config).ids)
-    return engine.SelectionResult(tuple(ids))
+    """``engine.distance_select`` over the cells whose hull lies within r of
+    the source."""
+    matchers = engine._buffer_matchers([source], engine._radii(r, 1),
+                                       resolution or config.resolution)
+    kept = filter_distance(store.grid_index(), source, r)
+    return engine._selection(matchers, (store.load_cell(c) for c in kept))
 
 
-def _cell_distance_joins(sources, store: DatasetStore, radii, kept, resolution, config):
-    """(cell data, JoinResult) per cell whose hull lies within some source's
-    radius: the sources are grouped by their ``kept`` cells (those
-    ``filter_distance`` keeps for each), and each cell is loaded once, in
-    grid order, for one type-2 ``engine.distance_join`` against all of its
-    sources."""
-    index = store.grid_index()
-    groups: dict = {}
-    for rec, r, cells in zip(sources, radii, kept):
-        for cell in cells:
-            srcs, rs = groups.setdefault(cell.key, ([], []))
-            srcs.append(rec)
-            rs.append(r)
-    for cell in index.cells:
-        if cell.key in groups:
-            data = store.load_cell(cell)
-            srcs, rs = groups[cell.key]
-            yield data, engine.distance_join(srcs, data, rs, resolution=resolution,
-                                             config=config)
+def _reached(index: GridIndex, kept) -> list:
+    """The cells of the lists ``kept``, each once, in grid order."""
+    keys = {cell.key for cells in kept for cell in cells}
+    return [cell for cell in index.cells if cell.key in keys]
 
 
 def ooc_distance_join(d1_records, store_b: DatasetStore, radii,
                       resolution: int | None = None,
                       config: Config = DEFAULT) -> engine.JoinResult:
     """Type-2 distance join of in-memory sources against a stored dataset:
-    each cell whose hull lies within some source's radius is loaded once and
-    joined against those sources."""
-    if np.isscalar(radii):
-        radii = [float(radii)] * len(d1_records)
+    the sources' buffers are rendered once, layer by layer, and each cell
+    whose hull lies within some source's radius is loaded once and streamed
+    past them."""
+    d1 = list(d1_records)
+    radii = engine._radii(radii, len(d1))
+    matchers = engine._buffer_matchers(d1, radii, resolution or config.resolution)
     index = store_b.grid_index()
-    kept = [filter_distance(index, rec, r) for rec, r in zip(d1_records, radii)]
-    return engine.JoinResult(tuple(
-        pair for _, got in _cell_distance_joins(d1_records, store_b, radii, kept,
-                                                resolution, config)
-        for pair in got.pairs))
+    kept = _reached(index, [filter_distance(index, rec, r) for rec, r in zip(d1, radii)])
+    pairs = engine._joined(matchers, (store_b.load_cell(c) for c in kept))
+    return engine.JoinResult(tuple(pairs))
 
 
 def ooc_aggregate(constraints, store: DatasetStore, mode: str = "count",
                   resolution: int | None = None,
                   config: Config = DEFAULT) -> engine.AggregationResult:
-    """Aggregate stored data per constraint; cells partition the data so
-    per-cell rows add up exactly."""
+    """``engine.aggregate`` over the cells whose hull meets some constraint:
+    the constraints' layer index is built and each layer rendered once, and
+    the cells partition the data, so one pass over them counts exactly."""
+    constraints = list(constraints)
+    matchers = engine._aggregation_matchers(constraints, mode, None,
+                                            resolution or config.resolution)
     index = store.grid_index()
-    counts: dict = {}
-    sums: dict = {}
-    keys = {cell.key for cons in constraints for cell in filter_select(index, cons)}
-    layers = build_layer_index(constraints) if keys else None
-    for cell in index.cells:
-        if cell.key in keys:
-            rows = engine.aggregate(constraints, store.load_cell(cell), mode,
-                                    resolution=resolution, config=config,
-                                    layer_index=layers).rows
-            for cid, n, s in rows:
-                counts[cid] = counts.get(cid, 0) + n
-                if mode == "sum":
-                    sums[cid] = sums.get(cid, 0.0) + (s or 0.0)
-    rows = tuple((cid, counts[cid], sums.get(cid) if mode == "sum" else None)
-                 for cid in sorted(counts))
-    return engine.AggregationResult(rows)
+    kept = _reached(index, [filter_select(index, cons) for cons in constraints])
+    return engine._aggregate(matchers, (store.load_cell(c) for c in kept), mode)
 
 
 def ooc_count_within(store: DatasetStore, center: Point2, r: float) -> int:
@@ -858,11 +828,7 @@ def _knn_store_index(store: DatasetStore, k: int) -> GridIndex:
     index = store.grid_index()
     if store.catalog.kind != "point":
         raise DataError("out-of-core kNN needs a point dataset")
-    total = sum(c.count for c in index.cells)
-    if k <= 0:
-        raise DataError("k must be positive")
-    if k > total:
-        raise DataError(f"k={k} exceeds dataset size {total}")
+    engine._check_k(k, sum(c.count for c in index.cells))
     return index
 
 
@@ -884,49 +850,31 @@ def ooc_knn_select(store: DatasetStore, p: Point2, k: int,
                    config: Config = DEFAULT) -> list:
     """kNN over a stored point dataset: the radius ladder of
     ``KnnConfig.ladder_radius`` counts exactly over the points of the cells
-    each rung's circle reaches (``ooc_count_within``, no canvas), then one
-    out-of-core distance selection at that radius ranks the points it
-    matches by (distance, id) from the loaded cells' columns."""
+    each rung's circle reaches (``ooc_count_within``, no canvas), then the
+    cells the final circle reaches stream past its one canvas, and the
+    points it matches are ranked by (distance, id) as ``engine.knn_select``
+    ranks them."""
     cfg = cfg or engine.KnnConfig.from_config(config)
     index = _knn_store_index(store, k)
     if not isinstance(p, Point2):
         p = Point2(float(p[0]), float(p[1]))
     r, kept = _ooc_knn_radius(store, index, p, k, cfg)
-    src = GeometryRecord(0, "point", p)
-    ids, dists = [], []
-    for cell in kept:
-        data = store.load_cell(cell)
-        got = np.array(engine.distance_select(data, src, r, resolution=resolution,
-                                              config=config).ids, dtype=np.int64)
-        xy = data.points.xy[np.searchsorted(data.points.ids, got)]
-        ids.append(got)
-        dists.append(np.hypot(xy[:, 0] - p.x, xy[:, 1] - p.y))
-    ids, dists = np.concatenate(ids), np.concatenate(dists)
-    order = np.lexsort((ids, dists))[:k]
-    return [(int(ids[i]), float(dists[i])) for i in order]
+    [got] = engine._neighbours([GeometryRecord(0, "point", p)], [r], k,
+                               (store.load_cell(c) for c in kept), resolution or config.resolution)
+    return got
 
 
 def ooc_knn_join(d1_records, store_b: DatasetStore, k: int,
                  cfg: engine.KnnConfig | None = None,
                  resolution: int | None = None, config: Config = DEFAULT) -> list:
     """Per D1 point, its k nearest stored points: a ladder radius per point,
-    one out-of-core type-2 distance join with those radii, then the ranking
-    of ``engine.knn_join``."""
-    left = sorted(d1_records, key=lambda rec: rec.id)
-    if not left:
-        return []
+    then one out-of-core type-2 distance join with those radii, ranked as
+    ``engine.knn_join`` ranks them."""
     cfg = cfg or engine.KnnConfig.from_config(config)
     index = _knn_store_index(store_b, k)
-    radii, kept = zip(*[_ooc_knn_radius(store_b, index, rec.geometry, k, cfg) for rec in left])
-    left_ids = np.array([rec.id for rec in left], dtype=np.int64)
-    left_xy = np.array([(rec.geometry.x, rec.geometry.y) for rec in left])
-    li, rid, d = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
-    for data, got in _cell_distance_joins(left, store_b, radii, kept, resolution, config):
-        lid, rid_c = np.array(got.pairs, dtype=np.int64).reshape(-1, 2).T
-        lj = np.searchsorted(left_ids, lid)
-        xy = data.points.xy[np.searchsorted(data.points.ids, rid_c)]
-        li.append(lj)
-        rid.append(rid_c)
-        d.append(np.hypot(left_xy[lj, 0] - xy[:, 0], left_xy[lj, 1] - xy[:, 1]))
-    return engine.rank_neighbours(left_ids, np.concatenate(li), np.concatenate(rid),
-                                  np.concatenate(d), k)
+    left = sorted(d1_records, key=lambda rec: rec.id)
+    found = [_ooc_knn_radius(store_b, index, rec.geometry, k, cfg) for rec in left]
+    kept = _reached(index, [cells for _, cells in found])
+    got = engine._neighbours(left, [r for r, _ in found], k, (store_b.load_cell(c) for c in kept),
+                             resolution or config.resolution)
+    return [(rec.id, [i for i, _ in nb]) for rec, nb in zip(left, got)]

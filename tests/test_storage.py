@@ -7,6 +7,7 @@ import pytest
 import gen
 from rasterquery import canvas, canvas_index, engine, optimizer, oracle, storage
 from rasterquery.config import Config
+from rasterquery.errors import DataError
 from rasterquery.geometry import (
     GeometryRecord,
     Point2,
@@ -21,6 +22,8 @@ from rasterquery.geometry import (
 
 CFG = Config(resolution=64, byte_budget=1 << 20, cache_factor=1)
 R = 0.07
+# The query resolutions the oracle tests over the 64-cell store run at.
+RESOLUTIONS = (16, 64, 1024)
 
 
 class Stores:
@@ -55,47 +58,196 @@ def test_stores_have_several_cells(stores):
 
 def test_ooc_select(stores):
     cons = gen.concave_polygon(gen.rng(6), center=(0.45, 0.55), radius=0.3)
-    got = storage.ooc_select(stores.sp, cons, config=CFG).ids
-    assert list(got) == oracle.oracle_select(stores.points, cons)
+    for res in RESOLUTIONS:
+        got = storage.ooc_select(stores.sp, cons, resolution=res, config=CFG).ids
+        assert list(got) == oracle.oracle_select(stores.points, cons), res
 
 
 @pytest.mark.parametrize("where", [(0.5, 0.5), (0.1, 0.9)])
 def test_ooc_distance_select(stores, where):
     src = point_record(0, *where)
     r = gen.clear_distance_fixture(gen.rng(0), src, stores.points, 0.2)
-    got = storage.ooc_distance_select(stores.sp, src, r, config=CFG).ids
-    assert list(got) == oracle.oracle_distance_select(stores.points, src, r)
+    for res in RESOLUTIONS:
+        got = storage.ooc_distance_select(stores.sp, src, r, resolution=res, config=CFG).ids
+        assert list(got) == oracle.oracle_distance_select(stores.points, src, r), res
 
 
 @pytest.mark.parametrize("k", [1, 7, 40])
 def test_ooc_knn_select(stores, k):
     p = Point2(0.37, 0.61)
-    got = storage.ooc_knn_select(stores.sp, p, k, config=CFG)
     want = oracle.oracle_knn_select(stores.points, p, k)
-    assert [i for i, _ in got] == [i for i, _ in want]
-    assert [d for _, d in got] == pytest.approx([d for _, d in want])
+    for res in RESOLUTIONS:
+        got = storage.ooc_knn_select(stores.sp, p, k, resolution=res, config=CFG)
+        assert [i for i, _ in got] == [i for i, _ in want], res
+        assert [d for _, d in got] == pytest.approx([d for _, d in want])
 
 
 def test_ooc_distance_join(stores):
     srcs = [point_record(900 + i, x, y) for i, (x, y) in
             enumerate([(0.2, 0.2), (0.5, 0.5), (0.8, 0.3)])]
-    got = storage.ooc_distance_join(srcs, stores.sp, R, config=CFG).pairs
-    assert list(got) == oracle.oracle_distance_join(srcs, stores.points, R)
+    for res in RESOLUTIONS:
+        got = storage.ooc_distance_join(srcs, stores.sp, R, resolution=res, config=CFG).pairs
+        assert list(got) == oracle.oracle_distance_join(srcs, stores.points, R), res
 
 
 def test_ooc_knn_join(stores):
     left = [point_record(900 + i, x, y) for i, (x, y) in enumerate([(0.25, 0.5), (0.7, 0.7)])]
-    got = storage.ooc_knn_join(left, stores.sp, 5, config=CFG)
-    assert got == oracle.oracle_knn_join(left, stores.points, 5)
+    for res in RESOLUTIONS:
+        got = storage.ooc_knn_join(left, stores.sp, 5, resolution=res, config=CFG)
+        assert got == oracle.oracle_knn_join(left, stores.points, 5), res
 
 
 @pytest.mark.parametrize("mode", ["count", "sum"])
 def test_ooc_aggregate(stores, mode):
-    got = storage.ooc_aggregate(stores.hoods, stores.sp, mode, config=CFG).rows
     want = oracle.oracle_aggregate(stores.hoods, stores.points, mode)
-    assert [(c, n) for c, n, _ in got] == [(c, n) for c, n, _ in want]
-    if mode == "sum":
-        assert [s for _, _, s in got] == pytest.approx([s for _, _, s in want])
+    for res in RESOLUTIONS:
+        got = storage.ooc_aggregate(stores.hoods, stores.sp, mode, resolution=res,
+                                    config=CFG).rows
+        assert [(c, n) for c, n, _ in got] == [(c, n) for c, n, _ in want], res
+        if mode == "sum":
+            assert [s for _, _, s in got] == pytest.approx([s for _, _, s in want])
+
+
+# ---------------------------------------------------------------------------
+# The out-of-core probe loop: checks first, each canvas rendered once, each
+# kept cell loaded once, no public engine query per cell
+# ---------------------------------------------------------------------------
+
+NEAR, FAR_SRC = point_record(0, 0.5, 0.5), point_record(0, 5.0, 5.0)
+OFF_GRID = [box_record(300, 4.0, 4.0, 4.5, 4.5)]
+
+
+@pytest.mark.parametrize("ooc, twin", [
+    (lambda s: storage.ooc_distance_select(s, NEAR, -1.0, config=CFG),
+     lambda d: engine.distance_select(d, NEAR, -1.0, config=CFG)),
+    (lambda s: storage.ooc_distance_select(s, FAR_SRC, 0.0, config=CFG),
+     lambda d: engine.distance_select(d, FAR_SRC, 0.0, config=CFG)),
+    (lambda s: storage.ooc_distance_join([NEAR], s, -1.0, config=CFG),
+     lambda d: engine.distance_join([NEAR], d, -1.0, config=CFG)),
+    (lambda s: storage.ooc_aggregate(OFF_GRID, s, "avg", config=CFG),
+     lambda d: engine.aggregate(OFF_GRID, d, "avg", config=CFG)),
+    (lambda s: storage.ooc_knn_join([], s, 0, config=CFG),
+     lambda d: engine.knn_join([], d, 0, config=CFG)),
+], ids=["distance_select-negative-r", "distance_select-zero-r-far", "distance_join-negative-r",
+        "aggregate-unknown-mode-off-grid", "knn_join-zero-k-no-left"])
+def test_ooc_rejects_what_the_engine_rejects(stores, ooc, twin):
+    """Each query checks its inputs before it filters cells, so a filter
+    that keeps no cell does not hide a bad input."""
+    with pytest.raises(DataError):
+        twin(stores.points)
+    with pytest.raises(DataError):
+        ooc(stores.sp)
+
+
+def _ooc_cases(s) -> dict:
+    """Per ``ooc_*`` family: (query, the cells its refine step needs, the
+    canvases one query renders)."""
+    index = s.sp.grid_index()
+    cons = gen.concave_polygon(gen.rng(6), center=(0.45, 0.55), radius=0.3)
+    srcs = [point_record(900 + i, x, y) for i, (x, y) in
+            enumerate([(0.2, 0.2), (0.5, 0.5), (0.8, 0.3)])]
+    p, cfg = Point2(0.37, 0.61), engine.KnnConfig.from_config(CFG)
+    left = [point_record(900 + i, x, y) for i, (x, y) in enumerate([(0.25, 0.5), (0.7, 0.7)])]
+    ladders = [storage._ooc_knn_radius(s.sp, index, rec.geometry, 5, cfg) for rec in left]
+
+    def union(kept):
+        return sorted({c.key for cells in kept for c in cells})
+    return {
+        "select": (lambda: storage.ooc_select(s.sp, cons, config=CFG),
+                   union([storage.filter_select(index, cons)]), 1),
+        "distance_select": (lambda: storage.ooc_distance_select(s.sp, NEAR, 0.2, config=CFG),
+                            union([storage.filter_distance(index, NEAR, 0.2)]), 1),
+        "distance_join": (lambda: storage.ooc_distance_join(srcs, s.sp, R, config=CFG),
+                          union([storage.filter_distance(index, rec, R) for rec in srcs]),
+                          canvas_index.build_distance_layer_index(srcs, [R] * 3).layer_count),
+        "knn_select": (lambda: storage.ooc_knn_select(s.sp, p, 40, config=CFG),
+                       union([storage._ooc_knn_radius(s.sp, index, p, 40, cfg)[1]]), 1),
+        "knn_join": (lambda: storage.ooc_knn_join(left, s.sp, 5, config=CFG),
+                     union([kept for _, kept in ladders]),
+                     canvas_index.build_distance_layer_index(
+                         left, [r for r, _ in ladders]).layer_count),
+        "aggregate": (lambda: storage.ooc_aggregate(s.hoods, s.sp, "sum", config=CFG),
+                      union([storage.filter_select(index, h) for h in s.hoods]),
+                      canvas_index.build_layer_index(s.hoods).layer_count),
+    }
+
+
+def _record_work(monkeypatch) -> tuple:
+    """(renders, loads): from now on, one entry per canvas rendered and the
+    key of each cell loaded, leaving out the loads of the kNN radius
+    ladder's counts."""
+    renders, loads = [], []
+    render, finalize = canvas.render_geometry_canvas, canvas.DistanceCanvasBuilder.finalize
+    load, ladder = storage.DatasetStore.load_cell, storage._ooc_knn_radius
+
+    def rendered(*args, **kwargs):
+        renders.append("polygons")
+        return render(*args, **kwargs)
+
+    def finalized(self):
+        renders.append("buffers")
+        return finalize(self)
+
+    def loaded(self, cell):
+        loads.append(cell.key)
+        return load(self, cell)
+
+    def counted_ladder(*args):
+        n = len(loads)
+        out = ladder(*args)
+        del loads[n:]
+        return out
+    monkeypatch.setattr(canvas, "render_geometry_canvas", rendered)
+    monkeypatch.setattr(canvas.DistanceCanvasBuilder, "finalize", finalized)
+    monkeypatch.setattr(storage.DatasetStore, "load_cell", loaded)
+    monkeypatch.setattr(storage, "_ooc_knn_radius", counted_ladder)
+    return renders, loads
+
+
+FAMILIES = ["select", "distance_select", "distance_join", "knn_select", "knn_join", "aggregate"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_ooc_renders_each_canvas_once_and_loads_kept_cells_once(stores, monkeypatch, family):
+    query, kept, canvases = _ooc_cases(stores)[family]
+    assert len(kept) >= 2
+    renders, loads = _record_work(monkeypatch)
+    query()
+    assert len(renders) == canvases
+    assert sorted(loads) == kept
+
+
+@pytest.mark.parametrize("family", ["select", "distance_select", "distance_join", "aggregate"])
+def test_ooc_renders_nothing_when_no_cell_is_kept(stores, monkeypatch, family):
+    query = {
+        "select": lambda: storage.ooc_select(stores.sp, OFF_GRID[0], config=CFG).ids,
+        "distance_select": lambda: storage.ooc_distance_select(stores.sp, FAR_SRC, 0.1,
+                                                               config=CFG).ids,
+        "distance_join": lambda: storage.ooc_distance_join([FAR_SRC], stores.sp, 0.1,
+                                                           config=CFG).pairs,
+        "aggregate": lambda: storage.ooc_aggregate(OFF_GRID, stores.sp, "count",
+                                                   config=CFG).rows,
+    }[family]
+    renders, loads = _record_work(monkeypatch)
+    assert query() == ()
+    assert renders == [] and loads == []
+
+
+def test_ooc_queries_run_no_public_engine_query(stores, monkeypatch):
+    """Out-of-core queries share the engine's probe loop; none of them runs
+    a public engine query per cell."""
+    queries = [query for query, _, _ in _ooc_cases(stores).values()]
+    queries += [lambda strategy=strategy: storage.ooc_join(stores.sa, stores.sb, config=CFG,
+                                                           force_strategy=strategy)
+                for strategy in (optimizer.NAIVE_LOOP, optimizer.LAYER_INDEX)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an ooc_* query ran a public engine query")
+    for name in ("select", "distance_select", "distance_join", "aggregate", "knn_select",
+                 "knn_join", "join"):
+        monkeypatch.setattr(engine, name, forbidden)
+    for query in queries:
+        query()
 
 
 @pytest.mark.parametrize("strategy", [optimizer.NAIVE_LOOP, optimizer.LAYER_INDEX])
