@@ -42,7 +42,9 @@ query engine runs them over its probe records. ``DistanceCanvasBuilder``
 renders a layer of r-buffers as the union of simple shapes: a polygon
 source's filled interior, a capsule per segment or ring edge and a disc per
 point. The runs a buffer covers become interior runs; the other pixels it
-touches list every point or edge entry whose buffer reaches them.
+touches list every point or edge entry whose buffer reaches them. Both
+read their records from the boundary index's ``geometry.RecordTable``,
+whose edge rows are the boundary entries.
 
 Pixel (c, r) covers the half-open square
 ``[min_x + c*sx, min_x + (c+1)*sx) x [min_y + r*sy, min_y + (r+1)*sy)``;
@@ -56,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CanvasError, DataError, InternalInvariantError, OverlapError
-from .geometry import GeometryRecord, budget_runs, edge_table, expand_runs, orient
+from .geometry import GeometryRecord, RecordTable, budget_runs, expand_runs, orient
 
 PLANES = ("point", "line", "polygon")
 NULL_ID = -1
@@ -499,9 +501,10 @@ class _Builder:
         return self.canvas
 
 
-def render_geometry_canvas(records, vp: Viewport, bindex) -> DiscreteCanvas:
-    """Render pairwise-disjoint data records into a discrete canvas, one
-    kernel call per kind.
+def render_geometry_canvas(vp: Viewport, bindex) -> DiscreteCanvas:
+    """Render the pairwise-disjoint records of a boundary index's table
+    into a discrete canvas, one kernel call per kind; every boundary entry
+    ref is the row of its point or edge in that table.
 
     Points land conservatively in the point plane and polyline segments in
     the line plane, as boundary entries. Polygons fill the polygon plane:
@@ -510,51 +513,25 @@ def render_geometry_canvas(records, vp: Viewport, bindex) -> DiscreteCanvas:
     contains (``fill_runs``) less those its own edges touch. Records whose
     interior runs overlap raise ``OverlapError``.
     """
-    recs = sorted(records, key=lambda rec: rec.id)
-    ids = [rec.id for rec in recs]
-    if len(set(ids)) != len(ids):
-        raise DataError("duplicate record ids in one canvas")
+    t = bindex.table
     b = _Builder(vp, bindex)
-    pts = [rec for rec in recs if rec.kind == "point"]
-    if pts:
-        xy = np.array([(p.geometry.y, p.geometry.x) for p in pts], dtype=float)
-        k, key = point_pixels_array(vp.transposed(), xy)
-        refs = np.array([bindex.offsets[p.id][0] for p in pts], dtype=np.int64)
-        b.add_boundary("point", key, refs[k])
-    lines = [rec for rec in recs if rec.kind == "polyline"]
-    if lines:
-        edges, rank, ordinal, _ = stack_edges(lines)
+    rows = t.start[:-1][t.kinds == RecordTable.POINT]
+    if len(rows):
+        k, key = point_pixels_array(vp.transposed(), t.edges[rows][:, [1, 0]])
+        b.add_boundary("point", key, rows[k])
+    _, rows = t.rows(np.flatnonzero(t.kinds == RecordTable.POLYLINE))
+    if len(rows):
+        k, key = edge_keys(vp, t.edges[rows])
+        b.add_boundary("line", key, rows[k])
+    _, rows = t.rows(np.flatnonzero(t.kinds == RecordTable.POLYGON))
+    if len(rows):
+        edges = t.edges[rows]
         k, key = edge_keys(vp, edges)
-        b.add_boundary("line", key, _entry_refs(lines, bindex, rank, ordinal)[k])
-    polys = [rec for rec in recs if rec.kind == "polygon"]
-    if polys:
-        edges, rank, ordinal, part = stack_edges(polys)
-        k, key = edge_keys(vp, edges)
-        b.add_boundary("polygon", key, _entry_refs(polys, bindex, rank, ordinal)[k])
-        rank, col, row0, row1 = _polygon_runs(vp, edges, rank, part, k, key)
-        pid = np.array([rec.id for rec in polys], dtype=np.int64)
+        b.add_boundary("polygon", key, rows[k])
+        rank, col, row0, row1 = _polygon_runs(vp, edges, t.rank[rows], t.part[rows], k, key)
         b.set_interior("polygon", col * vp.height_px + row0, col * vp.height_px + row1,
-                       pid[rank])
+                       t.ids[rank])
     return b.finalize()
-
-
-def stack_edges(recs) -> tuple:
-    """The ``edge_table`` of every record stacked: (edges, rank, ordinal,
-    part) per edge, where rank is the record's position in ``recs``,
-    ordinal the edge's position within its record, and part a part ordinal
-    unique across all records."""
-    tables = [edge_table(rec) for rec in recs]
-    counts = [len(e) for e, _ in tables]
-    rank, ordinal = expand_runs(counts)
-    nparts = np.array([int(p[-1]) + 1 for _, p in tables])
-    part = np.concatenate([p for _, p in tables]) + np.repeat(np.cumsum(nparts) - nparts, counts)
-    return np.concatenate([e for e, _ in tables]), rank, ordinal, part
-
-
-def _entry_refs(recs, bindex, rank, ordinal) -> np.ndarray:
-    """Boundary-index entry ref of each stacked edge."""
-    first = np.array([bindex.offsets[rec.id][0] for rec in recs], dtype=np.int64)
-    return first[rank] + ordinal
 
 
 def _union_runs(key, row0, row1) -> tuple:
@@ -577,7 +554,8 @@ def _polygon_runs(vp: Viewport, edges, rank, part, k, key) -> tuple:
     """(rank, col, row0, row1) runs of the pixels each polygon's interior
     covers: the centres ``fill_runs`` puts inside one of its parts, less
     the pixels its own edges touch, (edge ``k``, ``key``) as ``edge_keys``
-    gives them for the ``stack_edges`` table (edges, rank, part).
+    gives them for ``edges``, whose polygon is ``rank`` and whose part
+    ``part`` (rows of a ``RecordTable``).
 
     Runs are merged per polygon and column, then split around the cut
     pixels, all in one key space of (rank * width + col) * height + row.
@@ -768,27 +746,22 @@ class DistanceCanvasBuilder:
         self._queue.append((source, float(r)))
 
     def finalize(self) -> DiscreteCanvas:
-        vp, bindex = self.vp, self.bindex
+        vp, bindex, t = self.vp, self.bindex, self.bindex.table
         w, h = vp.width_px, vp.height_px
-        # The queued sources' entries, one per point, segment or ring edge;
-        # a point entry has NaN in place of a second end.
-        first = np.array([bindex.offsets[src.id][0] for src, _ in self._queue], dtype=np.int64)
-        count = np.array([bindex.offsets[src.id][1] for src, _ in self._queue], dtype=np.int64)
-        j, off = expand_runs(count)
-        ref = first[j] + off
-        segs = bindex.coords[ref].copy()
-        point = np.isnan(segs[:, 2])
-        segs[point, 2:] = segs[point, :2]
-        radius = np.array([r for _, r in self._queue], dtype=float)[j]
+        # The queued sources' entries: their rows of the boundary index's
+        # table (in id order), one per point, segment or ring edge.
         ids = np.array([src.id for src, _ in self._queue], dtype=np.int64)
-        (bs, bkey), (rs, col, row0, row1) = capsule_pixels(vp, segs, radius)
+        rank = np.searchsorted(t.ids, ids)
+        j, ref = t.rows(rank)
+        radius = np.array([r for _, r in self._queue], dtype=float)[j]
+        (bs, bkey), (rs, col, row0, row1) = capsule_pixels(vp, t.edges[ref], radius)
         runs = [(j[rs], col, row0, row1)]
-        polys = [q for q, (src, _) in enumerate(self._queue) if src.kind == "polygon"]
-        if polys:
-            edges, rank, _, part = stack_edges([self._queue[q][0] for q in polys])
+        polys = np.flatnonzero(t.kinds[rank] == RecordTable.POLYGON)
+        if len(polys):
+            q, rows = t.rows(rank[polys])
+            edges = t.edges[rows]
             k, key = edge_keys(vp, edges)
-            rank, col, row0, row1 = _polygon_runs(vp, edges, rank, part, k, key)
-            runs.append((np.array(polys, dtype=np.int64)[rank], col, row0, row1))
+            runs.append(_polygon_runs(vp, edges, polys[q], t.part[rows], k, key))
         # A source's capsules overlap each other (each end disc is shared)
         # and its interior, so its runs are merged per column.
         src, col, row0, row1 = (np.concatenate(a) for a in zip(*runs))

@@ -1,8 +1,12 @@
 """Canvas-specific indexes: the boundary index (the points and edges whose
 exact tests settle boundary pixels) and the layer index (pairwise-disjoint
 layers so one canvas can hold many constraint objects). Both layer builders
-find overlapping pairs with no canvas: a sweep over the record bboxes, then
-one exact test over all candidate pairs.
+find overlapping pairs with no canvas: a sweep over the record boxes of a
+``geometry.RecordTable``, then one exact test over all candidate pairs.
+
+A boundary index holds its canvas's records as one ``RecordTable`` in
+ascending id order; its entries are that table's rows, so every renderer and
+matcher of the canvas reads the same arrays.
 """
 
 from __future__ import annotations
@@ -17,90 +21,60 @@ from .errors import DataError
 from .geometry import (
     GeometryRecord,
     Point2,
+    RecordTable,
     Segment,
     Triangle,
-    edge_table,
     exact_intersects,
-    expand_runs,
     geometry_distance,
     overlapping_boxes,
     pairwise_intersects,
-    part_tables,
     primitive_distance,
     records_intersect,
     triangles_array,
 )
 
-KIND_POINT = 0
-KIND_SEGMENT = 1
-
 
 class BoundaryIndex:
-    """Append-only table of (object id, primitive, optional radius) entries.
-
-    There is one entry per point and per polyline segment or polygon ring
-    edge (``edge_table`` order): "the data itself becomes the boundary
-    index". On a polygon canvas an entry carries r = NaN; a distance canvas
-    entry carries the radius r of its source, and a polygon source's
-    interior has no entry. Entries are laid out columnar and per-object
-    contiguous so canvas pixels can reference them by table offset;
-    ``coords`` rows are ax, ay, bx, by, with NaN in place of the second end
-    of a point entry.
+    """The boundary entries of one canvas: one per row of ``table``, that
+    is per point and per polyline segment or polygon ring edge
+    (``edge_table`` order, a point as a zero-length edge): "the data itself
+    becomes the boundary index". ``table`` lists the canvas's records in
+    ascending id order, the one record order of every canvas: an entry ref
+    is a table row and an object's rank its table rank. ``aux_r`` gives
+    each entry its record's radius: NaN on a polygon canvas, the source's r
+    on a distance canvas, where a polygon source's interior has no entry.
     """
 
-    def __init__(self):
-        self.obj_ids = np.zeros(0, dtype=np.int64)
-        self.kinds = np.zeros(0, dtype=np.int8)
-        self.coords = np.zeros((0, 4), dtype=np.float64)
-        self.aux_r = np.zeros(0, dtype=np.float64)
-        self.edge_ordinals = np.zeros(0, dtype=np.int32)
-        self.offsets: dict = {}
-        self.records: dict = {}
+    def __init__(self, table: RecordTable, radii):
+        if np.any(table.ids[1:] <= table.ids[:-1]):
+            raise DataError("a canvas takes records of distinct ids in ascending order")
+        self.table = table
+        self.aux_r = np.repeat(np.asarray(radii, dtype=np.float64), np.diff(table.start))
 
     def __len__(self):
-        return len(self.obj_ids)
-
-    @staticmethod
-    def _of(records, radii) -> "BoundaryIndex":
-        """Entries of the records, in the given order, each carrying its
-        record's radius."""
-        idx = BoundaryIndex()
-        idx.records = {rec.id: rec for rec in records}
-        if not records:
-            return idx
-        tables = [np.array([[rec.geometry.x, rec.geometry.y, np.nan, np.nan]])
-                  if rec.kind == "point" else edge_table(rec)[0] for rec in records]
-        count = np.array([len(t) for t in tables], dtype=np.int64)
-        ids = [rec.id for rec in records]
-        kinds = [KIND_POINT if rec.kind == "point" else KIND_SEGMENT for rec in records]
-        idx.obj_ids = np.repeat(np.array(ids, dtype=np.int64), count)
-        idx.kinds = np.repeat(np.array(kinds, dtype=np.int8), count)
-        idx.coords = np.concatenate(tables)
-        idx.aux_r = np.repeat(np.asarray(radii, dtype=np.float64), count)
-        idx.edge_ordinals = expand_runs(count)[1].astype(np.int32)
-        idx.offsets = dict(zip(ids, zip((np.cumsum(count) - count).tolist(), count.tolist())))
-        return idx
+        return len(self.table.edges)
 
     def primitive(self, ref: int):
         if not 0 <= ref < len(self):
             raise DataError(f"invalid boundary index reference {ref}")
-        c = self.coords[ref]
-        if self.kinds[ref] == KIND_POINT:
+        t = self.table
+        c = t.edges[ref]
+        if t.kinds[t.rank[ref]] == RecordTable.POINT:
             return Point2(c[0], c[1])
         return Segment(Point2(c[0], c[1]), Point2(c[2], c[3]))
 
     @staticmethod
-    def for_distance_sources(sources, radii) -> "BoundaryIndex":
+    def for_distance_sources(table: RecordTable, radii) -> "BoundaryIndex":
         """One entry per point source and per polyline segment or polygon
-        ring edge (``edge_table`` order), each carrying its source's r."""
-        return BoundaryIndex._of(list(sources), radii)
+        ring edge of the sources' table, each carrying its source's r."""
+        return BoundaryIndex(table, radii)
 
 
 def build_boundary_index_direct(records) -> BoundaryIndex:
-    """One entry per point, polyline segment and polygon ring edge, in
-    ascending record id / ordinal order."""
+    """One entry per point, polyline segment and polygon ring edge of the
+    records, their table built in id order."""
     recs = sorted(records, key=lambda r: r.id)
-    return BoundaryIndex._of(recs, np.full(len(recs), np.nan))
+    return BoundaryIndex(RecordTable(recs), np.full(len(recs), np.nan))
 
 
 def boundary_test(index: BoundaryIndex, entry_ref: int, probe) -> bool:
@@ -175,8 +149,8 @@ class PixelMatcher:
 
     A probe touching a pixel of an object's interior run matches that
     object; ``run_rank`` gives each run's object as a rank into
-    ``object_ids``. ``bucket_objects`` lists the distinct objects of each
-    boundary pixel and ``object_parts`` the polygon parts of every object,
+    ``object_ids``, the ids of ``table``, the boundary index's records.
+    ``bucket_objects`` lists the distinct objects of each boundary pixel,
     for the point pass of ``engine.match_points``: a point on a boundary
     pixel of a polygon canvas is in an object iff the point-in-polygon
     kernel puts it inside; on a distance canvas (``distance``, whose
@@ -189,12 +163,12 @@ class PixelMatcher:
         self.canvas = canvas
         self.vp = canvas.viewport
         self.bindex = canvas.bindex
+        self.table = canvas.bindex.table
         self.plane = canvas.plane("polygon")
         self.distance = bool(np.isfinite(self.bindex.aux_r).any())
-        self.object_ids = np.array(sorted(self.bindex.records), dtype=np.int64)
-        self.has_polygons = any(rec.kind == "polygon" for rec in self.bindex.records.values())
+        self.object_ids = self.table.ids
+        self.has_polygons = bool((self.table.kinds == RecordTable.POLYGON).any())
         self._buckets = None
-        self._parts = None
 
     @cached_property
     def run_rank(self) -> np.ndarray:
@@ -208,25 +182,20 @@ class PixelMatcher:
             plane, n = self.plane, max(len(self.object_ids), 1)
             nb = len(plane.bp_flat)
             pix = np.repeat(np.arange(nb, dtype=np.int64), np.diff(plane.bp_start))
-            rank = np.searchsorted(self.object_ids, self.bindex.obj_ids[plane.bp_entries])
+            rank = self.table.rank[plane.bp_entries]
             pix, rank = np.divmod(unique_keys(pix * n + rank), n)
             self._buckets = (np.searchsorted(pix, np.arange(nb + 1)), rank)
         return self._buckets
 
-    def object_parts(self) -> tuple:
-        """``geometry.part_tables`` of the objects in ``object_ids`` order."""
-        if self._parts is None:
-            self._parts = part_tables([self.bindex.records[int(oid)] for oid in self.object_ids])
-        return self._parts
-
-    def exact_pair(self, probe: GeometryRecord, oid: int) -> bool:
-        """Whether the probe record truly meets object ``oid``: full-geometry
-        intersection on polygon canvases, distance to the source at most its
-        r on distance canvases (0 when one lies inside the other)."""
-        src = self.bindex.records[oid]
+    def exact_pair(self, probe: GeometryRecord, rank: int) -> bool:
+        """Whether the probe record truly meets the object of rank ``rank``:
+        full-geometry intersection on polygon canvases, distance to the
+        source at most its r on distance canvases (0 when one lies inside
+        the other)."""
+        src = self.table.records[rank]
         if not self.distance:
             return pairwise_intersects(probe, src)
-        return geometry_distance(probe, src) <= self.bindex.aux_r[self.bindex.offsets[oid][0]]
+        return geometry_distance(probe, src) <= self.bindex.aux_r[self.table.start[rank]]
 
 
 # ---------------------------------------------------------------------------
@@ -250,31 +219,29 @@ class LayerIndex:
         return len(self.layers)
 
 
-def _sweep_graph(recs, boxes, meets) -> dict:
-    """Overlap adjacency of ``recs`` (sorted by id): the index pairs whose
-    ``boxes`` overlap (``overlapping_boxes``), gathered from every chunk,
-    then kept where ``meets(i, j)``, one exact test over all of them,
-    holds."""
-    graph: dict = {r.id: set() for r in recs}
-    if len(recs) < 2:
+def _sweep_graph(table: RecordTable, boxes, meets) -> dict:
+    """Overlap adjacency of the table's records, by id: the rank pairs
+    whose ``boxes`` overlap (``overlapping_boxes``), gathered from every
+    chunk, then kept where ``meets(i, j)``, one exact test over all of
+    them, holds."""
+    ids = table.ids
+    graph: dict = {i: set() for i in ids.tolist()}
+    if len(ids) < 2:
         return graph
     i, j = (np.concatenate(c) for c in zip(*overlapping_boxes(boxes)))
     hit = meets(i, j)
-    ids = np.array([r.id for r in recs], dtype=np.int64)
     for a, b in zip(ids[i[hit]].tolist(), ids[j[hit]].tolist()):
         graph[a].add(b)
         graph[b].add(a)
     return graph
 
 
-def overlap_graph(records) -> dict:
-    """Exact overlap adjacency with no canvas: a sweep over the record
-    bboxes gathers the candidate pairs, and one ``records_intersect`` call,
-    which budgets itself under ``PAIR_BUDGET``, settles them all (a
+def overlap_graph(table: RecordTable) -> dict:
+    """Exact overlap adjacency with no canvas: a sweep over the table's
+    record boxes gathers the candidate pairs, and one ``records_intersect``
+    call, which budgets itself under ``PAIR_BUDGET``, settles them all (a
     polygon nested in another without touching it is an edge too)."""
-    recs = sorted(records, key=lambda r: r.id)
-    return _sweep_graph(recs, np.array([r.bbox() for r in recs]),
-                        lambda i, j: records_intersect(recs, recs, i, j))
+    return _sweep_graph(table, table.boxes, lambda i, j: records_intersect(table, table, i, j))
 
 
 def _peel(graph: dict) -> LayerIndex:
@@ -295,21 +262,20 @@ def build_layer_index(records) -> LayerIndex:
     """Layers ``_peel`` takes off the records' exact overlap graph
     (``overlap_graph``); no canvas is rendered. Deterministic given ids;
     the layer count is not claimed minimal."""
-    return _peel(overlap_graph(records))
+    return _peel(overlap_graph(RecordTable(records)))
 
 
-def build_distance_layer_index(sources, radii) -> LayerIndex:
-    """Layer index over distance buffers, built on the fly at query time;
-    two buffers overlap iff distance(geomA, geomB) <= rA + rB. The sweep of
-    ``overlap_graph`` runs over the bboxes each grown by its radius; point
-    pairs then get one array test, other pairs ``geometry_distance``."""
-    order = sorted(range(len(sources)), key=lambda i: sources[i].id)
-    recs = [sources[i] for i in order]
-    rad = np.array([radii[i] for i in order], dtype=float)
-    grown = np.array([r.bbox() for r in recs]).reshape(-1, 4) + rad[:, None] * [-1, -1, 1, 1]
-    point = np.array([r.kind == "point" for r in recs])
-    xy = np.array([(r.geometry.x, r.geometry.y) if r.kind == "point" else (np.nan, np.nan)
-                   for r in recs])
+def build_distance_layer_index(sources: RecordTable, radii) -> LayerIndex:
+    """Layer index over the distance buffers of a table of sources, source
+    k buffered by ``radii[k]``, built on the fly at query time; two buffers
+    overlap iff distance(geomA, geomB) <= rA + rB. The sweep of
+    ``overlap_graph`` runs over the record boxes each grown by its radius;
+    point pairs then get one array test, other pairs ``geometry_distance``."""
+    rad = np.asarray(radii, dtype=float)
+    grown = sources.boxes + rad[:, None] * [-1, -1, 1, 1]
+    point = sources.kinds == RecordTable.POINT
+    xy = sources.edges[sources.start[:-1], :2]
+    recs = sources.records
 
     def within(i, j):
         limit = rad[i] + rad[j]
@@ -319,4 +285,4 @@ def build_distance_layer_index(sources, radii) -> LayerIndex:
         for q in np.flatnonzero(~both):
             hit[q] = geometry_distance(recs[i[q]], recs[j[q]]) <= limit[q]
         return hit
-    return _peel(_sweep_graph(recs, grown, within))
+    return _peel(_sweep_graph(sources, grown, within))

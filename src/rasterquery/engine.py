@@ -75,13 +75,10 @@ from .canvas import (
     find_sorted,
     in_sorted,
     interval_pairs,
-    stack_edges,
     unique_keys,
     viewport_from_bounds,
 )
 from .canvas_index import (
-    KIND_POINT,
-    KIND_SEGMENT,
     BoundaryIndex,
     LayerIndex,
     PixelMatcher,
@@ -95,6 +92,7 @@ from .geometry import (
     GeometryRecord,
     Point2,
     PolygonGeom,
+    RecordTable,
     _point_seg_dist,
     budget_runs,
     expand_runs,
@@ -135,55 +133,6 @@ class AggregationResult:
     """Rows of (constraint id, count, sum-of-values-or-None), count > 0."""
 
     rows: tuple
-
-
-@dataclass(frozen=True)
-class KnnConfig:
-    alpha: float = 2.0
-    circle_count: int | None = None
-    r_max: float | None = None
-    radius_floor: float = 1e-3
-    circle_cap: int = 64
-
-    def __post_init__(self):
-        if self.alpha <= 1.0:
-            raise DataError("kNN alpha must be > 1")
-
-    @classmethod
-    def from_config(cls, config: Config) -> "KnnConfig":
-        """The ladder settings of ``config``."""
-        return cls(alpha=config.alpha, radius_floor=config.knn_radius_floor,
-                   circle_cap=config.circle_cap)
-
-    def radii(self, r_max: float) -> list:
-        """Shrinking radius schedule r_max / alpha^i, largest first."""
-        if self.circle_count is not None:
-            c = self.circle_count
-        else:
-            c = math.ceil(math.log(max(r_max / self.radius_floor, 1.0), self.alpha))
-            c = min(max(c, 1), self.circle_cap)
-        return [r_max / self.alpha ** i for i in range(c + 1)]
-
-    def ladder_radius(self, count, k: int, r_max: float) -> float:
-        """Smallest radius of the schedule from ``r_max`` (``self.r_max``
-        when set, ``radius_floor`` when not positive) whose circle holds at
-        least k points, by binary search over the monotone ``count(r)``;
-        the largest radius when none does."""
-        r_max = self.r_max or r_max
-        if r_max <= 0:
-            r_max = self.radius_floor
-        radii = self.radii(r_max)  # descending
-        lo, hi = 0, len(radii) - 1  # counts decrease with index
-        # invariant: count(radii[lo]) >= k; find the largest index still >= k
-        if count(radii[hi]) >= k:
-            return radii[hi]
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if count(radii[mid]) >= k:
-                lo = mid
-            else:
-                hi = mid
-        return radii[lo]
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +308,7 @@ def _entry_hits(matcher: PixelMatcher, xy: np.ndarray, pix: np.ndarray) -> np.nd
     """Per point, the object of the first distance entry of boundary pixel
     ``pix`` (an index into ``bp_flat``) whose buffer holds it, -1 when none
     does."""
-    plane, bindex = matcher.plane, matcher.bindex
+    plane, bindex, table = matcher.plane, matcher.bindex, matcher.table
     start = plane.bp_start[pix]
     count = plane.bp_start[pix + 1] - start
     res = np.full(len(pix), -1, dtype=np.int64)
@@ -370,18 +319,19 @@ def _entry_hits(matcher: PixelMatcher, xy: np.ndarray, pix: np.ndarray) -> np.nd
         m = _points_near_entries(bindex, ref, xy[j, 0], xy[j, 1])
         j, ref = j[m], ref[m]
         first = _first_per_run(j)
-        res[j[first]] = bindex.obj_ids[ref[first]]
+        res[j[first]] = table.ids[table.rank[ref[first]]]
     return res
 
 
 def _points_near_entries(bindex, ref, px, py) -> np.ndarray:
     """Whether each point lies within its distance entry's radius of the
     entry's point or segment."""
-    kind, c, r = bindex.kinds[ref], bindex.coords[ref], bindex.aux_r[ref]
+    t = bindex.table
+    point, c, r = t.kinds[t.rank[ref]] == RecordTable.POINT, t.edges[ref], bindex.aux_r[ref]
     out = np.zeros(len(ref), dtype=bool)
-    s = np.flatnonzero(kind == KIND_POINT)
+    s = np.flatnonzero(point)
     out[s] = np.hypot(px[s] - c[s, 0], py[s] - c[s, 1]) <= r[s]
-    s = np.flatnonzero(kind == KIND_SEGMENT)
+    s = np.flatnonzero(~point)
     out[s] = _point_seg_dist(px[s], py[s], c[s, 0], c[s, 1], c[s, 2], c[s, 3]) <= r[s]
     return out
 
@@ -394,7 +344,7 @@ def _polygon_hits(matcher: PixelMatcher, xy: np.ndarray, pix: np.ndarray) -> np.
     # (point, object) pairs, objects ascending per point.
     j, off = expand_runs(ostart[pix + 1] - ostart[pix])
     obj = rank[ostart[pix[j]] + off]
-    inside = points_in_parts(xy[j], obj, matcher.object_parts())
+    inside = points_in_parts(xy[j], obj, matcher.table)
     j, obj = j[inside], obj[inside]
     first = _first_per_run(j)
     res = np.full(len(pix), -1, dtype=np.int64)
@@ -402,51 +352,48 @@ def _polygon_hits(matcher: PixelMatcher, xy: np.ndarray, pix: np.ndarray) -> np.
     return res
 
 
-def match_records(matcher: PixelMatcher, records) -> set:
-    """(constraint id, record id) for every polyline or polygon record and
-    every constraint object of the canvas that it truly meets.
+def match_records(matcher: PixelMatcher, probes: RecordTable) -> set:
+    """(constraint id, record id) for every polyline or polygon record of
+    the table ``probes`` and every constraint object of the canvas that it
+    truly meets.
 
-    One array pass serves all records: probes whose bbox misses the
-    viewport drop out, then, chunk by chunk under ``PIXEL_KEY_BUDGET``,
+    One array pass serves all probes, reading the table's edge rows and
+    record boxes. Probes whose box misses the viewport drop out; the rest
+    go in chunks under ``PIXEL_KEY_BUDGET`` to ``_match_chunk``, where
     ``edge_keys`` lists the (probe, pixel) keys its edges touch and
     ``fill_runs`` the column runs inside a polygon probe. Pairs settle in
     bulk where the raster proves them: a probe touching an object's
     interior pixel meets it (a fill run meeting an interior run, or an edge
     pixel in one), and so does a probe whose interior covers a boundary
     pixel of the object (a fill run over a boundary key that no probe edge
-    touches). A pair seen only where a probe
-    edge meets an object's boundary pixel gets one exact test,
-    ``PixelMatcher.exact_pair``.
+    touches). A pair seen only where a probe edge meets an object's
+    boundary pixel gets one exact test, ``PixelMatcher.exact_pair``.
     """
-    records = list(records)
-    if not records:
+    if not len(probes):
         return set()
     vp = matcher.vp
-    edges, _, ordinal, _ = stack_edges(records)
-    starts = np.flatnonzero(ordinal == 0)
-    ex0, ex1 = np.minimum(edges[:, 0], edges[:, 2]), np.maximum(edges[:, 0], edges[:, 2])
-    ey0, ey1 = np.minimum(edges[:, 1], edges[:, 3]), np.maximum(edges[:, 1], edges[:, 3])
-    on = ((np.maximum.reduceat(ex1, starts) >= vp.min_x)
-          & (np.minimum.reduceat(ex0, starts) <= vp.max_x)
-          & (np.maximum.reduceat(ey1, starts) >= vp.min_y)
-          & (np.minimum.reduceat(ey0, starts) <= vp.max_y))
+    x0, y0, x1, y1 = probes.boxes.T
+    on = (x1 >= vp.min_x) & (x0 <= vp.max_x) & (y1 >= vp.min_y) & (y0 <= vp.max_y)
     # Edge-pixel candidates per probe, about a column strip of rows plus
     # four pixels per column spanned.
-    cost = np.add.reduceat(np.minimum((ey1 - ey0) / vp.sy, vp.height_px)
-                           + 4.0 * (np.minimum((ex1 - ex0) / vp.sx, vp.width_px) + 3.0),
-                           starts)
+    e = probes.edges
+    cost = np.add.reduceat(np.minimum(np.abs(e[:, 3] - e[:, 1]) / vp.sy, vp.height_px)
+                           + 4.0 * (np.minimum(np.abs(e[:, 2] - e[:, 0]) / vp.sx, vp.width_px)
+                                    + 3.0), probes.start[:-1])
     idx = np.flatnonzero(on)
     pairs: set = set()
     for lo, hi in budget_runs(cost[idx], PIXEL_KEY_BUDGET):
-        pairs |= _match_chunk(matcher, [records[i] for i in idx[lo:hi]])
+        pairs |= _match_chunk(matcher, probes, idx[lo:hi])
     return pairs
 
 
-def _match_chunk(matcher: PixelMatcher, recs) -> set:
+def _match_chunk(matcher: PixelMatcher, probes: RecordTable, ranks) -> set:
+    """``match_records`` over the probes of ``ranks``, rows of the table."""
     vp, plane = matcher.vp, matcher.plane
     hw = vp.width_px * vp.height_px
     n = max(len(matcher.object_ids), 1)
-    edges, probe, _, part = stack_edges(recs)
+    _, rows = probes.rows(ranks)
+    edges, probe = probes.edges[rows], probes.rank[rows]
     k, key = edge_keys(vp, edges)
     ekeys = unique_keys(probe[k] * hw + key)
     ep, ef = np.divmod(ekeys, hw)
@@ -454,12 +401,10 @@ def _match_chunk(matcher: PixelMatcher, recs) -> set:
     bpf = plane.bp_flat
     pos, on = find_sorted(ef, bpf)
     touched = _bucket_pairs(matcher, ep[on], pos[on], n)
-    sel = np.array([rec.kind == "polygon" for rec in recs])[probe]
+    sel = probes.kinds[probe] == RecordTable.POLYGON
     if sel.any():
-        part_probe = np.zeros(int(part.max()) + 1, dtype=np.int64)
-        part_probe[part] = probe
-        own, col, row0, row1 = fill_runs(vp, edges[sel], part[sel])
-        fp = part_probe[own]
+        own, col, row0, row1 = fill_runs(vp, edges[sel], probes.part[rows[sel]])
+        fp = probes.rank[probes.part_edges[own]]
         a, b = col * vp.height_px + row0, col * vp.height_px + row1
         # The probe's fill meets an object's interior run.
         i, j = interval_pairs(plane.run_start, plane.run_end, a, b)
@@ -474,10 +419,10 @@ def _match_chunk(matcher: PixelMatcher, recs) -> set:
     touched = unique_keys(touched)
     refine = touched[~in_sorted(touched, settled)]
     ids = matcher.object_ids
-    pairs = {(int(ids[c]), recs[p].id) for p, c in zip(*np.divmod(settled, n))}
+    pairs = set(zip(ids[settled % n].tolist(), probes.ids[settled // n].tolist()))
     for p, c in zip(*np.divmod(refine, n)):
-        if matcher.exact_pair(recs[p], int(ids[c])):
-            pairs.add((int(ids[c]), recs[p].id))
+        if matcher.exact_pair(probes.records[p], c):
+            pairs.add((int(ids[c]), int(probes.ids[p])))
     return pairs
 
 
@@ -506,7 +451,7 @@ def match_record(matcher: PixelMatcher, rec: GeometryRecord) -> set:
     if rec.kind == "point":
         cid = int(match_points(matcher, np.array([[rec.geometry.x, rec.geometry.y]]))[0])
         return {cid} if cid >= 0 else set()
-    return {c for c, _ in match_records(matcher, [rec])}
+    return {c for c, _ in match_records(matcher, RecordTable([rec]))}
 
 
 # ---------------------------------------------------------------------------
@@ -514,13 +459,14 @@ def match_record(matcher: PixelMatcher, rec: GeometryRecord) -> set:
 # ---------------------------------------------------------------------------
 
 def _layer_matcher(members, resolution: int) -> PixelMatcher:
-    """Boundary index plus rendered canvas of pairwise-disjoint polygons."""
-    vp = viewport_from_bounds(_bounds_union([m.bbox() for m in members]), resolution)
+    """Boundary index plus rendered canvas of pairwise-disjoint polygons,
+    over the viewport of the boundary index's record boxes."""
     with instrument.phase("polygon"):
         bindex = build_boundary_index_direct(members)
+    vp = viewport_from_bounds(_bounds_union(bindex.table.boxes), resolution)
     with instrument.phase("raster"):
         from .canvas import render_geometry_canvas
-        canvas = render_geometry_canvas(members, vp, bindex)
+        canvas = render_geometry_canvas(vp, bindex)
     return PixelMatcher(canvas)
 
 
@@ -532,16 +478,23 @@ def _layer_matchers(members, layers: LayerIndex, resolution: int):
         yield _layer_matcher([by_id[i] for i in ids], resolution)
 
 
+# The probe table of a part with no polyline or polygon, built once.
+_NO_PROBES = RecordTable([])
+
+
 def _probe_parts(matchers, parts):
     """(part, pairs) per dataset part split by ``_dataset_points``, in
     order: the (constraint id, record id) pairs of its points and other
     records against every canvas of ``matchers``, drawn when the first part
-    arrives. Parts stream past the canvases, so each is rendered once."""
+    arrives. Parts stream past the canvases, so each is rendered once, and
+    each part's other records are flattened into one ``RecordTable`` that
+    serves every canvas."""
     canvases = None
     for part in parts:
         (xy, ids), others = part
         if canvases is None:
             canvases = list(matchers)
+        probes = RecordTable(others) if others else _NO_PROBES
         pairs: set = set()
         with instrument.phase("raster"):
             for matcher in canvases:
@@ -549,7 +502,7 @@ def _probe_parts(matchers, parts):
                     cid = match_points(matcher, xy)
                     got = cid >= 0
                     pairs.update(zip(cid[got].tolist(), ids[got].tolist()))
-                pairs |= match_records(matcher, others)
+                pairs |= match_records(matcher, probes)
         yield part, pairs
 
 
@@ -691,18 +644,18 @@ def _maybe_project(dataset, geographic):
     return [project_record_4326_to_3857(r) for r in dataset]
 
 
-def _distance_matcher(sources, radii, resolution: int) -> PixelMatcher:
-    """Canvas of the radius buffers of pairwise-disjoint buffered sources."""
-    boxes = []
-    for src, r in zip(sources, radii):
-        x0, y0, x1, y1 = src.bbox()
-        boxes.append((x0 - r, y0 - r, x1 + r, y1 + r))
-    vp = viewport_from_bounds(_bounds_union(boxes), resolution)
+def _distance_matcher(sources: RecordTable, radii, resolution: int) -> PixelMatcher:
+    """Canvas of the radius buffers of a table of pairwise-disjoint
+    buffered sources, in id order, over the viewport of their record boxes
+    grown by their radii."""
+    radii = np.asarray(radii, dtype=float)
+    vp = viewport_from_bounds(_bounds_union(sources.boxes + radii[:, None] * [-1, -1, 1, 1]),
+                              resolution)
     with instrument.phase("polygon"):
         bindex = BoundaryIndex.for_distance_sources(sources, radii)
     with instrument.phase("raster"):
         builder = DistanceCanvasBuilder(vp, bindex)
-        for src, r in zip(sources, radii):
+        for src, r in zip(sources.records, radii.tolist()):
             builder.add_source(src, r)
         canvas = builder.finalize()
     return PixelMatcher(canvas)
@@ -710,10 +663,10 @@ def _distance_matcher(sources, radii, resolution: int) -> PixelMatcher:
 
 def _radii(radii, n: int) -> list:
     """One radius per source of n: a scalar serves all of them, a sequence
-    must hold n. Every radius must be positive."""
+    must hold n. Every radius must be positive and finite."""
     rs = [float(radii)] if np.isscalar(radii) else [float(r) for r in radii]
-    if not all(r > 0 for r in rs):
-        raise DataError(f"distance radius must be positive, got {radii}")
+    if not all(0 < r < math.inf for r in rs):
+        raise DataError(f"distance radius must be positive and finite, got {radii}")
     if np.isscalar(radii):
         return rs * n
     if len(rs) != n:
@@ -724,12 +677,16 @@ def _radii(radii, n: int) -> list:
 def _buffer_matchers(sources, radii, resolution: int):
     """One canvas per layer of pairwise-disjoint buffers (source i buffered
     by ``radii[i]``), the layer index built and each canvas rendered when
-    drawn."""
-    layers = build_distance_layer_index(sources, radii)
-    rmap = {s.id: r for s, r in zip(sources, radii)}
-    by_id = {s.id: s for s in sources}
+    drawn. The sources are flattened once, in id order; each layer's
+    canvas takes its rows of that table, or all of it."""
+    order = sorted(range(len(sources)), key=lambda i: sources[i].id)
+    table = RecordTable([sources[i] for i in order])
+    rad = np.array([radii[i] for i in order], dtype=float)
+    layers = build_distance_layer_index(table, rad)
     for ids in layers.layers:
-        yield _distance_matcher([by_id[i] for i in ids], [rmap[i] for i in ids], resolution)
+        rank = np.searchsorted(table.ids, ids)
+        layer = table if len(rank) == len(table) else table.take(rank)
+        yield _distance_matcher(layer, rad[rank], resolution)
 
 
 def distance_select(dataset, source: GeometryRecord, r: float,
@@ -801,6 +758,7 @@ def _aggregate(matchers, parts, mode: str) -> AggregationResult:
             continue
         if canvases is None:
             canvases = list(matchers)
+        probes = RecordTable(others) if others else _NO_PROBES
         value_of = {r.id: r.value for r in others}
         for matcher in canvases:
             if len(xy):
@@ -819,7 +777,7 @@ def _aggregate(matchers, parts, mode: str) -> AggregationResult:
                     if mode == "sum":
                         sums[c] = sums.get(c, 0.0) + float(layer_sums[j])
             with instrument.phase("raster"):
-                pairs = match_records(matcher, others)
+                pairs = match_records(matcher, probes)
             for c, did in pairs:
                 counts[c] = counts.get(c, 0) + 1
                 if mode == "sum":
@@ -874,10 +832,42 @@ def _count_within(prepared: PreparedPoints, center: Point2, r: float) -> int:
     return int(np.count_nonzero(d <= r))
 
 
-def _knn_radius(prepared: PreparedPoints, center: Point2, k: int, cfg: KnnConfig) -> float:
+def _knn_radii(config: Config, r_max: float) -> list:
+    """The kNN radius schedule r_max / alpha^i, largest first: enough rungs
+    to shrink r_max to ``knn_radius_floor``, at least 1 and at most
+    ``circle_cap``."""
+    if config.alpha <= 1.0:
+        raise DataError("kNN alpha must be > 1")
+    c = math.ceil(math.log(max(r_max / config.knn_radius_floor, 1.0), config.alpha))
+    c = min(max(c, 1), config.circle_cap)
+    return [r_max / config.alpha ** i for i in range(c + 1)]
+
+
+def _ladder_radius(config: Config, count, k: int, r_max: float) -> float:
+    """Smallest radius of the schedule from ``r_max`` (``knn_radius_floor``
+    when not positive) whose circle holds at least k points, by binary
+    search over the monotone ``count(r)``; the largest radius when none
+    does."""
+    if r_max <= 0:
+        r_max = config.knn_radius_floor
+    radii = _knn_radii(config, r_max)  # descending
+    lo, hi = 0, len(radii) - 1  # counts decrease with index
+    # invariant: count(radii[lo]) >= k; find the largest index still >= k
+    if count(radii[hi]) >= k:
+        return radii[hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if count(radii[mid]) >= k:
+            lo = mid
+        else:
+            hi = mid
+    return radii[lo]
+
+
+def _knn_radius(prepared: PreparedPoints, center: Point2, k: int, config: Config) -> float:
     """The ladder radius for k neighbours of center, counted in memory."""
-    return cfg.ladder_radius(lambda r: _count_within(prepared, center, r), k,
-                             farthest_corner(center, _bounds_union([prepared.bbox])))
+    return _ladder_radius(config, lambda r: _count_within(prepared, center, r), k,
+                          farthest_corner(center, _bounds_union([prepared.bbox])))
 
 
 def _check_k(k: int, n: int):
@@ -909,34 +899,30 @@ def _neighbours(left, radii, k: int, parts, resolution: int) -> list:
             for a, b in zip(start[:-1], start[1:])]
 
 
-def knn_select(dataset, p, k: int, cfg: KnnConfig | None = None,
-               resolution: int | None = None, config: Config = DEFAULT,
-               geographic: bool = False) -> list:
+def knn_select(dataset, p, k: int, resolution: int | None = None,
+               config: Config = DEFAULT, geographic: bool = False) -> list:
     """The k nearest dataset points to p as (id, distance) sorted by
     (distance, id). Ties at the k-th distance break toward ascending id."""
-    cfg = cfg or KnnConfig.from_config(config)
     prepared = _maybe_project(_prepared_points(dataset), geographic)
     if not isinstance(p, Point2):
         p = Point2(float(p[0]), float(p[1]))
     if geographic:
         p = project_4326_to_3857(p)
     _check_k(k, len(prepared))
-    r = _knn_radius(prepared, p, k, cfg)
+    r = _knn_radius(prepared, p, k, config)
     return _neighbours([GeometryRecord(0, "point", p)], [r], k, [prepared],
                        resolution or config.resolution)[0]
 
 
-def knn_join(d1, d2, k: int, cfg: KnnConfig | None = None,
-             resolution: int | None = None, config: Config = DEFAULT,
+def knn_join(d1, d2, k: int, resolution: int | None = None, config: Config = DEFAULT,
              geographic: bool = False) -> list:
     """Per D1 point, its k nearest D2 points: a per-point radius from the
     radius ladder (exact counts, no canvas), one type-2 distance join with
     those radii, its buffers rendered once, then a per-point (distance, id)
     sort."""
-    cfg = cfg or KnnConfig.from_config(config)
     left = _maybe_project(_prepared_points(d1), geographic)
     right = _maybe_project(_prepared_points(d2), geographic)
     _check_k(k, len(right))
-    radii = [_knn_radius(right, Point2(x, y), k, cfg) for x, y in left.xy]
+    radii = [_knn_radius(right, Point2(x, y), k, config) for x, y in left.xy]
     found = _neighbours(left.records, radii, k, [right], resolution or config.resolution)
     return [(lid, [i for i, _ in got]) for lid, got in zip(left.ids.tolist(), found)]

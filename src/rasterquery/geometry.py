@@ -8,13 +8,18 @@ Polygons are rings only. The array kernels ``points_in_polygons`` (closed
 even-odd point-in-polygon) and ``segments_meet`` / ``segment_distances``
 (segment pairs) decide every polygon question; no query or polygon
 construction uses ``triangulate``. ``records_intersect`` and
-``polygon_distances`` run them over many record pairs at once.
+``polygon_distances`` run them over many record pairs at once, reading the
+records' edges from a ``RecordTable``, a record list flattened into edge
+arrays once. The per-pair predicates ``pairwise_intersects`` and
+``geometry_distance`` read each record's ``edge_table`` and stay the
+reference those kernels are tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -231,20 +236,105 @@ def edge_table(record: GeometryRecord) -> tuple:
     return table
 
 
-def part_tables(records) -> tuple:
-    """(part_start, start, edges): CSR tables of the records' polygon
-    parts. ``part_start`` (R + 1,) gives each record's range of parts (empty
-    for a point or polyline), ``start`` (P + 1,) each part's range of ring
-    edges in ``edges`` (E, 4), ``edge_table`` order."""
-    nparts, counts, tables = [], [], []
-    for rec in records:
-        parts = rec.geometry if rec.kind == "polygon" else []
-        nparts.append(len(parts))
-        counts += [sum(len(ring) for ring in part.rings) for part in parts]
-        tables += [part.boundary_edges() for part in parts]
-    edges = np.concatenate(tables) if tables else np.zeros((0, 4))
-    return (np.r_[0, np.cumsum(nparts)].astype(np.int64),
-            np.r_[0, np.cumsum(counts)].astype(np.int64), edges)
+class RecordTable:
+    """A record list flattened into edge arrays, built once per list.
+
+    Every record's ``edge_table`` rows are stacked in record order, a point
+    as one zero-length edge (x, y, x, y); a record's rank is its position
+    in ``records``. Columns:
+
+    - ``ids`` and ``kinds`` (R,): ids and kind codes (``POINT``,
+      ``POLYLINE``, ``POLYGON``);
+    - ``start`` (R + 1,): each record's range of rows in ``edges`` (E, 4);
+    - ``part`` (E,): each edge's part ordinal, unique across the table (a
+      point or polyline is one part, a polygon one per ``PolygonGeom``),
+      and ``part_start`` (R + 1,) each record's range of parts; only a
+      polygon record's parts are polygon parts;
+    - ``boxes`` (R, 4): the record bboxes, by ``reduceat`` over the edge
+      ends;
+    - ``rank`` (E,): each edge's record, and ``part_edges`` (P + 1,),
+      derived on first use, each part's range of rows.
+
+    ``RecordTable(records)`` is the one place a record list is stacked;
+    ``take`` gathers a table of some of its records from the arrays.
+    """
+
+    POINT, POLYLINE, POLYGON = 0, 1, 2
+
+    def __init__(self, records):
+        recs = self.records = list(records)
+        n = len(recs)
+        self.ids = np.fromiter((rec.id for rec in recs), np.int64, n)
+        self.kinds = np.fromiter((_KIND_CODE[rec.kind] for rec in recs), np.int8, n)
+        point = self.kinds == self.POINT
+        tables = [edge_table(rec) for rec in recs if rec.kind != "point"]
+        count = np.ones(n, dtype=np.int64)
+        count[~point] = [len(e) for e, _ in tables]
+        self.start = _offsets(count)
+        self.rank = np.repeat(np.arange(n), count)
+        self.edges = np.concatenate([e for e, _ in tables] or [np.zeros((0, 4))])
+        local = np.concatenate([p for _, p in tables] or [np.zeros(0, dtype=np.int64)])
+        if point.any():
+            # Spread the stacked edges over the non-point rows.
+            on = ~point[self.rank]
+            edges, parts = np.empty((len(on), 4)), np.zeros(len(on), dtype=np.int64)
+            edges[on], parts[on] = self.edges, local
+            xy = np.array([(rec.geometry.x, rec.geometry.y) for rec in recs if rec.kind == "point"])
+            edges[~on] = np.concatenate([xy, xy], axis=1)
+            self.edges, local = edges, parts
+        self.part, self.part_start = _part_ordinals(self.start, self.rank, local)
+        ax, ay, bx, by = self.edges.T
+        lo, hi, first = np.minimum.reduceat, np.maximum.reduceat, self.start[:-1]
+        self.boxes = (np.stack([lo(np.minimum(ax, bx), first), lo(np.minimum(ay, by), first),
+                                hi(np.maximum(ax, bx), first), hi(np.maximum(ay, by), first)],
+                               axis=1) if n else np.zeros((0, 4)))
+
+    def __len__(self):
+        return len(self.records)
+
+    @cached_property
+    def part_edges(self) -> np.ndarray:
+        return np.searchsorted(self.part, np.arange(self.part_start[-1] + 1))
+
+    def rows(self, ranks) -> tuple:
+        """(j, row): the edge rows of the records of ``ranks``, record after
+        record, and the position in ``ranks`` of each row's record."""
+        ranks = np.asarray(ranks, dtype=np.int64)
+        first = self.start[ranks]
+        j, off = expand_runs(self.start[ranks + 1] - first)
+        return j, first[j] + off
+
+    def take(self, ranks) -> "RecordTable":
+        """The table of the records of ``ranks``, in that order, gathered
+        from this one's arrays."""
+        ranks = np.asarray(ranks, dtype=np.int64)
+        j, rows = self.rows(ranks)
+        t = RecordTable.__new__(RecordTable)
+        t.records = [self.records[r] for r in ranks.tolist()]
+        t.ids, t.kinds, t.boxes = self.ids[ranks], self.kinds[ranks], self.boxes[ranks]
+        t.start, t.rank, t.edges = _offsets(np.diff(self.start)[ranks]), j, self.edges[rows]
+        t.part, t.part_start = _part_ordinals(t.start, j, self.part[rows])
+        return t
+
+
+_KIND_CODE = {"point": RecordTable.POINT, "polyline": RecordTable.POLYLINE,
+              "polygon": RecordTable.POLYGON}
+
+
+def _offsets(count: np.ndarray) -> np.ndarray:
+    """(N + 1,) run offsets of consecutive runs of the given lengths."""
+    return np.concatenate([[0], np.cumsum(count)]).astype(np.int64)
+
+
+def _part_ordinals(start, rank, part) -> tuple:
+    """(ordinal, part_start) of a table's edges, whose records are ``rank``
+    and rows ``start``, given a ``part`` label that changes where a
+    record's next part begins: each edge's part ordinal, counted across the
+    table, and each record's range of ordinals."""
+    new = np.ones(len(rank), dtype=bool)
+    new[1:] = (rank[1:] != rank[:-1]) | (part[1:] != part[:-1])
+    ordinal = np.cumsum(new) - 1
+    return ordinal, np.append(ordinal[start[:-1]], ordinal[-1] + 1 if len(ordinal) else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -486,15 +576,17 @@ def points_in_polygons(xy: np.ndarray, part: np.ndarray, start: np.ndarray,
     return out
 
 
-def points_in_parts(xy: np.ndarray, rank: np.ndarray, tables) -> np.ndarray:
+def points_in_parts(xy: np.ndarray, rank: np.ndarray, table: RecordTable) -> np.ndarray:
     """Per (point, record) pair, whether point ``xy[k]`` lies in the closed
-    polygon record of rank ``rank[k]`` in ``tables`` (``part_tables``), that
-    is in one of its parts; never in a point or polyline record."""
-    part_start, start, edges = tables
+    polygon record of rank ``rank[k]`` in ``table``, that is in one of its
+    parts; never in a point or polyline record."""
     rank = np.asarray(rank, dtype=np.int64)
-    j, off = expand_runs(part_start[rank + 1] - part_start[rank])
-    inside = points_in_polygons(np.asarray(xy, dtype=float)[j], part_start[rank[j]] + off,
-                                start, edges)
+    first = table.part_start[rank]
+    count = np.where(table.kinds[rank] == RecordTable.POLYGON,
+                     table.part_start[rank + 1] - first, 0)
+    j, off = expand_runs(count)
+    inside = points_in_polygons(np.asarray(xy, dtype=float)[j], first[j] + off,
+                                table.part_edges, table.edges)
     return np.bincount(j[inside], minlength=len(rank)) > 0
 
 
@@ -557,11 +649,11 @@ def _vertex_inside(a: GeometryRecord, b: GeometryRecord) -> bool:
 def _edges_meet(a: GeometryRecord, b: GeometryRecord) -> bool:
     """Whether an edge of record a meets an edge of record b, tested on the
     edge pairs whose bboxes overlap."""
-    ea = edge_table(a)[0]
-    edges = np.concatenate([ea, edge_table(b)[0]])
-    for i, j in overlapping_boxes(_edge_boxes(edges)):
-        cross = (i < len(ea)) != (j < len(ea))
-        if segments_meet(edges[i[cross]], edges[j[cross]]).any():
+    ea, eb = edge_table(a)[0], edge_table(b)[0]
+    for i, j in overlapping_boxes(np.concatenate([_edge_boxes(ea), _edge_boxes(eb)])):
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        cross = (i < len(ea)) & (j >= len(ea))
+        if segments_meet(ea[i[cross]], eb[j[cross] - len(ea)]).any():
             return True
     return False
 
@@ -651,27 +743,15 @@ def pairwise_intersects(a: GeometryRecord, b: GeometryRecord) -> bool:
     return _edges_meet(a, b) or _vertex_inside(a, b)
 
 
-def _kernel_tables(records) -> tuple:
-    """(start, edges, vstart, vertices): CSR tables of the records' edges,
-    ``edge_table`` order with a point as one zero-length edge (x, y, x, y),
-    and of the vertices that decide containment once no edge meets: the
-    point itself, every segment's first end of a polyline, and the first
-    vertex of each polygon part."""
-    edges, verts = [], []
-    for rec in records:
-        if rec.kind == "point":
-            p = rec.geometry
-            e = np.array([[p.x, p.y, p.x, p.y]])
-            v = e[:, :2]
-        else:
-            e, parts = edge_table(rec)
-            v = e[np.diff(parts, prepend=-1) != 0, :2] if rec.kind == "polygon" else e[:, :2]
-        edges.append(e)
-        verts.append(v)
-    start = np.r_[0, np.cumsum([len(e) for e in edges])].astype(np.int64)
-    vstart = np.r_[0, np.cumsum([len(v) for v in verts])].astype(np.int64)
-    return (start, np.concatenate(edges) if edges else np.zeros((0, 4)),
-            vstart, np.concatenate(verts) if verts else np.zeros((0, 2)))
+def _containment_vertices(table: RecordTable) -> tuple:
+    """(vstart, vertices): per record of ``table``, its range of the
+    vertices that decide containment once no edge meets: the point itself,
+    every segment's first end of a polyline, and the first vertex of each
+    polygon part."""
+    keep = table.kinds[table.rank] != RecordTable.POLYGON
+    keep[table.part_edges[:-1]] = True
+    rows = np.flatnonzero(keep)
+    return np.searchsorted(rows, table.start), table.edges[rows, :2]
 
 
 def _boxes_meet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -680,39 +760,35 @@ def _boxes_meet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             & (a[:, 1] <= b[:, 3]) & (b[:, 1] <= a[:, 3]))
 
 
-def _any_vertex_in(vstart, verts, owner, other, tables) -> np.ndarray:
+def _any_vertex_in(vstart, verts, owner, other, table) -> np.ndarray:
     """Per pair k, whether a vertex of record ``owner[k]`` (``vstart`` /
-    ``verts`` rows) lies in polygon record ``other[k]`` of ``tables``."""
+    ``verts`` rows) lies in polygon record ``other[k]`` of ``table``."""
     k, off = expand_runs(vstart[owner + 1] - vstart[owner])
-    inside = points_in_parts(verts[vstart[owner[k]] + off], other[k], tables)
+    inside = points_in_parts(verts[vstart[owner[k]] + off], other[k], table)
     return np.bincount(k[inside], minlength=len(owner)) > 0
 
 
-def records_intersect(a, b, i, j) -> np.ndarray:
-    """Per candidate pair k, exactly ``pairwise_intersects(a[i[k]],
-    b[j[k]])``, in a few array calls for all pairs.
+def records_intersect(a: RecordTable, b: RecordTable, i, j) -> np.ndarray:
+    """Per candidate pair k, exactly ``pairwise_intersects`` of record
+    ``i[k]`` of table a and record ``j[k]`` of table b, in a few array calls
+    for all pairs.
 
-    Pairs whose record bboxes miss drop out. Then one ``segments_meet`` pass
+    Pairs whose record boxes miss drop out. Then one ``segments_meet`` pass
     tests every edge pair of the rest whose edge bboxes overlap (a point is a
     zero-length edge, which meets a segment exactly when it lies on it),
     chunked under ``PAIR_BUDGET``. Where no edge meets, each part of one
     record lies wholly inside or outside the other, so one ``points_in_parts``
-    call each way, with one vertex per polygon part (``_kernel_tables``),
-    decides the pair. When ``b is a`` the tables are built once.
+    call each way, with one vertex per polygon part
+    (``_containment_vertices``), decides the pair.
     """
     i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
-    tables = _kernel_tables(a)
-    sa, ea, va_start, va = tables
-    sb, eb, vb_start, vb = tables if b is a else _kernel_tables(b)
-    ba, bb = _edge_boxes(ea), _edge_boxes(eb)
-
-    def record_boxes(start, boxes):
-        return np.column_stack([np.minimum.reduceat(boxes[:, :2], start[:-1]),
-                                np.maximum.reduceat(boxes[:, 2:], start[:-1])])
     out = np.zeros(len(i), dtype=bool)
     if not len(i):
         return out
-    near = np.flatnonzero(_boxes_meet(record_boxes(sa, ba)[i], record_boxes(sb, bb)[j]))
+    sa, ea, sb, eb = a.start, a.edges, b.start, b.edges
+    ba = _edge_boxes(ea)
+    bb = ba if b is a else _edge_boxes(eb)
+    near = np.flatnonzero(_boxes_meet(a.boxes[i], b.boxes[j]))
     na = (sa[1:] - sa[:-1])[i[near]]
     nb = (sb[1:] - sb[:-1])[j[near]]
     cost = na * nb
@@ -726,28 +802,25 @@ def records_intersect(a, b, i, j) -> np.ndarray:
         out[near[k[segments_meet(ea[ka], eb[kb])]]] = True
     rest = near[~out[near]]
     ir, jr = i[rest], j[rest]
-    parts_a = part_tables(a)
-    parts_b = parts_a if b is a else part_tables(b)
-    out[rest] = (_any_vertex_in(va_start, va, ir, jr, parts_b)
-                 | _any_vertex_in(vb_start, vb, jr, ir, parts_a))
+    va = _containment_vertices(a)
+    vb = va if b is a else _containment_vertices(b)
+    out[rest] = _any_vertex_in(*va, ir, jr, b) | _any_vertex_in(*vb, jr, ir, a)
     return out
 
 
-def polygon_distances(source: GeometryRecord, tables) -> np.ndarray:
-    """Per polygon record of ``tables`` (``part_tables``), exactly
+def polygon_distances(source: GeometryRecord, table: RecordTable) -> np.ndarray:
+    """Per record of ``table``, all polygons, exactly
     ``geometry_distance(source, record)``: the least point-to-segment or
     ``segment_distances`` value between the source and the record's ring
     edges, taken in one array pass over all of them, and 0 where the source
     lies in the record or, when no edge meets, a vertex of one lies in the
     other (``points_in_parts`` and ``points_in_record``)."""
-    part_start, start, edges = tables
-    first = start[part_start]
-    n = len(part_start) - 1
+    first, edges, n = table.start, table.edges, len(table)
     if source.kind == "point":
         p = source.geometry
         d = _point_seg_dist(p.x, p.y, edges[:, 0], edges[:, 1], edges[:, 2], edges[:, 3])
         d = np.minimum.reduceat(d, first[:-1])
-        d[points_in_parts(np.tile([p.x, p.y], (n, 1)), np.arange(n), tables)] = 0.0
+        d[points_in_parts(np.tile([p.x, p.y], (n, 1)), np.arange(n), table)] = 0.0
         return d
     es = edge_table(source)[0]
     best = np.empty(len(edges))
@@ -759,7 +832,7 @@ def polygon_distances(source: GeometryRecord, tables) -> np.ndarray:
     # the other: every vertex, as ``_vertex_inside`` tests.
     far = np.flatnonzero(d > 0.0)
     k, v = np.divmod(np.arange(len(far) * len(es)), len(es))
-    inside = points_in_parts(es[v, :2], far[k], tables)
+    inside = points_in_parts(es[v, :2], far[k], table)
     if source.kind == "polygon":
         rec, off = expand_runs(first[far + 1] - first[far])
         held = points_in_record(edges[first[far[rec]] + off, :2], source)

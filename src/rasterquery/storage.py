@@ -3,14 +3,16 @@ serialization, and out-of-core query execution.
 
 Queries filter cells by their convex hulls with exact array kernels of
 ``geometry`` and no canvas: ``records_intersect`` for selections and joins,
-``polygon_distances`` for distance queries. Every ``ooc_*`` query runs the
-in-memory engine's own probe loop: it checks its inputs with the engine,
-filters the cells, then streams the kept cells, each loaded once, past
-canvases rendered once per query; a filter that keeps nothing renders
-nothing. ``ooc_join`` runs its plan's load order instead and renders each
-A-side canvas once: every layer of an A cell, or one A polygon, with its
-B cells streamed past it. The kNN radius ladder counts exactly over the
-kept cells' point columns, without a canvas.
+``polygon_distances`` for distance queries. Both read the index's hull
+table (``GridIndex.hulls``), built once per index and reused by every
+filter. Every ``ooc_*`` query runs the in-memory engine's own probe loop:
+it checks its inputs with the engine, filters the cells, then streams the
+kept cells, each loaded once, past canvases rendered once per query; a
+filter that keeps nothing renders nothing. ``ooc_join`` runs its plan's
+load order instead and renders each A-side canvas once: every layer of an
+A cell, or one A polygon, with its B cells streamed past it. The kNN
+radius ladder counts exactly over the kept cells' point columns, without
+a canvas.
 
 A dataset directory holds four files: ``catalog.meta`` (text key-value),
 ``records.bin`` (the ingested records), ``cells.bin`` (the grid cells) and
@@ -68,10 +70,10 @@ from .geometry import (
     GeometryRecord,
     Point2,
     PolygonGeom,
+    RecordTable,
     Segment,
     convex_hull,
     parse_wkt,
-    part_tables,
     polygon_distances,
     polygon_from_rings,
     records_intersect,
@@ -237,23 +239,15 @@ class GridIndex:
     zoom: int
     cells: list
     extent: tuple
-    _hulls: list | None = field(default=None, init=False, repr=False, compare=False)
-    _hull_tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _hulls: RecordTable | None = field(default=None, init=False, repr=False, compare=False)
 
-    def hull_records(self) -> list:
-        """Cell hulls as a polygon dataset; record id = cell ordinal. Built
-        once, so the records' derived arrays are cached across queries."""
+    def hulls(self) -> RecordTable:
+        """The cell hulls as a table of polygon records, record id = cell
+        ordinal, built on first use: every filter of the index reads it."""
         if self._hulls is None:
-            self._hulls = [GeometryRecord(i, "polygon", [c.hull])
-                           for i, c in enumerate(self.cells)]
+            self._hulls = RecordTable([GeometryRecord(i, "polygon", [c.hull])
+                                       for i, c in enumerate(self.cells)])
         return self._hulls
-
-    def hull_tables(self) -> tuple:
-        """``part_tables`` of ``hull_records``: every hull ring edge stacked
-        once, built on first use."""
-        if self._hull_tables is None:
-            self._hull_tables = part_tables(self.hull_records())
-        return self._hull_tables
 
 
 @dataclass
@@ -632,9 +626,10 @@ def _read_checked(path: Path, offset: int, length: int, crc: int, what: str) -> 
 # Index filtering (exact kernels over the cell hulls, no canvas)
 # ---------------------------------------------------------------------------
 
-def _meeting(a, b) -> tuple:
-    """(i, j) of every intersecting pair of records a[i], b[j], a-major, by
-    one ``records_intersect`` call over all pairs."""
+def _meeting(a: RecordTable, b: RecordTable) -> tuple:
+    """(i, j) of every intersecting pair of records of ranks i in table a
+    and j in table b, a-major, by one ``records_intersect`` call over all
+    pairs."""
     i, j = np.divmod(np.arange(len(a) * len(b)), max(len(b), 1))
     hit = records_intersect(a, b, i, j)
     return i[hit], j[hit]
@@ -643,20 +638,20 @@ def _meeting(a, b) -> tuple:
 def filter_select(index: GridIndex, constraint) -> list:
     """Cells whose hull intersects the constraint (never excludes a cell
     containing a true result: hulls contain their members)."""
-    _, j = _meeting([engine._as_constraint_record(constraint)], index.hull_records())
+    _, j = _meeting(RecordTable([engine._as_constraint_record(constraint)]), index.hulls())
     return [index.cells[k] for k in j]
 
 
 def filter_join(index_a: GridIndex, index_b: GridIndex) -> list:
     """Hull-intersecting (A cell, B cell) pairs, A-cell-major."""
-    i, j = _meeting(index_a.hull_records(), index_b.hull_records())
+    i, j = _meeting(index_a.hulls(), index_b.hulls())
     return [(index_a.cells[p], index_b.cells[q]) for p, q in zip(i, j)]
 
 
 def filter_distance(index: GridIndex, source: GeometryRecord, r: float) -> list:
     """Cells whose hull lies within r of the source, by the exact distance
     to every hull in one ``polygon_distances`` call."""
-    d = polygon_distances(source, index.hull_tables())
+    d = polygon_distances(source, index.hulls())
     return [index.cells[k] for k in np.flatnonzero(d <= r)]
 
 
@@ -694,7 +689,7 @@ def plan_ooc_join(store_a: DatasetStore, store_b: DatasetStore,
     index_b = store_b.grid_index()
     sizes = {("A", c.key): c.byte_size for c in index_a.cells}
     sizes.update({("B", c.key): c.byte_size for c in index_b.cells})
-    hull_of = {c.key: hull for c, hull in zip(index_b.cells, index_b.hull_records())}
+    ordinal = {c.key: k for k, c in enumerate(index_b.cells)}
     groups: dict = {}
     for ca, cb in filter_join(index_a, index_b):
         groups.setdefault(ca.key, (ca, []))[1].append(cb)
@@ -711,8 +706,9 @@ def plan_ooc_join(store_a: DatasetStore, store_b: DatasetStore,
             steps[label] = (ca, [cb])
             layer_steps.append((label, frozenset({("A", ca.key), ("B", cb.key)})))
         polys = store_a.load_cell(ca).others
+        hulls = index_b.hulls().take([ordinal[cb.key] for cb in b_cells])
         per_poly: dict = {}
-        for p, h in zip(*_meeting(polys, [hull_of[cb.key] for cb in b_cells])):
+        for p, h in zip(*_meeting(RecordTable(polys), hulls)):
             per_poly.setdefault(polys[p].id, []).append(b_cells[h])
         for rid in sorted(per_poly):
             label = f"poly:{rid}"
@@ -811,7 +807,7 @@ def ooc_count_within(store: DatasetStore, center: Point2, r: float) -> int:
 def _hull_distances(index: GridIndex, center: Point2) -> np.ndarray:
     """Exact distance from center to every cell hull, as ``filter_distance``
     compares them with r."""
-    return polygon_distances(GeometryRecord(0, "point", center), index.hull_tables())
+    return polygon_distances(GeometryRecord(0, "point", center), index.hulls())
 
 
 def _count_in_cells(store: DatasetStore, index: GridIndex, hull_d: np.ndarray,
@@ -833,47 +829,43 @@ def _knn_store_index(store: DatasetStore, k: int) -> GridIndex:
 
 
 def _ooc_knn_radius(store: DatasetStore, index: GridIndex, p: Point2, k: int,
-                    cfg: engine.KnnConfig) -> tuple:
+                    config: Config) -> tuple:
     """(r, kept): the ladder radius for k neighbours of p, counted through
     the cells the way ``ooc_count_within`` counts, and the cells
     ``filter_distance`` keeps at r. p's hull distances do not depend on the
     rung, so they are computed once for all of it."""
     hull_d = _hull_distances(index, p)
-    r = cfg.ladder_radius(lambda r: _count_in_cells(store, index, hull_d, p, r), k,
-                          engine.farthest_corner(p, index.extent))
+    r = engine._ladder_radius(config, lambda r: _count_in_cells(store, index, hull_d, p, r), k,
+                              engine.farthest_corner(p, index.extent))
     return r, [index.cells[j] for j in np.flatnonzero(hull_d <= r)]
 
 
 def ooc_knn_select(store: DatasetStore, p: Point2, k: int,
-                   cfg: engine.KnnConfig | None = None,
                    resolution: int | None = None,
                    config: Config = DEFAULT) -> list:
     """kNN over a stored point dataset: the radius ladder of
-    ``KnnConfig.ladder_radius`` counts exactly over the points of the cells
+    ``engine._ladder_radius`` counts exactly over the points of the cells
     each rung's circle reaches (``ooc_count_within``, no canvas), then the
     cells the final circle reaches stream past its one canvas, and the
     points it matches are ranked by (distance, id) as ``engine.knn_select``
     ranks them."""
-    cfg = cfg or engine.KnnConfig.from_config(config)
     index = _knn_store_index(store, k)
     if not isinstance(p, Point2):
         p = Point2(float(p[0]), float(p[1]))
-    r, kept = _ooc_knn_radius(store, index, p, k, cfg)
+    r, kept = _ooc_knn_radius(store, index, p, k, config)
     [got] = engine._neighbours([GeometryRecord(0, "point", p)], [r], k,
                                (store.load_cell(c) for c in kept), resolution or config.resolution)
     return got
 
 
 def ooc_knn_join(d1_records, store_b: DatasetStore, k: int,
-                 cfg: engine.KnnConfig | None = None,
                  resolution: int | None = None, config: Config = DEFAULT) -> list:
     """Per D1 point, its k nearest stored points: a ladder radius per point,
     then one out-of-core type-2 distance join with those radii, ranked as
     ``engine.knn_join`` ranks them."""
-    cfg = cfg or engine.KnnConfig.from_config(config)
     index = _knn_store_index(store_b, k)
     left = sorted(d1_records, key=lambda rec: rec.id)
-    found = [_ooc_knn_radius(store_b, index, rec.geometry, k, cfg) for rec in left]
+    found = [_ooc_knn_radius(store_b, index, rec.geometry, k, config) for rec in left]
     kept = _reached(index, [cells for _, cells in found])
     got = engine._neighbours(left, [r for r, _ in found], k, (store_b.load_cell(c) for c in kept),
                              resolution or config.resolution)

@@ -22,6 +22,7 @@ from rasterquery.canvas import NULL_ID, seg_touch_mask
 from rasterquery.canvas_index import build_distance_layer_index
 from rasterquery.geometry import (
     GeometryRecord,
+    RecordTable,
     _point_seg_dist,
     box_record,
     edge_table,
@@ -89,7 +90,8 @@ class Reference:
         self.inner = {}             # polygon source id -> its interior's pixels
         self.marked_ok = set()      # pixels some buffer touches or a polygon holds
         for src, r in zip(sources, radii):
-            start, count = bindex.offsets[src.id]
+            rank = np.searchsorted(bindex.table.ids, src.id)
+            start, count = bindex.table.start[rank], np.diff(bindex.table.start)[rank]
             covered = []
             if src.kind == "point":
                 p = src.geometry
@@ -193,7 +195,7 @@ def _moved(rec, scale, offset):
 def test_single_source_canvas_matches_reference(kind, size, res):
     sources = _sources(kind)
     radii = [_radius(sources, res, size)]
-    check_canvas(engine._distance_matcher(sources, radii, res), sources, radii)
+    check_canvas(engine._distance_matcher(RecordTable(sources), radii, res), sources, radii)
 
 
 def _layer(seed):
@@ -201,7 +203,7 @@ def _layer(seed):
     dataset: several disjoint buffers of points, polylines and polygons."""
     sources = gen.mixed_dataset(gen.rng(seed), 24)
     radii = [0.01 + 0.005 * (s.id % 3) for s in sources]
-    members = set(build_distance_layer_index(sources, radii).layers[0])
+    members = set(build_distance_layer_index(RecordTable(sources), radii).layers[0])
     chosen = [(s, r) for s, r in zip(sources, radii) if s.id in members]
     return [s for s, _ in chosen], [r for _, r in chosen]
 
@@ -211,7 +213,7 @@ def _layer(seed):
 def test_multi_source_layer_matches_reference(seed, res):
     sources, radii = _layer(seed)
     assert len(sources) > 5
-    check_canvas(engine._distance_matcher(sources, radii, res), sources, radii)
+    check_canvas(engine._distance_matcher(RecordTable(sources), radii, res), sources, radii)
 
 
 @pytest.mark.parametrize("res", RESOLUTIONS)
@@ -220,7 +222,7 @@ def test_far_coordinates_match_reference(kind, res):
     # Metres around 1e7, as in EPSG:3857: the unit square becomes 2 km.
     sources = [_moved(s, 2000.0, 1e7) for s in _sources(kind)]
     radii = [_radius(sources, res, "wide")]
-    check_canvas(engine._distance_matcher(sources, radii, res), sources, radii)
+    check_canvas(engine._distance_matcher(RecordTable(sources), radii, res), sources, radii)
 
 
 def test_far_coordinates_layer_matches_reference():
@@ -228,7 +230,7 @@ def test_far_coordinates_layer_matches_reference():
     assert {s.kind for s in sources} == {"point", "polyline", "polygon"}
     sources = [_moved(s, 2000.0, 1e7) for s in sources]
     radii = [2000.0 * r for r in radii]
-    check_canvas(engine._distance_matcher(sources, radii, 256), sources, radii)
+    check_canvas(engine._distance_matcher(RecordTable(sources), radii, 256), sources, radii)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +276,7 @@ def test_point_inside_polygon_source_on_a_boundary_pixel():
     src = box_record(0, 0.0, 0.0, 1.0, 1.0)
     r = 0.001
     probe = point_record(7, 0.51, 0.004)
-    matcher = engine._distance_matcher([src], [r], 16)
+    matcher = engine._distance_matcher(RecordTable([src]), [r], 16)
     key = matcher.vp.pixel_keys(np.array([[0.51, 0.004]]))
     assert matcher.plane.interior_of(key)[0] == NULL_ID
     assert oracle.oracle_distance_select([probe], src, r) == [7]
@@ -312,11 +314,11 @@ def test_distance_matcher_memory():
     ang = np.arange(8) * np.pi / 4
     rad = np.where(np.arange(8) % 2 == 0, 0.04, 0.02)
     src = polygon_record(1, [np.column_stack([0.5 + rad * np.cos(ang), 0.5 + rad * np.sin(ang)])])
-    engine._distance_matcher([src], [0.03], 1024)
+    engine._distance_matcher(RecordTable([src]), [0.03], 1024)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        engine._distance_matcher([src], [0.03], 1024)
+        engine._distance_matcher(RecordTable([src]), [0.03], 1024)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

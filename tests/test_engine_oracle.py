@@ -12,7 +12,7 @@ from rasterquery.canvas_index import (
     build_boundary_index_direct,
     build_layer_index,
 )
-from rasterquery.geometry import GeometryRecord, box_record, point_record
+from rasterquery.geometry import GeometryRecord, RecordTable, box_record, point_record
 
 RESOLUTIONS = (16, 64, 512)
 R = 0.05
@@ -96,8 +96,9 @@ def test_match_record_wrapper_agrees_with_pass(case):
     layer_ids = set(case.zone_layers.layers[0])
     layer = [rec for rec in case.zones if rec.id in layer_ids]
     vp = viewport_from_bounds(engine._bounds_union([m.bbox() for m in layer]), 64)
-    matcher = PixelMatcher(render_geometry_canvas(layer, vp, build_boundary_index_direct(layer)))
-    pairs = engine.match_records(matcher, [rec for rec in case.data if rec.kind != "point"])
+    matcher = PixelMatcher(render_geometry_canvas(vp, build_boundary_index_direct(layer)))
+    pairs = engine.match_records(matcher,
+                                 RecordTable([rec for rec in case.data if rec.kind != "point"]))
     for rec in case.data:
         want = {m.id for m in layer if oracle.oracle_join([m], [rec])}
         assert engine.match_record(matcher, rec) == want

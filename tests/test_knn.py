@@ -8,6 +8,7 @@ import pytest
 
 import gen
 from rasterquery import canvas, engine, oracle, storage
+from rasterquery.config import Config
 from rasterquery.errors import DataError
 from rasterquery.geometry import (
     GeometryRecord,
@@ -103,6 +104,17 @@ def test_knn_rejects_bad_k(points, form, k):
         engine.knn_join(points[:3], data, k)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_knn_rejects_an_alpha_of_at_most_one(points, alpha):
+    """The ladder's shrink factor comes from the ``Config``, unvalidated
+    when built directly; a factor that does not shrink is refused."""
+    config = Config(alpha=alpha)
+    with pytest.raises(DataError):
+        engine.knn_select(points, Point2(0.5, 0.5), 3, config=config)
+    with pytest.raises(DataError):
+        engine.knn_join(points[:3], points, 3, config=config)
+
+
 @pytest.mark.parametrize("n", [16, 128])
 def test_count_within_matches_brute_force(n):
     """The ladder's count reads only the x slab of the circle; it must still
@@ -157,7 +169,7 @@ def test_count_within_at_point_distances(points, form):
 def _ladder_by_scan(xy, c, k, cfg, r_max):
     """The ladder radius by counting every rung by brute force: the
     smallest radius holding k points, else the largest rung."""
-    radii = cfg.radii(r_max)
+    radii = engine._knn_radii(cfg, r_max)
     d = np.hypot(xy[:, 0] - c.x, xy[:, 1] - c.y)
     return radii[max((i for i, r in enumerate(radii) if (d <= r).sum() >= k), default=0)]
 
@@ -166,8 +178,8 @@ def _ladder_by_canvas(prepared, c, k, cfg, r_max):
     """The ladder radius with each rung counted by a distance canvas at the
     count resolution, as a distance selection counts it."""
     src = GeometryRecord(0, "point", c)
-    return cfg.ladder_radius(
-        lambda r: len(engine.distance_select(prepared, src, r, resolution=128).ids), k, r_max)
+    return engine._ladder_radius(
+        cfg, lambda r: len(engine.distance_select(prepared, src, r, resolution=128).ids), k, r_max)
 
 
 def _r_max(prepared, c):
@@ -181,7 +193,7 @@ def test_knn_radius_matches_brute_force_ladder(points, k):
     and the one canvas counts pick, for centres inside and outside the
     points' bbox."""
     prepared = engine.PreparedPoints(points)
-    cfg = engine.KnnConfig()
+    cfg = Config()
     r = gen.rng(26)
     for i, (x, y) in enumerate(r.uniform(-0.5, 1.5, (40, 2))):
         c = Point2(float(x), float(y))
@@ -197,14 +209,15 @@ def test_knn_radius_with_every_point_at_the_centre():
     floor."""
     recs = [point_record(i, 0.3, 0.3) for i in range(5)]
     prepared = engine.PreparedPoints(recs)
-    c, cfg = Point2(0.3, 0.3), engine.KnnConfig()
+    c, cfg = Point2(0.3, 0.3), Config()
     for k in (1, 5):
         got = engine._knn_radius(prepared, c, k, cfg)
         assert got == _ladder_by_scan(prepared.xy, c, k, cfg, _r_max(prepared, c))
         assert engine.knn_select(prepared, c, k) == oracle.oracle_knn_select(recs, c, k)
     for r_max in (0.0, -1.0):
-        assert cfg.ladder_radius(lambda r: 5, 5, r_max) == cfg.radii(cfg.radius_floor)[-1]
-        assert cfg.ladder_radius(lambda r: 0, 5, r_max) == cfg.radius_floor
+        assert engine._ladder_radius(cfg, lambda r: 5, 5, r_max) == \
+            engine._knn_radii(cfg, cfg.knn_radius_floor)[-1]
+        assert engine._ladder_radius(cfg, lambda r: 0, 5, r_max) == cfg.knn_radius_floor
 
 
 def _count_finalize(monkeypatch) -> list:

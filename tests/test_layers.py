@@ -14,6 +14,7 @@ from rasterquery.canvas_index import (
 )
 from rasterquery.geometry import (
     GeometryRecord,
+    RecordTable,
     box_record,
     geometry_distance,
     line_record,
@@ -117,7 +118,7 @@ def test_overlap_graph_equals_all_pairs(name):
     recs = degenerate_sets()[name]
     want = brute_force_graph(recs)
     assert sum(map(len, want.values())) > 0
-    assert overlap_graph(recs) == want
+    assert overlap_graph(RecordTable(recs)) == want
     assert oracle.oracle_layers_valid(recs, build_layer_index(recs))
 
 
@@ -138,7 +139,7 @@ def test_overlap_graph_equals_all_pairs_in_many_chunks(monkeypatch):
     monkeypatch.setattr(geometry, "PAIR_BUDGET", 64)
     monkeypatch.setattr(canvas_index, "overlapping_boxes", counted_sweep)
     monkeypatch.setattr(geometry, "segments_meet", counted_meet)
-    assert overlap_graph(recs) == want
+    assert overlap_graph(RecordTable(recs)) == want
     assert len(sweep_chunks) > 1 and len(edge_chunks) > 1
 
 
@@ -159,7 +160,7 @@ def distance_sources(seed):
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_distance_layers_partition_into_disjoint_buffers(seed):
     sources, radii = distance_sources(seed)
-    layers = build_distance_layer_index(sources, radii)
+    layers = build_distance_layer_index(RecordTable(sources), radii)
     flat = sorted(i for layer in layers.layers for i in layer)
     assert flat == sorted(s.id for s in sources)
     by_id = {s.id: s for s in sources}
@@ -173,7 +174,7 @@ def test_distance_layers_partition_into_disjoint_buffers(seed):
 def test_distance_layers_unchanged_on_a_fixed_seed():
     # The layers the builder produced before both builders shared one peel.
     sources, radii = distance_sources(11)
-    assert build_distance_layer_index(sources, radii).layers == [
+    assert build_distance_layer_index(RecordTable(sources), radii).layers == [
         [1, 4, 8, 9, 10, 11, 12, 15, 16, 17, 20, 21, 22, 23],
         [0, 2, 5, 6, 13, 14, 19], [7, 18], [3]]
 
@@ -193,4 +194,4 @@ def test_distance_layers_equal_brute_force_peel(seed):
                 graph[a.id].add(b.id)
                 graph[b.id].add(a.id)
     assert sum(map(len, graph.values())) > 100
-    assert build_distance_layer_index(sources, radii).layers == _peel(graph).layers
+    assert build_distance_layer_index(RecordTable(sources), radii).layers == _peel(graph).layers

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from rasterquery import canvas_index
+import gen
+from rasterquery import canvas_index, engine, storage
+from rasterquery.geometry import point_record
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -52,3 +54,31 @@ def test_install_then_remove_restores_every_binding(tracer):
     after = _bindings(tracer)
     changed = [key for key, value in before.items() if after[key] is not value]
     assert changed == []
+
+
+def test_traced_queries_count_through_every_hook(tracer, tmp_path):
+    """A few tiny queries under the installed tracer fill the counters its
+    hooks keep, so a change that unhooks one fails here and not only in a
+    ``--trace 1`` run."""
+    r = gen.rng(2)
+    data = gen.mixed_dataset(r, 40)
+    zones = gen.random_polygons(r, 6, radius_frac=0.2, start_id=100)
+    cons = gen.concave_polygon(r, (0.5, 0.5), 0.3)
+    storage.build_indexes(storage.ingest(data, "mixed", tmp_path), byte_budget=2048)
+    store = storage.DatasetStore(tmp_path, "mixed")
+    t = tracer.Tracer()
+    t.install()
+    try:
+        engine.select(data, cons, resolution=64)
+        engine.distance_select(data, point_record(0, 0.5, 0.5), 0.1, resolution=64)
+        engine.join(zones, [rec for rec in data if rec.kind != "polyline"], resolution=64)
+        storage.ooc_select(store, cons, resolution=64)
+    finally:
+        t.remove()
+    spans, counts = t.take()
+    for name in ("canvas.canvases", "canvas_index.boundary_entries", "canvas_index.layers",
+                 "storage.cell_loads"):
+        assert counts[name] > 0, name
+    metrics = tracer.layer_metrics(tracer.SpanTable(spans), counts, 1)
+    assert metrics["canvas.canvases"] == counts["canvas.canvases"]
+    assert metrics["canvas_index.boundary_index_ms"] > 0

@@ -10,6 +10,7 @@ from rasterquery import engine
 from rasterquery.canvas import find_sorted
 from rasterquery.geometry import (
     GeometryRecord,
+    RecordTable,
     edge_table,
     point_record,
     points_in_triangles,
@@ -106,13 +107,13 @@ def test_distance_canvas_matches_exact_distance(kind, res, radius):
     # At res 16, r = 0.01 is below a pixel: boundary pixels then lie inside
     # the polygon source too, and their points need the in-polygon test.
     src = _distance_sources()[kind]
-    matcher = engine._distance_matcher([src], [radius], res)
+    matcher = engine._distance_matcher(RecordTable([src]), [radius], res)
     assert matcher.distance
     pts = _probe_points([src], matcher.vp, res)
     # Keep every probe clear of the radius itself (see gen.CLEARANCE).
     records = [point_record(i, x, y) for i, (x, y) in enumerate(pts)]
     r = gen.clear_distance_fixture(gen.rng(0), src, records, radius)
-    matcher = engine._distance_matcher([src], [r], res)
+    matcher = engine._distance_matcher(RecordTable([src]), [r], res)
     got = engine.match_points(matcher, pts)
     want = np.where(points_to_record_distance(pts, src) <= r, src.id, -1)
     np.testing.assert_array_equal(got, want)
@@ -121,7 +122,7 @@ def test_distance_canvas_matches_exact_distance(kind, res, radius):
 def test_distance_layer_of_several_sources():
     srcs = [point_record(7 + i, x, y) for i, (x, y) in
             enumerate([(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)])]
-    matcher = engine._distance_matcher(srcs, [0.15] * 3, 64)
+    matcher = engine._distance_matcher(RecordTable(srcs), [0.15] * 3, 64)
     pts = _probe_points(srcs, matcher.vp, 5)
     want = np.full(len(pts), -1, dtype=np.int64)
     for s in srcs:
@@ -138,7 +139,7 @@ def test_tiny_key_budget_gives_same_output(which, monkeypatch):
         matcher = engine._layer_matcher(members, 64)
     else:
         members = [_distance_sources()["polygon"]]
-        matcher = engine._distance_matcher(members, [0.07], 64)
+        matcher = engine._distance_matcher(RecordTable(members), [0.07], 64)
     pts = _probe_points(members, matcher.vp, 9)
     want = engine.match_points(matcher, pts)
     assert (want >= 0).any()

@@ -16,6 +16,7 @@ from rasterquery import engine, oracle
 from rasterquery.errors import DegenerateGeometryError, TriangulationError
 from rasterquery.geometry import (
     GeometryRecord,
+    RecordTable,
     _seg_seg_dist,
     _segments_intersect,
     edge_table,
@@ -121,7 +122,7 @@ def test_source_inside_a_polygon_probe(kind, res):
     assert oracle.oracle_distance_select([probe], src, r) == [9]
     assert list(engine.distance_select([probe], src, r, resolution=res).ids) == [9]
     assert list(engine.distance_join([src], [probe], [r], resolution=res).pairs) == [(1, 9)]
-    assert engine._distance_matcher([src], [r], res).exact_pair(probe, 1)
+    assert engine._distance_matcher(RecordTable([src]), [r], res).exact_pair(probe, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,7 @@ def _reference_canvas(recs, vp, bindex) -> dict:
     interior = np.full(w * h, NULL_ID, dtype=np.int64)
     pairs = {"point": [], "line": [], "polygon": []}
     for rec in sorted(recs, key=lambda x: x.id):
-        start, _ = bindex.offsets[rec.id]
+        start = bindex.table.start[np.searchsorted(bindex.table.ids, rec.id)]
         if rec.kind == "point":
             for c, rr in point_pixels(vp, rec.geometry.x, rec.geometry.y):
                 pairs["point"].append((rr * w + c, start))
@@ -192,7 +192,7 @@ def test_render_matches_per_pixel_reference_on_disjoint_layer(res, seed):
              for i, p in enumerate(gen.uniform_points(r, 8))]
     bindex = build_boundary_index_direct(recs)
     vp = viewport_from_bounds((0.0, 0.0, 1.0, 1.0), res)
-    canvas = render_geometry_canvas(recs, vp, bindex)
+    canvas = render_geometry_canvas(vp, bindex)
     want = _reference_canvas(recs, vp, bindex)
     for name, (interior, pairs) in want.items():
         plane = canvas.plane(name)
@@ -216,4 +216,4 @@ def test_render_matches_sequential_reference_on_overlapping_records(res, seed):
     bindex = build_boundary_index_direct(recs)
     vp = viewport_from_bounds((0.0, 0.0, 1.0, 1.0), res)
     with pytest.raises(OverlapError):
-        render_geometry_canvas(recs, vp, bindex)
+        render_geometry_canvas(vp, bindex)

@@ -10,12 +10,12 @@ import gen
 from rasterquery.geometry import (
     GeometryRecord,
     Point2,
+    RecordTable,
     Segment,
     box_record,
     geometry_distance,
     line_record,
     pairwise_intersects,
-    part_tables,
     point_record,
     polygon_distances,
     polygon_from_rings,
@@ -68,7 +68,8 @@ def _all_pairs(a, b):
 
 @pytest.mark.parametrize("name,a,b", CONTACTS, ids=[c[0] for c in CONTACTS])
 def test_contacts_match_pairwise_intersects(name, a, b):
-    got = records_intersect([a, b], [a, b], *_all_pairs([a, b], [a, b]))
+    t = RecordTable([a, b])
+    got = records_intersect(t, t, *_all_pairs([a, b], [a, b]))
     want = [pairwise_intersects(x, y) for x in (a, b) for y in (a, b)]
     assert got.tolist() == want
     apart = {"collinear, apart", "inside the hole", "multipart, parts in the hole", "apart",
@@ -84,7 +85,7 @@ def test_random_records_match_pairwise_intersects(seed):
     b = (gen.random_polygons(r, 20, radius_frac=0.1, start_id=100)
          + gen.random_polylines(r, 10, start_id=200) + gen.uniform_points(r, 10))
     i, j = _all_pairs(a, b)
-    got = records_intersect(a, b, i, j)
+    got = records_intersect(RecordTable(a), RecordTable(b), i, j)
     want = [pairwise_intersects(a[p], b[q]) for p, q in zip(i, j)]
     assert got.tolist() == want
     assert 0 < sum(want) < len(want)
@@ -94,9 +95,10 @@ def test_candidate_order_and_repeats_do_not_matter():
     a = gen.random_polygons(gen.rng(4), 12, radius_frac=0.2)
     i = np.array([3, 0, 3, 7, 11, 0])
     j = np.array([5, 2, 5, 1, 11, 0])
-    got = records_intersect(a, a, i, j)
+    t = RecordTable(a)
+    got = records_intersect(t, t, i, j)
     assert got.tolist() == [pairwise_intersects(a[p], a[q]) for p, q in zip(i, j)]
-    assert records_intersect(a, a, [], []).tolist() == []
+    assert records_intersect(t, t, [], []).tolist() == []
 
 
 def test_polygon_distances_equal_geometry_distance():
@@ -106,8 +108,8 @@ def test_polygon_distances_equal_geometry_distance():
                + [point_record(0, 2, 2), point_record(0, 0.5, 0.5), point_record(0, 0, 0)]
                + gen.random_polylines(r, 3) + gen.random_polygons(r, 3, radius_frac=0.2)
                + [box_record(0, 1.5, 1.5, 2.5, 2.5), box_record(0, -1, -1, 5, 5)])
-    tables = part_tables(polys)
+    table = RecordTable(polys)
     for src in sources:
-        got = polygon_distances(src, tables)
+        got = polygon_distances(src, table)
         want = [geometry_distance(src, p) for p in polys]
         assert got.tolist() == want

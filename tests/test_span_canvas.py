@@ -33,15 +33,14 @@ from rasterquery.canvas import (
     render_geometry_canvas,
     scanline_fill,
     segment_pixels,
-    stack_edges,
     unique_keys,
     viewport_from_bounds,
 )
 from rasterquery.canvas_index import build_boundary_index_direct, build_distance_layer_index
 from rasterquery.geometry import (
     GeometryRecord,
+    RecordTable,
     expand_runs,
-    part_tables,
     point_record,
     points_in_parts,
 )
@@ -60,8 +59,23 @@ def _fill_pixels(vp, edges, owner) -> tuple:
     return own[i], row[i] * vp.width_px + c0[i] + off
 
 
+def _stacked(recs) -> tuple:
+    """(edges, rank, ordinal, part) of the records' edges stacked: rank is
+    the record's position in ``recs``, ordinal the edge's position within
+    its record, part a part ordinal unique across all records."""
+    t = RecordTable(recs)
+    return t.edges, t.rank, np.arange(len(t.rank)) - t.start[t.rank], t.part
+
+
+def _entry_range(recs, bindex) -> tuple:
+    """(first entry ref, entry count) of each record in the boundary index."""
+    t = bindex.table
+    rank = np.searchsorted(t.ids, [rec.id for rec in recs])
+    return t.start[rank], t.start[rank + 1] - t.start[rank]
+
+
 def _first_refs(recs, bindex) -> np.ndarray:
-    return np.array([bindex.offsets[rec.id][0] for rec in recs], dtype=np.int64)
+    return _entry_range(recs, bindex)[0]
 
 
 def dense_geometry_canvas(recs, vp, bindex) -> dict:
@@ -76,7 +90,7 @@ def dense_geometry_canvas(recs, vp, bindex) -> dict:
         out["point"][1].extend(zip(flat.tolist(), _first_refs(pts, bindex)[k].tolist()))
     lines = [rec for rec in recs if rec.kind == "polyline"]
     if lines:
-        edges, rank, ordinal, _ = stack_edges(lines)
+        edges, rank, ordinal, _ = _stacked(lines)
         k, flat = segment_pixels(vp, edges)
         refs = _first_refs(lines, bindex)[rank] + ordinal
         out["line"][1].extend(zip(flat.tolist(), refs[k].tolist()))
@@ -84,7 +98,7 @@ def dense_geometry_canvas(recs, vp, bindex) -> dict:
     winner = np.full(hw, -1, dtype=np.int64)
     pairs = []
     if polys:
-        edges, rank, ordinal, part = stack_edges(polys)
+        edges, rank, ordinal, part = _stacked(polys)
         k, flat = segment_pixels(vp, edges)
         refs = _first_refs(polys, bindex)[rank] + ordinal
         pairs = list(zip(flat.tolist(), refs[k].tolist()))
@@ -103,7 +117,7 @@ def dense_geometry_canvas(recs, vp, bindex) -> dict:
             crank, cflat = np.divmod(key, hw)
             centres = np.column_stack([vp.min_x + (cflat % w + 0.5) * vp.sx,
                                        vp.min_y + (cflat // w + 0.5) * vp.sy])
-            winner[cflat[points_in_parts(centres, crank, part_tables(polys))]] = -1
+            winner[cflat[points_in_parts(centres, crank, RecordTable(polys))]] = -1
         ids = np.array([rec.id for rec in polys], dtype=np.int64)
         winner[winner >= 0] = ids[winner[winner >= 0]]
     out["polygon"] = (winner, pairs)
@@ -117,7 +131,7 @@ def dense_distance_canvas(sources, radii, vp, bindex) -> tuple:
     iid = np.full(w * h, NULL_ID, dtype=np.int64)
     polys = [src for src in sources if src.kind == "polygon"]
     if polys:
-        edges, rank, _, part = stack_edges(polys)
+        edges, rank, _, part = _stacked(polys)
         ids = np.array([rec.id for rec in polys], dtype=np.int64)
         part_id = np.zeros(int(part.max()) + 1, dtype=np.int64)
         part_id[part] = ids[rank]
@@ -125,13 +139,10 @@ def dense_distance_canvas(sources, radii, vp, bindex) -> tuple:
         iid[flat] = part_id[owner]
         k, flat = segment_pixels(vp, edges)
         iid[flat[iid[flat] == ids[rank[k]]]] = NULL_ID
-    first = _first_refs(sources, bindex)
-    count = np.array([bindex.offsets[src.id][1] for src in sources], dtype=np.int64)
+    first, count = _entry_range(sources, bindex)
     j, off = expand_runs(count)
     ref = first[j] + off
-    segs = bindex.coords[ref].copy()
-    point = np.isnan(segs[:, 2])
-    segs[point, 2:] = segs[point, :2]
+    segs = bindex.table.edges[ref]
     (bs, bkey), (rs, col, row0, row1) = capsule_pixels(vp, segs, np.asarray(radii, float)[j])
     i, off = expand_runs(row1 - row0 + 1)
     ids = np.array([src.id for src in sources], dtype=np.int64)
@@ -175,7 +186,7 @@ def _distance_layer(name):
         return [GeometryRecord(0, "polygon", [gen.holed_polygon(radius=0.3)])], [0.04]
     sources = gen.mixed_dataset(gen.rng(12), 24)
     radii = [0.01 + 0.005 * (s.id % 3) for s in sources]
-    members = set(build_distance_layer_index(sources, radii).layers[0])
+    members = set(build_distance_layer_index(RecordTable(sources), radii).layers[0])
     chosen = [(s, rr) for s, rr in zip(sources, radii) if s.id in members]
     return [s for s, _ in chosen], [rr for _, rr in chosen]
 
@@ -191,7 +202,7 @@ def test_geometry_canvas_equals_dense_reference(name, res):
     recs = _geometry_layer(name)
     bindex = build_boundary_index_direct(recs)
     vp = viewport_from_bounds(engine._bounds_union([rec.bbox() for rec in recs]), res)
-    canvas = render_geometry_canvas(recs, vp, bindex)
+    canvas = render_geometry_canvas(vp, bindex)
     for plane_name, (interior, pairs) in dense_geometry_canvas(recs, vp, bindex).items():
         plane = canvas.plane(plane_name)
         assert np.array_equal(dense_interior(plane, vp), interior), plane_name
@@ -204,7 +215,7 @@ def test_geometry_canvas_equals_dense_reference(name, res):
 @pytest.mark.parametrize("name", ["point", "polyline", "polygon", "mixed"])
 def test_distance_canvas_equals_dense_reference(name, res):
     sources, radii = _distance_layer(name)
-    matcher = engine._distance_matcher(sources, radii, res)
+    matcher = engine._distance_matcher(RecordTable(sources), radii, res)
     interior, pairs = dense_distance_canvas(sources, radii, matcher.vp, matcher.bindex)
     assert np.array_equal(dense_interior(matcher.plane, matcher.vp), interior)
     assert boundary_pairs(matcher.plane, matcher.vp) == pairs
@@ -214,7 +225,7 @@ def test_lone_disc_equals_dense_reference():
     """``knn_select``'s final canvas: one disc over its own bounding box,
     mostly interior, held in about one run per column."""
     src, r = point_record(0, 0.37, 0.61), 0.05
-    matcher = engine._distance_matcher([src], [r], 1024)
+    matcher = engine._distance_matcher(RecordTable([src]), [r], 1024)
     interior, pairs = dense_distance_canvas([src], [r], matcher.vp, matcher.bindex)
     assert np.array_equal(dense_interior(matcher.plane, matcher.vp), interior)
     assert boundary_pairs(matcher.plane, matcher.vp) == pairs

@@ -1,6 +1,8 @@
 """Out-of-core queries over small on-disk stores agree with the brute-force
 oracle, and reuse the layer indexes they already have."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from rasterquery.errors import DataError
 from rasterquery.geometry import (
     GeometryRecord,
     Point2,
+    RecordTable,
     box_record,
     geometry_distance,
     line_record,
@@ -31,6 +34,7 @@ class Stores:
     cells each."""
 
     def __init__(self, root):
+        self.root = root
         r = gen.rng(5)
         self.points = gen.uniform_points(r, 600, values=True)
         self.a = gen.random_polygons(r, 24, radius_frac=0.08)
@@ -128,15 +132,25 @@ OFF_GRID = [box_record(300, 4.0, 4.0, 4.5, 4.5)]
      lambda d: engine.aggregate(OFF_GRID, d, "avg", config=CFG)),
     (lambda s: storage.ooc_knn_join([], s, 0, config=CFG),
      lambda d: engine.knn_join([], d, 0, config=CFG)),
+    (lambda s: storage.ooc_distance_select(s, NEAR, math.inf, config=CFG),
+     lambda d: engine.distance_select(d, NEAR, math.inf, config=CFG)),
+    (lambda s: storage.ooc_distance_join([NEAR], s, [math.inf], config=CFG),
+     lambda d: engine.distance_join([NEAR], d, [math.inf], config=CFG)),
 ], ids=["distance_select-negative-r", "distance_select-zero-r-far", "distance_join-negative-r",
-        "aggregate-unknown-mode-off-grid", "knn_join-zero-k-no-left"])
+        "aggregate-unknown-mode-off-grid", "knn_join-zero-k-no-left", "distance_select-inf-r",
+        "distance_join-inf-r"])
 def test_ooc_rejects_what_the_engine_rejects(stores, ooc, twin):
     """Each query checks its inputs before it filters cells, so a filter
-    that keeps no cell does not hide a bad input."""
+    that keeps no cell does not hide a bad input, and before it loads one,
+    so a bad input reads no byte (the store is opened afresh, its cache
+    cold)."""
     with pytest.raises(DataError):
         twin(stores.points)
+    store = storage.DatasetStore(stores.root, "points", CFG)
+    before = store.bytes_transferred
     with pytest.raises(DataError):
-        ooc(stores.sp)
+        ooc(store)
+    assert store.bytes_transferred == before
 
 
 def _ooc_cases(s) -> dict:
@@ -146,9 +160,9 @@ def _ooc_cases(s) -> dict:
     cons = gen.concave_polygon(gen.rng(6), center=(0.45, 0.55), radius=0.3)
     srcs = [point_record(900 + i, x, y) for i, (x, y) in
             enumerate([(0.2, 0.2), (0.5, 0.5), (0.8, 0.3)])]
-    p, cfg = Point2(0.37, 0.61), engine.KnnConfig.from_config(CFG)
+    p = Point2(0.37, 0.61)
     left = [point_record(900 + i, x, y) for i, (x, y) in enumerate([(0.25, 0.5), (0.7, 0.7)])]
-    ladders = [storage._ooc_knn_radius(s.sp, index, rec.geometry, 5, cfg) for rec in left]
+    ladders = [storage._ooc_knn_radius(s.sp, index, rec.geometry, 5, CFG) for rec in left]
 
     def union(kept):
         return sorted({c.key for cells in kept for c in cells})
@@ -159,13 +173,14 @@ def _ooc_cases(s) -> dict:
                             union([storage.filter_distance(index, NEAR, 0.2)]), 1),
         "distance_join": (lambda: storage.ooc_distance_join(srcs, s.sp, R, config=CFG),
                           union([storage.filter_distance(index, rec, R) for rec in srcs]),
-                          canvas_index.build_distance_layer_index(srcs, [R] * 3).layer_count),
+                          canvas_index.build_distance_layer_index(
+                              RecordTable(srcs), [R] * 3).layer_count),
         "knn_select": (lambda: storage.ooc_knn_select(s.sp, p, 40, config=CFG),
-                       union([storage._ooc_knn_radius(s.sp, index, p, 40, cfg)[1]]), 1),
+                       union([storage._ooc_knn_radius(s.sp, index, p, 40, CFG)[1]]), 1),
         "knn_join": (lambda: storage.ooc_knn_join(left, s.sp, 5, config=CFG),
                      union([kept for _, kept in ladders]),
                      canvas_index.build_distance_layer_index(
-                         left, [r for r, _ in ladders]).layer_count),
+                         RecordTable(left), [r for r, _ in ladders]).layer_count),
         "aggregate": (lambda: storage.ooc_aggregate(s.hoods, s.sp, "sum", config=CFG),
                       union([storage.filter_select(index, h) for h in s.hoods]),
                       canvas_index.build_layer_index(s.hoods).layer_count),
@@ -293,7 +308,7 @@ def test_ooc_aggregate_at_full_resolution_agrees_with_oracle(stores):
 def test_filter_distance_renders_no_canvas(stores, monkeypatch):
     index = stores.sp.grid_index()
     src = point_record(0, 0.3, 0.6)
-    want = [index.cells[i] for i in oracle.oracle_distance_select(index.hull_records(), src, R)]
+    want = [index.cells[i] for i in oracle.oracle_distance_select(index.hulls().records, src, R)]
     assert 0 < len(want) < len(index.cells)
 
     def forbidden(*args, **kwargs):
@@ -341,7 +356,7 @@ def _touching_constraints(index):
 
 def test_filter_select_equals_exact_hull_checks(stores):
     index = stores.sp.grid_index()
-    hulls = index.hull_records()
+    hulls = index.hulls().records
     cons = [GeometryRecord(0, "polygon", [gen.concave_polygon(gen.rng(s), (0.45, 0.55), 0.3)])
             for s in range(3)] + _touching_constraints(index)
     for c in cons:
@@ -353,8 +368,8 @@ def test_filter_select_equals_exact_hull_checks(stores):
 
 def test_filter_join_equals_exact_hull_checks(stores):
     ia, ib = stores.sa.grid_index(), stores.sb.grid_index()
-    want = [(ia.cells[a.id], ib.cells[b.id]) for a in ia.hull_records()
-            for b in ib.hull_records() if pairwise_intersects(a, b)]
+    want = [(ia.cells[a.id], ib.cells[b.id]) for a in ia.hulls().records
+            for b in ib.hulls().records if pairwise_intersects(a, b)]
     assert storage.filter_join(ia, ib) == want
     assert want
 
@@ -365,8 +380,8 @@ def test_filter_join_equals_exact_hull_checks(stores):
                          ids=["point inside", "point outside", "polyline", "polygon"])
 def test_filter_distance_equals_per_hull_distances(stores, src):
     index = stores.sp.grid_index()
-    want = [geometry_distance(src, h) for h in index.hull_records()]
-    assert polygon_distances(src, index.hull_tables()).tolist() == want
+    want = [geometry_distance(src, h) for h in index.hulls().records]
+    assert polygon_distances(src, index.hulls()).tolist() == want
     for k, d in enumerate(want):
         if d > 0:
             assert index.cells[k] in storage.filter_distance(index, src, d)
@@ -403,12 +418,12 @@ def test_ooc_join_renders_each_a_side_canvas_once(stores, join_stores, monkeypat
     renders = []
     real = canvas.render_geometry_canvas
 
-    def counted(records, *args, **kwargs):
-        renders.append([rec.id for rec in records])
-        return real(records, *args, **kwargs)
+    def counted(vp, bindex):
+        renders.append(bindex.table.ids.tolist())
+        return real(vp, bindex)
     a_cells = {ca.key: ca for ca, _ in storage.filter_join(sa.grid_index(), sb.grid_index())}
     layers = [sorted(ids) for ca in a_cells.values() for ids in sa.load_cell(ca).layers.layers]
-    hulls = sb.grid_index().hull_records()
+    hulls = sb.grid_index().hulls().records
     polys = [[p.id] for p in stores.a if any(pairwise_intersects(p, h) for h in hulls)]
     monkeypatch.setattr(canvas, "render_geometry_canvas", counted)
     storage.ooc_join(sa, sb, config=CFG, force_strategy=optimizer.LAYER_INDEX)
@@ -514,14 +529,14 @@ def test_ooc_knn_join_with_exact_ties_at_a_tiny_budget(lattice, k):
 
 def test_ooc_knn_radius_matches_brute_force_ladder(lattice):
     index = lattice.store.grid_index()
-    cfg = engine.KnnConfig()
     x0, y0, x1, y1 = index.extent
     for p in PROBES:
         d = np.hypot(lattice.xy[:, 0] - p.x, lattice.xy[:, 1] - p.y)
-        radii = cfg.radii(max(np.hypot(p.x - x, p.y - y) for x in (x0, x1) for y in (y0, y1)))
+        radii = engine._knn_radii(CFG, max(np.hypot(p.x - x, p.y - y)
+                                           for x in (x0, x1) for y in (y0, y1)))
         for k in (1, 9, 400):
             want = radii[max(i for i, r in enumerate(radii) if (d <= r).sum() >= k)]
-            r, kept = storage._ooc_knn_radius(lattice.store, index, p, k, cfg)
+            r, kept = storage._ooc_knn_radius(lattice.store, index, p, k, CFG)
             assert r == want
             src = point_record(0, p.x, p.y)
             assert kept == storage.filter_distance(index, src, r)
