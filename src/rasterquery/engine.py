@@ -7,11 +7,16 @@ independent of the canvas resolution.
 
 Each constraint canvas (one selection constraint, one layer of disjoint
 join or aggregation constraints, one layer of distance buffers) is
-rendered once per query. A query checks its inputs, then streams its
+rendered once per query, and all canvases of a query share one viewport:
+the union of its layers' bounds (distance buffers grown by their radii)
+at the query resolution. A query checks its inputs, then streams its
 dataset parts past its canvases (``_probe_parts``): the whole dataset in
-memory, or the kept cells of a store one at a time (``storage``). No part
-is touched and no canvas rendered before the checks pass, and a query over
-no parts renders nothing.
+memory, or the kept cells of a store one at a time (``storage``). Each
+part is rasterized once over the shared viewport, whatever the number of
+canvases: its points' pixel keys once, its other records chunk by chunk,
+each chunk's raster then met with every canvas before the next is built.
+No part is touched and no canvas rendered before the checks pass, and a
+query over no parts renders nothing.
 
 A canvas keeps no pixel grid: its interior is a table of sorted, disjoint
 pixel runs, each owned by one object, and its boundary pixels are a
@@ -22,10 +27,11 @@ its polygon interior, a capsule per segment or ring edge and a disc per
 point; the runs a buffer covers are interior, and pixels it only touches
 list the source's points and edges that reach them, each with r.
 
-Points go through ``match_points``: in pixel-key order, one
-``searchsorted`` over the run starts settles those on interior pixels and
-one over the boundary keys finds the rest, then one array pass serves all
-points on boundary pixels.
+Points go through ``match_points``, once per canvas over keys found once
+per part (``_point_keys``): in pixel-key order, one ``searchsorted`` over
+the run starts settles those on interior pixels and one over the boundary
+keys finds the rest, then one array pass serves all points on boundary
+pixels.
 On a distance canvas it pairs each point with the entries of its pixel's
 bucket and tests all pairs at once (within r of the point or edge); the
 first hit in bucket order wins. Entries are points and edges only, never a
@@ -34,9 +40,11 @@ objects goes, with each of those objects, through the exact even-odd
 point-in-polygon kernel of ``geometry``; the lowest id holding the point
 wins. Entry pairs are processed in chunks under ``PIXEL_KEY_BUDGET``.
 
-Polylines and polygons go through ``match_records``, one array pass over all
-of them: the edge supercover of ``canvas`` turns every probe into (probe,
-pixel) keys and its even-odd fill into (probe, run) column runs, which are
+Polylines and polygons go in chunks under ``PIXEL_KEY_BUDGET`` through two
+steps. The raster step (``_probe_raster``), once per chunk: the edge
+supercover of ``canvas`` turns every probe into (probe, pixel) keys and its
+even-odd fill into (probe, run) column runs. The canvas step
+(``_match_raster``), once per chunk and canvas: those keys and runs are
 intersected with the canvas's interior runs and boundary keys as
 intervals, so only fill pixels on a boundary pixel are ever listed. Each
 (probe, object) pair then settles or is refined:
@@ -87,7 +95,7 @@ from .canvas_index import (
     build_layer_index,
 )
 from .config import DEFAULT, Config
-from .errors import DataError
+from .errors import DataError, InternalInvariantError
 from .geometry import (
     GeometryRecord,
     Point2,
@@ -261,26 +269,35 @@ def _bounds_union(boxes):
 # Probe classification against a constraint canvas
 # ---------------------------------------------------------------------------
 
-def match_points(matcher: PixelMatcher, pts_xy: np.ndarray) -> np.ndarray:
+def _point_keys(vp, pts_xy: np.ndarray) -> tuple:
+    """(idx, keys): the points of ``pts_xy`` inside the viewport, in
+    pixel-key order, and the canvas key of each one's covering pixel. Every
+    canvas over ``vp`` reads the same keys."""
+    idx = np.flatnonzero(vp.in_bounds(pts_xy))
+    keys = vp.pixel_keys(pts_xy[idx])
+    # In key order, the run and bucket lookups of ``match_points`` search
+    # ascending keys.
+    order = np.argsort(keys)
+    return idx[order], keys[order]
+
+
+def match_points(matcher: PixelMatcher, pts_xy: np.ndarray, keys=None) -> np.ndarray:
     """Per-point matched constraint id (-1 when none). Constraint objects in
     one canvas are pairwise disjoint, so a point matches at most one.
 
-    Points in an interior run resolve wholesale from the run table; points
-    on boundary pixels take their first distance-entry hit in bucket order
-    (``_entry_hits``), else the lowest-id polygon object of their pixel
-    that holds them (``_polygon_hits``), as the module docstring details.
+    ``keys`` is ``_point_keys`` of the points over the matcher's viewport,
+    found here when None. Points in an interior run resolve wholesale from
+    the run table; points on boundary pixels take their first
+    distance-entry hit in bucket order (``_entry_hits``), else the
+    lowest-id polygon object of their pixel that holds them
+    (``_polygon_hits``), as the module docstring details.
     """
-    vp = matcher.vp
     out = np.full(len(pts_xy), -1, dtype=np.int64)
     if len(pts_xy) == 0:
         return out
-    idx = np.flatnonzero(vp.in_bounds(pts_xy))
+    idx, keys = _point_keys(matcher.vp, pts_xy) if keys is None else keys
     if len(idx) == 0:
         return out
-    keys = vp.pixel_keys(pts_xy[idx])
-    # In key order, the run and bucket lookups below search ascending keys.
-    order = np.argsort(keys)
-    keys, idx = keys[order], idx[order]
     interior = matcher.plane.interior_of(keys)
     hit = interior != NULL_ID
     out[idx[hit]] = interior[hit]
@@ -355,23 +372,34 @@ def _polygon_hits(matcher: PixelMatcher, xy: np.ndarray, pix: np.ndarray) -> np.
 def match_records(matcher: PixelMatcher, probes: RecordTable) -> set:
     """(constraint id, record id) for every polyline or polygon record of
     the table ``probes`` and every constraint object of the canvas that it
-    truly meets.
+    truly meets: ``_record_matches`` with this one canvas."""
+    return set().union(*(pairs for _, pairs in _record_matches([matcher], probes)))
 
-    One array pass serves all probes, reading the table's edge rows and
-    record boxes. Probes whose box misses the viewport drop out; the rest
-    go in chunks under ``PIXEL_KEY_BUDGET`` to ``_match_chunk``, where
-    ``edge_keys`` lists the (probe, pixel) keys its edges touch and
-    ``fill_runs`` the column runs inside a polygon probe. Pairs settle in
-    bulk where the raster proves them: a probe touching an object's
-    interior pixel meets it (a fill run meeting an interior run, or an edge
-    pixel in one), and so does a probe whose interior covers a boundary
-    pixel of the object (a fill run over a boundary key that no probe edge
-    touches). A pair seen only where a probe edge meets an object's
-    boundary pixel gets one exact test, ``PixelMatcher.exact_pair``.
-    """
+
+@dataclass(frozen=True)
+class _ProbeRaster:
+    """One chunk of probes rasterized over a query's viewport, ready to
+    meet every canvas over it. ``ekeys`` are the sorted keys probe rank *
+    W * H + canvas key of the pixels the chunk's edges touch, split into
+    ``ep`` (probe rank) and ``ef`` (canvas key); the chunk's polygons fill
+    the column runs of canvas keys [``a``, ``b``] inside probe ``fp``."""
+
+    ekeys: np.ndarray
+    ep: np.ndarray
+    ef: np.ndarray
+    fp: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+
+def _probe_rasters(vp, probes: RecordTable):
+    """The ``_ProbeRaster`` of each chunk of the table ``probes`` over
+    ``vp``, one chunk alive at a time. Probes whose box misses the viewport
+    drop out; the rest go in chunks under ``PIXEL_KEY_BUDGET``, where
+    ``edge_keys`` lists the (probe, pixel) keys of a chunk's edges and
+    ``fill_runs`` the column runs inside its polygons."""
     if not len(probes):
-        return set()
-    vp = matcher.vp
+        return
     x0, y0, x1, y1 = probes.boxes.T
     on = (x1 >= vp.min_x) & (x0 <= vp.max_x) & (y1 >= vp.min_y) & (y0 <= vp.max_y)
     # Edge-pixel candidates per probe, about a column strip of rows plus
@@ -381,40 +409,50 @@ def match_records(matcher: PixelMatcher, probes: RecordTable) -> set:
                            + 4.0 * (np.minimum(np.abs(e[:, 2] - e[:, 0]) / vp.sx, vp.width_px)
                                     + 3.0), probes.start[:-1])
     idx = np.flatnonzero(on)
-    pairs: set = set()
     for lo, hi in budget_runs(cost[idx], PIXEL_KEY_BUDGET):
-        pairs |= _match_chunk(matcher, probes, idx[lo:hi])
-    return pairs
+        yield _probe_raster(vp, probes, idx[lo:hi])
 
 
-def _match_chunk(matcher: PixelMatcher, probes: RecordTable, ranks) -> set:
-    """``match_records`` over the probes of ``ranks``, rows of the table."""
+def _probe_raster(vp, probes: RecordTable, ranks) -> _ProbeRaster:
+    """The raster of the probes of ``ranks``, rows of the table."""
+    with instrument.phase("raster"):
+        hw = vp.width_px * vp.height_px
+        _, rows = probes.rows(ranks)
+        edges, probe = probes.edges[rows], probes.rank[rows]
+        k, key = edge_keys(vp, edges)
+        ekeys = unique_keys(probe[k] * hw + key)
+        ep, ef = np.divmod(ekeys, hw)
+        sel = probes.kinds[probe] == RecordTable.POLYGON
+        own, col, row0, row1 = fill_runs(vp, edges[sel], probes.part[rows[sel]])
+        return _ProbeRaster(ekeys, ep, ef, probes.rank[probes.part_edges[own]],
+                            col * vp.height_px + row0, col * vp.height_px + row1)
+
+
+def _match_raster(matcher: PixelMatcher, probes: RecordTable, raster: _ProbeRaster) -> set:
+    """The (constraint id, record id) pairs of one chunk's raster against
+    one canvas over the same viewport. Pairs settle in bulk where the
+    raster proves them: a probe touching an object's interior pixel meets
+    it (a fill run meeting an interior run, or an edge pixel in one), and
+    so does a probe whose interior covers a boundary pixel of the object (a
+    fill run over a boundary key that no probe edge touches). A pair seen
+    only where a probe edge meets an object's boundary pixel gets one exact
+    test, ``PixelMatcher.exact_pair``."""
     vp, plane = matcher.vp, matcher.plane
     hw = vp.width_px * vp.height_px
     n = max(len(matcher.object_ids), 1)
-    _, rows = probes.rows(ranks)
-    edges, probe = probes.edges[rows], probes.rank[rows]
-    k, key = edge_keys(vp, edges)
-    ekeys = unique_keys(probe[k] * hw + key)
-    ep, ef = np.divmod(ekeys, hw)
-    settled = [_interior_pairs(matcher, ep, ef, n)]
+    settled = [_interior_pairs(matcher, raster.ep, raster.ef, n)]
     bpf = plane.bp_flat
-    pos, on = find_sorted(ef, bpf)
-    touched = _bucket_pairs(matcher, ep[on], pos[on], n)
-    sel = probes.kinds[probe] == RecordTable.POLYGON
-    if sel.any():
-        own, col, row0, row1 = fill_runs(vp, edges[sel], probes.part[rows[sel]])
-        fp = probes.rank[probes.part_edges[own]]
-        a, b = col * vp.height_px + row0, col * vp.height_px + row1
-        # The probe's fill meets an object's interior run.
-        i, j = interval_pairs(plane.run_start, plane.run_end, a, b)
-        settled.append(fp[i] * n + matcher.run_rank[j])
-        # Only a pixel inside the probe and off its edges is wholly
-        # covered by it; such a pixel settles the objects of its bucket.
-        i, pix = interval_pairs(bpf, bpf, a, b)
-        fp = fp[i]
-        inner = ~in_sorted(fp * hw + bpf[pix], ekeys)
-        settled.append(_bucket_pairs(matcher, fp[inner], pix[inner], n))
+    pos, on = find_sorted(raster.ef, bpf)
+    touched = _bucket_pairs(matcher, raster.ep[on], pos[on], n)
+    # The probe's fill meets an object's interior run.
+    i, j = interval_pairs(plane.run_start, plane.run_end, raster.a, raster.b)
+    settled.append(raster.fp[i] * n + matcher.run_rank[j])
+    # Only a pixel inside the probe and off its edges is wholly covered by
+    # it; such a pixel settles the objects of its bucket.
+    i, pix = interval_pairs(bpf, bpf, raster.a, raster.b)
+    fp = raster.fp[i]
+    inner = ~in_sorted(fp * hw + bpf[pix], raster.ekeys)
+    settled.append(_bucket_pairs(matcher, fp[inner], pix[inner], n))
     settled = unique_keys(np.concatenate(settled))
     touched = unique_keys(touched)
     refine = touched[~in_sorted(touched, settled)]
@@ -459,50 +497,101 @@ def match_record(matcher: PixelMatcher, rec: GeometryRecord) -> set:
 # ---------------------------------------------------------------------------
 
 def _layer_matcher(members, resolution: int) -> PixelMatcher:
-    """Boundary index plus rendered canvas of pairwise-disjoint polygons,
-    over the viewport of the boundary index's record boxes."""
-    with instrument.phase("polygon"):
-        bindex = build_boundary_index_direct(members)
-    vp = viewport_from_bounds(_bounds_union(bindex.table.boxes), resolution)
-    with instrument.phase("raster"):
-        from .canvas import render_geometry_canvas
-        canvas = render_geometry_canvas(vp, bindex)
-    return PixelMatcher(canvas)
+    """The canvas of one layer of pairwise-disjoint polygons, over the
+    viewport of its own records."""
+    [matcher] = _layer_matchers(members, LayerIndex([[r.id for r in members]]), resolution)
+    return matcher
+
+
+def _viewport(boxes, resolution: int):
+    """The viewport over the union of record boxes (N, 4)."""
+    return viewport_from_bounds(_bounds_union(boxes), resolution)
 
 
 def _layer_matchers(members, layers: LayerIndex, resolution: int):
-    """One canvas per layer of the polygons ``members``, each rendered when
-    drawn."""
+    """One canvas per layer of the polygons ``members``, all over one
+    viewport, built when first drawn: every layer's boundary index
+    (``build_boundary_index_direct``), then the viewport over the union of
+    their record boxes, then each layer rendered over it as it is drawn."""
     by_id = {r.id: r for r in members}
-    for ids in layers.layers:
-        yield _layer_matcher([by_id[i] for i in ids], resolution)
+    with instrument.phase("polygon"):
+        bindexes = [build_boundary_index_direct([by_id[i] for i in ids])
+                    for ids in layers.layers]
+    if not bindexes:
+        return
+    vp = _viewport(np.concatenate([b.table.boxes for b in bindexes]), resolution)
+    for bindex in bindexes:
+        with instrument.phase("raster"):
+            from .canvas import render_geometry_canvas
+            canvas = render_geometry_canvas(vp, bindex)
+        yield PixelMatcher(canvas)
 
 
 # The probe table of a part with no polyline or polygon, built once.
 _NO_PROBES = RecordTable([])
 
 
+def _drawn(matchers) -> list:
+    """The canvases of a query, rendered now. They share one viewport, so
+    each probe chunk and each part's points are rasterized once for all of
+    them."""
+    canvases = list(matchers)
+    if any(m.vp != canvases[0].vp for m in canvases[1:]):
+        raise InternalInvariantError("the canvases of one query differ in viewport")
+    return canvases
+
+
+def _point_matches(canvases, xy):
+    """(matcher, cid) per canvas: the matched constraint id of each point
+    of ``xy`` (-1 when none). The points' pixel keys are found once over
+    the canvases' shared viewport."""
+    if not (canvases and len(xy)):
+        return
+    with instrument.phase("raster"):
+        keys = _point_keys(canvases[0].vp, xy)
+    for matcher in canvases:
+        with instrument.phase("raster"):
+            cid = match_points(matcher, xy, keys)
+        yield matcher, cid
+
+
+def _record_matches(canvases, probes: RecordTable):
+    """(matcher, pairs) per chunk of the table ``probes`` and canvas: the
+    (constraint id, record id) pairs of the chunk against that canvas. Each
+    chunk is rasterized once over the canvases' shared viewport and then
+    met with every canvas, so one chunk's raster is alive at a time."""
+    if not canvases:
+        return
+    for raster in _probe_rasters(canvases[0].vp, probes):
+        for matcher in canvases:
+            with instrument.phase("raster"):
+                pairs = _match_raster(matcher, probes, raster)
+            yield matcher, pairs
+        # Free this chunk's raster before the next one is built.
+        del raster
+
+
 def _probe_parts(matchers, parts):
     """(part, pairs) per dataset part split by ``_dataset_points``, in
     order: the (constraint id, record id) pairs of its points and other
     records against every canvas of ``matchers``, drawn when the first part
-    arrives. Parts stream past the canvases, so each is rendered once, and
-    each part's other records are flattened into one ``RecordTable`` that
-    serves every canvas."""
+    arrives. Parts stream past the canvases, so each is rendered once. All
+    canvases share one viewport: a part's points get their pixel keys once,
+    and its other records, flattened into one ``RecordTable``, are
+    rasterized once per chunk; each chunk then meets every canvas
+    (``_record_matches``)."""
     canvases = None
     for part in parts:
         (xy, ids), others = part
         if canvases is None:
-            canvases = list(matchers)
+            canvases = _drawn(matchers)
         probes = RecordTable(others) if others else _NO_PROBES
         pairs: set = set()
-        with instrument.phase("raster"):
-            for matcher in canvases:
-                if len(ids):
-                    cid = match_points(matcher, xy)
-                    got = cid >= 0
-                    pairs.update(zip(cid[got].tolist(), ids[got].tolist()))
-                pairs |= match_records(matcher, probes)
+        for _, cid in _point_matches(canvases, xy):
+            got = cid >= 0
+            pairs.update(zip(cid[got].tolist(), ids[got].tolist()))
+        for _, got in _record_matches(canvases, probes):
+            pairs |= got
         yield part, pairs
 
 
@@ -644,13 +733,14 @@ def _maybe_project(dataset, geographic):
     return [project_record_4326_to_3857(r) for r in dataset]
 
 
-def _distance_matcher(sources: RecordTable, radii, resolution: int) -> PixelMatcher:
+def _distance_matcher(sources: RecordTable, radii, resolution: int,
+                      vp=None) -> PixelMatcher:
     """Canvas of the radius buffers of a table of pairwise-disjoint
-    buffered sources, in id order, over the viewport of their record boxes
-    grown by their radii."""
+    buffered sources, in id order, over ``vp``, or when None over the
+    viewport of their record boxes grown by their radii."""
     radii = np.asarray(radii, dtype=float)
-    vp = viewport_from_bounds(_bounds_union(sources.boxes + radii[:, None] * [-1, -1, 1, 1]),
-                              resolution)
+    if vp is None:
+        vp = _viewport(_grown(sources, radii), resolution)
     with instrument.phase("polygon"):
         bindex = BoundaryIndex.for_distance_sources(sources, radii)
     with instrument.phase("raster"):
@@ -659,6 +749,11 @@ def _distance_matcher(sources: RecordTable, radii, resolution: int) -> PixelMatc
             builder.add_source(src, r)
         canvas = builder.finalize()
     return PixelMatcher(canvas)
+
+
+def _grown(sources: RecordTable, radii: np.ndarray) -> np.ndarray:
+    """The sources' record boxes, each grown by its radius."""
+    return sources.boxes + radii[:, None] * [-1, -1, 1, 1]
 
 
 def _radii(radii, n: int) -> list:
@@ -676,17 +771,22 @@ def _radii(radii, n: int) -> list:
 
 def _buffer_matchers(sources, radii, resolution: int):
     """One canvas per layer of pairwise-disjoint buffers (source i buffered
-    by ``radii[i]``), the layer index built and each canvas rendered when
-    drawn. The sources are flattened once, in id order; each layer's
-    canvas takes its rows of that table, or all of it."""
+    by ``radii[i]``), all over the viewport of the sources' boxes grown by
+    their radii; the layers are found and each canvas rendered when drawn.
+    One source is one layer; more go through the distance layer index. The
+    sources are flattened once, in id order; each layer's canvas takes its
+    rows of that table, or all of it."""
     order = sorted(range(len(sources)), key=lambda i: sources[i].id)
     table = RecordTable([sources[i] for i in order])
     rad = np.array([radii[i] for i in order], dtype=float)
-    layers = build_distance_layer_index(table, rad)
-    for ids in layers.layers:
+    if not len(table):
+        return
+    vp = _viewport(_grown(table, rad), resolution)
+    layers = [table.ids] if len(table) == 1 else build_distance_layer_index(table, rad).layers
+    for ids in layers:
         rank = np.searchsorted(table.ids, ids)
         layer = table if len(rank) == len(table) else table.take(rank)
-        yield _distance_matcher(layer, rad[rank], resolution)
+        yield _distance_matcher(layer, rad[rank], resolution, vp)
 
 
 def distance_select(dataset, source: GeometryRecord, r: float,
@@ -742,7 +842,8 @@ def _aggregation_matchers(constraints, mode: str, layers: LayerIndex | None,
 def _aggregate(matchers, parts, mode: str) -> AggregationResult:
     """Per-constraint count (or sum) over the datasets ``parts``, each
     classified against every canvas, drawn at the first part that holds an
-    object: points per pixel, other records in one pass."""
+    object, by the part loops ``_probe_parts`` runs: points per pixel
+    (``_point_matches``), other records by chunk (``_record_matches``)."""
     counts: dict = {}
     sums: dict = {}
     canvases = None
@@ -757,27 +858,23 @@ def _aggregate(matchers, parts, mode: str) -> AggregationResult:
         if not (len(xy) or others):
             continue
         if canvases is None:
-            canvases = list(matchers)
+            canvases = _drawn(matchers)
         probes = RecordTable(others) if others else _NO_PROBES
         value_of = {r.id: r.value for r in others}
-        for matcher in canvases:
-            if len(xy):
-                with instrument.phase("raster"):
-                    cid = match_points(matcher, xy)
-                got = cid >= 0
-                # Per object: its count, and its values added in point order.
-                rank = np.searchsorted(matcher.object_ids, cid[got])
-                n = len(matcher.object_ids)
-                layer_counts = np.bincount(rank, minlength=n)
+        for matcher, cid in _point_matches(canvases, xy):
+            got = cid >= 0
+            # Per object: its count, and its values added in point order.
+            rank = np.searchsorted(matcher.object_ids, cid[got])
+            n = len(matcher.object_ids)
+            layer_counts = np.bincount(rank, minlength=n)
+            if mode == "sum":
+                layer_sums = np.bincount(rank, weights=vals[got], minlength=n)
+            for j in np.flatnonzero(layer_counts):
+                c = int(matcher.object_ids[j])
+                counts[c] = counts.get(c, 0) + int(layer_counts[j])
                 if mode == "sum":
-                    layer_sums = np.bincount(rank, weights=vals[got], minlength=n)
-                for j in np.flatnonzero(layer_counts):
-                    c = int(matcher.object_ids[j])
-                    counts[c] = counts.get(c, 0) + int(layer_counts[j])
-                    if mode == "sum":
-                        sums[c] = sums.get(c, 0.0) + float(layer_sums[j])
-            with instrument.phase("raster"):
-                pairs = match_records(matcher, probes)
+                    sums[c] = sums.get(c, 0.0) + float(layer_sums[j])
+        for _, pairs in _record_matches(canvases, probes):
             for c, did in pairs:
                 counts[c] = counts.get(c, 0) + 1
                 if mode == "sum":

@@ -13,7 +13,7 @@ import pytest
 
 import gen
 from rasterquery import canvas_index, engine, storage
-from rasterquery.geometry import point_record
+from rasterquery.geometry import box_record, point_record
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -82,3 +82,16 @@ def test_traced_queries_count_through_every_hook(tracer, tmp_path):
     metrics = tracer.layer_metrics(tracer.SpanTable(spans), counts, 1)
     assert metrics["canvas.canvases"] == counts["canvas.canvases"]
     assert metrics["canvas_index.boundary_index_ms"] > 0
+    # A two-layer poly-point join classifies every point once per layer
+    # canvas, each through the named ``match_points``, though the points'
+    # pixel keys are found once over the shared viewport.
+    two = [box_record(300, 0.1, 0.1, 0.6, 0.6), box_record(301, 0.4, 0.4, 0.9, 0.9)]
+    points = [rec for rec in data if rec.kind == "point"]
+    t.install()
+    try:
+        engine.join(two, points, resolution=64, d1_layers=canvas_index.LayerIndex([[300], [301]]))
+    finally:
+        t.remove()
+    _, counts = t.take()
+    assert counts["canvas.canvases"] == 2
+    assert counts["engine.points_classified"] == 2 * len(points)
