@@ -57,7 +57,9 @@ intervals, so only fill pixels on a boundary pixel are ever listed. Each
   canvases and distance at most r on distance canvases.
 
 All functions are read-only over their inputs, apart from derived arrays
-cached on records. Their results do not depend on other calls, but their
+cached on records and the resident memo of queried record lists (see
+Dataset plumbing below): a list may change between queries, its records
+may not. Their results do not depend on other calls, but their
 timing reports do: ``instrument`` keeps the active collectors in one
 process-global list, so a query running in one thread while another thread
 is inside ``instrument.collect()`` adds its phases to that report. Time
@@ -68,6 +70,9 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -241,6 +246,135 @@ def _split_kinds(records):
     for rec in records:
         (pts if rec.kind == "point" else others).append(rec)
     return pts, others
+
+
+# The resident memo: a record list or tuple that reaches a query is split
+# and flattened once (``_Records``) and the entry kept under the
+# sequence's ``id``, with a strong reference to the sequence, so the key
+# cannot be reused while the entry lives. A later query over the same
+# object reuses the entry only while the sequence still holds the
+# snapshot's records, element by element by identity (``_Records.holds``,
+# one C-level pass): any append, replacement, deletion or reordering
+# rebuilds it. Records themselves are immutable once queried
+# (``GeometryRecord``). At most ``RESIDENT_LISTS`` entries are kept, the
+# least recently queried dropped first. Other iterables, projected copies
+# and store cells are split per use and never kept; a cell's memory is
+# counted by the cell cache instead.
+RESIDENT_LISTS = 8
+_resident: OrderedDict = OrderedDict()  # id(sequence) -> (sequence, _Records)
+_resident_lock = threading.Lock()
+
+
+# The probe table of a part with no polyline or polygon, built once.
+_NO_PROBES = RecordTable([])
+
+
+class _Part:
+    """One dataset part as the probe loops read it: ``points``, its point
+    records in dataset order or a ``PreparedPoints``, and ``others``, its
+    polyline and polygon records. Built on first use and kept with the
+    part: the point columns ``xy``, ``ids`` and ``values`` (NaN where a
+    point has none), ``probes``, the ``RecordTable`` of ``others``, and
+    ``value_of``, what sum aggregation reads."""
+
+    def __init__(self, points, others):
+        self.points, self.others = points, others
+
+    def _column(self, name: str) -> np.ndarray:
+        if isinstance(self.points, PreparedPoints):
+            return getattr(self.points, name)
+        return {"xy": _point_xy, "ids": _point_ids, "values": _point_values}[name](self.points)
+
+    @cached_property
+    def xy(self) -> np.ndarray:
+        return self._column("xy")
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        return self._column("ids")
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self._column("values")
+
+    @cached_property
+    def probes(self) -> RecordTable:
+        return RecordTable(self.others) if self.others else _NO_PROBES
+
+    @cached_property
+    def value_of(self) -> dict:
+        """Id -> value of ``others``; a DataError when any object of the
+        part has no value."""
+        if np.isnan(self.values).any() or any(r.value is None for r in self.others):
+            raise DataError("sum aggregation over a value-less dataset")
+        return {r.id: r.value for r in self.others}
+
+
+class _Records(_Part):
+    """A record sequence as a ``_Part``: ``records``, a snapshot of it,
+    split in order, and ``prepared``, its points as a ``PreparedPoints``
+    for kNN, built on first use. It reads like the sequence."""
+
+    def __init__(self, records):
+        self.records = tuple(records)
+        super().__init__(*_split_kinds(self.records))
+
+    def __len__(self):
+        return len(self.records)
+
+    def __iter__(self):
+        return iter(self.records)
+
+    def __getitem__(self, i):
+        return self.records[i]
+
+    def holds(self, records) -> bool:
+        """Whether ``records`` holds exactly the snapshot's objects, in order."""
+        if records is self.records:  # a tuple is its own snapshot
+            return True
+        return len(records) == len(self.records) and all(map(operator.is_, records,
+                                                              self.records))
+
+    @cached_property
+    def prepared(self) -> PreparedPoints:
+        return PreparedPoints(self.records)
+
+
+def _records(dataset) -> _Records:
+    """The ``_Records`` of a record sequence: the resident entry of a list
+    or tuple, reused while it ``holds`` the sequence and otherwise built
+    and kept; any other iterable is split for this use alone."""
+    if isinstance(dataset, _Records):
+        return dataset
+    if not isinstance(dataset, (list, tuple)):
+        return _Records(dataset)
+    key = id(dataset)
+    with _resident_lock:
+        held = _resident.get(key)
+        if held is not None:
+            _resident.move_to_end(key)
+    if held is not None and held[1].holds(dataset):
+        return held[1]
+    entry = _Records(dataset)
+    with _resident_lock:
+        _resident[key] = (dataset, entry)
+        _resident.move_to_end(key)
+        while len(_resident) > RESIDENT_LISTS:
+            _resident.popitem(last=False)
+    return entry
+
+
+def _dataset_part(dataset) -> _Part:
+    """Any dataset form as a ``_Part``: a ``PreparedPoints`` or
+    ``SplitDataset`` lends its columns and records, a record sequence is
+    ``_records``."""
+    if isinstance(dataset, _Part):
+        return dataset
+    if isinstance(dataset, SplitDataset):
+        return _Part(dataset.points, dataset.others)
+    if isinstance(dataset, PreparedPoints):
+        return _Part(dataset, [])
+    return _records(dataset)
 
 
 def _as_constraint_record(constraint) -> GeometryRecord:
@@ -527,10 +661,6 @@ def _layer_matchers(members, layers: LayerIndex, resolution: int):
         yield PixelMatcher(canvas)
 
 
-# The probe table of a part with no polyline or polygon, built once.
-_NO_PROBES = RecordTable([])
-
-
 def _drawn(matchers) -> list:
     """The canvases of a query, rendered now. They share one viewport, so
     each probe chunk and each part's points are rasterized once for all of
@@ -572,32 +702,29 @@ def _record_matches(canvases, probes: RecordTable):
 
 
 def _probe_parts(matchers, parts):
-    """(part, pairs) per dataset part split by ``_dataset_points``, in
-    order: the (constraint id, record id) pairs of its points and other
-    records against every canvas of ``matchers``, drawn when the first part
-    arrives. Parts stream past the canvases, so each is rendered once. All
-    canvases share one viewport: a part's points get their pixel keys once,
-    and its other records, flattened into one ``RecordTable``, are
-    rasterized once per chunk; each chunk then meets every canvas
-    (``_record_matches``)."""
+    """(part, pairs) per ``_Part`` of ``parts``, in order: the (constraint
+    id, record id) pairs of its points and other records against every
+    canvas of ``matchers``, drawn when the first part arrives. Parts stream
+    past the canvases, so each is rendered once. All canvases share one
+    viewport: a part's points get their pixel keys once, and its other
+    records, flattened into its one ``probes`` table, are rasterized once
+    per chunk; each chunk then meets every canvas (``_record_matches``)."""
     canvases = None
     for part in parts:
-        (xy, ids), others = part
         if canvases is None:
             canvases = _drawn(matchers)
-        probes = RecordTable(others) if others else _NO_PROBES
         pairs: set = set()
-        for _, cid in _point_matches(canvases, xy):
+        for _, cid in _point_matches(canvases, part.xy):
             got = cid >= 0
-            pairs.update(zip(cid[got].tolist(), ids[got].tolist()))
-        for _, got in _record_matches(canvases, probes):
+            pairs.update(zip(cid[got].tolist(), part.ids[got].tolist()))
+        for _, got in _record_matches(canvases, part.probes):
             pairs |= got
         yield part, pairs
 
 
 def _joined(matchers, parts) -> set:
     """Every (constraint id, record id) pair of the datasets ``parts``."""
-    parts = map(_dataset_points, parts)
+    parts = map(_dataset_part, parts)
     return set().union(*(pairs for _, pairs in _probe_parts(matchers, parts)))
 
 
@@ -622,25 +749,6 @@ def _point_values(pts) -> np.ndarray:
     """Value column of point records, NaN where a record has none."""
     return np.fromiter((np.nan if r.value is None else r.value for r in pts),
                        dtype=np.float64, count=len(pts))
-
-
-_POINT_COLUMNS = {"xy": _point_xy, "ids": _point_ids, "values": _point_values}
-
-
-def _dataset_points(dataset, columns=("xy", "ids")) -> tuple:
-    """(points, others): the named point columns of a dataset, "xy", "ids"
-    or "values" (NaN where a point has none), plus its polyline and polygon
-    records. A ``PreparedPoints`` or ``SplitDataset`` passes its columns
-    straight through; a record list is split here and builds only the
-    columns asked for."""
-    if isinstance(dataset, SplitDataset):
-        pts, others = dataset.points, dataset.others
-    elif isinstance(dataset, PreparedPoints):
-        pts, others = dataset, []
-    else:
-        recs, others = _split_kinds(dataset)
-        return tuple(_POINT_COLUMNS[c](recs) for c in columns), others
-    return tuple(getattr(pts, c) for c in columns), others
 
 
 def _as_records(dataset) -> list:
@@ -688,10 +796,11 @@ def join(d1, d2, resolution: int | None = None, config: Config = DEFAULT,
     d1 = list(d1)
     if any(r.kind != "polygon" for r in d1):
         raise DataError("join: D1 must be a polygon dataset")
-    points, others = _dataset_points(d2)
+    part = _dataset_part(d2)
+    others = part.others
     if any(r.kind != "polygon" for r in others):
         raise DataError("join: D2 must be points or polygons")
-    has_points = len(points[1]) > 0
+    has_points = len(part.points) > 0
     if not d1 or not (has_points or others):
         return JoinResult(())
 
@@ -704,11 +813,11 @@ def join(d1, d2, resolution: int | None = None, config: Config = DEFAULT,
             log.warning("join: building layer index for D2 on demand")
             d2_layers = build_layer_index(others)
         if d2_layers.layer_count < d1_layers.layer_count:
-            d1, others = others, d1
+            d1, part = others, _Part([], d1)
             d1_layers = d2_layers
             swapped = True
 
-    [(_, pairs)] = _probe_parts(_layer_matchers(d1, d1_layers, resolution), [(points, others)])
+    [(_, pairs)] = _probe_parts(_layer_matchers(d1, d1_layers, resolution), [part])
     if swapped:
         pairs = {(b, a) for a, b in pairs}
     return JoinResult(tuple(pairs))
@@ -720,17 +829,18 @@ def join(d1, d2, resolution: int | None = None, config: Config = DEFAULT,
 
 def _maybe_project(dataset, geographic):
     """The dataset (in any form) projected from EPSG:4326 to EPSG:3857 when
-    ``geographic``."""
+    ``geographic``. Projected records are a fresh ``_Records``, split for
+    this query and never kept resident."""
     if not geographic:
         return dataset
     from .geometry import project_record_4326_to_3857
     if isinstance(dataset, SplitDataset):
         return SplitDataset(_maybe_project(dataset.points, True),
-                            _maybe_project(dataset.others, True))
+                            [project_record_4326_to_3857(r) for r in dataset.others])
     if isinstance(dataset, PreparedPoints):
         return PreparedPoints.from_arrays(dataset.ids, project_points_4326_to_3857(dataset.xy),
                                           dataset.values)
-    return [project_record_4326_to_3857(r) for r in dataset]
+    return _Records(map(project_record_4326_to_3857, dataset))
 
 
 def _distance_matcher(sources: RecordTable, radii, resolution: int,
@@ -806,17 +916,18 @@ def distance_join(d1, d2, radii, resolution: int | None = None,
     layer index over the generated buffers is built on the fly, each layer
     rendered once and the probe side classified against it. D2 may be a
     ``PreparedPoints`` or ``SplitDataset``, whose point columns the probe
-    pass reads directly."""
+    pass reads directly; a record list D2 is probed as given, so repeated
+    joins over it reuse its resident entry."""
     d1 = list(d1)
     rs = _radii(radii, len(d1))
-    if not isinstance(d2, (PreparedPoints, SplitDataset)):
-        d2 = list(d2)
     d1, d2 = _maybe_project(d1, geographic), _maybe_project(d2, geographic)
+    if not isinstance(d2, (PreparedPoints, SplitDataset)):
+        d2 = _records(d2)
     if not d1 or not len(d2):
         return JoinResult(())
     flip = np.isscalar(radii) and len(d2) < len(d1)
     if flip:
-        d1, d2 = _as_records(d2), d1
+        d1, d2 = _as_records(d2), _Records(d1)
         rs = rs[:1] * len(d1)
     pairs = _joined(_buffer_matchers(d1, rs, resolution or config.resolution), [d2])
     if flip:
@@ -847,20 +958,13 @@ def _aggregate(matchers, parts, mode: str) -> AggregationResult:
     counts: dict = {}
     sums: dict = {}
     canvases = None
-    for part in parts:
-        if mode == "sum":
-            (xy, vals), others = _dataset_points(part, ("xy", "values"))
-        else:
-            (xy,), others = _dataset_points(part, ("xy",))
-            vals = None
-        if mode == "sum" and (np.isnan(vals).any() or any(r.value is None for r in others)):
-            raise DataError("sum aggregation over a value-less dataset")
-        if not (len(xy) or others):
+    for part in map(_dataset_part, parts):
+        xy = part.xy
+        value_of = part.value_of if mode == "sum" else None
+        if not (len(xy) or part.others):
             continue
         if canvases is None:
             canvases = _drawn(matchers)
-        probes = RecordTable(others) if others else _NO_PROBES
-        value_of = {r.id: r.value for r in others}
         for matcher, cid in _point_matches(canvases, xy):
             got = cid >= 0
             # Per object: its count, and its values added in point order.
@@ -868,13 +972,13 @@ def _aggregate(matchers, parts, mode: str) -> AggregationResult:
             n = len(matcher.object_ids)
             layer_counts = np.bincount(rank, minlength=n)
             if mode == "sum":
-                layer_sums = np.bincount(rank, weights=vals[got], minlength=n)
+                layer_sums = np.bincount(rank, weights=part.values[got], minlength=n)
             for j in np.flatnonzero(layer_counts):
                 c = int(matcher.object_ids[j])
                 counts[c] = counts.get(c, 0) + int(layer_counts[j])
                 if mode == "sum":
                     sums[c] = sums.get(c, 0.0) + float(layer_sums[j])
-        for _, pairs in _record_matches(canvases, probes):
+        for _, pairs in _record_matches(canvases, part.probes):
             for c, did in pairs:
                 counts[c] = counts.get(c, 0) + 1
                 if mode == "sum":
@@ -903,9 +1007,11 @@ def aggregate(constraints, data, mode: str = "count",
 # ---------------------------------------------------------------------------
 
 def _prepared_points(dataset) -> PreparedPoints:
+    """A point dataset as a ``PreparedPoints``, a record sequence's kept
+    with its resident entry."""
     if isinstance(dataset, PreparedPoints):
         return dataset
-    return PreparedPoints(list(dataset))
+    return _records(dataset).prepared
 
 
 def farthest_corner(p: Point2, box) -> float:
@@ -982,10 +1088,10 @@ def _neighbours(left, radii, k: int, parts, resolution: int) -> list:
     left_ids, left_xy = _point_ids(left), _point_xy(left)
     li, rid, d = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
     matchers = _buffer_matchers(left, radii, resolution)
-    for ((xy, ids), _), pairs in _probe_parts(matchers, map(_dataset_points, parts)):
+    for part, pairs in _probe_parts(matchers, map(_dataset_part, parts)):
         lid, rid_p = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
         lj = np.searchsorted(left_ids, lid)
-        at = xy[np.searchsorted(ids, rid_p)]
+        at = part.xy[np.searchsorted(part.ids, rid_p)]
         li.append(lj)
         rid.append(rid_p)
         d.append(np.hypot(left_xy[lj, 0] - at[:, 0], left_xy[lj, 1] - at[:, 1]))

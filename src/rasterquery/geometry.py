@@ -120,6 +120,11 @@ class GeometryRecord:
     kind 'point' -> Point2, 'polyline' -> list[Segment], 'polygon' ->
     list[PolygonGeom] (one per part). value is an optional payload that sum
     aggregation adds up.
+
+    A record is immutable once handed to a query: its edge arrays are cached
+    on it, and the engine keeps the columns and probe table of a queried
+    record list for later queries (``engine._records``), checking only that
+    the list still holds the same record objects.
     """
 
     id: int
@@ -267,6 +272,16 @@ class RecordTable:
         self.ids = np.fromiter((rec.id for rec in recs), np.int64, n)
         self.kinds = np.fromiter((_KIND_CODE[rec.kind] for rec in recs), np.int8, n)
         point = self.kinds == self.POINT
+        if point.all():
+            # Points only (a point source, an empty table): one edge and
+            # one part per record, its box the edge itself.
+            xy = np.fromiter((c for rec in recs for c in (rec.geometry.x, rec.geometry.y)),
+                             np.float64, 2 * n).reshape(n, 2)
+            self.edges = np.concatenate([xy, xy], axis=1)
+            self.boxes = self.edges.copy()
+            self.start, self.part_start = np.arange(n + 1), np.arange(n + 1)
+            self.rank, self.part = np.arange(n), np.arange(n)
+            return
         tables = [edge_table(rec) for rec in recs if rec.kind != "point"]
         count = np.ones(n, dtype=np.int64)
         count[~point] = [len(e) for e, _ in tables]

@@ -80,6 +80,22 @@ def test_take_equals_a_table_of_the_taken_records(name):
         _assert_describes(t.take(ranks), [recs[r] for r in ranks])
 
 
+@pytest.mark.parametrize("n", [0, 1, 40])
+def test_a_points_only_table_equals_the_general_build(n):
+    """An all-point table takes the builder's points-only path; its arrays,
+    dtypes included, are those of the same points stacked beside a
+    polyline."""
+    pts = gen.uniform_points(gen.rng(11), n)
+    got = RecordTable(pts)
+    _assert_describes(got, pts)
+    want = RecordTable(gen.random_polylines(gen.rng(12), 1, start_id=n) + pts).take(
+        np.arange(1, n + 1))
+    for name in ("ids", "kinds", "start", "edges", "rank", "part", "part_start", "boxes",
+                 "part_edges"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 def test_points_in_parts_reads_polygon_parts_only():
     recs = [point_record(0, 0.3, 0.3), _multipart(1),
             GeometryRecord(2, "polyline", _lists()["polylines"][0].geometry)]
@@ -131,8 +147,9 @@ def mixed():
 def test_one_table_per_probe_part_and_per_canvas(mixed, monkeypatch, query):
     data, zones, layers = mixed
     assert layers.layer_count > 1
-    if query == "join":
-        data = [rec for rec in data if rec.kind != "polyline"]
+    # A fresh list per query: the engine keeps the probe table of a queried
+    # list, so a list shared with an earlier query would build none.
+    data = [rec for rec in data if query != "join" or rec.kind != "polyline"]
     run = {
         "select": lambda: engine.select(data, zones[0], resolution=64),
         "join": lambda: engine.join(zones, data, resolution=64, d1_layers=layers),
