@@ -58,8 +58,8 @@ intervals, so only fill pixels on a boundary pixel are ever listed. Each
 
 All functions are read-only over their inputs, apart from derived arrays
 cached on records and the resident memo of queried record lists (see
-Dataset plumbing below): a list may change between queries, its records
-may not. Their results do not depend on other calls, but their
+Dataset plumbing below): a list and its records' fields may change between
+queries, a record's geometry payload may not change in place. Their results do not depend on other calls, but their
 timing reports do: ``instrument`` keeps the active collectors in one
 process-global list, so a query running in one thread while another thread
 is inside ``instrument.collect()`` adds its phases to that report. Time
@@ -112,6 +112,7 @@ from .geometry import (
     points_in_parts,
     project_4326_to_3857,
     project_points_4326_to_3857,
+    record_edit,
 )
 # No query runs the Map any more; these names stay bound here only because
 # perfbench's tracer wraps them on this module by name.
@@ -248,21 +249,41 @@ def _split_kinds(records):
     return pts, others
 
 
-# The resident memo: a record list or tuple that reaches a query is split
-# and flattened once (``_Records``) and the entry kept under the
-# sequence's ``id``, with a strong reference to the sequence, so the key
-# cannot be reused while the entry lives. A later query over the same
-# object reuses the entry only while the sequence still holds the
-# snapshot's records, element by element by identity (``_Records.holds``,
-# one C-level pass): any append, replacement, deletion or reordering
-# rebuilds it. Records themselves are immutable once queried
-# (``GeometryRecord``). At most ``RESIDENT_LISTS`` entries are kept, the
-# least recently queried dropped first. Other iterables, projected copies
-# and store cells are split per use and never kept; a cell's memory is
-# counted by the cell cache instead.
+# The resident memo: a record list or tuple of at least
+# ``RESIDENT_MIN_RECORDS`` records that reaches a query is split and
+# flattened once (``_Records``) and the entry kept under the sequence's
+# ``id``, with a strong reference to the sequence, so the key cannot be
+# reused while the entry lives. A later query over the same object reuses
+# the entry only while it ``holds`` the sequence: no record field was
+# reassigned since it was built (``geometry.record_edit``) and the sequence
+# still holds the snapshot's records, element by element by identity (one
+# C-level pass), so any append, replacement, deletion, reordering or
+# record edit rebuilds it. The memo keeps at most ``RESIDENT_LISTS``
+# entries and an estimated ``RESIDENT_BYTES`` (``_Records.footprint``, the
+# records each entry pins included), the least recently queried dropped
+# first; a list estimated above that is never kept, and
+# ``clear_resident()`` drops every entry. Shorter lists, other iterables,
+# projected copies and store cells are split per use and never kept; a
+# cell's memory is counted by the cell cache instead.
 RESIDENT_LISTS = 8
-_resident: OrderedDict = OrderedDict()  # id(sequence) -> (sequence, _Records)
+RESIDENT_BYTES = 256 << 20
+RESIDENT_MIN_RECORDS = 256
+# Footprint estimate of an entry, from tracemalloc over point, polyline and
+# polygon lists: a record with its share of the snapshot, point columns and
+# ``PreparedPoints`` (about 330 bytes a point), plus a probe table edge
+# with the record geometry and edge cache behind it (256-520 bytes).
+_RECORD_BYTES = 400
+_EDGE_BYTES = 320
+_resident: OrderedDict = OrderedDict()  # id(sequence) -> (sequence, _Records, footprint)
 _resident_lock = threading.Lock()
+
+
+def clear_resident() -> None:
+    """Drop every record list the engine keeps between queries, with all
+    it derived from them; the next query over a list builds its entry
+    again."""
+    with _resident_lock:
+        _resident.clear()
 
 
 # The probe table of a part with no polyline or polygon, built once.
@@ -316,8 +337,10 @@ class _Records(_Part):
     for kNN, built on first use. It reads like the sequence."""
 
     def __init__(self, records):
+        self.edit = record_edit()  # read before any record is
         self.records = tuple(records)
-        super().__init__(*_split_kinds(self.records))
+        points, others = _split_kinds(self.records)
+        super().__init__(points if others else self.records, others)
 
     def __len__(self):
         return len(self.records)
@@ -329,11 +352,18 @@ class _Records(_Part):
         return self.records[i]
 
     def holds(self, records) -> bool:
-        """Whether ``records`` holds exactly the snapshot's objects, in order."""
+        """Whether ``records`` holds exactly the snapshot's objects, in
+        order, and no record was edited since the snapshot was taken."""
+        if self.edit != record_edit():
+            return False
         if records is self.records:  # a tuple is its own snapshot
             return True
         return len(records) == len(self.records) and all(map(operator.is_, records,
                                                               self.records))
+
+    def footprint(self) -> int:
+        """The estimated bytes the entry keeps alive; builds ``probes``."""
+        return _RECORD_BYTES * len(self.records) + _EDGE_BYTES * len(self.probes.edges)
 
     @cached_property
     def prepared(self) -> PreparedPoints:
@@ -343,10 +373,11 @@ class _Records(_Part):
 def _records(dataset) -> _Records:
     """The ``_Records`` of a record sequence: the resident entry of a list
     or tuple, reused while it ``holds`` the sequence and otherwise built
-    and kept; any other iterable is split for this use alone."""
+    and kept while the memo's bounds allow; a shorter sequence or any
+    other iterable is split for this use alone."""
     if isinstance(dataset, _Records):
         return dataset
-    if not isinstance(dataset, (list, tuple)):
+    if not isinstance(dataset, (list, tuple)) or len(dataset) < RESIDENT_MIN_RECORDS:
         return _Records(dataset)
     key = id(dataset)
     with _resident_lock:
@@ -356,11 +387,14 @@ def _records(dataset) -> _Records:
     if held is not None and held[1].holds(dataset):
         return held[1]
     entry = _Records(dataset)
+    size = entry.footprint()
     with _resident_lock:
-        _resident[key] = (dataset, entry)
-        _resident.move_to_end(key)
-        while len(_resident) > RESIDENT_LISTS:
-            _resident.popitem(last=False)
+        _resident.pop(key, None)
+        if size <= RESIDENT_BYTES:
+            _resident[key] = (dataset, entry, size)
+        total = sum(kept[2] for kept in _resident.values())
+        while len(_resident) > RESIDENT_LISTS or total > RESIDENT_BYTES:
+            total -= _resident.popitem(last=False)[1][2]
     return entry
 
 

@@ -17,6 +17,7 @@ reference those kernels are tested against.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -113,7 +114,23 @@ class PolygonGeom:
                 float(pts[:, 0].max()), float(pts[:, 1].max()))
 
 
-@dataclass
+# Every reassignment of a record field, once the record is built, sets
+# ``_record_edit`` to a number never used before, after the new value is in
+# place (``GeometryRecord.__setattr__``). Data derived from records and kept
+# between queries is current while ``record_edit()`` still returns the
+# number read before it was derived.
+_edit_numbers = itertools.count(1)
+_record_edit = 0
+_RECORD_FIELDS = frozenset(("id", "kind", "geometry", "value"))
+_set_field = object.__setattr__
+
+
+def record_edit() -> int:
+    """The number of the latest record field reassignment (0 before any)."""
+    return _record_edit
+
+
+@dataclass(init=False)
 class GeometryRecord:
     """One spatial object with a dataset-unique id.
 
@@ -121,10 +138,11 @@ class GeometryRecord:
     list[PolygonGeom] (one per part). value is an optional payload that sum
     aggregation adds up.
 
-    A record is immutable once handed to a query: its edge arrays are cached
-    on it, and the engine keeps the columns and probe table of a queried
-    record list for later queries (``engine._records``), checking only that
-    the list still holds the same record objects.
+    Fields may be reassigned between queries: reassigning ``kind`` or
+    ``geometry`` drops the record's cached edge arrays, and any
+    reassignment bumps ``record_edit``, so the engine rebuilds what it kept
+    of queried record lists (``engine._records``). A geometry payload must
+    not be changed in place.
     """
 
     id: int
@@ -132,16 +150,33 @@ class GeometryRecord:
     geometry: object
     value: float | None = None
 
-    def __post_init__(self):
-        if self.id < 0:
-            raise DataError(f"record id must be unsigned, got {self.id}")
-        ok = (self.kind == "point" and isinstance(self.geometry, Point2)) or \
-             (self.kind == "polyline" and isinstance(self.geometry, list)
-              and all(isinstance(s, Segment) for s in self.geometry)) or \
-             (self.kind == "polygon" and isinstance(self.geometry, list)
-              and all(isinstance(p, PolygonGeom) for p in self.geometry))
+    def __init__(self, id: int, kind: str, geometry: object, value: float | None = None):
+        # Past __setattr__, which sees reassignments only. Touching
+        # self.__dict__ instead would give every record a dict of its own,
+        # larger and slower to read than the attribute values it replaces.
+        _set_field(self, "id", id)
+        _set_field(self, "kind", kind)
+        _set_field(self, "geometry", geometry)
+        _set_field(self, "value", value)
+        if id < 0:
+            raise DataError(f"record id must be unsigned, got {id}")
+        ok = (kind == "point" and isinstance(geometry, Point2)) or \
+             (kind == "polyline" and isinstance(geometry, list)
+              and all(isinstance(s, Segment) for s in geometry)) or \
+             (kind == "polygon" and isinstance(geometry, list)
+              and all(isinstance(p, PolygonGeom) for p in geometry))
         if not ok:
-            raise DataError(f"kind {self.kind!r} does not match geometry payload")
+            raise DataError(f"kind {kind!r} does not match geometry payload")
+
+    def __setattr__(self, name, value):
+        object.__setattr__(self, name, value)
+        if name in _RECORD_FIELDS:
+            global _record_edit
+            if name in ("kind", "geometry"):
+                for cache in ("_edge_cache", "_tris_cache"):
+                    if hasattr(self, cache):
+                        object.__delattr__(self, cache)
+            _record_edit = next(_edit_numbers)
 
     def bbox(self):
         if self.kind == "point":
@@ -272,16 +307,6 @@ class RecordTable:
         self.ids = np.fromiter((rec.id for rec in recs), np.int64, n)
         self.kinds = np.fromiter((_KIND_CODE[rec.kind] for rec in recs), np.int8, n)
         point = self.kinds == self.POINT
-        if point.all():
-            # Points only (a point source, an empty table): one edge and
-            # one part per record, its box the edge itself.
-            xy = np.fromiter((c for rec in recs for c in (rec.geometry.x, rec.geometry.y)),
-                             np.float64, 2 * n).reshape(n, 2)
-            self.edges = np.concatenate([xy, xy], axis=1)
-            self.boxes = self.edges.copy()
-            self.start, self.part_start = np.arange(n + 1), np.arange(n + 1)
-            self.rank, self.part = np.arange(n), np.arange(n)
-            return
         tables = [edge_table(rec) for rec in recs if rec.kind != "point"]
         count = np.ones(n, dtype=np.int64)
         count[~point] = [len(e) for e, _ in tables]
@@ -294,7 +319,9 @@ class RecordTable:
             on = ~point[self.rank]
             edges, parts = np.empty((len(on), 4)), np.zeros(len(on), dtype=np.int64)
             edges[on], parts[on] = self.edges, local
-            xy = np.array([(rec.geometry.x, rec.geometry.y) for rec in recs if rec.kind == "point"])
+            xy = np.fromiter((c for rec in recs if rec.kind == "point"
+                              for c in (rec.geometry.x, rec.geometry.y)),
+                             np.float64, 2 * np.count_nonzero(point)).reshape(-1, 2)
             edges[~on] = np.concatenate([xy, xy], axis=1)
             self.edges, local = edges, parts
         self.part, self.part_start = _part_ordinals(self.start, self.rank, local)

@@ -81,10 +81,9 @@ def test_take_equals_a_table_of_the_taken_records(name):
 
 
 @pytest.mark.parametrize("n", [0, 1, 40])
-def test_a_points_only_table_equals_the_general_build(n):
-    """An all-point table takes the builder's points-only path; its arrays,
-    dtypes included, are those of the same points stacked beside a
-    polyline."""
+def test_a_points_only_table_equals_a_mixed_build(n):
+    """An all-point table (a point source, an empty table) has the arrays,
+    dtypes included, of the same points stacked beside a polyline."""
     pts = gen.uniform_points(gen.rng(11), n)
     got = RecordTable(pts)
     _assert_describes(got, pts)
@@ -147,8 +146,8 @@ def mixed():
 def test_one_table_per_probe_part_and_per_canvas(mixed, monkeypatch, query):
     data, zones, layers = mixed
     assert layers.layer_count > 1
-    # A fresh list per query: the engine keeps the probe table of a queried
-    # list, so a list shared with an earlier query would build none.
+    # A fresh list per query: a list kept resident by an earlier query
+    # would build no probe table.
     data = [rec for rec in data if query != "join" or rec.kind != "polyline"]
     run = {
         "select": lambda: engine.select(data, zones[0], resolution=64),

@@ -1,11 +1,14 @@
 """A record list that queries see twice is split, columnized and flattened
 once (``engine._records``): a repeat query over the unchanged list builds
 no point column, probe table or ``PreparedPoints``, any change to the list
-between queries rebuilds its entry so no answer is stale, and the memo
-keeps a bounded number of lists."""
+or edit of its records between queries rebuilds its entry so no answer is
+stale, and the memo keeps a bounded number of lists and bytes."""
 
+import gc
 import sys
 import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,14 +16,32 @@ import pytest
 import gen
 from rasterquery import engine, oracle
 from rasterquery.canvas_index import build_layer_index
-from rasterquery.geometry import GeometryRecord, RecordTable, box_record, point_record
+from rasterquery.geometry import (
+    GeometryRecord,
+    Point2,
+    RecordTable,
+    box_record,
+    edge_table,
+    point_record,
+    record_edit,
+)
 
 RES = 64
+MIN_RECORDS = engine.RESIDENT_MIN_RECORDS
 ZONES = gen.random_polygons(gen.rng(31), 6, radius_frac=0.2, start_id=900)
 LAYERS = build_layer_index(ZONES)
 SOURCE = point_record(950, 0.5, 0.5)
 SOURCES = [point_record(960 + i, x, y) for i, (x, y) in
            enumerate([(0.25, 0.25), (0.75, 0.3), (0.5, 0.75)])]
+
+
+@pytest.fixture(autouse=True)
+def memo(monkeypatch):
+    """An empty memo that keeps the short lists these tests query."""
+    engine.clear_resident()
+    monkeypatch.setattr(engine, "RESIDENT_MIN_RECORDS", 1)
+    yield
+    engine.clear_resident()
 
 
 def _data(lines: bool) -> list:
@@ -254,3 +275,126 @@ def test_threads_share_the_memo():
     assert not errors
     assert len(engine._resident) <= engine.RESIDENT_LISTS
     assert all(held[1].holds(held[0]) for held in engine._resident.values())
+
+
+def test_a_record_edit_is_seen_by_the_next_query():
+    data = _data(lines=True)
+    _check_all(data)
+    entry, edit = _entry(data), record_edit()
+    data[3].value = 123.0
+    assert record_edit() != edit and not entry.holds(data)
+    _check_all(data)
+    # A point moved onto the distance source, a polygon onto the zone.
+    data[7].geometry = Point2(SOURCE.geometry.x, SOURCE.geometry.y)
+    _check_all(data)
+    x0, y0, x1, y1 = ZONES[0].bbox()
+    moved = box_record(0, x0, y0, (x0 + x1) / 2, (y0 + y1) / 2)
+    poly = next(rec for rec in data if rec.kind == "polygon")
+    edge_table(poly)
+    poly.geometry = moved.geometry
+    assert np.array_equal(edge_table(poly)[0], edge_table(moved)[0])
+    assert poly.id in engine.select(data, ZONES[0], RES).ids
+    _check_all(data)
+    assert _entry(data).holds(data)
+
+
+def test_lists_shorter_than_the_minimum_are_not_kept(monkeypatch):
+    monkeypatch.setattr(engine, "RESIDENT_MIN_RECORDS", MIN_RECORDS)
+    pts = gen.uniform_points(gen.rng(35), MIN_RECORDS)
+    short = pts[:-1]
+    engine.select(short, ZONES[0], RES)
+    engine.distance_join(SOURCES, pts[:1], 0.1, RES)
+    assert not engine._resident
+    engine.select(pts, ZONES[0], RES)
+    assert list(engine._resident) == [id(pts)]
+
+
+def test_the_memo_keeps_an_estimated_byte_bound(monkeypatch):
+    lists = [_data(lines=True) for _ in range(3)]
+    size = engine._Records(lists[0]).footprint()
+    assert size >= engine._RECORD_BYTES * len(lists[0])
+    monkeypatch.setattr(engine, "RESIDENT_BYTES", int(2.5 * size))
+    for lst in lists:
+        engine.select(lst, ZONES[0], RES)
+    assert list(engine._resident) == [id(lst) for lst in lists[1:]]
+    # A list estimated above the whole bound is answered but not kept.
+    big = gen.uniform_points(gen.rng(37), 3 * size // engine._RECORD_BYTES)
+    assert list(engine.select(big, ZONES[0], RES).ids) == oracle.oracle_select(big, ZONES[0])
+    assert id(big) not in engine._resident
+    assert list(engine._resident) == [id(lst) for lst in lists[1:]]
+
+
+def test_a_dropped_list_is_released_once_evicted(monkeypatch):
+    monkeypatch.setattr(engine, "RESIDENT_MIN_RECORDS", MIN_RECORDS)
+    kept = [gen.uniform_points(gen.rng(36 + i), MIN_RECORDS)
+            for i in range(engine.RESIDENT_LISTS)]
+    engine.select(kept[0], ZONES[0], RES)  # warm the zone's own caches
+    engine.clear_resident()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        big = gen.uniform_points(gen.rng(40), 20_000)
+        probe = weakref.ref(big[0])
+        engine.select(big, ZONES[0], RES)
+        del big
+        gc.collect()
+        pinned = tracemalloc.get_traced_memory()[0] - base
+        assert probe() is not None and pinned > 20_000 * 200
+        for lst in kept:
+            engine.select(lst, ZONES[0], RES)
+        gc.collect()
+        assert probe() is None
+        assert tracemalloc.get_traced_memory()[0] - base < pinned / 4
+    finally:
+        tracemalloc.stop()
+
+
+def test_clear_resident_releases_every_list():
+    data = _data(lines=True)
+    probe = weakref.ref(data[0])
+    engine.select(data, ZONES[0], RES)
+    del data
+    gc.collect()
+    assert probe() is not None
+    engine.clear_resident()
+    gc.collect()
+    assert probe() is None and not engine._resident
+
+
+def test_edits_in_one_thread_leave_no_stale_entry():
+    """Threads aggregate over lists while another reassigns values in
+    them: once all are done, every list's answer is its current one."""
+    lists = [_data(lines=False) for _ in range(3)]
+    errors, stop = [], threading.Event()
+
+    def query(k):
+        try:
+            while not stop.is_set():
+                engine.aggregate(ZONES, lists[k % 3], "sum", 16, layer_index=LAYERS)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    def edit():
+        for j in range(300):
+            lists[j % 3][j % 60].value = float(j)
+        stop.set()
+    threads = [threading.Thread(target=query, args=(k,)) for k in range(3)]
+    threads.append(threading.Thread(target=edit))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        stop.set()
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    for lst in lists:
+        got = engine.aggregate(ZONES, lst, "sum", RES, layer_index=LAYERS).rows
+        want = oracle.oracle_aggregate(ZONES, lst, "sum")
+        assert [(c, n) for c, n, _ in got] == [(c, n) for c, n, _ in want]
+        assert [s for _, _, s in got] == pytest.approx([s for _, _, s in want], rel=1e-12)
