@@ -364,12 +364,34 @@ def _swap_xy(segs) -> np.ndarray:
     return np.asarray(segs, dtype=float).reshape(-1, 4)[:, [1, 0, 3, 2]]
 
 
+def edge_cost(vp: Viewport, segs: np.ndarray) -> np.ndarray:
+    """Per (S, 4) segment, an upper estimate of the candidate pixels
+    ``edge_keys`` tests for it: three per pixel step along the segment (its
+    strip of window columns, padded by one pixel on either side), plus the
+    window's padding."""
+    return 3.0 * (np.minimum(np.abs(segs[:, 2] - segs[:, 0]) / vp.sx, vp.width_px)
+                  + np.minimum(np.abs(segs[:, 3] - segs[:, 1]) / vp.sy, vp.height_px) + 3.0)
+
+
 def edge_keys(vp: Viewport, segs: np.ndarray) -> tuple:
     """(segment index, canvas key) for every pixel whose closed square
     meets the closed segment: ``segment_pixels`` over the transposed
     viewport. Swapping x and y only negates its corner test and leaves its
-    bbox test as it is, so it marks the same pixels."""
-    return segment_pixels(vp.transposed(), _swap_xy(segs))
+    bbox test as it is, so it marks the same pixels.
+
+    ``segment_pixels`` holds some two dozen candidate-length arrays at
+    once, so the segments go in chunks of at most ``PIXEL_KEY_BUDGET``
+    candidates (``edge_cost``); only the result grows with the input."""
+    segs = np.asarray(segs, dtype=float).reshape(-1, 4)
+    vt, swapped = vp.transposed(), _swap_xy(segs)
+    runs = list(budget_runs(edge_cost(vp, segs), PIXEL_KEY_BUDGET))
+    if len(runs) <= 1:
+        return segment_pixels(vt, swapped)
+    out = []
+    for lo, hi in runs:
+        k, key = segment_pixels(vt, swapped[lo:hi])
+        out.append((k + lo, key))
+    return tuple(np.concatenate(a) for a in zip(*out))
 
 
 def fill_runs(vp: Viewport, edges: np.ndarray, owner: np.ndarray) -> tuple:

@@ -25,8 +25,10 @@ from .geometry import (
     Segment,
     Triangle,
     exact_intersects,
-    geometry_distance,
+    grown_boxes,
     overlapping_boxes,
+    # No query calls it; bound here because perfbench's tracer wraps it by
+    # name on this module.
     pairwise_intersects,
     primitive_distance,
     records_intersect,
@@ -155,8 +157,9 @@ class PixelMatcher:
     pixel of a polygon canvas is in an object iff the point-in-polygon
     kernel puts it inside; on a distance canvas (``distance``, whose
     entries carry radii) iff it lies within r of one of the pixel's entries
-    or inside a polygon source. ``exact_pair`` settles a whole (probe
-    record, object) pair at once.
+    or inside a polygon source. ``reach`` gives each object the radius a
+    probe must come within on a distance canvas, for the engine's batched
+    refine of (probe record, object) pairs.
     """
 
     def __init__(self, canvas):
@@ -187,15 +190,11 @@ class PixelMatcher:
             self._buckets = (np.searchsorted(pix, np.arange(nb + 1)), rank)
         return self._buckets
 
-    def exact_pair(self, probe: GeometryRecord, rank: int) -> bool:
-        """Whether the probe record truly meets the object of rank ``rank``:
-        full-geometry intersection on polygon canvases, distance to the
-        source at most its r on distance canvases (0 when one lies inside
-        the other)."""
-        src = self.table.records[rank]
-        if not self.distance:
-            return pairwise_intersects(probe, src)
-        return geometry_distance(probe, src) <= self.bindex.aux_r[self.table.start[rank]]
+    @cached_property
+    def reach(self) -> np.ndarray:
+        """Per object rank, its source's radius on a distance canvas, NaN on
+        a polygon canvas."""
+        return self.bindex.aux_r[self.table.start[:-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +268,10 @@ def build_distance_layer_index(sources: RecordTable, radii) -> LayerIndex:
     """Layer index over the distance buffers of a table of sources, source
     k buffered by ``radii[k]``, built on the fly at query time; two buffers
     overlap iff distance(geomA, geomB) <= rA + rB. The sweep of
-    ``overlap_graph`` runs over the record boxes each grown by its radius;
-    point pairs then get one array test, other pairs ``geometry_distance``."""
+    ``overlap_graph`` runs over the record boxes each grown by its radius,
+    and one ``records_intersect`` call with reach rA + rB settles every
+    candidate pair."""
     rad = np.asarray(radii, dtype=float)
-    grown = sources.boxes + rad[:, None] * [-1, -1, 1, 1]
-    point = sources.kinds == RecordTable.POINT
-    xy = sources.edges[sources.start[:-1], :2]
-    recs = sources.records
-
-    def within(i, j):
-        limit = rad[i] + rad[j]
-        both = point[i] & point[j]
-        hit = np.zeros(len(i), dtype=bool)
-        hit[both] = np.hypot(*(xy[i[both]] - xy[j[both]]).T) <= limit[both]
-        for q in np.flatnonzero(~both):
-            hit[q] = geometry_distance(recs[i[q]], recs[j[q]]) <= limit[q]
-        return hit
-    return _peel(_sweep_graph(sources, grown, within))
+    return _peel(_sweep_graph(sources, grown_boxes(sources.boxes, rad),
+                              lambda i, j: records_intersect(sources, sources, i, j,
+                                                             rad[i] + rad[j])))

@@ -13,8 +13,9 @@ at the query resolution. A query checks its inputs, then streams its
 dataset parts past its canvases (``_probe_parts``): the whole dataset in
 memory, or the kept cells of a store one at a time (``storage``). Each
 part is rasterized once over the shared viewport, whatever the number of
-canvases: its points' pixel keys once, its other records chunk by chunk,
-each chunk's raster then met with every canvas before the next is built.
+canvases: its points' pixel keys once, and those of its other records
+that the window pass leaves chunk by chunk, each chunk's raster then met
+with every canvas before the next is built.
 No part is touched and no canvas rendered before the checks pass, and a
 query over no parts renders nothing.
 
@@ -40,29 +41,37 @@ objects goes, with each of those objects, through the exact even-odd
 point-in-polygon kernel of ``geometry``; the lowest id holding the point
 wins. Entry pairs are processed in chunks under ``PIXEL_KEY_BUDGET``.
 
-Polylines and polygons go in chunks under ``PIXEL_KEY_BUDGET`` through two
-steps. The raster step (``_probe_raster``), once per chunk: the edge
-supercover of ``canvas`` turns every probe into (probe, pixel) keys and its
-even-odd fill into (probe, run) column runs. The canvas step
-(``_match_raster``), once per chunk and canvas: those keys and runs are
-intersected with the canvas's interior runs and boundary keys as
-intervals, so only fill pixels on a boundary pixel are ever listed. Each
-(probe, object) pair then settles or is refined:
+Polylines and polygons go through three steps. The window pass
+(``_window_pass``), once per part: each probe's pixel window, its record
+box over the viewport, is looked up as column key intervals in every
+canvas's boundary keys. A window with no boundary pixel is uniform, all
+one object's interior or all empty, so its probe settles with that object
+or drops, with no raster, unless it needs the raster on another canvas.
+The raster step (``_probe_raster``), once per chunk under
+``PIXEL_KEY_BUDGET`` of the other probes: the edge supercover of
+``canvas`` turns every probe into (probe, pixel) keys and its even-odd
+fill into (probe, run) column runs. The canvas step (``_match_raster``),
+once per chunk and canvas: those keys and runs are intersected with the
+canvas's interior runs and boundary keys as intervals, so only fill
+pixels on a boundary pixel are ever listed. Each (probe, object) pair then
+settles or is refined:
 
 - settled: the probe touches a pixel the object's interior covers, or the
   probe's interior (a filled pixel no probe edge touches) covers a boundary
   pixel of the object;
-- refined: a pair seen only where a probe edge meets a boundary pixel of the
-  object gets one exact test, full-geometry intersection on polygon
-  canvases and distance at most r on distance canvases.
+- refined: the pairs seen only where a probe edge meets a boundary pixel of
+  the object are tested together by one ``geometry.records_intersect``
+  call, full-geometry intersection on polygon canvases and distance at
+  most each object's r on distance canvases.
 
 All functions are read-only over their inputs, apart from derived arrays
 cached on records and the resident memo of queried record lists (see
-Dataset plumbing below): a list and its records' fields may change between
-queries, a record's geometry payload may not change in place. Their results do not depend on other calls, but their
-timing reports do: ``instrument`` keeps the active collectors in one
-process-global list, so a query running in one thread while another thread
-is inside ``instrument.collect()`` adds its phases to that report. Time
+Dataset plumbing below): a list and its records' fields may change
+between queries, a record's geometry payload may not change in place.
+Their results do not depend on other calls, but their timing reports do:
+``instrument`` keeps the active collectors in one process-global list, so
+a query running in one thread while another thread is inside
+``instrument.collect()`` adds its phases to that report. Time
 queries one at a time.
 """
 
@@ -83,11 +92,13 @@ from .canvas import (
     NULL_ID,
     PIXEL_KEY_BUDGET,
     DistanceCanvasBuilder,
+    edge_cost,
     edge_keys,
     fill_runs,
     find_sorted,
     in_sorted,
     interval_pairs,
+    pixel_windows,
     unique_keys,
     viewport_from_bounds,
 )
@@ -109,10 +120,12 @@ from .geometry import (
     _point_seg_dist,
     budget_runs,
     expand_runs,
+    grown_boxes,
     points_in_parts,
     project_4326_to_3857,
     project_points_4326_to_3857,
     record_edit,
+    records_intersect,
 )
 # No query runs the Map any more; these names stay bound here only because
 # perfbench's tracer wraps them on this module by name.
@@ -271,9 +284,10 @@ RESIDENT_MIN_RECORDS = 256
 # Footprint estimate of an entry, from tracemalloc over point, polyline and
 # polygon lists: a record with its share of the snapshot, point columns and
 # ``PreparedPoints`` (about 330 bytes a point), plus a probe table edge
-# with the record geometry and edge cache behind it (256-520 bytes).
+# with the record geometry and edge cache behind it (256-520 bytes) and
+# the edge boxes the batched refine keeps on the table (32 bytes).
 _RECORD_BYTES = 400
-_EDGE_BYTES = 320
+_EDGE_BYTES = 352
 _resident: OrderedDict = OrderedDict()  # id(sequence) -> (sequence, _Records, footprint)
 _resident_lock = threading.Lock()
 
@@ -560,25 +574,61 @@ class _ProbeRaster:
     b: np.ndarray
 
 
-def _probe_rasters(vp, probes: RecordTable):
-    """The ``_ProbeRaster`` of each chunk of the table ``probes`` over
-    ``vp``, one chunk alive at a time. Probes whose box misses the viewport
-    drop out; the rest go in chunks under ``PIXEL_KEY_BUDGET``, where
-    ``edge_keys`` lists the (probe, pixel) keys of a chunk's edges and
-    ``fill_runs`` the column runs inside its polygons."""
-    if not len(probes):
-        return
-    x0, y0, x1, y1 = probes.boxes.T
-    on = (x1 >= vp.min_x) & (x0 <= vp.max_x) & (y1 >= vp.min_y) & (y0 <= vp.max_y)
-    # Edge-pixel candidates per probe, about a column strip of rows plus
-    # four pixels per column spanned.
-    e = probes.edges
-    cost = np.add.reduceat(np.minimum(np.abs(e[:, 3] - e[:, 1]) / vp.sy, vp.height_px)
-                           + 4.0 * (np.minimum(np.abs(e[:, 2] - e[:, 0]) / vp.sx, vp.width_px)
-                                    + 3.0), probes.start[:-1])
-    idx = np.flatnonzero(on)
-    for lo, hi in budget_runs(cost[idx], PIXEL_KEY_BUDGET):
-        yield _probe_raster(vp, probes, idx[lo:hi])
+def _window_pass(canvases, probes: RecordTable) -> tuple:
+    """(need, settled): the ranks of the probes of the table ``probes``
+    whose pixel window holds a boundary pixel of some canvas, and per
+    canvas the (constraint id, record id) pairs of all other probes.
+
+    A probe's window is ``pixel_windows`` of its record box over the
+    canvases' shared viewport, every pixel its closed set can touch, taken
+    column by column as key intervals [c * H + r0, c * H + r1], in chunks
+    under ``PIXEL_KEY_BUDGET`` columns. A window that holds no boundary key
+    is uniform: a pixel sharing a side with an interior pixel of an object
+    meets that object, so unless it is a boundary pixel it is interior to
+    the same object. The window lies then in one object's interior runs,
+    and the probe meets that object alone (``interior_of`` of any one key),
+    or it is empty, and the probe meets nothing. The viewport's guard rows
+    and columns are never interior, so a window the viewport clips, or a box
+    off the viewport (an empty window), settles no pair. A probe settles by
+    its window only when it needs the raster on no canvas, so the raster
+    step never sees it again."""
+    vp = canvases[0].vp
+    h = vp.height_px
+    c0, c1, r0, r1 = pixel_windows(vp, *probes.boxes.T)
+    ncol = np.maximum(c1 - c0 + 1, 0)
+    on = np.flatnonzero(ncol)
+    need = np.zeros(len(probes), dtype=bool)
+    for lo, hi in budget_runs(ncol[on], PIXEL_KEY_BUDGET):
+        j, col = expand_runs(ncol[on[lo:hi]])
+        rank = on[lo + j]
+        a = (c0[rank] + col) * h + r0[rank]
+        b = a + (r1 - r0)[rank]
+        for matcher in canvases:
+            bpf = matcher.plane.bp_flat
+            if len(bpf):
+                # Whether the first boundary key at or after a is at most b.
+                first = bpf[np.minimum(np.searchsorted(bpf, a), len(bpf) - 1)]
+                need[rank[(first >= a) & (first <= b)]] = True
+    rest = on[~need[on]]
+    key = c0[rest] * h + r0[rest]
+    settled = []
+    for matcher in canvases:
+        iid = matcher.plane.interior_of(key)
+        hit = iid != NULL_ID
+        settled.append(set(zip(iid[hit].tolist(), probes.ids[rest[hit]].tolist())))
+    return np.flatnonzero(need), settled
+
+
+def _probe_rasters(vp, probes: RecordTable, ranks):
+    """The ``_ProbeRaster`` of each chunk of the probes of ``ranks``, rows
+    of the table ``probes``, over ``vp``, one chunk alive at a time. They go
+    in chunks under ``PIXEL_KEY_BUDGET`` candidate pixels (``edge_cost``),
+    where ``edge_keys`` lists the (probe, pixel) keys of a chunk's edges
+    and ``fill_runs`` the column runs inside its polygons."""
+    j, rows = probes.rows(ranks)
+    cost = np.bincount(j, weights=edge_cost(vp, probes.edges[rows]), minlength=len(ranks))
+    for lo, hi in budget_runs(cost, PIXEL_KEY_BUDGET):
+        yield _probe_raster(vp, probes, ranks[lo:hi])
 
 
 def _probe_raster(vp, probes: RecordTable, ranks) -> _ProbeRaster:
@@ -602,9 +652,11 @@ def _match_raster(matcher: PixelMatcher, probes: RecordTable, raster: _ProbeRast
     raster proves them: a probe touching an object's interior pixel meets
     it (a fill run meeting an interior run, or an edge pixel in one), and
     so does a probe whose interior covers a boundary pixel of the object (a
-    fill run over a boundary key that no probe edge touches). A pair seen
-    only where a probe edge meets an object's boundary pixel gets one exact
-    test, ``PixelMatcher.exact_pair``."""
+    fill run over a boundary key that no probe edge touches). The pairs
+    seen only where a probe edge meets an object's boundary pixel are
+    refined together by one ``records_intersect`` call: full-geometry
+    intersection on a polygon canvas, within each object's radius
+    (``PixelMatcher.reach``) on a distance canvas."""
     vp, plane = matcher.vp, matcher.plane
     hw = vp.width_px * vp.height_px
     n = max(len(matcher.object_ids), 1)
@@ -624,12 +676,10 @@ def _match_raster(matcher: PixelMatcher, probes: RecordTable, raster: _ProbeRast
     settled = unique_keys(np.concatenate(settled))
     touched = unique_keys(touched)
     refine = touched[~in_sorted(touched, settled)]
-    ids = matcher.object_ids
-    pairs = set(zip(ids[settled % n].tolist(), probes.ids[settled // n].tolist()))
-    for p, c in zip(*np.divmod(refine, n)):
-        if matcher.exact_pair(probes.records[p], c):
-            pairs.add((int(ids[c]), int(probes.ids[p])))
-    return pairs
+    p, c = np.divmod(refine, n)
+    reach = matcher.reach[c] if matcher.distance else None
+    keys = np.concatenate([settled, refine[records_intersect(probes, matcher.table, p, c, reach)]])
+    return set(zip(matcher.object_ids[keys % n].tolist(), probes.ids[keys // n].tolist()))
 
 
 def _interior_pairs(matcher, probe, keys, n) -> np.ndarray:
@@ -720,13 +770,19 @@ def _point_matches(canvases, xy):
 
 
 def _record_matches(canvases, probes: RecordTable):
-    """(matcher, pairs) per chunk of the table ``probes`` and canvas: the
-    (constraint id, record id) pairs of the chunk against that canvas. Each
-    chunk is rasterized once over the canvases' shared viewport and then
-    met with every canvas, so one chunk's raster is alive at a time."""
-    if not canvases:
+    """(matcher, pairs) per canvas and then per chunk of the table
+    ``probes`` and canvas: the (constraint id, record id) pairs of those
+    probes against that canvas. The window pass (``_window_pass``) settles
+    or drops every probe whose pixel window holds no boundary pixel, with
+    no raster. The rest are rasterized chunk by chunk over the canvases'
+    shared viewport, each chunk then met with every canvas, so one chunk's
+    raster is alive at a time."""
+    if not (canvases and len(probes)):
         return
-    for raster in _probe_rasters(canvases[0].vp, probes):
+    with instrument.phase("raster"):
+        need, settled = _window_pass(canvases, probes)
+    yield from zip(canvases, settled)
+    for raster in _probe_rasters(canvases[0].vp, probes, need):
         for matcher in canvases:
             with instrument.phase("raster"):
                 pairs = _match_raster(matcher, probes, raster)
@@ -884,7 +940,7 @@ def _distance_matcher(sources: RecordTable, radii, resolution: int,
     viewport of their record boxes grown by their radii."""
     radii = np.asarray(radii, dtype=float)
     if vp is None:
-        vp = _viewport(_grown(sources, radii), resolution)
+        vp = _viewport(grown_boxes(sources.boxes, radii), resolution)
     with instrument.phase("polygon"):
         bindex = BoundaryIndex.for_distance_sources(sources, radii)
     with instrument.phase("raster"):
@@ -893,11 +949,6 @@ def _distance_matcher(sources: RecordTable, radii, resolution: int,
             builder.add_source(src, r)
         canvas = builder.finalize()
     return PixelMatcher(canvas)
-
-
-def _grown(sources: RecordTable, radii: np.ndarray) -> np.ndarray:
-    """The sources' record boxes, each grown by its radius."""
-    return sources.boxes + radii[:, None] * [-1, -1, 1, 1]
 
 
 def _radii(radii, n: int) -> list:
@@ -925,7 +976,7 @@ def _buffer_matchers(sources, radii, resolution: int):
     rad = np.array([radii[i] for i in order], dtype=float)
     if not len(table):
         return
-    vp = _viewport(_grown(table, rad), resolution)
+    vp = _viewport(grown_boxes(table.boxes, rad), resolution)
     layers = [table.ids] if len(table) == 1 else build_distance_layer_index(table, rad).layers
     for ids in layers:
         rank = np.searchsorted(table.ids, ids)

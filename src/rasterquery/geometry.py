@@ -292,8 +292,11 @@ class RecordTable:
       polygon record's parts are polygon parts;
     - ``boxes`` (R, 4): the record bboxes, by ``reduceat`` over the edge
       ends;
-    - ``rank`` (E,): each edge's record, and ``part_edges`` (P + 1,),
-      derived on first use, each part's range of rows.
+    - ``rank`` (E,): each edge's record.
+
+    Derived on first use and kept: ``part_edges`` (P + 1,), each part's
+    range of rows, and what ``records_intersect`` reads of a table on every
+    call, ``edge_boxes`` and ``containment_vertices``.
 
     ``RecordTable(records)`` is the one place a record list is stacked;
     ``take`` gathers a table of some of its records from the arrays.
@@ -337,6 +340,22 @@ class RecordTable:
     @cached_property
     def part_edges(self) -> np.ndarray:
         return np.searchsorted(self.part, np.arange(self.part_start[-1] + 1))
+
+    @cached_property
+    def edge_boxes(self) -> np.ndarray:
+        """(E, 4) closed bboxes of ``edges``."""
+        return _edge_boxes(self.edges)
+
+    @cached_property
+    def containment_vertices(self) -> tuple:
+        """(vstart, vertices): per record, its range of the vertices that
+        decide containment once no edge meets: the point itself, every
+        segment's first end of a polyline, and the first vertex of each
+        polygon part."""
+        keep = self.kinds[self.rank] != RecordTable.POLYGON
+        keep[self.part_edges[:-1]] = True
+        rows = np.flatnonzero(keep)
+        return np.searchsorted(rows, self.start), self.edges[rows, :2]
 
     def rows(self, ranks) -> tuple:
         """(j, row): the edge rows of the records of ``ranks``, record after
@@ -562,10 +581,12 @@ def segments_meet(s: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _point_seg_dist(px, py, ax, ay, bx, by):
-    """Distance from point(s) to a closed segment; broadcasts over arrays."""
+    """Distance from point(s) to a closed segment, or to point a when the
+    segment has zero length (a point record's edge); broadcasts over
+    arrays."""
     dx, dy = bx - ax, by - ay
     den = dx * dx + dy * dy
-    t = ((px - ax) * dx + (py - ay) * dy) / den
+    t = ((px - ax) * dx + (py - ay) * dy) / (den + (den == 0.0))
     t = np.clip(t, 0.0, 1.0)
     return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
@@ -573,7 +594,7 @@ def _point_seg_dist(px, py, ax, ay, bx, by):
 def segment_distances(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Distance between the closed segments of each pair, (N, 4) each: 0
     where they meet, else the least distance from an end of one to the
-    other."""
+    other. A zero-length segment is a point."""
     ax, ay, bx, by = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
     cx, cy, dx, dy = t[:, 0], t[:, 1], t[:, 2], t[:, 3]
     d = np.minimum(np.minimum(_point_seg_dist(cx, cy, ax, ay, bx, by),
@@ -785,17 +806,6 @@ def pairwise_intersects(a: GeometryRecord, b: GeometryRecord) -> bool:
     return _edges_meet(a, b) or _vertex_inside(a, b)
 
 
-def _containment_vertices(table: RecordTable) -> tuple:
-    """(vstart, vertices): per record of ``table``, its range of the
-    vertices that decide containment once no edge meets: the point itself,
-    every segment's first end of a polyline, and the first vertex of each
-    polygon part."""
-    keep = table.kinds[table.rank] != RecordTable.POLYGON
-    keep[table.part_edges[:-1]] = True
-    rows = np.flatnonzero(keep)
-    return np.searchsorted(rows, table.start), table.edges[rows, :2]
-
-
 def _boxes_meet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Whether closed (N, 4) boxes a[k] and b[k] overlap."""
     return ((a[:, 0] <= b[:, 2]) & (b[:, 0] <= a[:, 2])
@@ -810,27 +820,36 @@ def _any_vertex_in(vstart, verts, owner, other, table) -> np.ndarray:
     return np.bincount(k[inside], minlength=len(owner)) > 0
 
 
-def records_intersect(a: RecordTable, b: RecordTable, i, j) -> np.ndarray:
+def grown_boxes(boxes: np.ndarray, reach) -> np.ndarray:
+    """(N, 4) closed boxes, each grown by its reach on every side, or as
+    they are when ``reach`` is None."""
+    return boxes if reach is None else boxes + reach[:, None] * [-1.0, -1.0, 1.0, 1.0]
+
+
+def records_intersect(a: RecordTable, b: RecordTable, i, j, reach=None) -> np.ndarray:
     """Per candidate pair k, exactly ``pairwise_intersects`` of record
     ``i[k]`` of table a and record ``j[k]`` of table b, in a few array calls
-    for all pairs.
+    for all pairs; with ``reach`` (one radius per pair), exactly
+    ``geometry_distance(...) <= reach[k]`` instead.
 
-    Pairs whose record boxes miss drop out. Then one ``segments_meet`` pass
-    tests every edge pair of the rest whose edge bboxes overlap (a point is a
-    zero-length edge, which meets a segment exactly when it lies on it),
-    chunked under ``PAIR_BUDGET``. Where no edge meets, each part of one
-    record lies wholly inside or outside the other, so one ``points_in_parts``
+    Pairs whose record boxes miss (grown by the reach) drop out. Then one
+    pass tests every edge pair of the rest whose edge bboxes overlap (a point
+    is a zero-length edge), chunked under ``PAIR_BUDGET``: ``segments_meet``,
+    or ``segment_distances`` within the reach, where a's edge box grows by
+    it. Where no edge pair holds, no edge meets, so each part of one record
+    lies wholly inside or outside the other, and one ``points_in_parts``
     call each way, with one vertex per polygon part
-    (``_containment_vertices``), decides the pair.
+    (``RecordTable.containment_vertices``), decides whether they meet.
     """
     i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
     out = np.zeros(len(i), dtype=bool)
     if not len(i):
         return out
+    if reach is not None:
+        reach = np.asarray(reach, dtype=np.float64)
     sa, ea, sb, eb = a.start, a.edges, b.start, b.edges
-    ba = _edge_boxes(ea)
-    bb = ba if b is a else _edge_boxes(eb)
-    near = np.flatnonzero(_boxes_meet(a.boxes[i], b.boxes[j]))
+    ba, bb = a.edge_boxes, b.edge_boxes
+    near = np.flatnonzero(_boxes_meet(grown_boxes(a.boxes[i], reach), b.boxes[j]))
     na = (sa[1:] - sa[:-1])[i[near]]
     nb = (sb[1:] - sb[:-1])[j[near]]
     cost = na * nb
@@ -839,14 +858,18 @@ def records_intersect(a: RecordTable, b: RecordTable, i, j) -> np.ndarray:
         k += lo
         q, r = np.divmod(off, nb[k])
         ka, kb = sa[i[near[k]]] + q, sb[j[near[k]]] + r
-        hit = _boxes_meet(ba[ka], bb[kb])
+        rk = None if reach is None else reach[near[k]]
+        hit = _boxes_meet(grown_boxes(ba[ka], rk), bb[kb])
         k, ka, kb = k[hit], ka[hit], kb[hit]
-        out[near[k[segments_meet(ea[ka], eb[kb])]]] = True
+        if reach is None:
+            held = segments_meet(ea[ka], eb[kb])
+        else:
+            held = segment_distances(ea[ka], eb[kb]) <= rk[hit]
+        out[near[k[held]]] = True
     rest = near[~out[near]]
     ir, jr = i[rest], j[rest]
-    va = _containment_vertices(a)
-    vb = va if b is a else _containment_vertices(b)
-    out[rest] = _any_vertex_in(*va, ir, jr, b) | _any_vertex_in(*vb, jr, ir, a)
+    out[rest] = (_any_vertex_in(*a.containment_vertices, ir, jr, b)
+                 | _any_vertex_in(*b.containment_vertices, jr, ir, a))
     return out
 
 

@@ -1,7 +1,7 @@
 """Distance canvases against a brute-force per-pixel reference, plus oracle
 cases for the two mechanisms that settle points and probes inside a polygon
-source: the point pass's point-in-polygon kernel and ``exact_pair``'s exact
-distance.
+source: the point pass's point-in-polygon kernel and the batched refine's
+exact distance (``records_intersect`` within each source's reach).
 
 The reference computes, per shape (a source point, polyline segment or
 polygon ring edge), the exact min and max distance from every closed pixel
@@ -289,7 +289,7 @@ def test_point_inside_polygon_source_on_a_boundary_pixel():
 def test_subpixel_probes_inside_polygon_source(res):
     """Polygon and polyline probes smaller than a pixel, inside a polygon
     source and farther than r from its edges, on its boundary pixels: their
-    pairs reach ``exact_pair``, which must find them inside."""
+    pairs reach the batched refine, which must find them inside."""
     src = GeometryRecord(0, "polygon", [gen.holed_polygon(radius=0.4)])
     r, half = 1e-4, 2.5e-4
     probes = []

@@ -25,6 +25,7 @@ from rasterquery.geometry import (
     points_in_record,
     points_in_triangles,
     polygon_from_rings,
+    records_intersect,
     segment_distances,
     segments_meet,
     triangles_array,
@@ -111,7 +112,8 @@ def test_point_pass_matches_triangle_cover_and_oracle(name, res):
 def test_source_inside_a_polygon_probe(kind, res):
     """A distance source wholly inside an L-shaped polygon probe, farther
     than r from its edges: the pair is at distance 0, both through the
-    queries and through the distance canvas's ``exact_pair``."""
+    queries and through the batched refine a distance canvas runs,
+    ``records_intersect`` with each source's reach."""
     probe = GeometryRecord(9, "polygon", [polygon_from_rings([
         [(0.35, 0.1), (0.9, 0.1), (0.9, 0.9), (0.1, 0.9), (0.1, 0.35), (0.35, 0.35)]])])
     if kind == "point":
@@ -122,7 +124,9 @@ def test_source_inside_a_polygon_probe(kind, res):
     assert oracle.oracle_distance_select([probe], src, r) == [9]
     assert list(engine.distance_select([probe], src, r, resolution=res).ids) == [9]
     assert list(engine.distance_join([src], [probe], [r], resolution=res).pairs) == [(1, 9)]
-    assert engine._distance_matcher(RecordTable([src]), [r], res).exact_pair(probe, 0)
+    matcher = engine._distance_matcher(RecordTable([src]), [r], res)
+    assert records_intersect(RecordTable([probe]), matcher.table, [0], [0],
+                             matcher.reach[[0]]).tolist() == [True]
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Layer-at-a-time raster kernels and canvas rendering against per-pixel
 references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import gen
 from dense import boundary_pairs, dense_interior
+from rasterquery import canvas as canvas_module
 from rasterquery.canvas import (
     NULL_ID,
+    edge_keys,
     point_pixels,
     render_geometry_canvas,
     scanline_fill,
@@ -217,3 +221,42 @@ def test_render_matches_sequential_reference_on_overlapping_records(res, seed):
     vp = viewport_from_bounds((0.0, 0.0, 1.0, 1.0), res)
     with pytest.raises(OverlapError):
         render_geometry_canvas(vp, bindex)
+
+
+def test_edge_keys_in_chunks_equal_one_kernel_call(monkeypatch):
+    """``edge_keys`` splits its segments into chunks under the pixel key
+    budget; the chunks' keys, in order, are those of one call over the
+    transposed viewport."""
+    segs = _random_segments(gen.rng(5), 300)
+    vp = viewport_from_bounds((0.0, 0.0, 1.0, 1.0), 512)
+    want = segment_pixels(vp.transposed(), segs[:, [1, 0, 3, 2]])
+    monkeypatch.setattr(canvas_module, "PIXEL_KEY_BUDGET", 5000)
+    got = edge_keys(vp, segs)
+    assert len(want[0]) > 10 * 5000 // 30
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+# Peak traced allocation of rendering the strips below at res 2048 when
+# ``edge_keys`` ran ``segment_pixels`` over a whole layer at once: 150 MiB
+# (CPython 3.11, numpy 2.4). In chunks under ``PIXEL_KEY_BUDGET`` it is
+# about 53 MiB, whatever the layer's length; the bound adds 11 MiB.
+RENDER_PEAK_BOUND = 64 * 2**20
+
+
+def test_render_memory_stays_under_the_key_budget():
+    """A layer of 64 strips, each with two edges across the whole width, at
+    res 2048: some 264k boundary pixels, whose candidates ``edge_keys``
+    tests a budget's worth at a time."""
+    layer = [box_record(i, 0.0, (i + 0.3) / 64, 1.0, (i + 0.7) / 64) for i in range(64)]
+    bindex = build_boundary_index_direct(layer)
+    vp = viewport_from_bounds((0.0, 0.0, 1.0, 1.0), 2048)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        canvas = render_geometry_canvas(vp, bindex)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(canvas.plane("polygon").bp_flat) > 250_000
+    assert peak < RENDER_PEAK_BOUND, peak / 2**20

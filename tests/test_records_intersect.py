@@ -101,6 +101,43 @@ def test_candidate_order_and_repeats_do_not_matter():
     assert records_intersect(t, t, [], []).tolist() == []
 
 
+# Reaches below, at and above the distances of the contacts: 0.5 is the gap
+# of "collinear, apart" and 1 that of a point in the hole to its ring.
+REACHES = (1e-9, 0.25, 0.5, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("name,a,b", CONTACTS, ids=[c[0] for c in CONTACTS])
+def test_contacts_within_reach_match_geometry_distance(name, a, b):
+    """With a reach, a pair holds exactly when ``geometry_distance`` is at
+    most it: on shared edges and vertices, collinear overlaps, containment
+    and holes."""
+    t = RecordTable([a, b])
+    i, j = _all_pairs([a, b], [a, b])
+    for r in REACHES:
+        got = records_intersect(t, t, i, j, np.full(len(i), r))
+        want = [geometry_distance(x, y) <= r for x in (a, b) for y in (a, b)]
+        assert got.tolist() == want, r
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_records_within_reach_match_geometry_distance(seed):
+    """One reach per pair, over polygons (with holes and parts), polylines
+    and points on both sides."""
+    r = gen.rng(seed)
+    a = (gen.random_polygons(r, 20, radius_frac=0.1) + [_holed(20)]
+         + gen.random_polylines(r, 8, start_id=30) + gen.uniform_points(r, 4))
+    a[0] = polygon_record(0, a[0].geometry + a[1].geometry)
+    b = (gen.random_polygons(r, 15, radius_frac=0.1, start_id=100)
+         + gen.random_polylines(r, 10, start_id=200) + gen.uniform_points(r, 10))
+    i, j = _all_pairs(a, b)
+    reach = r.uniform(0.0, 0.2, len(i))
+    got = records_intersect(RecordTable(a), RecordTable(b), i, j, reach)
+    want = [geometry_distance(a[p], b[q]) <= d for p, q, d in zip(i, j, reach)]
+    assert got.tolist() == want
+    meets = records_intersect(RecordTable(a), RecordTable(b), i, j)
+    assert sum(meets) < sum(want) < len(want)
+
+
 def test_polygon_distances_equal_geometry_distance():
     r = gen.rng(7)
     polys = gen.random_polygons(r, 8, radius_frac=0.15) + [_holed(8)]

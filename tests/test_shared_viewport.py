@@ -141,6 +141,11 @@ def _counted(monkeypatch, module, name, calls):
 
 
 def test_probes_rasterized_once_per_chunk_whatever_the_layer_count(monkeypatch):
+    """A probe that needs the raster on any canvas of a query is rasterized
+    in one chunk, once for all canvases, and each chunk calls ``edge_keys``
+    and ``fill_runs`` once, whatever the layer count. A probe the window
+    pass settles, as every probe wholly inside the one big box does, never
+    reaches them."""
     big, three, layers = _stacked_boxes()
     r = gen.rng(22)
     probes = gen.random_polygons(r, 60, radius_frac=0.08, start_id=500)
@@ -157,13 +162,23 @@ def test_probes_rasterized_once_per_chunk_whatever_the_layer_count(monkeypatch):
     calls: dict = {}
     for name in ("edge_keys", "fill_runs", "_point_keys", "match_points"):
         _counted(monkeypatch, engine, name, calls)
-    counts = []
+    chunks = []
+    real_raster = engine._probe_raster
+
+    def raster(vp, table, ranks):
+        chunks.append(table.ids[ranks].tolist())
+        return real_raster(vp, table, ranks)
+    monkeypatch.setattr(engine, "_probe_raster", raster)
+    counts, rasterized = [], []
     for d1, d1_layers in (([big], LayerIndex([[100]])), (three, layers)):
         calls.clear()
         views.clear()
+        chunks.clear()
         got = engine.join(d1, probes, resolution=256, d1_layers=d1_layers,
                           d2_layers=probe_layers)
         assert list(got.pairs) == oracle.oracle_join(d1, probes)
+        rasterized.append([rid for chunk in chunks for rid in chunk])
+        assert calls.get("edge_keys", 0) == calls.get("fill_runs", 0) == len(chunks)
         got = engine.join(d1, points, resolution=256, d1_layers=d1_layers)
         assert list(got.pairs) == oracle.oracle_join(d1, points)
         # One render per layer in each join, every one over the same viewport.
@@ -171,8 +186,11 @@ def test_probes_rasterized_once_per_chunk_whatever_the_layer_count(monkeypatch):
         assert len(set(views)) == 1
         counts.append(dict(calls))
     one, three_layers = counts
-    assert one["edge_keys"] >= 3
-    assert three_layers["edge_keys"] == three_layers["fill_runs"] == one["edge_keys"]
+    # Every probe lies in the big box's interior, off its boundary pixels.
+    assert rasterized[0] == [] and "edge_keys" not in one
+    # Against the lattices most probes need the raster, each in one chunk.
+    assert len(rasterized[1]) == len(set(rasterized[1])) > 40
+    assert three_layers["edge_keys"] >= 3
     assert three_layers["_point_keys"] == one["_point_keys"] == 1
     assert three_layers["match_points"] == 3 * one["match_points"] == 3
 
