@@ -21,12 +21,6 @@ class Config:
     resolution: int = 2048
     # Grid-cell byte budget for the clustered grid index.
     byte_budget: int = 64 * 1024 * 1024
-    # kNN radius schedule shrink factor (> 1).
-    alpha: float = 2.0
-    # Smallest meaningful kNN search radius; bounds the circle count.
-    knn_radius_floor: float = 1e-3
-    # Maximum number of kNN circles.
-    circle_cap: int = 64
     # Memory allowed for a single one-pass Map buffer.
     canvas_budget_bytes: int = 64 * 1024 * 1024
     # Bytes per one-pass Map result slot.
@@ -37,24 +31,17 @@ class Config:
     def validate(self) -> "Config":
         if not 16 <= self.resolution <= 32768:
             raise ConfigurationError(f"resolution {self.resolution} outside [16, 32768]")
-        if self.alpha <= 1.0:
-            raise ConfigurationError("alpha must be > 1")
         if self.byte_budget <= 0 or self.canvas_budget_bytes <= 0:
             raise ConfigurationError("byte budgets must be positive")
-        if not self.knn_radius_floor > 0:
-            raise ConfigurationError("knn_radius_floor must be positive")
-        if self.cache_factor < 1 or self.circle_cap < 1:
-            raise ConfigurationError("cache_factor and circle_cap must be at least 1")
+        if self.cache_factor < 1:
+            raise ConfigurationError("cache_factor must be at least 1")
         return self
 
 
-_INT_FIELDS = {"resolution", "byte_budget", "circle_cap", "canvas_budget_bytes",
-               "slot_size", "cache_factor"}
-
-
-def _coerce(name: str, raw: str):
+def _coerce(name: str, raw: str) -> int:
+    """A setting's text as its value: every field is an integer."""
     try:
-        return int(raw) if name in _INT_FIELDS else float(raw)
+        return int(raw)
     except ValueError:
         raise ConfigurationError(f"{name}: not a number: {raw!r}") from None
 

@@ -1,5 +1,6 @@
 """Query evaluation: selection, joins, distance queries, kNN, and spatial
-aggregation, composed from canvas rendering and exact boundary tests.
+aggregation, composed from canvas rendering and exact boundary tests. kNN
+renders no canvas: it ranks points by exact (distance, id) (see kNN below).
 
 Every query is exact: raster classification only routes work (interior hits
 are certain, boundary pixels fall back to exact tests), so results are
@@ -171,10 +172,9 @@ class PreparedPoints:
     ``ids`` ascending (int64), their ``xy`` (N, 2) and ``values`` (NaN
     where a point has none). Built on first use: ``x_order``, the
     permutation that sorts the points by x, with ``x_sorted`` and
-    ``y_by_x`` the points' x and y in that order (the kNN ladder counts
-    over an x slab of them); ``bbox``; and ``records``, for the few callers
-    that need ``GeometryRecord``s (the type-1 flip of ``distance_join``,
-    ``knn_join``'s left side).
+    ``y_by_x`` the points' x and y in that order (kNN ranks an x slab of
+    them); and ``records``, for the one caller that needs
+    ``GeometryRecord``s (the type-1 flip of ``distance_join``).
 
     ``PreparedPoints(records)`` builds the columns from point records;
     ``PreparedPoints.from_arrays`` takes columns as they are, such as a
@@ -229,12 +229,6 @@ class PreparedPoints:
     @cached_property
     def y_by_x(self) -> np.ndarray:
         return self.xy[self.x_order, 1]
-
-    @cached_property
-    def bbox(self):
-        if not len(self.ids):
-            return None
-        return (self.x_sorted[0], self.xy[:, 1].min(), self.x_sorted[-1], self.xy[:, 1].max())
 
     def __len__(self):
         return len(self.ids)
@@ -1099,63 +1093,52 @@ def _prepared_points(dataset) -> PreparedPoints:
     return _records(dataset).prepared
 
 
-def farthest_corner(p: Point2, box) -> float:
-    """Distance from p to the farthest corner of box (x0, y0, x1, y1): the
-    kNN ladder's largest radius."""
-    x0, y0, x1, y1 = box
-    return max(math.hypot(p.x - cx, p.y - cy)
-               for cx, cy in ((x0, y0), (x1, y0), (x0, y1), (x1, y1)))
+def _slab(prepared: PreparedPoints, center: Point2, w: float) -> tuple:
+    """(lo, hi, d): the points of the x slab [cx - w, cx + w], positions
+    lo to hi in x order, and their distances to center. The slab is widened
+    by a few ulps: ``x - cx`` can round down to w for an x just past
+    ``cx + w``, so every point with ``d <= w`` lies in it."""
+    pad = 4.0 * np.finfo(np.float64).eps * (abs(center.x) + w)
+    xs = prepared.x_sorted
+    lo = int(np.searchsorted(xs, center.x - w - pad, side="left"))
+    hi = int(np.searchsorted(xs, center.x + w + pad, side="right"))
+    return lo, hi, np.hypot(xs[lo:hi] - center.x, prepared.y_by_x[lo:hi] - center.y)
 
 
 def _count_within(prepared: PreparedPoints, center: Point2, r: float) -> int:
     """Exact count of dataset points within r of center, by the predicate
     ``_points_near_entries`` tests, over the points of the x slab
-    [cx - r, cx + r]. The slab is widened by a few ulps: ``x - cx`` can
-    round down to r for an x just past ``cx + r``."""
-    pad = 4.0 * np.finfo(np.float64).eps * (abs(center.x) + r)
-    xs = prepared.x_sorted
-    lo = int(np.searchsorted(xs, center.x - r - pad, side="left"))
-    hi = int(np.searchsorted(xs, center.x + r + pad, side="right"))
-    d = np.hypot(xs[lo:hi] - center.x, prepared.y_by_x[lo:hi] - center.y)
-    return int(np.count_nonzero(d <= r))
+    [cx - r, cx + r]."""
+    return int(np.count_nonzero(_slab(prepared, center, r)[2] <= r))
 
 
-def _knn_radii(config: Config, r_max: float) -> list:
-    """The kNN radius schedule r_max / alpha^i, largest first: enough rungs
-    to shrink r_max to ``knn_radius_floor``, at least 1 and at most
-    ``circle_cap``."""
-    if config.alpha <= 1.0:
-        raise DataError("kNN alpha must be > 1")
-    c = math.ceil(math.log(max(r_max / config.knn_radius_floor, 1.0), config.alpha))
-    c = min(max(c, 1), config.circle_cap)
-    return [r_max / config.alpha ** i for i in range(c + 1)]
+def _ranked(ids: np.ndarray, d: np.ndarray, k: int) -> tuple:
+    """(ids, d) of the first k points by ascending (distance, id): the one
+    tie rule of every kNN query."""
+    order = np.lexsort((ids, d))[:k]
+    return ids[order], d[order]
 
 
-def _ladder_radius(config: Config, count, k: int, r_max: float) -> float:
-    """Smallest radius of the schedule from ``r_max`` (``knn_radius_floor``
-    when not positive) whose circle holds at least k points, by binary
-    search over the monotone ``count(r)``; the largest radius when none
-    does."""
-    if r_max <= 0:
-        r_max = config.knn_radius_floor
-    radii = _knn_radii(config, r_max)  # descending
-    lo, hi = 0, len(radii) - 1  # counts decrease with index
-    # invariant: count(radii[lo]) >= k; find the largest index still >= k
-    if count(radii[hi]) >= k:
-        return radii[hi]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if count(radii[mid]) >= k:
-            lo = mid
-        else:
-            hi = mid
-    return radii[lo]
-
-
-def _knn_radius(prepared: PreparedPoints, center: Point2, k: int, config: Config) -> float:
-    """The ladder radius for k neighbours of center, counted in memory."""
-    return _ladder_radius(config, lambda r: _count_within(prepared, center, r), k,
-                          farthest_corner(center, _bounds_union([prepared.bbox])))
+def _nearest(prepared: PreparedPoints, center: Point2, k: int) -> list:
+    """The k nearest points to center, ranked. The x slab of half-width w
+    starts at the x extent times sqrt(k / n) and doubles until it holds k
+    points within w of center, or every point: then the k nearest are all
+    within w, and so in the slab."""
+    n, xs = len(prepared), prepared.x_sorted
+    w = max((xs[-1] - xs[0]) * math.sqrt(k / n),
+            4.0 * np.finfo(np.float64).eps * (abs(center.x) + abs(center.y)),
+            np.finfo(np.float64).tiny)
+    while True:
+        lo, hi, d = _slab(prepared, center, w)
+        near = np.flatnonzero(d <= w)
+        if len(near) >= k:
+            break
+        if lo == 0 and hi == n:
+            near = np.arange(n)
+            break
+        w *= 2.0
+    ids, d = _ranked(prepared.ids[prepared.x_order[lo + near]], d[near], k)
+    return list(zip(ids.tolist(), d.tolist()))
 
 
 def _check_k(k: int, n: int):
@@ -1166,51 +1149,26 @@ def _check_k(k: int, n: int):
         raise DataError(f"k={k} exceeds dataset size {n}")
 
 
-def _neighbours(left, radii, k: int, parts, resolution: int) -> list:
-    """Per point record of ``left`` (ids ascending), the (id, distance) of
-    its k nearest points of ``parts`` (point ids ascending) within its
-    radius, by ascending (distance, id)."""
-    left_ids, left_xy = _point_ids(left), _point_xy(left)
-    li, rid, d = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
-    matchers = _buffer_matchers(left, radii, resolution)
-    for part, pairs in _probe_parts(matchers, map(_dataset_part, parts)):
-        lid, rid_p = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
-        lj = np.searchsorted(left_ids, lid)
-        at = part.xy[np.searchsorted(part.ids, rid_p)]
-        li.append(lj)
-        rid.append(rid_p)
-        d.append(np.hypot(left_xy[lj, 0] - at[:, 0], left_xy[lj, 1] - at[:, 1]))
-    li, rid, d = map(np.concatenate, (li, rid, d))
-    order = np.lexsort((rid, d, li))
-    start = np.searchsorted(li[order], np.arange(len(left) + 1))
-    return [[(int(rid[i]), float(d[i])) for i in order[a:min(a + k, b)]]
-            for a, b in zip(start[:-1], start[1:])]
-
-
-def knn_select(dataset, p, k: int, resolution: int | None = None,
-               config: Config = DEFAULT, geographic: bool = False) -> list:
+def knn_select(dataset, p, k: int, *, config: Config = DEFAULT,
+               geographic: bool = False) -> list:
     """The k nearest dataset points to p as (id, distance) sorted by
-    (distance, id). Ties at the k-th distance break toward ascending id."""
+    (distance, id): ties at the k-th distance break toward ascending id.
+    Exact, by distance order over an x slab of the points; no canvas, so
+    nothing of ``config`` is read (every query takes one)."""
     prepared = _maybe_project(_prepared_points(dataset), geographic)
     if not isinstance(p, Point2):
         p = Point2(float(p[0]), float(p[1]))
     if geographic:
         p = project_4326_to_3857(p)
     _check_k(k, len(prepared))
-    r = _knn_radius(prepared, p, k, config)
-    return _neighbours([GeometryRecord(0, "point", p)], [r], k, [prepared],
-                       resolution or config.resolution)[0]
+    return _nearest(prepared, p, k)
 
 
-def knn_join(d1, d2, k: int, resolution: int | None = None, config: Config = DEFAULT,
-             geographic: bool = False) -> list:
-    """Per D1 point, its k nearest D2 points: a per-point radius from the
-    radius ladder (exact counts, no canvas), one type-2 distance join with
-    those radii, its buffers rendered once, then a per-point (distance, id)
-    sort."""
+def knn_join(d1, d2, k: int, *, config: Config = DEFAULT, geographic: bool = False) -> list:
+    """Per D1 point in id order, (its id, the ids of its k nearest D2
+    points), ranked as ``knn_select`` ranks them."""
     left = _maybe_project(_prepared_points(d1), geographic)
     right = _maybe_project(_prepared_points(d2), geographic)
     _check_k(k, len(right))
-    radii = [_knn_radius(right, Point2(x, y), k, config) for x, y in left.xy]
-    found = _neighbours(left.records, radii, k, [right], resolution or config.resolution)
-    return [(lid, [i for i, _ in got]) for lid, got in zip(left.ids.tolist(), found)]
+    return [(lid, [i for i, _ in _nearest(right, Point2(x, y), k)])
+            for lid, (x, y) in zip(left.ids.tolist(), left.xy.tolist())]

@@ -10,9 +10,9 @@ it checks its inputs with the engine, filters the cells, then streams the
 kept cells, each loaded once, past canvases rendered once per query; a
 filter that keeps nothing renders nothing. ``ooc_join`` runs its plan's
 load order instead and renders each A-side canvas once: every layer of an
-A cell, or one A polygon, with its B cells streamed past it. The kNN
-radius ladder counts exactly over the kept cells' point columns, without
-a canvas.
+A cell, or one A polygon, with its B cells streamed past it. kNN renders
+no canvas: it walks the cells best-first by hull distance and ranks the
+points of each cell it reaches, loaded once, by exact (distance, id).
 
 A dataset directory holds four files: ``catalog.meta`` (text key-value),
 ``records.bin`` (the ingested records), ``cells.bin`` (the grid cells) and
@@ -798,24 +798,18 @@ def ooc_aggregate(constraints, store: DatasetStore, mode: str = "count",
 
 
 def ooc_count_within(store: DatasetStore, center: Point2, r: float) -> int:
-    """Exact count of stored points within r of center: the in-memory
-    ladder count over the points of each cell ``filter_distance`` keeps."""
+    """Exact count of stored points within r of center: the in-memory slab
+    count (``engine._count_within``) over the points of each cell
+    ``filter_distance`` keeps, with no canvas."""
     index = store.grid_index()
-    return _count_in_cells(store, index, _hull_distances(index, center), center, r)
+    return sum(engine._count_within(store.load_cell(index.cells[k]).points, center, r)
+               for k in np.flatnonzero(_hull_distances(index, center) <= r))
 
 
 def _hull_distances(index: GridIndex, center: Point2) -> np.ndarray:
     """Exact distance from center to every cell hull, as ``filter_distance``
     compares them with r."""
     return polygon_distances(GeometryRecord(0, "point", center), index.hulls())
-
-
-def _count_in_cells(store: DatasetStore, index: GridIndex, hull_d: np.ndarray,
-                    center: Point2, r: float) -> int:
-    """The ladder count over the points of the cells whose hull distance
-    ``hull_d`` is at most r."""
-    return sum(engine._count_within(store.load_cell(index.cells[k]).points, center, r)
-               for k in np.flatnonzero(hull_d <= r))
 
 
 def _knn_store_index(store: DatasetStore, k: int) -> GridIndex:
@@ -828,45 +822,65 @@ def _knn_store_index(store: DatasetStore, k: int) -> GridIndex:
     return index
 
 
-def _ooc_knn_radius(store: DatasetStore, index: GridIndex, p: Point2, k: int,
-                    config: Config) -> tuple:
-    """(r, kept): the ladder radius for k neighbours of p, counted through
-    the cells the way ``ooc_count_within`` counts, and the cells
-    ``filter_distance`` keeps at r. p's hull distances do not depend on the
-    rung, so they are computed once for all of it."""
-    hull_d = _hull_distances(index, p)
-    r = engine._ladder_radius(config, lambda r: _count_in_cells(store, index, hull_d, p, r), k,
-                              engine.farthest_corner(p, index.extent))
-    return r, [index.cells[j] for j in np.flatnonzero(hull_d <= r)]
+def _ooc_nearest(store: DatasetStore, index: GridIndex, centers, k: int) -> list:
+    """Per center, its k nearest stored points, ranked as ``engine`` ranks
+    them, by one best-first walk over the cells shared by all centers.
+
+    The (center, cell) pairs are taken by ascending hull distance. Each
+    center keeps its k best (id, distance); a pair whose cell is not yet
+    loaded and whose hull lies within its center's current k-th distance
+    loads the cell, and every center whose k-th distance reaches that hull
+    ranks the cell's points. A hull lies no nearer than any point it holds,
+    so the walk stops at the first pair farther than every k-th distance,
+    and a cell is loaded once, only when some center's answer can hold one
+    of its points (Hjaltason & Samet, "Distance Browsing in Spatial
+    Databases", ACM TODS 1999)."""
+    n = len(index.cells)
+    hull_d = np.array([_hull_distances(index, c) for c in centers]).reshape(len(centers), n)
+    best = [(np.empty(0, np.int64), np.empty(0))] * len(centers)
+    kth = np.full(len(centers), np.inf)
+    loaded = np.zeros(n, dtype=bool)
+    for i, j in zip(*np.unravel_index(np.argsort(hull_d, axis=None, kind="stable"),
+                                      hull_d.shape)):
+        if hull_d[i, j] > kth.max():
+            break
+        if loaded[j] or hull_d[i, j] > kth[i]:
+            continue
+        loaded[j] = True
+        pts = store.load_cell(index.cells[j]).points
+        for c in np.flatnonzero(hull_d[:, j] <= kth):
+            d = np.hypot(pts.xy[:, 0] - centers[c].x, pts.xy[:, 1] - centers[c].y)
+            # Only points that can enter the k best are ranked: those within
+            # the k-th distance, or the cell's k nearest (ties kept) while
+            # fewer than k are known.
+            cut = kth[c]
+            if cut == np.inf and len(d) > k:
+                cut = np.partition(d, k - 1)[k - 1]
+            keep = d <= cut
+            ids, dist = best[c]
+            best[c] = ids, dist = engine._ranked(np.concatenate([ids, pts.ids[keep]]),
+                                                 np.concatenate([dist, d[keep]]), k)
+            if len(ids) == k:
+                kth[c] = dist[-1]
+    return [list(zip(ids.tolist(), dist.tolist())) for ids, dist in best]
 
 
-def ooc_knn_select(store: DatasetStore, p: Point2, k: int,
-                   resolution: int | None = None,
+def ooc_knn_select(store: DatasetStore, p: Point2, k: int, *,
                    config: Config = DEFAULT) -> list:
-    """kNN over a stored point dataset: the radius ladder of
-    ``engine._ladder_radius`` counts exactly over the points of the cells
-    each rung's circle reaches (``ooc_count_within``, no canvas), then the
-    cells the final circle reaches stream past its one canvas, and the
-    points it matches are ranked by (distance, id) as ``engine.knn_select``
-    ranks them."""
+    """``engine.knn_select`` over a stored point dataset: the best-first
+    cell walk with one center, no canvas; ``config`` is not read."""
     index = _knn_store_index(store, k)
     if not isinstance(p, Point2):
         p = Point2(float(p[0]), float(p[1]))
-    r, kept = _ooc_knn_radius(store, index, p, k, config)
-    [got] = engine._neighbours([GeometryRecord(0, "point", p)], [r], k,
-                               (store.load_cell(c) for c in kept), resolution or config.resolution)
-    return got
+    return _ooc_nearest(store, index, [p], k)[0]
 
 
-def ooc_knn_join(d1_records, store_b: DatasetStore, k: int,
-                 resolution: int | None = None, config: Config = DEFAULT) -> list:
-    """Per D1 point, its k nearest stored points: a ladder radius per point,
-    then one out-of-core type-2 distance join with those radii, ranked as
-    ``engine.knn_join`` ranks them."""
+def ooc_knn_join(d1_records, store_b: DatasetStore, k: int, *,
+                 config: Config = DEFAULT) -> list:
+    """``engine.knn_join`` of in-memory points against a stored point
+    dataset: one best-first cell walk shared by all D1 points, so each cell
+    it reaches is loaded once."""
     index = _knn_store_index(store_b, k)
     left = sorted(d1_records, key=lambda rec: rec.id)
-    found = [_ooc_knn_radius(store_b, index, rec.geometry, k, config) for rec in left]
-    kept = _reached(index, [cells for _, cells in found])
-    got = engine._neighbours(left, [r for r, _ in found], k, (store_b.load_cell(c) for c in kept),
-                             resolution or config.resolution)
-    return [(rec.id, [i for i, _ in nb]) for rec, nb in zip(left, got)]
+    found = _ooc_nearest(store_b, index, [rec.geometry for rec in left], k)
+    return [(rec.id, [i for i, _ in nb]) for rec, nb in zip(left, found)]

@@ -109,7 +109,6 @@ def test_prepared_points_from_arrays_sorts_by_id():
     assert pts.ids.tolist() == [2, 5, 9]
     assert pts.xy[:, 0].tolist() == [0.2, 0.5, 0.9]
     assert [(r.id, r.value) for r in pts.records] == [(2, None), (5, 1.0), (9, 3.0)]
-    assert pts.bbox == (0.2, 0.2, 0.9, 0.9)
 
 
 def test_read_records_returns_the_ingested_records(tmp_path):

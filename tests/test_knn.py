@@ -1,17 +1,22 @@
-"""In-memory kNN selection and join agree with the brute-force oracle, on a
-``PreparedPoints`` and on a plain record list."""
+"""kNN selection and join agree with the brute-force oracle, ids and
+distances, ties at the k-th distance included: in memory, on a
+``PreparedPoints`` and on a plain record list, and out of core, through a
+store of tiny cells. No kNN query renders a canvas."""
 
+import collections
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
 from rasterquery import canvas, engine, oracle, storage
 from rasterquery.config import Config
 from rasterquery.errors import DataError
 from rasterquery.geometry import (
-    GeometryRecord,
     Point2,
     point_record,
     project_4326_to_3857,
@@ -19,6 +24,7 @@ from rasterquery.geometry import (
 )
 
 N = 120
+CFG = Config(resolution=64, byte_budget=1 << 20, cache_factor=1)
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +46,7 @@ def _same(got, want):
 def test_knn_select(points, form, k):
     data = _forms(points)[form]
     for p in (Point2(0.5, 0.5), Point2(0.93, 0.12), Point2(-0.4, 1.6)):
-        _same(engine.knn_select(data, p, k, resolution=64),
+        _same(engine.knn_select(data, p, k),
               oracle.oracle_knn_select(points, p, k))
 
 
@@ -60,7 +66,7 @@ def tied_points():
 @pytest.mark.parametrize("k", [1, 3, 5, 6])
 def test_knn_select_breaks_ties_toward_lower_id(form, k):
     recs = tied_points()
-    got = engine.knn_select(_forms(recs)[form], (0.5, 0.5), k, resolution=32)
+    got = engine.knn_select(_forms(recs)[form], (0.5, 0.5), k)
     assert got == oracle.oracle_knn_select(recs, Point2(0.5, 0.5), k)
     assert [rid for rid, _ in got] == [3, 5, 7, 11, 2, 4][:k]
 
@@ -69,7 +75,7 @@ def test_knn_select_breaks_ties_toward_lower_id(form, k):
 @pytest.mark.parametrize("k", [1, 10, N])
 def test_knn_join(points, form, k):
     left = gen.uniform_points(gen.rng(22), 6)
-    assert engine.knn_join(left, _forms(points)[form], k, resolution=64) \
+    assert engine.knn_join(left, _forms(points)[form], k) \
         == oracle.oracle_knn_join(left, points, k)
 
 
@@ -77,7 +83,7 @@ def test_knn_join(points, form, k):
 def test_knn_join_breaks_ties_toward_lower_id(form):
     recs = tied_points()
     left = [point_record(0, 0.5, 0.5)]
-    got = engine.knn_join(left, _forms(recs)[form], 5, resolution=32)
+    got = engine.knn_join(left, _forms(recs)[form], 5)
     assert got == oracle.oracle_knn_join(left, recs, 5) == [(0, [3, 5, 7, 11, 2])]
 
 
@@ -86,8 +92,7 @@ def test_knn_select_geographic(form):
     r = gen.rng(23)
     recs = [point_record(i, lon, lat) for i, (lon, lat)
             in enumerate(zip(r.uniform(2.0, 2.6, 80), r.uniform(48.6, 49.0, 80)))]
-    got = engine.knn_select(_forms(recs)[form], (2.3, 48.8), 7, resolution=64,
-                            geographic=True)
+    got = engine.knn_select(_forms(recs)[form], (2.3, 48.8), 7, geographic=True)
     want = oracle.oracle_knn_select([project_record_4326_to_3857(rec) for rec in recs],
                                     project_4326_to_3857(Point2(2.3, 48.8)), 7)
     _same(got, want)
@@ -104,20 +109,9 @@ def test_knn_rejects_bad_k(points, form, k):
         engine.knn_join(points[:3], data, k)
 
 
-@pytest.mark.parametrize("alpha", [1.0, 0.5])
-def test_knn_rejects_an_alpha_of_at_most_one(points, alpha):
-    """The ladder's shrink factor comes from the ``Config``, unvalidated
-    when built directly; a factor that does not shrink is refused."""
-    config = Config(alpha=alpha)
-    with pytest.raises(DataError):
-        engine.knn_select(points, Point2(0.5, 0.5), 3, config=config)
-    with pytest.raises(DataError):
-        engine.knn_join(points[:3], points, 3, config=config)
-
-
 @pytest.mark.parametrize("n", [16, 128])
 def test_count_within_matches_brute_force(n):
-    """The ladder's count reads only the x slab of the circle; it must still
+    """The count reads only the x slab of the circle; it must still
     count every point within r, including points just inside the slab's
     ends, on a sparse and a denser point set."""
     prepared = engine.PreparedPoints(gen.gaussian_points(gen.rng(21), n))
@@ -166,96 +160,51 @@ def test_count_within_at_point_distances(points, form):
     assert engine._count_within(tie, Point2(2.0 ** -53, 0.0), 1.0) == 1
 
 
-def _ladder_by_scan(xy, c, k, cfg, r_max):
-    """The ladder radius by counting every rung by brute force: the
-    smallest radius holding k points, else the largest rung."""
-    radii = engine._knn_radii(cfg, r_max)
-    d = np.hypot(xy[:, 0] - c.x, xy[:, 1] - c.y)
-    return radii[max((i for i, r in enumerate(radii) if (d <= r).sum() >= k), default=0)]
-
-
-def _ladder_by_canvas(prepared, c, k, cfg, r_max):
-    """The ladder radius with each rung counted by a distance canvas at the
-    count resolution, as a distance selection counts it."""
-    src = GeometryRecord(0, "point", c)
-    return engine._ladder_radius(
-        cfg, lambda r: len(engine.distance_select(prepared, src, r, resolution=128).ids), k, r_max)
-
-
-def _r_max(prepared, c):
-    x0, y0, x1, y1 = engine._bounds_union([prepared.bbox])
-    return max(math.hypot(c.x - x, c.y - y) for x in (x0, x1) for y in (y0, y1))
-
-
-@pytest.mark.parametrize("k", [1, 7, N])
-def test_knn_radius_matches_brute_force_ladder(points, k):
-    """The ladder picks the rung a brute-force count of every rung picks,
-    and the one canvas counts pick, for centres inside and outside the
-    points' bbox."""
-    prepared = engine.PreparedPoints(points)
-    cfg = Config()
-    r = gen.rng(26)
-    for i, (x, y) in enumerate(r.uniform(-0.5, 1.5, (40, 2))):
-        c = Point2(float(x), float(y))
-        got = engine._knn_radius(prepared, c, k, cfg)
-        assert got == _ladder_by_scan(prepared.xy, c, k, cfg, _r_max(prepared, c))
-        if i % 8 == 0:
-            assert got == _ladder_by_canvas(prepared, c, k, cfg, _r_max(prepared, c))
-
-
 def test_knn_radius_with_every_point_at_the_centre():
-    """All points at the centre: the bbox is one point, so the ladder starts
-    from the padded box, and a non-positive r_max falls back to the radius
-    floor."""
+    """All points at the centre: the x extent is zero, and the slab still
+    starts with a positive half-width."""
     recs = [point_record(i, 0.3, 0.3) for i in range(5)]
     prepared = engine.PreparedPoints(recs)
-    c, cfg = Point2(0.3, 0.3), Config()
+    c = Point2(0.3, 0.3)
     for k in (1, 5):
-        got = engine._knn_radius(prepared, c, k, cfg)
-        assert got == _ladder_by_scan(prepared.xy, c, k, cfg, _r_max(prepared, c))
         assert engine.knn_select(prepared, c, k) == oracle.oracle_knn_select(recs, c, k)
-    for r_max in (0.0, -1.0):
-        assert engine._ladder_radius(cfg, lambda r: 5, 5, r_max) == \
-            engine._knn_radii(cfg, cfg.knn_radius_floor)[-1]
-        assert engine._ladder_radius(cfg, lambda r: 0, 5, r_max) == cfg.knn_radius_floor
 
 
-def _count_finalize(monkeypatch) -> list:
-    calls = []
-    real = canvas.DistanceCanvasBuilder.finalize
+def _forbid_canvases(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a kNN query rendered a canvas")
+    monkeypatch.setattr(canvas.DistanceCanvasBuilder, "finalize", forbidden)
+    monkeypatch.setattr(canvas, "render_geometry_canvas", forbidden)
 
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return real(self, *args, **kwargs)
-    monkeypatch.setattr(canvas.DistanceCanvasBuilder, "finalize", counted)
-    return calls
+
+@pytest.fixture(scope="module")
+def store(points, tmp_path_factory):
+    """The fixture points in cells of at most six points."""
+    root = tmp_path_factory.mktemp("knn")
+    storage.build_indexes(storage.ingest(points, "pts", root), byte_budget=200, config=CFG)
+    store = storage.DatasetStore(root, "pts", CFG)
+    assert len(store.grid_index().cells) >= 16
+    return store
 
 
 @pytest.mark.parametrize("k", [1, 10, N])
-def test_knn_select_renders_one_canvas(points, monkeypatch, k):
-    """The ladder counts without a canvas; only the final distance
-    selection renders one."""
+def test_knn_select_renders_no_canvas(points, store, monkeypatch, k):
+    """kNN ranks points by distance; no canvas is rendered, in memory or
+    out of core."""
     prepared = engine.PreparedPoints(points)
-    calls = _count_finalize(monkeypatch)
-    got = engine.knn_select(prepared, Point2(0.4, 0.55), k, resolution=64)
-    assert got == oracle.oracle_knn_select(points, Point2(0.4, 0.55), k)
-    assert calls == [1]
+    _forbid_canvases(monkeypatch)
+    p = Point2(0.4, 0.55)
+    want = oracle.oracle_knn_select(points, p, k)
+    assert engine.knn_select(prepared, p, k) == want
+    assert storage.ooc_knn_select(store, p, k, config=CFG) == want
 
 
-def test_knn_join_renders_one_canvas_per_distance_layer(points, monkeypatch):
-    layers = []
-    real = engine.build_distance_layer_index
-
-    def recorded(*args, **kwargs):
-        layers.append(real(*args, **kwargs))
-        return layers[-1]
-    monkeypatch.setattr(engine, "build_distance_layer_index", recorded)
-    calls = _count_finalize(monkeypatch)
+def test_knn_join_renders_no_canvas(points, store, monkeypatch):
+    _forbid_canvases(monkeypatch)
     left = gen.uniform_points(gen.rng(27), 12)
-    got = engine.knn_join(left, engine.PreparedPoints(points), 10, resolution=64)
-    assert got == oracle.oracle_knn_join(left, points, 10)
-    assert len(layers) == 1
-    assert len(calls) == layers[0].layer_count >= 1
+    want = oracle.oracle_knn_join(left, points, 10)
+    assert engine.knn_join(left, engine.PreparedPoints(points), 10) == want
+    assert storage.ooc_knn_join(left, store, 10, config=CFG) == want
 
 
 @pytest.mark.parametrize("radius", [0.05, 0.2])
@@ -268,3 +217,120 @@ def test_distance_join_takes_prepared_points(points, radius):
         assert list(engine.distance_join(left, prepared, radius, resolution=64).pairs) == want
         assert list(engine.distance_join(left, prepared, [radius] * len(left),
                                          resolution=64).pairs) == want
+
+
+# ---------------------------------------------------------------------------
+# Degenerate inputs and ties, in memory and through a store of tiny cells
+# ---------------------------------------------------------------------------
+
+def _tiny_store(recs, root, budget=200):
+    storage.build_indexes(storage.ingest(recs, "pts", root), byte_budget=budget, config=CFG)
+    return storage.DatasetStore(root, "pts", CFG)
+
+
+def _check_knn(recs, centres, ks, store):
+    """Every centre and k, in memory (both dataset forms) and out of core,
+    against the oracle, ids and distances (the oracle's ``math.hypot`` may
+    differ from ``np.hypot`` in the last place); and the join of all
+    centres."""
+    left = [point_record(1000 + i, c.x, c.y) for i, c in enumerate(centres)]
+    for k in ks:
+        for c in centres:
+            want = oracle.oracle_knn_select(recs, c, k)
+            for data in _forms(recs).values():
+                _same(engine.knn_select(data, c, k), want)
+            _same(storage.ooc_knn_select(store, c, k, config=CFG), want)
+        want = oracle.oracle_knn_join(left, recs, k)
+        assert engine.knn_join(left, recs, k) == want
+        assert storage.ooc_knn_join(left, store, k, config=CFG) == want
+
+
+def _coincident():
+    return [point_record(i, 0.3, 0.3) for i in (4, 1, 3, 2, 0)]
+
+
+DEGENERATE = {
+    # Zero extent: the slab's start width must still be positive.
+    "coincident": (_coincident(), [Point2(0.3, 0.3), Point2(0.9, -0.2), Point2(1e7, 1e7)],
+                   [1, 3, 5]),
+    "coincident far off": ([point_record(i, 1e7, -1e7) for i in (3, 1, 2)],
+                           [Point2(1e7, -1e7), Point2(0.0, 0.0)], [1, 2, 3]),
+    "centre 1e7 away": (gen.gaussian_points(gen.rng(21), N),
+                        [Point2(1e7, -1e7), Point2(0.5, 1e7)], [1, 7, N]),
+    "centre outside the bbox": (gen.gaussian_points(gen.rng(21), N),
+                                [Point2(-0.4, 1.6), Point2(2.0, 0.5), Point2(0.5, -3.0)],
+                                [1, 7, N]),
+}
+
+
+@pytest.mark.parametrize("case", list(DEGENERATE))
+def test_knn_on_degenerate_inputs(case, tmp_path):
+    recs, centres, ks = DEGENERATE[case]
+    _check_knn(recs, centres, ks, _tiny_store(recs, tmp_path))
+
+
+def _hull_tie():
+    """Around (0.5, 0.5), three points at exactly 5/16, (3, 4, 5) times
+    1/16. Ids 50 and 60 share a cell whose hull chord passes nearer than
+    5/16; id 1 is the top vertex of another cell's hull, at exactly 5/16
+    both as a point and as that hull's distance."""
+    return [point_record(50, 0.8125, 0.5), point_record(60, 0.6875, 0.75),
+            point_record(101, 1.0, 1.0),
+            point_record(1, 0.5, 0.1875), point_record(70, 0.5625, 0.125),
+            point_record(71, 0.75, 0.125),
+            point_record(100, 0.0, 0.0)]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_ooc_knn_loads_the_cell_whose_hull_ties_the_kth_distance(k, tmp_path, monkeypatch):
+    """The lower id of a tie at the k-th distance sits in a cell whose hull
+    distance equals that distance, and that cell comes after the nearer
+    cell that first sets it: the walk stops only at a hull strictly
+    farther, so that cell is still loaded, once."""
+    recs, c, kth = _hull_tie(), Point2(0.5, 0.5), 5 / 16
+    store = _tiny_store(recs, tmp_path)
+    index = store.grid_index()
+    hull_d = storage._hull_distances(index, c)
+    near, tie = (next(j for j, cell in enumerate(index.cells)
+                      if any(rec.id == i for rec in store.load_cell(cell).points.records))
+                 for i in (50, 1))
+    assert near != tie and hull_d[near] < kth and hull_d[tie] == kth
+    assert sorted(hull_d)[2] > kth
+    store = storage.DatasetStore(tmp_path, "pts", CFG)
+    loads = []
+    real = storage.DatasetStore.load_cell
+
+    def counted(self, cell):
+        loads.append(cell.key)
+        return real(self, cell)
+    monkeypatch.setattr(storage.DatasetStore, "load_cell", counted)
+    want = oracle.oracle_knn_select(recs, c, k)
+    assert [i for i, _ in want] == [1, 50][:k] and want[-1][1] == kth
+    assert storage.ooc_knn_select(store, c, k, config=CFG) == want
+    assert loads == [index.cells[near].key, index.cells[tie].key]
+    assert engine.knn_select(recs, c, k) == want
+
+
+# Binary fractions on a coarse lattice: duplicate points and equal distances
+# are common, and every distance is computed the same way by every path.
+_coord = st.integers(-4, 12).map(lambda i: i / 8)
+
+
+@settings(max_examples=40)
+@given(xy=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=14),
+       centre=st.tuples(st.integers(-16, 24).map(lambda i: i / 16),
+                        st.integers(-16, 24).map(lambda i: i / 16)),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_knn_matches_oracle_with_ties(xy, centre, seed, data):
+    """Small point sets with duplicates and tied distances, every k from 1
+    to n: every kNN path returns the oracle's ids and distances."""
+    ids = np.random.default_rng(seed).permutation(4 * len(xy))[:len(xy)]
+    recs = [point_record(int(i), x, y) for i, (x, y) in zip(ids, xy)]
+    k = data.draw(st.integers(1, len(recs)))
+    c = Point2(*centre)
+    # Cells of two points, or of as many as share one spot: a tile never
+    # splits duplicates.
+    most = max(collections.Counter(xy).values())
+    with tempfile.TemporaryDirectory() as root:
+        _check_knn(recs, [c, Point2(centre[1], centre[0])], sorted({1, k, len(recs)}),
+                   _tiny_store(recs, root, budget=8 + 32 * max(most, 2)))

@@ -219,17 +219,17 @@ def test_a_repeat_knn_over_a_list_prepares_no_points(monkeypatch):
     data, left = gen.uniform_points(r, 80), gen.uniform_points(r, 5)
     builds = _prepared_builds(monkeypatch)
     p = (0.4, 0.6)
-    first = engine.knn_select(data, p, 7, RES)
+    first = engine.knn_select(data, p, 7)
     assert [i for i, _ in first] == [i for i, _ in oracle.oracle_knn_select(data, p, 7)]
-    joined = engine.knn_join(left, data, 4, RES)
+    joined = engine.knn_join(left, data, 4)
     assert joined == oracle.oracle_knn_join(left, data, 4)
     assert len(builds) == 2
-    assert engine.knn_select(data, p, 7, RES) == first
-    assert engine.knn_join(left, data, 4, RES) == joined
+    assert engine.knn_select(data, p, 7) == first
+    assert engine.knn_join(left, data, 4) == joined
     assert len(builds) == 2
     # A new nearest point is found at once.
     data.append(point_record(500, *p))
-    assert engine.knn_select(data, p, 7, RES)[0] == (500, 0.0)
+    assert engine.knn_select(data, p, 7)[0] == (500, 0.0)
     assert len(builds) == 3
 
 

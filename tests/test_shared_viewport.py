@@ -252,7 +252,7 @@ def test_one_source_distance_queries_build_no_layer_index(tmp_path, monkeypatch)
     assert list(storage.ooc_distance_select(store, src, 0.1, config=cfg).ids) == want
     p, k = (0.3, 0.7), 5
     want = [rid for rid, _ in oracle.oracle_knn_select(points, p, k)]
-    assert [rid for rid, _ in engine.knn_select(points, p, k, resolution=64)] == want
+    assert [rid for rid, _ in engine.knn_select(points, p, k)] == want
     assert [rid for rid, _ in storage.ooc_knn_select(store, p, k, config=cfg)] == want
     assert calls == {}
     sources = gen.random_polygons(r, 5, radius_frac=0.1, start_id=500)

@@ -222,7 +222,7 @@ def test_distance_canvas_equals_dense_reference(name, res):
 
 
 def test_lone_disc_equals_dense_reference():
-    """``knn_select``'s final canvas: one disc over its own bounding box,
+    """A lone point's distance canvas: one disc over its own bounding box,
     mostly interior, held in about one run per column."""
     src, r = point_record(0, 0.37, 0.61), 0.05
     matcher = engine._distance_matcher(RecordTable([src]), [r], 1024)

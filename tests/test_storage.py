@@ -80,10 +80,9 @@ def test_ooc_distance_select(stores, where):
 def test_ooc_knn_select(stores, k):
     p = Point2(0.37, 0.61)
     want = oracle.oracle_knn_select(stores.points, p, k)
-    for res in RESOLUTIONS:
-        got = storage.ooc_knn_select(stores.sp, p, k, resolution=res, config=CFG)
-        assert [i for i, _ in got] == [i for i, _ in want], res
-        assert [d for _, d in got] == pytest.approx([d for _, d in want])
+    got = storage.ooc_knn_select(stores.sp, p, k, config=CFG)
+    assert [i for i, _ in got] == [i for i, _ in want]
+    assert [d for _, d in got] == pytest.approx([d for _, d in want])
 
 
 def test_ooc_distance_join(stores):
@@ -96,9 +95,8 @@ def test_ooc_distance_join(stores):
 
 def test_ooc_knn_join(stores):
     left = [point_record(900 + i, x, y) for i, (x, y) in enumerate([(0.25, 0.5), (0.7, 0.7)])]
-    for res in RESOLUTIONS:
-        got = storage.ooc_knn_join(left, stores.sp, 5, resolution=res, config=CFG)
-        assert got == oracle.oracle_knn_join(left, stores.points, 5), res
+    got = storage.ooc_knn_join(left, stores.sp, 5, config=CFG)
+    assert got == oracle.oracle_knn_join(left, stores.points, 5)
 
 
 @pytest.mark.parametrize("mode", ["count", "sum"])
@@ -154,15 +152,19 @@ def test_ooc_rejects_what_the_engine_rejects(stores, ooc, twin):
 
 
 def _ooc_cases(s) -> dict:
-    """Per ``ooc_*`` family: (query, the cells its refine step needs, the
-    canvases one query renders)."""
+    """Per ``ooc_*`` family: (query, the cells it needs, the canvases one
+    query renders). kNN needs the cells whose hull lies within a centre's
+    k-th distance, and renders none."""
     index = s.sp.grid_index()
     cons = gen.concave_polygon(gen.rng(6), center=(0.45, 0.55), radius=0.3)
     srcs = [point_record(900 + i, x, y) for i, (x, y) in
             enumerate([(0.2, 0.2), (0.5, 0.5), (0.8, 0.3)])]
     p = Point2(0.37, 0.61)
     left = [point_record(900 + i, x, y) for i, (x, y) in enumerate([(0.25, 0.5), (0.7, 0.7)])]
-    ladders = [storage._ooc_knn_radius(s.sp, index, rec.geometry, 5, CFG) for rec in left]
+
+    def within_kth(src, k):
+        kth = oracle.oracle_knn_select(s.points, src.geometry, k)[-1][1]
+        return storage.filter_distance(index, src, kth)
 
     def union(kept):
         return sorted({c.key for cells in kept for c in cells})
@@ -176,11 +178,9 @@ def _ooc_cases(s) -> dict:
                           canvas_index.build_distance_layer_index(
                               RecordTable(srcs), [R] * 3).layer_count),
         "knn_select": (lambda: storage.ooc_knn_select(s.sp, p, 40, config=CFG),
-                       union([storage._ooc_knn_radius(s.sp, index, p, 40, CFG)[1]]), 1),
+                       union([within_kth(point_record(0, p.x, p.y), 40)]), 0),
         "knn_join": (lambda: storage.ooc_knn_join(left, s.sp, 5, config=CFG),
-                     union([kept for _, kept in ladders]),
-                     canvas_index.build_distance_layer_index(
-                         RecordTable(left), [r for r, _ in ladders]).layer_count),
+                     union([within_kth(rec, 5) for rec in left]), 0),
         "aggregate": (lambda: storage.ooc_aggregate(s.hoods, s.sp, "sum", config=CFG),
                       union([storage.filter_select(index, h) for h in s.hoods]),
                       canvas_index.build_layer_index(s.hoods).layer_count),
@@ -189,11 +189,10 @@ def _ooc_cases(s) -> dict:
 
 def _record_work(monkeypatch) -> tuple:
     """(renders, loads): from now on, one entry per canvas rendered and the
-    key of each cell loaded, leaving out the loads of the kNN radius
-    ladder's counts."""
+    key of each cell loaded."""
     renders, loads = [], []
     render, finalize = canvas.render_geometry_canvas, canvas.DistanceCanvasBuilder.finalize
-    load, ladder = storage.DatasetStore.load_cell, storage._ooc_knn_radius
+    load = storage.DatasetStore.load_cell
 
     def rendered(*args, **kwargs):
         renders.append("polygons")
@@ -206,16 +205,9 @@ def _record_work(monkeypatch) -> tuple:
     def loaded(self, cell):
         loads.append(cell.key)
         return load(self, cell)
-
-    def counted_ladder(*args):
-        n = len(loads)
-        out = ladder(*args)
-        del loads[n:]
-        return out
     monkeypatch.setattr(canvas, "render_geometry_canvas", rendered)
     monkeypatch.setattr(canvas.DistanceCanvasBuilder, "finalize", finalized)
     monkeypatch.setattr(storage.DatasetStore, "load_cell", loaded)
-    monkeypatch.setattr(storage, "_ooc_knn_radius", counted_ladder)
     return renders, loads
 
 
@@ -527,26 +519,10 @@ def test_ooc_knn_join_with_exact_ties_at_a_tiny_budget(lattice, k):
         oracle.oracle_knn_join(left, lattice.points, k)
 
 
-def test_ooc_knn_radius_matches_brute_force_ladder(lattice):
-    index = lattice.store.grid_index()
-    x0, y0, x1, y1 = index.extent
-    for p in PROBES:
-        d = np.hypot(lattice.xy[:, 0] - p.x, lattice.xy[:, 1] - p.y)
-        radii = engine._knn_radii(CFG, max(np.hypot(p.x - x, p.y - y)
-                                           for x in (x0, x1) for y in (y0, y1)))
-        for k in (1, 9, 400):
-            want = radii[max(i for i, r in enumerate(radii) if (d <= r).sum() >= k)]
-            r, kept = storage._ooc_knn_radius(lattice.store, index, p, k, CFG)
-            assert r == want
-            src = point_record(0, p.x, p.y)
-            assert kept == storage.filter_distance(index, src, r)
-
-
 @pytest.mark.parametrize("query", ["select", "join"])
 def test_ooc_knn_computes_hull_distances_once_per_probe(lattice, monkeypatch, query):
-    """A probe's distances to the cell hulls do not depend on the ladder
-    rung: one ``polygon_distances`` call per probe serves every rung and
-    the final selection."""
+    """One ``polygon_distances`` call per probe serves the whole cell
+    walk."""
     calls = []
     real = storage.polygon_distances
 
