@@ -152,14 +152,17 @@ class PixelMatcher:
     A probe touching a pixel of an object's interior run matches that
     object; ``run_rank`` gives each run's object as a rank into
     ``object_ids``, the ids of ``table``, the boundary index's records.
-    ``bucket_objects`` lists the distinct objects of each boundary pixel,
-    for the point pass of ``engine.match_points``: a point on a boundary
-    pixel of a polygon canvas is in an object iff the point-in-polygon
-    kernel puts it inside; on a distance canvas (``distance``, whose
-    entries carry radii) iff it lies within r of one of the pixel's entries
-    or inside a polygon source. ``reach`` gives each object the radius a
-    probe must come within on a distance canvas, for the engine's batched
-    refine of (probe record, object) pairs.
+    ``bucket_objects`` lists the distinct objects of each boundary pixel.
+    The point pass of ``engine.match_points`` finds each point's boundary
+    pixel by looking the boundary keys up in the sorted point keys, or,
+    when a part has no more in-viewport points than the canvas has runs
+    plus boundary keys, the point keys up in the boundary keys. A point on
+    a boundary pixel of a polygon canvas is in an object iff the
+    point-in-polygon kernel puts it inside; on a distance canvas
+    (``distance``, whose entries carry radii) iff it lies within r of one
+    of the pixel's entries or inside a polygon source. ``reach`` gives each
+    object the radius a probe must come within on a distance canvas, for
+    the engine's batched refine of (probe record, object) pairs.
     """
 
     def __init__(self, canvas):

@@ -30,10 +30,14 @@ point; the runs a buffer covers are interior, and pixels it only touches
 list the source's points and edges that reach them, each with r.
 
 Points go through ``match_points``, once per canvas over keys found once
-per part (``_point_keys``): in pixel-key order, one ``searchsorted`` over
-the run starts settles those on interior pixels and one over the boundary
-keys finds the rest, then one array pass serves all points on boundary
-pixels.
+per part (``_point_keys``, one sort of packed key and index values). The
+sorted point keys meet the canvas's interior runs and boundary keys from
+the side with fewer searches: a part with more in-viewport points than the
+canvas has runs plus boundary keys has each run and each boundary key
+looked up in the point keys, and the points of each come out as one range;
+a smaller part has each point key looked up in the run starts, then in the
+boundary keys. Points on interior pixels settle from the run table, then
+one array pass serves all points on boundary pixels.
 On a distance canvas it pairs each point with the entries of its pixel's
 bucket and tests all pairs at once (within r of the point or edge); the
 first hit in bucket order wins. Entries are points and edges only, never a
@@ -64,6 +68,12 @@ settles or is refined:
   the object are tested together by one ``geometry.records_intersect``
   call, full-geometry intersection on polygon canvases and distance at
   most each object's r on distance canvases.
+
+Every pass hands its pairs on as (constraint ids, record ids) int64
+arrays. A join or selection joins them end to end over canvases, chunks
+and parts, and builds its result tuple once, after one sort-based dedup
+(``_join_result``, ``unique_keys``); a swapped or flipped join swaps the
+two arrays. Aggregation counts and sums the same arrays per constraint.
 
 All functions are read-only over their inputs, apart from derived arrays
 cached on records and the resident memo of queried record lists (see
@@ -147,6 +157,13 @@ class SelectionResult:
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(sorted(set(self.ids))))
 
+    @classmethod
+    def _of_sorted(cls, ids: np.ndarray) -> "SelectionResult":
+        """The result of ids already ascending and distinct, as they are."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "ids", tuple(ids.tolist()))
+        return self
+
 
 @dataclass(frozen=True)
 class JoinResult:
@@ -154,6 +171,23 @@ class JoinResult:
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(sorted(set(self.pairs))))
+
+    @classmethod
+    def _of_sorted(cls, left: np.ndarray, right: np.ndarray) -> "JoinResult":
+        """The result of (left, right) pairs already ascending and distinct,
+        as they are."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "pairs", tuple(zip(left.tolist(), right.tolist())))
+        return self
+
+
+def _join_result(left: np.ndarray, right: np.ndarray) -> JoinResult:
+    """The ``JoinResult`` of the pairs (left[i], right[i]): one lexsort by
+    left then right, and a neighbour comparison drops repeats."""
+    order = np.lexsort((right, left))
+    left, right = left[order], right[order]
+    head = np.r_[True, (left[1:] != left[:-1]) | (right[1:] != right[:-1])][:len(left)]
+    return JoinResult._of_sorted(left[head], right[head])
 
 
 @dataclass(frozen=True)
@@ -173,8 +207,10 @@ class PreparedPoints:
     where a point has none). Built on first use: ``x_order``, the
     permutation that sorts the points by x, with ``x_sorted`` and
     ``y_by_x`` the points' x and y in that order (kNN ranks an x slab of
-    them); and ``records``, for the one caller that needs
-    ``GeometryRecord``s (the type-1 flip of ``distance_join``).
+    them); ``projected``, the points projected from EPSG:4326 to EPSG:3857,
+    which every ``geographic=True`` query over them reads; and ``records``,
+    for the one caller that needs ``GeometryRecord``s (the type-1 flip of
+    ``distance_join``).
 
     ``PreparedPoints(records)`` builds the columns from point records;
     ``PreparedPoints.from_arrays`` takes columns as they are, such as a
@@ -229,6 +265,11 @@ class PreparedPoints:
     @cached_property
     def y_by_x(self) -> np.ndarray:
         return self.xy[self.x_order, 1]
+
+    @cached_property
+    def projected(self) -> "PreparedPoints":
+        return PreparedPoints.from_arrays(self.ids, project_points_4326_to_3857(self.xy),
+                                          self.values)
 
     def __len__(self):
         return len(self.ids)
@@ -304,7 +345,7 @@ class _Part:
     polyline and polygon records. Built on first use and kept with the
     part: the point columns ``xy``, ``ids`` and ``values`` (NaN where a
     point has none), ``probes``, the ``RecordTable`` of ``others``, and
-    ``value_of``, what sum aggregation reads."""
+    ``value_of``, what sum aggregation reads of them."""
 
     def __init__(self, points, others):
         self.points, self.others = points, others
@@ -331,12 +372,15 @@ class _Part:
         return RecordTable(self.others) if self.others else _NO_PROBES
 
     @cached_property
-    def value_of(self) -> dict:
-        """Id -> value of ``others``; a DataError when any object of the
-        part has no value."""
+    def value_of(self) -> tuple:
+        """(ids, values): the ids of ``others`` ascending and their values;
+        a DataError when any object of the part has no value."""
         if np.isnan(self.values).any() or any(r.value is None for r in self.others):
             raise DataError("sum aggregation over a value-less dataset")
-        return {r.id: r.value for r in self.others}
+        ids = self.probes.ids
+        order = np.argsort(ids, kind="stable")
+        values = np.fromiter((r.value for r in self.others), np.float64, len(ids))
+        return ids[order], values[order]
 
 
 class _Records(_Part):
@@ -445,16 +489,28 @@ def _bounds_union(boxes):
 # Probe classification against a constraint canvas
 # ---------------------------------------------------------------------------
 
+def _index_bits(n: int, hw: int) -> int:
+    """The bits ``_point_keys`` packs a point index of n points into, below
+    a pixel key of a viewport of hw pixels: the bit length of n. Key and
+    index must fit in 62 bits together, else an InternalInvariantError (at
+    32768 x 32768 pixels, past 2^32 points)."""
+    bits = int(n).bit_length()
+    if (max(hw, 1) - 1).bit_length() + bits > 62:
+        raise InternalInvariantError(f"{n} points over {hw} pixels overflow the packed point keys")
+    return bits
+
+
 def _point_keys(vp, pts_xy: np.ndarray) -> tuple:
     """(idx, keys): the points of ``pts_xy`` inside the viewport, in
-    pixel-key order, and the canvas key of each one's covering pixel. Every
-    canvas over ``vp`` reads the same keys."""
+    pixel-key order (index order within a pixel), and the canvas key of
+    each one's covering pixel. Every canvas over ``vp`` reads the same
+    keys."""
+    bits = _index_bits(len(pts_xy), vp.width_px * vp.height_px)
     idx = np.flatnonzero(vp.in_bounds(pts_xy))
-    keys = vp.pixel_keys(pts_xy[idx])
-    # In key order, the run and bucket lookups of ``match_points`` search
-    # ascending keys.
-    order = np.argsort(keys)
-    return idx[order], keys[order]
+    # One value sort of key << bits | index orders both at once; an argsort
+    # and two gathers take about 2.5x as long.
+    packed = np.sort(vp.pixel_keys(pts_xy[idx]) << bits | idx)
+    return packed & ((1 << bits) - 1), packed >> bits
 
 
 def match_points(matcher: PixelMatcher, pts_xy: np.ndarray, keys=None) -> np.ndarray:
@@ -462,7 +518,12 @@ def match_points(matcher: PixelMatcher, pts_xy: np.ndarray, keys=None) -> np.nda
     one canvas are pairwise disjoint, so a point matches at most one.
 
     ``keys`` is ``_point_keys`` of the points over the matcher's viewport,
-    found here when None. Points in an interior run resolve wholesale from
+    found here when None. Interior runs and boundary keys are met with the
+    sorted point keys in the direction of fewer searches: with more
+    in-viewport points than runs plus boundary keys, each run and boundary
+    key is looked up in the point keys, and its points come out as one
+    range; otherwise each point key is looked up in the run starts and then
+    in the boundary keys. Points in an interior run resolve wholesale from
     the run table; points on boundary pixels take their first
     distance-entry hit in bucket order (``_entry_hits``), else the
     lowest-id polygon object of their pixel that holds them
@@ -474,14 +535,25 @@ def match_points(matcher: PixelMatcher, pts_xy: np.ndarray, keys=None) -> np.nda
     idx, keys = _point_keys(matcher.vp, pts_xy) if keys is None else keys
     if len(idx) == 0:
         return out
-    interior = matcher.plane.interior_of(keys)
-    hit = interior != NULL_ID
-    out[idx[hit]] = interior[hit]
-    rem = np.flatnonzero(~hit)
-    if len(matcher.plane.bp_flat) == 0 or len(rem) == 0:
+    plane = matcher.plane
+    if len(idx) > len(plane.run_start) + len(plane.bp_flat):
+        run, at = interval_pairs(keys, keys, plane.run_start, plane.run_end)
+        out[idx[at]] = plane.run_id[run]
+        hit = np.zeros(len(idx), dtype=bool)
+        hit[at] = True
+        pix, at = interval_pairs(keys, keys, plane.bp_flat, plane.bp_flat)
+        # As below, a point an interior run settles is not refined.
+        pix, at = pix[~hit[at]], at[~hit[at]]
+    else:
+        interior = plane.interior_of(keys)
+        hit = interior != NULL_ID
+        out[idx[hit]] = interior[hit]
+        rem = np.flatnonzero(~hit)
+        pos, onb = find_sorted(keys[rem], plane.bp_flat)
+        pix, at = pos[onb], rem[onb]
+    if len(at) == 0:
         return out
-    pos, onb = find_sorted(keys[rem], matcher.plane.bp_flat)
-    pidx, pix = idx[rem[onb]], pos[onb]
+    pidx = idx[at]
     xy = pts_xy[pidx]
     cid = (_entry_hits(matcher, xy, pix) if matcher.distance
            else np.full(len(pix), -1, dtype=np.int64))
@@ -549,7 +621,8 @@ def match_records(matcher: PixelMatcher, probes: RecordTable) -> set:
     """(constraint id, record id) for every polyline or polygon record of
     the table ``probes`` and every constraint object of the canvas that it
     truly meets: ``_record_matches`` with this one canvas."""
-    return set().union(*(pairs for _, pairs in _record_matches([matcher], probes)))
+    return {pair for _, (cids, rids) in _record_matches([matcher], probes)
+            for pair in zip(cids.tolist(), rids.tolist())}
 
 
 @dataclass(frozen=True)
@@ -571,7 +644,8 @@ class _ProbeRaster:
 def _window_pass(canvases, probes: RecordTable) -> tuple:
     """(need, settled): the ranks of the probes of the table ``probes``
     whose pixel window holds a boundary pixel of some canvas, and per
-    canvas the (constraint id, record id) pairs of all other probes.
+    canvas the (constraint ids, record ids) arrays of the pairs of all
+    other probes.
 
     A probe's window is ``pixel_windows`` of its record box over the
     canvases' shared viewport, every pixel its closed set can touch, taken
@@ -609,7 +683,7 @@ def _window_pass(canvases, probes: RecordTable) -> tuple:
     for matcher in canvases:
         iid = matcher.plane.interior_of(key)
         hit = iid != NULL_ID
-        settled.append(set(zip(iid[hit].tolist(), probes.ids[rest[hit]].tolist())))
+        settled.append((iid[hit], probes.ids[rest[hit]]))
     return np.flatnonzero(need), settled
 
 
@@ -640,13 +714,14 @@ def _probe_raster(vp, probes: RecordTable, ranks) -> _ProbeRaster:
                             col * vp.height_px + row0, col * vp.height_px + row1)
 
 
-def _match_raster(matcher: PixelMatcher, probes: RecordTable, raster: _ProbeRaster) -> set:
-    """The (constraint id, record id) pairs of one chunk's raster against
-    one canvas over the same viewport. Pairs settle in bulk where the
-    raster proves them: a probe touching an object's interior pixel meets
-    it (a fill run meeting an interior run, or an edge pixel in one), and
-    so does a probe whose interior covers a boundary pixel of the object (a
-    fill run over a boundary key that no probe edge touches). The pairs
+def _match_raster(matcher: PixelMatcher, probes: RecordTable, raster: _ProbeRaster) -> tuple:
+    """The (constraint ids, record ids) arrays of the pairs of one chunk's
+    raster against one canvas over the same viewport, each pair once.
+    Pairs settle in bulk where the raster proves them: a probe touching an
+    object's interior pixel meets it (a fill run meeting an interior run,
+    or an edge pixel in one), and so does a probe whose interior covers a
+    boundary pixel of the object (a fill run over a boundary key that no
+    probe edge touches). The pairs
     seen only where a probe edge meets an object's boundary pixel are
     refined together by one ``records_intersect`` call: full-geometry
     intersection on a polygon canvas, within each object's radius
@@ -673,7 +748,7 @@ def _match_raster(matcher: PixelMatcher, probes: RecordTable, raster: _ProbeRast
     p, c = np.divmod(refine, n)
     reach = matcher.reach[c] if matcher.distance else None
     keys = np.concatenate([settled, refine[records_intersect(probes, matcher.table, p, c, reach)]])
-    return set(zip(matcher.object_ids[keys % n].tolist(), probes.ids[keys // n].tolist()))
+    return matcher.object_ids[keys % n], probes.ids[keys // n]
 
 
 def _interior_pairs(matcher, probe, keys, n) -> np.ndarray:
@@ -764,13 +839,13 @@ def _point_matches(canvases, xy):
 
 
 def _record_matches(canvases, probes: RecordTable):
-    """(matcher, pairs) per canvas and then per chunk of the table
-    ``probes`` and canvas: the (constraint id, record id) pairs of those
-    probes against that canvas. The window pass (``_window_pass``) settles
-    or drops every probe whose pixel window holds no boundary pixel, with
-    no raster. The rest are rasterized chunk by chunk over the canvases'
-    shared viewport, each chunk then met with every canvas, so one chunk's
-    raster is alive at a time."""
+    """(matcher, (cids, rids)) per canvas and then per chunk of the table
+    ``probes`` and canvas: the constraint ids and record ids of the pairs
+    of those probes against that canvas, each pair once. The window pass
+    (``_window_pass``) settles or drops every probe whose pixel window
+    holds no boundary pixel, with no raster. The rest are rasterized chunk
+    by chunk over the canvases' shared viewport, each chunk then met with
+    every canvas, so one chunk's raster is alive at a time."""
     if not (canvases and len(probes)):
         return
     with instrument.phase("raster"):
@@ -786,30 +861,38 @@ def _record_matches(canvases, probes: RecordTable):
 
 
 def _probe_parts(matchers, parts):
-    """(part, pairs) per ``_Part`` of ``parts``, in order: the (constraint
-    id, record id) pairs of its points and other records against every
-    canvas of ``matchers``, drawn when the first part arrives. Parts stream
-    past the canvases, so each is rendered once. All canvases share one
-    viewport: a part's points get their pixel keys once, and its other
-    records, flattened into its one ``probes`` table, are rasterized once
-    per chunk; each chunk then meets every canvas (``_record_matches``)."""
+    """(part, (cids, rids)) per ``_Part`` of ``parts``, in order: the
+    constraint ids and record ids of the pairs of its points and other
+    records against every canvas of ``matchers``, drawn when the first part
+    arrives, each pair once. Parts stream past the canvases, so each is
+    rendered once. All canvases share one viewport: a part's points get
+    their pixel keys once, and its other records, flattened into its one
+    ``probes`` table, are rasterized once per chunk; each chunk then meets
+    every canvas (``_record_matches``)."""
     canvases = None
     for part in parts:
         if canvases is None:
             canvases = _drawn(matchers)
-        pairs: set = set()
+        pairs = []
         for _, cid in _point_matches(canvases, part.xy):
             got = cid >= 0
-            pairs.update(zip(cid[got].tolist(), part.ids[got].tolist()))
-        for _, got in _record_matches(canvases, part.probes):
-            pairs |= got
-        yield part, pairs
+            pairs.append((cid[got], part.ids[got]))
+        pairs.extend(got for _, got in _record_matches(canvases, part.probes))
+        yield part, _stacked(pairs)
 
 
-def _joined(matchers, parts) -> set:
-    """Every (constraint id, record id) pair of the datasets ``parts``."""
+def _stacked(pairs) -> tuple:
+    """(cids, rids) of a list of (cids, rids) array pairs, end to end."""
+    empty = np.zeros(0, dtype=np.int64)
+    return (np.concatenate([empty, *(c for c, _ in pairs)]),
+            np.concatenate([empty, *(r for _, r in pairs)]))
+
+
+def _joined(matchers, parts) -> tuple:
+    """(cids, rids): the constraint ids and record ids of every pair of the
+    datasets ``parts``, each pair once per part that holds it."""
     parts = map(_dataset_part, parts)
-    return set().union(*(pairs for _, pairs in _probe_parts(matchers, parts)))
+    return _stacked([pairs for _, pairs in _probe_parts(matchers, parts)])
 
 
 def _point_xy(pts) -> np.ndarray:
@@ -853,7 +936,7 @@ def _constraint_matchers(constraint, resolution: int):
 
 def _selection(matchers, parts) -> SelectionResult:
     """Ids of the objects of the datasets ``parts`` that meet the canvases."""
-    return SelectionResult(tuple(rid for _, rid in _joined(matchers, parts)))
+    return SelectionResult._of_sorted(unique_keys(_joined(matchers, parts)[1]))
 
 
 def select(dataset, constraint, resolution: int | None = None,
@@ -901,10 +984,8 @@ def join(d1, d2, resolution: int | None = None, config: Config = DEFAULT,
             d1_layers = d2_layers
             swapped = True
 
-    [(_, pairs)] = _probe_parts(_layer_matchers(d1, d1_layers, resolution), [part])
-    if swapped:
-        pairs = {(b, a) for a, b in pairs}
-    return JoinResult(tuple(pairs))
+    [(_, (cids, rids))] = _probe_parts(_layer_matchers(d1, d1_layers, resolution), [part])
+    return _join_result(rids, cids) if swapped else _join_result(cids, rids)
 
 
 # ---------------------------------------------------------------------------
@@ -913,17 +994,18 @@ def join(d1, d2, resolution: int | None = None, config: Config = DEFAULT,
 
 def _maybe_project(dataset, geographic):
     """The dataset (in any form) projected from EPSG:4326 to EPSG:3857 when
-    ``geographic``. Projected records are a fresh ``_Records``, split for
-    this query and never kept resident."""
+    ``geographic``. Points as a ``PreparedPoints``, those of a
+    ``SplitDataset`` too, are projected once and kept with it
+    (``PreparedPoints.projected``); projected records are a fresh
+    ``_Records``, split for this query and never kept resident."""
     if not geographic:
         return dataset
     from .geometry import project_record_4326_to_3857
     if isinstance(dataset, SplitDataset):
-        return SplitDataset(_maybe_project(dataset.points, True),
+        return SplitDataset(dataset.points.projected,
                             [project_record_4326_to_3857(r) for r in dataset.others])
     if isinstance(dataset, PreparedPoints):
-        return PreparedPoints.from_arrays(dataset.ids, project_points_4326_to_3857(dataset.xy),
-                                          dataset.values)
+        return dataset.projected
     return _Records(map(project_record_4326_to_3857, dataset))
 
 
@@ -1008,10 +1090,8 @@ def distance_join(d1, d2, radii, resolution: int | None = None,
     if flip:
         d1, d2 = _as_records(d2), _Records(d1)
         rs = rs[:1] * len(d1)
-    pairs = _joined(_buffer_matchers(d1, rs, resolution or config.resolution), [d2])
-    if flip:
-        pairs = {(b, a) for a, b in pairs}
-    return JoinResult(tuple(pairs))
+    cids, rids = _joined(_buffer_matchers(d1, rs, resolution or config.resolution), [d2])
+    return _join_result(rids, cids) if flip else _join_result(cids, rids)
 
 
 # ---------------------------------------------------------------------------
@@ -1033,38 +1113,46 @@ def _aggregate(matchers, parts, mode: str) -> AggregationResult:
     """Per-constraint count (or sum) over the datasets ``parts``, each
     classified against every canvas, drawn at the first part that holds an
     object, by the part loops ``_probe_parts`` runs: points per pixel
-    (``_point_matches``), other records by chunk (``_record_matches``)."""
+    (``_point_matches``), other records by chunk (``_record_matches``).
+    Each pair comes once: a point matches at most one object per canvas,
+    the window pass and the chunks take disjoint records, and each yields a
+    pair once."""
     counts: dict = {}
-    sums: dict = {}
+    sums: dict = {} if mode == "sum" else None
     canvases = None
     for part in map(_dataset_part, parts):
         xy = part.xy
-        value_of = part.value_of if mode == "sum" else None
+        if mode == "sum":
+            ids, values = part.value_of
         if not (len(xy) or part.others):
             continue
         if canvases is None:
             canvases = _drawn(matchers)
         for matcher, cid in _point_matches(canvases, xy):
             got = cid >= 0
-            # Per object: its count, and its values added in point order.
-            rank = np.searchsorted(matcher.object_ids, cid[got])
-            n = len(matcher.object_ids)
-            layer_counts = np.bincount(rank, minlength=n)
-            if mode == "sum":
-                layer_sums = np.bincount(rank, weights=part.values[got], minlength=n)
-            for j in np.flatnonzero(layer_counts):
-                c = int(matcher.object_ids[j])
-                counts[c] = counts.get(c, 0) + int(layer_counts[j])
-                if mode == "sum":
-                    sums[c] = sums.get(c, 0.0) + float(layer_sums[j])
-        for _, pairs in _record_matches(canvases, part.probes):
-            for c, did in pairs:
-                counts[c] = counts.get(c, 0) + 1
-                if mode == "sum":
-                    sums[c] = sums.get(c, 0.0) + float(value_of[did])
-    rows = tuple((cid, counts[cid], sums.get(cid) if mode == "sum" else None)
+            _tally(counts, sums, matcher.object_ids, cid[got],
+                   part.values[got] if mode == "sum" else None)
+        for matcher, (cids, rids) in _record_matches(canvases, part.probes):
+            _tally(counts, sums, matcher.object_ids, cids,
+                   values[np.searchsorted(ids, rids)] if mode == "sum" else None)
+    rows = tuple((cid, counts[cid], sums[cid] if mode == "sum" else None)
                  for cid in sorted(counts))
     return AggregationResult(rows)
+
+
+def _tally(counts: dict, sums: dict | None, object_ids, cids, values) -> None:
+    """Add the pairs of constraint ids ``cids``, objects of one canvas, to
+    each object's count and, when ``sums`` is given, its pairs' ``values``
+    (added in pair order) to its sum."""
+    rank = np.searchsorted(object_ids, cids)
+    layer_counts = np.bincount(rank, minlength=len(object_ids))
+    if sums is not None:
+        layer_sums = np.bincount(rank, weights=values, minlength=len(object_ids))
+    for j in np.flatnonzero(layer_counts).tolist():
+        c = int(object_ids[j])
+        counts[c] = counts.get(c, 0) + int(layer_counts[j])
+        if sums is not None:
+            sums[c] = sums.get(c, 0.0) + float(layer_sums[j])
 
 
 def aggregate(constraints, data, mode: str = "count",

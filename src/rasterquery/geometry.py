@@ -757,10 +757,6 @@ def points_in_triangles(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
     return inside.any(axis=1)
 
 
-def point_in_polygon(p, poly: PolygonGeom) -> bool:
-    return bool(points_in_record(np.array([_pt(p)]), GeometryRecord(0, "polygon", [poly]))[0])
-
-
 def points_to_segments_distance(pts: np.ndarray, segs: np.ndarray) -> np.ndarray:
     """(N,) min distance from each point to any of the (S, 4) segments."""
     out = np.empty(len(pts))

@@ -734,7 +734,7 @@ def ooc_join(store_a: DatasetStore, store_b: DatasetStore,
     if explain is not None:
         explain.extend(optimizer.explain_lines(plan, est_naive, est_layer))
     resolution = resolution or config.resolution
-    pairs: set = set()
+    pairs = []
     key = None
     for label in plan.load_order:
         ca, b_cells = steps[label]
@@ -746,8 +746,8 @@ def ooc_join(store_a: DatasetStore, store_b: DatasetStore,
             matchers = engine._layer_matchers(data.others, layers, resolution)
         elif matchers is None:
             matchers = list(engine._layer_matchers(data.others, data.layers, resolution))
-        pairs |= engine._joined(matchers, (store_b.load_cell(cb) for cb in b_cells))
-    return engine.JoinResult(tuple(pairs))
+        pairs.append(engine._joined(matchers, (store_b.load_cell(cb) for cb in b_cells)))
+    return engine._join_result(*engine._stacked(pairs))
 
 
 def ooc_distance_select(store: DatasetStore, source: GeometryRecord, r: float,
@@ -779,8 +779,7 @@ def ooc_distance_join(d1_records, store_b: DatasetStore, radii,
     matchers = engine._buffer_matchers(d1, radii, resolution or config.resolution)
     index = store_b.grid_index()
     kept = _reached(index, [filter_distance(index, rec, r) for rec, r in zip(d1, radii)])
-    pairs = engine._joined(matchers, (store_b.load_cell(c) for c in kept))
-    return engine.JoinResult(tuple(pairs))
+    return engine._join_result(*engine._joined(matchers, (store_b.load_cell(c) for c in kept)))
 
 
 def ooc_aggregate(constraints, store: DatasetStore, mode: str = "count",

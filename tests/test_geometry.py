@@ -16,6 +16,7 @@ from rasterquery.errors import (
     UnsupportedTypeError,
 )
 from rasterquery.geometry import (
+    GeometryRecord,
     Point2,
     PolygonGeom,
     Segment,
@@ -24,7 +25,7 @@ from rasterquery.geometry import (
     exact_distance,
     exact_intersects,
     parse_wkt,
-    point_in_polygon,
+    points_in_record,
     points_in_triangles,
     polygon_from_rings,
     project_4326_to_3857,
@@ -289,7 +290,6 @@ def test_distance_examples():
 
 
 def test_point_in_polygon_closed_boundary():
-    sq = polygon_from_rings([[(0, 0), (2, 0), (2, 2), (0, 2)]])
-    assert point_in_polygon((0, 0), sq)
-    assert point_in_polygon((1, 0), sq)
-    assert not point_in_polygon((2.0000001, 0), sq)
+    sq = GeometryRecord(0, "polygon", [polygon_from_rings([[(0, 0), (2, 0), (2, 2), (0, 2)]])])
+    got = points_in_record(np.array([(0, 0), (1, 0), (2.0000001, 0)], dtype=float), sq)
+    assert got.tolist() == [True, True, False]

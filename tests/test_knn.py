@@ -99,6 +99,37 @@ def test_knn_select_geographic(form):
     assert all(math.isfinite(d) and d > 1.0 for _, d in got)
 
 
+@pytest.mark.parametrize("query", ["knn_select", "distance_select"])
+def test_geographic_points_are_projected_once(monkeypatch, query):
+    """A ``PreparedPoints`` keeps its EPSG:3857 copy, also as the points of
+    a ``SplitDataset``: a second geographic query over it projects no
+    point."""
+    r = gen.rng(24)
+    prepared = engine.PreparedPoints(
+        [point_record(i, lon, lat) for i, (lon, lat)
+         in enumerate(zip(r.uniform(2.0, 2.6, 80), r.uniform(48.6, 49.0, 80)))])
+    calls = []
+    real = engine.project_points_4326_to_3857
+
+    def project(xy):
+        calls.append(len(xy))
+        return real(xy)
+    monkeypatch.setattr(engine, "project_points_4326_to_3857", project)
+    if query == "knn_select":
+        def run():
+            return engine.knn_select(prepared, (2.3, 48.8), 7, geographic=True)
+    else:
+        data = engine.SplitDataset(prepared, [])
+        source = point_record(0, 2.3, 48.8)
+
+        def run():
+            return engine.distance_select(data, source, 5e3, 64, geographic=True)
+    first = run()
+    assert calls == [80]
+    assert run() == first
+    assert calls == [80]
+
+
 @pytest.mark.parametrize("form", ["prepared", "records"])
 @pytest.mark.parametrize("k", [0, -1, N + 1])
 def test_knn_rejects_bad_k(points, form, k):

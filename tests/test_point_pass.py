@@ -1,13 +1,20 @@
 """The point pass of ``engine.match_points`` equals a per-point brute-force
 reference: closed point-in-polygon on polygon canvases, exact distance
-within r on distance canvases."""
+within r on distance canvases, in both directions of its key lookup."""
+
+from functools import cache
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import gen
 from rasterquery import engine
-from rasterquery.canvas import find_sorted
+from rasterquery.canvas import PlaneData, find_sorted
+from rasterquery.errors import InternalInvariantError
 from rasterquery.geometry import (
     GeometryRecord,
     RecordTable,
@@ -154,3 +161,142 @@ def test_empty_and_off_canvas_inputs():
     far = np.array([[10.0, 10.0], [-3.0, 0.5]])
     np.testing.assert_array_equal(engine.match_points(matcher, far), [-1, -1])
 
+
+# ---------------------------------------------------------------------------
+# Both lookup directions against brute force
+# ---------------------------------------------------------------------------
+
+LOOKUP_RESOLUTIONS = (16, 37, 64, 256, 1024, 2048)
+# A polyline's buffer at this radius covers no whole pixel at any
+# resolution above, so its canvas has boundary keys and no interior run.
+THIN_R = 1e-5
+
+
+def _runs_only(matcher):
+    """The matcher's canvas with its interior runs alone, no boundary key."""
+    plane = PlaneData()
+    plane.run_start, plane.run_end, plane.run_id = (
+        matcher.plane.run_start, matcher.plane.run_end, matcher.plane.run_id)
+    return SimpleNamespace(vp=matcher.vp, plane=plane)
+
+
+def _run_reference(matcher, pts) -> np.ndarray:
+    """Per point, the object of the interior run holding its pixel, else -1,
+    run by run."""
+    vp, plane = matcher.vp, matcher.plane
+    out = np.full(len(pts), -1, dtype=np.int64)
+    inside = np.flatnonzero(vp.in_bounds(pts))
+    keys = vp.pixel_keys(pts[inside])
+    for s, e, i in zip(plane.run_start, plane.run_end, plane.run_id):
+        out[inside[(keys >= s) & (keys <= e)]] = i
+    return out
+
+
+@cache
+def _lookup_canvas(name: str, res: int) -> tuple:
+    """(matcher, reference, source, radius), built once per name and
+    resolution: a canvas, the brute-force matched id of each point of an
+    (N, 2) array, and on a distance canvas its one source and radius."""
+    src = radius = None
+    if name in ("point", "polyline", "polygon", "thin"):
+        src = _distance_sources()["polyline" if name == "thin" else name]
+        radius = THIN_R if name == "thin" else 0.07
+        matcher = engine._distance_matcher(RecordTable([src]), [radius], res)
+
+        def reference(pts):
+            return np.where(points_to_record_distance(pts, src) <= radius, src.id, -1)
+    elif name == "runs only":
+        matcher = _runs_only(engine._layer_matcher(_polygon_layers()["concave"], res))
+
+        def reference(pts):
+            return _run_reference(matcher, pts)
+    else:
+        members = _polygon_layers()[name]
+        matcher = engine._layer_matcher(members, res)
+
+        def reference(pts):
+            return _inside_reference(members, pts)
+    return matcher, reference, src, radius
+
+
+def _pixel_points(vp, keys, r, jitter: bool) -> np.ndarray:
+    """A point in the pixel of each canvas key on the grid: its centre, or
+    anywhere in its square with ``jitter``."""
+    keys = keys[(keys >= 0) & (keys < vp.width_px * vp.height_px)]
+    col, row = np.divmod(keys, vp.height_px)
+    u = r.uniform(0.01, 0.99, (len(keys), 2)) if jitter else np.full((len(keys), 2), 0.5)
+    return np.column_stack([vp.min_x + (col + u[:, 0]) * vp.sx,
+                            vp.min_y + (row + u[:, 1]) * vp.sy])
+
+
+def _lookup_points(matcher, seed: int) -> np.ndarray:
+    """Points on the first and last key of runs and beside them, on
+    boundary keys, many on one run pixel and one boundary pixel, uniform
+    over and off the viewport."""
+    r, vp, plane = gen.rng(seed), matcher.vp, matcher.plane
+    w, h = vp.max_x - vp.min_x, vp.max_y - vp.min_y
+    parts = [np.column_stack([r.uniform(vp.min_x - 0.2 * w, vp.max_x + 0.2 * w, 400),
+                              r.uniform(vp.min_y - 0.2 * h, vp.max_y + 0.2 * h, 400)])]
+    runs = r.permutation(len(plane.run_start))[:150]
+    for keys in (plane.run_start[runs], plane.run_end[runs]):
+        parts += [_pixel_points(vp, keys + d, r, False) for d in (-1, 0, 1)]
+    bpf = plane.bp_flat
+    parts.append(_pixel_points(vp, bpf[r.permutation(len(bpf))[:300]], r, True))
+    for keys in (plane.run_start, bpf):
+        if len(keys):
+            parts.append(_pixel_points(vp, np.repeat(keys[r.integers(len(keys))], 64), r, True))
+    parts.append([[vp.min_x - w, vp.min_y], [vp.max_x + w, vp.max_y + h],
+                  [vp.min_x, vp.max_y], [vp.max_x, vp.min_y]])
+    return np.concatenate([np.asarray(p, dtype=float).reshape(-1, 2) for p in parts])
+
+
+@given(name=st.sampled_from(["concave", "holed", "disjoint", "runs only",
+                             "point", "polyline", "polygon", "thin"]),
+       res=st.sampled_from(LOOKUP_RESOLUTIONS), seed=st.integers(0, 10_000))
+def test_both_lookup_directions_match_brute_force(name, res, seed):
+    """A part with more in-viewport points than the canvas has runs plus
+    boundary keys looks each run and boundary key up in the point keys;
+    a smaller part looks each point key up in the runs and boundary keys.
+    Either way every point gets the brute-force answer."""
+    matcher, reference, src, radius = _lookup_canvas(name, res)
+    plane, vp = matcher.plane, matcher.vp
+    if name == "thin":
+        assert len(plane.run_start) == 0 < len(plane.bp_flat)
+    if name == "runs only":
+        assert len(plane.bp_flat) == 0 < len(plane.run_start)
+    pts = _lookup_points(matcher, seed)
+    if src is not None:
+        # Keep every probe clear of the radius itself (see gen.CLEARANCE).
+        d = points_to_record_distance(pts, src)
+        pts = pts[np.abs(d - radius) >= gen.CLEARANCE]
+    want = reference(pts)
+    idx, keys = engine._point_keys(vp, pts)
+    inside = np.flatnonzero(vp.in_bounds(pts))
+    np.testing.assert_array_equal(
+        idx, inside[np.argsort(vp.pixel_keys(pts[inside]), kind="stable")])
+    np.testing.assert_array_equal(keys, vp.pixel_keys(pts[idx]))
+    size = len(plane.run_start) + len(plane.bp_flat)
+    with mock.patch.object(engine, "interval_pairs", wraps=engine.interval_pairs) as merge:
+        # Parts of at most ``size`` points: the point keys are searched.
+        got = np.concatenate([engine.match_points(matcher, pts[lo:lo + size])
+                              for lo in range(0, len(pts), size)])
+        assert merge.call_count == 0
+        np.testing.assert_array_equal(got, want)
+        # One part holding every point often enough to outnumber them: the
+        # runs and boundary keys are searched.
+        reps = size // len(idx) + 1
+        got = engine.match_points(matcher, np.tile(pts, (reps, 1)))
+        assert merge.call_count == 2
+        np.testing.assert_array_equal(got, np.tile(want, reps))
+
+
+def test_index_bits_budget_at_the_largest_viewport():
+    """Point keys pack a pixel key over 32768 x 32768 pixels (30 bits) with
+    a point index of at most 32 bits; sizes alone are checked, nothing is
+    allocated."""
+    hw = 32768 * 32768
+    assert engine._index_bits(0, hw) == 0
+    assert engine._index_bits(200_000, 1024 * 1024) == 18
+    assert engine._index_bits(2**32 - 1, hw) == 32
+    with pytest.raises(InternalInvariantError):
+        engine._index_bits(2**32, hw)

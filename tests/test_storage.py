@@ -425,6 +425,28 @@ def test_ooc_join_renders_each_a_side_canvas_once(stores, join_stores, monkeypat
     assert sorted(renders) == polys
 
 
+@pytest.mark.parametrize("strategy", [optimizer.NAIVE_LOOP, optimizer.LAYER_INDEX])
+def test_ooc_join_dedups_the_pairs_of_all_steps_once(stores, join_stores, monkeypatch, strategy):
+    """The pairs of every step go through one sort-based dedup, which equals
+    ``sorted(set(...))`` of them, and would drop pairs two steps repeat."""
+    sa, sb = join_stores
+    steps = []
+    real = engine._joined
+
+    def joined(matchers, parts):
+        got = real(matchers, parts)
+        steps.append(got)
+        return got
+    monkeypatch.setattr(engine, "_joined", joined)
+    got = storage.ooc_join(sa, sb, config=CFG, force_strategy=strategy)
+    assert len(steps) > 1 and sum(len(cids) > 0 for cids, _ in steps) > 1
+    pairs = [p for cids, rids in steps for p in zip(cids.tolist(), rids.tolist())]
+    assert got.pairs == tuple(sorted(set(pairs)))
+    assert list(got.pairs) == oracle.oracle_join(stores.a, stores.b)
+    repeated = engine._stacked(steps + steps[::-1])
+    assert engine._join_result(*repeated) == got
+
+
 @pytest.mark.parametrize("strategy", [None, optimizer.NAIVE_LOOP, optimizer.LAYER_INDEX])
 def test_ooc_join_loads_cells_in_the_explained_order(join_stores, monkeypatch, strategy):
     sa, sb = join_stores
