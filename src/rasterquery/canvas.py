@@ -27,6 +27,12 @@ per layer, by three array kernels:
   meets a segment, for all segments of a layer in one pass. Candidates are
   column strips padded by one pixel; ``seg_touch_mask``'s corner-straddle
   and bbox predicate then filters them, so the result equals that mask.
+  The corner test orient = a - b splits into a row term a = dx * (y - ay)
+  and a column term b = dy * (x - ax). The b terms of a strip's two edges
+  and its x-bbox test are computed once per strip, the a terms per
+  candidate. Rounded subtraction is monotone, so the four-corner minimum
+  is min(a) - max(b) and the maximum max(a) - min(b), the same floats the
+  four differences give.
 - ``scanline_fill``, the even-odd fill: the spans of pixels whose centre
   lies inside a polygon part, from the sorted edge crossings of each row of
   pixel centres. Pixels that no edge of the polygon touches have their
@@ -36,6 +42,13 @@ per layer, by three array kernels:
   column runs, and those it touches without covering. It works column by
   column from the buffer's outline, so its work and temporaries grow with
   the outline, not with the window.
+
+One-sort rule: a kernel that orders rows by several keys packs the keys
+into one int64 (``high << bits | low``, widths checked by ``packed_bits``
+against 62 bits) and sorts the values with one ``np.sort``, reading the
+fields back from the sorted values; ``np.lexsort`` is never used on the
+render path. A key it cannot pack, such as the float crossing x of
+``scanline_fill``, enters as its rank in a stable argsort.
 
 ``render_geometry_canvas`` builds data canvases from the first two, and the
 query engine runs them over its probe records. ``DistanceCanvasBuilder``
@@ -236,6 +249,18 @@ def unique_keys(keys: np.ndarray) -> np.ndarray:
     return keys[np.r_[True, keys[1:] != keys[:-1]]]
 
 
+def packed_bits(high: int, low: int) -> int:
+    """The low field's width in a packed sort key ``high << bits | low``
+    whose fields reach at most ``high`` and ``low`` (neither negative): the
+    bit length of ``low``. Both fields must fit in 62 bits together, else
+    an InternalInvariantError; callers pass Python ints, so the check
+    itself cannot overflow."""
+    bits = int(low).bit_length()
+    if int(high).bit_length() + bits > 62:
+        raise InternalInvariantError(f"packed sort key of {high} above {bits} bits overflows int64")
+    return bits
+
+
 def find_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> tuple:
     """(pos, found): where each key sits in the sorted key array, and
     whether it occurs there."""
@@ -278,7 +303,8 @@ def segment_pixels(vp: Viewport, segs: np.ndarray) -> tuple:
     one row on either side so rounding in the strip's end heights cannot
     drop a pixel. The corner-straddle and bbox predicate of
     ``seg_touch_mask``, evaluated with the same floating-point operations,
-    then keeps the touched ones.
+    then keeps the touched ones: its x terms once per strip, its y terms
+    per candidate (see the module docstring).
     """
     segs = np.asarray(segs, dtype=float).reshape(-1, 4)
     ax, ay, bx, by = segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3]
@@ -287,36 +313,38 @@ def segment_pixels(vp: Viewport, segs: np.ndarray) -> tuple:
     c0, c1, r0, r1 = pixel_windows(vp, x0, y0, x1, y1)
     s, off = expand_runs(np.maximum(c1 - c0 + 1, 0))
     col = c0[s] + off
+    # A strip whose square columns miss the segment's x range holds no
+    # touched pixel.
+    cx0 = vp.min_x + col * vp.sx
+    cx1 = vp.min_x + (col + 1) * vp.sx
+    near = (cx0 <= x1[s]) & (cx1 >= x0[s])
+    s, col, cx0, cx1 = s[near], col[near], cx0[near], cx1[near]
     # Height range of the segment inside each column strip.
-    dx, dy = (bx - ax)[s], (by - ay)[s]
-    xl = np.clip(vp.min_x + col * vp.sx, x0[s], x1[s])
-    xr = np.clip(vp.min_x + (col + 1) * vp.sx, x0[s], x1[s])
+    sax, say = ax[s], ay[s]
+    dx, dy = bx[s] - sax, by[s] - say
+    xl = np.clip(cx0, x0[s], x1[s])
+    xr = np.clip(cx1, x0[s], x1[s])
     with np.errstate(divide="ignore", invalid="ignore"):
-        tl = np.clip((xl - ax[s]) / dx, 0.0, 1.0)
-        tr = np.clip((xr - ax[s]) / dx, 0.0, 1.0)
+        tl = np.clip((xl - sax) / dx, 0.0, 1.0)
+        tr = np.clip((xr - sax) / dx, 0.0, 1.0)
     vertical = dx == 0.0
     tl[vertical], tr[vertical] = 0.0, 1.0
-    ya, yb = ay[s] + tl * dy, ay[s] + tr * dy
+    ya, yb = say + tl * dy, say + tr * dy
     h = vp.height_px
     rlo = np.maximum(_index((np.minimum(ya, yb) - vp.min_y) / vp.sy, h) - 1, r0[s])
     rhi = np.minimum(_index((np.maximum(ya, yb) - vp.min_y) / vp.sy, h) + 1, r1[s])
+    # The orient terms of the strip's two corner columns.
+    b0, b1 = dy * (cx0 - sax), dy * (cx1 - sax)
+    bmin, bmax = np.minimum(b0, b1), np.maximum(b0, b1)
     k, off = expand_runs(np.maximum(rhi - rlo + 1, 0))
     s, col, row = s[k], col[k], rlo[k] + off
-    dx, dy = dx[k], dy[k]
-    # seg_touch_mask's exact test: orient at the four corners straddles 0
-    # and the square overlaps the segment's bbox.
-    cx0 = vp.min_x + col * vp.sx
-    cx1 = vp.min_x + (col + 1) * vp.sx
     cy0 = vp.min_y + row * vp.sy
     cy1 = vp.min_y + (row + 1) * vp.sy
-    sax, say = ax[s], ay[s]
-    a0, a1 = dx * (cy0 - say), dx * (cy1 - say)
-    b0, b1 = dy * (cx0 - sax), dy * (cx1 - sax)
-    f00, f01, f10, f11 = a0 - b0, a0 - b1, a1 - b0, a1 - b1
-    fmin = np.minimum(np.minimum(f00, f01), np.minimum(f10, f11))
-    fmax = np.maximum(np.maximum(f00, f01), np.maximum(f10, f11))
-    ok = ((fmin <= 0.0) & (fmax >= 0.0)
-          & (cx0 <= x1[s]) & (cx1 >= x0[s]) & (cy0 <= y1[s]) & (cy1 >= y0[s]))
+    a0, a1 = dx[k] * (cy0 - say[k]), dx[k] * (cy1 - say[k])
+    # seg_touch_mask's exact test: orient a - b at the four corners
+    # straddles 0 and the square overlaps the segment's bbox.
+    ok = ((np.minimum(a0, a1) - bmax[k] <= 0.0) & (np.maximum(a0, a1) - bmin[k] >= 0.0)
+          & (cy0 <= y1[s]) & (cy1 >= y0[s]))
     return s[ok], row[ok] * vp.width_px + col[ok]
 
 
@@ -325,12 +353,13 @@ def scanline_fill(vp: Viewport, edges: np.ndarray, owner: np.ndarray) -> tuple:
     whose centre lies inside the rings of their owner, clipped to the grid.
 
     ``edges`` (E, 4) holds every ring edge of every owner and ``owner``
-    (E,) the owner of each; an owner's rings must be closed and must not
-    cross (one polygon part: outer ring plus holes). Each scanline through
-    a row of pixel centres pairs up the owner's sorted edge crossings, and
-    the centres between a pair are inside. A centre within rounding of an
-    edge may land on either side, but its pixel is always touched by that
-    edge, so callers that set edge pixels apart never depend on it.
+    (E,) the owner of each, not negative; an owner's rings must be closed
+    and must not cross (one polygon part: outer ring plus holes). Each
+    scanline through a row of pixel centres pairs up the owner's sorted
+    edge crossings, and the centres between a pair are inside. A centre
+    within rounding of an edge may land on either side, but its pixel is
+    always touched by that edge, so callers that set edge pixels apart
+    never depend on it.
     """
     edges = np.asarray(edges, dtype=float).reshape(-1, 4)
     owner = np.asarray(owner, dtype=np.int64)
@@ -348,12 +377,17 @@ def scanline_fill(vp: Viewport, edges: np.ndarray, owner: np.ndarray) -> tuple:
     cross = (ay[e] <= yc) != (by[e] <= yc)
     e, row, yc = e[cross], row[cross], yc[cross]
     xc = ax[e] + (yc - ay[e]) * (bx[e] - ax[e]) / (by[e] - ay[e])
-    own = owner[e]
-    order = np.lexsort((xc, row, own))
-    own, row, xc = own[order], row[order], xc[order]
-    if len(own) % 2 or np.any(own[0::2] != own[1::2]) or np.any(row[0::2] != row[1::2]):
+    # Crossings in (owner, row, xc) order, ties in index order: the rank
+    # of each in a stable xc order, packed below its (owner, row).
+    n, rbits = len(xc), (h - 1).bit_length()
+    by_x = np.argsort(xc, kind="stable")
+    bits = packed_bits(int(owner.max(initial=0)) << rbits | (h - 1), max(n - 1, 0))
+    packed = np.sort((owner[e[by_x]] << rbits | row[by_x]) << bits | np.arange(n))
+    key, xc = packed >> bits, xc[by_x[packed & ((1 << bits) - 1)]]
+    if n % 2 or np.any(key[0::2] != key[1::2]):
         raise InternalInvariantError("scanline fill saw an odd crossing count (open ring?)")
-    own, row = own[0::2], row[0::2]
+    key = key[0::2]
+    own, row = key >> rbits, key & ((1 << rbits) - 1)
     c0 = np.maximum(_index((xc[0::2] - vp.min_x) / vp.sx - 0.5, w, np.ceil), 0)
     c1 = np.minimum(_index((xc[1::2] - vp.min_x) / vp.sx - 0.5, w, np.ceil) - 1, w - 1)
     keep = c1 >= c0
@@ -514,8 +548,9 @@ class _Builder:
             plane = self._plane(name)
             flat = np.concatenate(self._pix[name])
             refs = np.concatenate(self._refs[name])
-            order = np.lexsort((refs, flat))
-            flat, refs = flat[order], refs[order]
+            bits = packed_bits(int(flat.max(initial=0)), int(refs.max(initial=0)))
+            packed = np.sort(flat << bits | refs)
+            flat, refs = packed >> bits, packed & ((1 << bits) - 1)
             start = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]][:len(flat)])
             plane.bp_flat = flat[start]
             plane.bp_start = np.append(start, len(flat)).astype(np.int64)
@@ -558,11 +593,17 @@ def render_geometry_canvas(vp: Viewport, bindex) -> DiscreteCanvas:
 
 def _union_runs(key, row0, row1) -> tuple:
     """The union of the row runs [row0, row1] of each key, as (key, row0,
-    row1) of disjoint runs that do not touch, sorted by key and row0."""
-    order = np.lexsort((row0, key))
-    key, row0, row1 = key[order], row0[order], row1[order]
+    row1) of disjoint runs that do not touch, sorted by key and row0.
+    Keys and rows must not be negative."""
     if len(key) == 0:
         return key, row0, row1
+    # One value sort of (key, row0, row1) packed into an int64; the order
+    # of row1 among equal (key, row0) does not change the union.
+    rbits = max(int(row0.max()), int(row1.max())).bit_length()
+    packed_bits(int(key.max()), (1 << 2 * rbits) - 1)  # raises past 62 bits
+    packed = np.sort((key << rbits | row0) << rbits | row1)
+    mask = (1 << rbits) - 1
+    key, row0, row1 = packed >> 2 * rbits, packed >> rbits & mask, packed & mask
     # Running maximum of row1 within each key: lifting each key's rows
     # above the previous key's keeps the maximum from crossing keys.
     newkey = key[1:] != key[:-1]

@@ -109,6 +109,7 @@ from .canvas import (
     find_sorted,
     in_sorted,
     interval_pairs,
+    packed_bits,
     pixel_windows,
     unique_keys,
     viewport_from_bounds,
@@ -494,10 +495,7 @@ def _index_bits(n: int, hw: int) -> int:
     a pixel key of a viewport of hw pixels: the bit length of n. Key and
     index must fit in 62 bits together, else an InternalInvariantError (at
     32768 x 32768 pixels, past 2^32 points)."""
-    bits = int(n).bit_length()
-    if (max(hw, 1) - 1).bit_length() + bits > 62:
-        raise InternalInvariantError(f"{n} points over {hw} pixels overflow the packed point keys")
-    return bits
+    return packed_bits(max(hw, 1) - 1, n)
 
 
 def _point_keys(vp, pts_xy: np.ndarray) -> tuple:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -1187,30 +1188,27 @@ def project_record_4326_to_3857(record: GeometryRecord) -> GeometryRecord:
 # ---------------------------------------------------------------------------
 
 class _Tokens:
+    """WKT tokens: "(", ")", "," or a run of other non-space characters,
+    found by one regex pass over the text. ``peek`` returns the next token
+    ("" at the end) and ``take`` also steps past it; ``pos``, the offset
+    ``ParseError`` reports, is then the token's start or its end."""
+
+    _TOKEN = re.compile(r"\s*([(),]|[^\s(),]+)")
+
     def __init__(self, text: str):
-        self.text = text
+        self._tokens = [(m.start(1), m.end(), m[1]) for m in self._TOKEN.finditer(text)]
+        self._tokens.append((len(text), len(text), ""))
+        self._next = 0
         self.pos = 0
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str:
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ""
-        ch = self.text[self.pos]
-        if ch in "(),":
-            return ch
-        j = self.pos
-        while j < len(self.text) and not self.text[j].isspace() and self.text[j] not in "(),":
-            j += 1
-        return self.text[self.pos:j]
+        self.pos, _, tok = self._tokens[self._next]
+        return tok
 
     def take(self) -> str:
-        tok = self.peek()
+        _, self.pos, tok = self._tokens[self._next]
         if tok:
-            self.pos += len(tok)
+            self._next += 1
         return tok
 
     def expect(self, want: str):

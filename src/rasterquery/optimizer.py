@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import DEFAULT, Config
 from .errors import DataError
 
@@ -76,22 +78,31 @@ def order_join(steps, sizes=None):
     least one cell/layer whenever the overlap graph is connected. Falls back
     to the input order when that simulates cheaper, so ordering never costs
     transfer bytes.
+
+    From the first step on, each round takes the step left that shares the
+    most cells with the one before, the lowest index among ties: over a
+    step x cell incidence array built once, one overlap count and one
+    ``argmax`` (whose first maximum is the lowest index) per round.
     """
     steps = list(steps)
     if len(steps) <= 2:
         return steps
     if sizes is None:
         sizes = {c: 1 for _, fp in steps for c in fp}
-    footprints = [frozenset(fp) for _, fp in steps]
-    remaining = list(range(len(steps)))
-    order = [remaining.pop(0)]
-    current = footprints[order[0]]
-    while remaining:
-        best_k = max(range(len(remaining)),
-                     key=lambda k: (len(current & footprints[remaining[k]]), -remaining[k]))
-        idx = remaining.pop(best_k)
-        order.append(idx)
-        current = footprints[idx]
+    column: dict = {}
+    step_of, cell_of = [], []
+    for i, (_, fp) in enumerate(steps):
+        for c in fp:
+            step_of.append(i)
+            cell_of.append(column.setdefault(c, len(column)))
+    incidence = np.zeros((len(steps), len(column)), dtype=bool)
+    incidence[step_of, cell_of] = True
+    left = np.ones(len(steps), dtype=bool)
+    order = [0]
+    for _ in range(len(steps) - 1):
+        left[order[-1]] = False
+        overlap = incidence[:, incidence[order[-1]]].sum(axis=1)
+        order.append(int(np.argmax(np.where(left, overlap, -1))))
     greedy = [steps[i] for i in order]
     if simulate_transfer(greedy, sizes) <= simulate_transfer(steps, sizes):
         return greedy

@@ -78,6 +78,56 @@ def test_parse_errors_carry_offsets_and_types():
         parse_wkt("POLYGON ((0 0, 1 0, 1 1, 0 1, 0 0)")  # missing close paren
 
 
+@pytest.mark.parametrize("text, offset, message", [
+    ("POINT (1 x)", 10, "expected a number, got 'x'"),
+    ("POLYGON ((0 0, 1 0, 1 1, 0 1, 0 0)", 34, "expected ')', got ''"),
+    ("POLYGON ((0 0, 1 0, 0 0))", 8, "invalid POLYGON: ring degenerates"),
+    ("POINT EMPTY", 6, "EMPTY geometries are not supported"),
+    ("  POINT  ( 1 2 ", 15, "expected ')', got ''"),
+    ("LINESTRING ( 0 0 )  ", 18, "LINESTRING needs >= 2 points"),
+    ("POINT (1, 2)", 9, "expected a number, got ','"),
+    ("MULTIPOLYGON ( ((0 0, 1 0, 0 0)) )", 13, "invalid MULTIPOLYGON part"),
+])
+def test_parse_error_offsets(text, offset, message):
+    """A ParseError reports the end of the token it rejects, or the start
+    of the token a check looked ahead at, after any whitespace."""
+    with pytest.raises(ParseError) as exc:
+        parse_wkt(text)
+    assert exc.value.offset == offset
+    assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("nverts", [16, 64, 256])
+def test_star_rings_parse_alike_under_any_whitespace(nverts):
+    """Star rings as the benchmark writes them parse to the same polygon
+    with runs of spaces, tabs and newlines around every token, and with
+    none where a delimiter separates two tokens."""
+    r = gen.rng(nverts)
+    # Jittered, evenly spaced spokes: a simple ring at any vertex count.
+    step = 2 * np.pi / nverts
+    angles = r.uniform(0, 2 * np.pi) + (np.arange(nverts) + r.uniform(-0.4, 0.4, nverts)) * step
+    radii = 0.05 * r.uniform(0.35, 1.0, nverts)
+    ring = np.column_stack([0.5 + radii * np.cos(angles), 0.5 + radii * np.sin(angles)])
+    pts = list(ring) + [ring[0]]
+    tokens = ["POLYGON", "(", "("]
+    for k, (x, y) in enumerate(pts):
+        tokens += ([","] if k else []) + [repr(float(x)), repr(float(y))]
+    tokens += [")", ")"]
+    plain = "POLYGON ((" + ", ".join(f"{float(x)!r} {float(y)!r}" for x, y in pts) + "))"
+    gaps = [" ", "  ", "\t", "\n", " \r\n\t "]
+    text = " \n"
+    for a, b in zip(tokens, tokens[1:] + [""]):
+        pad = gaps[int(r.integers(len(gaps)))]
+        # Numbers need a gap between them; a delimiter needs none.
+        if pad == " " and (a in "()," or b in "(),") and r.integers(2):
+            pad = ""
+        text += a + pad
+    want, got = parse_wkt(plain), parse_wkt(text)
+    assert got[0] == want[0] == "polygon"
+    np.testing.assert_array_equal(got[1][0].rings[0], want[1][0].rings[0])
+    np.testing.assert_array_equal(got[1][0].rings[0], polygon_from_rings([ring]).rings[0])
+
+
 # -- Triangulation -----------------------------------------------------------
 
 def test_triangulate_unit_square():

@@ -694,3 +694,41 @@ def test_far_degenerate_stores_agree_with_oracle(far_store):
             want = oracle.oracle_knn_select(recs, p, k)
             assert [i for i, _ in got] == [i for i, _ in want]
             assert [d for _, d in got] == pytest.approx([d for _, d in want])
+
+
+def _greedy_order_join(steps, sizes=None):
+    """The join-step ordering as a plain Python greedy: from step 0, each
+    round takes the step left that shares most cells with the last one,
+    the lowest index among ties; kept when it simulates no costlier."""
+    steps = list(steps)
+    if len(steps) <= 2:
+        return steps
+    if sizes is None:
+        sizes = {c: 1 for _, fp in steps for c in fp}
+    footprints = [frozenset(fp) for _, fp in steps]
+    remaining = list(range(len(steps)))
+    order = [remaining.pop(0)]
+    while remaining:
+        cur = footprints[order[-1]]
+        best = max(range(len(remaining)),
+                   key=lambda k: (len(cur & footprints[remaining[k]]), -remaining[k]))
+        order.append(remaining.pop(best))
+    greedy = [steps[i] for i in order]
+    if optimizer.simulate_transfer(greedy, sizes) <= optimizer.simulate_transfer(steps, sizes):
+        return greedy
+    return steps
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_order_join_equals_the_python_greedy(seed):
+    """Random footprints over few cells (many tied overlaps, some empty
+    footprints), with and without cell sizes, 0 to 40 steps."""
+    r = np.random.default_rng(seed)
+    for n in [0, 1, 2, 3] + list(r.integers(4, 41, 30)):
+        ncell = int(r.integers(1, 12))
+        steps = [(f"poly:{i}", frozenset(("B", int(c)) for c in
+                                         r.integers(0, ncell, int(r.integers(0, 5)))))
+                 for i in range(n)]
+        sizes = {("B", c): int(r.integers(1, 9)) for c in range(ncell)}
+        for sz in (None, sizes):
+            assert optimizer.order_join(steps, sz) == _greedy_order_join(steps, sz)
