@@ -12,7 +12,8 @@ rendered once per query, and all canvases of a query share one viewport:
 the union of its layers' bounds (distance buffers grown by their radii)
 at the query resolution. A query checks its inputs, then streams its
 dataset parts past its canvases (``_probe_parts``): the whole dataset in
-memory, or the kept cells of a store one at a time (``storage``). Each
+memory, or the kept cells of a store one at a time (``storage``), each a
+``Dataset`` (see Datasets below). Each
 part is rasterized once over the shared viewport, whatever the number of
 canvases: its points' pixel keys once, and those of its other records
 that the window pass leaves chunk by chunk, each chunk's raster then met
@@ -75,15 +76,28 @@ and parts, and builds its result tuple once, after one sort-based dedup
 (``_join_result``, ``unique_keys``); a swapped or flipped join swaps the
 two arrays. Aggregation counts and sums the same arrays per constraint.
 
+Datasets. A ``Dataset`` is the one form the probe loops and kNN read: its
+points as ``ids``, ``xy`` and ``values`` columns, its polyline and polygon
+records as ``others``, and what queries derive from them, built on first
+use and kept with it. A loaded store cell (``storage.CellData``) is one.
+Every query takes each dataset argument as a ``Dataset`` or as any
+iterable of records, and converts it once, at its entry (``_dataset``): a
+``Dataset`` passes through; a list or tuple of at least
+``RESIDENT_MIN_RECORDS`` records goes through the resident memo, which
+keeps its ``Dataset`` while the list is unchanged; any other iterable
+becomes a fresh ``Dataset`` that is never kept. A ``geographic=True``
+query reads the ``Dataset``'s projected copy: its points are projected
+once and kept with it, its polylines and polygons projected per query.
+
 All functions are read-only over their inputs, apart from derived arrays
-cached on records and the resident memo of queried record lists (see
-Dataset plumbing below): a list and its records' fields may change
-between queries, a record's geometry payload may not change in place.
-Their results do not depend on other calls, but their timing reports do:
-``instrument`` keeps the active collectors in one process-global list, so
-a query running in one thread while another thread is inside
-``instrument.collect()`` adds its phases to that report. Time
-queries one at a time.
+cached on records and ``Dataset``s and the resident memo of queried record
+lists: a list and its records' fields may change between queries, a
+record's geometry payload may not change in place, and the records of a
+``Dataset`` may not change once it is built. Their results do not
+depend on other calls, but their timing reports do: ``instrument`` keeps
+the active collectors in one process-global list, so a query running in
+one thread while another thread is inside ``instrument.collect()`` adds
+its phases to that report. Time queries one at a time.
 """
 
 from __future__ import annotations
@@ -136,6 +150,7 @@ from .geometry import (
     points_in_parts,
     project_4326_to_3857,
     project_points_4326_to_3857,
+    project_record_4326_to_3857,
     record_edit,
     records_intersect,
 )
@@ -202,58 +217,85 @@ class AggregationResult:
 # Dataset plumbing
 # ---------------------------------------------------------------------------
 
-class PreparedPoints:
-    """Point dataset as columns, for repeated queries and for stored cells:
-    ``ids`` ascending (int64), their ``xy`` (N, 2) and ``values`` (NaN
-    where a point has none). Built on first use: ``x_order``, the
-    permutation that sorts the points by x, with ``x_sorted`` and
-    ``y_by_x`` the points' x and y in that order (kNN ranks an x slab of
-    them); ``projected``, the points projected from EPSG:4326 to EPSG:3857,
-    which every ``geographic=True`` query over them reads; and ``records``,
-    for the one caller that needs ``GeometryRecord``s (the type-1 flip of
-    ``distance_join``).
+class Dataset:
+    """A dataset in columns: the one form every query reads.
 
-    ``PreparedPoints(records)`` builds the columns from point records;
-    ``PreparedPoints.from_arrays`` takes columns as they are, such as a
-    stored cell's decoded point section."""
+    ``ids`` (int64), ``xy`` (N, 2) and ``values`` (NaN where a point has
+    none) are its points' columns, ``others`` its polyline and polygon
+    records. ``Dataset(records)`` splits a record sequence by kind and
+    builds each column on first use; ``Dataset.from_arrays`` takes columns
+    as they are, such as a stored cell's decoded point section. Built on
+    first use and kept with it: ``probes``, the ``RecordTable`` of
+    ``others``; ``value_of``, what sum aggregation reads of them;
+    ``x_order``, the permutation that sorts the points by x, with
+    ``x_sorted`` and ``y_by_x`` the points' x and y in that order (kNN
+    ranks an x slab of them); its points projected from EPSG:4326 to
+    EPSG:3857, with what kNN derives from them; and ``records``, every
+    record (a record sequence's in its order, else the points in id order
+    and then ``others``), point records built from the columns when none
+    were given. ``projected``, the dataset in EPSG:3857 that every
+    ``geographic=True`` query over it reads, reuses those points and
+    projects ``others`` afresh on each use, so a kept dataset keeps no
+    projected polyline or polygon. A dataset is a snapshot: its records
+    must not change once it is built."""
 
     def __init__(self, records):
-        recs = sorted(records, key=lambda r: r.id)
-        if any(r.kind != "point" for r in recs):
-            raise DataError("PreparedPoints requires point records")
-        self.xy, self.ids = _point_xy(recs), _point_ids(recs)
-        self._records = recs
-        self._values = None
+        self.records = records = tuple(records)
+        self.others = [rec for rec in records if rec.kind != "point"]
+        self._points = ([rec for rec in records if rec.kind == "point"] if self.others
+                        else records)
 
     @classmethod
-    def from_arrays(cls, ids, xy, values) -> "PreparedPoints":
-        """Points from aligned columns, put in id order when they are not."""
+    def from_arrays(cls, ids, xy, values, others=()) -> "Dataset":
+        """A dataset of aligned point columns, put in id order when they
+        are not, and ``others``."""
         ids = np.asarray(ids, dtype=np.int64)
         xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
         values = np.asarray(values, dtype=np.float64)
         if not len(ids) == len(xy) == len(values):
-            raise DataError("PreparedPoints columns differ in length")
+            raise DataError("point columns differ in length")
         if np.any(ids[1:] < ids[:-1]):
             order = np.argsort(ids, kind="stable")
             ids, xy, values = ids[order], xy[order], values[order]
         self = cls.__new__(cls)
-        self.ids, self.xy, self._values, self._records = ids, xy, values, None
+        self.ids, self.xy, self.values = ids, xy, values
+        self.others, self._points = list(others), None
         return self
 
-    @property
-    def values(self) -> np.ndarray:
-        if self._values is None:
-            self._values = _point_values(self._records)
-        return self._values
+    def __len__(self):
+        points = self.ids if self._points is None else self._points
+        return len(points) + len(self.others)
 
-    @property
-    def records(self) -> list:
-        if self._records is None:
-            self._records = [
-                GeometryRecord(i, "point", Point2(x, y), None if v != v else v)
-                for i, (x, y), v in zip(self.ids.tolist(), self.xy.tolist(),
-                                        self.values.tolist())]
-        return self._records
+    @cached_property
+    def ids(self) -> np.ndarray:
+        return _point_ids(self._points)
+
+    @cached_property
+    def xy(self) -> np.ndarray:
+        return _point_xy(self._points)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return _point_values(self._points)
+
+    @cached_property
+    def records(self) -> tuple:
+        return (*_point_records(self.ids, self.xy, self.values), *self.others)
+
+    @cached_property
+    def probes(self) -> RecordTable:
+        return RecordTable(self.others) if self.others else _NO_PROBES
+
+    @cached_property
+    def value_of(self) -> tuple:
+        """(ids, values): the ids of ``others`` ascending and their values;
+        a DataError when any object of the dataset has no value."""
+        if np.isnan(self.values).any() or any(r.value is None for r in self.others):
+            raise DataError("sum aggregation over a value-less dataset")
+        ids = self.probes.ids
+        order = np.argsort(ids, kind="stable")
+        values = np.fromiter((r.value for r in self.others), np.float64, len(ids))
+        return ids[order], values[order]
 
     @cached_property
     def x_order(self) -> np.ndarray:
@@ -268,63 +310,92 @@ class PreparedPoints:
         return self.xy[self.x_order, 1]
 
     @cached_property
-    def projected(self) -> "PreparedPoints":
-        return PreparedPoints.from_arrays(self.ids, project_points_4326_to_3857(self.xy),
-                                          self.values)
+    def _projected_points(self) -> "Dataset":
+        return Dataset.from_arrays(self.ids, project_points_4326_to_3857(self.xy), self.values)
 
-    def __len__(self):
-        return len(self.ids)
-
-
-@dataclass
-class SplitDataset:
-    """A dataset split by kind: ``points``, a ``PreparedPoints``, and
-    ``others``, its polyline and polygon records. ``select``,
-    ``distance_select``, ``distance_join``, ``join`` (as D2) and
-    ``aggregate`` take it like a record list and read the points' columns
-    directly."""
-
-    points: PreparedPoints
-    others: list
-
-    def __len__(self):
-        return len(self.points) + len(self.others)
+    @property
+    def projected(self) -> "Dataset":
+        points = self._projected_points
+        if not self.others:
+            return points
+        return Dataset.from_arrays(points.ids, points.xy, points.values,
+                                   map(project_record_4326_to_3857, self.others))
 
 
-def _split_kinds(records):
-    pts, others = [], []
-    for rec in records:
-        (pts if rec.kind == "point" else others).append(rec)
-    return pts, others
+class PreparedPoints(Dataset):
+    """A ``Dataset`` of point records only; a DataError for any other."""
+
+    def __init__(self, records):
+        super().__init__(records)
+        if self.others:
+            raise DataError("PreparedPoints requires point records")
+        # Built now, for the repeated queries a caller prepares points for.
+        self.ids, self.xy = _point_ids(self._points), _point_xy(self._points)
+
+
+def _point_xy(pts) -> np.ndarray:
+    """(N, 2) coordinates of point records."""
+    n = len(pts)
+    xy = np.empty((n, 2))
+    # One scalar ``fromiter`` per column takes about half the time of an
+    # array over a list of tuples (``fromiter`` with a (float, 2) dtype is
+    # slower than either).
+    xy[:, 0] = np.fromiter((p.geometry.x for p in pts), dtype=np.float64, count=n)
+    xy[:, 1] = np.fromiter((p.geometry.y for p in pts), dtype=np.float64, count=n)
+    return xy
+
+
+def _point_ids(pts) -> np.ndarray:
+    """(N,) ids of point records."""
+    return np.fromiter((p.id for p in pts), dtype=np.int64, count=len(pts))
+
+
+def _point_values(pts) -> np.ndarray:
+    """Value column of point records, NaN where a record has none."""
+    return np.fromiter((np.nan if r.value is None else r.value for r in pts),
+                       dtype=np.float64, count=len(pts))
+
+
+def _point_records(ids, xy, values) -> list:
+    """Point records of aligned columns, a NaN value as None."""
+    return [GeometryRecord(i, "point", Point2(x, y), None if v != v else v)
+            for i, (x, y), v in zip(ids.tolist(), xy.tolist(), values.tolist())]
+
+
+# The probe table of a dataset with no polyline or polygon, built once.
+_NO_PROBES = RecordTable([])
 
 
 # The resident memo: a record list or tuple of at least
-# ``RESIDENT_MIN_RECORDS`` records that reaches a query is split and
-# flattened once (``_Records``) and the entry kept under the sequence's
-# ``id``, with a strong reference to the sequence, so the key cannot be
-# reused while the entry lives. A later query over the same object reuses
-# the entry only while it ``holds`` the sequence: no record field was
-# reassigned since it was built (``geometry.record_edit``) and the sequence
-# still holds the snapshot's records, element by element by identity (one
-# C-level pass), so any append, replacement, deletion, reordering or
-# record edit rebuilds it. The memo keeps at most ``RESIDENT_LISTS``
-# entries and an estimated ``RESIDENT_BYTES`` (``_Records.footprint``, the
-# records each entry pins included), the least recently queried dropped
-# first; a list estimated above that is never kept, and
-# ``clear_resident()`` drops every entry. Shorter lists, other iterables,
-# projected copies and store cells are split per use and never kept; a
-# cell's memory is counted by the cell cache instead.
+# ``RESIDENT_MIN_RECORDS`` records that reaches a query becomes a
+# ``Dataset`` once, kept under the sequence's ``id`` with a strong
+# reference to the sequence, so the key cannot be reused while the entry
+# lives. A later query over the same object reuses the entry only while it
+# ``_holds`` the sequence: no record field was reassigned since it was
+# built (``geometry.record_edit``) and the sequence still holds the
+# snapshot's records, element by element by identity (one C-level pass),
+# so any append, replacement, deletion, reordering or record edit rebuilds
+# it. The memo keeps at most ``RESIDENT_LISTS`` entries and an estimated
+# ``RESIDENT_BYTES`` (``_footprint``, the records each entry pins
+# included), the least recently queried dropped first; a list estimated
+# above that is never kept, and ``clear_resident()`` drops every entry.
+# Shorter lists and other iterables become a fresh ``Dataset`` per use
+# and are never kept. An entry's projected point columns live with its
+# ``Dataset``, outside the estimate (about 40 bytes a point, with kNN's x
+# order); no projected polyline or polygon is kept. A store cell's memory
+# is counted by the cell cache instead.
 RESIDENT_LISTS = 8
 RESIDENT_BYTES = 256 << 20
 RESIDENT_MIN_RECORDS = 256
 # Footprint estimate of an entry, from tracemalloc over point, polyline and
-# polygon lists: a record with its share of the snapshot, point columns and
-# ``PreparedPoints`` (about 330 bytes a point), plus a probe table edge
-# with the record geometry and edge cache behind it (256-520 bytes) and
-# the edge boxes the batched refine keeps on the table (32 bytes).
+# polygon lists: a record with its share of the snapshot and point columns
+# (about 330 bytes a point), plus a probe table edge with the record
+# geometry and edge cache behind it (256-520 bytes) and the edge boxes the
+# batched refine keeps on the table (32 bytes).
 _RECORD_BYTES = 400
 _EDGE_BYTES = 352
-_resident: OrderedDict = OrderedDict()  # id(sequence) -> (sequence, _Records, footprint)
+# id(sequence) -> (sequence, snapshot, record_edit() number, Dataset, footprint)
+_resident: OrderedDict = OrderedDict()
 _resident_lock = threading.Lock()
 
 
@@ -336,132 +407,66 @@ def clear_resident() -> None:
         _resident.clear()
 
 
-# The probe table of a part with no polyline or polygon, built once.
-_NO_PROBES = RecordTable([])
+def _holds(entry: tuple, records) -> bool:
+    """Whether ``records`` holds exactly the objects of the memo entry's
+    snapshot, in order, and no record was edited since it was taken."""
+    _, snapshot, edit, _, _ = entry
+    if edit != record_edit():
+        return False
+    if records is snapshot:  # a tuple is its own snapshot
+        return True
+    return len(records) == len(snapshot) and all(map(operator.is_, records, snapshot))
 
 
-class _Part:
-    """One dataset part as the probe loops read it: ``points``, its point
-    records in dataset order or a ``PreparedPoints``, and ``others``, its
-    polyline and polygon records. Built on first use and kept with the
-    part: the point columns ``xy``, ``ids`` and ``values`` (NaN where a
-    point has none), ``probes``, the ``RecordTable`` of ``others``, and
-    ``value_of``, what sum aggregation reads of them."""
-
-    def __init__(self, points, others):
-        self.points, self.others = points, others
-
-    def _column(self, name: str) -> np.ndarray:
-        if isinstance(self.points, PreparedPoints):
-            return getattr(self.points, name)
-        return {"xy": _point_xy, "ids": _point_ids, "values": _point_values}[name](self.points)
-
-    @cached_property
-    def xy(self) -> np.ndarray:
-        return self._column("xy")
-
-    @cached_property
-    def ids(self) -> np.ndarray:
-        return self._column("ids")
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        return self._column("values")
-
-    @cached_property
-    def probes(self) -> RecordTable:
-        return RecordTable(self.others) if self.others else _NO_PROBES
-
-    @cached_property
-    def value_of(self) -> tuple:
-        """(ids, values): the ids of ``others`` ascending and their values;
-        a DataError when any object of the part has no value."""
-        if np.isnan(self.values).any() or any(r.value is None for r in self.others):
-            raise DataError("sum aggregation over a value-less dataset")
-        ids = self.probes.ids
-        order = np.argsort(ids, kind="stable")
-        values = np.fromiter((r.value for r in self.others), np.float64, len(ids))
-        return ids[order], values[order]
+def _footprint(data: Dataset) -> int:
+    """The estimated bytes a memo entry keeps alive; builds ``probes``."""
+    return _RECORD_BYTES * len(data) + _EDGE_BYTES * len(data.probes.edges)
 
 
-class _Records(_Part):
-    """A record sequence as a ``_Part``: ``records``, a snapshot of it,
-    split in order, and ``prepared``, its points as a ``PreparedPoints``
-    for kNN, built on first use. It reads like the sequence."""
-
-    def __init__(self, records):
-        self.edit = record_edit()  # read before any record is
-        self.records = tuple(records)
-        points, others = _split_kinds(self.records)
-        super().__init__(points if others else self.records, others)
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
-
-    def holds(self, records) -> bool:
-        """Whether ``records`` holds exactly the snapshot's objects, in
-        order, and no record was edited since the snapshot was taken."""
-        if self.edit != record_edit():
-            return False
-        if records is self.records:  # a tuple is its own snapshot
-            return True
-        return len(records) == len(self.records) and all(map(operator.is_, records,
-                                                              self.records))
-
-    def footprint(self) -> int:
-        """The estimated bytes the entry keeps alive; builds ``probes``."""
-        return _RECORD_BYTES * len(self.records) + _EDGE_BYTES * len(self.probes.edges)
-
-    @cached_property
-    def prepared(self) -> PreparedPoints:
-        return PreparedPoints(self.records)
-
-
-def _records(dataset) -> _Records:
-    """The ``_Records`` of a record sequence: the resident entry of a list
-    or tuple, reused while it ``holds`` the sequence and otherwise built
-    and kept while the memo's bounds allow; a shorter sequence or any
-    other iterable is split for this use alone."""
-    if isinstance(dataset, _Records):
-        return dataset
-    if not isinstance(dataset, (list, tuple)) or len(dataset) < RESIDENT_MIN_RECORDS:
-        return _Records(dataset)
-    key = id(dataset)
+def _resident_dataset(records) -> Dataset:
+    """The ``Dataset`` of a record list or tuple: its memo entry's, reused
+    while the entry ``_holds`` it, else built and kept while the memo's
+    bounds allow."""
+    key = id(records)
     with _resident_lock:
         held = _resident.get(key)
         if held is not None:
             _resident.move_to_end(key)
-    if held is not None and held[1].holds(dataset):
-        return held[1]
-    entry = _Records(dataset)
-    size = entry.footprint()
+    if held is not None and _holds(held, records):
+        return held[3]
+    edit = record_edit()  # read before any record is
+    data = Dataset(records)
+    size = _footprint(data)
     with _resident_lock:
         _resident.pop(key, None)
         if size <= RESIDENT_BYTES:
-            _resident[key] = (dataset, entry, size)
-        total = sum(kept[2] for kept in _resident.values())
+            _resident[key] = (records, data.records, edit, data, size)
+        total = sum(kept[4] for kept in _resident.values())
         while len(_resident) > RESIDENT_LISTS or total > RESIDENT_BYTES:
-            total -= _resident.popitem(last=False)[1][2]
-    return entry
+            total -= _resident.popitem(last=False)[1][4]
+    return data
 
 
-def _dataset_part(dataset) -> _Part:
-    """Any dataset form as a ``_Part``: a ``PreparedPoints`` or
-    ``SplitDataset`` lends its columns and records, a record sequence is
-    ``_records``."""
-    if isinstance(dataset, _Part):
-        return dataset
-    if isinstance(dataset, SplitDataset):
-        return _Part(dataset.points, dataset.others)
-    if isinstance(dataset, PreparedPoints):
-        return _Part(dataset, [])
-    return _records(dataset)
+def _dataset(dataset, geographic: bool = False) -> Dataset:
+    """Any dataset form as a ``Dataset``: a ``Dataset`` as it is; a list or
+    tuple of at least ``RESIDENT_MIN_RECORDS`` records through the resident
+    memo; any other record iterable as a fresh ``Dataset`` that is never
+    kept. When ``geographic``, its ``projected`` copy, kept with it."""
+    if not isinstance(dataset, Dataset):
+        if isinstance(dataset, (list, tuple)) and len(dataset) >= RESIDENT_MIN_RECORDS:
+            dataset = _resident_dataset(dataset)
+        else:
+            dataset = Dataset(dataset)
+    return dataset.projected if geographic else dataset
+
+
+def _point_dataset(dataset, geographic: bool = False) -> Dataset:
+    """``_dataset`` of a dataset of points only, as kNN reads them; a
+    DataError for any other record."""
+    data = _dataset(dataset, geographic)
+    if data.others:
+        raise DataError("kNN requires point records")
+    return data
 
 
 def _as_constraint_record(constraint) -> GeometryRecord:
@@ -859,11 +864,11 @@ def _record_matches(canvases, probes: RecordTable):
 
 
 def _probe_parts(matchers, parts):
-    """(part, (cids, rids)) per ``_Part`` of ``parts``, in order: the
-    constraint ids and record ids of the pairs of its points and other
-    records against every canvas of ``matchers``, drawn when the first part
-    arrives, each pair once. Parts stream past the canvases, so each is
-    rendered once. All canvases share one viewport: a part's points get
+    """(cids, rids) per ``Dataset`` of ``parts``, in order: the constraint
+    ids and record ids of the pairs of its points and other records against
+    every canvas of ``matchers``, drawn when the first part arrives, each
+    pair once. Parts stream past the canvases, so each is rendered once.
+    All canvases share one viewport: a part's points get
     their pixel keys once, and its other records, flattened into its one
     ``probes`` table, are rasterized once per chunk; each chunk then meets
     every canvas (``_record_matches``)."""
@@ -876,7 +881,7 @@ def _probe_parts(matchers, parts):
             got = cid >= 0
             pairs.append((cid[got], part.ids[got]))
         pairs.extend(got for _, got in _record_matches(canvases, part.probes))
-        yield part, _stacked(pairs)
+        yield _stacked(pairs)
 
 
 def _stacked(pairs) -> tuple:
@@ -888,41 +893,8 @@ def _stacked(pairs) -> tuple:
 
 def _joined(matchers, parts) -> tuple:
     """(cids, rids): the constraint ids and record ids of every pair of the
-    datasets ``parts``, each pair once per part that holds it."""
-    parts = map(_dataset_part, parts)
-    return _stacked([pairs for _, pairs in _probe_parts(matchers, parts)])
-
-
-def _point_xy(pts) -> np.ndarray:
-    """(N, 2) coordinates of point records."""
-    n = len(pts)
-    xy = np.empty((n, 2))
-    # One scalar ``fromiter`` per column takes about half the time of an
-    # array over a list of tuples (``fromiter`` with a (float, 2) dtype is
-    # slower than either).
-    xy[:, 0] = np.fromiter((p.geometry.x for p in pts), dtype=np.float64, count=n)
-    xy[:, 1] = np.fromiter((p.geometry.y for p in pts), dtype=np.float64, count=n)
-    return xy
-
-
-def _point_ids(pts) -> np.ndarray:
-    """(N,) ids of point records."""
-    return np.fromiter((p.id for p in pts), dtype=np.int64, count=len(pts))
-
-
-def _point_values(pts) -> np.ndarray:
-    """Value column of point records, NaN where a record has none."""
-    return np.fromiter((np.nan if r.value is None else r.value for r in pts),
-                       dtype=np.float64, count=len(pts))
-
-
-def _as_records(dataset) -> list:
-    """Any dataset form as a record list."""
-    if isinstance(dataset, SplitDataset):
-        return dataset.points.records + dataset.others
-    if isinstance(dataset, PreparedPoints):
-        return dataset.records
-    return list(dataset)
+    ``Dataset``s ``parts``, each pair once per part that holds it."""
+    return _stacked(list(_probe_parts(matchers, parts)))
 
 
 def _constraint_matchers(constraint, resolution: int):
@@ -943,7 +915,7 @@ def select(dataset, constraint, resolution: int | None = None,
     polygon: render the constraint canvas plus boundary index, then
     classify the dataset against it in one pass."""
     return _selection(_constraint_matchers(constraint, resolution or config.resolution),
-                      [dataset])
+                      [_dataset(dataset)])
 
 
 # ---------------------------------------------------------------------------
@@ -961,11 +933,11 @@ def join(d1, d2, resolution: int | None = None, config: Config = DEFAULT,
     d1 = list(d1)
     if any(r.kind != "polygon" for r in d1):
         raise DataError("join: D1 must be a polygon dataset")
-    part = _dataset_part(d2)
+    part = _dataset(d2)
     others = part.others
     if any(r.kind != "polygon" for r in others):
         raise DataError("join: D2 must be points or polygons")
-    has_points = len(part.points) > 0
+    has_points = len(part) > len(others)
     if not d1 or not (has_points or others):
         return JoinResult(())
 
@@ -978,34 +950,17 @@ def join(d1, d2, resolution: int | None = None, config: Config = DEFAULT,
             log.warning("join: building layer index for D2 on demand")
             d2_layers = build_layer_index(others)
         if d2_layers.layer_count < d1_layers.layer_count:
-            d1, part = others, _Part([], d1)
+            d1, part = others, Dataset(d1)
             d1_layers = d2_layers
             swapped = True
 
-    [(_, (cids, rids))] = _probe_parts(_layer_matchers(d1, d1_layers, resolution), [part])
+    [(cids, rids)] = _probe_parts(_layer_matchers(d1, d1_layers, resolution), [part])
     return _join_result(rids, cids) if swapped else _join_result(cids, rids)
 
 
 # ---------------------------------------------------------------------------
 # Distance queries
 # ---------------------------------------------------------------------------
-
-def _maybe_project(dataset, geographic):
-    """The dataset (in any form) projected from EPSG:4326 to EPSG:3857 when
-    ``geographic``. Points as a ``PreparedPoints``, those of a
-    ``SplitDataset`` too, are projected once and kept with it
-    (``PreparedPoints.projected``); projected records are a fresh
-    ``_Records``, split for this query and never kept resident."""
-    if not geographic:
-        return dataset
-    from .geometry import project_record_4326_to_3857
-    if isinstance(dataset, SplitDataset):
-        return SplitDataset(dataset.points.projected,
-                            [project_record_4326_to_3857(r) for r in dataset.others])
-    if isinstance(dataset, PreparedPoints):
-        return dataset.projected
-    return _Records(map(project_record_4326_to_3857, dataset))
-
 
 def _distance_matcher(sources: RecordTable, radii, resolution: int,
                       vp=None) -> PixelMatcher:
@@ -1025,29 +980,38 @@ def _distance_matcher(sources: RecordTable, radii, resolution: int,
     return PixelMatcher(canvas)
 
 
-def _radii(radii, n: int) -> list:
-    """One radius per source of n: a scalar serves all of them, a sequence
-    must hold n. Every radius must be positive and finite."""
+def _radii(radii, sources: Dataset) -> np.ndarray:
+    """One radius per source, in id order: a scalar serves all of them, a
+    sequence gives ``sources.records[i]`` its i-th and must hold one per
+    source. Every radius must be positive and finite. Ids are unique in a
+    dataset, so the order holds for its projected copy too."""
     rs = [float(radii)] if np.isscalar(radii) else [float(r) for r in radii]
     if not all(0 < r < math.inf for r in rs):
         raise DataError(f"distance radius must be positive and finite, got {radii}")
     if np.isscalar(radii):
-        return rs * n
-    if len(rs) != n:
-        raise DataError(f"radii length {len(rs)} != |D1| {n}")
-    return rs
+        return np.full(len(sources), rs[0])
+    if len(rs) != len(sources):
+        raise DataError(f"radii length {len(rs)} != |D1| {len(sources)}")
+    ids = np.fromiter((rec.id for rec in sources.records), np.int64, len(rs))
+    return np.array(rs)[np.argsort(ids, kind="stable")]
 
 
-def _buffer_matchers(sources, radii, resolution: int):
-    """One canvas per layer of pairwise-disjoint buffers (source i buffered
-    by ``radii[i]``), all over the viewport of the sources' boxes grown by
-    their radii; the layers are found and each canvas rendered when drawn.
-    One source is one layer; more go through the distance layer index. The
-    sources are flattened once, in id order; each layer's canvas takes its
-    rows of that table, or all of it."""
-    order = sorted(range(len(sources)), key=lambda i: sources[i].id)
-    table = RecordTable([sources[i] for i in order])
-    rad = np.array([radii[i] for i in order], dtype=float)
+def _source_table(sources: Dataset) -> RecordTable:
+    """The sources flattened once, in id order: a dataset of no point
+    reuses its ``probes``."""
+    table = sources.probes if len(sources.others) == len(sources) else RecordTable(sources.records)
+    if np.any(table.ids[1:] < table.ids[:-1]):
+        table = table.take(np.argsort(table.ids, kind="stable"))
+    return table
+
+
+def _buffer_matchers(table: RecordTable, rad, resolution: int):
+    """One canvas per layer of pairwise-disjoint buffers (the table's row i,
+    in id order, buffered by ``rad[i]``), all over the viewport of the
+    sources' boxes grown by their radii; the layers are found and each
+    canvas rendered when drawn. One source is one layer; more go through
+    the distance layer index. Each layer's canvas takes its rows of the
+    table, or all of it."""
     if not len(table):
         return
     vp = _viewport(grown_boxes(table.boxes, rad), resolution)
@@ -1058,14 +1022,21 @@ def _buffer_matchers(sources, radii, resolution: int):
         yield _distance_matcher(layer, rad[rank], resolution, vp)
 
 
+def _source_matchers(source: GeometryRecord, r: float, resolution: int):
+    """The canvas of one source's buffer of radius r."""
+    src = Dataset([source])
+    return _buffer_matchers(_source_table(src), _radii(r, src), resolution)
+
+
 def distance_select(dataset, source: GeometryRecord, r: float,
                     resolution: int | None = None, config: Config = DEFAULT,
                     geographic: bool = False) -> SelectionResult:
     """Ids within distance r of the source's closed geometry; exact via
     distance boundary entries (never the rasterized buffer outline)."""
-    matchers = _buffer_matchers(_maybe_project([source], geographic), _radii(r, 1),
-                                resolution or config.resolution)
-    return _selection(matchers, [_maybe_project(dataset, geographic)])
+    if geographic:
+        source = project_record_4326_to_3857(source)
+    return _selection(_source_matchers(source, r, resolution or config.resolution),
+                      [_dataset(dataset, geographic)])
 
 
 def distance_join(d1, d2, radii, resolution: int | None = None,
@@ -1073,22 +1044,19 @@ def distance_join(d1, d2, radii, resolution: int | None = None,
     """Pairs within distance: a single radius (type 1, the smaller dataset
     becomes the constraint side) or one radius per D1 object (type 2). The
     layer index over the generated buffers is built on the fly, each layer
-    rendered once and the probe side classified against it. D2 may be a
-    ``PreparedPoints`` or ``SplitDataset``, whose point columns the probe
-    pass reads directly; a record list D2 is probed as given, so repeated
-    joins over it reuse its resident entry."""
-    d1 = list(d1)
-    rs = _radii(radii, len(d1))
-    d1, d2 = _maybe_project(d1, geographic), _maybe_project(d2, geographic)
-    if not isinstance(d2, (PreparedPoints, SplitDataset)):
-        d2 = _records(d2)
-    if not d1 or not len(d2):
+    rendered once and the probe side classified against it. Radii given
+    one per D1 object follow the order of D1's records (``_radii``)."""
+    d1, d2 = _dataset(d1), _dataset(d2, geographic)
+    rad = _radii(radii, d1)
+    if geographic:
+        d1 = d1.projected
+    if not len(d1) or not len(d2):
         return JoinResult(())
     flip = np.isscalar(radii) and len(d2) < len(d1)
     if flip:
-        d1, d2 = _as_records(d2), _Records(d1)
-        rs = rs[:1] * len(d1)
-    cids, rids = _joined(_buffer_matchers(d1, rs, resolution or config.resolution), [d2])
+        d1, d2, rad = d2, d1, np.full(len(d2), rad[0])
+    cids, rids = _joined(_buffer_matchers(_source_table(d1), rad,
+                                          resolution or config.resolution), [d2])
     return _join_result(rids, cids) if flip else _join_result(cids, rids)
 
 
@@ -1118,7 +1086,7 @@ def _aggregate(matchers, parts, mode: str) -> AggregationResult:
     counts: dict = {}
     sums: dict = {} if mode == "sum" else None
     canvases = None
-    for part in map(_dataset_part, parts):
+    for part in parts:
         xy = part.xy
         if mode == "sum":
             ids, values = part.value_of
@@ -1164,22 +1132,14 @@ def aggregate(constraints, data, mode: str = "count",
                                      resolution or config.resolution)
     if layer_index is None:
         log.warning("aggregate: building constraint layer index on demand")
-    return _aggregate(matchers, [data], mode)
+    return _aggregate(matchers, [_dataset(data)], mode)
 
 
 # ---------------------------------------------------------------------------
 # kNN
 # ---------------------------------------------------------------------------
 
-def _prepared_points(dataset) -> PreparedPoints:
-    """A point dataset as a ``PreparedPoints``, a record sequence's kept
-    with its resident entry."""
-    if isinstance(dataset, PreparedPoints):
-        return dataset
-    return _records(dataset).prepared
-
-
-def _slab(prepared: PreparedPoints, center: Point2, w: float) -> tuple:
+def _slab(prepared: Dataset, center: Point2, w: float) -> tuple:
     """(lo, hi, d): the points of the x slab [cx - w, cx + w], positions
     lo to hi in x order, and their distances to center. The slab is widened
     by a few ulps: ``x - cx`` can round down to w for an x just past
@@ -1191,7 +1151,7 @@ def _slab(prepared: PreparedPoints, center: Point2, w: float) -> tuple:
     return lo, hi, np.hypot(xs[lo:hi] - center.x, prepared.y_by_x[lo:hi] - center.y)
 
 
-def _count_within(prepared: PreparedPoints, center: Point2, r: float) -> int:
+def _count_within(prepared: Dataset, center: Point2, r: float) -> int:
     """Exact count of dataset points within r of center, by the predicate
     ``_points_near_entries`` tests, over the points of the x slab
     [cx - r, cx + r]."""
@@ -1205,7 +1165,7 @@ def _ranked(ids: np.ndarray, d: np.ndarray, k: int) -> tuple:
     return ids[order], d[order]
 
 
-def _nearest(prepared: PreparedPoints, center: Point2, k: int) -> list:
+def _nearest(prepared: Dataset, center: Point2, k: int) -> list:
     """The k nearest points to center, ranked. The x slab of half-width w
     starts at the x extent times sqrt(k / n) and doubles until it holds k
     points within w of center, or every point: then the k nearest are all
@@ -1241,7 +1201,7 @@ def knn_select(dataset, p, k: int, *, config: Config = DEFAULT,
     (distance, id): ties at the k-th distance break toward ascending id.
     Exact, by distance order over an x slab of the points; no canvas, so
     nothing of ``config`` is read (every query takes one)."""
-    prepared = _maybe_project(_prepared_points(dataset), geographic)
+    prepared = _point_dataset(dataset, geographic)
     if not isinstance(p, Point2):
         p = Point2(float(p[0]), float(p[1]))
     if geographic:
@@ -1253,8 +1213,9 @@ def knn_select(dataset, p, k: int, *, config: Config = DEFAULT,
 def knn_join(d1, d2, k: int, *, config: Config = DEFAULT, geographic: bool = False) -> list:
     """Per D1 point in id order, (its id, the ids of its k nearest D2
     points), ranked as ``knn_select`` ranks them."""
-    left = _maybe_project(_prepared_points(d1), geographic)
-    right = _maybe_project(_prepared_points(d2), geographic)
+    left = _point_dataset(d1, geographic)
+    right = _point_dataset(d2, geographic)
     _check_k(k, len(right))
+    order = np.argsort(left.ids, kind="stable")
     return [(lid, [i for i, _ in _nearest(right, Point2(x, y), k)])
-            for lid, (x, y) in zip(left.ids.tolist(), left.xy.tolist())]
+            for lid, (x, y) in zip(left.ids[order].tolist(), left.xy[order].tolist())]

@@ -142,7 +142,7 @@ class GeometryRecord:
     Fields may be reassigned between queries: reassigning ``kind`` or
     ``geometry`` drops the record's cached edge arrays, and any
     reassignment bumps ``record_edit``, so the engine rebuilds what it kept
-    of queried record lists (``engine._records``). A geometry payload must
+    of queried record lists (``engine._dataset``). A geometry payload must
     not be changed in place.
     """
 
@@ -1149,18 +1149,20 @@ def convex_hull(points) -> PolygonGeom:
 # ---------------------------------------------------------------------------
 
 def project_4326_to_3857(p) -> Point2:
-    """Spherical web-mercator forward transform (degrees to meters)."""
+    """Spherical web-mercator forward transform (degrees to meters), by
+    ``project_points_4326_to_3857``: every projection takes that one path,
+    so a point projects alike alone, in a record and in a column."""
     lon, lat = _pt(p)
     if abs(lat) >= MERCATOR_MAX_LAT:
         raise ProjectionError(f"latitude {lat} outside (-{MERCATOR_MAX_LAT}, {MERCATOR_MAX_LAT})")
     if abs(lon) > 180.0:
         raise ProjectionError(f"longitude {lon} outside [-180, 180]")
-    x = MERCATOR_RADIUS * math.radians(lon)
-    y = MERCATOR_RADIUS * math.atanh(math.sin(math.radians(lat)))
-    return Point2(x, y)
+    return Point2(*project_points_4326_to_3857(np.array([[lon, lat]]))[0].tolist())
 
 
 def project_points_4326_to_3857(pts: np.ndarray) -> np.ndarray:
+    """(N, 2) degrees to meters; each row's result does not depend on the
+    others."""
     lon, lat = pts[:, 0], pts[:, 1]
     if np.any(np.abs(lat) >= MERCATOR_MAX_LAT) or np.any(np.abs(lon) > 180.0):
         raise ProjectionError("coordinates outside the web-mercator domain")
@@ -1175,8 +1177,10 @@ def project_record_4326_to_3857(record: GeometryRecord) -> GeometryRecord:
         return GeometryRecord(record.id, "point",
                               project_4326_to_3857(record.geometry), record.value)
     if record.kind == "polyline":
-        segs = [Segment(project_4326_to_3857(s.a), project_4326_to_3857(s.b))
-                for s in record.geometry]
+        ends = project_points_4326_to_3857(
+            np.array([_seg(s) for s in record.geometry], dtype=np.float64).reshape(-1, 2))
+        segs = [Segment(Point2(ax, ay), Point2(bx, by))
+                for ax, ay, bx, by in ends.reshape(-1, 4).tolist()]
         return GeometryRecord(record.id, "polyline", segs, record.value)
     parts = [polygon_from_rings([project_points_4326_to_3857(r) for r in part.rings])
              for part in record.geometry]

@@ -38,9 +38,9 @@ followed by its layer slice. Only polygon stores write a slice (the
 layer index ``ooc_join`` renders its A side by); a cell of any other store
 is its block alone. A region is exactly what ``load_cell`` reads, with one
 read and one CRC check, and its length is the cell's ``byte_size``. A cell
-load reads the point section with ``np.frombuffer`` into an
-``engine.PreparedPoints`` and builds no record for it; queries take the
-loaded ``CellData`` as a dataset.
+loads as a ``CellData``, an ``engine.Dataset`` whose point columns are the
+block's point section read in place with ``np.frombuffer``, with no record
+built for them; every query reads it as it reads an in-memory dataset.
 
 ``records.bin`` stays beside ``cells.bin`` although the cells hold the same
 records: it is the only source ``build_indexes`` reads, so a store can be
@@ -58,6 +58,7 @@ import struct
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -152,19 +153,23 @@ def deserialize_record(buf: bytes, off: int) -> tuple:
 
 
 def encode_block(records) -> bytes:
-    """One column block of records in id order (layout in the module
-    docstring)."""
-    pts, others = engine._split_kinds(records)
-    cols = engine.PreparedPoints(pts)
-    return b"".join([_BLOCK_HEAD.pack(len(pts), len(others)),
-                     cols.ids.astype("<u8").tobytes(), cols.values.astype("<f8").tobytes(),
-                     cols.xy.astype("<f8").tobytes(), *map(serialize_record, others)])
+    """One column block of records given in id order (layout in the module
+    docstring), its point section the columns of ``engine.Dataset``."""
+    data = engine.Dataset(records)
+    return b"".join([_BLOCK_HEAD.pack(len(data.ids), len(data.others)),
+                     data.ids.astype("<u8").tobytes(), data.values.astype("<f8").tobytes(),
+                     data.xy.astype("<f8").tobytes(), *map(serialize_record, data.others)])
 
 
-def decode_block(block) -> tuple:
-    """(PreparedPoints, other records) of one column block. The point
-    columns are read in place with ``np.frombuffer``; the others are
-    decoded record by record."""
+def decode_block(block) -> engine.Dataset:
+    """The ``engine.Dataset`` of one column block."""
+    return engine.Dataset.from_arrays(*_block_columns(block))
+
+
+def _block_columns(block) -> tuple:
+    """(ids, xy, values, others) of one column block: the point columns
+    read in place with ``np.frombuffer``, the other records decoded one by
+    one."""
     try:
         n, m = _BLOCK_HEAD.unpack_from(block, 0)
         off = _BLOCK_HEAD.size
@@ -180,8 +185,7 @@ def decode_block(block) -> tuple:
         raise CorruptionError(f"undecodable record block: {exc}") from exc
     if off != len(block):
         raise CorruptionError(f"record block holds {len(block)} bytes, its rows {off}")
-    points = engine.PreparedPoints.from_arrays(ids.astype(np.int64), xy, values)
-    return points, others
+    return ids.astype(np.int64), xy, values, others
 
 
 def _serialize_layers(layers: LayerIndex) -> bytes:
@@ -449,11 +453,11 @@ def _read_head(blob: bytes, what: str) -> int:
 def read_records(cat: DatasetCatalog) -> list:
     blob = (cat.directory / "records.bin").read_bytes()
     count = _read_head(blob, f"{cat.name}/records.bin")
-    points, others = decode_block(memoryview(blob)[_HEAD_SIZE:])
-    if len(points) + len(others) != count:
+    data = decode_block(memoryview(blob)[_HEAD_SIZE:])
+    if len(data) != count:
         raise CorruptionError(f"{cat.name}/records.bin: {count} records announced, "
-                              f"{len(points) + len(others)} stored")
-    return sorted(points.records + others, key=lambda r: r.id)
+                              f"{len(data)} stored")
+    return sorted(data.records, key=lambda r: r.id)
 
 
 def hull_wkt(poly: PolygonGeom) -> str:
@@ -501,24 +505,19 @@ def build_indexes(cat: DatasetCatalog, byte_budget: int | None = None,
     return index
 
 
-@dataclass
-class CellData(engine.SplitDataset):
-    """One loaded cell, which queries take as a dataset: ``points``, its
-    point section as columns read in place from the block (no record is
-    built for them), ``others``, its decoded polyline and polygon records,
+class CellData(engine.Dataset):
+    """One loaded cell, an ``engine.Dataset`` whose point columns are read
+    in place from its block (no point record is built for them), plus
     ``layer_slice``, the layer slice of its region (empty outside polygon
     stores), decoded into ``layers`` on first use (only joins read it), and
     ``byte_size``, its region's length: the bytes the load read."""
 
     layer_slice: memoryview
     byte_size: int
-    _layers: LayerIndex | None = field(default=None, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def layers(self) -> LayerIndex:
-        if self._layers is None:
-            self._layers = _deserialize_layers(self.layer_slice)
-        return self._layers
+        return _deserialize_layers(self.layer_slice)
 
 
 class DatasetStore:
@@ -595,11 +594,10 @@ class DatasetStore:
         with instrument.phase("io"):
             region = memoryview(_read_checked(self.catalog.directory / "cells.bin", start,
                                               size, crc, f"{label} region"))
-        points, others = decode_block(region[:blen])
-        if len(points) + len(others) != cell.count:
-            raise CorruptionError(f"{label}: {cell.count} rows announced, "
-                                  f"{len(points) + len(others)} stored")
-        data = CellData(points=points, others=others, layer_slice=region[blen:], byte_size=size)
+        data = CellData.from_arrays(*_block_columns(region[:blen]))
+        data.layer_slice, data.byte_size = region[blen:], size
+        if len(data) != cell.count:
+            raise CorruptionError(f"{label}: {cell.count} rows announced, {len(data)} stored")
         self.bytes_transferred += size
         self._cache[key] = data
         self._cache_bytes += size
@@ -755,8 +753,7 @@ def ooc_distance_select(store: DatasetStore, source: GeometryRecord, r: float,
                         config: Config = DEFAULT) -> engine.SelectionResult:
     """``engine.distance_select`` over the cells whose hull lies within r of
     the source."""
-    matchers = engine._buffer_matchers([source], engine._radii(r, 1),
-                                       resolution or config.resolution)
+    matchers = engine._source_matchers(source, r, resolution or config.resolution)
     kept = filter_distance(store.grid_index(), source, r)
     return engine._selection(matchers, (store.load_cell(c) for c in kept))
 
@@ -774,11 +771,12 @@ def ooc_distance_join(d1_records, store_b: DatasetStore, radii,
     the sources' buffers are rendered once, layer by layer, and each cell
     whose hull lies within some source's radius is loaded once and streamed
     past them."""
-    d1 = list(d1_records)
-    radii = engine._radii(radii, len(d1))
-    matchers = engine._buffer_matchers(d1, radii, resolution or config.resolution)
+    d1 = engine._dataset(d1_records)
+    table, rad = engine._source_table(d1), engine._radii(radii, d1)
+    matchers = engine._buffer_matchers(table, rad, resolution or config.resolution)
     index = store_b.grid_index()
-    kept = _reached(index, [filter_distance(index, rec, r) for rec, r in zip(d1, radii)])
+    kept = _reached(index, [filter_distance(index, rec, r)
+                            for rec, r in zip(table.records, rad.tolist())])
     return engine._join_result(*engine._joined(matchers, (store_b.load_cell(c) for c in kept)))
 
 
@@ -801,7 +799,7 @@ def ooc_count_within(store: DatasetStore, center: Point2, r: float) -> int:
     count (``engine._count_within``) over the points of each cell
     ``filter_distance`` keeps, with no canvas."""
     index = store.grid_index()
-    return sum(engine._count_within(store.load_cell(index.cells[k]).points, center, r)
+    return sum(engine._count_within(store.load_cell(index.cells[k]), center, r)
                for k in np.flatnonzero(_hull_distances(index, center) <= r))
 
 
@@ -846,7 +844,7 @@ def _ooc_nearest(store: DatasetStore, index: GridIndex, centers, k: int) -> list
         if loaded[j] or hull_d[i, j] > kth[i]:
             continue
         loaded[j] = True
-        pts = store.load_cell(index.cells[j]).points
+        pts = store.load_cell(index.cells[j])
         for c in np.flatnonzero(hull_d[:, j] <= kth):
             d = np.hypot(pts.xy[:, 0] - centers[c].x, pts.xy[:, 1] - centers[c].y)
             # Only points that can enter the k best are ranked: those within
@@ -879,7 +877,8 @@ def ooc_knn_join(d1_records, store_b: DatasetStore, k: int, *,
     """``engine.knn_join`` of in-memory points against a stored point
     dataset: one best-first cell walk shared by all D1 points, so each cell
     it reaches is loaded once."""
+    left = engine._point_dataset(d1_records)
     index = _knn_store_index(store_b, k)
-    left = sorted(d1_records, key=lambda rec: rec.id)
-    found = _ooc_nearest(store_b, index, [rec.geometry for rec in left], k)
-    return [(rec.id, [i for i, _ in nb]) for rec, nb in zip(left, found)]
+    order = np.argsort(left.ids, kind="stable")
+    found = _ooc_nearest(store_b, index, [Point2(x, y) for x, y in left.xy[order].tolist()], k)
+    return [(i, [j for j, _ in nb]) for i, nb in zip(left.ids[order].tolist(), found)]

@@ -40,12 +40,13 @@ def _check_assembly(calls, got):
 
 
 def _canvas_sides(monkeypatch, name) -> list:
-    """The record ids of the canvas side of every ``engine.<name>`` call."""
+    """The record ids of the canvas side (records or their ``RecordTable``)
+    of every ``engine.<name>`` call."""
     sides = []
     real = getattr(engine, name)
 
     def spy(records, *args):
-        sides.append({rec.id for rec in records})
+        sides.append({rec.id for rec in getattr(records, "records", records)})
         return real(records, *args)
     monkeypatch.setattr(engine, name, spy)
     return sides
@@ -108,7 +109,8 @@ def test_point_seen_by_two_layers(assembled):
     _check_assembly(assembled, got)
     assert got.pairs == ((0, 10), (0, 11), (1, 10), (1, 12))
     # A selection over both canvases sees point 10 twice and keeps it once.
-    sel = engine._selection(engine._layer_matchers(d1, layers, RES), [points])
+    sel = engine._selection(engine._layer_matchers(d1, layers, RES),
+                            [engine.Dataset(points)])
     assert sel.ids == (10, 11, 12)
 
 

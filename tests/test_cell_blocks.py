@@ -21,8 +21,7 @@ BIG_ID = (1 << 63) - 1
 
 
 def _decoded(records) -> list:
-    points, others = storage.decode_block(storage.encode_block(records))
-    return points.records + others
+    return list(storage.decode_block(storage.encode_block(records)).records)
 
 
 def _same_record(a, b):
@@ -44,8 +43,8 @@ def _same_record(a, b):
 def test_point_values_round_trip_none_as_nan():
     recs = [point_record(1, 0.1, 0.2), point_record(2, 0.3, 0.4, 1.5),
             point_record(3, -5.0, 7.25, -2.0), point_record(4, 1e7, -1e7, 0.0)]
-    points, others = storage.decode_block(storage.encode_block(recs))
-    assert others == []
+    points = storage.decode_block(storage.encode_block(recs))
+    assert points.others == []
     assert points.ids.tolist() == [1, 2, 3, 4]
     assert np.isnan(points.values[0])
     assert points.values[1:].tolist() == [1.5, -2.0, 0.0]
@@ -58,10 +57,10 @@ def test_point_values_round_trip_none_as_nan():
 def test_largest_ids_round_trip():
     recs = [point_record(BIG_ID - 1, 0.5, 0.5, 3.0),
             GeometryRecord(BIG_ID, "polygon", [gen.holed_polygon()])]
-    points, others = storage.decode_block(storage.encode_block(recs))
+    points = storage.decode_block(storage.encode_block(recs))
     assert points.ids.dtype == np.int64
     assert points.ids.tolist() == [BIG_ID - 1]
-    assert others[0].id == BIG_ID
+    assert points.others[0].id == BIG_ID
 
 
 def test_ingest_rejects_ids_beyond_int64(tmp_path):
@@ -74,11 +73,11 @@ def test_empty_sections(which):
     pts = gen.uniform_points(gen.rng(1), 5, values=True)
     polys = gen.random_polygons(gen.rng(2), 3, start_id=10)
     recs = {"points only": pts, "others only": polys, "empty": []}[which]
-    points, others = storage.decode_block(storage.encode_block(recs))
-    assert len(points) == sum(r.kind == "point" for r in recs)
-    assert len(others) == sum(r.kind != "point" for r in recs)
-    assert points.xy.shape == (len(points), 2)
-    for a, b in zip(points.records + others, recs):
+    data = storage.decode_block(storage.encode_block(recs))
+    assert len(data.ids) == sum(r.kind == "point" for r in recs)
+    assert len(data.others) == sum(r.kind != "point" for r in recs)
+    assert data.xy.shape == (len(data.ids), 2)
+    for a, b in zip(data.records, recs):
         _same_record(a, b)
 
 
@@ -154,7 +153,7 @@ def test_mixed_store_has_mixed_cells(mixed):
     assert len(cells) >= 4
     assert len(mixed.bare_store.grid_index().cells) >= 4
     loaded = [mixed.store.load_cell(c) for c in cells]
-    assert any(len(d.points) and d.others for d in loaded)
+    assert any(len(d.ids) and d.others for d in loaded)
 
 
 def test_mixed_ooc_select(mixed):
@@ -221,17 +220,17 @@ def test_point_cell_load_decodes_no_record(mixed, monkeypatch):
     store = storage.DatasetStore(mixed.store.catalog.directory.parent, "bare", CFG)
     for cell in store.grid_index().cells:
         data = store.load_cell(cell)
-        assert len(data.points) == cell.count and data.others == []
+        assert len(data.ids) == cell.count and data.others == []
     assert calls == []
 
 
 def test_point_queries_build_no_point_record(mixed, monkeypatch):
-    """The out-of-core point paths read cell columns only; ``records`` of a
-    cell's points is never built."""
-    def no_records(self):
-        raise AssertionError("PreparedPoints.records built on a cell load path")
+    """The out-of-core point paths read cell columns only; no point record
+    is built from a cell's columns."""
+    def no_records(*columns):
+        raise AssertionError("point records built on a cell load path")
     store = storage.DatasetStore(mixed.store.catalog.directory.parent, "bare", CFG)
-    monkeypatch.setattr(engine.PreparedPoints, "records", property(no_records))
+    monkeypatch.setattr(engine, "_point_records", no_records)
     cons = gen.concave_polygon(gen.rng(6), center=(0.45, 0.55), radius=0.3)
     src = point_record(0, 0.4, 0.6)
     assert storage.ooc_select(store, cons, config=CFG).ids

@@ -101,8 +101,8 @@ def test_knn_select_geographic(form):
 
 @pytest.mark.parametrize("query", ["knn_select", "distance_select"])
 def test_geographic_points_are_projected_once(monkeypatch, query):
-    """A ``PreparedPoints`` keeps its EPSG:3857 copy, also as the points of
-    a ``SplitDataset``: a second geographic query over it projects no
+    """A ``PreparedPoints`` keeps its EPSG:3857 copy, also as the dataset
+    of a selection: a second geographic query over it projects no
     point."""
     r = gen.rng(24)
     prepared = engine.PreparedPoints(
@@ -119,7 +119,7 @@ def test_geographic_points_are_projected_once(monkeypatch, query):
         def run():
             return engine.knn_select(prepared, (2.3, 48.8), 7, geographic=True)
     else:
-        data = engine.SplitDataset(prepared, [])
+        data = prepared
         source = point_record(0, 2.3, 48.8)
 
         def run():
@@ -156,7 +156,7 @@ def _count_forms(records):
     """The points as built from records, as a stored cell's read-only
     ``np.frombuffer`` columns, and moved to near 1e7 (EPSG:3857 scale) and
     scaled by 1000."""
-    cell, _ = storage.decode_block(storage.encode_block(records))
+    cell = storage.decode_block(storage.encode_block(records))
     assert not cell.xy.flags.writeable
     far = [point_record(rec.id, 1e7 + 1000 * rec.geometry.x, 1e7 + 1000 * rec.geometry.y)
            for rec in records]
@@ -323,7 +323,7 @@ def test_ooc_knn_loads_the_cell_whose_hull_ties_the_kth_distance(k, tmp_path, mo
     index = store.grid_index()
     hull_d = storage._hull_distances(index, c)
     near, tie = (next(j for j, cell in enumerate(index.cells)
-                      if any(rec.id == i for rec in store.load_cell(cell).points.records))
+                      if any(rec.id == i for rec in store.load_cell(cell).records))
                  for i in (50, 1))
     assert near != tie and hull_d[near] < kth and hull_d[tie] == kth
     assert sorted(hull_d)[2] > kth

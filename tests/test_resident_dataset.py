@@ -1,6 +1,6 @@
-"""A record list that queries see twice is split, columnized and flattened
-once (``engine._records``): a repeat query over the unchanged list builds
-no point column, probe table or ``PreparedPoints``, any change to the list
+"""A record list that queries see twice becomes one ``engine.Dataset``
+(``engine._dataset``): a repeat query over the unchanged list builds no
+point column or probe table, kNN included, any change to the list
 or edit of its records between queries rebuilds its entry so no answer is
 stale, and the memo keeps a bounded number of lists and bytes."""
 
@@ -96,8 +96,7 @@ def _slice(lst):
 
 
 def _entry(lst):
-    held = engine._resident.get(id(lst))
-    return held and held[1]
+    return engine._resident.get(id(lst))
 
 
 @pytest.mark.parametrize("lines", [False, True], ids=["points+polygons", "mixed"])
@@ -107,11 +106,11 @@ def test_a_changed_list_is_never_answered_from_its_old_entry(lines, change):
     data = _data(lines)
     _check_all(data)
     before = _entry(data)
-    assert before is not None and before.holds(data)
+    assert before is not None and engine._holds(before, data)
     change(data)
-    assert not before.holds(data)
+    assert not engine._holds(before, data)
     _check_all(data)
-    assert _entry(data) is not before and _entry(data).holds(data)
+    assert _entry(data) is not before and engine._holds(_entry(data), data)
 
 
 def _counted(monkeypatch):
@@ -189,35 +188,53 @@ def test_tuples_and_generators(monkeypatch):
     polys = [r for r in data if r.kind != "polyline"]
     got = engine.join(ZONES, iter(polys), RES, d1_layers=LAYERS).pairs
     assert list(got) == oracle.oracle_join(ZONES, polys)
-    assert set(engine._resident) == kept
-
-
-def test_projected_and_flipped_copies_stay_out_of_the_memo():
-    data = gen.uniform_points(gen.rng(33), 40, lo=-10.0, hi=10.0)
-    kept = set(engine._resident)
-    src = point_record(999, 0.0, 0.0)
-    engine.distance_select(data, src, 2e5, RES, geographic=True)
-    # Fewer D2 than D1 objects: the join flips, probing the sources.
-    got = engine.distance_join(data, SOURCES, 0.2, RES).pairs
-    assert list(got) == oracle.oracle_distance_join(data, SOURCES, 0.2)
-    assert id(data) not in engine._resident
     assert set(engine._resident) - kept <= {id(SOURCES)}
 
 
-def _prepared_builds(monkeypatch) -> list:
-    builds, init = [], engine.PreparedPoints.__init__
+def test_projected_and_flipped_copies_stay_out_of_the_memo():
+    r = gen.rng(33)
+    data = (gen.uniform_points(r, 40, lo=-10.0, hi=10.0)
+            + gen.random_polygons(r, 5, extent=10.0, start_id=100))
+    kept = set(engine._resident)
+    src = point_record(999, 0.0, 0.0)
+    engine.distance_select(data, src, 2e5, RES, geographic=True)
+    # The projected points are kept with the list's own entry, not as one,
+    # and no projected polygon is kept at all.
+    assert set(engine._resident) - kept == {id(data)}
+    derived = vars(_entry(data)[3]).values()
+    assert not any(isinstance(d, engine.Dataset) and d.others for d in derived)
+    # Fewer D2 than D1 objects: the join flips, probing the sources. Both
+    # lists are kept as themselves; no flipped copy is.
+    got = engine.distance_join(data, SOURCES, 0.2, RES).pairs
+    assert list(got) == oracle.oracle_distance_join(data, SOURCES, 0.2)
+    assert set(engine._resident) - kept <= {id(SOURCES), id(data)}
 
-    def built(self, records):
-        builds.append(1)
-        init(self, records)
-    monkeypatch.setattr(engine.PreparedPoints, "__init__", built)
-    return builds
+
+def test_a_repeat_geographic_query_over_a_list_projects_no_point(monkeypatch):
+    data = gen.uniform_points(gen.rng(38), 50, lo=2.0, hi=3.0)
+    calls, project = [], engine.project_points_4326_to_3857
+
+    def counted(xy):
+        calls.append(len(xy))
+        return project(xy)
+    monkeypatch.setattr(engine, "project_points_4326_to_3857", counted)
+    p, src = (2.5, 2.5), point_record(999, 2.4, 2.6)
+    first = engine.knn_select(data, p, 5, geographic=True)
+    near = engine.distance_select(data, src, 3e4, RES, geographic=True)
+    assert calls == [50]
+    assert engine.knn_select(data, p, 5, geographic=True) == first
+    assert engine.distance_select(data, src, 3e4, RES, geographic=True) == near
+    assert calls == [50]
+    data.append(point_record(500, 2.5, 2.5))
+    # Query point and data points take one projection path: distance 0.
+    assert engine.knn_select(data, p, 5, geographic=True)[0] == (500, 0.0)
+    assert calls == [50, 51]
 
 
 def test_a_repeat_knn_over_a_list_prepares_no_points(monkeypatch):
     r = gen.rng(34)
     data, left = gen.uniform_points(r, 80), gen.uniform_points(r, 5)
-    builds = _prepared_builds(monkeypatch)
+    builds, _ = _counted(monkeypatch)
     p = (0.4, 0.6)
     first = engine.knn_select(data, p, 7)
     assert [i for i, _ in first] == [i for i, _ in oracle.oracle_knn_select(data, p, 7)]
@@ -241,7 +258,7 @@ def test_a_record_replaced_in_place_by_an_equal_one_is_still_checked():
     data[5] = GeometryRecord(rec.id, rec.kind, rec.geometry, rec.value)
     assert list(engine.select(data, ZONES[0], RES).ids) == oracle.oracle_select(data, ZONES[0])
     assert _entry(data) is not old
-    assert np.array_equal(_entry(data).xy, old.xy)
+    assert np.array_equal(_entry(data)[3].xy, old[3].xy)
 
 
 def test_threads_share_the_memo():
@@ -274,7 +291,7 @@ def test_threads_share_the_memo():
     assert not any(t.is_alive() for t in threads)
     assert not errors
     assert len(engine._resident) <= engine.RESIDENT_LISTS
-    assert all(held[1].holds(held[0]) for held in engine._resident.values())
+    assert all(engine._holds(held, held[0]) for held in engine._resident.values())
 
 
 def test_a_record_edit_is_seen_by_the_next_query():
@@ -282,7 +299,7 @@ def test_a_record_edit_is_seen_by_the_next_query():
     _check_all(data)
     entry, edit = _entry(data), record_edit()
     data[3].value = 123.0
-    assert record_edit() != edit and not entry.holds(data)
+    assert record_edit() != edit and not engine._holds(entry, data)
     _check_all(data)
     # A point moved onto the distance source, a polygon onto the zone.
     data[7].geometry = Point2(SOURCE.geometry.x, SOURCE.geometry.y)
@@ -295,7 +312,7 @@ def test_a_record_edit_is_seen_by_the_next_query():
     assert np.array_equal(edge_table(poly)[0], edge_table(moved)[0])
     assert poly.id in engine.select(data, ZONES[0], RES).ids
     _check_all(data)
-    assert _entry(data).holds(data)
+    assert engine._holds(_entry(data), data)
 
 
 def test_lists_shorter_than_the_minimum_are_not_kept(monkeypatch):
@@ -311,7 +328,7 @@ def test_lists_shorter_than_the_minimum_are_not_kept(monkeypatch):
 
 def test_the_memo_keeps_an_estimated_byte_bound(monkeypatch):
     lists = [_data(lines=True) for _ in range(3)]
-    size = engine._Records(lists[0]).footprint()
+    size = engine._footprint(engine.Dataset(lists[0]))
     assert size >= engine._RECORD_BYTES * len(lists[0])
     monkeypatch.setattr(engine, "RESIDENT_BYTES", int(2.5 * size))
     for lst in lists:
