@@ -469,6 +469,15 @@ def _point_dataset(dataset, geographic: bool = False) -> Dataset:
     return data
 
 
+def _polygon_dataset(dataset, message: str) -> Dataset:
+    """``_dataset`` of a dataset of polygons only; a DataError with
+    ``message`` for any other record."""
+    data = _dataset(dataset)
+    if len(data.others) < len(data) or any(r.kind != "polygon" for r in data.others):
+        raise DataError(message)
+    return data
+
+
 def _as_constraint_record(constraint) -> GeometryRecord:
     if isinstance(constraint, GeometryRecord):
         if constraint.kind != "polygon":
@@ -930,31 +939,30 @@ def join(d1, d2, resolution: int | None = None, config: Config = DEFAULT,
     (disjoint layer members share one constraint canvas) and probes the
     other side against each."""
     resolution = resolution or config.resolution
-    d1 = list(d1)
-    if any(r.kind != "polygon" for r in d1):
-        raise DataError("join: D1 must be a polygon dataset")
+    d1 = _polygon_dataset(d1, "join: D1 must be a polygon dataset")
+    polys = d1.others
     part = _dataset(d2)
     others = part.others
     if any(r.kind != "polygon" for r in others):
         raise DataError("join: D2 must be points or polygons")
     has_points = len(part) > len(others)
-    if not d1 or not (has_points or others):
+    if not polys or not (has_points or others):
         return JoinResult(())
 
     if d1_layers is None:
         log.warning("join: building layer index for D1 on demand")
-        d1_layers = build_layer_index(d1)
+        d1_layers = build_layer_index(polys)
     swapped = False
     if not has_points:
         if d2_layers is None:
             log.warning("join: building layer index for D2 on demand")
             d2_layers = build_layer_index(others)
         if d2_layers.layer_count < d1_layers.layer_count:
-            d1, part = others, Dataset(d1)
+            polys, part = others, d1
             d1_layers = d2_layers
             swapped = True
 
-    [(cids, rids)] = _probe_parts(_layer_matchers(d1, d1_layers, resolution), [part])
+    [(cids, rids)] = _probe_parts(_layer_matchers(polys, d1_layers, resolution), [part])
     return _join_result(rids, cids) if swapped else _join_result(cids, rids)
 
 
@@ -1066,12 +1074,11 @@ def distance_join(d1, d2, radii, resolution: int | None = None,
 
 def _aggregation_matchers(constraints, mode: str, layers: LayerIndex | None,
                           resolution: int):
-    """One canvas per layer of the aggregation constraints, checked now with
-    ``mode`` (``layers`` built now when None) and rendered when drawn."""
+    """One canvas per layer of the aggregation constraints, the polygons of
+    a ``_polygon_dataset``, checked now with ``mode`` (``layers`` built now
+    when None) and rendered when drawn."""
     if mode not in ("count", "sum"):
         raise DataError(f"unknown aggregation mode {mode!r}")
-    if any(r.kind != "polygon" for r in constraints):
-        raise DataError("aggregation constraints must be polygons")
     return _layer_matchers(constraints, layers or build_layer_index(constraints), resolution)
 
 
@@ -1127,7 +1134,7 @@ def aggregate(constraints, data, mode: str = "count",
     """Per-constraint count (or sum of value payloads) of intersecting data
     objects: each constraint layer is rendered once and the data classified
     against it (points per pixel, other records in one pass)."""
-    constraints = list(constraints)
+    constraints = _polygon_dataset(constraints, "aggregation constraints must be polygons").others
     matchers = _aggregation_matchers(constraints, mode, layer_index,
                                      resolution or config.resolution)
     if layer_index is None:

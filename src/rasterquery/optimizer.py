@@ -1,7 +1,14 @@
-"""Plan-level decisions: out-of-core join strategy selection by estimated
-transfer bytes and join-loop ordering, plus the Map's result bound and
-implementation choice, which no query asks for any more (see
-``operators``). Pure planning over immutable metadata.
+"""Plan-level decisions: the out-of-core join's layer-index plan and its
+transfer estimate, plus the Map's result bound and implementation choice,
+which no query asks for any more (see ``operators``). Pure planning over
+immutable metadata.
+
+The paper weighs two out-of-core join strategies by transfer bytes: a
+naive nested loop over the A polygons, and the layer index over the A
+cells. Only the layer index is planned here. ``storage.ooc_join`` drops
+each of an A cell's B cells that none of the cell's polygons meets, so it
+loads for an A cell only the B cells the loop loaded for its polygons,
+and it renders each A layer once where the loop rendered each A polygon.
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ import numpy as np
 from .config import DEFAULT, Config
 from .errors import DataError
 
-NAIVE_LOOP = "naive_loop"
 LAYER_INDEX = "layer_index"
 ONE_PASS = "one_pass"
 TWO_PASS = "two_pass"
@@ -49,7 +55,6 @@ def choose_map_impl(n_max: int, canvas_budget: int | None = None,
 
 @dataclass(frozen=True)
 class TransferEstimate:
-    strategy: str
     bytes: int
 
 
@@ -77,7 +82,8 @@ def order_join(steps, sizes=None):
     """Greedy max-overlap ordering of join steps; consecutive steps share at
     least one cell/layer whenever the overlap graph is connected. Falls back
     to the input order when that simulates cheaper, so ordering never costs
-    transfer bytes.
+    transfer bytes. No query calls it; it stays only because perfbench's
+    tracer wraps it on this module by name.
 
     From the first step on, each round takes the step left that shares the
     most cells with the one before, the lowest index among ties: over a
@@ -109,40 +115,17 @@ def order_join(steps, sizes=None):
     return steps
 
 
-def choose_join_strategy(naive_steps, layer_steps, cell_sizes,
-                         force: str | None = None) -> tuple:
-    """Estimate the transfer bytes of both candidate load sequences and pick
-    the cheaper (ties favor the layer index: fewer passes), or the strategy
-    ``force`` names.
-
-    naive_steps: one step per constraint polygon with its matched-cell
-    footprint, put in order here by ``order_join``; layer_steps: one step
-    per filtered cell pair, in the order they run. Returns (naive estimate,
-    layer estimate, PlanChoice), the choice holding the chosen sequence's
-    order.
-    """
-    if force not in (None, NAIVE_LOOP, LAYER_INDEX):
-        raise DataError(f"unknown join strategy {force!r}")
-    naive_ordered = order_join(naive_steps, cell_sizes)
-    est_naive = TransferEstimate(NAIVE_LOOP, simulate_transfer(naive_ordered, cell_sizes))
-    est_layer = TransferEstimate(LAYER_INDEX, simulate_transfer(layer_steps, cell_sizes))
-    chosen = force or (NAIVE_LOOP if est_naive.bytes < est_layer.bytes else LAYER_INDEX)
-    ordered = naive_ordered if chosen == NAIVE_LOOP else layer_steps
-    plan = PlanChoice(join_strategy=chosen,
-                      load_order=tuple(label for label, _ in ordered))
-    return est_naive, est_layer, plan
+def choose_join_strategy(layer_steps, cell_sizes) -> tuple:
+    """Price the layer-index plan: ``layer_steps`` is one (label, footprint)
+    step per filtered cell pair, in the order they run. Returns
+    (TransferEstimate, PlanChoice), the estimate the bytes the steps
+    simulate and the choice their order."""
+    estimate = TransferEstimate(simulate_transfer(layer_steps, cell_sizes))
+    return estimate, PlanChoice(LAYER_INDEX, tuple(label for label, _ in layer_steps))
 
 
-def explain_lines(plan: PlanChoice, est_naive: TransferEstimate | None = None,
-                  est_layer: TransferEstimate | None = None) -> list:
+def explain_lines(plan: PlanChoice, estimate: TransferEstimate) -> list:
     """Stable line-oriented plan description for --explain output."""
-    lines = []
-    if plan.join_strategy:
-        lines.append(f"join_strategy: {plan.join_strategy}")
-    if est_naive is not None:
-        lines.append(f"estimate naive_loop bytes={est_naive.bytes}")
-    if est_layer is not None:
-        lines.append(f"estimate layer_index bytes={est_layer.bytes}")
-    for label in plan.load_order:
-        lines.append(f"load: {label}")
-    return lines
+    return [f"join_strategy: {plan.join_strategy}",
+            f"estimate {plan.join_strategy} bytes={estimate.bytes}",
+            *(f"load: {label}" for label in plan.load_order)]

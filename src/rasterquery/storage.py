@@ -9,8 +9,9 @@ filter. Every ``ooc_*`` query runs the in-memory engine's own probe loop:
 it checks its inputs with the engine, filters the cells, then streams the
 kept cells, each loaded once, past canvases rendered once per query; a
 filter that keeps nothing renders nothing. ``ooc_join`` runs its plan's
-load order instead and renders each A-side canvas once: every layer of an
-A cell, or one A polygon, with its B cells streamed past it. kNN renders
+load order instead: it loads each hull-filtered A cell once, keeps the B
+cells some polygon of the cell meets, and renders the cell's layers once,
+with those B cells streamed past them. kNN renders
 no canvas: it walks the cells best-first by hull distance and ranks the
 points of each cell it reaches, loaded once, by exact (distance, id).
 
@@ -59,6 +60,7 @@ import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -665,21 +667,22 @@ def ooc_select(store: DatasetStore, constraint, resolution: int | None = None,
     return engine._selection(matchers, (store.load_cell(c) for c in kept))
 
 
-def plan_ooc_join(store_a: DatasetStore, store_b: DatasetStore,
-                  force_strategy: str | None = None) -> tuple:
-    """Filter both grids, build the two load sequences, and let the
-    optimizer pick the one with fewer estimated transfer bytes, or take
-    ``force_strategy``.
+def plan_ooc_join(store_a: DatasetStore, store_b: DatasetStore) -> tuple:
+    """The layer-index plan of ``ooc_join``, made from both grids' hulls
+    with no cell loaded.
 
-    Layer-index steps are the filtered (A cell, B cell) pairs, A-cell-major,
-    and run in that order, so each A cell's layers render once for all its
-    B cells; an A cell's B cells start with the one the previous A cell
-    ended on, when it has it. Naive-loop steps are one per A polygon that
-    meets a B hull (the exact kernel over each filtered A cell's polygons
-    and its B hulls), with its A cell and those B cells as footprint.
+    Its steps are the hull-filtered (A cell, B cell) pairs, A-cell-major,
+    so that each A cell's layers render once for all its B cells; an A
+    cell's B cells start with the one the previous A cell ended on, when it
+    has it. The estimate is ``optimizer.simulate_transfer`` of the steps,
+    an upper bound of the bytes the join reads: it loads each A cell once
+    and skips the B cells none of the cell's polygons meets.
 
-    Returns (naive estimate, layer estimate, PlanChoice, steps); ``steps``
-    maps each step label of either sequence to its (A cell, [B cells]).
+    Returns (None, estimate, PlanChoice, steps); ``steps`` maps each step
+    label to its (A cell, B cell). The first slot is always None and keeps
+    the tuple's shape: ``perfbench/tracer.py`` reads its first three
+    entries as two estimates and the choice, and takes the second estimate
+    for the layer index.
     """
     if store_a.catalog.kind != "polygon":
         raise DataError("ooc_join: D1 must be a polygon dataset")
@@ -687,12 +690,11 @@ def plan_ooc_join(store_a: DatasetStore, store_b: DatasetStore,
     index_b = store_b.grid_index()
     sizes = {("A", c.key): c.byte_size for c in index_a.cells}
     sizes.update({("B", c.key): c.byte_size for c in index_b.cells})
-    ordinal = {c.key: k for k, c in enumerate(index_b.cells)}
     groups: dict = {}
     for ca, cb in filter_join(index_a, index_b):
         groups.setdefault(ca.key, (ca, []))[1].append(cb)
     steps: dict = {}
-    layer_steps, naive_steps = [], []
+    layer_steps = []
     last = None
     for ca, b_cells in groups.values():
         keys = [cb.key for cb in b_cells]
@@ -701,50 +703,43 @@ def plan_ooc_join(store_a: DatasetStore, store_b: DatasetStore,
         last = b_cells[-1].key
         for cb in b_cells:
             label = f"pair:{ca.label()}x{cb.label()}"
-            steps[label] = (ca, [cb])
+            steps[label] = (ca, cb)
             layer_steps.append((label, frozenset({("A", ca.key), ("B", cb.key)})))
-        polys = store_a.load_cell(ca).others
-        hulls = index_b.hulls().take([ordinal[cb.key] for cb in b_cells])
-        per_poly: dict = {}
-        for p, h in zip(*_meeting(RecordTable(polys), hulls)):
-            per_poly.setdefault(polys[p].id, []).append(b_cells[h])
-        for rid in sorted(per_poly):
-            label = f"poly:{rid}"
-            steps[label] = (ca, per_poly[rid])
-            naive_steps.append((label, frozenset({("A", ca.key)}
-                                                 | {("B", c.key) for c in per_poly[rid]})))
-    est_naive, est_layer, plan = optimizer.choose_join_strategy(
-        naive_steps, layer_steps, sizes, force_strategy)
-    return est_naive, est_layer, plan, steps
+    estimate, plan = optimizer.choose_join_strategy(layer_steps, sizes)
+    return None, estimate, plan, steps
 
 
 def ooc_join(store_a: DatasetStore, store_b: DatasetStore,
              resolution: int | None = None, config: Config = DEFAULT,
-             force_strategy: str | None = None, explain: list | None = None):
-    """Out-of-core join: filter cell pairs, choose the naive-loop or
-    layer-index refinement by transfer estimate, and run the plan's load
-    order. A step loads its A cell unless the step before had the same one,
-    then streams its B cells past the A side's canvases: with the layer
-    index, those of every layer of the A cell, rendered once per A cell
-    (only one A cell's canvases are alive at a time); with the naive loop,
-    the step's one A polygon."""
-    est_naive, est_layer, plan, steps = plan_ooc_join(store_a, store_b, force_strategy)
-    if explain is not None:
-        explain.extend(optimizer.explain_lines(plan, est_naive, est_layer))
+             explain: list | None = None):
+    """Out-of-core join by the layer index, in the plan's load order
+    (``plan_ooc_join``). Each A cell of the plan is loaded once, and keeps
+    the B cells its plan pairs it with that some polygon of the cell meets,
+    by one exact test of its polygons against their hulls: a B polygon lies
+    inside its cell's hull, so a dropped B cell holds no pair. An A cell
+    that keeps none renders nothing; otherwise its layers are rendered once
+    and its kept B cells streamed past them, so only one A cell's canvases
+    are alive at a time. ``explain`` receives the plan, its estimate and
+    one ``load:`` line per pair that loaded, in load order."""
+    _, estimate, plan, steps = plan_ooc_join(store_a, store_b)
     resolution = resolution or config.resolution
-    pairs = []
-    key = None
-    for label in plan.load_order:
-        ca, b_cells = steps[label]
-        if ca.key != key:
-            key, matchers = ca.key, None
-            data = store_a.load_cell(ca)
-        if plan.join_strategy == optimizer.NAIVE_LOOP:
-            layers = LayerIndex([[int(label.split(":", 1)[1])]])
-            matchers = engine._layer_matchers(data.others, layers, resolution)
-        elif matchers is None:
-            matchers = list(engine._layer_matchers(data.others, data.layers, resolution))
-        pairs.append(engine._joined(matchers, (store_b.load_cell(cb) for cb in b_cells)))
+    index_b = store_b.grid_index()
+    ordinal = {c.key: k for k, c in enumerate(index_b.cells)}
+    pairs, loaded = [], []
+    for _, labels in groupby(plan.load_order, key=lambda label: steps[label][0].key):
+        labels = list(labels)
+        data = store_a.load_cell(steps[labels[0]][0])
+        b_cells = [steps[label][1] for label in labels]
+        _, met = _meeting(data.probes, index_b.hulls().take([ordinal[cb.key] for cb in b_cells]))
+        kept = np.unique(met).tolist()
+        if not kept:
+            continue
+        loaded += [labels[k] for k in kept]
+        pairs.append(engine._joined(engine._layer_matchers(data.others, data.layers, resolution),
+                                    (store_b.load_cell(b_cells[k]) for k in kept)))
+    if explain is not None:
+        explain.extend(optimizer.explain_lines(replace(plan, load_order=tuple(loaded)),
+                                               estimate))
     return engine._join_result(*engine._stacked(pairs))
 
 
@@ -786,7 +781,8 @@ def ooc_aggregate(constraints, store: DatasetStore, mode: str = "count",
     """``engine.aggregate`` over the cells whose hull meets some constraint:
     the constraints' layer index is built and each layer rendered once, and
     the cells partition the data, so one pass over them counts exactly."""
-    constraints = list(constraints)
+    constraints = engine._polygon_dataset(constraints,
+                                          "aggregation constraints must be polygons").others
     matchers = engine._aggregation_matchers(constraints, mode, None,
                                             resolution or config.resolution)
     index = store.grid_index()

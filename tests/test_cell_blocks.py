@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gen
-from rasterquery import engine, optimizer, oracle, storage
+from rasterquery import engine, oracle, storage
 from rasterquery.canvas_index import build_layer_index
 from rasterquery.config import Config
 from rasterquery.errors import CorruptionError, DataError
@@ -200,9 +200,9 @@ def test_ooc_join_against_points(mixed, tmp_path):
                           config=CFG)
     store = storage.DatasetStore(tmp_path, "polys", CFG)
     want = oracle.oracle_join(polys, mixed.bare)
-    for strategy in (optimizer.NAIVE_LOOP, optimizer.LAYER_INDEX):
-        got = storage.ooc_join(store, mixed.bare_store, config=CFG, force_strategy=strategy)
-        assert sorted(set(got.pairs)) == want
+    for resolution in (16, 64, 1024):
+        got = storage.ooc_join(store, mixed.bare_store, resolution=resolution, config=CFG)
+        assert list(got.pairs) == want, resolution
 
 
 # ---------------------------------------------------------------------------

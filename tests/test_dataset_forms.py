@@ -45,10 +45,15 @@ MIXED = _shuffled(_valued(gen.uniform_points(_r, 150)
                           + gen.random_polygons(_r, 75, start_id=225)))
 POLYS_AND_POINTS = [rec for rec in MIXED if rec.kind != "polyline"]
 assert len(POINTS) >= engine.RESIDENT_MIN_RECORDS > len(LEFT)
-DATA = {"points": POINTS, "left": LEFT, "mixed": MIXED, "polys+points": POLYS_AND_POINTS}
-
 ZONES = gen.random_polygons(gen.rng(42), 6, radius_frac=0.2, start_id=900)
 LAYERS = build_layer_index(ZONES)
+# One layer against the zones' two, so a join of the zones against it
+# swaps its sides.
+GRID = gen.disjoint_polygons(gen.rng(43), 4, start_id=2000)
+GRID_LAYERS = build_layer_index(GRID)
+assert GRID_LAYERS.layer_count < LAYERS.layer_count
+DATA = {"points": POINTS, "left": LEFT, "mixed": MIXED, "polys+points": POLYS_AND_POINTS,
+        "zones": ZONES}
 SOURCE = point_record(950, 0.5, 0.5)
 CENTRE = Point2(0.4, 0.6)
 # Planar radii, and metres for the same data read as degrees.
@@ -90,6 +95,15 @@ CASES = {
         "polys+points",
         lambda d, g, s: list(engine.join(ZONES, d, RES, d1_layers=LAYERS).pairs),
         lambda g: oracle.oracle_join(ZONES, POLYS_AND_POINTS), False),
+    "join D1": (
+        "zones",
+        lambda d, g, s: list(engine.join(d, POLYS_AND_POINTS, RES).pairs),
+        lambda g: oracle.oracle_join(ZONES, POLYS_AND_POINTS), False),
+    "join D1 swapped": (
+        "zones",
+        lambda d, g, s: list(engine.join(d, GRID, RES, d1_layers=LAYERS,
+                                         d2_layers=GRID_LAYERS).pairs),
+        lambda g: oracle.oracle_join(ZONES, GRID), False),
     "distance_select": (
         "mixed",
         lambda d, g, s: list(engine.distance_select(d, SOURCE, _radius(g), RES,
@@ -109,6 +123,18 @@ CASES = {
         "mixed",
         lambda d, g, s: list(engine.aggregate(ZONES, d, "sum", RES, layer_index=LAYERS).rows),
         lambda g: oracle.oracle_aggregate(ZONES, MIXED, "sum"), False),
+    "aggregate count constraints": (
+        "zones",
+        lambda d, g, s: list(engine.aggregate(d, MIXED, "count", RES).rows),
+        lambda g: oracle.oracle_aggregate(ZONES, MIXED, "count"), False),
+    "aggregate sum constraints": (
+        "zones",
+        lambda d, g, s: list(engine.aggregate(d, MIXED, "sum", RES).rows),
+        lambda g: oracle.oracle_aggregate(ZONES, MIXED, "sum"), False),
+    "ooc_aggregate constraints": (
+        "zones",
+        lambda d, g, s: list(storage.ooc_aggregate(d, s, "sum", config=CFG).rows),
+        lambda g: oracle.oracle_aggregate(ZONES, POINTS, "sum"), False),
     "knn_select": (
         "points",
         lambda d, g, s: engine.knn_select(d, CENTRE, 7, geographic=g),
@@ -245,3 +271,20 @@ def test_prepared_points_takes_points_only():
     with pytest.raises(DataError):
         engine.PreparedPoints(MIXED)
     assert np.array_equal(np.sort(engine.PreparedPoints(POINTS).ids), np.arange(len(POINTS)))
+
+
+@pytest.mark.parametrize("form", ["list", "Dataset"])
+def test_a_non_polygon_d1_or_constraint_raises_in_every_form(stores, form):
+    """A point or polyline among join's D1 or the aggregation constraints
+    raises ``DataError`` however the records come, before any cell load."""
+    store = storage.DatasetStore(stores["cells"].catalog.directory.parent, "cells", CFG)
+    for bad in (ZONES + POINTS[:1], ZONES + [rec for rec in MIXED if rec.kind == "polyline"][:1]):
+        d = engine.Dataset(bad) if form == "Dataset" else bad
+        with pytest.raises(DataError):
+            engine.join(d, POINTS, RES)
+        for mode in ("count", "sum"):
+            with pytest.raises(DataError):
+                engine.aggregate(d, MIXED, mode, RES)
+            with pytest.raises(DataError):
+                storage.ooc_aggregate(d, store, mode, config=CFG)
+    assert store.bytes_transferred == 0

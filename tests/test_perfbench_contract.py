@@ -66,6 +66,10 @@ def test_traced_queries_count_through_every_hook(tracer, tmp_path):
     cons = gen.concave_polygon(r, (0.5, 0.5), 0.3)
     storage.build_indexes(storage.ingest(data, "mixed", tmp_path), byte_budget=2048)
     store = storage.DatasetStore(tmp_path, "mixed")
+    polys = gen.random_polygons(r, 12, radius_frac=0.1, start_id=200)
+    for name, recs in (("zones", zones), ("polys", polys)):
+        storage.build_indexes(storage.ingest(recs, name, tmp_path), byte_budget=1024)
+    zone_store, poly_store = (storage.DatasetStore(tmp_path, name) for name in ("zones", "polys"))
     t = tracer.Tracer()
     t.install()
     try:
@@ -73,12 +77,15 @@ def test_traced_queries_count_through_every_hook(tracer, tmp_path):
         engine.distance_select(data, point_record(0, 0.5, 0.5), 0.1, resolution=64)
         engine.join(zones, [rec for rec in data if rec.kind != "polyline"], resolution=64)
         storage.ooc_select(store, cons, resolution=64)
+        storage.ooc_join(zone_store, poly_store, resolution=64)
     finally:
         t.remove()
     spans, counts = t.take()
     for name in ("canvas.canvases", "canvas_index.boundary_entries", "canvas_index.layers",
                  "storage.cell_loads"):
         assert counts[name] > 0, name
+    # The tracer reads ``plan_ooc_join``'s estimate from its result tuple.
+    assert counts["optimizer.estimated_bytes"] >= counts["optimizer.measured_bytes"] > 0
     metrics = tracer.layer_metrics(tracer.SpanTable(spans), counts, 1)
     assert metrics["canvas.canvases"] == counts["canvas.canvases"]
     assert metrics["canvas_index.boundary_index_ms"] > 0

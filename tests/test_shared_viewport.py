@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gen
-from rasterquery import canvas, engine, optimizer, oracle, storage
+from rasterquery import canvas, engine, oracle, storage
 from rasterquery.canvas_index import LayerIndex, build_distance_layer_index, build_layer_index
 from rasterquery.config import Config
 from rasterquery.geometry import GeometryRecord, RecordTable, box_record, point_record
@@ -107,12 +107,11 @@ def stores(fx, tmp_path_factory):
 
 
 @pytest.mark.parametrize("res", RESOLUTIONS)
-@pytest.mark.parametrize("strategy", [optimizer.NAIVE_LOOP, optimizer.LAYER_INDEX])
-def test_ooc_join(fx, stores, strategy, res):
+def test_ooc_join(fx, stores, res):
     sa, sb = stores
     [cell] = sa.grid_index().cells
     assert sa.load_cell(cell).layers.layer_count == 2
-    got = storage.ooc_join(sa, sb, resolution=res, force_strategy=strategy)
+    got = storage.ooc_join(sa, sb, resolution=res)
     assert list(got.pairs) == oracle.oracle_join(fx.a, fx.polys)
 
 

@@ -244,9 +244,7 @@ def test_ooc_queries_run_no_public_engine_query(stores, monkeypatch):
     """Out-of-core queries share the engine's probe loop; none of them runs
     a public engine query per cell."""
     queries = [query for query, _, _ in _ooc_cases(stores).values()]
-    queries += [lambda strategy=strategy: storage.ooc_join(stores.sa, stores.sb, config=CFG,
-                                                           force_strategy=strategy)
-                for strategy in (optimizer.NAIVE_LOOP, optimizer.LAYER_INDEX)]
+    queries.append(lambda: storage.ooc_join(stores.sa, stores.sb, config=CFG))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("an ooc_* query ran a public engine query")
@@ -257,9 +255,13 @@ def test_ooc_queries_run_no_public_engine_query(stores, monkeypatch):
         query()
 
 
-@pytest.mark.parametrize("strategy", [optimizer.NAIVE_LOOP, optimizer.LAYER_INDEX])
+@pytest.mark.parametrize("strategy", [optimizer.LAYER_INDEX])
 def test_ooc_join_both_strategies(stores, strategy):
-    got = storage.ooc_join(stores.sa, stores.sb, config=CFG, force_strategy=strategy)
+    """Of the paper's two load strategies the layer index is the one left:
+    the join over the shared stores names it and agrees with the oracle."""
+    explain: list = []
+    got = storage.ooc_join(stores.sa, stores.sb, config=CFG, explain=explain)
+    assert f"join_strategy: {strategy}" in explain
     assert sorted(set(got.pairs)) == oracle.oracle_join(stores.a, stores.b)
 
 
@@ -324,7 +326,7 @@ def test_cell_layers_are_decoded_only_by_joins(stores, monkeypatch):
         oracle.oracle_select(stores.points, cons)
     storage.ooc_aggregate(stores.hoods, sp, "count", config=CFG)
     assert decoded == []
-    got = storage.ooc_join(sa, sb, config=CFG, force_strategy=optimizer.LAYER_INDEX).pairs
+    got = storage.ooc_join(sa, sb, config=CFG).pairs
     assert sorted(set(got)) == oracle.oracle_join(stores.a, stores.b)
     assert decoded
 
@@ -381,7 +383,8 @@ def test_filter_distance_equals_per_hull_distances(stores, src):
 
 
 # ---------------------------------------------------------------------------
-# Out-of-core join: both strategies, every A layer rendered once
+# Out-of-core join: the layer-index plan, each A cell loaded once and its B
+# cells pruned by its polygons, every kept A cell's layers rendered once
 # ---------------------------------------------------------------------------
 
 # The ids name a coarse (4 cells a store) and a fine (15 and 11 cells) grid;
@@ -397,15 +400,31 @@ def join_stores(stores, request):
     return sa, sb
 
 
+def _fresh(store):
+    """The store opened again: a cold cache and no byte counted."""
+    return storage.DatasetStore(store.catalog.directory.parent, store.catalog.name, CFG)
+
+
+def _met_pairs(sa, sb) -> list:
+    """The hull-filtered (A cell, B cell) pairs, A-cell-major, where some
+    polygon of the A cell meets the B cell's hull, by all-pairs exact
+    tests over a separate pair of stores."""
+    sa, sb = _fresh(sa), _fresh(sb)
+    hulls = {cb.key: GeometryRecord(0, "polygon", [cb.hull]) for cb in sb.grid_index().cells}
+    return [(ca, cb) for ca, cb in storage.filter_join(sa.grid_index(), sb.grid_index())
+            if any(pairwise_intersects(p, hulls[cb.key]) for p in sa.load_cell(ca).others)]
+
+
 @pytest.mark.parametrize("resolution", [16, 64, 1024])
-@pytest.mark.parametrize("strategy", [optimizer.NAIVE_LOOP, optimizer.LAYER_INDEX])
-def test_ooc_join_agrees_with_oracle(stores, join_stores, strategy, resolution):
+def test_ooc_join_agrees_with_oracle(stores, join_stores, resolution):
     sa, sb = join_stores
-    got = storage.ooc_join(sa, sb, resolution=resolution, config=CFG, force_strategy=strategy)
+    got = storage.ooc_join(sa, sb, resolution=resolution, config=CFG)
     assert list(got.pairs) == oracle.oracle_join(stores.a, stores.b)
 
 
 def test_ooc_join_renders_each_a_side_canvas_once(stores, join_stores, monkeypatch):
+    """Every layer of each A cell that keeps a B cell is rendered once, and
+    no other."""
     sa, sb = join_stores
     renders = []
     real = canvas.render_geometry_canvas
@@ -413,22 +432,17 @@ def test_ooc_join_renders_each_a_side_canvas_once(stores, join_stores, monkeypat
     def counted(vp, bindex):
         renders.append(bindex.table.ids.tolist())
         return real(vp, bindex)
-    a_cells = {ca.key: ca for ca, _ in storage.filter_join(sa.grid_index(), sb.grid_index())}
+    a_cells = {ca.key: ca for ca, _ in _met_pairs(sa, sb)}
     layers = [sorted(ids) for ca in a_cells.values() for ids in sa.load_cell(ca).layers.layers]
-    hulls = sb.grid_index().hulls().records
-    polys = [[p.id] for p in stores.a if any(pairwise_intersects(p, h) for h in hulls)]
     monkeypatch.setattr(canvas, "render_geometry_canvas", counted)
-    storage.ooc_join(sa, sb, config=CFG, force_strategy=optimizer.LAYER_INDEX)
+    storage.ooc_join(sa, sb, config=CFG)
     assert sorted(sorted(ids) for ids in renders) == sorted(layers)
-    renders.clear()
-    storage.ooc_join(sa, sb, config=CFG, force_strategy=optimizer.NAIVE_LOOP)
-    assert sorted(renders) == polys
 
 
-@pytest.mark.parametrize("strategy", [optimizer.NAIVE_LOOP, optimizer.LAYER_INDEX])
-def test_ooc_join_dedups_the_pairs_of_all_steps_once(stores, join_stores, monkeypatch, strategy):
-    """The pairs of every step go through one sort-based dedup, which equals
-    ``sorted(set(...))`` of them, and would drop pairs two steps repeat."""
+def test_ooc_join_dedups_the_pairs_of_all_steps_once(stores, join_stores, monkeypatch):
+    """The pairs of every A cell go through one sort-based dedup, which
+    equals ``sorted(set(...))`` of them, and would drop pairs two A cells
+    repeat."""
     sa, sb = join_stores
     steps = []
     real = engine._joined
@@ -438,7 +452,7 @@ def test_ooc_join_dedups_the_pairs_of_all_steps_once(stores, join_stores, monkey
         steps.append(got)
         return got
     monkeypatch.setattr(engine, "_joined", joined)
-    got = storage.ooc_join(sa, sb, config=CFG, force_strategy=strategy)
+    got = storage.ooc_join(sa, sb, config=CFG)
     assert len(steps) > 1 and sum(len(cids) > 0 for cids, _ in steps) > 1
     pairs = [p for cids, rids in steps for p in zip(cids.tolist(), rids.tolist())]
     assert got.pairs == tuple(sorted(set(pairs)))
@@ -447,38 +461,113 @@ def test_ooc_join_dedups_the_pairs_of_all_steps_once(stores, join_stores, monkey
     assert engine._join_result(*repeated) == got
 
 
-@pytest.mark.parametrize("strategy", [None, optimizer.NAIVE_LOOP, optimizer.LAYER_INDEX])
+@pytest.mark.parametrize("strategy", [None, optimizer.LAYER_INDEX])
 def test_ooc_join_loads_cells_in_the_explained_order(join_stores, monkeypatch, strategy):
-    sa, sb = join_stores
-    loads = []
-    planned = storage.plan_ooc_join
-    real = storage.DatasetStore.load_cell
+    """Explain names the plan and, in load order, exactly the pairs that
+    loaded: the plan's pairs whose B hull some polygon of the A cell
+    meets. The recorded loads are each A cell once, then its kept B cells,
+    as those lines give them.
 
-    def plan(*args, **kwargs):
-        out = planned(*args, **kwargs)
-        loads.clear()  # the plan's own loads are not the execution's
-        return out
+    With ``strategy`` None the recorded join runs without an explain list,
+    and its loads are checked against the lines of a second, explained run
+    over fresh stores; otherwise the explained run itself is recorded and
+    must name that strategy."""
+    sa, sb = _fresh(join_stores[0]), _fresh(join_stores[1])
+    loads = []
+    real = storage.DatasetStore.load_cell
 
     def recorded(store, cell):
         loads.append(("A" if store is sa else "B", cell.key))
         return real(store, cell)
-    monkeypatch.setattr(storage, "plan_ooc_join", plan)
     monkeypatch.setattr(storage.DatasetStore, "load_cell", recorded)
     explain: list = []
-    storage.ooc_join(sa, sb, config=CFG, force_strategy=strategy, explain=explain)
+    storage.ooc_join(sa, sb, config=CFG, explain=None if strategy is None else explain)
     executed = list(loads)
-    _, _, choice, steps = planned(sa, sb, strategy)
+    if strategy is None:
+        storage.ooc_join(_fresh(sa), _fresh(sb), config=CFG, explain=explain)
+    _, estimate, choice, steps = storage.plan_ooc_join(sa, sb)
     labels = [line[len("load: "):] for line in explain if line.startswith("load: ")]
-    assert labels == list(choice.load_order)
-    assert f"join_strategy: {choice.join_strategy}" in explain
+    met = {(ca.key, cb.key) for ca, cb in _met_pairs(sa, sb)}
+    assert labels == [label for label in choice.load_order
+                      if (steps[label][0].key, steps[label][1].key) in met]
+    assert f"join_strategy: {strategy or choice.join_strategy}" in explain
+    assert f"estimate {choice.join_strategy} bytes={estimate.bytes}" in explain
     want, last = [], None
     for label in labels:
-        ca, b_cells = steps[label]
+        ca, cb = steps[label]
         if ca.key != last:
             want.append(("A", ca.key))
             last = ca.key
-        want += [("B", cb.key) for cb in b_cells]
+        want.append(("B", cb.key))
     assert executed == want
+
+
+def test_plan_ooc_join_loads_no_cell(join_stores):
+    sa, sb = _fresh(join_stores[0]), _fresh(join_stores[1])
+    naive, estimate, choice, steps = storage.plan_ooc_join(sa, sb)
+    assert naive is None and choice.join_strategy == optimizer.LAYER_INDEX
+    assert list(choice.load_order) == list(steps) and estimate.bytes > 0
+    assert sa.bytes_transferred == sb.bytes_transferred == 0
+
+
+def test_ooc_join_reads_each_a_cell_once(join_stores):
+    """A cell cache smaller than the A cells the plan names still loads
+    each of them once, and the bytes read stay within the estimate."""
+    sa, sb = _fresh(join_stores[0]), _fresh(join_stores[1])
+    planned = {ca.key: ca.byte_size for ca, _ in storage.filter_join(sa.grid_index(),
+                                                                      sb.grid_index())}
+    assert sum(planned.values()) > sa.cache_capacity
+    kept = {ca.key: ca.byte_size for ca, _ in _met_pairs(sa, sb)}
+    assert kept == planned  # in these stores every A cell keeps a B cell
+    storage.ooc_join(sa, sb, config=CFG)
+    assert sa.bytes_transferred == sum(kept.values())
+    _, estimate, _, _ = storage.plan_ooc_join(sa, sb)
+    assert sa.bytes_transferred + sb.bytes_transferred <= estimate.bytes
+
+
+class FarBoxes:
+    """Two far-apart A boxes in one A cell, whose hull crosses a 64-cell B
+    store along its diagonal: most B cells the hull meets, neither box
+    does. The layout where a nested loop over the A polygons once read
+    fewer bytes than the layer index."""
+
+    def __init__(self, root):
+        self.a = [box_record(1, 0.05, 0.05, 0.15, 0.15), box_record(2, 0.85, 0.85, 0.95, 0.95)]
+        self.b = gen.random_polygons(gen.rng(11), 400, start_id=100)
+        for name, recs, budget in (("a", self.a, 1 << 16), ("b", self.b, 4096)):
+            storage.build_indexes(storage.ingest(recs, name, root), byte_budget=budget,
+                                  config=CFG)
+        self.root = root
+
+    def stores(self):
+        return tuple(storage.DatasetStore(self.root, name, CFG) for name in ("a", "b"))
+
+
+@pytest.fixture(scope="module")
+def far_boxes(tmp_path_factory):
+    return FarBoxes(tmp_path_factory.mktemp("far_boxes"))
+
+
+def test_ooc_join_reads_only_the_b_cells_an_a_polygon_meets(far_boxes):
+    sa, sb = far_boxes.stores()
+    [cell] = sa.grid_index().cells
+    assert len(sb.grid_index().cells) == 64
+    hulls = sb.grid_index().hulls().records
+    met = [cb for cb, h in zip(sb.grid_index().cells, hulls)
+           if any(pairwise_intersects(box, h) for box in far_boxes.a)]
+    filtered = [cb for _, cb in storage.filter_join(sa.grid_index(), sb.grid_index())]
+    assert len(filtered) > 2 * len(met)
+    storage.ooc_join(sa, sb, config=CFG)
+    assert sb.bytes_transferred == sum(cb.byte_size for cb in met)
+    assert sa.bytes_transferred == cell.byte_size
+
+
+@pytest.mark.parametrize("resolution", RESOLUTIONS)
+def test_ooc_join_over_far_boxes_agrees_with_oracle(far_boxes, resolution):
+    sa, sb = far_boxes.stores()
+    got = storage.ooc_join(sa, sb, resolution=resolution, config=CFG)
+    want = oracle.oracle_join(far_boxes.a, far_boxes.b)
+    assert want and list(got.pairs) == want
 
 
 # ---------------------------------------------------------------------------
