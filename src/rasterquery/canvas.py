@@ -25,8 +25,9 @@ per layer, by three array kernels:
 
 - ``segment_pixels``, the edge supercover: every pixel whose closed square
   meets a segment, for all segments of a layer in one pass. Candidates are
-  column strips padded by one pixel; ``seg_touch_mask``'s corner-straddle
-  and bbox predicate then filters them, so the result equals that mask.
+  column strips padded by one pixel; an exact corner-straddle and bbox
+  predicate then filters them, so the result equals a per-window mask of
+  that predicate (``seg_touch_mask`` in ``tests/dense.py``).
   The corner test orient = a - b splits into a row term a = dx * (y - ay)
   and a column term b = dy * (x - ax). The b terms of a strip's two edges
   and its x-bbox test are computed once per strip, the a terms per
@@ -71,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CanvasError, DataError, InternalInvariantError, OverlapError
-from .geometry import GeometryRecord, RecordTable, budget_runs, expand_runs, orient
+from .geometry import GeometryRecord, RecordTable, budget_runs, expand_runs
 
 PLANES = ("point", "line", "polygon")
 NULL_ID = -1
@@ -103,35 +104,6 @@ class Viewport:
     @property
     def sy(self) -> float:
         return (self.max_y - self.min_y) / self.height_px
-
-    def window_for_bbox(self, bbox) -> tuple | None:
-        """Inclusive (c0, c1, r0, r1) pixel window covering a world bbox,
-        expanded one pixel outward so closed-square touching is never missed;
-        None when the bbox cannot touch the grid."""
-        x0, y0, x1, y1 = bbox
-        if x1 < self.min_x or x0 > self.max_x or y1 < self.min_y or y0 > self.max_y:
-            return None
-        c0 = int(np.floor((x0 - self.min_x) / self.sx)) - 1
-        c1 = int(np.floor((x1 - self.min_x) / self.sx)) + 1
-        r0 = int(np.floor((y0 - self.min_y) / self.sy)) - 1
-        r1 = int(np.floor((y1 - self.min_y) / self.sy)) + 1
-        c0, c1 = max(c0, 0), min(c1, self.width_px - 1)
-        r0, r1 = max(r0, 0), min(r1, self.height_px - 1)
-        if c0 > c1 or r0 > r1:
-            return None
-        return (c0, c1, r0, r1)
-
-    def corner_xs(self, c0: int, c1: int) -> np.ndarray:
-        return self.min_x + np.arange(c0, c1 + 2, dtype=float) * self.sx
-
-    def corner_ys(self, r0: int, r1: int) -> np.ndarray:
-        return self.min_y + np.arange(r0, r1 + 2, dtype=float) * self.sy
-
-    def center_xs(self, c0: int, c1: int) -> np.ndarray:
-        return self.min_x + (np.arange(c0, c1 + 1, dtype=float) + 0.5) * self.sx
-
-    def center_ys(self, r0: int, r1: int) -> np.ndarray:
-        return self.min_y + (np.arange(r0, r1 + 1, dtype=float) + 0.5) * self.sy
 
     def pixel_of_points(self, pts: np.ndarray) -> tuple:
         """(cols, rows) of each point's covering pixel, clipped to the grid."""
@@ -168,66 +140,6 @@ def viewport_from_bounds(bounds, resolution: int) -> Viewport:
     gx = (x1 - x0) / resolution
     gy = (y1 - y0) / resolution
     return Viewport(x0 - gx, y0 - gy, x1 + gx, y1 + gy, resolution, resolution)
-
-
-# ---------------------------------------------------------------------------
-# Exact per-pixel masks over a window
-# ---------------------------------------------------------------------------
-
-def _corner_min_max(f: np.ndarray) -> tuple:
-    """Per-pixel min/max over the 4 corners of a corner-lattice field."""
-    fmin = np.minimum(np.minimum(f[:-1, :-1], f[:-1, 1:]),
-                      np.minimum(f[1:, :-1], f[1:, 1:]))
-    fmax = np.maximum(np.maximum(f[:-1, :-1], f[:-1, 1:]),
-                      np.maximum(f[1:, :-1], f[1:, 1:]))
-    return fmin, fmax
-
-
-def _bbox_overlap_mask(vp: Viewport, window, bbox) -> np.ndarray:
-    c0, c1, r0, r1 = window
-    xs = vp.corner_xs(c0, c1)
-    ys = vp.corner_ys(r0, r1)
-    x0, y0, x1, y1 = bbox
-    col_ok = (xs[:-1] <= x1) & (xs[1:] >= x0)
-    row_ok = (ys[:-1] <= y1) & (ys[1:] >= y0)
-    return row_ok[:, None] & col_ok[None, :]
-
-
-def seg_touch_mask(vp: Viewport, window, ax, ay, bx, by) -> np.ndarray:
-    """Pixels of the window whose closed square intersects the closed segment.
-
-    Exact: the square and segment (both convex) intersect iff their bboxes
-    overlap on both axes and the segment's supporting line straddles the
-    square's corners.
-    """
-    c0, c1, r0, r1 = window
-    xs = vp.corner_xs(c0, c1)
-    ys = vp.corner_ys(r0, r1)
-    f = orient(ax, ay, bx, by, xs[None, :], ys[:, None])
-    fmin, fmax = _corner_min_max(f)
-    straddle = (fmin <= 0.0) & (fmax >= 0.0)
-    bbox = (min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
-    return straddle & _bbox_overlap_mask(vp, window, bbox)
-
-
-def point_pixels(vp: Viewport, x: float, y: float) -> list:
-    """All grid pixels whose closed square contains the point (up to 4)."""
-    if not (vp.min_x <= x <= vp.max_x and vp.min_y <= y <= vp.max_y):
-        return []
-    cc = int(np.floor((x - vp.min_x) / vp.sx))
-    rr = int(np.floor((y - vp.min_y) / vp.sy))
-    out = []
-    for c in (cc - 1, cc, cc + 1):
-        if not 0 <= c < vp.width_px:
-            continue
-        if not (vp.min_x + c * vp.sx <= x <= vp.min_x + (c + 1) * vp.sx):
-            continue
-        for r in (rr - 1, rr, rr + 1):
-            if not 0 <= r < vp.height_px:
-                continue
-            if vp.min_y + r * vp.sy <= y <= vp.min_y + (r + 1) * vp.sy:
-                out.append((c, r))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +194,9 @@ def _index(v: np.ndarray, n: int, rounding=np.floor) -> np.ndarray:
 
 
 def pixel_windows(vp: Viewport, x0, y0, x1, y1) -> tuple:
-    """``Viewport.window_for_bbox`` over arrays of boxes: inclusive
-    (c0, c1, r0, r1) arrays; a box that cannot touch the grid gets c1 < c0."""
+    """Inclusive (c0, c1, r0, r1) pixel windows of arrays of boxes, one
+    pixel wider on every side so no closed-square touch is missed; a box
+    that cannot touch the grid gets c1 < c0."""
     w, h = vp.width_px, vp.height_px
     c0 = np.maximum(_index((x0 - vp.min_x) / vp.sx, w) - 1, 0)
     c1 = np.minimum(_index((x1 - vp.min_x) / vp.sx, w) + 1, w - 1)
@@ -297,14 +210,12 @@ def segment_pixels(vp: Viewport, segs: np.ndarray) -> tuple:
     """Edge supercover: (segment index, flat pixel) for every pixel whose
     closed square meets the closed segment, for all (S, 4) segments at once.
 
-    The pixels are exactly those ``seg_touch_mask`` marks in the segment's
-    ``window_for_bbox`` window. Candidates come in column strips: in each
-    window column, the rows the segment spans inside that strip, padded by
-    one row on either side so rounding in the strip's end heights cannot
-    drop a pixel. The corner-straddle and bbox predicate of
-    ``seg_touch_mask``, evaluated with the same floating-point operations,
-    then keeps the touched ones: its x terms once per strip, its y terms
-    per candidate (see the module docstring).
+    Candidates come in column strips of the segment's ``pixel_windows``
+    window: in each window column, the rows the segment spans inside that
+    strip, padded by one row on either side so rounding in the strip's end
+    heights cannot drop a pixel. The exact corner-straddle and bbox
+    predicate then keeps the touched ones: its x terms once per strip, its
+    y terms per candidate (see the module docstring).
     """
     segs = np.asarray(segs, dtype=float).reshape(-1, 4)
     ax, ay, bx, by = segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3]
@@ -341,8 +252,8 @@ def segment_pixels(vp: Viewport, segs: np.ndarray) -> tuple:
     cy0 = vp.min_y + row * vp.sy
     cy1 = vp.min_y + (row + 1) * vp.sy
     a0, a1 = dx[k] * (cy0 - say[k]), dx[k] * (cy1 - say[k])
-    # seg_touch_mask's exact test: orient a - b at the four corners
-    # straddles 0 and the square overlaps the segment's bbox.
+    # The exact test: orient a - b at the four corners straddles 0 and the
+    # square overlaps the segment's bbox.
     ok = ((np.minimum(a0, a1) - bmax[k] <= 0.0) & (np.maximum(a0, a1) - bmin[k] >= 0.0)
           & (cy0 <= y1[s]) & (cy1 >= y0[s]))
     return s[ok], row[ok] * vp.width_px + col[ok]
@@ -447,8 +358,8 @@ def interval_pairs(start: np.ndarray, end: np.ndarray, a: np.ndarray, b: np.ndar
 
 
 def point_pixels_array(vp: Viewport, xy: np.ndarray) -> tuple:
-    """``point_pixels`` for an (N, 2) array: (point index, flat pixel) for
-    every pixel whose closed square contains the point."""
+    """(point index, flat pixel) for every pixel whose closed square
+    contains a point of an (N, 2) array."""
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
     idx = np.flatnonzero(vp.in_bounds(xy))
     x, y = xy[idx, 0], xy[idx, 1]

@@ -1123,8 +1123,40 @@ def polygon_from_rings(rings) -> PolygonGeom:
 # ---------------------------------------------------------------------------
 
 def convex_hull(points) -> PolygonGeom:
-    """Minimal convex polygon containing all inputs (monotone chain), CCW."""
-    pts = sorted({_pt(p) for p in points})
+    """Minimal convex polygon containing all inputs, an (N, 2) array or a
+    sequence of points, CCW: the monotone chain over the points not inside
+    the octagon of the extreme points (Akl & Toussaint, IPL 7(5), 1978)."""
+    xy = np.asarray(points if isinstance(points, np.ndarray) else [_pt(p) for p in points],
+                    dtype=float).reshape(-1, 2)
+    return _monotone_chain(xy[~_inside_octagon(xy)])
+
+
+def _inside_octagon(xy: np.ndarray) -> np.ndarray:
+    """Rows of ``xy`` strictly inside the octagon of its extreme points
+    along x, y, x + y and x - y, by more than a billionth of the set's size
+    or magnitude, so that no point within rounding of an edge is dropped."""
+    x, y = xy[:, 0], xy[:, 1]
+    inside = np.zeros(len(xy), dtype=bool)
+    if len(xy) < 9:  # too few to be worth the filter
+        return inside
+    s, d = x + y, x - y
+    # Support points for directions turning counter-clockwise from -x.
+    octagon = xy[[x.argmin(), s.argmin(), y.argmin(), d.argmax(),
+                  x.argmax(), s.argmax(), y.argmax(), d.argmin()]]
+    edge = np.roll(octagon, -1, axis=0) - octagon
+    real = edge.any(axis=1)
+    if real.sum() < 3:  # a point or a segment: nothing lies strictly inside
+        return inside
+    inside[:] = True
+    scale = 1e-9 * max(float(np.ptp(xy, axis=0).max()), float(np.abs(octagon).max()))
+    for (ax, ay), (ex, ey) in zip(octagon[real].tolist(), edge[real].tolist()):
+        inside &= ex * (y - ay) - ey * (x - ax) > math.hypot(ex, ey) * scale
+    return inside
+
+
+def _monotone_chain(xy: np.ndarray) -> PolygonGeom:
+    """Convex hull of all rows of ``xy`` by Andrew's monotone chain, CCW."""
+    pts = sorted(set(map(tuple, xy.tolist())))
     if len(pts) < 3:
         raise DegenerateGeometryError("convex hull needs >= 3 distinct points")
 
@@ -1141,7 +1173,10 @@ def convex_hull(points) -> PolygonGeom:
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         raise DegenerateGeometryError("all points collinear")
-    return polygon_from_rings([hull])
+    try:
+        return polygon_from_rings([hull])
+    except TriangulationError as exc:  # a sliver whose edges touch in rounding
+        raise DegenerateGeometryError("hull of nearly collinear points") from exc
 
 
 # ---------------------------------------------------------------------------

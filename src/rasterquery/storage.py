@@ -45,7 +45,10 @@ built for them; every query reads it as it reads an in-memory dataset.
 
 ``records.bin`` stays beside ``cells.bin`` although the cells hold the same
 records: it is the only source ``build_indexes`` reads, so a store can be
-re-celled under another byte budget without the original records.
+re-celled under another byte budget without the original records. It is
+read once, as an ``engine.Dataset``, and no point record is built: a cell
+is an array of row ordinals into its columns, written as column slices,
+and its hull is taken over one array of the cell's coordinates.
 
 Integrity: opening a ``DatasetStore`` checks every file against the SHA-256
 in its catalog, and ``load_cell`` checks each region against the CRC-32 in
@@ -80,6 +83,7 @@ from .geometry import (
     polygon_distances,
     polygon_from_rings,
     records_intersect,
+    segments_array,
 )
 
 MAGIC = b"SPDC1"
@@ -154,10 +158,9 @@ def deserialize_record(buf: bytes, off: int) -> tuple:
     return GeometryRecord(rid, "polygon", parts, value), end
 
 
-def encode_block(records) -> bytes:
-    """One column block of records given in id order (layout in the module
-    docstring), its point section the columns of ``engine.Dataset``."""
-    data = engine.Dataset(records)
+def encode_block(data: engine.Dataset) -> bytes:
+    """One column block (layout in the module docstring) of a dataset whose
+    points and others are each in id order."""
     return b"".join([_BLOCK_HEAD.pack(len(data.ids), len(data.others)),
                      data.ids.astype("<u8").tobytes(), data.values.astype("<f8").tobytes(),
                      data.xy.astype("<f8").tobytes(), *map(serialize_record, data.others)])
@@ -278,80 +281,88 @@ class DatasetCatalog:
                 raise CorruptionError(f"{self.name}: checksum mismatch for {fname}")
 
 
-def _hull_of_records(records) -> PolygonGeom:
-    pts = []
-    for rec in records:
-        if rec.kind == "point":
-            pts.append((rec.geometry.x, rec.geometry.y))
-        elif rec.kind == "polyline":
-            for s in rec.geometry:
-                pts.extend([(s.a.x, s.a.y), (s.b.x, s.b.y)])
-        else:
-            for part in rec.geometry:
-                for ring in part.rings:
-                    pts.extend(map(tuple, ring))
+def _vertices(rec: GeometryRecord) -> np.ndarray:
+    """(N, 2) segment ends of a polyline or ring vertices of a polygon."""
+    if rec.kind == "polyline":
+        return segments_array(rec).reshape(-1, 2)
+    return np.concatenate([ring for part in rec.geometry for ring in part.rings])
+
+
+def _cell_hull(xy: np.ndarray) -> PolygonGeom:
+    """The convex hull of a cell's coordinates; for a degenerate set, their
+    box padded by a thousandth of its side."""
     try:
-        return convex_hull(pts)
+        return convex_hull(xy)
     except DegenerateGeometryError:
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
+        lo, hi = xy.min(axis=0), xy.max(axis=0)
         # At least a billionth of the coordinates' magnitude, as in
         # ``engine._bounds_union``: far from the origin a pad below the
         # spacing of doubles would leave the box degenerate.
-        mag = max(abs(min(xs)), abs(max(xs)), abs(min(ys)), abs(max(ys)), 1.0)
-        pad = max(max(xs) - min(xs), max(ys) - min(ys)) * 1e-3 + mag * 1e-9 + 1e-12
-        return polygon_from_rings([[(min(xs) - pad, min(ys) - pad),
-                                    (max(xs) + pad, min(ys) - pad),
-                                    (max(xs) + pad, max(ys) + pad),
-                                    (min(xs) - pad, max(ys) + pad)]])
+        mag = max(np.abs(np.concatenate([lo, hi])).max(), 1.0)
+        pad = (hi - lo).max() * 1e-3 + mag * 1e-9 + 1e-12
+        (x0, y0), (x1, y1) = lo - pad, hi + pad
+        return polygon_from_rings([[(x0, y0), (x1, y0), (x1, y1), (x0, y1)]])
 
 
-def build_grid_index(records, byte_budget: int, config: Config = DEFAULT,
+def _cell_data(data: engine.Dataset, members: np.ndarray) -> engine.Dataset:
+    """The rows ``members`` of ``data``, ascending ordinals that number its
+    points and then ``others``, as a dataset of column slices."""
+    n = len(data.ids)
+    k = int(np.searchsorted(members, n))
+    rows = members[:k]
+    return engine.Dataset.from_arrays(data.ids[rows], data.xy[rows], data.values[rows],
+                                      [data.others[i] for i in (members[k:] - n).tolist()])
+
+
+def build_grid_index(data: engine.Dataset, byte_budget: int, config: Config = DEFAULT,
                      kind: str = "polygon") -> tuple:
-    """Assign records, by centroid, to power-of-two tiles over the dataset
-    extent at the minimal zoom where every cell's region fits the byte
-    budget; polygon datasets additionally raise the zoom until the median
-    polygon spans >= 2 pixels at the default query resolution.
+    """Assign a dataset's rows, by centroid, to power-of-two tiles over the
+    dataset extent at the minimal zoom where every cell's region fits the
+    byte budget; polygon datasets additionally raise the zoom until the
+    median polygon spans >= 2 pixels at the default query resolution.
 
     A cell is sized, with no layer index built, as its column block plus,
     in a polygon store, an upper bound of its layer slice: 4 bytes and 12
     per member, as a cell has at most one layer per member (4 bytes of
     length and 8 of id each). That bound is each cell's ``byte_size``.
 
-    Returns (GridIndex, {cell key: [records in id order]}).
+    Returns (GridIndex, {cell key: member ordinals}), the ordinals (as
+    ``_cell_data`` takes them) an ascending index array per cell.
     """
-    records = sorted(records, key=lambda r: r.id)
-    if not records:
+    n, others = len(data.ids), data.others
+    if not len(data):
         raise DataError("cannot index an empty dataset")
-    row_bytes = np.array([_POINT_ROW if rec.kind == "point" else len(serialize_record(rec))
-                          for rec in records])
+    row_bytes = np.append(np.full(n, _POINT_ROW),
+                          [len(serialize_record(r)) for r in others]).astype(np.int64)
     big = int(row_bytes.argmax())
     if row_bytes[big] >= byte_budget:
-        raise DataError(f"object {records[big].id} ({row_bytes[big]} bytes) exceeds the "
+        rid = data.ids[big] if big < n else others[big - n].id
+        raise DataError(f"object {rid} ({row_bytes[big]} bytes) exceeds the "
                         f"cell byte budget {byte_budget}")
     head = _BLOCK_HEAD.size
     if kind == "polygon":  # the layer slice bound
         head += 4
         row_bytes += 12
-    boxes = np.array([rec.bbox() for rec in records])
-    x0, y0 = boxes[:, 0].min(), boxes[:, 1].min()
-    x1, y1 = boxes[:, 2].max(), boxes[:, 3].max()
+    boxes = np.array([r.bbox() for r in others], dtype=float).reshape(-1, 4)
+    x0, y0 = np.concatenate([data.xy, boxes[:, :2]]).min(axis=0)
+    x1, y1 = np.concatenate([data.xy, boxes[:, 2:]]).max(axis=0)
     side = max(x1 - x0, y1 - y0)
     if side <= 0:
         side = max(abs(x0), abs(y0), 1.0) * 1e-6
-    cents = np.array([rec.centroid() for rec in records])
+    cents = np.concatenate([data.xy, np.array([r.centroid() for r in others],
+                                              dtype=float).reshape(-1, 2)])
 
     median_span = None
     if kind == "polygon":
-        spans = np.array([max(b[2] - b[0], b[3] - b[1]) for b in boxes])
-        median_span = float(np.median(spans))
+        spans = np.maximum(boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1])
+        median_span = float(np.median(np.concatenate([np.zeros(n), spans])))
 
     for zoom in range(0, MAX_ZOOM + 1):
-        n = 1 << zoom
-        tile = side / n
-        tx = np.minimum(((cents[:, 0] - x0) / tile).astype(np.int64), n - 1)
-        ty = np.minimum(((cents[:, 1] - y0) / tile).astype(np.int64), n - 1)
-        codes, cell_of = np.unique(tx * n + ty, return_inverse=True)
+        tiles = 1 << zoom
+        tile = side / tiles
+        tx = np.minimum(((cents[:, 0] - x0) / tile).astype(np.int64), tiles - 1)
+        ty = np.minimum(((cents[:, 1] - y0) / tile).astype(np.int64), tiles - 1)
+        codes, cell_of = np.unique(tx * tiles + ty, return_inverse=True)
         sizes = head + np.bincount(cell_of, weights=row_bytes).astype(np.int64)
         if sizes.max() > byte_budget:
             continue
@@ -359,17 +370,18 @@ def build_grid_index(records, byte_budget: int, config: Config = DEFAULT,
             # sub-pixel polygons devolve to full exact tests; shrink cells
             # until the median polygon spans >= 2 query pixels
             px = tile / config.resolution
-            if median_span < 2 * px and len(codes) < len(records):
+            if median_span < 2 * px and len(codes) < len(data):
                 continue
         order = np.argsort(cell_of, kind="stable")
         bounds = np.cumsum(np.bincount(cell_of))[:-1]
         groups, cells = {}, []
         for code, size, members in zip(codes.tolist(), sizes.tolist(),
                                        np.split(order, bounds)):
-            key = (zoom, *divmod(code, n))
-            groups[key] = [records[i] for i in members]
-            cells.append(GridCell(zoom=zoom, x=key[1], y=key[2],
-                                  hull=_hull_of_records(groups[key]),
+            key = (zoom, *divmod(code, tiles))
+            groups[key] = members
+            cell = _cell_data(data, members)
+            hull = _cell_hull(np.concatenate([cell.xy, *map(_vertices, cell.others)]))
+            cells.append(GridCell(zoom=zoom, x=key[1], y=key[2], hull=hull,
                                   count=len(members), byte_size=size))
         return GridIndex(zoom=zoom, cells=cells, extent=(x0, y0, x1, y1)), groups
     raise DataError("no zoom level satisfies the byte budget")
@@ -415,22 +427,29 @@ def _parse_meta(text: str, directory: Path) -> DatasetCatalog:
 
 def ingest(records, name: str, data_dir, kind: str | None = None,
            crs: str = "planar") -> DatasetCatalog:
-    """Write records.bin + catalog.meta for a new dataset."""
-    records = sorted(records, key=lambda r: r.id)
-    if not records:
+    """Write records.bin + catalog.meta for a new dataset of records or an
+    ``engine.Dataset``, taken once as columns and put in id order."""
+    data = records if isinstance(records, engine.Dataset) else engine.Dataset(records)
+    if not len(data):
         raise DataError("cannot ingest an empty dataset")
-    ids = [r.id for r in records]
-    if len(set(ids)) != len(ids):
+    try:
+        ids = np.sort(np.concatenate([data.ids, np.fromiter((r.id for r in data.others),
+                                                            np.int64, len(data.others))]))
+    except OverflowError:
+        raise DataError("a record id does not fit a signed 64-bit id") from None
+    if ids[0] < 0:
+        raise DataError(f"record id must be unsigned, got {ids[0]}")
+    if (ids[1:] == ids[:-1]).any():
         raise DataError("duplicate record ids in dataset")
-    if ids[-1] >= 1 << 63:
-        raise DataError(f"record id {ids[-1]} does not fit a signed 64-bit id")
-    kinds = {r.kind for r in records}
+    data = engine.Dataset.from_arrays(data.ids, data.xy, data.values,
+                                      sorted(data.others, key=lambda r: r.id))
+    kinds = {r.kind for r in data.others} | ({"point"} if len(data.ids) else set())
     kind = kind or (kinds.pop() if len(kinds) == 1 else "mixed")
     directory = Path(data_dir) / name
     directory.mkdir(parents=True, exist_ok=True)
-    blob = _file_head(len(records)) + encode_block(records)
+    blob = _file_head(len(data)) + encode_block(data)
     (directory / "records.bin").write_bytes(blob)
-    cat = DatasetCatalog(name=name, kind=kind, crs=crs, count=len(records),
+    cat = DatasetCatalog(name=name, kind=kind, crs=crs, count=len(data),
                          directory=directory)
     cat.checksums["records.bin"] = hashlib.sha256(blob).hexdigest()
     (directory / "catalog.meta").write_text(_meta_text(cat))
@@ -452,14 +471,16 @@ def _read_head(blob: bytes, what: str) -> int:
     return count
 
 
-def read_records(cat: DatasetCatalog) -> list:
+def read_dataset(cat: DatasetCatalog) -> engine.Dataset:
+    """The ``engine.Dataset`` of a store's ``records.bin``: its point
+    columns read in place, points and others each in id order as ingested."""
     blob = (cat.directory / "records.bin").read_bytes()
     count = _read_head(blob, f"{cat.name}/records.bin")
     data = decode_block(memoryview(blob)[_HEAD_SIZE:])
     if len(data) != count:
         raise CorruptionError(f"{cat.name}/records.bin: {count} records announced, "
                               f"{len(data)} stored")
-    return sorted(data.records, key=lambda r: r.id)
+    return data
 
 
 def hull_wkt(poly: PolygonGeom) -> str:
@@ -476,14 +497,15 @@ def build_indexes(cat: DatasetCatalog, byte_budget: int | None = None,
     cell of a polygon store gets its layer index, built once here; the
     returned index's cells carry their regions' sizes, offsets and CRCs."""
     byte_budget = byte_budget or config.byte_budget
-    records = read_records(cat)
-    index, groups = build_grid_index(records, byte_budget, config, cat.kind)
+    data = read_dataset(cat)
+    index, groups = build_grid_index(data, byte_budget, config, cat.kind)
     rows, regions, hull_lines, cells = [], [], [], []
     offset = 0
     for cell in index.cells:
-        members = groups[cell.key]
+        members = _cell_data(data, groups[cell.key])
         block = encode_block(members)
-        lslice = _serialize_layers(build_layer_index(members)) if cat.kind == "polygon" else b""
+        lslice = (_serialize_layers(build_layer_index(members.others))
+                  if cat.kind == "polygon" else b"")
         region = block + lslice
         crc = zlib.crc32(region)
         cells.append(replace(cell, byte_size=len(region), offset=offset, crc=crc))

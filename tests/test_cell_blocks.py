@@ -5,6 +5,7 @@ counts exactly the bytes it reads, and damaged or outdated stores raise
 ``CorruptionError`` instead of answering."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ BIG_ID = (1 << 63) - 1
 
 
 def _decoded(records) -> list:
-    return list(storage.decode_block(storage.encode_block(records)).records)
+    return list(storage.decode_block(storage.encode_block(engine.Dataset(records))).records)
 
 
 def _same_record(a, b):
@@ -43,7 +44,7 @@ def _same_record(a, b):
 def test_point_values_round_trip_none_as_nan():
     recs = [point_record(1, 0.1, 0.2), point_record(2, 0.3, 0.4, 1.5),
             point_record(3, -5.0, 7.25, -2.0), point_record(4, 1e7, -1e7, 0.0)]
-    points = storage.decode_block(storage.encode_block(recs))
+    points = storage.decode_block(storage.encode_block(engine.Dataset(recs)))
     assert points.others == []
     assert points.ids.tolist() == [1, 2, 3, 4]
     assert np.isnan(points.values[0])
@@ -57,7 +58,7 @@ def test_point_values_round_trip_none_as_nan():
 def test_largest_ids_round_trip():
     recs = [point_record(BIG_ID - 1, 0.5, 0.5, 3.0),
             GeometryRecord(BIG_ID, "polygon", [gen.holed_polygon()])]
-    points = storage.decode_block(storage.encode_block(recs))
+    points = storage.decode_block(storage.encode_block(engine.Dataset(recs)))
     assert points.ids.dtype == np.int64
     assert points.ids.tolist() == [BIG_ID - 1]
     assert points.others[0].id == BIG_ID
@@ -66,6 +67,36 @@ def test_largest_ids_round_trip():
 def test_ingest_rejects_ids_beyond_int64(tmp_path):
     with pytest.raises(DataError):
         storage.ingest([point_record(1 << 63, 0.0, 0.0)], "big", tmp_path)
+    with pytest.raises(DataError):
+        storage.ingest([point_record(1, 0.0, 0.0), box_record(1 << 63, 0, 0, 1, 1)], "big",
+                       tmp_path)
+
+
+@pytest.mark.parametrize("recs", [
+    [point_record(3, 0.1, 0.1), point_record(1, 0.2, 0.2), point_record(3, 0.3, 0.3)],
+    [point_record(2, 0.1, 0.1), box_record(2, 0, 0, 1, 1)],
+    [box_record(5, 0, 0, 1, 1), box_record(5, 0, 0, 0.5, 0.5)],
+    [],
+], ids=["points", "point and polygon", "polygons", "empty"])
+def test_ingest_rejects_duplicate_ids_and_empty_datasets(tmp_path, recs):
+    with pytest.raises(DataError):
+        storage.ingest(recs, "bad", tmp_path)
+
+
+def test_ingest_rejects_negative_column_ids(tmp_path):
+    data = engine.Dataset.from_arrays([-1, 2], [[0.1, 0.1], [0.2, 0.2]], [np.nan, 1.0])
+    with pytest.raises(DataError):
+        storage.ingest(data, "bad", tmp_path)
+
+
+def test_ingest_of_columns_writes_the_bytes_of_its_records(tmp_path):
+    recs = gen.uniform_points(gen.rng(14), 50, values=True)
+    data = engine.Dataset.from_arrays([r.id for r in recs][::-1],
+                                      [(r.geometry.x, r.geometry.y) for r in recs][::-1],
+                                      [r.value for r in recs][::-1])
+    blobs = [(storage.ingest(given, name, tmp_path).directory / "records.bin").read_bytes()
+             for name, given in (("records", recs), ("columns", data))]
+    assert blobs[0] == blobs[1]
 
 
 @pytest.mark.parametrize("which", ["points only", "others only", "empty"])
@@ -73,7 +104,7 @@ def test_empty_sections(which):
     pts = gen.uniform_points(gen.rng(1), 5, values=True)
     polys = gen.random_polygons(gen.rng(2), 3, start_id=10)
     recs = {"points only": pts, "others only": polys, "empty": []}[which]
-    data = storage.decode_block(storage.encode_block(recs))
+    data = storage.decode_block(storage.encode_block(engine.Dataset(recs)))
     assert len(data.ids) == sum(r.kind == "point" for r in recs)
     assert len(data.others) == sum(r.kind != "point" for r in recs)
     assert data.xy.shape == (len(data.ids), 2)
@@ -95,7 +126,7 @@ def test_holed_polygons_and_polylines_after_points():
 
 
 def test_decode_rejects_trailing_bytes():
-    block = storage.encode_block(gen.uniform_points(gen.rng(4), 3))
+    block = storage.encode_block(engine.Dataset(gen.uniform_points(gen.rng(4), 3)))
     with pytest.raises(CorruptionError):
         storage.decode_block(block + b"\0")
     with pytest.raises(CorruptionError):
@@ -110,11 +141,13 @@ def test_prepared_points_from_arrays_sorts_by_id():
     assert [(r.id, r.value) for r in pts.records] == [(2, None), (5, 1.0), (9, 3.0)]
 
 
-def test_read_records_returns_the_ingested_records(tmp_path):
+def test_read_dataset_returns_the_ingested_records(tmp_path):
     r = gen.rng(5)
     recs = gen.mixed_dataset(r, 40)
-    cat = storage.ingest(recs, "mixed", tmp_path)
-    for a, b in zip(storage.read_records(cat), recs):
+    cat = storage.ingest(recs[::-1], "mixed", tmp_path)
+    data = storage.read_dataset(cat)
+    assert len(data.records) == len(recs)
+    for a, b in zip(data.records, recs):
         _same_record(a, b)
 
 
@@ -240,6 +273,40 @@ def test_point_queries_build_no_point_record(mixed, monkeypatch):
     assert len(storage.ooc_knn_select(store, (0.4, 0.6), 5, config=CFG)) == 5
 
 
+def test_point_store_build_makes_no_record(tmp_path, monkeypatch):
+    """``build_indexes`` of a point store reads, cells and writes columns:
+    no ``GeometryRecord`` is built at any step."""
+    cat = storage.ingest(gen.uniform_points(gen.rng(12), 2000, values=True), "pts", tmp_path)
+    made = []
+    real = GeometryRecord.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        real(self, *args, **kwargs)
+    monkeypatch.setattr(GeometryRecord, "__init__", counted)
+    index = storage.build_indexes(cat, byte_budget=16 * 1024, config=CFG)
+    assert len(index.cells) == 4
+    assert made == []
+
+
+def test_point_store_build_peak_is_a_few_times_its_records(tmp_path):
+    """The traced peak of ``build_indexes`` over 50k points stays within 6x
+    of ``records.bin`` (building a record per point peaked near 14.5x)."""
+    r = gen.rng(13)
+    n = 50_000
+    data = engine.Dataset.from_arrays(np.arange(n), r.uniform(0, 1, (n, 2)), r.uniform(0, 10, n))
+    cat = storage.ingest(data, "pts", tmp_path)
+    size = (cat.directory / "records.bin").stat().st_size
+    tracemalloc.start()
+    try:
+        index = storage.build_indexes(cat, config=CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(index.cells) > 1
+    assert peak <= 6 * size
+
+
 def test_ooc_knn_select_breaks_ties_toward_lower_id(tmp_path):
     # Four points at the same distance from the centre, one nearer, and
     # none other within 0.2.
@@ -353,8 +420,8 @@ def test_polygon_cells_carry_their_layer_index(poly_store):
 def test_cell_sizes_bound_the_regions(poly_store):
     """``build_grid_index`` sizes a cell with no layer index built, by an
     upper bound of its layer slice; the region written is no larger."""
-    records = storage.read_records(poly_store.catalog)
-    index, _ = storage.build_grid_index(records, poly_store.catalog.byte_budget, CFG, "polygon")
+    data = storage.read_dataset(poly_store.catalog)
+    index, _ = storage.build_grid_index(data, poly_store.catalog.byte_budget, CFG, "polygon")
     written = poly_store.grid_index().cells
     assert [c.key for c in index.cells] == [c.key for c in written]
     for bound, cell in zip(index.cells, written):
@@ -452,7 +519,7 @@ def test_version_2_stores_are_refused(small_store, version):
         blob[len(storage.MAGIC):len(storage.MAGIC) + 2] = version.to_bytes(2, "little")
         (d / name).write_bytes(bytes(blob))
     with pytest.raises(CorruptionError):
-        storage.read_records(store.catalog)
+        storage.read_dataset(store.catalog)
     with pytest.raises(CorruptionError):
         store.grid_index()
     meta = d / "catalog.meta"

@@ -16,9 +16,20 @@ import numpy as np
 import pytest
 
 import gen
-from dense import boundary_pairs, dense_interior, row_major
+from dense import (
+    boundary_pairs,
+    center_xs,
+    center_ys,
+    corner_min_max,
+    corner_xs,
+    corner_ys,
+    dense_interior,
+    row_major,
+    seg_touch_mask,
+    window_for_bbox,
+)
 from rasterquery import engine, oracle
-from rasterquery.canvas import NULL_ID, seg_touch_mask
+from rasterquery.canvas import NULL_ID
 from rasterquery.canvas_index import build_distance_layer_index
 from rasterquery.geometry import (
     GeometryRecord,
@@ -41,12 +52,6 @@ RESOLUTIONS = (16, 64, 1024)
 # Per-pixel reference
 # ---------------------------------------------------------------------------
 
-def _corner_min_max(f):
-    lo = np.minimum(np.minimum(f[:-1, :-1], f[:-1, 1:]), np.minimum(f[1:, :-1], f[1:, 1:]))
-    hi = np.maximum(np.maximum(f[:-1, :-1], f[:-1, 1:]), np.maximum(f[1:, :-1], f[1:, 1:]))
-    return lo, hi
-
-
 def _point_to_square(px, py, xs0, xs1, ys0, ys1):
     dx = np.maximum(np.maximum(xs0 - px, px - xs1), 0.0)
     dy = np.maximum(np.maximum(ys0 - py, py - ys1), 0.0)
@@ -57,15 +62,15 @@ def shape_dminmax(vp, window, seg):
     """Exact per-pixel (min, max) distance from the window's closed pixel
     squares to a closed segment, or to a point when both ends agree."""
     c0, c1, r0, r1 = window
-    xs, ys = vp.corner_xs(c0, c1), vp.corner_ys(r0, r1)
+    xs, ys = corner_xs(vp, c0, c1), corner_ys(vp, r0, r1)
     ax, ay, bx, by = seg
     xs0, xs1 = xs[None, :-1], xs[None, 1:]
     ys0, ys1 = ys[:-1, None], ys[1:, None]
     if (ax, ay) == (bx, by):
         corner = np.hypot(xs[None, :] - ax, ys[:, None] - ay)
-        return _point_to_square(ax, ay, xs0, xs1, ys0, ys1), _corner_min_max(corner)[1]
+        return _point_to_square(ax, ay, xs0, xs1, ys0, ys1), corner_min_max(corner)[1]
     corner = _point_seg_dist(xs[None, :], ys[:, None], ax, ay, bx, by)
-    cmin, cmax = _corner_min_max(corner)
+    cmin, cmax = corner_min_max(corner)
     dmin = np.minimum(cmin, np.minimum(_point_to_square(ax, ay, xs0, xs1, ys0, ys1),
                                        _point_to_square(bx, by, xs0, xs1, ys0, ys1)))
     dmin[seg_touch_mask(vp, window, ax, ay, bx, by)] = 0.0
@@ -102,7 +107,7 @@ class Reference:
             for ref, seg in zip(range(start, start + count), segs):
                 x0, x1 = min(seg[0], seg[2]) - r, max(seg[0], seg[2]) + r
                 y0, y1 = min(seg[1], seg[3]) - r, max(seg[1], seg[3]) + r
-                window = vp.window_for_bbox((x0, y0, x1, y1))
+                window = window_for_bbox(vp, (x0, y0, x1, y1))
                 if window is None:
                     continue
                 dmin, dmax = shape_dminmax(vp, window, seg)
@@ -120,9 +125,9 @@ class Reference:
     def _polygon_interior(vp, src):
         """Pixels whose centre lies in the polygon's closed triangles and
         that none of its edges touches."""
-        window = vp.window_for_bbox(src.bbox())
+        window = window_for_bbox(vp, src.bbox())
         c0, c1, r0, r1 = window
-        cx, cy = np.meshgrid(vp.center_xs(c0, c1), vp.center_ys(r0, r1))
+        cx, cy = np.meshgrid(center_xs(vp, c0, c1), center_ys(vp, r0, r1))
         inside = points_in_triangles(np.column_stack([cx.ravel(), cy.ravel()]),
                                      triangles_array(src)).reshape(cx.shape)
         for ax, ay, bx, by in edge_table(src)[0]:

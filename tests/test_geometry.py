@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gen
+from rasterquery import geometry
 from rasterquery.errors import (
     DegenerateGeometryError,
     ParseError,
@@ -210,6 +211,57 @@ def test_hull_contains_every_input_point():
     hull_vtx = {tuple(v) for v in hull.rings[0]}
     assert hull_vtx <= {tuple(p) for p in pts}
     assert points_in_triangles(pts, triangulate(hull.rings)[0]).all()
+
+
+def _hull_case(shape, seed, n, offset) -> np.ndarray:
+    """n points of one shape, shifted by ``offset`` on both axes."""
+    r = gen.rng(seed)
+    if shape == "random":
+        xy = r.uniform(-1, 1, (n, 2))
+    elif shape == "clustered":
+        centres = r.uniform(-1, 1, (3, 2))
+        xy = centres[r.integers(0, 3, n)] + r.normal(0, 0.01, (n, 2))
+    elif shape == "lattice":  # many points on the hull's edges
+        xy = r.integers(0, 6, (n, 2)).astype(float)
+    elif shape == "square edges":  # within rounding of the hull's edges, and inside
+        t = r.uniform(0, 1, n)
+        side = r.integers(0, 4, n)
+        xy = np.column_stack([np.select([side == 0, side == 1, side == 2], [t, 1.0, 1 - t], 0.0),
+                              np.select([side == 0, side == 1, side == 2], [0.0, t, 1.0], 1 - t)])
+        xy = np.concatenate([xy + r.normal(0, 1e-15, (n, 2)), r.uniform(0, 1, (n, 2))])
+    elif shape == "circle":  # every point a hull vertex
+        ang = r.uniform(0, 2 * np.pi, n)
+        xy = np.column_stack([np.cos(ang), np.sin(ang)])
+    elif shape == "collinear":
+        xy = r.uniform(-1, 1, (1, 2)) + r.uniform(-1, 1, (n, 1)) * r.uniform(-1, 1, (1, 2))
+    elif shape == "near collinear":
+        xy = (r.uniform(-1, 1, (1, 2)) + r.uniform(-1, 1, (n, 1)) * r.uniform(-1, 1, (1, 2))
+              + r.normal(0, 1e-12, (n, 2)))
+    else:  # all duplicates
+        xy = np.repeat(r.uniform(-1, 1, (1, 2)), n, axis=0)
+    return xy + offset
+
+
+@given(shape=st.sampled_from(["random", "clustered", "lattice", "square edges", "circle",
+                              "collinear", "near collinear", "duplicates"]),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400), offset=st.sampled_from([0.0, 1e7]))
+def test_octagon_filter_keeps_the_monotone_chain_ring(shape, seed, n, offset):
+    """Dropping the points inside the octagon of extreme points changes
+    neither the hull ring nor whether the set is degenerate."""
+    xy = _hull_case(shape, seed, n, offset)
+    try:
+        want = geometry._monotone_chain(xy).rings[0]
+    except DegenerateGeometryError:
+        with pytest.raises(DegenerateGeometryError):
+            convex_hull(xy)
+        return
+    np.testing.assert_array_equal(convex_hull(xy).rings[0], want)
+
+
+def test_octagon_filter_drops_most_of_a_uniform_set():
+    xy = gen.rng(3).uniform(0, 1, (10_000, 2))
+    assert geometry._inside_octagon(xy).mean() > 0.7
+    assert geometry._inside_octagon(xy + 1e7).mean() > 0.7
 
 
 # -- Projection ----------------------------------------------------------------

@@ -156,7 +156,7 @@ def _count_forms(records):
     """The points as built from records, as a stored cell's read-only
     ``np.frombuffer`` columns, and moved to near 1e7 (EPSG:3857 scale) and
     scaled by 1000."""
-    cell = storage.decode_block(storage.encode_block(records))
+    cell = storage.decode_block(storage.encode_block(engine.Dataset(records)))
     assert not cell.xy.flags.writeable
     far = [point_record(rec.id, 1e7 + 1000 * rec.geometry.x, 1e7 + 1000 * rec.geometry.y)
            for rec in records]

@@ -7,15 +7,21 @@ import numpy as np
 import pytest
 
 import gen
-from dense import boundary_pairs, dense_interior
+from dense import (
+    boundary_pairs,
+    center_xs,
+    center_ys,
+    dense_interior,
+    point_pixels,
+    seg_touch_mask,
+    window_for_bbox,
+)
 from rasterquery import canvas as canvas_module
 from rasterquery.canvas import (
     NULL_ID,
     edge_keys,
-    point_pixels,
     render_geometry_canvas,
     scanline_fill,
-    seg_touch_mask,
     segment_pixels,
     viewport_from_bounds,
 )
@@ -47,7 +53,7 @@ def _random_segments(r, n, lo=-0.2, hi=1.2, quantum=None):
 
 def _mask_flats(vp, seg) -> set:
     ax, ay, bx, by = seg
-    window = vp.window_for_bbox((min(ax, bx), min(ay, by), max(ax, bx), max(ay, by)))
+    window = window_for_bbox(vp, (min(ax, bx), min(ay, by), max(ax, bx), max(ay, by)))
     if window is None:
         return set()
     c0, _, r0, _ = window
@@ -165,7 +171,7 @@ def _reference_canvas(recs, vp, bindex) -> dict:
     its own edges touch."""
     w, h = vp.width_px, vp.height_px
     grid = (0, w - 1, 0, h - 1)
-    cx, cy = np.meshgrid(vp.center_xs(0, w - 1), vp.center_ys(0, h - 1))
+    cx, cy = np.meshgrid(center_xs(vp, 0, w - 1), center_ys(vp, 0, h - 1))
     centres = np.column_stack([cx.ravel(), cy.ravel()])
     interior = np.full(w * h, NULL_ID, dtype=np.int64)
     pairs = {"point": [], "line": [], "polygon": []}

@@ -740,6 +740,21 @@ def test_hull_errors_other_than_degeneracy_propagate(tmp_path, monkeypatch):
         storage.build_indexes(cat, config=CFG)
 
 
+def test_nearly_collinear_cell_gets_a_box(tmp_path):
+    """Points of a line through random doubles are not exactly collinear:
+    the monotone chain's ring of them touches itself, and the cell's hull
+    is their padded box."""
+    r = gen.rng(0)
+    xy = r.uniform(-1, 1, (1, 2)) + r.uniform(-1, 1, (392, 1)) * r.uniform(-1, 1, (1, 2))
+    recs = [point_record(i, x, y) for i, (x, y) in enumerate(xy.tolist())]
+    storage.build_indexes(storage.ingest(recs, "line", tmp_path), config=CFG)
+    store = storage.DatasetStore(tmp_path, "line", CFG)
+    (cell,) = store.grid_index().cells
+    assert len(cell.hull.rings[0]) == 4
+    cons = box_record(0, *xy.min(axis=0), *xy.mean(axis=0))
+    assert list(storage.ooc_select(store, cons, config=CFG).ids) == oracle.oracle_select(recs, cons)
+
+
 # ---------------------------------------------------------------------------
 # Degenerate cells far from the origin (EPSG:3857 scale)
 # ---------------------------------------------------------------------------
