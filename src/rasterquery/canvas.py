@@ -1,7 +1,7 @@
 """The rasterization backend: viewports, the layer-at-a-time raster kernels,
 and discrete canvas construction for data geometry and distance constraints.
 
-A discrete canvas holds, per plane (point/line/polygon), a run table of its
+A discrete canvas holds one plane, ``polygon``: a run table of its
 interior (sorted, disjoint runs of pixels whose square one object's
 interior fully covers, each with that object's id) and a CSR table of
 boundary-index entry refs per boundary pixel. No canvas allocates a
@@ -51,8 +51,8 @@ fields back from the sorted values; ``np.lexsort`` is never used on the
 render path. A key it cannot pack, such as the float crossing x of
 ``scanline_fill``, enters as its rank in a stable argsort.
 
-``render_geometry_canvas`` builds data canvases from the first two, and the
-query engine runs them over its probe records. ``DistanceCanvasBuilder``
+``render_geometry_canvas`` builds polygon canvases from the first two, and
+the query engine runs them over its probe records. ``DistanceCanvasBuilder``
 renders a layer of r-buffers as the union of simple shapes: a polygon
 source's filled interior, a capsule per segment or ring edge and a disc per
 point. The runs a buffer covers become interior runs; the other pixels it
@@ -74,7 +74,7 @@ import numpy as np
 from .errors import CanvasError, DataError, InternalInvariantError, OverlapError
 from .geometry import GeometryRecord, RecordTable, budget_runs, expand_runs
 
-PLANES = ("point", "line", "polygon")
+PLANES = ("polygon",)
 NULL_ID = -1
 
 
@@ -357,43 +357,36 @@ def interval_pairs(start: np.ndarray, end: np.ndarray, a: np.ndarray, b: np.ndar
     return i, lo[i] + off
 
 
-def point_pixels_array(vp: Viewport, xy: np.ndarray) -> tuple:
-    """(point index, flat pixel) for every pixel whose closed square
-    contains a point of an (N, 2) array."""
-    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-    idx = np.flatnonzero(vp.in_bounds(xy))
-    x, y = xy[idx, 0], xy[idx, 1]
-    cc = np.floor((x - vp.min_x) / vp.sx).astype(np.int64)
-    rr = np.floor((y - vp.min_y) / vp.sy).astype(np.int64)
-    k = np.repeat(np.arange(len(idx)), 9)
-    col = cc[k] + np.tile(np.repeat([-1, 0, 1], 3), len(idx))
-    row = rr[k] + np.tile([-1, 0, 1], 3 * len(idx))
-    ok = ((col >= 0) & (col < vp.width_px) & (row >= 0) & (row < vp.height_px)
-          & (vp.min_x + col * vp.sx <= x[k]) & (x[k] <= vp.min_x + (col + 1) * vp.sx)
-          & (vp.min_y + row * vp.sy <= y[k]) & (y[k] <= vp.min_y + (row + 1) * vp.sy))
-    return idx[k[ok]], row[ok] * vp.width_px + col[ok]
-
-
 # ---------------------------------------------------------------------------
 # Discrete canvas
 # ---------------------------------------------------------------------------
 
-class PlaneData:
-    """One primitive plane of a discrete canvas, over canvas keys (pixel
-    (c, r) is ``c * height_px + r``).
-
+class DiscreteCanvas:
+    """The one plane (``PLANES``) of a discrete canvas over ``viewport``,
+    over canvas keys (pixel (c, r) is ``c * height_px + r``), with the
+    boundary index ``bindex`` its buckets refer to; ``plane`` returns it.
     The interior is a run table: ``run_start`` and ``run_end`` (inclusive)
     keys of sorted, pairwise-disjoint runs within one column each, whose
     pixel squares the interior of object ``run_id`` fully covers. Boundary
     pixels carry CSR buckets of boundary entry refs: ``bp_flat`` sorted
     pixel keys, ``bp_start`` bucket offsets, ``bp_entries`` ascending refs
-    per bucket. A plane with no runs and no buckets holds nothing."""
+    per bucket. A canvas with no runs and no buckets holds nothing."""
 
-    def __init__(self):
+    def __init__(self, viewport: Viewport, bindex=None):
+        self.viewport = viewport
+        self.bindex = bindex
         self.run_start = self.run_end = self.run_id = np.zeros(0, dtype=np.int64)
         self.bp_flat = np.zeros(0, dtype=np.int64)
         self.bp_start = np.zeros(1, dtype=np.int64)
         self.bp_entries = np.zeros(0, dtype=np.int64)
+
+    def plane(self, name: str) -> "DiscreteCanvas":
+        if name not in PLANES:
+            raise CanvasError(f"unknown plane {name!r}")
+        return self
+
+    def has_plane(self, name: str) -> bool:
+        return name in PLANES
 
     def interior_of(self, keys: np.ndarray) -> np.ndarray:
         """The object whose interior covers each pixel key, NULL_ID where
@@ -404,102 +397,50 @@ class PlaneData:
         at = np.maximum(pos, 0)
         return np.where((pos >= 0) & (keys <= self.run_end[at]), self.run_id[at], NULL_ID)
 
-
-class DiscreteCanvas:
-    """Three pixel planes over one viewport plus the boundary-entry table.
-    A plane nothing was rendered into reads as an empty ``PlaneData``."""
-
-    def __init__(self, viewport: Viewport, bindex=None):
-        self.viewport = viewport
-        self.bindex = bindex
-        self._planes: dict = {}
-
-    def plane(self, name: str) -> PlaneData:
-        if name not in PLANES:
-            raise CanvasError(f"unknown plane {name!r}")
-        return self._planes.get(name) or PlaneData()
-
-    def has_plane(self, name: str) -> bool:
-        return name in self._planes
-
-
-class _Builder:
-    """Accumulates interior runs and boundary (pixel, entry ref) pairs,
-    then finalizes the run and bucket tables."""
-
-    def __init__(self, vp: Viewport, bindex):
-        self.canvas = DiscreteCanvas(vp, bindex)
-        self._pix: dict = {name: [] for name in PLANES}
-        self._refs: dict = {name: [] for name in PLANES}
-
-    def _plane(self, name) -> PlaneData:
-        return self.canvas._planes.setdefault(name, PlaneData())
-
-    def set_interior(self, plane_name, start, end, ids):
-        """Install a plane's interior runs [start[i], end[i]] of object
-        ``ids[i]``, given in any order; raise ``OverlapError`` where two
-        runs share a pixel."""
+    def set_interior(self, start, end, ids):
+        """Install the interior runs [start[i], end[i]] of object ``ids[i]``,
+        given in any order; raise ``OverlapError`` where two runs share a
+        pixel."""
         order = np.argsort(start, kind="stable")
         start, end = start[order], end[order]
         if np.any(start[1:] <= end[:-1]):
             raise OverlapError("interior runs of two records overlap; "
                                "a canvas takes pairwise-disjoint records")
-        plane = self._plane(plane_name)
-        plane.run_start, plane.run_end, plane.run_id = start, end, ids[order]
+        self.run_start, self.run_end, self.run_id = start, end, ids[order]
 
-    def add_boundary(self, plane_name, flat, refs):
-        """Record boundary entry ``refs[i]`` at pixel key ``flat[i]``."""
-        self._pix[plane_name].append(np.asarray(flat, dtype=np.int64))
-        self._refs[plane_name].append(np.asarray(refs, dtype=np.int64))
-
-    def finalize(self) -> DiscreteCanvas:
-        for name in PLANES:
-            if not self._pix[name]:
-                continue
-            plane = self._plane(name)
-            flat = np.concatenate(self._pix[name])
-            refs = np.concatenate(self._refs[name])
-            bits = packed_bits(int(flat.max(initial=0)), int(refs.max(initial=0)))
-            packed = np.sort(flat << bits | refs)
-            flat, refs = packed >> bits, packed & ((1 << bits) - 1)
-            start = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]][:len(flat)])
-            plane.bp_flat = flat[start]
-            plane.bp_start = np.append(start, len(flat)).astype(np.int64)
-            plane.bp_entries = refs
-        return self.canvas
+    def set_boundary(self, flat, refs):
+        """Install the buckets of boundary entry ``refs[i]`` at pixel key
+        ``flat[i]``, pairs given in any order and possibly repeated."""
+        flat, refs = np.asarray(flat, dtype=np.int64), np.asarray(refs, dtype=np.int64)
+        bits = packed_bits(int(flat.max(initial=0)), int(refs.max(initial=0)))
+        packed = np.sort(flat << bits | refs)
+        flat, refs = packed >> bits, packed & ((1 << bits) - 1)
+        start = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]][:len(flat)])
+        self.bp_flat = flat[start]
+        self.bp_start = np.append(start, len(flat)).astype(np.int64)
+        self.bp_entries = refs
 
 
 def render_geometry_canvas(vp: Viewport, bindex) -> DiscreteCanvas:
-    """Render the pairwise-disjoint records of a boundary index's table
-    into a discrete canvas, one kernel call per kind; every boundary entry
-    ref is the row of its point or edge in that table.
+    """Render the pairwise-disjoint polygons of a boundary index's table
+    into a discrete canvas; every boundary entry ref is the row of its edge
+    in that table, and a table holding a point or polyline is a DataError.
 
-    Points land conservatively in the point plane and polyline segments in
-    the line plane, as boundary entries. Polygons fill the polygon plane:
-    every pixel a ring edge touches (``edge_keys``) gets that edge's entry,
+    Every pixel a ring edge touches (``edge_keys``) gets that edge's entry,
     and the interior runs of each polygon hold the pixels whose centre it
-    contains (``fill_runs``) less those its own edges touch. Records whose
+    contains (``fill_runs``) less those its own edges touch. Polygons whose
     interior runs overlap raise ``OverlapError``.
     """
     t = bindex.table
-    b = _Builder(vp, bindex)
-    rows = t.start[:-1][t.kinds == RecordTable.POINT]
-    if len(rows):
-        k, key = point_pixels_array(vp.transposed(), t.edges[rows][:, [1, 0]])
-        b.add_boundary("point", key, rows[k])
-    _, rows = t.rows(np.flatnonzero(t.kinds == RecordTable.POLYLINE))
-    if len(rows):
-        k, key = edge_keys(vp, t.edges[rows])
-        b.add_boundary("line", key, rows[k])
-    _, rows = t.rows(np.flatnonzero(t.kinds == RecordTable.POLYGON))
-    if len(rows):
-        edges = t.edges[rows]
-        k, key = edge_keys(vp, edges)
-        b.add_boundary("polygon", key, rows[k])
-        rank, col, row0, row1 = _polygon_runs(vp, edges, t.rank[rows], t.part[rows], k, key)
-        b.set_interior("polygon", col * vp.height_px + row0, col * vp.height_px + row1,
-                       t.ids[rank])
-    return b.finalize()
+    if np.any(t.kinds != RecordTable.POLYGON):
+        raise DataError("a geometry canvas takes polygons only")
+    canvas = DiscreteCanvas(vp, bindex)
+    if len(t.edges):
+        k, key = edge_keys(vp, t.edges)
+        canvas.set_boundary(key, k)
+        rank, col, row0, row1 = _polygon_runs(vp, t.edges, t.rank, t.part, k, key)
+        canvas.set_interior(col * vp.height_px + row0, col * vp.height_px + row1, t.ids[rank])
+    return canvas
 
 
 def _union_runs(key, row0, row1) -> tuple:
@@ -740,9 +681,9 @@ class DistanceCanvasBuilder:
         # and its interior, so its runs are merged per column.
         src, col, row0, row1 = (np.concatenate(a) for a in zip(*runs))
         key, row0, row1 = _union_runs(src * w + col, row0, row1)
-        b = _Builder(vp, bindex)
+        canvas = DiscreteCanvas(vp, bindex)
         base = key % w * h
-        b.set_interior("polygon", base + row0, base + row1, ids[key // w])
-        keep = b.canvas.plane("polygon").interior_of(bkey) == NULL_ID
-        b.add_boundary("polygon", bkey[keep], ref[bs[keep]])
-        return b.finalize()
+        canvas.set_interior(base + row0, base + row1, ids[key // w])
+        keep = canvas.interior_of(bkey) == NULL_ID
+        canvas.set_boundary(bkey[keep], ref[bs[keep]])
+        return canvas

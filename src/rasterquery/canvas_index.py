@@ -73,10 +73,11 @@ class BoundaryIndex:
 
 
 def build_boundary_index_direct(records) -> BoundaryIndex:
-    """One entry per point, polyline segment and polygon ring edge of the
-    records, their table built in id order."""
-    recs = sorted(records, key=lambda r: r.id)
-    return BoundaryIndex(RecordTable(recs), np.full(len(recs), np.nan))
+    """One entry per point, polyline segment and polygon ring edge of a
+    ``RecordTable`` in id order, or of records put in id order."""
+    table = (records if isinstance(records, RecordTable)
+             else RecordTable(sorted(records, key=lambda r: r.id)))
+    return BoundaryIndex(table, np.full(len(table), np.nan))
 
 
 def boundary_test(index: BoundaryIndex, entry_ref: int, probe) -> bool:
@@ -261,10 +262,11 @@ def _peel(graph: dict) -> LayerIndex:
 
 
 def build_layer_index(records) -> LayerIndex:
-    """Layers ``_peel`` takes off the records' exact overlap graph
-    (``overlap_graph``); no canvas is rendered. Deterministic given ids;
-    the layer count is not claimed minimal."""
-    return _peel(overlap_graph(RecordTable(records)))
+    """Layers ``_peel`` takes off the exact overlap graph (``overlap_graph``)
+    of a ``RecordTable`` or records; no canvas is rendered. Deterministic
+    given ids; the layer count is not claimed minimal."""
+    return _peel(overlap_graph(records if isinstance(records, RecordTable)
+                               else RecordTable(records)))
 
 
 def build_distance_layer_index(sources: RecordTable, radii) -> LayerIndex:

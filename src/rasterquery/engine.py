@@ -77,9 +77,11 @@ and parts, and builds its result tuple once, after one sort-based dedup
 two arrays. Aggregation counts and sums the same arrays per constraint.
 
 Datasets. A ``Dataset`` is the one form the probe loops and kNN read: its
-points as ``ids``, ``xy`` and ``values`` columns, its polyline and polygon
-records as ``others``, and what queries derive from them, built on first
-use and kept with it. A loaded store cell (``storage.CellData``) is one.
+points as ``ids``, ``xy`` and ``values`` columns, its polylines and
+polygons as one ``geometry.RecordTable``, ``probes``, and what queries
+derive from them, built on first use and kept with it. Queries read those
+columns only: a join or aggregation layer is its rows of the table
+(``RecordTable.take``). A loaded store cell (``storage.CellData``) is one.
 Every query takes each dataset argument as a ``Dataset`` or as any
 iterable of records, and converts it once, at its entry (``_dataset``): a
 ``Dataset`` passes through; a list or tuple of at least
@@ -221,12 +223,13 @@ class Dataset:
     """A dataset in columns: the one form every query reads.
 
     ``ids`` (int64), ``xy`` (N, 2) and ``values`` (NaN where a point has
-    none) are its points' columns, ``others`` its polyline and polygon
-    records. ``Dataset(records)`` splits a record sequence by kind and
-    builds each column on first use; ``Dataset.from_arrays`` takes columns
-    as they are, such as a stored cell's decoded point section. Built on
-    first use and kept with it: ``probes``, the ``RecordTable`` of
-    ``others``; ``value_of``, what sum aggregation reads of them;
+    none) are its points' columns, ``probes`` the ``RecordTable`` of its
+    polylines and polygons and ``others`` their records.
+    ``Dataset(records)`` splits a record sequence by kind and builds each
+    column on first use; ``Dataset.from_arrays`` takes columns and a table
+    as they are, such as a stored cell's decoded block, and builds
+    ``others`` only when read. Built on first use and kept with it:
+    ``value_of``, what sum aggregation reads;
     ``x_order``, the permutation that sorts the points by x, with
     ``x_sorted`` and ``y_by_x`` the points' x and y in that order (kNN
     ranks an x slab of them); its points projected from EPSG:4326 to
@@ -246,9 +249,9 @@ class Dataset:
                         else records)
 
     @classmethod
-    def from_arrays(cls, ids, xy, values, others=()) -> "Dataset":
+    def from_arrays(cls, ids, xy, values, probes: RecordTable | None = None) -> "Dataset":
         """A dataset of aligned point columns, put in id order when they
-        are not, and ``others``."""
+        are not, and the table ``probes`` of its polylines and polygons."""
         ids = np.asarray(ids, dtype=np.int64)
         xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
         values = np.asarray(values, dtype=np.float64)
@@ -259,12 +262,13 @@ class Dataset:
             ids, xy, values = ids[order], xy[order], values[order]
         self = cls.__new__(cls)
         self.ids, self.xy, self.values = ids, xy, values
-        self.others, self._points = list(others), None
+        self.probes, self._points = _NO_PROBES if probes is None else probes, None
         return self
 
     def __len__(self):
-        points = self.ids if self._points is None else self._points
-        return len(points) + len(self.others)
+        if self._points is None:
+            return len(self.ids) + len(self.probes)
+        return len(self._points) + len(self.others)
 
     @cached_property
     def ids(self) -> np.ndarray:
@@ -283,19 +287,22 @@ class Dataset:
         return (*_point_records(self.ids, self.xy, self.values), *self.others)
 
     @cached_property
+    def others(self) -> list:
+        return self.probes.records
+
+    @cached_property
     def probes(self) -> RecordTable:
         return RecordTable(self.others) if self.others else _NO_PROBES
 
     @cached_property
     def value_of(self) -> tuple:
-        """(ids, values): the ids of ``others`` ascending and their values;
+        """(ids, values): the ids of ``probes`` ascending and their values;
         a DataError when any object of the dataset has no value."""
-        if np.isnan(self.values).any() or any(r.value is None for r in self.others):
+        table = self.probes
+        if np.isnan(self.values).any() or np.isnan(table.values).any():
             raise DataError("sum aggregation over a value-less dataset")
-        ids = self.probes.ids
-        order = np.argsort(ids, kind="stable")
-        values = np.fromiter((r.value for r in self.others), np.float64, len(ids))
-        return ids[order], values[order]
+        order = np.argsort(table.ids, kind="stable")
+        return table.ids[order], table.values[order]
 
     @cached_property
     def x_order(self) -> np.ndarray:
@@ -316,10 +323,10 @@ class Dataset:
     @property
     def projected(self) -> "Dataset":
         points = self._projected_points
-        if not self.others:
+        if len(self) == len(self.ids):
             return points
         return Dataset.from_arrays(points.ids, points.xy, points.values,
-                                   map(project_record_4326_to_3857, self.others))
+                                   RecordTable(map(project_record_4326_to_3857, self.others)))
 
 
 class PreparedPoints(Dataset):
@@ -464,7 +471,7 @@ def _point_dataset(dataset, geographic: bool = False) -> Dataset:
     """``_dataset`` of a dataset of points only, as kNN reads them; a
     DataError for any other record."""
     data = _dataset(dataset, geographic)
-    if data.others:
+    if len(data) > len(data.ids):
         raise DataError("kNN requires point records")
     return data
 
@@ -473,7 +480,7 @@ def _polygon_dataset(dataset, message: str) -> Dataset:
     """``_dataset`` of a dataset of polygons only; a DataError with
     ``message`` for any other record."""
     data = _dataset(dataset)
-    if len(data.others) < len(data) or any(r.kind != "polygon" for r in data.others):
+    if len(data.probes) < len(data) or np.any(data.probes.kinds != RecordTable.POLYGON):
         raise DataError(message)
     return data
 
@@ -796,9 +803,10 @@ def match_record(matcher: PixelMatcher, rec: GeometryRecord) -> set:
 # ---------------------------------------------------------------------------
 
 def _layer_matcher(members, resolution: int) -> PixelMatcher:
-    """The canvas of one layer of pairwise-disjoint polygons, over the
-    viewport of its own records."""
-    [matcher] = _layer_matchers(members, LayerIndex([[r.id for r in members]]), resolution)
+    """The canvas of one layer of pairwise-disjoint polygon records, over
+    the viewport of its own records."""
+    [matcher] = _layer_matchers(RecordTable(members), LayerIndex([[r.id for r in members]]),
+                                resolution)
     return matcher
 
 
@@ -807,15 +815,20 @@ def _viewport(boxes, resolution: int):
     return viewport_from_bounds(_bounds_union(boxes), resolution)
 
 
-def _layer_matchers(members, layers: LayerIndex, resolution: int):
-    """One canvas per layer of the polygons ``members``, all over one
+def _layer_matchers(table: RecordTable, layers: LayerIndex, resolution: int):
+    """One canvas per layer of the polygons of ``table``, all over one
     viewport, built when first drawn: every layer's boundary index
-    (``build_boundary_index_direct``), then the viewport over the union of
-    their record boxes, then each layer rendered over it as it is drawn."""
-    by_id = {r.id: r for r in members}
+    (``build_boundary_index_direct``) over its rows of the table, in id
+    order, then the viewport over the union of their record boxes, then
+    each layer rendered over it as it is drawn."""
+    order = np.argsort(table.ids, kind="stable")
+    ids = np.append(table.ids[order], -1)  # past the end: no id is negative
+    wants = [np.sort(np.asarray(layer, dtype=np.int64)) for layer in layers.layers]
+    ranks = [np.searchsorted(ids[:-1], want) for want in wants]
+    if any(np.any(ids[r] != want) for r, want in zip(ranks, wants)):
+        raise DataError("a layer index names an object the dataset does not hold")
     with instrument.phase("polygon"):
-        bindexes = [build_boundary_index_direct([by_id[i] for i in ids])
-                    for ids in layers.layers]
+        bindexes = [build_boundary_index_direct(table.take(order[r])) for r in ranks]
     if not bindexes:
         return
     vp = _viewport(np.concatenate([b.table.boxes for b in bindexes]), resolution)
@@ -910,7 +923,7 @@ def _constraint_matchers(constraint, resolution: int):
     """The canvas of one selection constraint, checked now and rendered
     when drawn."""
     rec = _as_constraint_record(constraint)
-    return _layer_matchers([rec], LayerIndex([[rec.id]]), resolution)
+    return _layer_matchers(RecordTable([rec]), LayerIndex([[rec.id]]), resolution)
 
 
 def _selection(matchers, parts) -> SelectionResult:
@@ -940,13 +953,13 @@ def join(d1, d2, resolution: int | None = None, config: Config = DEFAULT,
     other side against each."""
     resolution = resolution or config.resolution
     d1 = _polygon_dataset(d1, "join: D1 must be a polygon dataset")
-    polys = d1.others
+    polys = d1.probes
     part = _dataset(d2)
-    others = part.others
-    if any(r.kind != "polygon" for r in others):
+    others = part.probes
+    if np.any(others.kinds != RecordTable.POLYGON):
         raise DataError("join: D2 must be points or polygons")
     has_points = len(part) > len(others)
-    if not polys or not (has_points or others):
+    if not len(polys) or not (has_points or len(others)):
         return JoinResult(())
 
     if d1_layers is None:
@@ -1007,7 +1020,7 @@ def _radii(radii, sources: Dataset) -> np.ndarray:
 def _source_table(sources: Dataset) -> RecordTable:
     """The sources flattened once, in id order: a dataset of no point
     reuses its ``probes``."""
-    table = sources.probes if len(sources.others) == len(sources) else RecordTable(sources.records)
+    table = RecordTable(sources.records) if len(sources.ids) else sources.probes
     if np.any(table.ids[1:] < table.ids[:-1]):
         table = table.take(np.argsort(table.ids, kind="stable"))
     return table
@@ -1074,9 +1087,9 @@ def distance_join(d1, d2, radii, resolution: int | None = None,
 
 def _aggregation_matchers(constraints, mode: str, layers: LayerIndex | None,
                           resolution: int):
-    """One canvas per layer of the aggregation constraints, the polygons of
-    a ``_polygon_dataset``, checked now with ``mode`` (``layers`` built now
-    when None) and rendered when drawn."""
+    """One canvas per layer of the aggregation constraints, the ``probes``
+    of a ``_polygon_dataset``, checked now with ``mode`` (``layers`` built
+    now when None) and rendered when drawn."""
     if mode not in ("count", "sum"):
         raise DataError(f"unknown aggregation mode {mode!r}")
     return _layer_matchers(constraints, layers or build_layer_index(constraints), resolution)
@@ -1097,7 +1110,7 @@ def _aggregate(matchers, parts, mode: str) -> AggregationResult:
         xy = part.xy
         if mode == "sum":
             ids, values = part.value_of
-        if not (len(xy) or part.others):
+        if not (len(xy) or len(part.probes)):
             continue
         if canvases is None:
             canvases = _drawn(matchers)
@@ -1134,7 +1147,7 @@ def aggregate(constraints, data, mode: str = "count",
     """Per-constraint count (or sum of value payloads) of intersecting data
     objects: each constraint layer is rendered once and the data classified
     against it (points per pixel, other records in one pass)."""
-    constraints = _polygon_dataset(constraints, "aggregation constraints must be polygons").others
+    constraints = _polygon_dataset(constraints, "aggregation constraints must be polygons").probes
     matchers = _aggregation_matchers(constraints, mode, layer_index,
                                      resolution or config.resolution)
     if layer_index is None:

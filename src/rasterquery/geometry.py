@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -95,19 +95,10 @@ class PolygonGeom:
 
     rings: list
 
-    _edges: np.ndarray | None = field(default=None, repr=False)
-
     @property
     def area(self) -> float:
         """Shoelace sum over the rings (holes, being CW, subtract)."""
         return sum(shoelace(ring) for ring in self.rings)
-
-    def boundary_edges(self) -> np.ndarray:
-        """All boundary edges as an (E, 4) array of ax, ay, bx, by, with edge
-        ordinal = position in this enumeration (ring-major)."""
-        if self._edges is None:
-            self._edges = np.concatenate([_ring_edges(ring) for ring in self.rings], axis=0)
-        return self._edges
 
     def bbox(self):
         pts = np.concatenate(self.rings, axis=0)
@@ -191,22 +182,6 @@ class GeometryRecord:
         return (min(b[0] for b in boxes), min(b[1] for b in boxes),
                 max(b[2] for b in boxes), max(b[3] for b in boxes))
 
-    def centroid(self):
-        if self.kind == "point":
-            return (self.geometry.x, self.geometry.y)
-        if self.kind == "polyline":
-            segs = segments_array(self)
-            mids = (segs[:, 0:2] + segs[:, 2:4]) / 2.0
-            lens = np.hypot(segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1])
-            w = lens / lens.sum()
-            return (float(mids[:, 0] @ w), float(mids[:, 1] @ w))
-        # Shoelace moments over every ring edge, taken about the first vertex.
-        edges = edge_table(self)[0]
-        e = edges - np.tile(edges[0, :2], 2)
-        c = e[:, 0] * e[:, 3] - e[:, 2] * e[:, 1]
-        return tuple(float(edges[0, k] + ((e[:, k] + e[:, k + 2]) * c).sum() / (3.0 * c.sum()))
-                     for k in (0, 1))
-
 
 def point_record(rid: int, x: float, y: float, value: float | None = None) -> GeometryRecord:
     return GeometryRecord(rid, "point", Point2(float(x), float(y)), value)
@@ -234,16 +209,6 @@ def box_record(rid: int, x0, y0, x1, y1, value: float | None = None) -> Geometry
     return polygon_record(rid, [ring], value)
 
 
-def segments_array(record: GeometryRecord) -> np.ndarray:
-    """(S, 4) array of segment coordinates for a polyline record (cached on
-    the record; derived data, never mutated)."""
-    arr = getattr(record, "_segs_cache", None)
-    if arr is None:
-        arr = np.array([(s.a.x, s.a.y, s.b.x, s.b.y) for s in record.geometry], dtype=float)
-        record._segs_cache = arr
-    return arr
-
-
 def triangles_array(record: GeometryRecord) -> np.ndarray:
     """(T, 3, 2) CCW triangles covering a polygon record's parts, made by
     ``triangulate`` on first use and cached on the record. No query uses
@@ -256,91 +221,120 @@ def triangles_array(record: GeometryRecord) -> np.ndarray:
 
 
 def edge_table(record: GeometryRecord) -> tuple:
-    """(edges, parts) of a polyline or polygon record: the (E, 4) segments
-    or ring edges in ordinal order (for polygons ``boundary_edges`` of each
-    part, part after part) and the (E,) part ordinal of each edge (cached
-    on the record; derived data, never mutated)."""
+    """(edges, parts) of a polyline or polygon record: its rows of a
+    ``RecordTable``, the (E, 4) segments or ring edges, ring after ring and
+    part after part, and the (E,) part ordinal of each (cached on the
+    record; derived data, never mutated)."""
     table = getattr(record, "_edge_cache", None)
     if table is None:
         if record.kind == "point":
             raise DataError(f"record {record.id} is a point and has no edges")
-        if record.kind == "polyline":
-            edges = segments_array(record)
-            parts = np.zeros(len(edges), dtype=np.int64)
-        else:
-            per_part = [part.boundary_edges() for part in record.geometry]
-            edges = np.concatenate(per_part, axis=0)
-            parts = np.repeat(np.arange(len(per_part), dtype=np.int64),
-                              [len(e) for e in per_part])
-        table = (edges, parts)
-        record._edge_cache = table
+        flat = RecordTable([record])
+        table = record._edge_cache = (flat.edges, flat.part)
     return table
 
 
 class RecordTable:
-    """A record list flattened into edge arrays, built once per list.
+    """The columnar form of polylines, polygons and points: a record list
+    flattened into arrays once, or a store block read straight into them.
+    A record's rank is its position; its rows in ``edges`` (E, 4) are its
+    segments, its ring edges (vertex k to vertex k + 1 of its ring) or,
+    for a point, one zero-length edge (x, y, x, y). Columns:
 
-    Every record's ``edge_table`` rows are stacked in record order, a point
-    as one zero-length edge (x, y, x, y); a record's rank is its position
-    in ``records``. Columns:
+    - ``ids``, ``kinds`` (``POINT``, ``POLYLINE``, ``POLYGON``) and
+      ``values`` (NaN where a record has none), (R,);
+    - ``start`` (R + 1,): each record's range of rows, and ``rank`` (E,)
+      each row's record;
+    - ``part_edges`` (P + 1,): each part's range of rows (a point or
+      polyline is one part, a polygon one per ``PolygonGeom``), and
+      ``part_start`` (R + 1,) each record's range of parts;
+    - ``ring_start`` (Q + 1,): the row where each ring begins, then the
+      end (a point or polyline is one ring).
 
-    - ``ids`` and ``kinds`` (R,): ids and kind codes (``POINT``,
-      ``POLYLINE``, ``POLYGON``);
-    - ``start`` (R + 1,): each record's range of rows in ``edges`` (E, 4);
-    - ``part`` (E,): each edge's part ordinal, unique across the table (a
-      point or polyline is one part, a polygon one per ``PolygonGeom``),
-      and ``part_start`` (R + 1,) each record's range of parts; only a
-      polygon record's parts are polygon parts;
-    - ``boxes`` (R, 4): the record bboxes, by ``reduceat`` over the edge
-      ends;
-    - ``rank`` (E,): each edge's record.
-
-    Derived on first use and kept: ``part_edges`` (P + 1,), each part's
-    range of rows, and what ``records_intersect`` reads of a table on every
-    call, ``edge_boxes`` and ``containment_vertices``.
-
+    Derived on first use and kept: ``boxes`` (R, 4), the record bboxes, by
+    ``reduceat`` over the row ends; ``part`` (E,), each row's part
+    ordinal; ``edge_boxes`` and ``containment_points``, which
+    ``records_intersect`` reads; and ``records``: a table built from
+    records keeps them, one read from columns (``from_columns``) builds
+    them when they are read, which no query or store path does.
     ``RecordTable(records)`` is the one place a record list is stacked;
-    ``take`` gathers a table of some of its records from the arrays.
+    ``take`` gathers a table of some of the records from the arrays.
     """
 
     POINT, POLYLINE, POLYGON = 0, 1, 2
+    KIND_NAMES = ("point", "polyline", "polygon")
 
     def __init__(self, records):
         recs = self.records = list(records)
-        n = len(recs)
-        self.ids = np.fromiter((rec.id for rec in recs), np.int64, n)
-        self.kinds = np.fromiter((_KIND_CODE[rec.kind] for rec in recs), np.int8, n)
-        point = self.kinds == self.POINT
-        tables = [edge_table(rec) for rec in recs if rec.kind != "point"]
-        count = np.ones(n, dtype=np.int64)
-        count[~point] = [len(e) for e, _ in tables]
-        self.start = _offsets(count)
-        self.rank = np.repeat(np.arange(n), count)
-        self.edges = np.concatenate([e for e, _ in tables] or [np.zeros((0, 4))])
-        local = np.concatenate([p for _, p in tables] or [np.zeros(0, dtype=np.int64)])
-        if point.any():
-            # Spread the stacked edges over the non-point rows.
-            on = ~point[self.rank]
-            edges, parts = np.empty((len(on), 4)), np.zeros(len(on), dtype=np.int64)
-            edges[on], parts[on] = self.edges, local
-            xy = np.fromiter((c for rec in recs if rec.kind == "point"
-                              for c in (rec.geometry.x, rec.geometry.y)),
-                             np.float64, 2 * np.count_nonzero(point)).reshape(-1, 2)
-            edges[~on] = np.concatenate([xy, xy], axis=1)
-            self.edges, local = edges, parts
-        self.part, self.part_start = _part_ordinals(self.start, self.rank, local)
-        ax, ay, bx, by = self.edges.T
-        lo, hi, first = np.minimum.reduceat, np.maximum.reduceat, self.start[:-1]
-        self.boxes = (np.stack([lo(np.minimum(ax, bx), first), lo(np.minimum(ay, by), first),
-                                hi(np.maximum(ax, bx), first), hi(np.maximum(ay, by), first)],
-                               axis=1) if n else np.zeros((0, 4)))
+        parts, rings, runs, vertices, segments = [], [], [], [], []
+        for rec in recs:  # runs: each ring's vertices, or a point's or polyline's rows
+            g = rec.geometry
+            if rec.kind == "polygon":
+                parts.append(len(g))
+                for part in g:
+                    rings.append(len(part.rings))
+                    runs += part.rings
+                    vertices += part.rings
+                continue
+            rows = ([(s.a.x, s.a.y, s.b.x, s.b.y) for s in g] if rec.kind == "polyline"
+                    else [(g.x, g.y, g.x, g.y)])
+            parts.append(1)
+            rings.append(1)
+            runs.append(rows)
+            segments += rows
+        self._fill(np.array([rec.id for rec in recs], dtype=np.int64),
+                   np.array([_KIND_CODE[rec.kind] for rec in recs], dtype=np.int8),
+                   np.array([np.nan if r.value is None else r.value for r in recs], dtype=float),
+                   *(np.array(c, dtype=np.int64) for c in (parts, rings, [len(r) for r in runs])),
+                   np.concatenate([np.zeros((0, 2)), *vertices], dtype=np.float64),
+                   np.array(segments, dtype=np.float64).reshape(-1, 4))
+
+    @classmethod
+    def from_columns(cls, *columns) -> "RecordTable":
+        """The table of columns as ``_fill`` takes them, with no record."""
+        table = cls.__new__(cls)
+        table._fill(*columns)
+        return table
+
+    def _fill(self, ids, kinds, values, parts, rings, lengths, vertices, segments):
+        """Every column, from the records' ids, kinds and values, their
+        counts (parts per record, rings per part, rows per ring, each at
+        least 1), the polygon rings' vertices and the other records' rows,
+        each in table order."""
+        self.ids, self.kinds, self.values = ids, kinds, values
+        self.part_start = _offsets(parts)
+        self.ring_start = ring_start = _offsets(lengths)
+        self.part_edges = ring_start[_offsets(rings)]
+        self.start = self.part_edges[self.part_start]
+        self.rank = rank = np.repeat(np.arange(len(ids)), np.diff(self.start))
+        # A ring's last edge runs from its last vertex back to its first.
+        first = _offsets(lengths[kinds[rank[ring_start[:-1]]] == self.POLYGON])
+        after = np.arange(1, len(vertices) + 1)
+        after[first[1:] - 1] = first[:-1]
+        edges = ring_edges = np.concatenate([vertices, np.take(vertices, after, axis=0)], axis=1)
+        if len(segments):  # points or polylines among the rows
+            poly, edges = kinds[rank] == self.POLYGON, np.empty((len(rank), 4))
+            edges[poly], edges[~poly] = ring_edges, segments
+        self.edges = edges
 
     def __len__(self):
-        return len(self.records)
+        return len(self.ids)
 
     @cached_property
-    def part_edges(self) -> np.ndarray:
-        return np.searchsorted(self.part, np.arange(self.part_start[-1] + 1))
+    def boxes(self) -> np.ndarray:
+        ax, ay, bx, by = self.edges.T
+        lo, hi, first = np.minimum.reduceat, np.maximum.reduceat, self.start[:-1]
+        return (np.stack([lo(np.minimum(ax, bx), first), lo(np.minimum(ay, by), first),
+                          hi(np.maximum(ax, bx), first), hi(np.maximum(ay, by), first)], axis=1)
+                if len(self) else np.zeros((0, 4)))
+
+    @cached_property
+    def records(self) -> list:
+        return _table_records(self)
+
+    @cached_property
+    def part(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.part_edges) - 1), np.diff(self.part_edges))
 
     @cached_property
     def edge_boxes(self) -> np.ndarray:
@@ -348,7 +342,7 @@ class RecordTable:
         return _edge_boxes(self.edges)
 
     @cached_property
-    def containment_vertices(self) -> tuple:
+    def containment_points(self) -> tuple:
         """(vstart, vertices): per record, its range of the vertices that
         decide containment once no edge meets: the point itself, every
         segment's first end of a polyline, and the first vertex of each
@@ -368,35 +362,78 @@ class RecordTable:
 
     def take(self, ranks) -> "RecordTable":
         """The table of the records of ``ranks``, in that order, gathered
-        from this one's arrays."""
+        from this one's arrays (and its records, when they are built)."""
         ranks = np.asarray(ranks, dtype=np.int64)
         j, rows = self.rows(ranks)
         t = RecordTable.__new__(RecordTable)
-        t.records = [self.records[r] for r in ranks.tolist()]
-        t.ids, t.kinds, t.boxes = self.ids[ranks], self.kinds[ranks], self.boxes[ranks]
+        if "records" in self.__dict__:
+            t.records = [self.records[r] for r in ranks.tolist()]
+        t.ids, t.kinds, t.values = self.ids[ranks], self.kinds[ranks], self.values[ranks]
         t.start, t.rank, t.edges = _offsets(np.diff(self.start)[ranks]), j, self.edges[rows]
-        t.part, t.part_start = _part_ordinals(t.start, j, self.part[rows])
+        t.part_edges = _gathered(self.part_edges, rows)
+        t.ring_start = _gathered(self.ring_start, rows)
+        t.part_start = np.searchsorted(t.part_edges, t.start)
         return t
 
 
-_KIND_CODE = {"point": RecordTable.POINT, "polyline": RecordTable.POLYLINE,
-              "polygon": RecordTable.POLYGON}
+_KIND_CODE = {name: code for code, name in enumerate(RecordTable.KIND_NAMES)}
 
 
 def _offsets(count: np.ndarray) -> np.ndarray:
     """(N + 1,) run offsets of consecutive runs of the given lengths."""
-    return np.concatenate([[0], np.cumsum(count)]).astype(np.int64)
+    out = np.zeros(len(count) + 1, dtype=np.int64)
+    np.cumsum(count, out=out[1:])
+    return out
 
 
-def _part_ordinals(start, rank, part) -> tuple:
-    """(ordinal, part_start) of a table's edges, whose records are ``rank``
-    and rows ``start``, given a ``part`` label that changes where a
-    record's next part begins: each edge's part ordinal, counted across the
-    table, and each record's range of ordinals."""
-    new = np.ones(len(rank), dtype=bool)
-    new[1:] = (rank[1:] != rank[:-1]) | (part[1:] != part[:-1])
-    ordinal = np.cumsum(new) - 1
-    return ordinal, np.append(ordinal[start[:-1]], ordinal[-1] + 1 if len(ordinal) else 0)
+def _gathered(offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The offsets of runs (parts or rings, split at ``offsets`` of their
+    table's rows) among ``rows`` gathered from it, whole runs in order."""
+    head = np.zeros(offsets[-1] + 1, dtype=bool)
+    head[offsets] = True
+    return np.append(np.flatnonzero(head[rows]), len(rows))
+
+
+def _table_records(table: RecordTable) -> list:
+    """The ``GeometryRecord``s of a table, rebuilt from its columns; a
+    polygon's rings are slices of one copy of its vertex rows."""
+    rings = np.split(table.edges[:, :2].copy(), table.ring_start[1:-1])
+    part_ring = np.searchsorted(table.ring_start, table.part_edges).tolist()
+    start, part_start, rows = table.start.tolist(), table.part_start.tolist(), table.edges.tolist()
+    out = []
+    for r, (rid, kind, value) in enumerate(zip(table.ids.tolist(), table.kinds.tolist(),
+                                               table.values.tolist())):
+        if kind == RecordTable.POLYGON:
+            geom = [PolygonGeom(rings=rings[part_ring[p]:part_ring[p + 1]])
+                    for p in range(part_start[r], part_start[r + 1])]
+        elif kind == RecordTable.POLYLINE:
+            geom = [Segment(Point2(ax, ay), Point2(bx, by))
+                    for ax, ay, bx, by in rows[start[r]:start[r + 1]]]
+        else:
+            geom = Point2(*rows[start[r]][:2])
+        out.append(GeometryRecord(rid, RecordTable.KIND_NAMES[kind], geom,
+                                  None if value != value else value))
+    return out
+
+
+def table_centroids(table: RecordTable) -> np.ndarray:
+    """(R, 2) centroids of a table's polylines and polygons, by one pass
+    over its rows: a polyline's segment midpoints weighted by length, and
+    a polygon's shoelace moments over all its ring edges, taken about its
+    first vertex."""
+    e, rank, first = table.edges, table.rank, table.start[:-1]
+    if not len(first):
+        return np.zeros((0, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lens = np.hypot(e[:, 2] - e[:, 0], e[:, 3] - e[:, 1])
+        w = lens / np.add.reduceat(lens, first)[rank]
+        lines = np.add.reduceat((e[:, :2] + e[:, 2:]) / 2.0 * w[:, None], first)
+        o = e[first, :2]
+        d = e - np.tile(o, 2)[rank]
+        c = d[:, 0] * d[:, 3] - d[:, 2] * d[:, 1]
+        moments = np.add.reduceat((d[:, :2] + d[:, 2:]) * c[:, None], first)
+        areas = o + moments / (3.0 * np.add.reduceat(c, first))[:, None]
+    return np.where((table.kinds == RecordTable.POLYLINE)[:, None], lines, areas)
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +834,7 @@ def pairwise_intersects(a: GeometryRecord, b: GeometryRecord) -> bool:
             return p == b.geometry
         if b.kind == "polygon":
             return bool(points_in_record(np.array([[p.x, p.y]]), b)[0])
-        ax, ay, bx, by = segments_array(b).T
+        ax, ay, bx, by = edge_table(b)[0].T
         return bool(((orient(ax, ay, bx, by, p.x, p.y) == 0.0)
                      & _in_box(p.x, p.y, ax, ay, bx, by)).any())
     return _edges_meet(a, b) or _vertex_inside(a, b)
@@ -836,7 +873,7 @@ def records_intersect(a: RecordTable, b: RecordTable, i, j, reach=None) -> np.nd
     it. Where no edge pair holds, no edge meets, so each part of one record
     lies wholly inside or outside the other, and one ``points_in_parts``
     call each way, with one vertex per polygon part
-    (``RecordTable.containment_vertices``), decides whether they meet.
+    (``RecordTable.containment_points``), decides whether they meet.
     """
     i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
     out = np.zeros(len(i), dtype=bool)
@@ -865,8 +902,8 @@ def records_intersect(a: RecordTable, b: RecordTable, i, j, reach=None) -> np.nd
         out[near[k[held]]] = True
     rest = near[~out[near]]
     ir, jr = i[rest], j[rest]
-    out[rest] = (_any_vertex_in(*a.containment_vertices, ir, jr, b)
-                 | _any_vertex_in(*b.containment_vertices, jr, ir, a))
+    out[rest] = (_any_vertex_in(*a.containment_points, ir, jr, b)
+                 | _any_vertex_in(*b.containment_points, jr, ir, a))
     return out
 
 

@@ -22,15 +22,25 @@ start with the magic ``SPDC1``, a ``<H`` format version and a ``<I``
 count. A store whose catalog or binary files name another version than
 ``FORMAT_VERSION`` is refused with ``CorruptionError``.
 
-Records are stored in column blocks: ``records.bin`` holds one block for
-the whole dataset.
+Records are stored in column blocks of contiguous columns, read by
+``np.frombuffer``; ``records.bin`` holds one block for the whole dataset.
 
 - header ``<II``: point rows n, other rows m;
 - point section: ``ids`` n x ``<u8``, ``values`` n x ``<f8`` (NaN where a
-  point has no value) and ``xy`` n x 2 ``<f8``, each contiguous;
-- others section: the m polyline and polygon records, each length-prefixed
-  in the per-record encoding of ``serialize_record``; a polygon holds its
-  rings only.
+  point has no value) and ``xy`` n x 2 ``<f8``;
+- others section, the polylines and polygons: ``ids`` m x ``<u8``,
+  ``values`` m x ``<f8``, kind codes m x ``u1``; then ``<u4`` counts: m
+  edge counts (segments, or ring vertices), m part counts (0 for a
+  polyline), a ring count per polygon part and a vertex count per polygon
+  ring; then the polygons' ring vertices V x 2 and the polylines'
+  segments S x 4 ``<f8``.
+
+A polygon row takes 25 + 4 parts + 4 rings + 16 vertices bytes, a polyline
+row 25 + 32 segments (``_row_lengths``). Decoding checks every count
+against the kinds, the block length and, for the edge counts, the vertex
+counts, raising ``CorruptionError`` on any disagreement, and reads the
+others section straight into the ``RecordTable`` of a ``Dataset``'s
+``probes``; its records are built only when read.
 
 Both sections are in ascending id order. ``cells.bin`` holds a table of
 one ``_CELL_ROW`` per cell (zoom, x, y, rows, region offset, block length,
@@ -40,15 +50,16 @@ layer index ``ooc_join`` renders its A side by); a cell of any other store
 is its block alone. A region is exactly what ``load_cell`` reads, with one
 read and one CRC check, and its length is the cell's ``byte_size``. A cell
 loads as a ``CellData``, an ``engine.Dataset`` whose point columns are the
-block's point section read in place with ``np.frombuffer``, with no record
-built for them; every query reads it as it reads an in-memory dataset.
+block's point section read in place and whose ``probes`` is its others
+section, with no record built; every query reads it as it reads an
+in-memory dataset.
 
 ``records.bin`` stays beside ``cells.bin`` although the cells hold the same
 records: it is the only source ``build_indexes`` reads, so a store can be
 re-celled under another byte budget without the original records. It is
-read once, as an ``engine.Dataset``, and no point record is built: a cell
-is an array of row ordinals into its columns, written as column slices,
-and its hull is taken over one array of the cell's coordinates.
+read once, as an ``engine.Dataset``, and no record is built: a cell is an
+array of row ordinals into its columns and table, written as column
+gathers, and its hull is taken over one array of the cell's coordinates.
 
 Integrity: opening a ``DatasetStore`` checks every file against the SHA-256
 in its catalog, and ``load_cell`` checks each region against the CRC-32 in
@@ -77,93 +88,66 @@ from .geometry import (
     Point2,
     PolygonGeom,
     RecordTable,
-    Segment,
     convex_hull,
     parse_wkt,
     polygon_distances,
     polygon_from_rings,
     records_intersect,
-    segments_array,
+    table_centroids,
 )
 
 MAGIC = b"SPDC1"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 MAX_ZOOM = 20
 
-_KIND_CODE = {"polyline": 1, "polygon": 2}
-_KIND_NAME = {v: k for k, v in _KIND_CODE.items()}
 _FILE_HEAD = struct.Struct("<HI")  # format version, item count (after MAGIC)
 _HEAD_SIZE = len(MAGIC) + _FILE_HEAD.size
 _BLOCK_HEAD = struct.Struct("<II")  # point rows, other rows
 _POINT_ROW = 32  # id, value, x, y
+_OTHER_ROW = 25  # id, value, kind, edge count, part count
 # zoom, x, y, rows, region offset, block length, slice length, region CRC
 _CELL_ROW = struct.Struct("<BIIIQQQI")
 
 
 # ---------------------------------------------------------------------------
-# Record serialization
+# Column blocks
 # ---------------------------------------------------------------------------
 
-def serialize_record(rec: GeometryRecord) -> bytes:
-    """Length-prefixed encoding of one polyline or polygon record (points
-    go to a block's point section)."""
-    out = [struct.pack("<QBd", rec.id, _KIND_CODE[rec.kind],
-                       np.nan if rec.value is None else rec.value)]
-    if rec.kind == "polyline":
-        out.append(struct.pack("<I", len(rec.geometry)))
-        for s in rec.geometry:
-            out.append(struct.pack("<4d", s.a.x, s.a.y, s.b.x, s.b.y))
-    else:
-        out.append(struct.pack("<I", len(rec.geometry)))
-        for part in rec.geometry:
-            out.append(struct.pack("<I", len(part.rings)))
-            for ring in part.rings:
-                out.append(struct.pack("<I", len(ring)))
-                out.append(np.ascontiguousarray(ring, dtype="<f8").tobytes())
-    blob = b"".join(out)
-    return struct.pack("<I", len(blob)) + blob
+def _others_columns(table: RecordTable) -> tuple:
+    """(edges, parts, rings, vertices): a table's counts as a block stores
+    them, rows and polygon parts (0 for a polyline) per record, rings per
+    polygon part and vertices per polygon ring."""
+    poly = table.kinds == RecordTable.POLYGON
+    part_rings = np.diff(np.searchsorted(table.ring_start, table.part_edges))
+    return (np.diff(table.start), np.where(poly, np.diff(table.part_start), 0),
+            part_rings[poly[table.rank[table.part_edges[:-1]]]],
+            np.diff(table.ring_start)[poly[table.rank[table.ring_start[:-1]]]])
 
 
-def deserialize_record(buf: bytes, off: int) -> tuple:
-    (length,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    end = off + length
-    rid, kind_code, value = struct.unpack_from("<QBd", buf, off)
-    off += struct.calcsize("<QBd")
-    value = None if np.isnan(value) else float(value)
-    kind = _KIND_NAME[kind_code]
-    if kind == "polyline":
-        (nseg,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        segs = []
-        for _ in range(nseg):
-            ax, ay, bx, by = struct.unpack_from("<4d", buf, off)
-            off += 32
-            segs.append(Segment(Point2(ax, ay), Point2(bx, by)))
-        return GeometryRecord(rid, "polyline", segs, value), end
-    (nparts,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    parts = []
-    for _ in range(nparts):
-        (nrings,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        rings = []
-        for _ in range(nrings):
-            (nv,) = struct.unpack_from("<I", buf, off)
-            off += 4
-            ring = np.frombuffer(buf, dtype="<f8", count=nv * 2, offset=off)
-            off += nv * 16
-            rings.append(ring.reshape(nv, 2).copy())
-        parts.append(PolygonGeom(rings=rings))
-    return GeometryRecord(rid, "polygon", parts, value), end
+def _row_lengths(table: RecordTable) -> np.ndarray:
+    """The encoded length of each row of a table of polylines and polygons:
+    25 bytes (id, kind, value, edge count, part count), plus 32 a segment,
+    or 4 a part, 4 a ring and 16 a vertex."""
+    edges, parts, _, _ = _others_columns(table)
+    rings = np.diff(np.searchsorted(table.ring_start, table.start))
+    return _OTHER_ROW + np.where(parts > 0, 4 * parts + 4 * rings + 16 * edges, 32 * edges)
 
 
 def encode_block(data: engine.Dataset) -> bytes:
     """One column block (layout in the module docstring) of a dataset whose
-    points and others are each in id order."""
-    return b"".join([_BLOCK_HEAD.pack(len(data.ids), len(data.others)),
-                     data.ids.astype("<u8").tobytes(), data.values.astype("<f8").tobytes(),
-                     data.xy.astype("<f8").tobytes(), *map(serialize_record, data.others)])
+    points and ``probes`` are each in id order."""
+    t = data.probes
+    cols = [(data.ids, "<u8"), (data.values, "<f8"), (data.xy, "<f8")]
+    if len(t):  # an empty others section is no bytes
+        edges, parts, rings, vertices = _others_columns(t)
+        if np.any(vertices < 3):
+            raise DataError("a polygon ring of fewer than 3 vertices cannot be stored")
+        poly = t.kinds[t.rank] == RecordTable.POLYGON
+        cols += [(t.ids, "<u8"), (t.values, "<f8"), (t.kinds, "u1"),
+                 *((c, "<u4") for c in (edges, parts, rings, vertices)),
+                 (np.compress(poly, t.edges[:, :2], axis=0), "<f8"), (t.edges[~poly], "<f8")]
+    return b"".join([_BLOCK_HEAD.pack(len(data.ids), len(t)),
+                     *(c.astype(dtype, copy=False).tobytes() for c, dtype in cols)])
 
 
 def decode_block(block) -> engine.Dataset:
@@ -172,25 +156,53 @@ def decode_block(block) -> engine.Dataset:
 
 
 def _block_columns(block) -> tuple:
-    """(ids, xy, values, others) of one column block: the point columns
-    read in place with ``np.frombuffer``, the other records decoded one by
-    one."""
-    try:
-        n, m = _BLOCK_HEAD.unpack_from(block, 0)
-        off = _BLOCK_HEAD.size
-        ids = np.frombuffer(block, dtype="<u8", count=n, offset=off)
-        values = np.frombuffer(block, dtype="<f8", count=n, offset=off + 8 * n)
-        xy = np.frombuffer(block, dtype="<f8", count=2 * n, offset=off + 16 * n)
-        off += _POINT_ROW * n
-        others = []
-        for _ in range(m):
-            rec, off = deserialize_record(block, off)
-            others.append(rec)
-    except (struct.error, ValueError, KeyError) as exc:
-        raise CorruptionError(f"undecodable record block: {exc}") from exc
+    """(ids, xy, values, table) of one column block, every column read by
+    ``np.frombuffer``, the points' in place and the others' straight into a
+    ``RecordTable``; a block no ingest writes raises ``CorruptionError``."""
+    off = 0
+
+    def column(dtype, count):
+        nonlocal off
+        size = count * np.dtype(dtype).itemsize
+        if off + size > len(block):
+            raise CorruptionError(f"record block of {len(block)} bytes overrun by its columns")
+        off += size
+        return np.frombuffer(block, dtype=dtype, count=count, offset=off - size)
+
+    def check(ok, what):
+        if not ok:
+            raise CorruptionError(f"record block with {what}")
+
+    n, m = (int(v) for v in column("<u4", 2))
+    ids, values, xy = column("<u8", n), column("<f8", n), column("<f8", 2 * n)
+    if not m and off == len(block):  # a point block
+        return ids.astype(np.int64), xy, values, None
+    oids, ovalues, kinds = column("<u8", m), column("<f8", m), column("u1", m)
+    edges, parts = (column("<u4", m).astype(np.int64) for _ in range(2))
+    poly = kinds == RecordTable.POLYGON
+    check(np.all(poly | (kinds == RecordTable.POLYLINE)), "an unknown kind code")
+    check(np.all((parts > 0) == poly) and np.all(edges > 0), "a record of no part or edge")
+    rings = column("<u4", int(parts.sum())).astype(np.int64)
+    vertices = column("<u4", int(rings.sum())).astype(np.int64)
+    check(np.all(rings > 0) and np.all(vertices >= 3), "a ring of fewer than 3 vertices")
+    nv = 2 * int(vertices.sum())
+    coords = column("<f8", nv + 4 * int(edges[~poly].sum()))
     if off != len(block):
         raise CorruptionError(f"record block holds {len(block)} bytes, its rows {off}")
-    return ids.astype(np.int64), xy, values, others
+    check(np.isfinite(coords).all(), "a non-finite coordinate")
+    # A polyline is one part of one ring, its segments.
+    part_of = np.repeat(np.arange(m), np.where(poly, parts, 1))
+    all_rings = np.ones(len(part_of), dtype=np.int64)
+    all_rings[poly[part_of]] = rings
+    ring_poly = poly[np.repeat(part_of, all_rings)]
+    lengths = np.empty(len(ring_poly), dtype=np.int64)
+    lengths[ring_poly], lengths[~ring_poly] = vertices, edges[~poly]
+    table = RecordTable.from_columns(oids.astype(np.int64), kinds.astype(np.int8),
+                                     ovalues.astype(np.float64), np.where(poly, parts, 1),
+                                     all_rings, lengths, coords[:nv].reshape(-1, 2),
+                                     coords[nv:].reshape(-1, 4))
+    check(np.array_equal(np.diff(table.start), edges), "an edge count off its vertex counts")
+    return ids.astype(np.int64), xy, values, table
 
 
 def _serialize_layers(layers: LayerIndex) -> bytes:
@@ -247,7 +259,6 @@ class GridCell:
 class GridIndex:
     zoom: int
     cells: list
-    extent: tuple
     _hulls: RecordTable | None = field(default=None, init=False, repr=False, compare=False)
 
     def hulls(self) -> RecordTable:
@@ -281,13 +292,6 @@ class DatasetCatalog:
                 raise CorruptionError(f"{self.name}: checksum mismatch for {fname}")
 
 
-def _vertices(rec: GeometryRecord) -> np.ndarray:
-    """(N, 2) segment ends of a polyline or ring vertices of a polygon."""
-    if rec.kind == "polyline":
-        return segments_array(rec).reshape(-1, 2)
-    return np.concatenate([ring for part in rec.geometry for ring in part.rings])
-
-
 def _cell_hull(xy: np.ndarray) -> PolygonGeom:
     """The convex hull of a cell's coordinates; for a degenerate set, their
     box padded by a thousandth of its side."""
@@ -306,12 +310,13 @@ def _cell_hull(xy: np.ndarray) -> PolygonGeom:
 
 def _cell_data(data: engine.Dataset, members: np.ndarray) -> engine.Dataset:
     """The rows ``members`` of ``data``, ascending ordinals that number its
-    points and then ``others``, as a dataset of column slices."""
+    points and then its ``probes``, as a dataset of column gathers."""
     n = len(data.ids)
     k = int(np.searchsorted(members, n))
     rows = members[:k]
     return engine.Dataset.from_arrays(data.ids[rows], data.xy[rows], data.values[rows],
-                                      [data.others[i] for i in (members[k:] - n).tolist()])
+                                      data.probes.take(members[k:] - n) if k < len(members)
+                                      else None)
 
 
 def build_grid_index(data: engine.Dataset, byte_budget: int, config: Config = DEFAULT,
@@ -326,31 +331,32 @@ def build_grid_index(data: engine.Dataset, byte_budget: int, config: Config = DE
     per member, as a cell has at most one layer per member (4 bytes of
     length and 8 of id each). That bound is each cell's ``byte_size``.
 
+    Rows are placed by their ``xy``, or the centroids and boxes of the
+    ``probes`` table, and sized by their encoded lengths.
+
     Returns (GridIndex, {cell key: member ordinals}), the ordinals (as
     ``_cell_data`` takes them) an ascending index array per cell.
     """
-    n, others = len(data.ids), data.others
+    n, table = len(data.ids), data.probes
     if not len(data):
         raise DataError("cannot index an empty dataset")
-    row_bytes = np.append(np.full(n, _POINT_ROW),
-                          [len(serialize_record(r)) for r in others]).astype(np.int64)
+    row_bytes = np.append(np.full(n, _POINT_ROW), _row_lengths(table)).astype(np.int64)
     big = int(row_bytes.argmax())
     if row_bytes[big] >= byte_budget:
-        rid = data.ids[big] if big < n else others[big - n].id
+        rid = data.ids[big] if big < n else table.ids[big - n]
         raise DataError(f"object {rid} ({row_bytes[big]} bytes) exceeds the "
                         f"cell byte budget {byte_budget}")
     head = _BLOCK_HEAD.size
     if kind == "polygon":  # the layer slice bound
         head += 4
         row_bytes += 12
-    boxes = np.array([r.bbox() for r in others], dtype=float).reshape(-1, 4)
+    boxes = table.boxes
     x0, y0 = np.concatenate([data.xy, boxes[:, :2]]).min(axis=0)
     x1, y1 = np.concatenate([data.xy, boxes[:, 2:]]).max(axis=0)
     side = max(x1 - x0, y1 - y0)
     if side <= 0:
         side = max(abs(x0), abs(y0), 1.0) * 1e-6
-    cents = np.concatenate([data.xy, np.array([r.centroid() for r in others],
-                                              dtype=float).reshape(-1, 2)])
+    cents = np.concatenate([data.xy, table_centroids(table)])
 
     median_span = None
     if kind == "polygon":
@@ -380,10 +386,10 @@ def build_grid_index(data: engine.Dataset, byte_budget: int, config: Config = DE
             key = (zoom, *divmod(code, tiles))
             groups[key] = members
             cell = _cell_data(data, members)
-            hull = _cell_hull(np.concatenate([cell.xy, *map(_vertices, cell.others)]))
+            hull = _cell_hull(np.concatenate([cell.xy, cell.probes.edges.reshape(-1, 2)]))
             cells.append(GridCell(zoom=zoom, x=key[1], y=key[2], hull=hull,
                                   count=len(members), byte_size=size))
-        return GridIndex(zoom=zoom, cells=cells, extent=(x0, y0, x1, y1)), groups
+        return GridIndex(zoom=zoom, cells=cells), groups
     raise DataError("no zoom level satisfies the byte budget")
 
 
@@ -430,20 +436,22 @@ def ingest(records, name: str, data_dir, kind: str | None = None,
     """Write records.bin + catalog.meta for a new dataset of records or an
     ``engine.Dataset``, taken once as columns and put in id order."""
     data = records if isinstance(records, engine.Dataset) else engine.Dataset(records)
-    if not len(data):
-        raise DataError("cannot ingest an empty dataset")
     try:
-        ids = np.sort(np.concatenate([data.ids, np.fromiter((r.id for r in data.others),
-                                                            np.int64, len(data.others))]))
+        table = data.probes
+        ids = np.sort(np.concatenate([data.ids, table.ids]))
     except OverflowError:
         raise DataError("a record id does not fit a signed 64-bit id") from None
+    if not len(ids):
+        raise DataError("cannot ingest an empty dataset")
     if ids[0] < 0:
         raise DataError(f"record id must be unsigned, got {ids[0]}")
     if (ids[1:] == ids[:-1]).any():
         raise DataError("duplicate record ids in dataset")
-    data = engine.Dataset.from_arrays(data.ids, data.xy, data.values,
-                                      sorted(data.others, key=lambda r: r.id))
-    kinds = {r.kind for r in data.others} | ({"point"} if len(data.ids) else set())
+    if np.any(table.ids[1:] < table.ids[:-1]):
+        table = table.take(np.argsort(table.ids, kind="stable"))
+    data = engine.Dataset.from_arrays(data.ids, data.xy, data.values, table)
+    kinds = {RecordTable.KIND_NAMES[k] for k in set(table.kinds.tolist())}
+    kinds |= {"point"} if len(data.ids) else set()
     kind = kind or (kinds.pop() if len(kinds) == 1 else "mixed")
     directory = Path(data_dir) / name
     directory.mkdir(parents=True, exist_ok=True)
@@ -504,7 +512,7 @@ def build_indexes(cat: DatasetCatalog, byte_budget: int | None = None,
     for cell in index.cells:
         members = _cell_data(data, groups[cell.key])
         block = encode_block(members)
-        lslice = (_serialize_layers(build_layer_index(members.others))
+        lslice = (_serialize_layers(build_layer_index(members.probes))
                   if cat.kind == "polygon" else b"")
         region = block + lslice
         crc = zlib.crc32(region)
@@ -597,10 +605,7 @@ class DatasetStore:
             cells.append(cell)
             self._table[cell.key] = (base + off, blen + slen, blen, crc)
             zoom = z
-        boxes = np.array([c.hull.bbox() for c in cells])
-        self._index = GridIndex(zoom=zoom, cells=cells,
-                                extent=(boxes[:, 0].min(), boxes[:, 1].min(),
-                                        boxes[:, 2].max(), boxes[:, 3].max()))
+        self._index = GridIndex(zoom=zoom, cells=cells)
         return self._index
 
     def load_cell(self, cell: GridCell) -> CellData:
@@ -658,10 +663,12 @@ def _meeting(a: RecordTable, b: RecordTable) -> tuple:
 
 
 def filter_select(index: GridIndex, constraint) -> list:
-    """Cells whose hull intersects the constraint (never excludes a cell
+    """Cells whose hull intersects the constraint, or a polygon of a
+    ``RecordTable`` of them, in grid order (never excludes a cell
     containing a true result: hulls contain their members)."""
-    _, j = _meeting(RecordTable([engine._as_constraint_record(constraint)]), index.hulls())
-    return [index.cells[k] for k in j]
+    table = (constraint if isinstance(constraint, RecordTable)
+             else RecordTable([engine._as_constraint_record(constraint)]))
+    return [index.cells[k] for k in np.unique(_meeting(table, index.hulls())[1])]
 
 
 def filter_join(index_a: GridIndex, index_b: GridIndex) -> list:
@@ -757,7 +764,7 @@ def ooc_join(store_a: DatasetStore, store_b: DatasetStore,
         if not kept:
             continue
         loaded += [labels[k] for k in kept]
-        pairs.append(engine._joined(engine._layer_matchers(data.others, data.layers, resolution),
+        pairs.append(engine._joined(engine._layer_matchers(data.probes, data.layers, resolution),
                                     (store_b.load_cell(b_cells[k]) for k in kept)))
     if explain is not None:
         explain.extend(optimizer.explain_lines(replace(plan, load_order=tuple(loaded)),
@@ -775,12 +782,6 @@ def ooc_distance_select(store: DatasetStore, source: GeometryRecord, r: float,
     return engine._selection(matchers, (store.load_cell(c) for c in kept))
 
 
-def _reached(index: GridIndex, kept) -> list:
-    """The cells of the lists ``kept``, each once, in grid order."""
-    keys = {cell.key for cells in kept for cell in cells}
-    return [cell for cell in index.cells if cell.key in keys]
-
-
 def ooc_distance_join(d1_records, store_b: DatasetStore, radii,
                       resolution: int | None = None,
                       config: Config = DEFAULT) -> engine.JoinResult:
@@ -792,8 +793,9 @@ def ooc_distance_join(d1_records, store_b: DatasetStore, radii,
     table, rad = engine._source_table(d1), engine._radii(radii, d1)
     matchers = engine._buffer_matchers(table, rad, resolution or config.resolution)
     index = store_b.grid_index()
-    kept = _reached(index, [filter_distance(index, rec, r)
-                            for rec, r in zip(table.records, rad.tolist())])
+    keys = {c.key for rec, r in zip(table.records, rad.tolist())
+            for c in filter_distance(index, rec, r)}
+    kept = [cell for cell in index.cells if cell.key in keys]
     return engine._join_result(*engine._joined(matchers, (store_b.load_cell(c) for c in kept)))
 
 
@@ -804,11 +806,10 @@ def ooc_aggregate(constraints, store: DatasetStore, mode: str = "count",
     the constraints' layer index is built and each layer rendered once, and
     the cells partition the data, so one pass over them counts exactly."""
     constraints = engine._polygon_dataset(constraints,
-                                          "aggregation constraints must be polygons").others
+                                          "aggregation constraints must be polygons").probes
     matchers = engine._aggregation_matchers(constraints, mode, None,
                                             resolution or config.resolution)
-    index = store.grid_index()
-    kept = _reached(index, [filter_select(index, cons) for cons in constraints])
+    kept = filter_select(store.grid_index(), constraints)
     return engine._aggregate(matchers, (store.load_cell(c) for c in kept), mode)
 
 

@@ -64,19 +64,6 @@ def seg_touch_mask(vp, window, ax, ay, bx, by) -> np.ndarray:
     return (fmin <= 0.0) & (fmax >= 0.0) & row_ok[:, None] & col_ok[None, :]
 
 
-def point_pixels(vp, x: float, y: float) -> list:
-    """All grid pixels (col, row) whose closed square contains the point
-    (up to 4)."""
-    if not (vp.min_x <= x <= vp.max_x and vp.min_y <= y <= vp.max_y):
-        return []
-    cc = int(np.floor((x - vp.min_x) / vp.sx))
-    rr = int(np.floor((y - vp.min_y) / vp.sy))
-    return [(c, r) for c in (cc - 1, cc, cc + 1) for r in (rr - 1, rr, rr + 1)
-            if 0 <= c < vp.width_px and 0 <= r < vp.height_px
-            and vp.min_x + c * vp.sx <= x <= vp.min_x + (c + 1) * vp.sx
-            and vp.min_y + r * vp.sy <= y <= vp.min_y + (r + 1) * vp.sy]
-
-
 def row_major(vp, keys) -> np.ndarray:
     """Row-major flat ids of canvas keys."""
     col, row = np.divmod(np.asarray(keys, dtype=np.int64), vp.height_px)

@@ -14,6 +14,7 @@ import numpy as np
 from rasterquery.geometry import (
     GeometryRecord,
     box_record,
+    edge_table,
     line_record,
     point_record,
     points_to_record_distance,
@@ -94,7 +95,7 @@ def clear_points_near_boundary(r, records, constraint, extent=1.0):
     ref = polygon_record(0, [constraint]) if not isinstance(constraint, GeometryRecord) else constraint
     out = list(records)
     pts = np.array([(rec.geometry.x, rec.geometry.y) for rec in out])
-    edges = np.concatenate([p.boundary_edges() for p in ref.geometry], axis=0)
+    edges = edge_table(ref)[0]
     from rasterquery.geometry import points_to_segments_distance
     d = points_to_segments_distance(pts, edges)
     bad = np.flatnonzero(d < limit)
@@ -154,3 +155,16 @@ def disjoint_polygons(r, n_side, extent=1.0, start_id=0, holes_every=3):
             poly = concave_polygon(r, c, 0.45 * cell, int(r.integers(5, 10)))
         recs.append(GeometryRecord(start_id + i, "polygon", [poly]))
     return recs
+
+
+def assert_same_record(a, b):
+    """Assert two records equal: id, kind, value and geometry, polygon rings
+    array by array."""
+    assert (a.id, a.kind, a.value) == (b.id, b.kind, b.value)
+    if a.kind != "polygon":
+        assert a.geometry == b.geometry
+        return
+    assert [len(p.rings) for p in a.geometry] == [len(p.rings) for p in b.geometry]
+    for pa, pb in zip(a.geometry, b.geometry):
+        for ra, rb in zip(pa.rings, pb.rings):
+            np.testing.assert_array_equal(ra, rb)

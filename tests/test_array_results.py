@@ -10,7 +10,13 @@ import pytest
 import gen
 from rasterquery import engine, oracle
 from rasterquery.canvas_index import build_layer_index
-from rasterquery.geometry import GeometryRecord, box_record, geometry_distance, point_record
+from rasterquery.geometry import (
+    GeometryRecord,
+    RecordTable,
+    box_record,
+    geometry_distance,
+    point_record,
+)
 
 RES = 64
 
@@ -109,7 +115,7 @@ def test_point_seen_by_two_layers(assembled):
     _check_assembly(assembled, got)
     assert got.pairs == ((0, 10), (0, 11), (1, 10), (1, 12))
     # A selection over both canvases sees point 10 twice and keeps it once.
-    sel = engine._selection(engine._layer_matchers(d1, layers, RES),
+    sel = engine._selection(engine._layer_matchers(RecordTable(d1), layers, RES),
                             [engine.Dataset(points)])
     assert sel.ids == (10, 11, 12)
 

@@ -1,21 +1,30 @@
 """Column cell blocks: the codec round-trips every record kind, stores
-holding several kinds agree with the brute-force oracle, a point cell loads
-without decoding records one by one, a store holds one region per cell and
-counts exactly the bytes it reads, and damaged or outdated stores raise
+holding several kinds agree with the brute-force oracle, no store query or
+build makes a record, a store holds one region per cell and counts exactly
+the bytes it reads, and damaged, hand-corrupted or outdated stores raise
 ``CorruptionError`` instead of answering."""
 
+import hashlib
 import math
+import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
 import gen
-from rasterquery import engine, oracle, storage
+from rasterquery import engine, geometry, oracle, storage
 from rasterquery.canvas_index import build_layer_index
 from rasterquery.config import Config
 from rasterquery.errors import CorruptionError, DataError
-from rasterquery.geometry import GeometryRecord, box_record, line_record, point_record
+from rasterquery.geometry import (
+    GeometryRecord,
+    RecordTable,
+    box_record,
+    line_record,
+    point_record,
+)
 
 CFG = Config(resolution=64, byte_budget=1 << 20, cache_factor=1)
 BIG_ID = (1 << 63) - 1
@@ -23,18 +32,6 @@ BIG_ID = (1 << 63) - 1
 
 def _decoded(records) -> list:
     return list(storage.decode_block(storage.encode_block(engine.Dataset(records))).records)
-
-
-def _same_record(a, b):
-    assert (a.id, a.kind, a.value) == (b.id, b.kind, b.value)
-    if a.kind != "polygon":
-        assert a.geometry == b.geometry
-    else:
-        assert len(a.geometry) == len(b.geometry)
-        for pa, pb in zip(a.geometry, b.geometry):
-            assert len(pa.rings) == len(pb.rings)
-            for ra, rb in zip(pa.rings, pb.rings):
-                np.testing.assert_array_equal(ra, rb)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +48,7 @@ def test_point_values_round_trip_none_as_nan():
     assert points.values[1:].tolist() == [1.5, -2.0, 0.0]
     assert points.xy.tolist() == [[0.1, 0.2], [0.3, 0.4], [-5.0, 7.25], [1e7, -1e7]]
     for a, b in zip(_decoded(recs), recs):
-        _same_record(a, b)
+        gen.assert_same_record(a, b)
     assert _decoded(recs)[0].value is None
 
 
@@ -109,7 +106,7 @@ def test_empty_sections(which):
     assert len(data.others) == sum(r.kind != "point" for r in recs)
     assert data.xy.shape == (len(data.ids), 2)
     for a, b in zip(data.records, recs):
-        _same_record(a, b)
+        gen.assert_same_record(a, b)
 
 
 def test_holed_polygons_and_polylines_after_points():
@@ -122,7 +119,7 @@ def test_holed_polygons_and_polylines_after_points():
     got = _decoded(recs)
     assert [g.kind for g in got] == ["point"] * 20 + ["polygon", "polyline", "polygon"]
     for a, b in zip(got, recs):
-        _same_record(a, b)
+        gen.assert_same_record(a, b)
 
 
 def test_decode_rejects_trailing_bytes():
@@ -148,7 +145,7 @@ def test_read_dataset_returns_the_ingested_records(tmp_path):
     data = storage.read_dataset(cat)
     assert len(data.records) == len(recs)
     for a, b in zip(data.records, recs):
-        _same_record(a, b)
+        gen.assert_same_record(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +239,37 @@ def test_ooc_join_against_points(mixed, tmp_path):
 # Point cells load as columns
 # ---------------------------------------------------------------------------
 
-def test_point_cell_load_decodes_no_record(mixed, monkeypatch):
-    calls = []
-    real = storage.deserialize_record
+def test_store_queries_build_no_record(mixed, monkeypatch, tmp_path):
+    """Cells load their polylines and polygons as a table, and the
+    out-of-core queries read that table only: no store path rebuilds a
+    record from it."""
+    polys = gen.random_polygons(gen.rng(9), 12, radius_frac=0.08, start_id=1000)
+    storage.build_indexes(storage.ingest(polys, "polys", tmp_path), byte_budget=1024,
+                          config=CFG)
+    poly_store = storage.DatasetStore(tmp_path, "polys", CFG)
+    stores = {"polys": (poly_store, polys),
+              "mixed": (storage.DatasetStore(mixed.store.catalog.directory.parent, "mixed", CFG),
+                        mixed.records)}
+    assert len(poly_store.grid_index().cells) > 1
 
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
-    monkeypatch.setattr(storage, "deserialize_record", counted)
-    store = storage.DatasetStore(mixed.store.catalog.directory.parent, "bare", CFG)
-    for cell in store.grid_index().cells:
-        data = store.load_cell(cell)
-        assert len(data.ids) == cell.count and data.others == []
-    assert calls == []
+    def no_records(table):
+        raise AssertionError("records rebuilt from a table on a store path")
+    monkeypatch.setattr(geometry, "_table_records", no_records)
+    cons = gen.concave_polygon(gen.rng(6), center=(0.45, 0.55), radius=0.3)
+    src = point_record(0, 0.4, 0.6)
+    for name, (store, recs) in stores.items():
+        assert list(storage.ooc_select(store, cons, config=CFG).ids) == \
+            oracle.oracle_select(recs, cons), name
+        assert list(storage.ooc_join(poly_store, store, config=CFG).pairs) == \
+            oracle.oracle_join(polys, recs), name
+        assert list(storage.ooc_distance_select(store, src, 0.2, config=CFG).ids) == \
+            oracle.oracle_distance_select(recs, src, 0.2), name
+        assert list(storage.ooc_distance_join([src], store, 0.2, config=CFG).pairs) == \
+            oracle.oracle_distance_join([src], recs, [0.2]), name
+        got = storage.ooc_aggregate(mixed.hoods, store, "count", config=CFG).rows
+        assert list(got) == oracle.oracle_aggregate(mixed.hoods, recs), name
+        for cell in store.grid_index().cells:
+            assert not store.load_cell(cell).probes.__dict__.get("records")
 
 
 def test_point_queries_build_no_point_record(mixed, monkeypatch):
@@ -274,9 +289,14 @@ def test_point_queries_build_no_point_record(mixed, monkeypatch):
 
 
 def test_point_store_build_makes_no_record(tmp_path, monkeypatch):
-    """``build_indexes`` of a point store reads, cells and writes columns:
-    no ``GeometryRecord`` is built at any step."""
-    cat = storage.ingest(gen.uniform_points(gen.rng(12), 2000, values=True), "pts", tmp_path)
+    """``build_indexes`` of a point, a polygon and a mixed store reads,
+    cells and writes columns and tables: no ``GeometryRecord`` is built at
+    any step."""
+    r = gen.rng(12)
+    cats = [(storage.ingest(recs, name, tmp_path), budget) for name, recs, budget in (
+        ("pts", gen.uniform_points(r, 2000, values=True), 16 * 1024),
+        ("polys", gen.random_polygons(r, 60, radius_frac=0.05), 4096),
+        ("mixed", gen.mixed_dataset(r, 400), 4096))]
     made = []
     real = GeometryRecord.__init__
 
@@ -284,8 +304,9 @@ def test_point_store_build_makes_no_record(tmp_path, monkeypatch):
         made.append(args)
         real(self, *args, **kwargs)
     monkeypatch.setattr(GeometryRecord, "__init__", counted)
-    index = storage.build_indexes(cat, byte_budget=16 * 1024, config=CFG)
-    assert len(index.cells) == 4
+    cells = [len(storage.build_indexes(cat, byte_budget=budget, config=CFG).cells)
+             for cat, budget in cats]
+    assert cells[0] == 4 and min(cells) > 1
     assert made == []
 
 
@@ -505,24 +526,156 @@ def test_cells_bin_of_another_version(small_store):
         store.grid_index()
 
 
-@pytest.mark.parametrize("version", [2, 3])
+@pytest.mark.parametrize("version", [2, 3, 4])
 def test_version_2_stores_are_refused(small_store, version):
     """Stores written while polygon records still held triangles (format
-    version 2), or while each cell was split over cells.bin, bindex.bin and
-    layers.bin (version 3), are refused, by their catalog and by their
-    files."""
-    assert storage.FORMAT_VERSION == 4
+    version 2), while each cell was split over cells.bin, bindex.bin and
+    layers.bin (version 3), or while polylines and polygons were encoded
+    record by record (version 4) are refused, by their catalog and by their
+    files, with their version named."""
+    assert storage.FORMAT_VERSION == 5
     root, d = small_store
     store = storage.DatasetStore(root, "pts", CFG)
     for name in ("records.bin", "cells.bin"):
         blob = bytearray((d / name).read_bytes())
         blob[len(storage.MAGIC):len(storage.MAGIC) + 2] = version.to_bytes(2, "little")
         (d / name).write_bytes(bytes(blob))
-    with pytest.raises(CorruptionError):
+    with pytest.raises(CorruptionError, match=f"version {version}"):
         storage.read_dataset(store.catalog)
-    with pytest.raises(CorruptionError):
+    with pytest.raises(CorruptionError, match=f"version {version}"):
         store.grid_index()
     meta = d / "catalog.meta"
-    meta.write_text(meta.read_text().replace("version=4", f"version={version}"))
-    with pytest.raises(CorruptionError):
+    meta.write_text(meta.read_text().replace("version=5", f"version={version}"))
+    with pytest.raises(CorruptionError, match=f"version {version}"):
         storage.DatasetStore(root, "pts", CFG)
+
+
+# ---------------------------------------------------------------------------
+# Hand-corrupted blocks
+# ---------------------------------------------------------------------------
+
+def _layout(block) -> tuple:
+    """(offsets, kinds) of a block's others section: the byte offset of
+    each count column (module docstring of ``storage``) and the kind codes."""
+    n, m = struct.unpack_from("<II", block, 0)
+    at = {"kinds": 8 + 32 * n + 16 * m}
+    at["edges"] = at["kinds"] + m
+    at["parts"] = at["edges"] + 4 * m
+    at["rings"] = at["parts"] + 4 * m
+    parts = np.frombuffer(block, "<u4", m, at["parts"])
+    at["vertices"] = at["rings"] + 4 * int(parts.sum())
+    return at, np.frombuffer(block, "u1", m, at["kinds"]).copy()
+
+
+def _poke(block, column, k, value, fmt="<I"):
+    at, _ = _layout(block)
+    struct.pack_into(fmt, block, at[column] + struct.calcsize(fmt) * k, value)
+
+
+def _first(block, code) -> int:
+    return int(np.flatnonzero(_layout(block)[1] == code)[0])
+
+
+def _count(block, column, k) -> int:
+    return struct.unpack_from("<I", block, _layout(block)[0][column] + 4 * k)[0]
+
+
+POLYGON, POLYLINE = RecordTable.POLYGON, RecordTable.POLYLINE
+CORRUPTIONS = {
+    "unknown kind code": lambda b: _poke(b, "kinds", 0, 7, "<B"),
+    "point kind code": lambda b: _poke(b, "kinds", _first(b, POLYLINE), 0, "<B"),
+    "polygon edge count off its rings": lambda b: _poke(
+        b, "edges", _first(b, POLYGON), _count(b, "edges", _first(b, POLYGON)) + 1),
+    "polyline edge count past the block": lambda b: _poke(
+        b, "edges", _first(b, POLYLINE), _count(b, "edges", _first(b, POLYLINE)) + 1),
+    "polyline with a part count": lambda b: _poke(b, "parts", _first(b, POLYLINE), 1),
+    "polygon of no part": lambda b: _poke(b, "parts", _first(b, POLYGON), 0),
+    "ring count overrunning": lambda b: _poke(b, "rings", 0, 0xFFFFFFFF),
+    "part of no ring": lambda b: _poke(b, "rings", 0, 0),
+    "ring of 2 vertices": lambda b: _poke(b, "vertices", 0, 2),
+    "counts that agree, past the block": lambda b: (
+        _poke(b, "vertices", 0, _count(b, "vertices", 0) + 1),
+        _poke(b, "edges", _first(b, POLYGON), _count(b, "edges", _first(b, POLYGON)) + 1)),
+    "point rows overrunning": lambda b: struct.pack_into("<I", b, 0, 1 << 30),
+    "other rows past the block": lambda b: struct.pack_into(
+        "<I", b, 4, struct.unpack_from("<I", b, 4)[0] + 1),
+    "a trailing byte": lambda b: b.extend(b"\0"),
+    "the last byte cut": lambda b: b.pop(),
+}
+
+
+def _corruptible():
+    """A block of points, a polyline and polygons, one of two parts, with
+    holes."""
+    r = gen.rng(3)
+    return [*gen.uniform_points(r, 4),
+            GeometryRecord(4, "polygon", [gen.holed_polygon((0.2, 0.2), 0.1),
+                                          gen.concave_polygon(r, (0.8, 0.8), 0.1)], 2.0),
+            line_record(5, [(0.1, 0.1), (0.4, 0.2), (0.3, 0.9)]),
+            GeometryRecord(6, "polygon", [gen.holed_polygon()])]
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_corrupt_blocks_raise_corruption_error(case):
+    """Each count, kind and length disagreement of a block raises
+    ``CorruptionError`` from the decoder: no ``IndexError`` or other error
+    escapes, and no row is returned."""
+    block = bytearray(storage.encode_block(engine.Dataset(_corruptible())))
+    assert len(storage.decode_block(bytes(block))) == len(_corruptible())
+    CORRUPTIONS[case](block)
+    with pytest.raises(CorruptionError):
+        storage.decode_block(bytes(block))
+
+
+def _rewrite_cell(store_dir, k: int, damage) -> None:
+    """Damage cell k's block in ``cells.bin`` and write the file back with
+    the cell's length and CRC-32 and the catalog's SHA-256 recomputed, so
+    only the decoder can tell."""
+    blob = bytearray((store_dir / "cells.bin").read_bytes())
+    ncells = struct.unpack_from("<I", blob, len(storage.MAGIC) + 2)[0]
+    base = storage._HEAD_SIZE + ncells * storage._CELL_ROW.size
+    rows = [list(row) for row in storage._CELL_ROW.iter_unpack(blob[storage._HEAD_SIZE:base])]
+    regions = [blob[base + off:base + off + blen + slen] for *_, off, blen, slen, _ in rows]
+    blen = rows[k][5]
+    block = bytearray(regions[k][:blen])
+    damage(block)
+    regions[k] = block + regions[k][blen:]
+    rows[k][5] = len(block)
+    off = 0
+    for row, region in zip(rows, regions):
+        row[4], row[7] = off, zlib.crc32(region)
+        off += len(region)
+    out = b"".join([bytes(blob[:storage._HEAD_SIZE]),
+                    *(storage._CELL_ROW.pack(*row) for row in rows), *map(bytes, regions)])
+    (store_dir / "cells.bin").write_bytes(out)
+    meta = store_dir / "catalog.meta"
+    old = hashlib.sha256(bytes(blob)).hexdigest()
+    meta.write_text(meta.read_text().replace(old, hashlib.sha256(out).hexdigest()))
+
+
+@pytest.mark.parametrize("case", ["polygon edge count off its rings", "ring of 2 vertices",
+                                  "unknown kind code", "ring count overrunning"])
+def test_corrupt_cell_with_a_valid_crc_is_refused(tmp_path, case):
+    recs = _corruptible() + gen.random_polygons(gen.rng(4), 6, radius_frac=0.05, start_id=10)
+    storage.build_indexes(storage.ingest(recs, "mixed", tmp_path), config=CFG)
+    _rewrite_cell(tmp_path / "mixed", 0, CORRUPTIONS[case])
+    store = storage.DatasetStore(tmp_path, "mixed", CFG)
+    [cell] = store.grid_index().cells
+    with pytest.raises(CorruptionError):
+        store.load_cell(cell)
+    with pytest.raises(CorruptionError):
+        _answers(store)
+
+
+def test_rows_keep_their_format_4_lengths():
+    """A polygon row takes 25 + 4 parts + 4 rings + 16 vertices bytes and a
+    polyline row 25 + 32 segments, as the per-record encoding of format 4
+    did, so cells of the same rows are the same size."""
+    recs = _corruptible()
+    others = [rec for rec in recs if rec.kind != "point"]
+    want = [25 + 32 * len(rec.geometry) if rec.kind == "polyline" else
+            25 + sum(4 + sum(4 + 16 * len(ring) for ring in part.rings) for part in rec.geometry)
+            for rec in others]
+    assert storage._row_lengths(RecordTable(others)).tolist() == want
+    block = storage.encode_block(engine.Dataset(recs))
+    assert len(block) == 8 + 32 * (len(recs) - len(others)) + sum(want)

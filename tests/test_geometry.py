@@ -374,7 +374,8 @@ def test_triangle_cover_equals_raycast(seed):
     poly = gen.concave_polygon(r, nverts=12)
     pts = r.uniform(0, 1, size=(300, 2))
     from rasterquery.geometry import points_to_segments_distance
-    d = points_to_segments_distance(pts, poly.boundary_edges())
+    d = points_to_segments_distance(pts, geometry.edge_table(
+        geometry.GeometryRecord(0, "polygon", [poly]))[0])
     pts = pts[d > 1e-9]  # ray cast is boundary-ambiguous; compare off-boundary
     got = points_in_triangles(pts, triangulate(poly.rings)[0])
     want = np.array([_raycast(p, poly) for p in pts])

@@ -63,7 +63,8 @@ def test_nested_polygons_never_share_a_layer(inner_id, outer_id):
 def test_join_and_aggregate_over_nested_polygons():
     recs = overlapping_lattices(1)
     pts = gen.uniform_points(gen.rng(9), 200)
-    pts += [point_record(1000 + rec.id, *rec.centroid()) for rec in recs]
+    pts += [point_record(1000 + rec.id, *c)
+            for rec, c in zip(recs, geometry.table_centroids(RecordTable(recs)).tolist())]
     layers = build_layer_index(recs)
     assert sorted(engine.join(recs, pts, resolution=64, d1_layers=layers).pairs) \
         == oracle.oracle_join(recs, pts)

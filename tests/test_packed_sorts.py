@@ -1,6 +1,6 @@
 """The raster kernels' packed-key sorts against ``np.lexsort`` references.
 
-``scanline_fill``, ``_union_runs`` and ``_Builder.finalize`` order their
+``scanline_fill``, ``_union_runs`` and ``DiscreteCanvas.set_boundary`` order their
 multi-key arrays by one value sort of keys packed into an int64, and
 ``segment_pixels`` evaluates its corner test per column strip. Each test
 here runs a test-local copy of the multi-key ``np.lexsort`` (or
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from rasterquery import canvas
 from rasterquery.canvas import (
-    _Builder,
+    DiscreteCanvas,
     _index,
     _swap_xy,
     _union_runs,
@@ -247,7 +247,7 @@ def test_segment_pixels_strip_corner_terms_match_four_corners(res):
             assert_same(segment_pixels(v, s), ref_segment_pixels(v, s))
 
 
-# -- _union_runs and _Builder.finalize ---------------------------------------
+# -- _union_runs and DiscreteCanvas.set_boundary -----------------------------
 
 @pytest.mark.parametrize("res", RESOLUTIONS)
 def test_union_runs_with_tied_key_and_row0(res):
@@ -271,21 +271,20 @@ def test_union_runs_with_tied_key_and_row0(res):
 @pytest.mark.parametrize("res", RESOLUTIONS)
 def test_finalize_with_repeated_pixel_ref_pairs(res):
     """Boundary pairs in several chunks, many (pixel, ref) pairs repeated,
-    the first and last pixel of the grid among them, and an empty chunk."""
+    the first and last pixel of the grid among them, and an empty chunk,
+    installed at once."""
     vp = viewport_from_bounds((0.0, 0.0, 1.0, 1.0), res)
     r = np.random.default_rng(res + 3)
-    b = _Builder(vp, None)
     flat, refs = [], []
     for size in (0, 200, 5, 3 * res):
         f = r.integers(0, res * res, size)
         e = r.integers(0, 50, size)
         if size:
             f[:3], e[:3] = (0, res * res - 1, f[-1]), (7, 0, e[-1])
-        b.add_boundary("line", f, e)
-        b.add_boundary("line", f[::2], e[::2])
         flat += [f, f[::2]]
         refs += [e, e[::2]]
-    plane = b.finalize().plane("line")
+    plane = DiscreteCanvas(vp)
+    plane.set_boundary(np.concatenate(flat), np.concatenate(refs))
     want = ref_buckets(np.concatenate(flat), np.concatenate(refs))
     assert_same((plane.bp_flat, plane.bp_start, plane.bp_entries), want)
 
@@ -304,7 +303,7 @@ def test_packed_key_budgets_at_the_largest_viewport():
         packed_bits((2**20 - 1) << rbits | (side - 1), 2**27)
     with pytest.raises(InternalInvariantError):
         packed_bits(2**20 << rbits | (side - 1), 2**27 - 1)
-    # _Builder.finalize: a pixel key above a boundary entry ref.
+    # DiscreteCanvas.set_boundary: a pixel key above a boundary entry ref.
     assert packed_bits(side * side - 1, 2**32 - 1) == 32
     with pytest.raises(InternalInvariantError):
         packed_bits(side * side - 1, 2**32)
@@ -323,9 +322,7 @@ def test_kernels_check_their_budget(monkeypatch):
     vp = viewport_from_bounds((0.0, 0.0, 1.0, 1.0), 16)
     edges, owner = ring_edges([(0.1, 0.1), (0.9, 0.1), (0.5, 0.9)])
     one = np.ones(1, dtype=np.int64)
-    b = _Builder(vp, None)
-    b.add_boundary("line", one, one)
     for call in (lambda: scanline_fill(vp, edges, owner), lambda: _union_runs(one, one, one),
-                 b.finalize):
+                 lambda: DiscreteCanvas(vp).set_boundary(one, one)):
         with pytest.raises(InternalInvariantError):
             call()

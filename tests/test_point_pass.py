@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import gen
 from rasterquery import engine
-from rasterquery.canvas import PlaneData, find_sorted
+from rasterquery.canvas import DiscreteCanvas, find_sorted
 from rasterquery.errors import InternalInvariantError
 from rasterquery.geometry import (
     GeometryRecord,
@@ -174,7 +174,7 @@ THIN_R = 1e-5
 
 def _runs_only(matcher):
     """The matcher's canvas with its interior runs alone, no boundary key."""
-    plane = PlaneData()
+    plane = DiscreteCanvas(matcher.vp)
     plane.run_start, plane.run_end, plane.run_id = (
         matcher.plane.run_start, matcher.plane.run_end, matcher.plane.run_id)
     return SimpleNamespace(vp=matcher.vp, plane=plane)

@@ -12,7 +12,6 @@ from dense import (
     center_xs,
     center_ys,
     dense_interior,
-    point_pixels,
     seg_touch_mask,
     window_for_bbox,
 )
@@ -26,11 +25,12 @@ from rasterquery.canvas import (
     viewport_from_bounds,
 )
 from rasterquery.canvas_index import build_boundary_index_direct
-from rasterquery.errors import OverlapError
+from rasterquery.errors import DataError, OverlapError
 from rasterquery.geometry import (
     GeometryRecord,
     box_record,
     edge_table,
+    point_record,
     points_in_triangles,
     polygon_from_rings,
     triangles_array,
@@ -163,52 +163,52 @@ def test_scanline_fill_spans_are_disjoint():
 
 # -- canvas rendering ----------------------------------------------------------
 
-def _reference_canvas(recs, vp, bindex) -> dict:
-    """Per plane, (row-major interior ids, sorted (flat, ref) pairs) by
-    evaluating the per-pixel predicates over the whole grid for every
-    primitive, records written in id order: a polygon claims the pixels
-    whose centre its closed triangles hold, then revokes its claim where
-    its own edges touch."""
+def _reference_canvas(recs, vp, bindex) -> tuple:
+    """(row-major interior ids, sorted (flat, ref) pairs) by evaluating the
+    per-pixel predicates over the whole grid for every ring edge, polygons
+    written in id order: a polygon claims the pixels whose centre its
+    closed triangles hold, then revokes its claim where its own edges
+    touch."""
     w, h = vp.width_px, vp.height_px
     grid = (0, w - 1, 0, h - 1)
     cx, cy = np.meshgrid(center_xs(vp, 0, w - 1), center_ys(vp, 0, h - 1))
     centres = np.column_stack([cx.ravel(), cy.ravel()])
     interior = np.full(w * h, NULL_ID, dtype=np.int64)
-    pairs = {"point": [], "line": [], "polygon": []}
+    pairs = []
     for rec in sorted(recs, key=lambda x: x.id):
         start = bindex.table.start[np.searchsorted(bindex.table.ids, rec.id)]
-        if rec.kind == "point":
-            for c, rr in point_pixels(vp, rec.geometry.x, rec.geometry.y):
-                pairs["point"].append((rr * w + c, start))
-            continue
-        plane = "line" if rec.kind == "polyline" else "polygon"
-        if rec.kind == "polygon":
-            interior[points_in_triangles(centres, triangles_array(rec))] = rec.id
+        interior[points_in_triangles(centres, triangles_array(rec))] = rec.id
         for ei, seg in enumerate(edge_table(rec)[0]):
             mask = seg_touch_mask(vp, grid, *seg).ravel()
             interior[mask & (interior == rec.id)] = NULL_ID
-            pairs[plane].extend((f, start + ei) for f in np.flatnonzero(mask).tolist())
-    return {name: (interior if name == "polygon" else np.full(w * h, NULL_ID), sorted(p))
-            for name, p in pairs.items()}
+            pairs.extend((f, start + ei) for f in np.flatnonzero(mask).tolist())
+    return interior, sorted(pairs)
 
 
 @pytest.mark.parametrize("res", [16, 24, 40, 64])
 @pytest.mark.parametrize("seed", range(3))
 def test_render_matches_per_pixel_reference_on_disjoint_layer(res, seed):
-    r = gen.rng(seed)
-    recs = gen.disjoint_polygons(r, 3, holes_every=2)
-    recs += gen.random_polylines(r, 6, start_id=50)
-    recs += [GeometryRecord(60 + i, "point", p.geometry)
-             for i, p in enumerate(gen.uniform_points(r, 8))]
+    recs = gen.disjoint_polygons(gen.rng(seed), 3, holes_every=2)
     bindex = build_boundary_index_direct(recs)
     vp = viewport_from_bounds((0.0, 0.0, 1.0, 1.0), res)
     canvas = render_geometry_canvas(vp, bindex)
-    want = _reference_canvas(recs, vp, bindex)
-    for name, (interior, pairs) in want.items():
-        plane = canvas.plane(name)
-        assert np.array_equal(dense_interior(plane, vp), interior), (name, res)
-        assert boundary_pairs(plane, vp) == pairs, (name, res)
-        assert np.all(np.diff(plane.bp_flat) > 0)
+    interior, pairs = _reference_canvas(recs, vp, bindex)
+    plane = canvas.plane("polygon")
+    assert np.array_equal(dense_interior(plane, vp), interior), res
+    assert boundary_pairs(plane, vp) == pairs, res
+    assert np.all(np.diff(plane.bp_flat) > 0)
+
+
+@pytest.mark.parametrize("kind", ["point", "polyline"])
+def test_render_refuses_points_and_polylines(kind):
+    """A geometry canvas holds polygons only: no query puts a point or a
+    polyline on one, and a table holding either is refused, not ignored."""
+    r = gen.rng(4)
+    other = ([point_record(50, 0.85, 0.85)] if kind == "point"
+             else gen.random_polylines(r, 1, start_id=50))
+    bindex = build_boundary_index_direct(gen.disjoint_polygons(r, 2) + other)
+    with pytest.raises(DataError):
+        render_geometry_canvas(viewport_from_bounds((0.0, 0.0, 1.0, 1.0), 16), bindex)
 
 
 @pytest.mark.parametrize("res", [16, 32, 64])

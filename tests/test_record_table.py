@@ -1,7 +1,8 @@
 """``geometry.RecordTable`` flattens a record list exactly as the records'
 own ``edge_table`` and ``bbox`` describe them, and each query builds one
-table per probe part and one per canvas, while a store's hull table is
-built once."""
+table per probe part and one for its canvases, each canvas's rows gathered
+from it, while a store's hull table is built once and its cells' tables are
+decoded with no build."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from rasterquery.geometry import (
     GeometryRecord,
     RecordTable,
     edge_table,
+    line_record,
     point_record,
     polygon_record,
 )
@@ -64,6 +66,14 @@ def _assert_describes(t: RecordTable, recs):
     # contiguous run, and ``part_edges`` gives it.
     assert np.array_equal(t.part_edges, np.r_[np.flatnonzero(np.diff(t.part, prepend=-1)),
                                               len(t.edges)])
+    # Values, NaN for none, and rings: a polygon's rings, one ring for any
+    # other record.
+    np.testing.assert_array_equal(t.values, [np.nan if rec.value is None else rec.value
+                                             for rec in recs])
+    rings = [len(ring) for rec in recs
+             for ring in ([r for p in rec.geometry for r in p.rings] if rec.kind == "polygon"
+                          else [_own_edges(rec)[0]])]
+    assert np.diff(t.ring_start).tolist() == rings and t.ring_start[0] == 0
 
 
 @pytest.mark.parametrize("name", sorted(_lists()))
@@ -89,10 +99,19 @@ def test_a_points_only_table_equals_a_mixed_build(n):
     _assert_describes(got, pts)
     want = RecordTable(gen.random_polylines(gen.rng(12), 1, start_id=n) + pts).take(
         np.arange(1, n + 1))
-    for name in ("ids", "kinds", "start", "edges", "rank", "part", "part_start", "boxes",
-                 "part_edges"):
+    for name in ("ids", "kinds", "values", "start", "edges", "rank", "part", "part_start",
+                 "ring_start", "boxes", "part_edges"):
         a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+
+
+def test_reassigned_polyline_geometry_is_flattened_anew():
+    """Reassigning a record's geometry drops its cached segments with its
+    other derived arrays, so a later table holds the new segments."""
+    rec = line_record(1, [(0.0, 0.0), (1.0, 1.0)])
+    assert RecordTable([rec]).edges.tolist() == [[0.0, 0.0, 1.0, 1.0]]
+    rec.geometry = line_record(1, [(5.0, 5.0), (6.0, 7.0)]).geometry
+    assert RecordTable([rec]).edges.tolist() == [[5.0, 5.0, 6.0, 7.0]]
 
 
 def test_points_in_parts_reads_polygon_parts_only():
@@ -158,7 +177,9 @@ def test_one_table_per_probe_part_and_per_canvas(mixed, monkeypatch, query):
     builds, canvases = _count(monkeypatch)
     run()
     assert canvases
-    assert len(builds) == len(canvases) + 1
+    # The probes' table and the constraint side's: every canvas takes its
+    # layer's rows of the latter (``RecordTable.take``).
+    assert len(builds) == 2
     others = [rec.id for rec in data if rec.kind != "point"]
     assert [[rec.id for rec in b] for b in builds].count(others) == 1
 
@@ -197,4 +218,7 @@ def test_store_hull_table_is_built_once(store_dir, monkeypatch, query):
         run()
     hulls = {id(h) for name in used for h in stores[name].grid_index().hulls().records}
     assert sum(any(id(rec) in hulls for rec in b) for b in builds) == len(used)
-    assert len(builds) > len(used)
+    # The rest are the constraint or source tables of each run; no loaded
+    # cell builds one.
+    per_run = {"ooc_select": 2, "ooc_aggregate": 1, "ooc_distance_select": 1, "ooc_join": 0}
+    assert len(builds) == len(used) + 3 * per_run[query]

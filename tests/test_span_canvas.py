@@ -29,7 +29,6 @@ from rasterquery.canvas import (
     NULL_ID,
     capsule_pixels,
     in_sorted,
-    point_pixels_array,
     render_geometry_canvas,
     scanline_fill,
     segment_pixels,
@@ -78,23 +77,12 @@ def _first_refs(recs, bindex) -> np.ndarray:
     return _entry_range(recs, bindex)[0]
 
 
-def dense_geometry_canvas(recs, vp, bindex) -> dict:
-    """Per plane, (row-major interior ids, sorted (flat, ref) pairs)."""
+def dense_geometry_canvas(polys, vp, bindex) -> tuple:
+    """(row-major interior ids, sorted (flat, ref) pairs) of a layer of
+    polygons."""
     w, h = vp.width_px, vp.height_px
     hw = w * h
-    recs = sorted(recs, key=lambda rec: rec.id)
-    out = {name: (np.full(hw, NULL_ID, dtype=np.int64), []) for name in ("point", "line")}
-    pts = [rec for rec in recs if rec.kind == "point"]
-    if pts:
-        k, flat = point_pixels_array(vp, [(p.geometry.x, p.geometry.y) for p in pts])
-        out["point"][1].extend(zip(flat.tolist(), _first_refs(pts, bindex)[k].tolist()))
-    lines = [rec for rec in recs if rec.kind == "polyline"]
-    if lines:
-        edges, rank, ordinal, _ = _stacked(lines)
-        k, flat = segment_pixels(vp, edges)
-        refs = _first_refs(lines, bindex)[rank] + ordinal
-        out["line"][1].extend(zip(flat.tolist(), refs[k].tolist()))
-    polys = [rec for rec in recs if rec.kind == "polygon"]
+    polys = sorted(polys, key=lambda rec: rec.id)
     winner = np.full(hw, -1, dtype=np.int64)
     pairs = []
     if polys:
@@ -120,8 +108,7 @@ def dense_geometry_canvas(recs, vp, bindex) -> dict:
             winner[cflat[points_in_parts(centres, crank, RecordTable(polys))]] = -1
         ids = np.array([rec.id for rec in polys], dtype=np.int64)
         winner[winner >= 0] = ids[winner[winner >= 0]]
-    out["polygon"] = (winner, pairs)
-    return {name: (interior, sorted(p)) for name, (interior, p) in out.items()}
+    return winner, sorted(pairs)
 
 
 def dense_distance_canvas(sources, radii, vp, bindex) -> tuple:
@@ -166,12 +153,7 @@ def _geometry_layer(name):
         return [GeometryRecord(4, "polygon", [gen.holed_polygon()])]
     if name == "disjoint":
         return gen.disjoint_polygons(r, 4, start_id=20)
-    seed = int(name[-1])
-    r = gen.rng(seed)
-    recs = gen.disjoint_polygons(r, 3, holes_every=2)
-    recs += gen.random_polylines(r, 6, start_id=50)
-    return recs + [GeometryRecord(60 + i, "point", p.geometry)
-                   for i, p in enumerate(gen.uniform_points(r, 8))]
+    return gen.disjoint_polygons(gen.rng(int(name[-1])), 3, holes_every=2)
 
 
 def _distance_layer(name):
@@ -202,13 +184,12 @@ def test_geometry_canvas_equals_dense_reference(name, res):
     recs = _geometry_layer(name)
     bindex = build_boundary_index_direct(recs)
     vp = viewport_from_bounds(engine._bounds_union([rec.bbox() for rec in recs]), res)
-    canvas = render_geometry_canvas(vp, bindex)
-    for plane_name, (interior, pairs) in dense_geometry_canvas(recs, vp, bindex).items():
-        plane = canvas.plane(plane_name)
-        assert np.array_equal(dense_interior(plane, vp), interior), plane_name
-        assert boundary_pairs(plane, vp) == pairs, plane_name
-        assert np.all(plane.run_start[1:] > plane.run_end[:-1])
-        assert np.all(plane.run_start // vp.height_px == plane.run_end // vp.height_px)
+    plane = render_geometry_canvas(vp, bindex).plane("polygon")
+    interior, pairs = dense_geometry_canvas(recs, vp, bindex)
+    assert np.array_equal(dense_interior(plane, vp), interior)
+    assert boundary_pairs(plane, vp) == pairs
+    assert np.all(plane.run_start[1:] > plane.run_end[:-1])
+    assert np.all(plane.run_start // vp.height_px == plane.run_end // vp.height_px)
 
 
 @pytest.mark.parametrize("res", RESOLUTIONS)

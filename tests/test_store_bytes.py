@@ -1,8 +1,11 @@
 """Golden bytes: seeded point, polygon, mixed and collinear stores are
-written byte for byte as pinned here. The digests were taken from the
-record-by-record build; a build that forms cells or hulls another way must
-write the same ``records.bin``, ``cells.bin``, ``hulls.wkt`` and
-``catalog.meta``."""
+written byte for byte as pinned here, and every cell decodes to exactly
+the rows ingested into it. The ``hulls.wkt`` digests were taken from the
+record-by-record build of store format 4 and still hold: format 5 keeps
+every row at its format-4 length and every box exact, so zooms, cells and
+hulls are the same. ``records.bin``, ``cells.bin`` and ``catalog.meta`` are
+pinned at format 5, whose version and columnar others section they hold;
+a build that forms cells or hulls another way must write the same bytes."""
 
 import hashlib
 
@@ -59,28 +62,28 @@ STORES = {
 
 GOLDEN = {
     "collinear": {
-        "records.bin": "1970247f3bc53bdc1440b24cd955cf7482d4dfe2dc2935a4d8117933172e4596",
-        "cells.bin": "b111968813dfddae3ce9826e6a104f5de98fa4ecc2307fe4f251e22d2d3c6e24",
+        "records.bin": "14218da9505d58311af130e9adda91a60a7e6ad5199f88813e3e027b3bb46a7a",
+        "cells.bin": "caf4700cd559a7d4f95d5d60435bb962b39ad22be3b978133f458db2bf7ebb75",
         "hulls.wkt": "4b0483d2b3a1a6e3f15a38bb7120e9bfe03b04d84c61fd49ea90ae723205591a",
-        "catalog.meta": "d074a85f93f539cd1cf0026b1fb41fc3839fa062d055a61981c5b9cc90bc26f1",
+        "catalog.meta": "2d50eeb5fa63471472234acc841f7067f08d83d1f1fb89e0b9e77d1d8d19d0af",
     },
     "mixed": {
-        "records.bin": "5d62770f3416af4dced2444c82bfe3edbdfa7f93271cc198a96a8dc32ed0c5d9",
-        "cells.bin": "bf529fd340cbfb05ca83a1a442ee272aad3d1f00178cbdc88f217c3cc489b73a",
+        "records.bin": "63c029d5dd789713cf0f133ab38d019428603e7e454f0db133e1640dd27717d7",
+        "cells.bin": "60d7c021a0afee370119ec8fce9723cc987e32fe71049728fd63e15e607a54d8",
         "hulls.wkt": "4bdcb0a37bd9305570cceada26049abefd53785b2cdedf560435072d4bde2eea",
-        "catalog.meta": "d0f8d07e5a2d8e583e5c6969af3ab184bcecc0353513c30d50241694996883f4",
+        "catalog.meta": "495715f591e8bcaa707dfd0ee2df5935511c928b9a5ff44586dfdbc00c368ba0",
     },
     "points": {
-        "records.bin": "09a4e741de913fdff48060e66e1214e10afc0822819bc0db2643868c2e7b9f4c",
-        "cells.bin": "11d65a5819dc1159b50b64a012970737df54225cd26968566712514f3fb9d4b9",
+        "records.bin": "ca0b63f72cf209cbed7330edfe5376d0bdd5af36e8c955ba361fc99791148104",
+        "cells.bin": "4df46b09af18beef5cd9dc25a92299e7e4a64f588a4a9571d18774736331ad4a",
         "hulls.wkt": "0ecd0c10f424de703295437d89c5f72f6a3cd8520bc3ed84bffd9c41cb829a71",
-        "catalog.meta": "34fd106ccc0a0e7b612ecc992dc5f9ab275ddf7782759749b1b49667e4005815",
+        "catalog.meta": "392e7f8a9946fe97864946aeefe9ef976b3b1d91975955307eaade05b4e9771b",
     },
     "polygons": {
-        "records.bin": "325907e8b14b9f5c3276a00190066d1ddccf245b2c53ddda9253585ddf213876",
-        "cells.bin": "0ca674ddc21b20b23712cbae46b63a92837943568d791abf849919e032c8bf65",
+        "records.bin": "03177500a850e969ea804ec738876403bc4d22e15940ed8f9e209586b4ff3c67",
+        "cells.bin": "cba850790a3157a511b96e57c6f93c87686976ac46cc57694665bae59c11dc61",
         "hulls.wkt": "e549317ab0036e297af74fdcb1aeef4bf911af7e8a8a9e4dba91485ee3ccc008",
-        "catalog.meta": "2f105a896d887418821812bcad88980e1fc12d4abdda253399fadf77e3f335d6",
+        "catalog.meta": "95fd9d93d96944e1d55ca3a26e488908b3de00a88d20c7a966a2aed26c54964a",
     },
 }
 
@@ -96,3 +99,21 @@ def _digests(root, name) -> dict:
 @pytest.mark.parametrize("name", sorted(STORES))
 def test_store_files_match_their_pinned_bytes(tmp_path, name):
     assert _digests(tmp_path, name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(STORES))
+def test_golden_cells_decode_to_their_ingested_rows(tmp_path, name):
+    """Each cell of a golden store holds its rows in id order, points then
+    others, each exactly as ingested, and the cells partition the records."""
+    _digests(tmp_path, name)
+    ingested = {rec.id: rec for rec in STORES[name][0]()}
+    store = storage.DatasetStore(tmp_path, name, CFG)
+    seen = []
+    for cell in store.grid_index().cells:
+        data = store.load_cell(cell)
+        assert len(data) == cell.count
+        assert np.all(np.diff(data.ids) > 0) and np.all(np.diff(data.probes.ids) > 0)
+        for rec in data.records:
+            gen.assert_same_record(rec, ingested[rec.id])
+        seen += [rec.id for rec in data.records]
+    assert sorted(seen) == sorted(ingested)
